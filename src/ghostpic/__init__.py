@@ -21,6 +21,7 @@ from ghostpic.errors import (
     InternalConsistencyError,
     NonGenericPathError,
     RankError,
+    UsageError,
 )
 
 __all__ = [
@@ -36,4 +37,5 @@ __all__ = [
     "GuardExceededError",
     "InternalConsistencyError",
     "RankError",
+    "UsageError",
 ]

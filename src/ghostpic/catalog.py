@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 from ghostpic.errors import CatalogError
@@ -510,6 +508,9 @@ class ModuleClass:
         self._brick_set = frozenset(self.bricks)
         self._check_independence()
         self._filt_cache: dict[ModuleSum, bool] = {}
+        # per-class tables: the class is immutable, so each fact is computed once
+        self._waq_table: dict[tuple[str, bool], tuple[SubquotientPair, ...]] = {}
+        self._wall_table: dict = {}  # brick -> stability.Wall, filled by stability.wall
         self.flags: ClassFlags = classify_class(self)
 
     def _check_independence(self):
@@ -572,13 +573,18 @@ class ModuleClass:
 
     def weakly_admissible_quotients(self, m: str, proper: bool = True):
         """Pairs of m whose quotient is weakly admissible; with ``proper``
-        only nonzero quotients by nonzero kernels are kept."""
-        out = []
-        for p in self.catalog.pairs(m):
-            if proper and (not p.sub or not p.quot):
-                continue
-            if self.is_weakly_admissible_quotient(m, p):
-                out.append(p)
+        only nonzero quotients by nonzero kernels are kept.  Computed once per
+        (m, proper) and returned as a tuple."""
+        key = (m, proper)
+        out = self._waq_table.get(key)
+        if out is None:
+            out = tuple(
+                p
+                for p in self.catalog.pairs(m)
+                if not (proper and (not p.sub or not p.quot))
+                and self.is_weakly_admissible_quotient(m, p)
+            )
+            self._waq_table[key] = out
         return out
 
     def admissible_quotients(self, m: str, proper: bool = True):

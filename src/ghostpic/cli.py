@@ -29,6 +29,7 @@ from ghostpic.errors import (
     InternalConsistencyError,
     NonGenericPathError,
     RankError,
+    UsageError,
 )
 from ghostpic.ghosts import classify_bifurcations, enumerate_ghosts, format_schedule
 from ghostpic.greenpaths import (
@@ -90,7 +91,10 @@ def _parse_vec(text: str, n: int, flag: str):
     parts = [x.strip() for x in text.split(",")]
     if len(parts) != n:
         raise CatalogError(f"{flag} needs {n} comma-separated rationals")
-    return tuple(Fraction(x) for x in parts)
+    try:
+        return tuple(Fraction(x) for x in parts)
+    except (ValueError, ZeroDivisionError):
+        raise CatalogError(f"{flag} needs {n} comma-separated rationals, got {text!r}") from None
 
 
 def _emit(args, payload: str):
@@ -361,7 +365,7 @@ def dispatch(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (CatalogError, RankError, NonGenericPathError, FileNotFoundError) as exc:
+    except (CatalogError, RankError, NonGenericPathError, UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GuardExceededError as exc:

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all ghostpic modules."""
+"""Exception hierarchy shared by all ghostpic modules, and the reader of the
+GHOSTPIC_GUARD override."""
+
+import os
 
 
 class GhostpicError(Exception):
@@ -27,6 +30,22 @@ class GuardExceededError(GhostpicError):
     def __init__(self, message, count=None):
         self.count = count
         super().__init__(message)
+
+
+class UsageError(GhostpicError):
+    """A malformed command-line or environment value (exit code 2)."""
+
+
+def guard_limit(default: int) -> int:
+    """The enumeration limit: GHOSTPIC_GUARD when set and nonempty, else the
+    caller's default.  One value overrides every guard."""
+    raw = os.environ.get("GHOSTPIC_GUARD", "").strip()
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"GHOSTPIC_GUARD must be an integer, got {raw!r}") from None
 
 
 class InternalConsistencyError(GhostpicError):

@@ -9,13 +9,11 @@ floating-point fast paths.
 
 from __future__ import annotations
 
-import itertools
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from ghostpic.errors import GhostpicError, GuardExceededError
+from ghostpic.errors import GhostpicError, GuardExceededError, guard_limit
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -26,28 +24,24 @@ ONE = Fraction(1)
 CELL_GUARD = 20
 
 
-def _guard(default: int) -> int:
-    raw = os.environ.get("GHOSTPIC_GUARD")
-    if raw is None:
-        return default
-    return int(raw)
-
-
 def dot(a, b) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), ZERO)
+    """Exact dot product of int or Fraction vectors, always a Fraction."""
+    return sum((x * y for x, y in zip(a, b)), ZERO)
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
+def int_dot(a, b) -> int:
+    """Dot product of two integer vectors, as an int."""
+    return sum(x * y for x, y in zip(a, b))
 
 
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a) -> Vec:
-    c = Fraction(c)
-    return tuple(c * Fraction(x) for x in a)
+def integral(v) -> IntVec:
+    """The positive integer multiple of a rational vector by the lcm of its
+    denominators (ints have denominator 1, so int vectors come back as is)."""
+    den = 1
+    for x in v:
+        if x.denominator != 1:
+            den = lcm(den, x.denominator)
+    return tuple(x.numerator * (den // x.denominator) for x in v)
 
 
 def as_fracvec(a) -> Vec:
@@ -109,10 +103,12 @@ class Cone:
     strict: tuple[IntVec, ...] = ()
 
     def contains(self, theta) -> bool:
+        # cones are homogeneous: test the integer multiple of theta instead
+        p = integral(theta)
         return (
-            all(dot(e, theta) == 0 for e in self.equalities)
-            and all(dot(w, theta) >= 0 for w in self.weak)
-            and all(dot(s, theta) > 0 for s in self.strict)
+            all(int_dot(e, p) == 0 for e in self.equalities)
+            and all(int_dot(w, p) >= 0 for w in self.weak)
+            and all(int_dot(s, p) > 0 for s in self.strict)
         )
 
     def interior(self) -> "Cone":
@@ -340,7 +336,7 @@ def enumerate_cells(hyperplanes: list[Hyperplane]) -> list[Cell]:
     order of their sign vectors (+ before -), each with an exact strict
     sample point."""
     n = _check_hyperplanes(hyperplanes)
-    if len(hyperplanes) > _guard(CELL_GUARD):
+    if len(hyperplanes) > guard_limit(CELL_GUARD):
         raise GuardExceededError(
             f"{len(hyperplanes)} hyperplanes exceeds the cell enumeration guard"
         )

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from ghostpic.catalog import (
     BrickCatalog,
@@ -41,6 +42,7 @@ from ghostpic.greenpaths import (
     CrossingSchedule,
     Event,
     LinearPath,
+    _proportional,
     check_generic,
     crossing_schedule,
 )
@@ -85,6 +87,10 @@ class Ghost:
 
     def key(self):
         return (self.kind, self.a, self.b, self.c)
+
+    @cached_property
+    def domain_interior(self) -> Cone:
+        return self.domain.interior()
 
     def display(self) -> str:
         if self.kind == SUBOBJECT:
@@ -359,20 +365,21 @@ def extension_ghost_domain(cls: ModuleClass, g: Ghost) -> Cone:
 def ghost_stability(cls: ModuleClass, path: LinearPath, g: Ghost) -> bool:
     """Crossing-time stability, cross-checked against exact membership of
     the crossing point in the domain interior; the two must agree."""
-    from ghostpic.greenpaths import _proportional
-
-    t_event = path.crossing_time(g.event_dim)
+    num_e, den_e = path.time_key(g.event_dim)
     by_times = True
     for cond in g.conditions:
         obj_dim = cls.dim_of(cond.obj)
-        t_obj = path.crossing_time(obj_dim)
+        num_o, den_o = path.time_key(obj_dim)
+        t_obj, t_event = num_o * den_e, num_e * den_o  # scaled by den_o*den_e > 0
         if t_obj == t_event and not _proportional(obj_dim, g.event_dim):
-            raise NonGenericPathError(g.display(), repr(cond.obj), t_event)
+            raise NonGenericPathError(
+                g.display(), repr(cond.obj), path.crossing_time(g.event_dim)
+            )
         satisfied = (t_obj > t_event) if cond.late else (t_obj < t_event)
         if not satisfied:
             by_times = False
             break
-    by_domain = g.domain.interior().contains(path.at(t_event))
+    by_domain = g.domain_interior.contains(path.crossing_point(g.event_dim))
     if by_times != by_domain:
         raise InternalConsistencyError(
             f"{g.display()}: time criterion ({by_times}) disagrees with "
@@ -457,25 +464,15 @@ def format_schedule(schedule: CrossingSchedule) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def classify_bifurcations(cls: ModuleClass, ghosts: list[Ghost] | None = None) -> BifurcationReport:
-    """Match every side condition of every non-minimal ghost against the
-    case recipes.
-
-    Subobject cases follow the five parent-triple constructions; quotient
-    ghosts are classified through the duality transport (torsion-free side);
-    extension ghosts are linked by shared end terms.  Recipes that produce a
-    decomposable term or a triple that is not an enumerated ghost are
-    reported unclassified rather than silently dropped, and candidate
-    occurrences of the unlisted pattern (an epimorphism from a child's C
-    onto another ghost's middle term) are reported as pathological.
-    """
-    if ghosts is None:
-        ghosts = enumerate_ghosts(cls)
-    by_key = {g.key(): g for g in ghosts}
+def _subobject_bifurcations(ghosts: list[Ghost]) -> tuple[list[Bifurcation], list[tuple]]:
+    """Bifurcations and unclassified conditions of the non-minimal subobject
+    ghosts, matched against the five parent-triple recipes."""
+    keys = {g.key() for g in ghosts}
     bifurcations: list[Bifurcation] = []
     unclassified: list[tuple] = []
-
-    def classify_sub_side(child: Ghost, keymap):
+    for child in ghosts:
+        if child.kind != SUBOBJECT or child.minimal:
+            continue
         for cond in child.conditions:
             if cond.case == 0:
                 continue
@@ -495,7 +492,7 @@ def classify_bifurcations(cls: ModuleClass, ghosts: list[Ghost] | None = None) -
                 )
                 continue
             parent_key = (SUBOBJECT, zp.ids[0], bp.ids[0], cp.ids[0])
-            if parent_key not in keymap:
+            if parent_key not in keys:
                 unclassified.append((child.key(), cond.case, f"{parent_key} is not an enumerated ghost"))
                 continue
             bifurcations.append(
@@ -507,10 +504,26 @@ def classify_bifurcations(cls: ModuleClass, ghosts: list[Ghost] | None = None) -
                     wall_kind=wall_kind,
                 )
             )
+    return bifurcations, unclassified
 
-    for g in ghosts:
-        if g.kind == SUBOBJECT and not g.minimal:
-            classify_sub_side(g, by_key)
+
+def classify_bifurcations(cls: ModuleClass, ghosts: list[Ghost] | None = None) -> BifurcationReport:
+    """Match every side condition of every non-minimal ghost against the
+    case recipes.
+
+    Subobject cases follow the five parent-triple constructions; quotient
+    ghosts are classified through the duality transport, as the subobject
+    ghosts of the dual class (torsion-free side); extension ghosts are
+    linked by shared end terms.  Recipes that produce a decomposable term or
+    a triple that is not an enumerated ghost are reported unclassified
+    rather than silently dropped, and candidate
+    occurrences of the unlisted pattern (an epimorphism from a child's C
+    onto another ghost's middle term) are reported as pathological.
+    """
+    if ghosts is None:
+        ghosts = enumerate_ghosts(cls)
+    by_key = {g.key(): g for g in ghosts}
+    bifurcations, unclassified = _subobject_bifurcations(ghosts)
 
     if any(g.kind == QUOTIENT and not g.minimal for g in ghosts):
         try:
@@ -523,9 +536,11 @@ def classify_bifurcations(cls: ModuleClass, ghosts: list[Ghost] | None = None) -
                         (g.key(), 0, "quotient-side classification needs a dualizable catalog")
                     )
         if duality is not None:
-            dual_report = classify_bifurcations(duality.dual_class)
+            dual_bifurcations, _ = _subobject_bifurcations(
+                enumerate_ghosts(duality.dual_class)
+            )
             back = duality.transport_key_back
-            for bf in dual_report.bifurcations:
+            for bf in dual_bifurcations:
                 if back(bf.child) in by_key and back(bf.parent) in by_key:
                     bifurcations.append(
                         Bifurcation(

@@ -12,9 +12,9 @@ against exact membership of the crossing point in the wall interior.
 from __future__ import annotations
 
 import itertools
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from ghostpic.catalog import ModuleClass, ModuleSum
 from ghostpic.errors import (
@@ -22,8 +22,9 @@ from ghostpic.errors import (
     GuardExceededError,
     InternalConsistencyError,
     NonGenericPathError,
+    guard_limit,
 )
-from ghostpic.geometry import Vec, as_fracvec, dot
+from ghostpic.geometry import IntVec, Vec, as_fracvec, dot, int_dot, integral
 from ghostpic.stability import ChamberGraph, chamber_graph, locate_chamber, wall
 
 MGS_GUARD = 10**6
@@ -31,8 +32,14 @@ MGS_GUARD = 10**6
 
 @dataclass(frozen=True)
 class LinearPath:
+    """gamma_t = h + t*k.  Besides the rational h and k the path keeps the
+    integer pair (H*h, H*k) over their common denominator H, so crossing
+    times compare by integer cross-multiplication."""
+
     h: Vec
     k: Vec
+    _hi: IntVec = field(init=False, repr=False, compare=False)
+    _ki: IntVec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "h", as_fracvec(self.h))
@@ -41,6 +48,9 @@ class LinearPath:
             raise CatalogError("h and k must have equal length")
         if any(x <= 0 for x in self.k):
             raise CatalogError("all coordinates of k must be strictly positive")
+        hk = integral(self.h + self.k)
+        object.__setattr__(self, "_hi", hk[: len(self.h)])
+        object.__setattr__(self, "_ki", hk[len(self.h) :])
 
     def at(self, t) -> Vec:
         t = Fraction(t)
@@ -48,6 +58,24 @@ class LinearPath:
 
     def crossing_time(self, dim) -> Fraction:
         return Fraction(-dot(self.h, dim), dot(self.k, dim))
+
+    def time_key(self, dim) -> tuple[int, int]:
+        """crossing_time(dim) as a reduced (num, den) pair with den > 0, for
+        a dim with k.dim > 0 (every nonzero dimension vector)."""
+        num = -int_dot(self._hi, dim)
+        den = int_dot(self._ki, dim)
+        if den <= 0:
+            raise ValueError(f"k.dim must be positive, got dim {dim}")
+        g = gcd(num, den)
+        return num // g, den // g
+
+    def crossing_point(self, dim) -> IntVec:
+        """(k.dim)*h - (h.dim)*k over the integers: for k.dim > 0 a positive
+        multiple of at(crossing_time(dim)), where the path meets the
+        hyperplane of dim."""
+        hd = int_dot(self._hi, dim)
+        kd = int_dot(self._ki, dim)
+        return tuple(kd * a - hd * b for a, b in zip(self._hi, self._ki))
 
 
 @dataclass(frozen=True)
@@ -85,13 +113,13 @@ def check_generic(path: LinearPath, cls: ModuleClass, extra_dims=()) -> None:
             dims.setdefault(cls.dim_of(p.quot), repr(p.quot))
     for d, name in extra_dims:
         dims.setdefault(tuple(d), name)
-    by_time: dict[Fraction, tuple[tuple, str]] = {}
+    by_time: dict[tuple[int, int], tuple[tuple, str]] = {}
     for d, name in sorted(dims.items()):
-        t = path.crossing_time(d)
+        t = path.time_key(d)
         if t in by_time:
             other_d, other_name = by_time[t]
             if not _proportional(d, other_d):
-                raise NonGenericPathError(other_name, name, t)
+                raise NonGenericPathError(other_name, name, path.crossing_time(d))
         else:
             by_time[t] = (d, name)
 
@@ -101,17 +129,18 @@ def is_relatively_stable(cls: ModuleClass, path: LinearPath, m: str) -> bool:
     admissible quotient; cross-validated against membership of the crossing
     point in the wall interior."""
     dim_m = cls.dim_of(m)
-    t_m = path.crossing_time(dim_m)
+    num_m, den_m = path.time_key(dim_m)
     by_times = True
     for p in cls.weakly_admissible_quotients(m):
         dim_q = cls.dim_of(p.quot)
-        t_q = path.crossing_time(dim_q)
+        num_q, den_q = path.time_key(dim_q)
+        t_q, t_m = num_q * den_m, num_m * den_q  # scaled by den_q*den_m > 0
         if t_q == t_m and not _proportional(dim_q, dim_m):
-            raise NonGenericPathError(m, repr(p.quot), t_m)
+            raise NonGenericPathError(m, repr(p.quot), path.crossing_time(dim_m))
         if t_q >= t_m:
             by_times = False
             break
-    by_wall = wall(cls, m).cone.interior().contains(path.at(t_m))
+    by_wall = wall(cls, m).interior.contains(path.crossing_point(dim_m))
     if by_times != by_wall:
         raise InternalConsistencyError(
             f"stability of {m}: quotient-time criterion ({by_times}) disagrees "
@@ -156,8 +185,7 @@ def linear_mgs(cls: ModuleClass, path: LinearPath) -> list[str]:
     schedule = crossing_schedule(cls, path)
     out = [e.label for e in schedule.events if e.stable]
     for m in out:
-        point = path.at(path.crossing_time(cls.dim_of(m)))
-        if not wall(cls, m).cone.interior().contains(point):
+        if not wall(cls, m).interior.contains(path.crossing_point(cls.dim_of(m))):
             raise InternalConsistencyError(f"stable brick {m} missed int D({m})")
     return out
 
@@ -171,11 +199,6 @@ def linear_mgs(cls: ModuleClass, path: LinearPath) -> list[str]:
 class Mgs:
     walls: tuple[str, ...]
     chamber_ids: tuple[int, ...]
-
-
-def _mgs_guard() -> int:
-    raw = os.environ.get("GHOSTPIC_GUARD")
-    return int(raw) if raw else MGS_GUARD
 
 
 def count_mgs(graph: ChamberGraph) -> int:
@@ -196,14 +219,11 @@ def enumerate_mgs(cls: ModuleClass, graph: ChamberGraph | None = None) -> list[M
     if graph is None:
         graph = chamber_graph(cls)
     total = count_mgs(graph)
-    if total > _mgs_guard():
+    if total > guard_limit(MGS_GUARD):
         raise GuardExceededError(
             f"{total} maximal green sequences exceed the enumeration guard", count=total
         )
     out: list[Mgs] = []
-    stack: list[tuple[int, tuple[str, ...], tuple[int, ...]]] = [
-        (graph.source, (), (graph.source,))
-    ]
 
     def expand(cid, walls, chain):
         if cid == graph.sink:

@@ -9,12 +9,11 @@ because a wall is in general a proper subset of its hyperplane.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 from ghostpic.catalog import ModuleClass, ModuleSum
-from ghostpic.errors import GuardExceededError, InternalConsistencyError
+from ghostpic.errors import GuardExceededError, InternalConsistencyError, guard_limit
 from ghostpic.geometry import (
     Cell,
     Cone,
@@ -22,8 +21,9 @@ from ghostpic.geometry import (
     Hyperplane,
     Vec,
     cell_facet_neighbors,
-    dot,
     enumerate_cells,
+    int_dot,
+    integral,
 )
 
 BRICK_GUARD = 20
@@ -38,10 +38,18 @@ class Wall:
     def hyperplane(self) -> Hyperplane:
         return Hyperplane.from_vector(self.cone.equalities[0])
 
+    @cached_property
+    def interior(self) -> Cone:
+        return self.cone.interior()
+
 
 def wall(cls: ModuleClass, m: str) -> Wall:
     """The wall of a class brick: theta(m)=0 with one weak inequality per
-    isomorphism class of proper nonzero weakly admissible quotient."""
+    isomorphism class of proper nonzero weakly admissible quotient.  Built
+    once per class and brick."""
+    built = cls._wall_table.get(m)
+    if built is not None:
+        return built
     if not cls.contains_indec(m):
         raise InternalConsistencyError(f"{m} is not a brick of the class")
     dim = cls.dim_of(m)
@@ -54,7 +62,9 @@ def wall(cls: ModuleClass, m: str) -> Wall:
         quots.append(cls.dim_of(p.quot))
     # drop repeated inequality vectors; no semantic effect
     weak = tuple(dict.fromkeys(quots))
-    return Wall(m, Cone(len(dim), equalities=(dim,), weak=weak), minimal=not weak)
+    built = Wall(m, Cone(len(dim), equalities=(dim,), weak=weak), minimal=not weak)
+    cls._wall_table[m] = built
+    return built
 
 
 @dataclass(frozen=True)
@@ -76,20 +86,17 @@ class SemistableSet:
 def semistable_set(cls: ModuleClass, theta) -> SemistableSet:
     """S(theta): bricks M with theta(M) > 0 and theta(M') > 0 for every
     proper weakly admissible quotient M'.  theta may lie on walls."""
+    point = integral(theta)  # a positive multiple: same signs, integer dots
     members = set()
     for m in cls.bricks:
-        if dot(cls.dim_of(m), theta) <= 0:
+        if int_dot(cls.dim_of(m), point) <= 0:
             continue
         if all(
-            dot(cls.dim_of(p.quot), theta) > 0
+            int_dot(cls.dim_of(p.quot), point) > 0
             for p in cls.weakly_admissible_quotients(m)
         ):
             members.add(m)
     return SemistableSet(frozenset(members))
-
-
-def sum_in_semistable_set(cls: ModuleClass, x: ModuleSum, label: SemistableSet) -> bool:
-    return bool(x) and all(i in label for i in x.ids)
 
 
 @dataclass(frozen=True)
@@ -119,21 +126,34 @@ class ChamberGraph:
     source: int
     sink: int
     walls: dict[str, Wall]
+    # the brick-hyperplane arrangement the chambers were merged from: all of
+    # its cells, and every facet adjacency, on a wall or not
+    cells: tuple[Cell, ...]
+    adjacencies: tuple[FacetAdjacency, ...]
 
     def chamber(self, cid: int) -> Chamber:
         return self.chambers[cid]
 
-    def out_edges(self, cid: int) -> list[ChamberEdge]:
-        return [e for e in self.edges if e.src == cid]
+    @cached_property
+    def _out(self) -> dict[int, tuple[ChamberEdge, ...]]:
+        out: dict[int, list[ChamberEdge]] = {}
+        for e in self.edges:
+            out.setdefault(e.src, []).append(e)
+        return {cid: tuple(es) for cid, es in out.items()}
+
+    def out_edges(self, cid: int) -> tuple[ChamberEdge, ...]:
+        return self._out.get(cid, ())
+
+    @cached_property
+    def _chamber_of_signs(self) -> dict[tuple[int, ...], int]:
+        return {c.signs: ch.id for ch in self.chambers for c in ch.cells}
 
 
 class _ChamberScaffold:
     """Shared construction for enumerate_chambers and chamber_graph."""
 
     def __init__(self, cls: ModuleClass):
-        guard_env = os.environ.get("GHOSTPIC_GUARD")
-        guard = int(guard_env) if guard_env else BRICK_GUARD
-        if len(cls.bricks) > guard:
+        if len(cls.bricks) > guard_limit(BRICK_GUARD):
             raise GuardExceededError(f"{len(cls.bricks)} bricks exceeds the chamber guard")
         self.cls = cls
         self.bricks = list(cls.bricks)
@@ -293,17 +313,16 @@ def chamber_graph(cls: ModuleClass) -> ChamberGraph:
         source=source,
         sink=sink,
         walls=scaffold.walls,
+        cells=tuple(scaffold.cells),
+        adjacencies=tuple(scaffold.adjacencies),
     )
 
 
 def locate_chamber(graph: ChamberGraph, theta) -> int:
     """Chamber containing an off-wall point, found by its sign vector."""
     cls = graph.cls
-    signs = tuple(
-        1 if dot(cls.dim_of(b), theta) > 0 else -1 if dot(cls.dim_of(b), theta) < 0 else 0
-        for b in cls.bricks
-    )
-    if 0 in signs:
+    point = integral(theta)
+    values = [int_dot(cls.dim_of(b), point) for b in cls.bricks]
+    if 0 in values:
         raise InternalConsistencyError(f"{theta} lies on a brick hyperplane")
-    scaffold_cells = {c.signs: ch.id for ch in graph.chambers for c in ch.cells}
-    return scaffold_cells[signs]
+    return graph._chamber_of_signs[tuple(1 if v > 0 else -1 for v in values)]

@@ -88,12 +88,6 @@ def _random_generic_paths(cls: ModuleClass, rng: random.Random, count: int, extr
     return out
 
 
-def _scaffold(cls: ModuleClass):
-    from ghostpic.stability import _ChamberScaffold
-
-    return _ChamberScaffold(cls)
-
-
 class Verifier:
     def __init__(self, paths_per_fixture: int = 1000, seed: int = 0):
         self.paths = paths_per_fixture
@@ -121,15 +115,15 @@ class Verifier:
         failures = 0
         samples = 0
         for name, cls in self.fixtures.items():
-            scaffold = _scaffold(cls)
-            for adj in scaffold.adjacencies:
-                brick = scaffold.bricks[adj.hyperplane_index]
-                if not scaffold.walls[brick].cone.contains(adj.facet_sample):
+            graph = self.graph(name)
+            for adj in graph.adjacencies:
+                brick = cls.bricks[adj.hyperplane_index]
+                if not graph.walls[brick].cone.contains(adj.facet_sample):
                     continue
                 samples += 1
                 if not any(
-                    scaffold.walls[b].cone.interior().contains(adj.facet_sample)
-                    for b in scaffold.bricks
+                    graph.walls[b].interior.contains(adj.facet_sample)
+                    for b in cls.bricks
                 ):
                     failures += 1
         self.record(
@@ -265,19 +259,19 @@ class Verifier:
         failures = 0
         report_only = []
         for name, cls in self.fixtures.items():
-            scaffold = _scaffold(cls)
+            graph = self.graph(name)
             asserted = cls.flags.extension_closed is True
-            labels = [frozenset(c.label.bricks) for c in scaffold.chambers]
+            labels = [frozenset(c.label.bricks) for c in graph.chambers]
             distinct = len(set(labels)) == len(labels)
             convex = True
-            index_of = {b: i for i, b in enumerate(scaffold.bricks)}
-            for ch in scaffold.chambers:
+            index_of = {b: i for i, b in enumerate(cls.bricks)}
+            for ch in graph.chambers:
                 wanted = {
                     index_of[w.brick]: sign for (w, sign) in ch.bounding_walls
                 }
                 region_cells = {
                     c.signs
-                    for c in scaffold.cells
+                    for c in graph.cells
                     if all(c.signs[i] == s for i, s in wanted.items())
                 }
                 have = {c.signs for c in ch.cells}

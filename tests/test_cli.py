@@ -193,3 +193,49 @@ class TestVerifyCommand:
         assert "FAIL" not in out
         lines = [l for l in out.splitlines() if l.startswith("[")]
         assert len(lines) >= 12
+
+
+class TestMalformedInput:
+    def test_guard_empty_means_unset(self, capsys, monkeypatch):
+        monkeypatch.setenv("GHOSTPIC_GUARD", "")
+        code, out, _ = run(
+            capsys, "mgs", "--type-a", "3", "--orient", "LL", "--class", "S1,P3,I2,S3"
+        )
+        assert code == 0
+        assert json.loads(out)["mgs_count"] == 7
+
+    @pytest.mark.parametrize("command", ["mgs", "chambers"])
+    def test_guard_non_integer_is_usage_error(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("GHOSTPIC_GUARD", "abc")
+        code, out, err = run(
+            capsys, command, "--type-a", "3", "--orient", "LL", "--class", "S1,P3,I2,S3"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "GHOSTPIC_GUARD" in err
+
+    @pytest.mark.parametrize("h", ["1,2,x", "1,2,1/0"])
+    def test_non_rational_vector_is_usage_error(self, capsys, h):
+        code, out, err = run(
+            capsys,
+            "path",
+            "--type-a", "3", "--orient", "LL",
+            "--class", "S1,P3,I2,S3",
+            f"--h={h}",
+            "--k=1,1,1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--h" in err
+
+
+class TestBifurcationsOfSelfDualQuotientGhosts:
+    def test_class_and_dual_with_nonminimal_quotient_ghosts(self, capsys):
+        # both the class and its dual have a non-minimal quotient ghost; the
+        # dual pass classifies only the dual's subobject ghosts, so it ends
+        code, out, _ = run(
+            capsys, "ghosts", "--type-a", "3", "--orient", "LL", "--class", "S1,P3,S3"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert any(g["kind"] == "quotient" and not g["minimal"] for g in doc["ghosts"])

@@ -1,0 +1,138 @@
+"""Property tests of the integer exact kernel: integer crossing-time keys,
+integer crossing points, integer cone membership and the per-class tables.
+Every integer reading is checked against the Fraction reading it replaces."""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ghostpic.geometry import Cone, cell_facet_neighbors, dot, enumerate_cells, integral
+from ghostpic.greenpaths import LinearPath
+from ghostpic.stability import chamber_graph, wall
+
+rationals = st.fractions(min_value=-12, max_value=12, max_denominator=9)
+positives = st.fractions(min_value=Fraction(1, 9), max_value=12, max_denominator=9)
+
+
+@st.composite
+def paths_and_dims(draw, count=2):
+    n = draw(st.integers(1, 4))
+    h = tuple(draw(rationals) for _ in range(n))
+    k = tuple(draw(positives) for _ in range(n))
+    dim = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    return LinearPath(h, k), [draw(dim) for _ in range(count)]
+
+
+@st.composite
+def cones_and_points(draw):
+    n = draw(st.integers(1, 4))
+    row = st.tuples(*[st.integers(-2, 2)] * n)
+    cone = Cone(
+        n,
+        equalities=tuple(draw(st.lists(row, max_size=1))),
+        weak=tuple(draw(st.lists(row, max_size=3))),
+        strict=tuple(draw(st.lists(row, max_size=3))),
+    )
+    theta = tuple(draw(st.fractions(min_value=-3, max_value=3, max_denominator=4)) for _ in range(n))
+    return cone, theta
+
+
+def fraction_contains(cone, theta):
+    return (
+        all(dot(e, theta) == 0 for e in cone.equalities)
+        and all(dot(w, theta) >= 0 for w in cone.weak)
+        and all(dot(s, theta) > 0 for s in cone.strict)
+    )
+
+
+class TestTimeKey:
+    @settings(max_examples=300, deadline=None)
+    @given(paths_and_dims())
+    def test_is_the_reduced_crossing_time(self, drawn):
+        path, (d, _) = drawn
+        num, den = path.time_key(d)
+        assert den > 0 and gcd(num, den) == 1
+        assert Fraction(num, den) == path.crossing_time(d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(paths_and_dims())
+    def test_order_and_equality_match_crossing_time(self, drawn):
+        path, (d1, d2) = drawn
+        (n1, e1), (n2, e2) = path.time_key(d1), path.time_key(d2)
+        t1, t2 = path.crossing_time(d1), path.crossing_time(d2)
+        assert ((n1, e1) == (n2, e2)) == (t1 == t2)
+        assert (n1 * e2 < n2 * e1) == (t1 < t2)
+
+
+class TestCrossingPoint:
+    @settings(max_examples=300, deadline=None)
+    @given(paths_and_dims(count=1))
+    def test_positive_multiple_of_the_crossing(self, drawn):
+        path, (d,) = drawn
+        point = path.crossing_point(d)
+        assert all(isinstance(x, int) for x in point)
+        exact = path.at(path.crossing_time(d))
+        nonzero = [i for i, x in enumerate(exact) if x != 0]
+        if not nonzero:
+            assert not any(point)
+            return
+        scale = Fraction(point[nonzero[0]]) / exact[nonzero[0]]
+        assert scale > 0
+        assert all(p == scale * x for p, x in zip(point, exact))
+        assert dot(d, point) == 0
+
+
+class TestIntegerContains:
+    @settings(max_examples=400, deadline=None)
+    @given(cones_and_points(), st.fractions(min_value=Fraction(1, 7), max_value=7, max_denominator=7))
+    def test_scale_invariant_and_matches_fractions(self, drawn, q):
+        cone, theta = drawn
+        reference = fraction_contains(cone, theta)
+        assert cone.contains(theta) == reference
+        assert cone.contains(tuple(q * x for x in theta)) == reference
+        assert cone.contains(integral(theta)) == reference
+
+    @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=1, max_size=4))
+    def test_integral_is_a_positive_integer_multiple(self, v):
+        p = integral(v)
+        assert all(isinstance(x, int) for x in p)
+        nonzero = [i for i, x in enumerate(v) if x != 0]
+        if nonzero:
+            scale = Fraction(p[nonzero[0]]) / v[nonzero[0]]
+            assert scale >= 1 and scale.denominator == 1
+            assert all(a == scale * b for a, b in zip(p, v))
+        else:
+            assert not any(p)
+
+
+class TestPerClassTables:
+    def test_quotient_table_is_computed_once_and_immutable(self, full6):
+        for m in full6.bricks:
+            first = full6.weakly_admissible_quotients(m)
+            assert isinstance(first, tuple)
+            assert full6.weakly_admissible_quotients(m) is first
+            every = full6.weakly_admissible_quotients(m, proper=False)
+            assert set(first) <= set(every)
+
+    def test_wall_is_built_once_with_its_interior(self, torsion4):
+        for m in torsion4.bricks:
+            w = wall(torsion4, m)
+            assert wall(torsion4, m) is w
+            assert w.interior == w.cone.interior()
+
+    def test_graph_carries_its_arrangement(self, case1):
+        graph = chamber_graph(case1)
+        hyperplanes = [graph.walls[b].hyperplane() for b in case1.bricks]
+        cells = enumerate_cells(hyperplanes)
+        assert list(graph.cells) == cells
+        assert list(graph.adjacencies) == cell_facet_neighbors(cells, hyperplanes)
+        assert sorted(c.signs for ch in graph.chambers for c in ch.cells) == sorted(
+            c.signs for c in cells
+        )
+
+    def test_out_edges_index_matches_a_scan(self, full6):
+        graph = chamber_graph(full6)
+        for ch in graph.chambers:
+            assert list(graph.out_edges(ch.id)) == [e for e in graph.edges if e.src == ch.id]
