@@ -511,6 +511,7 @@ class ModuleClass:
         # per-class tables: the class is immutable, so each fact is computed once
         self._waq_table: dict[tuple[str, bool], tuple[SubquotientPair, ...]] = {}
         self._wall_table: dict = {}  # brick -> stability.Wall, filled by stability.wall
+        self._generic_dims: tuple | None = None  # filled by greenpaths.check_generic
         self.flags: ClassFlags = classify_class(self)
 
     def _check_independence(self):

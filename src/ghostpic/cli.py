@@ -298,8 +298,16 @@ def cmd_verify(args) -> int:
     return 0 if passed == len(results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line on stderr (exit 2);
+    ``--help`` still prints the full usage."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ghostpic",
         description="Exact wall-and-chamber diagrams, green sequences and ghosts",
     )
@@ -310,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_class:
             p.add_argument("--class", dest="cls", type=str, default=None, metavar="CSV")
         p.add_argument("--out", type=str, default=None, metavar="PATH")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("catalog", help="generate, validate or dump a catalog")
     common(p, with_class=False)

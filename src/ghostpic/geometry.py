@@ -1,9 +1,10 @@
 """Exact rational polyhedral services.
 
 Cones are given by an H-representation (equalities, weak and strict
-inequalities, all homogeneous).  Feasibility and relative-interior points are
-computed with a small dense simplex over ``fractions.Fraction`` using Bland's
-rule, so every answer is exact and every run is reproducible.  There are no
+inequalities, all homogeneous, all with integer entries).  Feasibility and
+relative-interior points are computed with a small dense simplex that pivots
+fraction-free on integer rows using Bland's rule; its answers are exact
+``fractions.Fraction`` points, and every run is reproducible.  There are no
 floating-point fast paths.
 """
 
@@ -143,22 +144,38 @@ class Cell:
 
 
 # ---------------------------------------------------------------------------
-# Simplex over Fraction.
+# Fraction-free integer simplex.
 #
 # maximize c.x subject to A x <= b, x >= 0, with b >= 0 (the origin is a
 # basic feasible solution, so no phase one is needed).  Bland's rule keeps
 # the pivoting finite and deterministic.
+#
+# Each tableau row is stored as a gcd-reduced integer row that is a positive
+# multiple of the rational row, in the spirit of Bareiss fraction-free
+# elimination and the integer pivoting of Avis's lrs; the objective row
+# carries one positive denominator besides.  Every test the pivoting makes
+# (the sign of an objective entry, the sign of a column entry, ratio
+# comparisons by cross-multiplication) is invariant under positive row
+# scaling, so every pivot, every basis and every returned point is exactly
+# the one of the rational tableau.
 # ---------------------------------------------------------------------------
 
 
-def _simplex_max(c: list[Fraction], rows: list[list[Fraction]], rhs: list[Fraction]):
+def _reduced(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries, a positive factor."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _simplex_max(c: list[int], rows: list[list[int]], rhs: list[int]):
     m = len(rows)
     n = len(c)
-    # Tableau with slack columns; basis starts as the slacks.
-    tab = [rows[i][:] + [ONE if j == i else ZERO for j in range(m)] + [rhs[i]] for i in range(m)]
-    obj = [-x for x in c] + [ZERO] * m + [ZERO]
-    basis = list(range(n, n + m))
     total = n + m
+    # Tableau with slack columns; basis starts as the slacks.
+    tab = [_reduced(rows[i] + [1 if j == i else 0 for j in range(m)] + [rhs[i]]) for i in range(m)]
+    obj = [-x for x in c] + [0] * m + [0]  # the objective row is obj / den
+    den = 1
+    basis = list(range(n, total))
     while True:
         enter = -1
         for j in range(total):
@@ -168,34 +185,34 @@ def _simplex_max(c: list[Fraction], rows: list[list[Fraction]], rhs: list[Fracti
         if enter < 0:
             break
         leave = -1
-        best = None
+        best_num = best_den = 0  # the best ratio so far, best_num / best_den
         for i in range(m):
             a = tab[i][enter]
             if a > 0:
-                ratio = tab[i][total] / a
+                b = tab[i][total]
                 if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and leave >= 0 and basis[i] < basis[leave])
+                    leave < 0
+                    or b * best_den < best_num * a
+                    or (b * best_den == best_num * a and basis[i] < basis[leave])
                 ):
-                    best = ratio
+                    best_num, best_den = b, a
                     leave = i
         if leave < 0:
             raise GhostpicError("unbounded LP (missing box constraints)")
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
+        prow = tab[leave]
+        piv = prow[enter]  # > 0 by the ratio test
         for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, tab[leave])]
+            f = tab[i][enter]
+            if i != leave and f != 0:
+                tab[i] = _reduced([piv * x - f * y for x, y in zip(tab[i], prow)])
+        f = obj[enter]  # < 0: the entering column
+        *obj, den = _reduced([piv * x - f * y for x, y in zip(obj, prow)] + [den * piv])
         basis[leave] = enter
+    # row i is a positive multiple of the rational row, whose basic entry is 1
     x = [ZERO] * total
     for i, b in enumerate(basis):
-        x[b] = tab[i][total]
-    return obj[total], x[:n]
+        x[b] = Fraction(tab[i][total], tab[i][b])
+    return Fraction(obj[total], den), x[:n]
 
 
 def _cone_lp(cone: Cone, slack_rows: tuple[IntVec, ...]):
@@ -203,47 +220,33 @@ def _cone_lp(cone: Cone, slack_rows: tuple[IntVec, ...]):
 
     Variables are theta = p - q (componentwise, p, q >= 0) and the slack s.
     A unit box on theta and s <= 1 keep the LP bounded; by homogeneity this
-    does not affect feasibility questions.  Returns (s*, theta*).
+    does not affect feasibility questions.  Every row is an integer row, as
+    the cone's are.  Returns (s*, theta*).
     """
     n = cone.dim
     nv = 2 * n + 1
 
-    def theta_row(v, scale=1):
-        row = [ZERO] * nv
-        for j, x in enumerate(v):
-            row[j] += Fraction(scale * x)
-            row[n + j] -= Fraction(scale * x)
-        return row
+    def theta_row(v, scale=1, slack=0):
+        return [scale * x for x in v] + [-scale * x for x in v] + [slack]
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[int]] = []
     for e in cone.equalities:
         rows.append(theta_row(e))
-        rhs.append(ZERO)
         rows.append(theta_row(e, -1))
-        rhs.append(ZERO)
     for w in cone.weak:
         rows.append(theta_row(w, -1))
-        rhs.append(ZERO)
     for s_vec in slack_rows:
-        row = theta_row(s_vec, -1)
-        row[2 * n] = ONE
-        rows.append(row)
-        rhs.append(ZERO)
+        rows.append(theta_row(s_vec, -1, 1))
+    rhs = [0] * len(rows)
     for j in range(n):
-        row = [ZERO] * nv
-        row[j] = ONE
-        row[n + j] = -ONE
-        rows.append(row)
-        rhs.append(ONE)
-        rows.append([-x for x in row])
-        rhs.append(ONE)
-    row = [ZERO] * nv
-    row[2 * n] = ONE
-    rows.append(row)
-    rhs.append(ONE)
-    c = [ZERO] * nv
-    c[2 * n] = ONE
+        unit = [0] * n
+        unit[j] = 1
+        rows.append(theta_row(unit))
+        rows.append(theta_row(unit, -1))
+    rows.append([0] * (nv - 1) + [1])
+    rhs += [1] * (2 * n + 1)
+    c = [0] * nv
+    c[2 * n] = 1
     value, x = _simplex_max(c, rows, rhs)
     theta = tuple(x[j] - x[n + j] for j in range(n))
     return value, theta

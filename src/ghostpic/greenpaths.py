@@ -101,20 +101,33 @@ def _proportional(a, b) -> bool:
     return all(a[i] * b[j] == a[j] * b[i] for i in range(n) for j in range(n))
 
 
+def _class_dims(cls: ModuleClass) -> tuple[tuple[tuple, str], ...]:
+    """The sorted (dim, name) pairs of the class bricks and of every weakly
+    admissible quotient sum, first name per dim; built once per class."""
+    table = cls._generic_dims
+    if table is None:
+        dims: dict[tuple, str] = {}
+        for b in cls.bricks:
+            dims.setdefault(cls.dim_of(b), b)
+        for b in cls.bricks:
+            for p in cls.weakly_admissible_quotients(b):
+                dims.setdefault(cls.dim_of(p.quot), repr(p.quot))
+        table = cls._generic_dims = tuple(sorted(dims.items()))
+    return table
+
+
 def check_generic(path: LinearPath, cls: ModuleClass, extra_dims=()) -> None:
     """Reject paths that cross two non-proportional relevant hyperplanes at
     the same time.  Relevant objects are the class bricks, every weakly
     admissible quotient sum, and any extra dims the caller supplies."""
-    dims: dict[tuple, str] = {}
-    for b in cls.bricks:
-        dims.setdefault(cls.dim_of(b), b)
-    for b in cls.bricks:
-        for p in cls.weakly_admissible_quotients(b):
-            dims.setdefault(cls.dim_of(p.quot), repr(p.quot))
-    for d, name in extra_dims:
-        dims.setdefault(tuple(d), name)
+    dims = _class_dims(cls)
+    if extra_dims:
+        merged = dict(dims)
+        for d, name in extra_dims:
+            merged.setdefault(tuple(d), name)
+        dims = sorted(merged.items())
     by_time: dict[tuple[int, int], tuple[tuple, str]] = {}
-    for d, name in sorted(dims.items()):
+    for d, name in dims:
         t = path.time_key(d)
         if t in by_time:
             other_d, other_name = by_time[t]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ghostpic.cli import dispatch
+from ghostpic.cli import build_parser, dispatch
 
 
 def run(capsys, *argv):
@@ -227,6 +227,20 @@ class TestMalformedInput:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "--h" in err
+
+
+    def test_seed_is_a_verify_option_only(self, capsys):
+        code, out, err = run(
+            capsys,
+            "chambers",
+            "--type-a", "3", "--orient", "LL",
+            "--class", "S1,P3,I2,S3",
+            "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--seed" in err
+        assert build_parser().parse_args(["verify", "--seed", "1"]).seed == 1
 
 
 class TestBifurcationsOfSelfDualQuotientGhosts:

@@ -1,16 +1,29 @@
 """Property tests of the integer exact kernel: integer crossing-time keys,
-integer crossing points, integer cone membership and the per-class tables.
-Every integer reading is checked against the Fraction reading it replaces."""
+integer crossing points, integer cone membership, the fraction-free simplex
+and the per-class tables.  Every integer reading is checked against the
+Fraction reading it replaces."""
 
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghostpic.geometry import Cone, cell_facet_neighbors, dot, enumerate_cells, integral
-from ghostpic.greenpaths import LinearPath
+from ghostpic.errors import GhostpicError, NonGenericPathError
+from ghostpic.geometry import (
+    Cone,
+    _cone_lp,
+    _simplex_max,
+    cell_facet_neighbors,
+    dot,
+    enumerate_cells,
+    feasible_point,
+    integral,
+)
+from ghostpic.greenpaths import LinearPath, _class_dims, check_generic
 from ghostpic.stability import chamber_graph, wall
+from reference_simplex import fraction_cone_lp, fraction_feasible_point, fraction_simplex_max
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=9)
 positives = st.fractions(min_value=Fraction(1, 9), max_value=12, max_denominator=9)
@@ -37,6 +50,29 @@ def cones_and_points(draw):
     )
     theta = tuple(draw(st.fractions(min_value=-3, max_value=3, max_denominator=4)) for _ in range(n))
     return cone, theta
+
+
+@st.composite
+def integer_cones(draw):
+    n = draw(st.integers(2, 4))
+    row = st.tuples(*[st.integers(-3, 3)] * n)
+    return Cone(
+        n,
+        equalities=tuple(draw(st.lists(row, max_size=2))),
+        weak=tuple(draw(st.lists(row, max_size=4))),
+        strict=tuple(draw(st.lists(row, max_size=4))),
+    )
+
+
+@st.composite
+def integer_lps(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    c = [draw(entry) for _ in range(n)]
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    rhs = [draw(st.integers(0, 3)) for _ in range(m)]
+    return c, rows, rhs
 
 
 def fraction_contains(cone, theta):
@@ -107,6 +143,40 @@ class TestIntegerContains:
             assert not any(p)
 
 
+class TestIntegerSimplex:
+    """The fraction-free simplex takes the rational simplex's pivots, so it
+    returns exactly the same optimum and the same vertex."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(integer_lps())
+    def test_simplex_matches_the_rational_one(self, lp):
+        c, rows, rhs = lp
+        try:
+            expected = fraction_simplex_max(c, rows, rhs)
+        except GhostpicError:
+            with pytest.raises(GhostpicError, match="unbounded"):
+                _simplex_max(c, rows, rhs)
+            return
+        value, x = _simplex_max(c, rows, rhs)
+        assert (value, x) == expected
+        assert all(isinstance(v, Fraction) for v in (value, *x))
+
+    @settings(max_examples=400, deadline=None)
+    @given(integer_cones(), st.data())
+    def test_cone_lp_matches_the_rational_one(self, cone, data):
+        row = st.tuples(*[st.integers(-3, 3)] * cone.dim)
+        slack_rows = tuple(data.draw(st.lists(row, max_size=3)))
+        assert _cone_lp(cone, slack_rows) == fraction_cone_lp(cone, slack_rows)
+
+    @settings(max_examples=400, deadline=None)
+    @given(integer_cones())
+    def test_feasible_point_matches_the_rational_one(self, cone):
+        point = feasible_point(cone)
+        assert point == fraction_feasible_point(cone)
+        if point is not None:
+            assert cone.contains(point)
+
+
 class TestPerClassTables:
     def test_quotient_table_is_computed_once_and_immutable(self, full6):
         for m in full6.bricks:
@@ -115,6 +185,23 @@ class TestPerClassTables:
             assert full6.weakly_admissible_quotients(m) is first
             every = full6.weakly_admissible_quotients(m, proper=False)
             assert set(first) <= set(every)
+
+    def test_generic_dims_are_built_once_and_extras_merge_after(self, torsion4):
+        table = _class_dims(torsion4)
+        assert _class_dims(torsion4) is table
+        assert table == (((0, 0, 1), "S3"), ((0, 1, 1), "I2"), ((1, 0, 0), "S1"), ((1, 1, 1), "P3"))
+        zero = LinearPath((Fraction(0),) * 3, (Fraction(1),) * 3)  # every dim crosses at 0
+
+        def clash(extra):
+            with pytest.raises(NonGenericPathError) as err:
+                check_generic(zero, torsion4, extra_dims=extra)
+            return err.value.first, err.value.second
+
+        assert clash(()) == ("S3", "I2")
+        # first name wins: an extra dim the class already has keeps its name
+        assert clash([((0, 0, 1), "X")]) == ("S3", "I2")
+        # a new extra dim is sorted in among the class's
+        assert clash([((0, 1, 0), "Y")]) == ("S3", "Y")
 
     def test_wall_is_built_once_with_its_interior(self, torsion4):
         for m in torsion4.bricks:
