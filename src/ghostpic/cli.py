@@ -37,7 +37,7 @@ from ghostpic.greenpaths import (
     count_mgs,
     crossing_schedule,
     enumerate_mgs,
-    find_linear_path,
+    find_linear_paths,
     hn_stratification,
     resolve_mgs,
 )
@@ -75,13 +75,19 @@ def _catalog_from_args(args) -> BrickCatalog:
         if args.builtin not in BUILTINS:
             raise CatalogError(f"unknown builtin {args.builtin!r}; have: {sorted(BUILTINS)}")
         return BUILTINS[args.builtin]()
-    with open(args.catalog, "r", encoding="utf-8") as fh:
-        return load_catalog(fh.read())
+    try:
+        with open(args.catalog, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CatalogError(f"cannot read catalog {args.catalog!r}: {exc}") from None
+    return load_catalog(text)
 
 
 def _class_from_args(args, catalog: BrickCatalog) -> ModuleClass:
     if args.cls:
         names = [x.strip() for x in args.cls.split(",") if x.strip()]
+        if not names:
+            raise CatalogError(f"--class needs at least one brick name, got {args.cls!r}")
     else:
         names = [m.id for m in catalog.indecs]
     return ModuleClass(catalog, names)
@@ -99,8 +105,11 @@ def _parse_vec(text: str, n: int, flag: str):
 
 def _emit(args, payload: str):
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out!r}: {exc}") from None
     else:
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
@@ -148,9 +157,11 @@ def cmd_mgs(args) -> int:
         doc = {"schema": "ghostpic-mgs/1", "mgs_count": count_mgs(graph)}
         _emit(args, json.dumps(doc, indent=1, sort_keys=True))
         return 0
+    all_mgs = enumerate_mgs(cls, graph)
+    paths = find_linear_paths(cls, [mgs.walls for mgs in all_mgs], radius=4)
     sequences = []
-    for mgs in enumerate_mgs(cls, graph):
-        path = find_linear_path(cls, mgs.walls, radius=4)
+    for mgs in all_mgs:
+        path = paths[mgs.walls]
         sequences.append(
             {
                 "mgs": list(mgs.walls),
@@ -290,6 +301,8 @@ def cmd_picture(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.paths < 1:
+        raise UsageError(f"--paths must be a positive integer, got {args.paths}")
     results = run_verify(paths_per_fixture=args.paths, seed=args.seed)
     lines = [r.line() for r in results]
     passed = sum(r.passed for r in results)
@@ -372,7 +385,7 @@ def dispatch(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (CatalogError, RankError, NonGenericPathError, UsageError, FileNotFoundError) as exc:
+    except (CatalogError, RankError, NonGenericPathError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GuardExceededError as exc:

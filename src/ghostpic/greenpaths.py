@@ -436,14 +436,34 @@ def _search_grid(rank: int, radius: int):
             yield h, k
 
 
-def find_linear_path(cls: ModuleClass, walls: tuple[str, ...], radius: int = 6) -> LinearPath | None:
-    """Deterministic grid search for a linear path realizing the given MGS;
-    None when no grid path matches (not every MGS is linear)."""
+def find_linear_paths(
+    cls: ModuleClass, targets, radius: int = 6
+) -> dict[tuple[str, ...], LinearPath | None]:
+    """One deterministic grid sweep for linear paths realizing each target
+    MGS: the first grid path whose linear MGS is the target, or None when no
+    grid path matches (not every MGS is linear).
+
+    The sweep stops once every target has a path, so it visits exactly the
+    grid points that separate searches for each target would visit together.
+    """
+    found: dict[tuple[str, ...], LinearPath | None] = {tuple(t): None for t in targets}
+    missing = len(found)
+    if not missing:
+        return found
     for h, k in _search_grid(cls.catalog.quiver.n, radius):
         path = LinearPath(as_fracvec(h), as_fracvec(k))
         try:
-            if tuple(linear_mgs(cls, path)) == tuple(walls):
-                return path
+            walls = tuple(linear_mgs(cls, path))
         except NonGenericPathError:
             continue
-    return None
+        if walls in found and found[walls] is None:
+            found[walls] = path
+            missing -= 1
+            if not missing:
+                break
+    return found
+
+
+def find_linear_path(cls: ModuleClass, walls: tuple[str, ...], radius: int = 6) -> LinearPath | None:
+    """The grid search of `find_linear_paths` for one MGS."""
+    return find_linear_paths(cls, [walls], radius)[tuple(walls)]

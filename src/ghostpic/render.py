@@ -4,17 +4,20 @@ Walls, ghost domains and chamber labels are traced on the unit sphere and
 drawn through the stereographic projection with pole at -eta/sqrt(3) and
 image plane tangent at eta/sqrt(3), so the all-positive chamber appears at
 the center.  All curve clipping decisions are exact (rays and cone
-membership); square roots enter only through a fixed-precision rational
-approximation, and coordinates are serialized with fixed-point integer
-rounding, so the output bytes are identical across runs.
+membership).  The drawing runs on a fixed-point integer grid from the ray to
+the printed digits: square roots are floor roots at 2^-80, every projected
+coordinate is an integer numerator over 2^-48 (rounded half-even), the
+viewport map, Liang-Barsky clipping and the three-decimal printing work on
+integers over one common denominator per curve, so the output is exact and
+its bytes are identical across runs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from ghostpic.catalog import ModuleClass
 from ghostpic.errors import GhostpicError, InternalConsistencyError, RankError
@@ -53,21 +56,50 @@ def rational_sqrt(x, bits: int = SQRT_BITS) -> Fraction:
     return Fraction(isqrt((n * d) << (2 * bits)), d << bits)
 
 
-_SQRT2 = rational_sqrt(2)
-_SQRT3 = rational_sqrt(3)
-_SQRT6 = rational_sqrt(6)
-
 _GRID_BITS = 48  # projected coordinates snap to this fixed grid
+_GRID = 1 << _GRID_BITS
+_ROOT_SHIFT = 2 * SQRT_BITS
+# floor square roots of 2, 3 and 6 at 2^-SQRT_BITS, as integer numerators
+_S2, _S3, _S6 = (isqrt(k << _ROOT_SHIFT) for k in (2, 3, 6))
 
 
-def _quantize(x: Fraction) -> Fraction:
-    return Fraction(round(x * (1 << _GRID_BITS)), 1 << _GRID_BITS)
+def _round_half_even(num: int, den: int) -> int:
+    """round(num / den) for den > 0, ties to even (as `Fraction.__round__`)."""
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
+    return q
 
 
 @dataclass(frozen=True)
 class PlanePoint:
     x: Fraction
     y: Fraction
+
+
+def _project_int(t) -> tuple[int, int]:
+    """Grid numerators (X, Y) of the projection of a primitive integer ray t;
+    the plane point is (X, Y) / 2^48.
+
+    With a = t0+t1+t2 and r the floor root of |t|^2 at 2^-80, the projection
+    is sqrt(6)(t0-t1) / (a + sqrt(3) r) and likewise with sqrt(2)(t0+t1-2t2);
+    the denominator is D / 2^160 with D = a*2^160 + S3*r, so every step is an
+    integer one and the grid rounding is exact.
+    """
+    a = t[0] + t[1] + t[2]
+    r = isqrt((t[0] * t[0] + t[1] * t[1] + t[2] * t[2]) << _ROOT_SHIFT)
+    d = (a << _ROOT_SHIFT) + _S3 * r
+    if d <= 0:
+        raise GhostpicError("at-pole: ray is antipodal to eta")
+    shift = SQRT_BITS + _GRID_BITS
+    return (
+        _round_half_even((_S6 * (t[0] - t[1])) << shift, d),
+        _round_half_even((_S2 * (t[0] + t[1] - 2 * t[2])) << shift, d),
+    )
+
+
+def _grid_point(xy: tuple[int, int]) -> PlanePoint:
+    return PlanePoint(Fraction(xy[0], _GRID), Fraction(xy[1], _GRID))
 
 
 def stereographic(theta) -> PlanePoint:
@@ -81,18 +113,15 @@ def stereographic(theta) -> PlanePoint:
         raise RankError("stereographic projection is rank-3 only")
     if all(x == 0 for x in theta):
         raise GhostpicError("cannot project the zero vector")
-    theta = primitive(theta)
-    if theta[0] == theta[1] == theta[2] and theta[0] < 0:
-        raise GhostpicError("at-pole: ray is antipodal to eta")
-    a = theta[0] + theta[1] + theta[2]
-    r = rational_sqrt(dot(theta, theta))
-    denom = a + _SQRT3 * r
-    if denom <= 0:
-        raise GhostpicError("at-pole: ray is antipodal to eta")
-    return PlanePoint(
-        x=_quantize(_SQRT6 * (theta[0] - theta[1]) / denom),
-        y=_quantize(_SQRT2 * (theta[0] + theta[1] - 2 * theta[2]) / denom),
-    )
+    return _grid_point(_project_int(primitive(theta)))
+
+
+def _int_primitive(v) -> tuple[int, ...]:
+    """`primitive` for an integer vector: divide by the gcd."""
+    g = gcd(*v)
+    if g == 0:
+        raise GhostpicError("zero vector has no primitive form")
+    return tuple(x // g for x in v)
 
 
 def _cross(a, b):
@@ -113,10 +142,6 @@ def _plane_basis(e):
     b1 = primitive(b1)
     b2 = primitive(_cross(e, b1))
     return b1, b2
-
-
-def _chord2(p: PlanePoint, q: PlanePoint) -> Fraction:
-    return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
 
 
 def trace_wall_curve(cone: Cone, samples: int = 48) -> list[PlanePoint]:
@@ -144,9 +169,6 @@ def trace_wall_curve(cone: Cone, samples: int = 48) -> list[PlanePoint]:
         n2 = primitive(n2)
         if n2 not in ineqs:
             ineqs.append(n2)
-
-    def ray3(u, v):
-        return tuple(u * x + v * y for x, y in zip(b1, b2))
 
     if ineqs:
         if feasible_point(Cone(2, strict=tuple(ineqs))) is None:
@@ -177,14 +199,15 @@ def trace_wall_curve(cone: Cone, samples: int = 48) -> list[PlanePoint]:
         closed = True
 
     tol2 = (2 * WINDOW * Fraction(5, VIEWPORT)) ** 2  # 0.5% of the viewport
+    # chord^2 <= tol2 on the grid, whose unit is 2^-48
+    tol_den, tol_num = tol2.denominator, tol2.numerator << (2 * _GRID_BITS)
 
     def midpoint_ray(ra, rb):
         # angular bisection up to integer rounding; the rounded ray is kept
         # only if it still satisfies the sector inequalities exactly
         na = isqrt((ra[0] * ra[0] + ra[1] * ra[1]) << 32)
         nb = isqrt((rb[0] * rb[0] + rb[1] * rb[1]) << 32)
-        m = (nb * ra[0] + na * rb[0], nb * ra[1] + na * rb[1])
-        m = primitive(m)
+        m = _int_primitive((nb * ra[0] + na * rb[0], nb * ra[1] + na * rb[1]))
         mx = max(abs(m[0]), abs(m[1]))
         if mx > 1 << 26:
             scaled = (m[0] * (1 << 26)) // mx, (m[1] * (1 << 26)) // mx
@@ -195,14 +218,17 @@ def trace_wall_curve(cone: Cone, samples: int = 48) -> list[PlanePoint]:
         return m
 
     def project(r2):
-        return stereographic(ray3(r2[0], r2[1]))
+        u, v = r2
+        return _project_int(_int_primitive(tuple(u * x + v * y for x, y in zip(b1, b2))))
 
-    out: list[PlanePoint] = [project(anchors2d[0])]
+    out: list[tuple[int, int]] = [project(anchors2d[0])]
 
     def refine(ra, rb, pa, pb, depth):
-        if depth <= 0 and _chord2(pa, pb) <= tol2:
-            out.append(pb)
-            return
+        if depth <= 0:
+            dx, dy = pa[0] - pb[0], pa[1] - pb[1]
+            if tol_den * (dx * dx + dy * dy) <= tol_num:
+                out.append(pb)
+                return
         if depth <= -16:
             out.append(pb)
             return
@@ -222,7 +248,7 @@ def trace_wall_curve(cone: Cone, samples: int = 48) -> list[PlanePoint]:
         )
     if closed:
         out[-1] = out[0]
-    return out
+    return [_grid_point(xy) for xy in out]
 
 
 # ---------------------------------------------------------------------------
@@ -343,55 +369,81 @@ def build_scene(cls: ModuleClass, options: RenderOptions, graph=None) -> Picture
 # ---------------------------------------------------------------------------
 
 
-def _px(value: Fraction) -> str:
-    # fixed-point rounding in exact arithmetic: three decimals
-    scaled = round(value * 1000)
+def _px(num: int, den: int) -> str:
+    """num / den (den > 0) as three decimals, rounded half-even in integers."""
+    scaled = _round_half_even(1000 * num, den)
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
     return f"{sign}{scaled // 1000}.{scaled % 1000:03d}"
 
 
-def _to_viewport(p: PlanePoint) -> tuple[Fraction, Fraction]:
-    scale = Fraction(VIEWPORT, 2) / WINDOW
-    return (Fraction(VIEWPORT, 2) + p.x * scale, Fraction(VIEWPORT, 2) - p.y * scale)
+def _to_viewport(points) -> tuple[list[tuple[int, int]], int]:
+    """Viewport coordinates of plane points as integer pairs over one common
+    denominator: 2*WINDOW times the lcm of the points' denominators.
+
+    x maps to VIEWPORT/2 * (1 + x/WINDOW) and y to VIEWPORT/2 * (1 - y/WINDOW).
+    """
+    common = 1
+    for p in points:
+        common = lcm(common, p.x.denominator, p.y.denominator)
+    wn, wd = WINDOW.numerator, WINDOW.denominator
+    center = wn * common
+    view = [
+        (
+            VIEWPORT * (center + wd * p.x.numerator * (common // p.x.denominator)),
+            VIEWPORT * (center - wd * p.y.numerator * (common // p.y.denominator)),
+        )
+        for p in points
+    ]
+    return view, 2 * wn * common
 
 
-def _clip_segment(p, q):
-    """Liang-Barsky clipping of the segment p-q to the viewport, exact."""
+def _clip_segment(p, q, den: int):
+    """Liang-Barsky clipping of the segment p-q to the viewport, exact.
+
+    p and q are integer pairs over the common denominator den > 0.  The clip
+    parameters t0 <= t1 stay (num, den) pairs with a positive denominator and
+    are compared by cross-multiplying.  The clipped endpoints come back as
+    (x, y, d), the point (x/d, y/d); None when nothing is left.
+    """
     x0, y0 = p
     x1, y1 = q
-    t0, t1 = Fraction(0), Fraction(1)
+    size = VIEWPORT * den
+    n0, d0, n1, d1 = 0, 1, 1, 1
     dx, dy = x1 - x0, y1 - y0
-    for coeff, offset in (
-        (-dx, x0),
-        (dx, Fraction(VIEWPORT) - x0),
-        (-dy, y0),
-        (dy, Fraction(VIEWPORT) - y0),
-    ):
+    for coeff, offset in ((-dx, x0), (dx, size - x0), (-dy, y0), (dy, size - y0)):
         if coeff == 0:
             if offset < 0:
                 return None
             continue
-        t = offset / coeff
-        if coeff < 0:
-            if t > t1:
+        if coeff < 0:  # t = offset/coeff bounds t from below
+            tn, td = -offset, -coeff
+            if tn * d1 > n1 * td:
                 return None
-            if t > t0:
-                t0 = t
-        else:
-            if t < t0:
+            if tn * d0 > n0 * td:
+                n0, d0 = tn, td
+        else:  # and from above
+            tn, td = offset, coeff
+            if tn * d0 < n0 * td:
                 return None
-            if t < t1:
-                t1 = t
-    return ((x0 + t0 * dx, y0 + t0 * dy), (x0 + t1 * dx, y0 + t1 * dy))
+            if tn * d1 < n1 * td:
+                n1, d1 = tn, td
+    return (
+        (x0 * d0 + n0 * dx, y0 * d0 + n0 * dy, d0 * den),
+        (x0 * d1 + n1 * dx, y0 * d1 + n1 * dy, d1 * den),
+    )
+
+
+def _same_point(a, b) -> bool:
+    return a[0] * b[2] == b[0] * a[2] and a[1] * b[2] == b[1] * a[2]
 
 
 def _polyline_paths(points) -> list[str]:
-    view = [_to_viewport(p) for p in points]
+    view, den = _to_viewport(points)
     paths = []
     run: list[tuple] = []
     for i in range(len(view) - 1):
-        seg = _clip_segment(view[i], view[i + 1])
+        seg = _clip_segment(view[i], view[i + 1], den)
         if seg is None:
             if len(run) >= 2:
                 paths.append(run)
@@ -400,7 +452,7 @@ def _polyline_paths(points) -> list[str]:
         a, b = seg
         if not run:
             run = [a, b]
-        elif run[-1] == a:
+        elif _same_point(run[-1], a):
             run.append(b)
         else:
             if len(run) >= 2:
@@ -408,11 +460,7 @@ def _polyline_paths(points) -> list[str]:
             run = [a, b]
     if len(run) >= 2:
         paths.append(run)
-    out = []
-    for path in paths:
-        d = "M " + " L ".join(f"{_px(x)} {_px(y)}" for x, y in path)
-        out.append(d)
-    return out
+    return ["M " + " L ".join(f"{_px(x, w)} {_px(y, w)}" for x, y, w in path) for path in paths]
 
 
 def render_picture(cls: ModuleClass, options: RenderOptions | None = None, graph=None) -> str:
@@ -443,15 +491,15 @@ def render_picture(cls: ModuleClass, options: RenderOptions | None = None, graph
         for d in _polyline_paths(curve.points):
             lines.append(f'<path class="{curve.kind}" data-name="{curve.name}" d="{d}" style="{style}"/>')
     for text, anchor in scene.labels:
-        x, y = _to_viewport(anchor)
+        ((x, y),), den = _to_viewport((anchor,))
         lines.append(
-            f'<text class="chamber-label" x="{_px(x)}" y="{_px(y)}" '
+            f'<text class="chamber-label" x="{_px(x, den)}" y="{_px(y, den)}" '
             f'font-size="18" text-anchor="middle">{text}</text>'
         )
     for point, incident in scene.vertices:
-        x, y = _to_viewport(point)
+        ((x, y),), den = _to_viewport((point,))
         lines.append(
-            f'<circle class="vertex" cx="{_px(x)}" cy="{_px(y)}" r="3" '
+            f'<circle class="vertex" cx="{_px(x, den)}" cy="{_px(y, den)}" r="3" '
             f'data-walls="{",".join(incident)}"/>'
         )
     lines.append("</svg>")

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from ghostpic.catalog import ModuleClass, ModuleSum, builtin_kronecker, generate_type_a
 from ghostpic.errors import InternalConsistencyError, NonGenericPathError
-from ghostpic.geometry import Cone, cone_contains_cone, dot, feasible_point
+from ghostpic.geometry import Cone, cone_contains_cone, dot, feasible_point, int_dot
 from ghostpic.ghosts import (
     EXTENSION,
     SUBOBJECT,
@@ -418,10 +418,10 @@ class Verifier:
                 continue
             n = cls.catalog.quiver.n
             for _ in range(max(10, self.paths)):
-                theta = tuple(Fraction(rng.randint(-9, 9)) for _ in range(n))
+                theta = tuple(rng.randint(-9, 9) for _ in range(n))
                 label = semistable_set(cls, theta)
                 for m in cls.bricks:
-                    if dot(cls.dim_of(m), theta) <= 0 or m in label:
+                    if int_dot(cls.dim_of(m), theta) <= 0 or m in label:
                         continue
                     found = False
                     for p in cls.catalog.pairs(m):

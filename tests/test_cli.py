@@ -253,3 +253,39 @@ class TestBifurcationsOfSelfDualQuotientGhosts:
         assert code == 0
         doc = json.loads(out)
         assert any(g["kind"] == "quotient" and not g["minimal"] for g in doc["ghosts"])
+
+
+class TestUnreadablePathsAndEmptyValues:
+    def one_line_usage_error(self, capsys, *argv, mentions):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and mentions in err
+
+    def test_catalog_is_a_directory(self, capsys, tmp_path):
+        self.one_line_usage_error(capsys, "catalog", "--catalog", str(tmp_path), mentions="catalog")
+
+    def test_catalog_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"name": "\xff"}')
+        self.one_line_usage_error(capsys, "catalog", "--catalog", str(bad), mentions="utf-8")
+
+    def test_missing_catalog(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        self.one_line_usage_error(capsys, "catalog", "--catalog", missing, mentions=missing)
+
+    def test_out_is_a_directory(self, capsys, tmp_path):
+        self.one_line_usage_error(
+            capsys, "catalog", "--type-a", "2", "--orient", "L", "--out", str(tmp_path),
+            mentions="--out",
+        )
+
+    def test_class_without_names(self, capsys):
+        self.one_line_usage_error(
+            capsys, "chambers", "--type-a", "3", "--orient", "LL", "--class", ",,,",
+            mentions="--class",
+        )
+
+    @pytest.mark.parametrize("paths", ["-1", "0"])
+    def test_verify_needs_a_positive_path_count(self, capsys, paths):
+        self.one_line_usage_error(capsys, "verify", "--paths", paths, mentions="--paths")
