@@ -16,7 +16,7 @@ subobjects of direct sums.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from ghostpic.errors import CatalogError
@@ -30,8 +30,8 @@ class Quiver:
     arrows: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n <= 0:
-            raise CatalogError("vertex count must be positive")
+        if not isinstance(self.n, int) or self.n <= 0:
+            raise CatalogError(f"vertex count must be a positive integer, got {self.n!r}")
         for s, t in self.arrows:
             if not (1 <= s <= self.n and 1 <= t <= self.n):
                 raise CatalogError(f"arrow ({s},{t}) outside vertex range 1..{self.n}")
@@ -440,41 +440,65 @@ def dump_catalog(catalog: BrickCatalog) -> str:
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
+def _pairs(value) -> dict[str, list[SubquotientPair]]:
+    return {
+        mid: [
+            SubquotientPair(
+                parent=mid,
+                sub=ModuleSum(map(_str, p["sub"])),
+                quot=ModuleSum(map(_str, p["quot"])),
+                sub_proper=ModuleSum(p["sub"]) != ModuleSum([mid]),
+                tag=p.get("tag", f"pair{i}"),
+                basis=frozenset(p["basis"]) if "basis" in p else None,
+            )
+            for i, p in enumerate(plist)
+        ]
+        for mid, plist in value.items()
+    }
+
+
+# The fields of a catalog document in BrickCatalog's argument order, each with
+# its expected shape and a parser that raises on any other shape.
+_FIELDS = (
+    ("quiver", '{"n": int, "arrows": [[int, int], ...]}',
+     lambda q: Quiver(q["n"], tuple(tuple(a) for a in q["arrows"]))),
+    ("indecs", '[{"id": str, "name": str, "dim": [int, ...]}, ...]',
+     lambda ds: [Indec(_str(d["id"]), d.get("name", d["id"]), tuple(d["dim"])) for d in ds]),
+    ("subquotients", '{id: [{"sub": [id, ...], "quot": [id, ...], "tag": str}, ...]}', _pairs),
+    ("hom", "[[id, id, int], ...]", lambda rows: {(_str(x), _str(y)): d for x, y, d in rows}),
+    ("ses", "[[id, id, id], ...]", lambda rows: [Ses(*map(_str, r)) for r in rows]),
+    ("complete", "a boolean", bool),
+)
+
+
 def load_catalog(document: str) -> BrickCatalog:
     """Parse and validate a catalog document (see dump_catalog for the schema).
 
-    Raises CatalogError on schema violations, dimension-vector inconsistency
-    in a subquotient pair, or a ses entry violating dimension additivity.
+    Raises CatalogError on schema violations (naming the field and the shape
+    it must have), dimension-vector inconsistency in a subquotient pair, or a
+    ses entry violating dimension additivity.
     """
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise CatalogError(f"not valid JSON: {exc}") from exc
-    try:
-        quiver = Quiver(doc["quiver"]["n"], tuple(tuple(a) for a in doc["quiver"]["arrows"]))
-        indecs = [Indec(d["id"], d.get("name", d["id"]), tuple(d["dim"])) for d in doc["indecs"]]
-        subquotients = {}
-        for mid, plist in doc["subquotients"].items():
-            pairs = []
-            for i, p in enumerate(plist):
-                sub = ModuleSum(p["sub"])
-                pairs.append(
-                    SubquotientPair(
-                        parent=mid,
-                        sub=sub,
-                        quot=ModuleSum(p["quot"]),
-                        sub_proper=sub != ModuleSum([mid]),
-                        tag=p.get("tag", f"pair{i}"),
-                        basis=frozenset(p["basis"]) if "basis" in p else None,
-                    )
-                )
-            subquotients[mid] = pairs
-        hom = {(x, y): d for x, y, d in doc["hom"]}
-        ses_list = [Ses(a, b, c) for a, b, c in doc["ses"]]
-        complete = bool(doc["complete"])
-    except (KeyError, TypeError) as exc:
-        raise CatalogError(f"catalog schema violation: {exc!r}") from exc
-    return BrickCatalog(quiver, indecs, subquotients, hom, ses_list, complete)
+    if not isinstance(doc, dict):
+        raise CatalogError("catalog schema violation: the document must be a JSON object")
+    fields = []
+    for key, shape, parse in _FIELDS:
+        if key not in doc:
+            raise CatalogError(f"catalog schema violation: missing field {key!r}: {shape}")
+        try:
+            fields.append(parse(doc[key]))
+        except (AttributeError, KeyError, TypeError, ValueError):
+            raise CatalogError(f"catalog schema violation: {key!r} must be {shape}") from None
+    return BrickCatalog(*fields)
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +535,8 @@ class ModuleClass:
         # per-class tables: the class is immutable, so each fact is computed once
         self._waq_table: dict[tuple[str, bool], tuple[SubquotientPair, ...]] = {}
         self._wall_table: dict = {}  # brick -> stability.Wall, filled by stability.wall
+        self._chamber_graph = None  # stability.ChamberGraph, filled by stability.chamber_graph
+        self._ghosts: tuple | None = None  # ghosts.Ghost census, filled by ghosts.enumerate_ghosts
         self._generic_dims: tuple | None = None  # filled by greenpaths.check_generic
         self.flags: ClassFlags = classify_class(self)
 

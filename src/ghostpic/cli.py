@@ -18,6 +18,7 @@ from ghostpic.catalog import (
     BUILTINS,
     BrickCatalog,
     ModuleClass,
+    ModuleSum,
     dump_catalog,
     generate_type_a,
     load_catalog,
@@ -31,7 +32,7 @@ from ghostpic.errors import (
     RankError,
     UsageError,
 )
-from ghostpic.ghosts import classify_bifurcations, enumerate_ghosts, format_schedule
+from ghostpic.ghosts import format_schedule
 from ghostpic.greenpaths import (
     LinearPath,
     count_mgs,
@@ -42,10 +43,13 @@ from ghostpic.greenpaths import (
     resolve_mgs,
 )
 from ghostpic.render import (
-    REPORT_SCHEMA,
     RenderOptions,
+    chamber_docs,
+    edge_docs,
     export_report,
+    ghost_census_doc,
     render_picture,
+    vec_str,
 )
 from ghostpic.stability import chamber_graph
 from ghostpic.verify import run_verify
@@ -116,10 +120,6 @@ def _emit(args, payload: str):
             sys.stdout.write("\n")
 
 
-def _frac_str_vec(v):
-    return [str(Fraction(x)) for x in v]
-
-
 def cmd_catalog(args) -> int:
     catalog = _catalog_from_args(args)
     _emit(args, dump_catalog(catalog))
@@ -132,17 +132,8 @@ def cmd_chambers(args) -> int:
     doc = {
         "schema": "ghostpic-chambers/1",
         "class": list(cls.bricks),
-        "chambers": [
-            {
-                "id": c.id,
-                "label": c.label.sorted(cls),
-                "sample": _frac_str_vec(c.sample),
-            }
-            for c in graph.chambers
-        ],
-        "edges": [
-            {"from": e.src, "to": e.dst, "wall": e.wall_brick} for e in graph.edges
-        ],
+        "chambers": chamber_docs(graph),
+        "edges": edge_docs(graph),
         "source": graph.source,
         "sink": graph.sink,
     }
@@ -168,7 +159,7 @@ def cmd_mgs(args) -> int:
                 "linear_realization": (
                     None
                     if path is None
-                    else {"h": _frac_str_vec(path.h), "k": _frac_str_vec(path.k)}
+                    else {"h": vec_str(path.h), "k": vec_str(path.k)}
                 ),
                 "chamber_path": list(mgs.chamber_ids),
             }
@@ -180,51 +171,10 @@ def cmd_mgs(args) -> int:
 
 def cmd_ghosts(args) -> int:
     cls = _class_from_args(args, _catalog_from_args(args))
-    ghosts = enumerate_ghosts(cls)
-    report = classify_bifurcations(cls, ghosts)
     doc = {
         "schema": "ghostpic-ghosts/1",
         "class": list(cls.bricks),
-        "ghosts": [
-            {
-                "kind": g.kind,
-                "sequence": [g.a, g.b, g.c],
-                "missing": g.missing,
-                "display": g.display(),
-                "minimal": g.minimal,
-                "domain": {
-                    "equalities": [list(e) for e in g.domain.equalities],
-                    "weak": [list(w) for w in g.domain.weak],
-                },
-                "warnings": list(g.warnings),
-            }
-            for g in ghosts
-        ],
-        "bifurcations": [
-            {
-                "child": list(b.child),
-                "parent": list(b.parent),
-                "case": b.case,
-                "splitting_wall": b.splitting_wall,
-                "wall_kind": b.wall_kind,
-            }
-            for b in report.bifurcations
-        ],
-        "extension_links": [
-            {
-                "child": list(l.child),
-                "parent": list(l.parent),
-                "splitting_wall": l.splitting_wall,
-            }
-            for l in report.extension_links
-        ],
-        "unclassified": [
-            {"child": list(c), "case": case, "reason": reason}
-            for c, case, reason in report.unclassified
-        ],
-        "pathological": [
-            {"child": list(a), "other": list(b)} for a, b in report.pathological
-        ],
+        **ghost_census_doc(cls),
     }
     _emit(args, json.dumps(doc, indent=1, sort_keys=True))
     return 0
@@ -237,8 +187,6 @@ def cmd_hn(args) -> int:
     graph = chamber_graph(cls)
     walls = [x.strip() for x in args.mgs.split(",") if x.strip()]
     mgs = resolve_mgs(graph, [cls.catalog.indec(w).id for w in walls])
-    from ghostpic.catalog import ModuleSum
-
     target = ModuleSum([cls.catalog.indec(x.strip()).id for x in args.module.split("+")])
     hn = hn_stratification(cls, graph, mgs, target)
     doc = {
@@ -267,8 +215,8 @@ def cmd_path(args) -> int:
     schedule = crossing_schedule(cls, path, include_ghosts=not args.no_ghosts)
     doc = {
         "schema": "ghostpic-path/1",
-        "h": _frac_str_vec(path.h),
-        "k": _frac_str_vec(path.k),
+        "h": vec_str(path.h),
+        "k": vec_str(path.k),
         "events": [
             {
                 "t": str(e.t),

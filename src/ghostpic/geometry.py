@@ -90,9 +90,6 @@ class Hyperplane:
             return tuple(-x for x in self.normal)
         return self.normal
 
-    def eval(self, theta) -> Fraction:
-        return dot(self.oriented_normal, theta)
-
 
 @dataclass(frozen=True)
 class Cone:

@@ -31,6 +31,7 @@ from ghostpic.catalog import (
     ModuleSum,
     Ses,
     SubquotientPair,
+    generate_type_a,
 )
 from ghostpic.errors import (
     CatalogError,
@@ -305,12 +306,14 @@ def _build_ghost(cls: ModuleClass, ses: Ses, kind: str) -> Ghost:
     )
 
 
-def enumerate_ghosts(cls: ModuleClass) -> list[Ghost]:
-    """Classify every catalog short exact sequence against the class.
+def enumerate_ghosts(cls: ModuleClass) -> tuple[Ghost, ...]:
+    """Classify every catalog short exact sequence against the class (once per class).
 
     Sequences with two or more terms outside the class are dropped, as are
     subobject/quotient candidates with Hom(A,C) != 0.
     """
+    if cls._ghosts is not None:
+        return cls._ghosts
     catalog = cls.catalog
     out: list[Ghost] = []
     for ses in catalog.ses_list:
@@ -332,7 +335,8 @@ def enumerate_ghosts(cls: ModuleClass) -> list[Ghost]:
         else:
             continue
         out.append(_build_ghost(cls, ses, kind))
-    return out
+    cls._ghosts = tuple(out)
+    return cls._ghosts
 
 
 def subobject_ghost_domain(cls: ModuleClass, g: Ghost) -> Cone:
@@ -464,7 +468,7 @@ def format_schedule(schedule: CrossingSchedule) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _subobject_bifurcations(ghosts: list[Ghost]) -> tuple[list[Bifurcation], list[tuple]]:
+def _subobject_bifurcations(ghosts: tuple[Ghost, ...]) -> tuple[list[Bifurcation], list[tuple]]:
     """Bifurcations and unclassified conditions of the non-minimal subobject
     ghosts, matched against the five parent-triple recipes."""
     keys = {g.key() for g in ghosts}
@@ -507,7 +511,7 @@ def _subobject_bifurcations(ghosts: list[Ghost]) -> tuple[list[Bifurcation], lis
     return bifurcations, unclassified
 
 
-def classify_bifurcations(cls: ModuleClass, ghosts: list[Ghost] | None = None) -> BifurcationReport:
+def classify_bifurcations(cls: ModuleClass, ghosts: tuple[Ghost, ...] | None = None) -> BifurcationReport:
     """Match every side condition of every non-minimal ghost against the
     case recipes.
 
@@ -539,15 +543,16 @@ def classify_bifurcations(cls: ModuleClass, ghosts: list[Ghost] | None = None) -
             dual_bifurcations, _ = _subobject_bifurcations(
                 enumerate_ghosts(duality.dual_class)
             )
-            back = duality.transport_key_back
             for bf in dual_bifurcations:
-                if back(bf.child) in by_key and back(bf.parent) in by_key:
+                child = _transport_key(bf.child, duality.from_dual)
+                parent = _transport_key(bf.parent, duality.from_dual)
+                if child in by_key and parent in by_key:
                     bifurcations.append(
                         Bifurcation(
-                            child=back(bf.child),
-                            parent=back(bf.parent),
+                            child=child,
+                            parent=parent,
                             case=bf.case,
-                            splitting_wall=duality.transport_back(bf.splitting_wall),
+                            splitting_wall=duality.from_dual[bf.splitting_wall],
                             wall_kind=bf.wall_kind,
                         )
                     )
@@ -607,6 +612,14 @@ def _type_a_orientation(catalog: BrickCatalog) -> str:
     return "".join(letters)
 
 
+def _transport_key(key: tuple, names: dict[str, str]) -> tuple:
+    """A ghost key (kind, A, B, C) carried along the duality by ``names``:
+    the sequence reverses and subobject and quotient ghosts trade kinds."""
+    kind, a, b, c = key
+    kind = {SUBOBJECT: QUOTIENT, QUOTIENT: SUBOBJECT}.get(kind, kind)
+    return (kind, names[c], names[b], names[a])
+
+
 @dataclass(frozen=True)
 class Duality:
     """Transport along the vector-space duality to the opposite quiver.
@@ -624,26 +637,8 @@ class Duality:
     def transport(self, m: str) -> str:
         return self.to_dual[m]
 
-    def transport_back(self, m: str) -> str:
-        return self.from_dual[m]
-
     def transport_key(self, key: tuple) -> tuple:
-        kind, a, b, c = key
-        ta, tb, tc = self.to_dual[a], self.to_dual[b], self.to_dual[c]
-        if kind == SUBOBJECT:
-            return (QUOTIENT, tc, tb, ta)
-        if kind == QUOTIENT:
-            return (SUBOBJECT, tc, tb, ta)
-        return (EXTENSION, tc, tb, ta)
-
-    def transport_key_back(self, key: tuple) -> tuple:
-        kind, a, b, c = key
-        ta, tb, tc = self.from_dual[a], self.from_dual[b], self.from_dual[c]
-        if kind == SUBOBJECT:
-            return (QUOTIENT, tc, tb, ta)
-        if kind == QUOTIENT:
-            return (SUBOBJECT, tc, tb, ta)
-        return (EXTENSION, tc, tb, ta)
+        return _transport_key(key, self.to_dual)
 
     def transport_path(self, path: LinearPath) -> LinearPath:
         return LinearPath(tuple(-x for x in path.h), path.k)
@@ -658,8 +653,6 @@ def dualize(cls: ModuleClass) -> Duality:
         raise CatalogError("duality needs a complete generated catalog")
     orientation = _type_a_orientation(catalog)
     flipped = "".join("R" if x == "L" else "L" for x in orientation)
-    from ghostpic.catalog import generate_type_a
-
     dual_catalog = generate_type_a(catalog.quiver.n, flipped)
     by_dim = {m.dim: m.id for m in dual_catalog.indecs}
     to_dual = {m.id: by_dim[m.dim] for m in catalog.indecs}

@@ -25,7 +25,7 @@ from ghostpic.errors import (
     guard_limit,
 )
 from ghostpic.geometry import IntVec, Vec, as_fracvec, dot, int_dot, integral
-from ghostpic.stability import ChamberGraph, chamber_graph, locate_chamber, wall
+from ghostpic.stability import ChamberGraph, chamber_graph, wall
 
 MGS_GUARD = 10**6
 
@@ -91,9 +91,6 @@ class Event:
 class CrossingSchedule:
     path: LinearPath
     events: tuple[Event, ...]
-
-    def stable_labels(self) -> list[str]:
-        return [e.label for e in self.events if e.stable]
 
 
 def _proportional(a, b) -> bool:

@@ -21,7 +21,7 @@ from math import gcd, isqrt, lcm
 
 from ghostpic.catalog import ModuleClass
 from ghostpic.errors import GhostpicError, InternalConsistencyError, RankError
-from ghostpic.geometry import Cone, Vec, as_fracvec, dot, feasible_point, primitive
+from ghostpic.geometry import Cone, as_fracvec, dot, feasible_point, primitive
 from ghostpic.ghosts import (
     EXTENSION,
     QUOTIENT,
@@ -507,16 +507,13 @@ def render_picture(cls: ModuleClass, options: RenderOptions | None = None, graph
 
 
 # ---------------------------------------------------------------------------
-# JSON report (any rank).
+# JSON report (any rank), and the fragments it shares with the CLI documents.
 # ---------------------------------------------------------------------------
 
 
-def _frac_str(x) -> str:
-    return str(Fraction(x))
-
-
-def _vec_str(v) -> list[str]:
-    return [_frac_str(x) for x in v]
+def vec_str(v) -> list[str]:
+    """Exact rationals as JSON strings, e.g. ["1/2", "-3", "0"]."""
+    return [str(Fraction(x)) for x in v]
 
 
 def _cone_doc(cone: Cone) -> dict:
@@ -526,54 +523,23 @@ def _cone_doc(cone: Cone) -> dict:
     }
 
 
-def export_report(cls: ModuleClass, graph=None) -> str:
-    """Machine-readable dump of walls, chambers, graph edges, ghost census
-    and bifurcations, with stable key order for diffing."""
-    if graph is None:
-        graph = chamber_graph(cls)
+def chamber_docs(graph) -> list[dict]:
+    return [
+        {"id": c.id, "label": c.label.sorted(graph.cls), "sample": vec_str(c.sample)}
+        for c in graph.chambers
+    ]
+
+
+def edge_docs(graph) -> list[dict]:
+    return [{"from": e.src, "to": e.dst, "wall": e.wall_brick} for e in graph.edges]
+
+
+def ghost_census_doc(cls: ModuleClass) -> dict:
+    """The ghosts of the class with their domains, and the bifurcations,
+    extension links, unclassified and pathological cases among them."""
     ghosts = enumerate_ghosts(cls)
     bif = classify_bifurcations(cls, ghosts)
-    flags = cls.flags
-    doc = {
-        "schema": REPORT_SCHEMA,
-        "class": {
-            "bricks": list(cls.bricks),
-            "flags": {
-                "quotient_closed": flags.quotient_closed,
-                "sub_closed": flags.sub_closed,
-                "extension_closed": flags.extension_closed,
-                "is_torsion": flags.is_torsion,
-                "is_torsion_free": flags.is_torsion_free,
-            },
-        },
-        "walls": [
-            {
-                "brick": b,
-                "minimal": graph.walls[b].minimal,
-                "cone": _cone_doc(graph.walls[b].cone),
-            }
-            for b in cls.bricks
-        ],
-        "chambers": [
-            {
-                "id": c.id,
-                "label": c.label.sorted(cls),
-                "sample": _vec_str(c.sample),
-                "is_source": c.id == graph.source,
-                "is_sink": c.id == graph.sink,
-            }
-            for c in graph.chambers
-        ],
-        "edges": [
-            {
-                "from": e.src,
-                "to": e.dst,
-                "wall": e.wall_brick,
-                "facet_sample": _vec_str(e.facet_sample),
-            }
-            for e in graph.edges
-        ],
-        "mgs_count": count_mgs(graph),
+    return {
         "ghosts": [
             {
                 "kind": g.kind,
@@ -611,5 +577,46 @@ def export_report(cls: ModuleClass, graph=None) -> str:
         "pathological": [
             {"child": list(a), "other": list(b)} for a, b in bif.pathological
         ],
+    }
+
+
+def export_report(cls: ModuleClass, graph=None) -> str:
+    """Machine-readable dump of walls, chambers, graph edges, ghost census
+    and bifurcations, with stable key order for diffing."""
+    if graph is None:
+        graph = chamber_graph(cls)
+    census = ghost_census_doc(cls)
+    chambers = chamber_docs(graph)
+    for doc in chambers:
+        doc["is_source"] = doc["id"] == graph.source
+        doc["is_sink"] = doc["id"] == graph.sink
+    edges = edge_docs(graph)
+    for doc, e in zip(edges, graph.edges):
+        doc["facet_sample"] = vec_str(e.facet_sample)
+    flags = cls.flags
+    doc = {
+        "schema": REPORT_SCHEMA,
+        "class": {
+            "bricks": list(cls.bricks),
+            "flags": {
+                "quotient_closed": flags.quotient_closed,
+                "sub_closed": flags.sub_closed,
+                "extension_closed": flags.extension_closed,
+                "is_torsion": flags.is_torsion,
+                "is_torsion_free": flags.is_torsion_free,
+            },
+        },
+        "walls": [
+            {
+                "brick": b,
+                "minimal": graph.walls[b].minimal,
+                "cone": _cone_doc(graph.walls[b].cone),
+            }
+            for b in cls.bricks
+        ],
+        "chambers": chambers,
+        "edges": edges,
+        "mgs_count": count_mgs(graph),
+        **census,
     }
     return json.dumps(doc, indent=1, sort_keys=True)

@@ -76,9 +76,6 @@ class SemistableSet:
     def __contains__(self, m: str) -> bool:
         return m in self.bricks
 
-    def __le__(self, other: "SemistableSet") -> bool:
-        return self.bricks <= other.bricks
-
     def sorted(self, cls: ModuleClass) -> list[str]:
         return sorted(self.bricks, key=cls.catalog.position)
 
@@ -130,6 +127,7 @@ class ChamberGraph:
     # its cells, and every facet adjacency, on a wall or not
     cells: tuple[Cell, ...]
     adjacencies: tuple[FacetAdjacency, ...]
+    chamber_of_signs: dict[tuple[int, ...], int]  # cell sign vector -> chamber id
 
     def chamber(self, cid: int) -> Chamber:
         return self.chambers[cid]
@@ -144,144 +142,96 @@ class ChamberGraph:
     def out_edges(self, cid: int) -> tuple[ChamberEdge, ...]:
         return self._out.get(cid, ())
 
-    @cached_property
-    def _chamber_of_signs(self) -> dict[tuple[int, ...], int]:
-        return {c.signs: ch.id for ch in self.chambers for c in ch.cells}
-
-
-class _ChamberScaffold:
-    """Shared construction for enumerate_chambers and chamber_graph."""
-
-    def __init__(self, cls: ModuleClass):
-        if len(cls.bricks) > guard_limit(BRICK_GUARD):
-            raise GuardExceededError(f"{len(cls.bricks)} bricks exceeds the chamber guard")
-        self.cls = cls
-        self.bricks = list(cls.bricks)
-        self.hyperplanes = [Hyperplane.from_vector(cls.dim_of(b)) for b in self.bricks]
-        self.cells = enumerate_cells(self.hyperplanes)
-        self.adjacencies = cell_facet_neighbors(self.cells, self.hyperplanes)
-        self.walls = {b: wall(cls, b) for b in self.bricks}
-
-        # merge cells across facets that are not contained in any wall
-        parent = {c.signs: c.signs for c in self.cells}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        self.wall_facets: list[FacetAdjacency] = []
-        for adj in self.adjacencies:
-            brick = self.bricks[adj.hyperplane_index]
-            if self.walls[brick].cone.contains(adj.facet_sample):
-                self.wall_facets.append(adj)
-            else:
-                parent[find(adj.cell_a.signs)] = find(adj.cell_b.signs)
-
-        groups: dict[tuple, list[Cell]] = {}
-        for c in self.cells:
-            groups.setdefault(find(c.signs), []).append(c)
-        ordered = sorted(groups.values(), key=lambda cs: min(c.signs for c in cs))
-
-        self.chambers: list[Chamber] = []
-        self.cell_to_chamber: dict[tuple, int] = {}
-        for cid, cell_group in enumerate(ordered):
-            cell_group = sorted(cell_group, key=lambda c: c.signs)
-            labels = {semistable_set(cls, c.sample).bricks for c in cell_group}
-            if len(labels) != 1:
-                raise InternalConsistencyError(
-                    f"semistable label not constant on merged chamber {cid}"
-                )
-            for c in cell_group:
-                self.cell_to_chamber[c.signs] = cid
-            self.chambers.append(
-                Chamber(
-                    id=cid,
-                    cells=tuple(cell_group),
-                    label=SemistableSet(labels.pop()),
-                    sample=cell_group[0].sample,
-                    bounding_walls=(),
-                )
-            )
-
-        # bounding walls: wall facets on the chamber's topological boundary,
-        # with the chamber-side sign of the wall's hyperplane
-        bounding: dict[int, dict[str, int]] = {c.id: {} for c in self.chambers}
-        for adj in self.wall_facets:
-            brick = self.bricks[adj.hyperplane_index]
-            ca = self.cell_to_chamber[adj.cell_a.signs]
-            cb = self.cell_to_chamber[adj.cell_b.signs]
-            if ca == cb:
-                continue
-            bounding[ca][brick] = adj.cell_a.signs[adj.hyperplane_index]
-            bounding[cb][brick] = adj.cell_b.signs[adj.hyperplane_index]
-        self.chambers = [
-            Chamber(
-                c.id,
-                c.cells,
-                c.label,
-                c.sample,
-                tuple(
-                    (self.walls[b], s)
-                    for b, s in sorted(
-                        bounding[c.id].items(), key=lambda kv: cls.catalog.position(kv[0])
-                    )
-                ),
-            )
-            for c in self.chambers
-        ]
-
-    def chamber_of_signs(self, signs) -> int:
-        return self.cell_to_chamber[signs]
-
 
 def enumerate_chambers(cls: ModuleClass) -> list[Chamber]:
     """Connected components of the complement of the union of walls."""
-    return list(_ChamberScaffold(cls).chambers)
+    return list(chamber_graph(cls).chambers)
 
 
 def chamber_graph(cls: ModuleClass) -> ChamberGraph:
-    """Chambers plus one green-oriented edge per wall-interior adjacency.
+    """Chambers plus one green-oriented edge per wall-interior adjacency,
+    built once per class.
 
     Every edge is checked against the wall-crossing theorem: the label grows
     strictly, the wall brick is among the new semistables, and each new
     semistable admits a weakly admissible epimorphism onto the wall brick.
     """
-    scaffold = _ChamberScaffold(cls)
-    cls_catalog = cls.catalog
+    if len(cls.bricks) > guard_limit(BRICK_GUARD):
+        raise GuardExceededError(f"{len(cls.bricks)} bricks exceeds the chamber guard")
+    if cls._chamber_graph is not None:
+        return cls._chamber_graph
+    catalog = cls.catalog
+    bricks = cls.bricks
+    hyperplanes = [Hyperplane.from_vector(cls.dim_of(b)) for b in bricks]
+    cells = enumerate_cells(hyperplanes)
+    adjacencies = cell_facet_neighbors(cells, hyperplanes)
+    walls = {b: wall(cls, b) for b in bricks}
+
+    # merge cells across facets that are not contained in any wall
+    parent = {c.signs: c.signs for c in cells}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    wall_facets: list[FacetAdjacency] = []
+    for adj in adjacencies:
+        if walls[bricks[adj.hyperplane_index]].cone.contains(adj.facet_sample):
+            wall_facets.append(adj)
+        else:
+            parent[find(adj.cell_a.signs)] = find(adj.cell_b.signs)
+
+    groups: dict[tuple, list[Cell]] = {}
+    for c in cells:
+        groups.setdefault(find(c.signs), []).append(c)
+    ordered = sorted(
+        (sorted(cs, key=lambda c: c.signs) for cs in groups.values()),
+        key=lambda cs: cs[0].signs,
+    )
+    chamber_of: dict[tuple, int] = {}
+    labels: list[frozenset[str]] = []
+    for cid, cell_group in enumerate(ordered):
+        found = {semistable_set(cls, c.sample).bricks for c in cell_group}
+        if len(found) != 1:
+            raise InternalConsistencyError(
+                f"semistable label not constant on merged chamber {cid}"
+            )
+        labels.append(found.pop())
+        for c in cell_group:
+            chamber_of[c.signs] = cid
+
+    # one pass over the wall facets: the bounding walls of the chambers on
+    # both sides, with each chamber's sign of the wall's hyperplane, and one
+    # edge from the negative side to the positive side
+    bounding: list[dict[str, int]] = [{} for _ in ordered]
     edges: dict[tuple[int, int, str], ChamberEdge] = {}
-    for adj in scaffold.wall_facets:
-        brick = scaffold.bricks[adj.hyperplane_index]
-        side_a = adj.cell_a.signs[adj.hyperplane_index]
-        neg_cell, pos_cell = (
-            (adj.cell_b, adj.cell_a) if side_a == 1 else (adj.cell_a, adj.cell_b)
-        )
-        src = scaffold.chamber_of_signs(neg_cell.signs)
-        dst = scaffold.chamber_of_signs(pos_cell.signs)
-        if src == dst:
+    for adj in wall_facets:
+        i = adj.hyperplane_index
+        brick = bricks[i]
+        ca, cb = chamber_of[adj.cell_a.signs], chamber_of[adj.cell_b.signs]
+        if ca == cb:
             raise InternalConsistencyError(
                 f"wall facet of {brick} inside a single chamber at {adj.facet_sample}"
             )
+        bounding[ca][brick] = adj.cell_a.signs[i]
+        bounding[cb][brick] = adj.cell_b.signs[i]
+        src, dst = (cb, ca) if adj.cell_a.signs[i] == 1 else (ca, cb)
         key = (src, dst, brick)
         if key in edges:
             continue
-        label_src = scaffold.chambers[src].label
-        label_dst = scaffold.chambers[dst].label
-        if not (label_src.bricks < label_dst.bricks) or brick not in label_dst.bricks or brick in label_src.bricks:
+        label_src, label_dst = labels[src], labels[dst]
+        if not (label_src < label_dst) or brick not in label_dst or brick in label_src:
             raise InternalConsistencyError(
                 f"wall crossing of {brick} violates strict label growth "
                 f"at facet sample {adj.facet_sample}"
             )
         witnesses = []
         target = ModuleSum([brick])
-        for x in sorted(label_dst.bricks - label_src.bricks, key=cls_catalog.position):
+        for x in sorted(label_dst - label_src, key=catalog.position):
             pair = next(
-                (
-                    p
-                    for p in cls_catalog.pairs(x)
-                    if p.quot == target and cls.in_filt(p.sub)
-                ),
+                (p for p in catalog.pairs(x) if p.quot == target and cls.in_filt(p.sub)),
                 None,
             )
             if pair is None:
@@ -292,30 +242,40 @@ def chamber_graph(cls: ModuleClass) -> ChamberGraph:
             witnesses.append((x, pair.tag))
         edges[key] = ChamberEdge(src, dst, brick, adj.facet_sample, tuple(witnesses))
 
-    minus = tuple(-1 for _ in scaffold.bricks)
-    plus = tuple(1 for _ in scaffold.bricks)
-    source = scaffold.chamber_of_signs(minus)
-    sink = scaffold.chamber_of_signs(plus)
-    if scaffold.chambers[source].label.bricks:
+    source = chamber_of[tuple(-1 for _ in bricks)]
+    sink = chamber_of[tuple(1 for _ in bricks)]
+    if labels[source]:
         raise InternalConsistencyError("source chamber label is not empty")
-    if scaffold.chambers[sink].label.bricks != frozenset(cls.bricks):
+    if labels[sink] != frozenset(bricks):
         raise InternalConsistencyError("sink chamber label is not the whole class")
-    ordered_edges = tuple(
-        sorted(
-            edges.values(),
-            key=lambda e: (e.src, cls_catalog.position(e.wall_brick), e.dst),
+    chambers = tuple(
+        Chamber(
+            id=cid,
+            cells=tuple(cell_group),
+            label=SemistableSet(labels[cid]),
+            sample=cell_group[0].sample,
+            bounding_walls=tuple(
+                (walls[b], s)
+                for b, s in sorted(bounding[cid].items(), key=lambda kv: catalog.position(kv[0]))
+            ),
         )
+        for cid, cell_group in enumerate(ordered)
     )
-    return ChamberGraph(
+    ordered_edges = tuple(
+        sorted(edges.values(), key=lambda e: (e.src, catalog.position(e.wall_brick), e.dst))
+    )
+    cls._chamber_graph = ChamberGraph(
         cls=cls,
-        chambers=tuple(scaffold.chambers),
+        chambers=chambers,
         edges=ordered_edges,
         source=source,
         sink=sink,
-        walls=scaffold.walls,
-        cells=tuple(scaffold.cells),
-        adjacencies=tuple(scaffold.adjacencies),
+        walls=walls,
+        cells=tuple(cells),
+        adjacencies=tuple(adjacencies),
+        chamber_of_signs=chamber_of,
     )
+    return cls._chamber_graph
 
 
 def locate_chamber(graph: ChamberGraph, theta) -> int:
@@ -325,4 +285,4 @@ def locate_chamber(graph: ChamberGraph, theta) -> int:
     values = [int_dot(cls.dim_of(b), point) for b in cls.bricks]
     if 0 in values:
         raise InternalConsistencyError(f"{theta} lies on a brick hyperplane")
-    return graph._chamber_of_signs[tuple(1 if v > 0 else -1 for v in values)]
+    return graph.chamber_of_signs[tuple(1 if v > 0 else -1 for v in values)]

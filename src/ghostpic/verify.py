@@ -15,7 +15,6 @@ from ghostpic.catalog import ModuleClass, ModuleSum, builtin_kronecker, generate
 from ghostpic.errors import InternalConsistencyError, NonGenericPathError
 from ghostpic.geometry import Cone, cone_contains_cone, dot, feasible_point, int_dot
 from ghostpic.ghosts import (
-    EXTENSION,
     SUBOBJECT,
     classify_bifurcations,
     dualize,
@@ -29,7 +28,6 @@ from ghostpic.greenpaths import (
     check_hn_minimality,
     check_mgs_maximality,
     check_relative_hom_orthogonality,
-    crossing_schedule,
     enumerate_mgs,
     hn_stratification,
     is_relatively_stable,
@@ -94,18 +92,6 @@ class Verifier:
         self.seed = seed
         self.fixtures = standard_fixtures()
         self.results: list[CheckResult] = []
-        self._graphs = {}
-        self._ghosts = {}
-
-    def graph(self, name):
-        if name not in self._graphs:
-            self._graphs[name] = chamber_graph(self.fixtures[name])
-        return self._graphs[name]
-
-    def ghosts(self, name):
-        if name not in self._ghosts:
-            self._ghosts[name] = enumerate_ghosts(self.fixtures[name])
-        return self._ghosts[name]
 
     def record(self, name, passed, detail=""):
         self.results.append(CheckResult(name, bool(passed), detail))
@@ -114,8 +100,8 @@ class Verifier:
     def check_union_of_interiors(self):
         failures = 0
         samples = 0
-        for name, cls in self.fixtures.items():
-            graph = self.graph(name)
+        for cls in self.fixtures.values():
+            graph = chamber_graph(cls)
             for adj in graph.adjacencies:
                 brick = cls.bricks[adj.hyperplane_index]
                 if not graph.walls[brick].cone.contains(adj.facet_sample):
@@ -134,8 +120,8 @@ class Verifier:
     def check_locally_constant(self):
         rng = random.Random((self.seed, "locally-constant").__repr__())
         failures = 0
-        for name, cls in self.fixtures.items():
-            graph = self.graph(name)
+        for cls in self.fixtures.values():
+            graph = chamber_graph(cls)
             mix_cells = cls.flags.extension_closed is True
             for ch in graph.chambers:
                 points = []
@@ -163,8 +149,8 @@ class Verifier:
     def check_wall_crossing(self):
         failures = 0
         edges = 0
-        for name, cls in self.fixtures.items():
-            graph = self.graph(name)
+        for cls in self.fixtures.values():
+            graph = chamber_graph(cls)
             eta = tuple(Fraction(1) for _ in range(cls.catalog.quiver.n))
             for e in graph.edges:
                 edges += 1
@@ -214,8 +200,8 @@ class Verifier:
     def check_ghost_stability_equivalence(self):
         rng = random.Random((self.seed, "ghost-stability").__repr__())
         failures = 0
-        for name, cls in self.fixtures.items():
-            ghosts = self.ghosts(name)
+        for cls in self.fixtures.values():
+            ghosts = enumerate_ghosts(cls)
             if not ghosts:
                 continue
             extra = [(g.event_dim, g.display()) for g in ghosts]
@@ -235,10 +221,10 @@ class Verifier:
         rng = random.Random((self.seed, "hn").__repr__())
         failures = 0
         checked = 0
-        for name, cls in self.fixtures.items():
+        for cls in self.fixtures.values():
             if cls.flags.extension_closed is not True:
                 continue
-            graph = self.graph(name)
+            graph = chamber_graph(cls)
             sequences = enumerate_mgs(cls, graph)
             objects = [ModuleSum([b]) for b in cls.bricks]
             for _ in range(5):
@@ -259,7 +245,7 @@ class Verifier:
         failures = 0
         report_only = []
         for name, cls in self.fixtures.items():
-            graph = self.graph(name)
+            graph = chamber_graph(cls)
             asserted = cls.flags.extension_closed is True
             labels = [frozenset(c.label.bricks) for c in graph.chambers]
             distinct = len(set(labels)) == len(labels)
@@ -295,7 +281,7 @@ class Verifier:
         detail = ""
         try:
             duality = dualize(cls)
-            ghosts = [g for g in self.ghosts("torsion4") if g.kind == SUBOBJECT]
+            ghosts = [g for g in enumerate_ghosts(cls) if g.kind == SUBOBJECT]
             dual_ghosts = {g.key(): g for g in enumerate_ghosts(duality.dual_class)}
             expected = sorted(duality.transport_key(g.key()) for g in ghosts)
             got = sorted(k for k in dual_ghosts if k[0] == "quotient")
@@ -347,10 +333,10 @@ class Verifier:
     def check_mgs_properties(self):
         failures = 0
         total = 0
-        for name, cls in self.fixtures.items():
+        for cls in self.fixtures.values():
             if cls.catalog.complete is False:
                 continue
-            graph = self.graph(name)
+            graph = chamber_graph(cls)
             for mgs in enumerate_mgs(cls, graph):
                 total += 1
                 ok, _ = check_relative_hom_orthogonality(cls, list(mgs.walls))
@@ -368,8 +354,8 @@ class Verifier:
         rng = random.Random((self.seed, "paths-vs-graph").__repr__())
         failures = 0
         count = max(10, self.paths // 10)
-        for name, cls in self.fixtures.items():
-            graph = self.graph(name)
+        for cls in self.fixtures.values():
+            graph = chamber_graph(cls)
             all_mgs = None
             try:
                 all_mgs = {m.walls for m in enumerate_mgs(cls, graph)}
@@ -439,8 +425,8 @@ class Verifier:
     # ghost domain geometry: shrinkage, monotone walls, bifurcation facets
     def check_ghost_geometry(self):
         failures = 0
-        for name, cls in self.fixtures.items():
-            ghosts = self.ghosts(name)
+        for cls in self.fixtures.values():
+            ghosts = enumerate_ghosts(cls)
             for g in ghosts:
                 if g.kind != SUBOBJECT or g.minimal:
                     continue

@@ -228,6 +228,25 @@ class TestMalformedInput:
         assert out == ""
         assert err.count("\n") == 1 and "--h" in err
 
+    @pytest.mark.parametrize(
+        "malform,mentions",
+        [
+            (lambda doc: {**doc, "hom": [[1, 2]]}, "'hom' must be [[id, id, int]"),
+            (lambda doc: {**doc, "ses": [["S1", "P2"]]}, "'ses' must be [[id, id, id]"),
+            (lambda doc: [1, 2, 3], "must be a JSON object"),
+            (lambda doc: {"schema": "x"}, "missing field 'quiver'"),
+        ],
+        ids=["short-hom-entry", "short-ses-entry", "not-an-object", "missing-quiver"],
+    )
+    def test_malformed_catalog_is_usage_error(self, capsys, tmp_path, malform, mentions):
+        _, good, _ = run(capsys, "catalog", "--builtin", "kronecker")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(malform(json.loads(good))))
+        code, out, err = run(capsys, "catalog", "--catalog", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: catalog schema violation")
+        assert mentions in err and "Error(" not in err
 
     def test_seed_is_a_verify_option_only(self, capsys):
         code, out, err = run(

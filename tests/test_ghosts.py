@@ -78,6 +78,11 @@ class TestCensus:
             ("S2", "I2", "S3"),
         ]
 
+    def test_census_is_built_once(self, mixed5):
+        ghosts = enumerate_ghosts(mixed5)
+        assert isinstance(ghosts, tuple)
+        assert enumerate_ghosts(mixed5) is ghosts
+
 
 class TestDomains:
     def test_minimal_subobject_half_hyperplane(self, minimal3):

@@ -1,9 +1,9 @@
 """Byte-level golden digests of CLI stdout.
 
-The SHA-256 of the `chambers`, `mgs --all`, `ghosts` and `path` output is
-pinned for three fixtures over three catalogs (A3 with orientations LL and
-LR, and the Kronecker fragment).  A change that moves any output byte fails
-here and must say so.
+The SHA-256 of the `chambers`, `mgs --all`, `ghosts`, `path` and
+`picture --report` output is pinned for three fixtures over three catalogs
+(A3 with orientations LL and LR, and the Kronecker fragment).  A change that
+moves any output byte fails here and must say so.
 """
 
 import hashlib
@@ -37,12 +37,21 @@ DIGESTS = {
     ("kronecker", "mgs"): "a43121b203701797dee507ccdd177e47649d67f03dbfff075c9e8925e5a31d2b",
     ("kronecker", "ghosts"): "627a6ed84072745bd05dbc4a2b84f7c9e5c09ba25b9f5dc0500d1deec8cace3f",
     ("kronecker", "path"): "6bd92f2c79cf98274172d39f66b449296e37fb5b3682e50032dec458598c1d99",
+    ("torsion4", "report"): "86714844e4de78da8ca8d102ce95029266e7feaf0c7ddc15a4de1b18cfcb92ab",
+    ("case2", "report"): "ba82957b903965ca6f58926558ed7f7337689d3dafa516e51877b6465ca71f85",
+    ("kronecker", "report"): "997b9339511abecd6e3978ffd3cf3da76be65fd50dd060128d26f92f67380039",
 }
 
 
 def argv(fixture, command):
-    extra = {"chambers": [], "mgs": ["--all"], "ghosts": [], "path": PATHS[fixture]}[command]
-    return [command, *extra, *FIXTURES[fixture]]
+    head = {
+        "chambers": ["chambers"],
+        "mgs": ["mgs", "--all"],
+        "ghosts": ["ghosts"],
+        "path": ["path", *PATHS[fixture]],
+        "report": ["picture", "--report"],
+    }[command]
+    return [*head, *FIXTURES[fixture]]
 
 
 @pytest.mark.parametrize("fixture,command", sorted(DIGESTS))

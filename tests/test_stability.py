@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ghostpic.catalog import ModuleClass, ModuleSum
+from ghostpic.errors import GuardExceededError
 from ghostpic.geometry import dot
 from ghostpic.stability import (
     chamber_graph,
@@ -170,3 +171,21 @@ class TestChamberGraph:
                 assert sign in (1, -1)
                 val = dot(torsion4.dim_of(w.brick), c.sample)
                 assert (val > 0) == (sign == 1)
+
+
+class TestOneBuildPerClass:
+    def test_graph_is_built_once(self, torsion4):
+        assert chamber_graph(torsion4) is chamber_graph(torsion4)
+
+    def test_enumerate_chambers_reads_the_graph(self, cat_lr):
+        cls = ModuleClass(cat_lr, ["S1", "P2", "S2", "I3", "I1"])
+        chambers = enumerate_chambers(cls)
+        assert chambers == list(chamber_graph(cls).chambers)
+
+    def test_lowered_guard_raises_for_a_built_graph(self, torsion4, monkeypatch):
+        chamber_graph(torsion4)
+        monkeypatch.setenv("GHOSTPIC_GUARD", str(len(torsion4.bricks) - 1))
+        with pytest.raises(GuardExceededError):
+            chamber_graph(torsion4)
+        with pytest.raises(GuardExceededError):
+            enumerate_chambers(torsion4)
