@@ -440,10 +440,19 @@ def dump_catalog(catalog: BrickCatalog) -> str:
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
-def _str(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"{value!r} is not a string")
-    return value
+def _exactly(kind: type):
+    """A parser that passes a JSON value of exactly this type through and
+    raises on any other (so a JSON true is not an int)."""
+
+    def parse(value):
+        if type(value) is not kind:
+            raise TypeError(f"{value!r} is not a {kind.__name__}")
+        return value
+
+    return parse
+
+
+_str, _int, _bool = _exactly(str), _exactly(int), _exactly(bool)
 
 
 def _pairs(value) -> dict[str, list[SubquotientPair]]:
@@ -454,7 +463,7 @@ def _pairs(value) -> dict[str, list[SubquotientPair]]:
                 sub=ModuleSum(map(_str, p["sub"])),
                 quot=ModuleSum(map(_str, p["quot"])),
                 sub_proper=ModuleSum(p["sub"]) != ModuleSum([mid]),
-                tag=p.get("tag", f"pair{i}"),
+                tag=_str(p.get("tag", f"pair{i}")),
                 basis=frozenset(p["basis"]) if "basis" in p else None,
             )
             for i, p in enumerate(plist)
@@ -469,11 +478,11 @@ _FIELDS = (
     ("quiver", '{"n": int, "arrows": [[int, int], ...]}',
      lambda q: Quiver(q["n"], tuple(tuple(a) for a in q["arrows"]))),
     ("indecs", '[{"id": str, "name": str, "dim": [int, ...]}, ...]',
-     lambda ds: [Indec(_str(d["id"]), d.get("name", d["id"]), tuple(d["dim"])) for d in ds]),
+     lambda ds: [Indec(_str(d["id"]), _str(d.get("name", d["id"])), tuple(d["dim"])) for d in ds]),
     ("subquotients", '{id: [{"sub": [id, ...], "quot": [id, ...], "tag": str}, ...]}', _pairs),
-    ("hom", "[[id, id, int], ...]", lambda rows: {(_str(x), _str(y)): d for x, y, d in rows}),
+    ("hom", "[[id, id, int], ...]", lambda rows: {(_str(x), _str(y)): _int(d) for x, y, d in rows}),
     ("ses", "[[id, id, id], ...]", lambda rows: [Ses(*map(_str, r)) for r in rows]),
-    ("complete", "a boolean", bool),
+    ("complete", "true or false", _bool),
 )
 
 
@@ -537,7 +546,8 @@ class ModuleClass:
         self._wall_table: dict = {}  # brick -> stability.Wall, filled by stability.wall
         self._chamber_graph = None  # stability.ChamberGraph, filled by stability.chamber_graph
         self._ghosts: tuple | None = None  # ghosts.Ghost census, filled by ghosts.enumerate_ghosts
-        self._generic_dims: tuple | None = None  # filled by greenpaths.check_generic
+        self._generic_dims: dict = {}  # extra dims -> sorted dims, filled by greenpaths.check_generic
+        self._ghost_table: dict = {}  # ghost kinds -> (ghosts, dims), filled by ghosts.ghost_events
         self.flags: ClassFlags = classify_class(self)
 
     def _check_independence(self):

@@ -259,12 +259,33 @@ def cmd_verify(args) -> int:
     return 0 if passed == len(results) else 1
 
 
+_VECTOR_FLAGS = ("--h", "--k")
+
+
+def _attach_vector_values(argv) -> list[str]:
+    """Write `--h -3,1,2` as `--h=-3,1,2`: argparse takes a separate value
+    that starts with '-' and is not a plain number for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _VECTOR_FLAGS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are one line on stderr (exit 2);
-    ``--help`` still prints the full usage."""
+    ``--help`` still prints the full usage.  The vector values of ``--h`` and
+    ``--k`` may start with '-'."""
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        if args is None:
+            args = sys.argv[1:]
+        return super().parse_known_args(_attach_vector_values(args), namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:

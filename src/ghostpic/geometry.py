@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from ghostpic.errors import GhostpicError, GuardExceededError, guard_limit
 
@@ -32,7 +33,7 @@ def dot(a, b) -> Fraction:
 
 def int_dot(a, b) -> int:
     """Dot product of two integer vectors, as an int."""
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def integral(v) -> IntVec:

@@ -411,6 +411,22 @@ def _order_concurrent(cls: ModuleClass, ghosts: list[Ghost]) -> list[Ghost]:
     return ordered
 
 
+def _ghost_table(cls: ModuleClass, kinds) -> tuple[tuple[Ghost, ...], tuple[tuple[tuple, str], ...]]:
+    """The ghosts of the given kinds and the (dim, name) pairs their
+    genericity depends on: each event dim, then the dims of their condition
+    objects; built once per class and tuple of kinds."""
+    kinds = tuple(kinds)
+    table = cls._ghost_table.get(kinds)
+    if table is None:
+        ghosts = tuple(g for g in enumerate_ghosts(cls) if g.kind in kinds)
+        dims = [(g.event_dim, g.display()) for g in ghosts]
+        for g in ghosts:
+            for cond in g.conditions:
+                dims.append((cls.dim_of(cond.obj), repr(cond.obj)))
+        table = cls._ghost_table[kinds] = (ghosts, tuple(dims))
+    return table
+
+
 def ghost_events(
     cls: ModuleClass, path: LinearPath, kinds: tuple[str, ...] = (SUBOBJECT, QUOTIENT)
 ) -> list[Event]:
@@ -420,17 +436,14 @@ def ghost_events(
     hyperplane crossing of their middle brick, which the schedule already
     reports, and wall-crossing sequences track them separately.
     """
-    ghosts = [g for g in enumerate_ghosts(cls) if g.kind in kinds]
-    extra = [(g.event_dim, g.display()) for g in ghosts]
-    for g in ghosts:
-        for cond in g.conditions:
-            extra.append((cls.dim_of(cond.obj), repr(cond.obj)))
+    ghosts, extra = _ghost_table(cls, kinds)
     check_generic(path, cls, extra_dims=extra)
-    by_time: dict[Fraction, list[Ghost]] = {}
+    by_time: dict[tuple[int, int], list[Ghost]] = {}
     for g in ghosts:
-        by_time.setdefault(path.crossing_time(g.event_dim), []).append(g)
+        by_time.setdefault(path.time_key(g.event_dim), []).append(g)
     events: list[Event] = []
-    for t, group in by_time.items():
+    for key, group in by_time.items():
+        t = Fraction(*key)
         ordered = _order_concurrent(cls, group) if len(group) > 1 else group
         for g in ordered:
             events.append(

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from ghostpic.catalog import ModuleClass, ModuleSum
 from ghostpic.errors import (
@@ -24,7 +25,7 @@ from ghostpic.errors import (
     NonGenericPathError,
     guard_limit,
 )
-from ghostpic.geometry import IntVec, Vec, as_fracvec, dot, int_dot, integral
+from ghostpic.geometry import IntVec, Vec, as_fracvec, integral
 from ghostpic.stability import ChamberGraph, chamber_graph, wall
 
 MGS_GUARD = 10**6
@@ -33,49 +34,66 @@ MGS_GUARD = 10**6
 @dataclass(frozen=True)
 class LinearPath:
     """gamma_t = h + t*k.  Besides the rational h and k the path keeps the
-    integer pair (H*h, H*k) over their common denominator H, so crossing
-    times compare by integer cross-multiplication."""
+    integer pair (H*h, H*k) over their common denominator H, and a crossing
+    table: the integer pair (H*h.dim, H*k.dim) of each dim asked for, computed
+    once.  Crossing times compare by integer cross-multiplication; Fractions
+    are built only for the time itself."""
 
     h: Vec
     k: Vec
     _hi: IntVec = field(init=False, repr=False, compare=False)
     _ki: IntVec = field(init=False, repr=False, compare=False)
+    _dots: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "h", as_fracvec(self.h))
-        object.__setattr__(self, "k", as_fracvec(self.k))
-        if len(self.h) != len(self.k):
+        h, k = as_fracvec(self.h), as_fracvec(self.k)
+        if len(h) != len(k):
             raise CatalogError("h and k must have equal length")
-        if any(x <= 0 for x in self.k):
+        hk = integral(h + k)
+        hi, ki = hk[: len(h)], hk[len(h) :]
+        if any(x <= 0 for x in ki):  # H > 0, so ki has the signs of k
             raise CatalogError("all coordinates of k must be strictly positive")
-        hk = integral(self.h + self.k)
-        object.__setattr__(self, "_hi", hk[: len(self.h)])
-        object.__setattr__(self, "_ki", hk[len(self.h) :])
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "_hi", hi)
+        object.__setattr__(self, "_ki", ki)
+        object.__setattr__(self, "_dots", {})
+
+    def _crossing(self, dim: tuple) -> tuple[int, int]:
+        """(H*h.dim, H*k.dim), from the crossing table."""
+        pair = self._dots.get(dim)
+        if pair is None:
+            pair = (sum(map(mul, self._hi, dim)), sum(map(mul, self._ki, dim)))
+            self._dots[dim] = pair
+        return pair
 
     def at(self, t) -> Vec:
         t = Fraction(t)
         return tuple(a + t * b for a, b in zip(self.h, self.k))
 
+    def point_at(self, num: int, den: int) -> IntVec:
+        """den*H*h + num*H*k: for den > 0 a positive integer multiple of
+        at(num/den)."""
+        return tuple(den * a + num * b for a, b in zip(self._hi, self._ki))
+
     def crossing_time(self, dim) -> Fraction:
-        return Fraction(-dot(self.h, dim), dot(self.k, dim))
+        return Fraction(*self.time_key(dim))
 
     def time_key(self, dim) -> tuple[int, int]:
         """crossing_time(dim) as a reduced (num, den) pair with den > 0, for
         a dim with k.dim > 0 (every nonzero dimension vector)."""
-        num = -int_dot(self._hi, dim)
-        den = int_dot(self._ki, dim)
-        if den <= 0:
+        hd, kd = self._crossing(dim)
+        if kd <= 0:
             raise ValueError(f"k.dim must be positive, got dim {dim}")
-        g = gcd(num, den)
-        return num // g, den // g
+        g = gcd(hd, kd)
+        return -hd // g, kd // g
 
     def crossing_point(self, dim) -> IntVec:
         """(k.dim)*h - (h.dim)*k over the integers: for k.dim > 0 a positive
         multiple of at(crossing_time(dim)), where the path meets the
         hyperplane of dim."""
-        hd = int_dot(self._hi, dim)
-        kd = int_dot(self._ki, dim)
-        return tuple(kd * a - hd * b for a, b in zip(self._hi, self._ki))
+        hd, kd = self._crossing(dim)
+        return self.point_at(-hd, kd)
 
 
 @dataclass(frozen=True)
@@ -98,10 +116,11 @@ def _proportional(a, b) -> bool:
     return all(a[i] * b[j] == a[j] * b[i] for i in range(n) for j in range(n))
 
 
-def _class_dims(cls: ModuleClass) -> tuple[tuple[tuple, str], ...]:
-    """The sorted (dim, name) pairs of the class bricks and of every weakly
-    admissible quotient sum, first name per dim; built once per class."""
-    table = cls._generic_dims
+def _class_dims(cls: ModuleClass, extra_dims: tuple = ()) -> tuple[tuple[tuple, str], ...]:
+    """The sorted (dim, name) pairs of the class bricks, of every weakly
+    admissible quotient sum and of the extra pairs, first name per dim; built
+    once per class and tuple of extra pairs."""
+    table = cls._generic_dims.get(extra_dims)
     if table is None:
         dims: dict[tuple, str] = {}
         for b in cls.bricks:
@@ -109,27 +128,26 @@ def _class_dims(cls: ModuleClass) -> tuple[tuple[tuple, str], ...]:
         for b in cls.bricks:
             for p in cls.weakly_admissible_quotients(b):
                 dims.setdefault(cls.dim_of(p.quot), repr(p.quot))
-        table = cls._generic_dims = tuple(sorted(dims.items()))
+        for d, name in extra_dims:
+            dims.setdefault(d, name)
+        table = cls._generic_dims[extra_dims] = tuple(sorted(dims.items()))
     return table
 
 
 def check_generic(path: LinearPath, cls: ModuleClass, extra_dims=()) -> None:
     """Reject paths that cross two non-proportional relevant hyperplanes at
     the same time.  Relevant objects are the class bricks, every weakly
-    admissible quotient sum, and any extra dims the caller supplies."""
-    dims = _class_dims(cls)
-    if extra_dims:
-        merged = dict(dims)
-        for d, name in extra_dims:
-            merged.setdefault(tuple(d), name)
-        dims = sorted(merged.items())
+    admissible quotient sum, and any extra (dim, name) pairs the caller
+    supplies; pass the same tuple of them each time to reuse its table."""
+    if type(extra_dims) is not tuple:
+        extra_dims = tuple((tuple(d), name) for d, name in extra_dims)
     by_time: dict[tuple[int, int], tuple[tuple, str]] = {}
-    for d, name in dims:
+    for d, name in _class_dims(cls, extra_dims):
         t = path.time_key(d)
         if t in by_time:
             other_d, other_name = by_time[t]
             if not _proportional(d, other_d):
-                raise NonGenericPathError(other_name, name, path.crossing_time(d))
+                raise NonGenericPathError(other_name, name, Fraction(*t))
         else:
             by_time[t] = (d, name)
 

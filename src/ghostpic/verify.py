@@ -9,13 +9,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cmp_to_key
 from fractions import Fraction
 
 from ghostpic.catalog import ModuleClass, ModuleSum, builtin_kronecker, generate_type_a
 from ghostpic.errors import InternalConsistencyError, NonGenericPathError
 from ghostpic.geometry import Cone, cone_contains_cone, dot, feasible_point, int_dot
 from ghostpic.ghosts import (
+    EXTENSION,
+    QUOTIENT,
     SUBOBJECT,
+    _ghost_table,
     classify_bifurcations,
     dualize,
     enumerate_ghosts,
@@ -34,6 +38,7 @@ from ghostpic.greenpaths import (
     linear_mgs,
 )
 from ghostpic.stability import (
+    ChamberGraph,
     chamber_graph,
     locate_chamber,
     semistable_set,
@@ -72,18 +77,47 @@ def standard_fixtures() -> dict[str, ModuleClass]:
 
 
 def _random_generic_paths(cls: ModuleClass, rng: random.Random, count: int, extra_dims=()):
+    """Yield count generic paths with integer h and k drawn from rng.  The
+    paths are drawn as they are consumed, so only the path in use keeps its
+    crossing table; a consumer that draws nothing else from rng between
+    paths sees the same draws as from a list."""
     n = cls.catalog.quiver.n
-    out = []
-    while len(out) < count:
-        h = tuple(Fraction(rng.randint(-9, 9)) for _ in range(n))
-        k = tuple(Fraction(rng.randint(1, 9)) for _ in range(n))
+    made = 0
+    while made < count:
+        h = tuple(rng.randint(-9, 9) for _ in range(n))
+        k = tuple(rng.randint(1, 9) for _ in range(n))
         path = LinearPath(h, k)
         try:
             check_generic(path, cls, extra_dims=extra_dims)
         except NonGenericPathError:
             continue
-        out.append(path)
-    return out
+        made += 1
+        yield path
+
+
+def _by_time(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Order two time_key pairs (den > 0) by the times they stand for."""
+    return a[0] * b[1] - b[0] * a[1]
+
+
+def _chamber_chain(graph: ChamberGraph, path: LinearPath) -> list[int]:
+    """Chambers a generic path passes through, in order: located at a probe
+    before the first brick crossing, between each two consecutive ones and
+    after the last, each probe an integer point on the path's ray."""
+    cls = graph.cls
+    times = sorted(
+        (path.time_key(cls.dim_of(b)) for b in cls.bricks), key=cmp_to_key(_by_time)
+    )
+    (first_num, first_den), (last_num, last_den) = times[0], times[-1]
+    probes = [(first_num - first_den, first_den)]
+    probes += [(a * d + c * b, 2 * b * d) for (a, b), (c, d) in zip(times, times[1:])]
+    probes.append((last_num + last_den, last_den))
+    chain: list[int] = []
+    for num, den in probes:
+        cid = locate_chamber(graph, path.point_at(num, den))
+        if not chain or chain[-1] != cid:
+            chain.append(cid)
+    return chain
 
 
 class Verifier:
@@ -201,13 +235,9 @@ class Verifier:
         rng = random.Random((self.seed, "ghost-stability").__repr__())
         failures = 0
         for cls in self.fixtures.values():
-            ghosts = enumerate_ghosts(cls)
+            ghosts, extra = _ghost_table(cls, (SUBOBJECT, QUOTIENT, EXTENSION))
             if not ghosts:
                 continue
-            extra = [(g.event_dim, g.display()) for g in ghosts]
-            for g in ghosts:
-                for cond in g.conditions:
-                    extra.append((cls.dim_of(cond.obj), repr(cond.obj)))
             for path in _random_generic_paths(cls, rng, self.paths, extra_dims=extra):
                 for g in ghosts:
                     try:
@@ -363,19 +393,7 @@ class Verifier:
                 pass
             for path in _random_generic_paths(cls, rng, count):
                 stable = tuple(linear_mgs(cls, path))
-                times = sorted(
-                    path.crossing_time(cls.dim_of(b)) for b in cls.bricks
-                )
-                probes = [times[0] - 1]
-                probes += [
-                    (times[i] + times[i + 1]) / 2 for i in range(len(times) - 1)
-                ]
-                probes.append(times[-1] + 1)
-                chain = []
-                for t in probes:
-                    cid = locate_chamber(graph, path.at(t))
-                    if not chain or chain[-1] != cid:
-                        chain.append(cid)
+                chain = _chamber_chain(graph, path)
                 if chain[0] != graph.source or chain[-1] != graph.sink:
                     failures += 1
                     continue

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -103,6 +104,25 @@ class TestPathCommand:
         )
         assert code == 2
         assert "non-generic" in err
+
+    @pytest.mark.parametrize(
+        "h,k", [("-3,1,2", "1,1,1"), ("-1/2,0,1", "1,2,1"), ("2,-1,3", "1,1,2")]
+    )
+    def test_vector_values_may_start_with_minus(self, capsys, h, k):
+        source = ("--type-a", "3", "--orient", "LL", "--class", "P2,I2,P3,S2,S3")
+        code, out, err = run(capsys, "path", *source, "--h", h, "--k", k)
+        assert code == 0, err
+        code_eq, out_eq, _ = run(capsys, "path", *source, f"--h={h}", f"--k={k}")
+        assert code_eq == 0 and out == out_eq
+        assert json.loads(out)["h"] == [str(Fraction(x)) for x in h.split(",")]
+
+    def test_missing_vector_value_is_still_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "path", "--type-a", "3", "--orient", "LL", "--h", "--k", "1,1,1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--h" in err
 
 
 class TestHnCommand:
@@ -235,8 +255,36 @@ class TestMalformedInput:
             (lambda doc: {**doc, "ses": [["S1", "P2"]]}, "'ses' must be [[id, id, id]"),
             (lambda doc: [1, 2, 3], "must be a JSON object"),
             (lambda doc: {"schema": "x"}, "missing field 'quiver'"),
+            (
+                lambda doc: {**doc, "indecs": [{**doc["indecs"][0], "name": ["x"]}, *doc["indecs"][1:]]},
+                "'indecs' must be [{",
+            ),
+            (
+                lambda doc: {
+                    **doc,
+                    "subquotients": {
+                        mid: [{**p, "tag": 7} for p in pairs]
+                        for mid, pairs in doc["subquotients"].items()
+                    },
+                },
+                "'subquotients' must be {",
+            ),
+            (lambda doc: {**doc, "complete": "no"}, "'complete' must be true or false"),
+            (
+                lambda doc: {**doc, "hom": [[x, y, float(d)] for x, y, d in doc["hom"]]},
+                "'hom' must be [[id, id, int]",
+            ),
         ],
-        ids=["short-hom-entry", "short-ses-entry", "not-an-object", "missing-quiver"],
+        ids=[
+            "short-hom-entry",
+            "short-ses-entry",
+            "not-an-object",
+            "missing-quiver",
+            "non-string-name",
+            "non-string-tag",
+            "non-boolean-complete",
+            "non-integer-hom",
+        ],
     )
     def test_malformed_catalog_is_usage_error(self, capsys, tmp_path, malform, mentions):
         _, good, _ = run(capsys, "catalog", "--builtin", "kronecker")

@@ -21,6 +21,7 @@ from ghostpic.geometry import (
     feasible_point,
     integral,
 )
+from ghostpic.ghosts import QUOTIENT, SUBOBJECT, _ghost_table, enumerate_ghosts
 from ghostpic.greenpaths import LinearPath, _class_dims, check_generic
 from ghostpic.stability import chamber_graph, wall
 from reference_simplex import fraction_cone_lp, fraction_feasible_point, fraction_simplex_max
@@ -36,6 +37,33 @@ def paths_and_dims(draw, count=2):
     k = tuple(draw(positives) for _ in range(n))
     dim = st.tuples(*[st.integers(0, 3)] * n).filter(any)
     return LinearPath(h, k), [draw(dim) for _ in range(count)]
+
+
+@st.composite
+def table_paths(draw):
+    """h and k as given to LinearPath, either all ints (as `verify` draws
+    them) or all Fractions, with a few nonzero dims, repeats allowed."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        coord, positive = st.integers(-12, 12), st.integers(1, 12)
+    else:
+        coord, positive = rationals, positives
+    h = tuple(draw(coord) for _ in range(n))
+    k = tuple(draw(positive) for _ in range(n))
+    dim = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    return h, k, draw(st.lists(dim, min_size=1, max_size=5))
+
+
+def assert_positive_multiple(point, exact):
+    """point is an integer vector and a positive multiple of exact."""
+    assert all(type(x) is int for x in point)
+    nonzero = [i for i, x in enumerate(exact) if x != 0]
+    if not nonzero:
+        assert not any(point)
+        return
+    scale = Fraction(point[nonzero[0]]) / exact[nonzero[0]]
+    assert scale > 0
+    assert all(p == scale * x for p, x in zip(point, exact))
 
 
 @st.composite
@@ -120,6 +148,40 @@ class TestCrossingPoint:
         assert dot(d, point) == 0
 
 
+class TestCrossingTable:
+    """Every reading of a path's crossing table against the Fraction
+    reference t_d = -dot(h, d)/dot(k, d), on the first and a second lookup."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table_paths())
+    def test_readings_match_the_fraction_reference(self, drawn):
+        h, k, dims = drawn
+        path = LinearPath(h, k)
+
+        def readings():
+            return [(path.time_key(d), path.crossing_time(d), path.crossing_point(d)) for d in dims]
+
+        first = readings()
+        for d, (key, t, point) in zip(dims, first):
+            reference = -dot(h, d) / dot(k, d)
+            num, den = key
+            assert den > 0 and gcd(num, den) == 1 and Fraction(num, den) == reference
+            assert type(t) is Fraction and t == reference
+            assert_positive_multiple(point, path.at(reference))
+            assert dot(d, point) == 0
+        assert readings() == first
+
+    @settings(max_examples=300, deadline=None)
+    @given(table_paths(), st.integers(-50, 50), st.integers(1, 20))
+    def test_point_at_is_a_positive_multiple_of_at(self, drawn, num, den):
+        h, k, _ = drawn
+        path = LinearPath(h, k)
+        point = path.point_at(num, den)
+        assert_positive_multiple(point, path.at(Fraction(num, den)))
+        assert path.point_at(num, den) == point
+        assert path.point_at(2 * num, 2 * den) == tuple(2 * x for x in point)
+
+
 class TestIntegerContains:
     @settings(max_examples=400, deadline=None)
     @given(cones_and_points(), st.fractions(min_value=Fraction(1, 7), max_value=7, max_denominator=7))
@@ -202,6 +264,20 @@ class TestPerClassTables:
         assert clash([((0, 0, 1), "X")]) == ("S3", "I2")
         # a new extra dim is sorted in among the class's
         assert clash([((0, 1, 0), "Y")]) == ("S3", "Y")
+
+    def test_ghost_dims_are_built_once_per_kinds(self, torsion4):
+        kinds = (SUBOBJECT, QUOTIENT)
+        ghosts, dims = _ghost_table(torsion4, kinds)
+        assert _ghost_table(torsion4, list(kinds)) == (ghosts, dims)
+        assert _ghost_table(torsion4, kinds)[1] is dims
+        assert ghosts == tuple(g for g in enumerate_ghosts(torsion4) if g.kind in kinds)
+        expected = [(g.event_dim, g.display()) for g in ghosts]
+        expected += [(torsion4.dim_of(c.obj), repr(c.obj)) for g in ghosts for c in g.conditions]
+        assert dims == tuple(expected)
+        # check_generic keeps one merged, sorted table per tuple of extra dims
+        merged = _class_dims(torsion4, dims)
+        assert _class_dims(torsion4, dims) is merged
+        assert [d for d, _ in merged] == sorted({d for d, _ in _class_dims(torsion4) + dims})
 
     def test_wall_is_built_once_with_its_interior(self, torsion4):
         for m in torsion4.bricks:
