@@ -1,9 +1,11 @@
 """Exact wall-and-chamber diagrams, green sequences and ghost modules.
 
-All geometry is exact rational: stability vectors are tuples of
-``fractions.Fraction`` and every wall/chamber/ghost-domain decision is made
-without floating point.  Floating point only appears at the very end of the
-SVG rendering pipeline, after all combinatorial decisions are frozen.
+Every decision is exact: stability vectors are integer or
+``fractions.Fraction`` tuples, cone membership and crossing times are decided
+on integers, and the simplex pivots fraction-free on integer rows.  No float
+is used anywhere, the SVG renderer included: it projects onto a fixed-point
+integer grid (floor square roots, integer numerators over 2^-48) and prints
+exact decimals from it.
 """
 
 from ghostpic.catalog import (

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import wraps
 from itertools import product
 
 from ghostpic.errors import CatalogError
+from ghostpic.geometry import proportional
 
 Dim = tuple[int, ...]
 
@@ -515,6 +517,30 @@ def load_catalog(document: str) -> BrickCatalog:
 # ---------------------------------------------------------------------------
 
 
+def per_class(f):
+    """Memoize ``f(cls, *args)`` in the class's one table, keyed by f and its
+    arguments with defaults filled in.  A class is immutable, so each
+    per-class fact (Filt membership, quotients, walls, the chamber graph, the
+    ghost census, genericity tables) is computed once."""
+    code = f.__code__
+    names = code.co_varnames[1 : code.co_argcount]
+    defaults = dict(zip(reversed(names), reversed(f.__defaults__ or ())))
+
+    @wraps(f)
+    def memo(cls, *args, **kwargs):
+        if kwargs or len(args) < len(names):
+            given = {**defaults, **kwargs}
+            args += tuple(given[n] for n in names[len(args) :])
+        key = (f, args)
+        table = cls._table
+        if key in table:
+            return table[key]
+        value = table[key] = f(cls, *args)
+        return value
+
+    return memo
+
+
 @dataclass(frozen=True)
 class ClassFlags:
     quotient_closed: bool | None
@@ -540,27 +566,14 @@ class ModuleClass:
         )
         self._brick_set = frozenset(self.bricks)
         self._check_independence()
-        self._filt_cache: dict[ModuleSum, bool] = {}
-        # per-class tables: the class is immutable, so each fact is computed once
-        self._waq_table: dict[tuple[str, bool], tuple[SubquotientPair, ...]] = {}
-        self._wall_table: dict = {}  # brick -> stability.Wall, filled by stability.wall
-        self._chamber_graph = None  # stability.ChamberGraph, filled by stability.chamber_graph
-        self._ghosts: tuple | None = None  # ghosts.Ghost census, filled by ghosts.enumerate_ghosts
-        self._generic_dims: dict = {}  # extra dims -> sorted dims, filled by greenpaths.check_generic
-        self._ghost_table: dict = {}  # ghost kinds -> (ghosts, dims), filled by ghosts.ghost_events
+        self._table: dict = {}  # every per-class fact, filled by per_class
         self.flags: ClassFlags = classify_class(self)
 
     def _check_independence(self):
         dims = [self.catalog.dim_of(b) for b in self.bricks]
         for i in range(len(dims)):
             for j in range(i + 1, len(dims)):
-                a, b = dims[i], dims[j]
-                # proportionality test without floats
-                if all(
-                    a[k] * b[l] == a[l] * b[k]
-                    for k in range(len(a))
-                    for l in range(len(a))
-                ):
+                if proportional(dims[i], dims[j]):
                     raise CatalogError(
                         f"dimension vectors of {self.bricks[i]} and {self.bricks[j]} "
                         "are linearly dependent"
@@ -577,19 +590,14 @@ class ModuleClass:
     def in_add(self, x: ModuleSum) -> bool:
         return all(i in self._brick_set for i in x.ids)
 
+    @per_class
     def in_filt(self, x: ModuleSum) -> bool:
         """True iff x has a filtration with subquotients in the class.
 
         Submodules of direct sums are enumerated componentwise, so each
-        filtration step peels one class brick off a single component.
+        filtration step peels one class brick off a single component (this
+        terminates: the total dimension drops each step).
         """
-        if x in self._filt_cache:
-            return self._filt_cache[x]
-        result = self._in_filt(x)  # terminates: total dimension drops each step
-        self._filt_cache[x] = result
-        return result
-
-    def _in_filt(self, x: ModuleSum) -> bool:
         if not x:
             return True
         ids = list(x.ids)
@@ -608,39 +616,25 @@ class ModuleClass:
             raise CatalogError("pair does not belong to the given parent")
         return self.in_add(pair.quot) and self.in_filt(pair.sub)
 
+    @per_class
     def weakly_admissible_quotients(self, m: str, proper: bool = True):
-        """Pairs of m whose quotient is weakly admissible; with ``proper``
-        only nonzero quotients by nonzero kernels are kept.  Computed once per
-        (m, proper) and returned as a tuple."""
-        key = (m, proper)
-        out = self._waq_table.get(key)
-        if out is None:
-            out = tuple(
-                p
-                for p in self.catalog.pairs(m)
-                if not (proper and (not p.sub or not p.quot))
-                and self.is_weakly_admissible_quotient(m, p)
-            )
-            self._waq_table[key] = out
-        return out
+        """Pairs of m whose quotient is weakly admissible, as a tuple; with
+        ``proper`` only nonzero quotients by nonzero kernels are kept."""
+        return tuple(
+            p
+            for p in self.catalog.pairs(m)
+            if not (proper and (not p.sub or not p.quot))
+            and self.is_weakly_admissible_quotient(m, p)
+        )
 
     def admissible_quotients(self, m: str, proper: bool = True):
-        """Pairs of m whose quotient map has kernel in the class itself."""
+        """Pairs of m whose submodule and quotient both lie in the class: the
+        admissible quotients, and equally the admissible subobjects."""
         out = []
         for p in self.catalog.pairs(m):
             if proper and (not p.sub or not p.quot):
                 continue
             if self.in_add(p.quot) and self.in_add(p.sub):
-                out.append(p)
-        return out
-
-    def admissible_subobjects(self, m: str, proper: bool = True):
-        """Pairs of m whose submodule and quotient both lie in the class."""
-        out = []
-        for p in self.catalog.pairs(m):
-            if proper and (not p.sub or not p.quot):
-                continue
-            if self.in_add(p.sub) and self.in_add(p.quot):
                 out.append(p)
         return out
 
@@ -675,16 +669,9 @@ def classify_class(cls: ModuleClass) -> ClassFlags:
         cls.in_add(p.quot) for b in cls.bricks for p in catalog.pairs(b)
     )
     sub_closed = all(cls.in_add(p.sub) for b in cls.bricks for p in catalog.pairs(b))
-    extension_closed = True
-    for m in catalog.indecs:
-        if cls.contains_indec(m.id):
-            continue
-        for p in catalog.pairs(m.id):
-            if p.sub and p.quot and cls.in_add(p.sub) and cls.in_add(p.quot):
-                extension_closed = False
-                break
-        if not extension_closed:
-            break
+    extension_closed = not any(
+        cls.admissible_quotients(m.id) for m in catalog.indecs if not cls.contains_indec(m.id)
+    )
     return ClassFlags(
         quotient_closed=quotient_closed,
         sub_closed=sub_closed,

@@ -4,13 +4,15 @@ Subcommands: catalog | chambers | mgs | ghosts | hn | path | picture | verify.
 Catalog sources are --type-a N --orient WORD, --builtin NAME, or --catalog
 FILE; classes are comma-separated brick names.  All randomness is seeded, so
 identical invocations produce byte-identical outputs.  Exit codes: 0 success,
-1 invariant violation or failed verification, 2 usage error.
+1 invariant violation, failed verification or stdout closed early (quietly),
+2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -369,7 +371,15 @@ def dispatch(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        status = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early (e.g. piped into head): exit quietly, with
+        # stdout on devnull so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

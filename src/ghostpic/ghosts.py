@@ -32,21 +32,19 @@ from ghostpic.catalog import (
     Ses,
     SubquotientPair,
     generate_type_a,
+    per_class,
 )
-from ghostpic.errors import (
-    CatalogError,
-    InternalConsistencyError,
-    NonGenericPathError,
-)
+from ghostpic.errors import CatalogError
 from ghostpic.geometry import Cone
 from ghostpic.greenpaths import (
     CrossingSchedule,
     Event,
     LinearPath,
-    _proportional,
     check_generic,
     crossing_schedule,
+    stable_along,
 )
+from ghostpic.stability import Side, side_cone
 
 SUBOBJECT = "subobject"
 QUOTIENT = "quotient"
@@ -82,6 +80,7 @@ class Ghost:
     missing: str
     event_dim: tuple[int, ...]
     conditions: tuple[GhostCondition, ...]
+    sides: tuple[Side, ...]  # (dim, name, late) of each condition, in order
     domain: Cone
     minimal: bool
     warnings: tuple[str, ...] = ()
@@ -218,10 +217,10 @@ def _quotient_conditions(cls: ModuleClass, ses: Ses) -> list[GhostCondition]:
 
     # (1) common admissible subobjects of A and B
     sa = {}
-    for p in cls.admissible_subobjects(a, proper=False):
-        if p.sub and cls.in_add(p.sub):
+    for p in cls.admissible_quotients(a, proper=False):
+        if p.sub:
             sa.setdefault(p.sub, p)
-    for q in cls.admissible_subobjects(b, proper=False):
+    for q in cls.admissible_quotients(b, proper=False):
         if q.sub and q.sub in sa:
             conds.append(GhostCondition(1, q.sub, late=True))
 
@@ -247,21 +246,11 @@ def _quotient_conditions(cls: ModuleClass, ses: Ses) -> list[GhostCondition]:
             conds.append(GhostCondition(4, p.quot, late=False))
 
     # (5) admissible subobjects of B disjoint from A
-    for p in catalog.pairs(b):
-        if not p.sub or not p.quot or not cls.in_add(p.sub) or not cls.in_add(p.quot):
-            continue
+    for p in cls.admissible_quotients(b):
         if _basis(p, "case 5*") & _basis(ses_pair, "case 5*"):
             continue
         conds.append(GhostCondition(5, p.sub, late=True))
     return conds
-
-
-def _domain_from_conditions(cls: ModuleClass, event_dim, conds) -> Cone:
-    weak = []
-    for cond in conds:
-        v = cls.dim_of(cond.obj)
-        weak.append(tuple(-x for x in v) if cond.late else v)
-    return Cone(len(event_dim), equalities=(tuple(event_dim),), weak=tuple(dict.fromkeys(weak)))
 
 
 def _build_ghost(cls: ModuleClass, ses: Ses, kind: str) -> Ghost:
@@ -292,6 +281,7 @@ def _build_ghost(cls: ModuleClass, ses: Ses, kind: str) -> Ghost:
         )
     else:
         raise CatalogError(f"unknown ghost kind {kind!r}")
+    sides = tuple(Side(cls.dim_of(c.obj), repr(c.obj), c.late) for c in conds)
     return Ghost(
         kind=kind,
         a=ses.a,
@@ -300,20 +290,20 @@ def _build_ghost(cls: ModuleClass, ses: Ses, kind: str) -> Ghost:
         missing=missing,
         event_dim=tuple(event_dim),
         conditions=tuple(conds),
-        domain=_domain_from_conditions(cls, event_dim, conds),
+        sides=sides,
+        domain=side_cone(event_dim, sides),
         minimal=minimal,
         warnings=tuple(warnings),
     )
 
 
+@per_class
 def enumerate_ghosts(cls: ModuleClass) -> tuple[Ghost, ...]:
     """Classify every catalog short exact sequence against the class (once per class).
 
     Sequences with two or more terms outside the class are dropped, as are
     subobject/quotient candidates with Hom(A,C) != 0.
     """
-    if cls._ghosts is not None:
-        return cls._ghosts
     catalog = cls.catalog
     out: list[Ghost] = []
     for ses in catalog.ses_list:
@@ -335,8 +325,7 @@ def enumerate_ghosts(cls: ModuleClass) -> tuple[Ghost, ...]:
         else:
             continue
         out.append(_build_ghost(cls, ses, kind))
-    cls._ghosts = tuple(out)
-    return cls._ghosts
+    return tuple(out)
 
 
 def subobject_ghost_domain(cls: ModuleClass, g: Ghost) -> Cone:
@@ -369,27 +358,7 @@ def extension_ghost_domain(cls: ModuleClass, g: Ghost) -> Cone:
 def ghost_stability(cls: ModuleClass, path: LinearPath, g: Ghost) -> bool:
     """Crossing-time stability, cross-checked against exact membership of
     the crossing point in the domain interior; the two must agree."""
-    num_e, den_e = path.time_key(g.event_dim)
-    by_times = True
-    for cond in g.conditions:
-        obj_dim = cls.dim_of(cond.obj)
-        num_o, den_o = path.time_key(obj_dim)
-        t_obj, t_event = num_o * den_e, num_e * den_o  # scaled by den_o*den_e > 0
-        if t_obj == t_event and not _proportional(obj_dim, g.event_dim):
-            raise NonGenericPathError(
-                g.display(), repr(cond.obj), path.crossing_time(g.event_dim)
-            )
-        satisfied = (t_obj > t_event) if cond.late else (t_obj < t_event)
-        if not satisfied:
-            by_times = False
-            break
-    by_domain = g.domain_interior.contains(path.crossing_point(g.event_dim))
-    if by_times != by_domain:
-        raise InternalConsistencyError(
-            f"{g.display()}: time criterion ({by_times}) disagrees with "
-            f"domain membership ({by_domain})"
-        )
-    return by_times
+    return stable_along(path, g.display(), g.event_dim, g.sides, g.domain_interior)
 
 
 def _order_concurrent(cls: ModuleClass, ghosts: list[Ghost]) -> list[Ghost]:
@@ -413,18 +382,17 @@ def _order_concurrent(cls: ModuleClass, ghosts: list[Ghost]) -> list[Ghost]:
 
 def _ghost_table(cls: ModuleClass, kinds) -> tuple[tuple[Ghost, ...], tuple[tuple[tuple, str], ...]]:
     """The ghosts of the given kinds and the (dim, name) pairs their
-    genericity depends on: each event dim, then the dims of their condition
-    objects; built once per class and tuple of kinds."""
-    kinds = tuple(kinds)
-    table = cls._ghost_table.get(kinds)
-    if table is None:
-        ghosts = tuple(g for g in enumerate_ghosts(cls) if g.kind in kinds)
-        dims = [(g.event_dim, g.display()) for g in ghosts]
-        for g in ghosts:
-            for cond in g.conditions:
-                dims.append((cls.dim_of(cond.obj), repr(cond.obj)))
-        table = cls._ghost_table[kinds] = (ghosts, tuple(dims))
-    return table
+    genericity depends on: each event dim, then the dims of their sides;
+    built once per class and tuple of kinds."""
+    return _kinds_table(cls, tuple(kinds))
+
+
+@per_class
+def _kinds_table(cls: ModuleClass, kinds: tuple):
+    ghosts = tuple(g for g in enumerate_ghosts(cls) if g.kind in kinds)
+    dims = [(g.event_dim, g.display()) for g in ghosts]
+    dims += [(d, name) for g in ghosts for d, name, _ in g.sides]
+    return ghosts, tuple(dims)
 
 
 def ghost_events(

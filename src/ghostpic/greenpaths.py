@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from ghostpic.catalog import ModuleClass, ModuleSum
+from ghostpic.catalog import ModuleClass, ModuleSum, per_class
 from ghostpic.errors import (
     CatalogError,
     GuardExceededError,
@@ -25,7 +25,7 @@ from ghostpic.errors import (
     NonGenericPathError,
     guard_limit,
 )
-from ghostpic.geometry import IntVec, Vec, as_fracvec, integral
+from ghostpic.geometry import Cone, IntVec, Vec, as_fracvec, integral, proportional
 from ghostpic.stability import ChamberGraph, chamber_graph, wall
 
 MGS_GUARD = 10**6
@@ -111,27 +111,20 @@ class CrossingSchedule:
     events: tuple[Event, ...]
 
 
-def _proportional(a, b) -> bool:
-    n = len(a)
-    return all(a[i] * b[j] == a[j] * b[i] for i in range(n) for j in range(n))
-
-
+@per_class
 def _class_dims(cls: ModuleClass, extra_dims: tuple = ()) -> tuple[tuple[tuple, str], ...]:
-    """The sorted (dim, name) pairs of the class bricks, of every weakly
-    admissible quotient sum and of the extra pairs, first name per dim; built
-    once per class and tuple of extra pairs."""
-    table = cls._generic_dims.get(extra_dims)
-    if table is None:
-        dims: dict[tuple, str] = {}
-        for b in cls.bricks:
-            dims.setdefault(cls.dim_of(b), b)
-        for b in cls.bricks:
-            for p in cls.weakly_admissible_quotients(b):
-                dims.setdefault(cls.dim_of(p.quot), repr(p.quot))
-        for d, name in extra_dims:
+    """The sorted (dim, name) pairs of the class bricks, of the sides of
+    their walls (every weakly admissible quotient sum) and of the extra pairs,
+    first name per dim."""
+    dims: dict[tuple, str] = {}
+    for b in cls.bricks:
+        dims.setdefault(cls.dim_of(b), b)
+    for b in cls.bricks:
+        for d, name, _ in wall(cls, b).sides:
             dims.setdefault(d, name)
-        table = cls._generic_dims[extra_dims] = tuple(sorted(dims.items()))
-    return table
+    for d, name in extra_dims:
+        dims.setdefault(d, name)
+    return tuple(sorted(dims.items()))
 
 
 def check_generic(path: LinearPath, cls: ModuleClass, extra_dims=()) -> None:
@@ -146,35 +139,42 @@ def check_generic(path: LinearPath, cls: ModuleClass, extra_dims=()) -> None:
         t = path.time_key(d)
         if t in by_time:
             other_d, other_name = by_time[t]
-            if not _proportional(d, other_d):
+            if not proportional(d, other_d):
                 raise NonGenericPathError(other_name, name, Fraction(*t))
         else:
             by_time[t] = (d, name)
 
 
-def is_relatively_stable(cls: ModuleClass, path: LinearPath, m: str) -> bool:
-    """True iff t_m exceeds the crossing time of every proper weakly
-    admissible quotient; cross-validated against membership of the crossing
-    point in the wall interior."""
-    dim_m = cls.dim_of(m)
-    num_m, den_m = path.time_key(dim_m)
+def stable_along(path: LinearPath, event: str, event_dim, sides, interior: Cone) -> bool:
+    """Stability of an event object (a brick, or a ghost's crossing object)
+    along a path: every side crosses before the event, or after it when
+    ``late``.  A side crossing together with the event raises
+    NonGenericPathError; the verdict is cross-validated against membership
+    of the crossing point in the interior of the wall or ghost domain."""
+    num_e, den_e = path.time_key(event_dim)
     by_times = True
-    for p in cls.weakly_admissible_quotients(m):
-        dim_q = cls.dim_of(p.quot)
-        num_q, den_q = path.time_key(dim_q)
-        t_q, t_m = num_q * den_m, num_m * den_q  # scaled by den_q*den_m > 0
-        if t_q == t_m and not _proportional(dim_q, dim_m):
-            raise NonGenericPathError(m, repr(p.quot), path.crossing_time(dim_m))
-        if t_q >= t_m:
+    for dim, name, late in sides:
+        num_s, den_s = path.time_key(dim)
+        t_side, t_event = num_s * den_e, num_e * den_s  # scaled by den_s*den_e > 0
+        if t_side == t_event and not proportional(dim, event_dim):
+            raise NonGenericPathError(event, name, path.crossing_time(event_dim))
+        if (t_side <= t_event) if late else (t_side >= t_event):
             by_times = False
             break
-    by_wall = wall(cls, m).interior.contains(path.crossing_point(dim_m))
-    if by_times != by_wall:
+    by_interior = interior.contains(path.crossing_point(event_dim))
+    if by_times != by_interior:
         raise InternalConsistencyError(
-            f"stability of {m}: quotient-time criterion ({by_times}) disagrees "
-            f"with wall-interior membership ({by_wall})"
+            f"stability of {event}: time criterion ({by_times}) disagrees "
+            f"with interior membership ({by_interior})"
         )
     return by_times
+
+
+def is_relatively_stable(cls: ModuleClass, path: LinearPath, m: str) -> bool:
+    """True iff t_m exceeds the crossing time of every proper weakly
+    admissible quotient; cross-validated against wall-interior membership."""
+    w = wall(cls, m)
+    return stable_along(path, m, cls.dim_of(m), w.sides, w.interior)
 
 
 def crossing_schedule(
@@ -252,15 +252,14 @@ def enumerate_mgs(cls: ModuleClass, graph: ChamberGraph | None = None) -> list[M
             f"{total} maximal green sequences exceed the enumeration guard", count=total
         )
     out: list[Mgs] = []
-
-    def expand(cid, walls, chain):
+    stack = [(graph.source, (), (graph.source,))]  # depth first, edges in order
+    while stack:
+        cid, walls, chain = stack.pop()
         if cid == graph.sink:
             out.append(Mgs(walls, chain))
-            return
-        for e in sorted(graph.out_edges(cid), key=lambda e: (e.wall_brick, e.dst)):
-            expand(e.dst, walls + (e.wall_brick,), chain + (e.dst,))
-
-    expand(graph.source, (), (graph.source,))
+            continue
+        edges = sorted(graph.out_edges(cid), key=lambda e: (e.wall_brick, e.dst))
+        stack.extend((e.dst, walls + (e.wall_brick,), chain + (e.dst,)) for e in reversed(edges))
     out.sort(key=lambda m: m.walls)
     return out
 
@@ -295,12 +294,8 @@ def weakly_admissible_morphism_witness(cls: ModuleClass, x: str, y: str):
     """An image witnessing a nonzero weakly admissible morphism x -> y, or
     None.  Such a morphism exists iff some weakly admissible quotient of x is
     isomorphic to a submodule of y whose cokernel lies in the class."""
-    catalog = cls.catalog
-    images = set()
-    for p in catalog.pairs(x):
-        if p.quot and cls.in_add(p.quot) and cls.in_filt(p.sub):
-            images.add(p.quot)
-    for q in catalog.pairs(y):
+    images = {p.quot for p in cls.weakly_admissible_quotients(x, False) if p.quot}
+    for q in cls.catalog.pairs(y):
         if q.sub and q.sub in images and cls.in_add(q.quot):
             return q.sub
     return None
@@ -352,11 +347,12 @@ def hn_stratification(cls: ModuleClass, graph: ChamberGraph, mgs: Mgs, x: Module
     if not cls.in_add(x):
         raise CatalogError(f"{x} is not an object of the class")
     labels = [graph.chamber(cid).label for cid in mgs.chamber_ids]
-    catalog = cls.catalog
     layer_mult: dict[int, int] = {}
     witnesses: list[tuple[str, int, str]] = []
 
-    def strip(component: str):
+    stack = list(reversed(x.ids))  # depth first: strip a component, then its kernel
+    while stack:
+        component = stack.pop()
         k = next(
             (i for i in range(len(labels)) if component in labels[i]),
             None,
@@ -367,11 +363,7 @@ def hn_stratification(cls: ModuleClass, graph: ChamberGraph, mgs: Mgs, x: Module
             )
         target = ModuleSum([mgs.walls[k - 1]])
         pair = next(
-            (
-                p
-                for p in catalog.pairs(component)
-                if p.quot == target and cls.in_filt(p.sub)
-            ),
+            (p for p in cls.weakly_admissible_quotients(component, False) if p.quot == target),
             None,
         )
         if pair is None:
@@ -380,11 +372,7 @@ def hn_stratification(cls: ModuleClass, graph: ChamberGraph, mgs: Mgs, x: Module
             )
         layer_mult[k] = layer_mult.get(k, 0) + 1
         witnesses.append((component, k, pair.tag))
-        for c in pair.sub.ids:
-            strip(c)
-
-    for c in x.ids:
-        strip(c)
+        stack.extend(reversed(pair.sub.ids))
 
     layers = tuple(sorted(layer_mult.items()))
     total = [0] * cls.catalog.quiver.n

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
-from ghostpic.catalog import ModuleClass, ModuleSum
+from ghostpic.catalog import ModuleClass, ModuleSum, per_class
 from ghostpic.errors import GuardExceededError, InternalConsistencyError, guard_limit
 from ghostpic.geometry import (
     Cell,
@@ -29,11 +30,29 @@ from ghostpic.geometry import (
 BRICK_GUARD = 20
 
 
+class Side(NamedTuple):
+    """One side condition of a wall or a ghost domain: the object of this
+    dim (named ``name``) crosses before the event object (theta(dim) > 0 on
+    the interior), or after it when ``late`` (theta(dim) < 0)."""
+
+    dim: tuple[int, ...]
+    name: str
+    late: bool = False
+
+
+def side_cone(event_dim, sides) -> Cone:
+    """The closed cone in the hyperplane of event_dim cut out by the sides,
+    one weak inequality per distinct signed dim."""
+    weak = (tuple(-x for x in s.dim) if s.late else s.dim for s in sides)
+    return Cone(len(event_dim), equalities=(tuple(event_dim),), weak=tuple(dict.fromkeys(weak)))
+
+
 @dataclass(frozen=True)
 class Wall:
     brick: str
     cone: Cone
     minimal: bool
+    sides: tuple[Side, ...]  # the proper weakly admissible quotients, one per dim
 
     def hyperplane(self) -> Hyperplane:
         return Hyperplane.from_vector(self.cone.equalities[0])
@@ -43,28 +62,17 @@ class Wall:
         return self.cone.interior()
 
 
+@per_class
 def wall(cls: ModuleClass, m: str) -> Wall:
-    """The wall of a class brick: theta(m)=0 with one weak inequality per
-    isomorphism class of proper nonzero weakly admissible quotient.  Built
-    once per class and brick."""
-    built = cls._wall_table.get(m)
-    if built is not None:
-        return built
+    """The wall of a class brick: theta(m)=0 with one side per dim of the
+    proper nonzero weakly admissible quotients, the first name kept."""
     if not cls.contains_indec(m):
         raise InternalConsistencyError(f"{m} is not a brick of the class")
-    dim = cls.dim_of(m)
-    quots = []
-    seen = set()
+    names: dict[tuple, str] = {}
     for p in cls.weakly_admissible_quotients(m):
-        if p.quot in seen:
-            continue
-        seen.add(p.quot)
-        quots.append(cls.dim_of(p.quot))
-    # drop repeated inequality vectors; no semantic effect
-    weak = tuple(dict.fromkeys(quots))
-    built = Wall(m, Cone(len(dim), equalities=(dim,), weak=weak), minimal=not weak)
-    cls._wall_table[m] = built
-    return built
+        names.setdefault(cls.dim_of(p.quot), repr(p.quot))
+    sides = tuple(Side(d, name) for d, name in names.items())
+    return Wall(m, side_cone(cls.dim_of(m), sides), minimal=not sides, sides=sides)
 
 
 @dataclass(frozen=True)
@@ -86,11 +94,8 @@ def semistable_set(cls: ModuleClass, theta) -> SemistableSet:
     point = integral(theta)  # a positive multiple: same signs, integer dots
     members = set()
     for m in cls.bricks:
-        if int_dot(cls.dim_of(m), point) <= 0:
-            continue
-        if all(
-            int_dot(cls.dim_of(p.quot), point) > 0
-            for p in cls.weakly_admissible_quotients(m)
+        if int_dot(cls.dim_of(m), point) > 0 and all(
+            int_dot(s.dim, point) > 0 for s in wall(cls, m).sides
         ):
             members.add(m)
     return SemistableSet(frozenset(members))
@@ -158,8 +163,11 @@ def chamber_graph(cls: ModuleClass) -> ChamberGraph:
     """
     if len(cls.bricks) > guard_limit(BRICK_GUARD):
         raise GuardExceededError(f"{len(cls.bricks)} bricks exceeds the chamber guard")
-    if cls._chamber_graph is not None:
-        return cls._chamber_graph
+    return _build_chamber_graph(cls)
+
+
+@per_class
+def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
     catalog = cls.catalog
     bricks = cls.bricks
     hyperplanes = [Hyperplane.from_vector(cls.dim_of(b)) for b in bricks]
@@ -231,7 +239,7 @@ def chamber_graph(cls: ModuleClass) -> ChamberGraph:
         target = ModuleSum([brick])
         for x in sorted(label_dst - label_src, key=catalog.position):
             pair = next(
-                (p for p in catalog.pairs(x) if p.quot == target and cls.in_filt(p.sub)),
+                (p for p in cls.weakly_admissible_quotients(x, False) if p.quot == target),
                 None,
             )
             if pair is None:
@@ -264,7 +272,7 @@ def chamber_graph(cls: ModuleClass) -> ChamberGraph:
     ordered_edges = tuple(
         sorted(edges.values(), key=lambda e: (e.src, catalog.position(e.wall_brick), e.dst))
     )
-    cls._chamber_graph = ChamberGraph(
+    return ChamberGraph(
         cls=cls,
         chambers=chambers,
         edges=ordered_edges,
@@ -275,7 +283,6 @@ def chamber_graph(cls: ModuleClass) -> ChamberGraph:
         adjacencies=tuple(adjacencies),
         chamber_of_signs=chamber_of,
     )
-    return cls._chamber_graph
 
 
 def locate_chamber(graph: ChamberGraph, theta) -> int:

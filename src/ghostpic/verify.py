@@ -427,16 +427,9 @@ class Verifier:
                 for m in cls.bricks:
                     if int_dot(cls.dim_of(m), theta) <= 0 or m in label:
                         continue
-                    found = False
-                    for p in cls.catalog.pairs(m):
-                        if not p.sub or not p.quot:
-                            continue
-                        if not (cls.in_add(p.sub) and cls.in_add(p.quot)):
-                            continue
-                        if all(i in label for i in p.sub.ids):
-                            found = True
-                            break
-                    if not found:
+                    if not any(
+                        all(i in label for i in p.sub.ids) for p in cls.admissible_quotients(m)
+                    ):
                         failures += 1
         self.record("lemma:admissible-subobject-exists", failures == 0)
 

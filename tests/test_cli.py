@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -356,3 +360,20 @@ class TestUnreadablePathsAndEmptyValues:
     @pytest.mark.parametrize("paths", ["-1", "0"])
     def test_verify_needs_a_positive_path_count(self, capsys, paths):
         self.one_line_usage_error(capsys, "verify", "--paths", paths, mentions="--paths")
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_gets_a_quiet_exit_1(self):
+        # the A12 catalog document (~130 kB) overflows the pipe buffer, so the
+        # writer is still writing when the reader goes away after one byte
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        argv = [sys.executable, "-m", "ghostpic.cli", "catalog", "--type-a", "12", "--orient", "L" * 11]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env)
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -241,3 +242,20 @@ class TestLastCrossing:
                         for p in cls.weakly_admissible_quotients(b)
                     )
                     assert (b in stable) == quots_before
+
+
+class TestNoCyclicGarbage:
+    def test_mgs_and_hn_walks_leave_no_reference_cycles(self, full6):
+        graph = chamber_graph(full6)
+        everything = ModuleSum(full6.bricks)
+        for mgs in enumerate_mgs(full6, graph):  # fill the per-class tables first
+            hn_stratification(full6, graph, mgs, everything)
+        gc.collect()
+        gc.disable()
+        try:
+            for mgs in enumerate_mgs(full6, graph):
+                hn_stratification(full6, graph, mgs, everything)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0

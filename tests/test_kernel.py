@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghostpic.catalog import BrickCatalog, ModuleClass, ModuleSum
 from ghostpic.errors import GhostpicError, NonGenericPathError
 from ghostpic.geometry import (
     Cone,
@@ -22,7 +23,7 @@ from ghostpic.geometry import (
     integral,
 )
 from ghostpic.ghosts import QUOTIENT, SUBOBJECT, _ghost_table, enumerate_ghosts
-from ghostpic.greenpaths import LinearPath, _class_dims, check_generic
+from ghostpic.greenpaths import LinearPath, _class_dims, check_generic, linear_mgs
 from ghostpic.stability import chamber_graph, wall
 from reference_simplex import fraction_cone_lp, fraction_feasible_point, fraction_simplex_max
 
@@ -240,6 +241,22 @@ class TestIntegerSimplex:
 
 
 class TestPerClassTables:
+    def test_one_table_holds_every_per_class_fact(self, cat_ll, monkeypatch):
+        cls = ModuleClass(cat_ll, ["S1", "P3", "I2", "S3"])
+        chamber_graph(cls)
+        enumerate_ghosts(cls)
+        _class_dims(cls)
+        sums = [ModuleSum(["P3", "S1"]), ModuleSum(["I2", "I2"]), ModuleSum(["P2"]), ModuleSum()]
+        verdicts = [cls.in_filt(x) for x in sums]
+        assert verdicts == [True, True, False, True]
+        path = LinearPath((3, 0, 2), (1, 1, 1))
+        assert linear_mgs(cls, path) == ["S1", "S3", "I2"]
+        assert set(vars(cls)) == {"catalog", "bricks", "_brick_set", "flags", "_table"}
+        # a second Filt query reads its table entry: no subquotient pair is
+        # looked at again
+        monkeypatch.setattr(BrickCatalog, "pairs", lambda self, m: pytest.fail("recomputed"))
+        assert [cls.in_filt(x) for x in sums] == verdicts
+
     def test_quotient_table_is_computed_once_and_immutable(self, full6):
         for m in full6.bricks:
             first = full6.weakly_admissible_quotients(m)
