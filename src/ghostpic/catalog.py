@@ -517,25 +517,31 @@ def load_catalog(document: str) -> BrickCatalog:
 # ---------------------------------------------------------------------------
 
 
+_MISSING = object()
+
+
 def per_class(f):
     """Memoize ``f(cls, *args)`` in the class's one table, keyed by f and its
     arguments with defaults filled in.  A class is immutable, so each
     per-class fact (Filt membership, quotients, walls, the chamber graph, the
-    ghost census, genericity tables) is computed once."""
+    ghost census, crossing plans) is computed once."""
     code = f.__code__
     names = code.co_varnames[1 : code.co_argcount]
     defaults = dict(zip(reversed(names), reversed(f.__defaults__ or ())))
+    first_default = len(names) - len(defaults)
+    tails = {i: tuple(defaults[n] for n in names[i:]) for i in range(first_default, len(names))}
 
     @wraps(f)
     def memo(cls, *args, **kwargs):
-        if kwargs or len(args) < len(names):
+        if kwargs:
             given = {**defaults, **kwargs}
             args += tuple(given[n] for n in names[len(args) :])
-        key = (f, args)
+        elif len(args) < len(names):
+            args += tails.get(len(args), ())
         table = cls._table
-        if key in table:
-            return table[key]
-        value = table[key] = f(cls, *args)
+        value = table.get((f, args), _MISSING)
+        if value is _MISSING:
+            value = table[f, args] = f(cls, *args)
         return value
 
     return memo

@@ -43,6 +43,12 @@ def proportional(a, b) -> bool:
     return all(a[i] * b[j] == a[j] * b[i] for i in range(n) for j in range(n))
 
 
+def is_intvec(v) -> bool:
+    """True iff every coordinate is an int: the vector is its own integral
+    multiple, and callers skip `integral`."""
+    return all(type(x) is int for x in v)
+
+
 def integral(v) -> IntVec:
     """The positive integer multiple of a rational vector by the lcm of its
     denominators (ints have denominator 1, so int vectors come back as is)."""
@@ -110,12 +116,20 @@ class Cone:
 
     def contains(self, theta) -> bool:
         # cones are homogeneous: test the integer multiple of theta instead
-        p = integral(theta)
-        return (
-            all(int_dot(e, p) == 0 for e in self.equalities)
-            and all(int_dot(w, p) >= 0 for w in self.weak)
-            and all(int_dot(s, p) > 0 for s in self.strict)
-        )
+        return self.contains_int(theta if is_intvec(theta) else integral(theta))
+
+    def contains_int(self, p: IntVec) -> bool:
+        """Membership of an integer point."""
+        for e in self.equalities:
+            if sum(map(mul, e, p)) != 0:
+                return False
+        for w in self.weak:
+            if sum(map(mul, w, p)) < 0:
+                return False
+        for s in self.strict:
+            if sum(map(mul, s, p)) <= 0:
+                return False
+        return True
 
     def interior(self) -> "Cone":
         """Strictened cone: every weak inequality becomes strict."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from typing import NamedTuple
 
 from ghostpic.catalog import (
     BrickCatalog,
@@ -37,10 +37,13 @@ from ghostpic.catalog import (
 from ghostpic.errors import CatalogError
 from ghostpic.geometry import Cone
 from ghostpic.greenpaths import (
+    Crossing,
+    CrossingPlan,
     CrossingSchedule,
     Event,
     LinearPath,
     check_generic,
+    crossing_plan,
     crossing_schedule,
     stable_along,
 )
@@ -49,6 +52,7 @@ from ghostpic.stability import Side, side_cone
 SUBOBJECT = "subobject"
 QUOTIENT = "quotient"
 EXTENSION = "extension"
+ALL_KINDS = (SUBOBJECT, QUOTIENT, EXTENSION)
 
 SUBOBJECT_SPLITTING = "subobject-splitting"
 QUOTIENT_SPLITTING = "quotient-splitting"
@@ -87,10 +91,6 @@ class Ghost:
 
     def key(self):
         return (self.kind, self.a, self.b, self.c)
-
-    @cached_property
-    def domain_interior(self) -> Cone:
-        return self.domain.interior()
 
     def display(self) -> str:
         if self.kind == SUBOBJECT:
@@ -357,8 +357,14 @@ def extension_ghost_domain(cls: ModuleClass, g: Ghost) -> Cone:
 
 def ghost_stability(cls: ModuleClass, path: LinearPath, g: Ghost) -> bool:
     """Crossing-time stability, cross-checked against exact membership of
-    the crossing point in the domain interior; the two must agree."""
-    return stable_along(path, g.display(), g.event_dim, g.sides, g.domain_interior)
+    the crossing point in the domain interior; the two must agree.  The
+    ghost must be one of `enumerate_ghosts(cls)`: its crossing is read from
+    the class's plan."""
+    ghost_plan = _ghost_plan(cls, ALL_KINDS)
+    ghost, crossing = ghost_plan.crossings.get(g.key(), (None, None))
+    if ghost is not g and ghost != g:
+        raise CatalogError(f"{g.display()} is not a ghost of {cls!r}")
+    return stable_along(path, ghost_plan.plan, crossing)
 
 
 def _order_concurrent(cls: ModuleClass, ghosts: list[Ghost]) -> list[Ghost]:
@@ -380,19 +386,42 @@ def _order_concurrent(cls: ModuleClass, ghosts: list[Ghost]) -> list[Ghost]:
     return ordered
 
 
+class GhostPlan(NamedTuple):
+    """The ghosts of some kinds; the (dim, name) pairs their genericity
+    depends on (each event dim, then the dims of their sides); the crossing
+    plan over those and the class dims; and each ghost with its crossing, by
+    key, its label displayed once."""
+
+    ghosts: tuple[Ghost, ...]
+    extra: tuple[tuple[tuple, str], ...]
+    plan: CrossingPlan
+    crossings: dict[tuple, tuple[Ghost, Crossing]]
+
+
+def _ghost_plan(cls: ModuleClass, kinds) -> GhostPlan:
+    """The ghost plan of the given kinds; built once per class and tuple of
+    kinds."""
+    return _kinds_plan(cls, tuple(kinds))
+
+
 def _ghost_table(cls: ModuleClass, kinds) -> tuple[tuple[Ghost, ...], tuple[tuple[tuple, str], ...]]:
     """The ghosts of the given kinds and the (dim, name) pairs their
-    genericity depends on: each event dim, then the dims of their sides;
-    built once per class and tuple of kinds."""
-    return _kinds_table(cls, tuple(kinds))
+    genericity depends on, from their plan."""
+    return _ghost_plan(cls, kinds)[:2]
 
 
 @per_class
-def _kinds_table(cls: ModuleClass, kinds: tuple):
+def _kinds_plan(cls: ModuleClass, kinds: tuple) -> GhostPlan:
     ghosts = tuple(g for g in enumerate_ghosts(cls) if g.kind in kinds)
-    dims = [(g.event_dim, g.display()) for g in ghosts]
-    dims += [(d, name) for g in ghosts for d, name, _ in g.sides]
-    return ghosts, tuple(dims)
+    labels = [g.display() for g in ghosts]
+    extra = [(g.event_dim, label) for g, label in zip(ghosts, labels)]
+    extra += [(d, name) for g in ghosts for d, name, _ in g.sides]
+    plan = crossing_plan(cls, tuple(extra))
+    crossings = {
+        g.key(): (g, plan.crossing(label, g.event_dim, g.sides, g.domain.interior()))
+        for g, label in zip(ghosts, labels)
+    }
+    return GhostPlan(ghosts, tuple(extra), plan, crossings)
 
 
 def ghost_events(
@@ -404,22 +433,23 @@ def ghost_events(
     hyperplane crossing of their middle brick, which the schedule already
     reports, and wall-crossing sequences track them separately.
     """
-    ghosts, extra = _ghost_table(cls, kinds)
+    _, extra, plan, crossings = _ghost_plan(cls, kinds)
     check_generic(path, cls, extra_dims=extra)
-    by_time: dict[tuple[int, int], list[Ghost]] = {}
-    for g in ghosts:
-        by_time.setdefault(path.time_key(g.event_dim), []).append(g)
+    hd, kd = path.crossings(plan)
+    by_time: dict[Fraction, list[Ghost]] = {}
+    for g, c in crossings.values():
+        by_time.setdefault(Fraction(-hd[c.event], kd[c.event]), []).append(g)
     events: list[Event] = []
-    for key, group in by_time.items():
-        t = Fraction(*key)
+    for t, group in by_time.items():
         ordered = _order_concurrent(cls, group) if len(group) > 1 else group
         for g in ordered:
+            c = crossings[g.key()][1]
             events.append(
                 Event(
                     t=t,
                     kind="ghost",
-                    label=g.display(),
-                    stable=ghost_stability(cls, path, g),
+                    label=c.label,
+                    stable=stable_along(path, plan, c),
                     concurrent=len(group) > 1,
                 )
             )

@@ -7,6 +7,14 @@ crossing time of a direct sum is the k-weighted average of its components'.
 Relative stability of a brick compares its crossing time with those of its
 weakly admissible quotients, and every such decision is cross-validated
 against exact membership of the crossing point in the wall interior.
+
+Both decisions read one crossing plan per class (`crossing_plan`): the
+relevant dims as a tuple, a proportionality class per dim, and for each brick
+(and, built in `ghosts`, each ghost) the index of its dim, its sides as
+(index, late, name) and the interior cone of its wall or domain.  A path
+computes two index-aligned integer lists per plan, hd[i] = H*h.d_i and
+kd[i] = H*k.d_i, in one pass; genericity and stability compare times by
+cross-multiplying entries of these lists and touch no dim tuple.
 """
 
 from __future__ import annotations
@@ -14,8 +22,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from ghostpic.catalog import ModuleClass, ModuleSum, per_class
 from ghostpic.errors import (
@@ -25,47 +35,62 @@ from ghostpic.errors import (
     NonGenericPathError,
     guard_limit,
 )
-from ghostpic.geometry import Cone, IntVec, Vec, as_fracvec, integral, proportional
+from ghostpic.geometry import Cone, IntVec, Vec, as_fracvec, integral, is_intvec, proportional
 from ghostpic.stability import ChamberGraph, chamber_graph, wall
 
 MGS_GUARD = 10**6
 
+_fraction = lru_cache(maxsize=256)(Fraction)  # immutable, so paths share the Fraction of an int
+
 
 @dataclass(frozen=True)
 class LinearPath:
-    """gamma_t = h + t*k.  Besides the rational h and k the path keeps the
-    integer pair (H*h, H*k) over their common denominator H, and a crossing
-    table: the integer pair (H*h.dim, H*k.dim) of each dim asked for, computed
-    once.  Crossing times compare by integer cross-multiplication; Fractions
-    are built only for the time itself."""
+    """gamma_t = h + t*k with exact coordinates (int or Fraction; a float is
+    rejected).  Besides the rational h and k the path keeps the integer pair
+    (H*h, H*k) over their common denominator H; a path drawn with int
+    coordinates has H = 1 and keeps them as they are.
+
+    Genericity and stability read, for each crossing plan asked for, the two
+    integer lists hd[i] = H*h.d_i and kd[i] = H*k.d_i over the plan's dims,
+    computed once (`crossings`).  `time_key`, `crossing_time` and
+    `crossing_point` give the crossing of a single dim, computed when asked,
+    and `point_at` gives integer points on the path."""
 
     h: Vec
     k: Vec
     _hi: IntVec = field(init=False, repr=False, compare=False)
     _ki: IntVec = field(init=False, repr=False, compare=False)
-    _dots: dict = field(init=False, repr=False, compare=False)
+    _lists: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h, k = as_fracvec(self.h), as_fracvec(self.k)
+        h, k = self.h, self.k
         if len(h) != len(k):
             raise CatalogError("h and k must have equal length")
-        hk = integral(h + k)
-        hi, ki = hk[: len(h)], hk[len(h) :]
+        if is_intvec((*h, *k)):
+            hi, ki = tuple(h), tuple(k)
+            h, k = tuple(map(_fraction, hi)), tuple(map(_fraction, ki))
+        else:
+            for name, v in (("h", h), ("k", k)):
+                for i, x in enumerate(v):
+                    if isinstance(x, float):
+                        raise CatalogError(f"{name}[{i}] = {x!r} is a float; use int or Fraction")
+            h, k = as_fracvec(h), as_fracvec(k)
+            hk = integral(h + k)
+            hi, ki = hk[: len(h)], hk[len(h) :]
         if any(x <= 0 for x in ki):  # H > 0, so ki has the signs of k
             raise CatalogError("all coordinates of k must be strictly positive")
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "_hi", hi)
-        object.__setattr__(self, "_ki", ki)
-        object.__setattr__(self, "_dots", {})
+        self.__dict__.update(h=h, k=k, _hi=hi, _ki=ki, _lists={})
 
-    def _crossing(self, dim: tuple) -> tuple[int, int]:
-        """(H*h.dim, H*k.dim), from the crossing table."""
-        pair = self._dots.get(dim)
-        if pair is None:
-            pair = (sum(map(mul, self._hi, dim)), sum(map(mul, self._ki, dim)))
-            self._dots[dim] = pair
-        return pair
+    def crossings(self, plan: CrossingPlan) -> tuple[list[int], list[int]]:
+        """(hd, kd) over the dims of a crossing plan, computed once per plan."""
+        lists = self._lists.get(plan)
+        if lists is None:
+            lists = self._lists[plan] = plan.dots(self._hi, self._ki)
+        return lists
+
+    def _crossing(self, dim) -> tuple[int, int]:
+        """(H*h.dim, H*k.dim)."""
+        return sum(map(mul, self._hi, dim)), sum(map(mul, self._ki, dim))
 
     def at(self, t) -> Vec:
         t = Fraction(t)
@@ -74,7 +99,7 @@ class LinearPath:
     def point_at(self, num: int, den: int) -> IntVec:
         """den*H*h + num*H*k: for den > 0 a positive integer multiple of
         at(num/den)."""
-        return tuple(den * a + num * b for a, b in zip(self._hi, self._ki))
+        return tuple([den * a + num * b for a, b in zip(self._hi, self._ki)])
 
     def crossing_time(self, dim) -> Fraction:
         return Fraction(*self.time_key(dim))
@@ -127,44 +152,109 @@ def _class_dims(cls: ModuleClass, extra_dims: tuple = ()) -> tuple[tuple[tuple, 
     return tuple(sorted(dims.items()))
 
 
+class Crossing(NamedTuple):
+    """An event object (a brick, or a ghost's crossing object) in a crossing
+    plan: its label, the index of its dim, one (index, late, name) per side
+    condition, in order, and the interior of its wall or ghost domain."""
+
+    label: str
+    event: int
+    sides: tuple[tuple[int, bool, str], ...]
+    interior: Cone
+
+
+@dataclass(frozen=True, eq=False)
+class CrossingPlan:
+    """What genericity and stability along any path need of a class: its
+    relevant dims in `_class_dims` order (extra dims sorted in), the first
+    name of each, and ``ray`` with ray[i] == ray[j] iff dims i and j are
+    proportional (they cross at the same time on every path), ray[i] being
+    the first such index.  ``bricks`` holds the crossing of each class
+    brick."""
+
+    dims: tuple[tuple[int, ...], ...]
+    names: tuple[str, ...]
+    ray: tuple[int, ...]
+    index: dict[tuple, int]  # dim -> its index
+    bricks: dict[str, Crossing]
+
+    def crossing(self, label: str, event_dim, sides, interior: Cone) -> Crossing:
+        """The crossing of an event of this dim with these sides."""
+        index = self.index
+        return Crossing(
+            label,
+            index[tuple(event_dim)],
+            tuple((index[s.dim], s.late, s.name) for s in sides),
+            interior,
+        )
+
+    def dots(self, hi: IntVec, ki: IntVec) -> tuple[list[int], list[int]]:
+        """(hi.d, ki.d) for every dim d of the plan, as two lists."""
+        dims = self.dims
+        return [sum(map(mul, hi, d)) for d in dims], [sum(map(mul, ki, d)) for d in dims]
+
+
+@per_class
+def crossing_plan(cls: ModuleClass, extra_dims: tuple = ()) -> CrossingPlan:
+    """The crossing plan of the class bricks, over the dims of
+    `_class_dims(cls, extra_dims)`; built once per class and extra tuple."""
+    table = _class_dims(cls, extra_dims)
+    dims = tuple(d for d, _ in table)
+    for d in dims:
+        if not any(d) or min(d) < 0:
+            raise ValueError(f"{d} is not a nonzero dimension vector")
+    ray = tuple(
+        next(j for j in range(i + 1) if proportional(dims[j], d)) for i, d in enumerate(dims)
+    )
+    index = {d: i for i, d in enumerate(dims)}
+    plan = CrossingPlan(dims, tuple(n for _, n in table), ray, index, {})
+    for b in cls.bricks:  # filled once, here
+        w = wall(cls, b)
+        plan.bricks[b] = plan.crossing(b, cls.dim_of(b), w.sides, w.interior)
+    return plan
+
+
 def check_generic(path: LinearPath, cls: ModuleClass, extra_dims=()) -> None:
     """Reject paths that cross two non-proportional relevant hyperplanes at
     the same time.  Relevant objects are the class bricks, every weakly
     admissible quotient sum, and any extra (dim, name) pairs the caller
-    supplies; pass the same tuple of them each time to reuse its table."""
+    supplies; pass the same tuple of them each time to reuse its plan."""
     if type(extra_dims) is not tuple:
         extra_dims = tuple((tuple(d), name) for d, name in extra_dims)
-    by_time: dict[tuple[int, int], tuple[tuple, str]] = {}
-    for d, name in _class_dims(cls, extra_dims):
-        t = path.time_key(d)
-        if t in by_time:
-            other_d, other_name = by_time[t]
-            if not proportional(d, other_d):
-                raise NonGenericPathError(other_name, name, Fraction(*t))
-        else:
-            by_time[t] = (d, name)
+    plan = crossing_plan(cls, extra_dims)
+    hd, kd = path.crossings(plan)
+    ray = plan.ray
+    by_time: dict[tuple[int, int], int] = {}  # reduced time -> first index
+    for i, (h, k) in enumerate(zip(hd, kd)):
+        g = gcd(h, k)
+        t = (-h // g, k // g)
+        first = by_time.setdefault(t, i)
+        if ray[first] != ray[i]:
+            raise NonGenericPathError(plan.names[first], plan.names[i], Fraction(*t))
 
 
-def stable_along(path: LinearPath, event: str, event_dim, sides, interior: Cone) -> bool:
-    """Stability of an event object (a brick, or a ghost's crossing object)
-    along a path: every side crosses before the event, or after it when
-    ``late``.  A side crossing together with the event raises
-    NonGenericPathError; the verdict is cross-validated against membership
-    of the crossing point in the interior of the wall or ghost domain."""
-    num_e, den_e = path.time_key(event_dim)
+def stable_along(path: LinearPath, plan: CrossingPlan, crossing: Crossing) -> bool:
+    """Stability of an event object along a path: every side crosses before
+    the event, or after it when ``late``.  A side crossing together with the
+    event raises NonGenericPathError; the verdict is cross-validated against
+    membership of the integer crossing point in the interior cone."""
+    hd, kd = path.crossings(plan)
+    e = crossing.event
+    h_e, k_e = hd[e], kd[e]
+    ray = plan.ray
     by_times = True
-    for dim, name, late in sides:
-        num_s, den_s = path.time_key(dim)
-        t_side, t_event = num_s * den_e, num_e * den_s  # scaled by den_s*den_e > 0
-        if t_side == t_event and not proportional(dim, event_dim):
-            raise NonGenericPathError(event, name, path.crossing_time(event_dim))
-        if (t_side <= t_event) if late else (t_side >= t_event):
+    for i, late, name in crossing.sides:
+        # t_side - t_event = lag / (kd[i]*k_e), and kd[i]*k_e > 0
+        lag = h_e * kd[i] - hd[i] * k_e
+        if lag == 0 and ray[i] != ray[e]:
+            raise NonGenericPathError(crossing.label, name, Fraction(-h_e, k_e))
+        if (lag <= 0) if late else (lag >= 0):
             by_times = False
             break
-    by_interior = interior.contains(path.crossing_point(event_dim))
+    by_interior = crossing.interior.contains_int(path.point_at(-h_e, k_e))
     if by_times != by_interior:
         raise InternalConsistencyError(
-            f"stability of {event}: time criterion ({by_times}) disagrees "
+            f"stability of {crossing.label}: time criterion ({by_times}) disagrees "
             f"with interior membership ({by_interior})"
         )
     return by_times
@@ -173,8 +263,11 @@ def stable_along(path: LinearPath, event: str, event_dim, sides, interior: Cone)
 def is_relatively_stable(cls: ModuleClass, path: LinearPath, m: str) -> bool:
     """True iff t_m exceeds the crossing time of every proper weakly
     admissible quotient; cross-validated against wall-interior membership."""
-    w = wall(cls, m)
-    return stable_along(path, m, cls.dim_of(m), w.sides, w.interior)
+    plan = crossing_plan(cls)
+    crossing = plan.bricks.get(m)
+    if crossing is None:
+        wall(cls, m)  # raises: m is not a brick of the class
+    return stable_along(path, plan, crossing)
 
 
 def crossing_schedule(
@@ -194,14 +287,16 @@ def crossing_schedule(
     else:
         check_generic(path, cls)
         ghost_evts = []
+    plan = crossing_plan(cls)
+    hd, kd = path.crossings(plan)
     events = [
         Event(
-            t=path.crossing_time(cls.dim_of(b)),
+            t=Fraction(-hd[c.event], kd[c.event]),
             kind="brick",
             label=b,
-            stable=is_relatively_stable(cls, path, b),
+            stable=stable_along(path, plan, c),
         )
-        for b in cls.bricks
+        for b, c in plan.bricks.items()
     ]
     events.extend(ghost_evts)
     events.sort(key=lambda e: (e.t, 0 if e.kind == "brick" else 1))
@@ -212,8 +307,11 @@ def linear_mgs(cls: ModuleClass, path: LinearPath) -> list[str]:
     """The relatively stable bricks in crossing order."""
     schedule = crossing_schedule(cls, path)
     out = [e.label for e in schedule.events if e.stable]
+    plan = crossing_plan(cls)
+    hd, kd = path.crossings(plan)
     for m in out:
-        if not wall(cls, m).interior.contains(path.crossing_point(cls.dim_of(m))):
+        c = plan.bricks[m]
+        if not c.interior.contains_int(path.point_at(-hd[c.event], kd[c.event])):
             raise InternalConsistencyError(f"stable brick {m} missed int D({m})")
     return out
 
@@ -454,7 +552,7 @@ def find_linear_paths(
     if not missing:
         return found
     for h, k in _search_grid(cls.catalog.quiver.n, radius):
-        path = LinearPath(as_fracvec(h), as_fracvec(k))
+        path = LinearPath(h, k)
         try:
             walls = tuple(linear_mgs(cls, path))
         except NonGenericPathError:

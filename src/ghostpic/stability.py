@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import NamedTuple
 
 from ghostpic.catalog import ModuleClass, ModuleSum, per_class
@@ -23,8 +24,8 @@ from ghostpic.geometry import (
     Vec,
     cell_facet_neighbors,
     enumerate_cells,
-    int_dot,
     integral,
+    is_intvec,
 )
 
 BRICK_GUARD = 20
@@ -88,17 +89,24 @@ class SemistableSet:
         return sorted(self.bricks, key=cls.catalog.position)
 
 
+@per_class
+def _semistable_rows(cls: ModuleClass) -> tuple[tuple[str, tuple[tuple[int, ...], ...]], ...]:
+    """Each brick with the dims theta must be positive on for it to be
+    semistable: its own, then those of its wall's sides."""
+    return tuple((m, (cls.dim_of(m), *(s.dim for s in wall(cls, m).sides))) for m in cls.bricks)
+
+
 def semistable_set(cls: ModuleClass, theta) -> SemistableSet:
     """S(theta): bricks M with theta(M) > 0 and theta(M') > 0 for every
     proper weakly admissible quotient M'.  theta may lie on walls."""
-    point = integral(theta)  # a positive multiple: same signs, integer dots
-    members = set()
-    for m in cls.bricks:
-        if int_dot(cls.dim_of(m), point) > 0 and all(
-            int_dot(s.dim, point) > 0 for s in wall(cls, m).sides
-        ):
-            members.add(m)
-    return SemistableSet(frozenset(members))
+    point = theta if is_intvec(theta) else integral(theta)  # same signs, integer dots
+    return SemistableSet(
+        frozenset(
+            m
+            for m, dims in _semistable_rows(cls)
+            if all(sum(map(mul, d, point)) > 0 for d in dims)
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -288,8 +296,8 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
 def locate_chamber(graph: ChamberGraph, theta) -> int:
     """Chamber containing an off-wall point, found by its sign vector."""
     cls = graph.cls
-    point = integral(theta)
-    values = [int_dot(cls.dim_of(b), point) for b in cls.bricks]
+    point = theta if is_intvec(theta) else integral(theta)
+    values = [sum(map(mul, dims[0], point)) for _, dims in _semistable_rows(cls)]
     if 0 in values:
         raise InternalConsistencyError(f"{theta} lies on a brick hyperplane")
     return graph.chamber_of_signs[tuple(1 if v > 0 else -1 for v in values)]

@@ -11,13 +11,14 @@ import random
 from dataclasses import dataclass
 from functools import cmp_to_key
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from ghostpic.catalog import ModuleClass, ModuleSum, builtin_kronecker, generate_type_a
-from ghostpic.errors import InternalConsistencyError, NonGenericPathError
+from ghostpic.errors import GuardExceededError, InternalConsistencyError, NonGenericPathError
 from ghostpic.geometry import Cone, cone_contains_cone, dot, feasible_point, int_dot
 from ghostpic.ghosts import (
-    EXTENSION,
-    QUOTIENT,
+    ALL_KINDS,
     SUBOBJECT,
     _ghost_table,
     classify_bifurcations,
@@ -32,6 +33,7 @@ from ghostpic.greenpaths import (
     check_hn_minimality,
     check_mgs_maximality,
     check_relative_hom_orthogonality,
+    crossing_plan,
     enumerate_mgs,
     hn_stratification,
     is_relatively_stable,
@@ -44,6 +46,23 @@ from ghostpic.stability import (
     semistable_set,
     wall,
 )
+
+
+@dataclass
+class Failures:
+    """The failures of one check: how many, and the first counterexample
+    (fixture, then h/k, theta or object), which a FAIL line names."""
+
+    count: int = 0
+    first: str = ""
+
+    def add(self, counterexample: str) -> None:
+        self.first = self.first if self.count else counterexample
+        self.count += 1
+
+
+def _path_str(path: LinearPath) -> str:
+    return f"h=({','.join(map(str, path.h))}) k=({','.join(map(str, path.k))})"
 
 
 @dataclass
@@ -79,7 +98,7 @@ def standard_fixtures() -> dict[str, ModuleClass]:
 def _random_generic_paths(cls: ModuleClass, rng: random.Random, count: int, extra_dims=()):
     """Yield count generic paths with integer h and k drawn from rng.  The
     paths are drawn as they are consumed, so only the path in use keeps its
-    crossing table; a consumer that draws nothing else from rng between
+    crossing lists; a consumer that draws nothing else from rng between
     paths sees the same draws as from a list."""
     n = cls.catalog.quiver.n
     made = 0
@@ -96,7 +115,7 @@ def _random_generic_paths(cls: ModuleClass, rng: random.Random, count: int, extr
 
 
 def _by_time(a: tuple[int, int], b: tuple[int, int]) -> int:
-    """Order two time_key pairs (den > 0) by the times they stand for."""
+    """Order two (num, den) time pairs (den > 0) by the times they stand for."""
     return a[0] * b[1] - b[0] * a[1]
 
 
@@ -104,9 +123,10 @@ def _chamber_chain(graph: ChamberGraph, path: LinearPath) -> list[int]:
     """Chambers a generic path passes through, in order: located at a probe
     before the first brick crossing, between each two consecutive ones and
     after the last, each probe an integer point on the path's ray."""
-    cls = graph.cls
+    plan = crossing_plan(graph.cls)
+    hd, kd = path.crossings(plan)
     times = sorted(
-        (path.time_key(cls.dim_of(b)) for b in cls.bricks), key=cmp_to_key(_by_time)
+        ((-hd[c.event], kd[c.event]) for c in plan.bricks.values()), key=cmp_to_key(_by_time)
     )
     (first_num, first_den), (last_num, last_den) = times[0], times[-1]
     probes = [(first_num - first_den, first_den)]
@@ -127,63 +147,57 @@ class Verifier:
         self.fixtures = standard_fixtures()
         self.results: list[CheckResult] = []
 
-    def record(self, name, passed, detail=""):
-        self.results.append(CheckResult(name, bool(passed), detail))
+    def record(self, name: str, failures: Failures, detail: str = ""):
+        if failures.count:
+            counted = f"{failures.count} failures, first: {failures.first}"
+            detail = f"{detail}; {counted}" if detail else counted
+        self.results.append(CheckResult(name, not failures.count, detail))
 
     # (a) every wall point of the arrangement is in some wall interior
     def check_union_of_interiors(self):
-        failures = 0
+        fails = Failures()
         samples = 0
-        for cls in self.fixtures.values():
+        for name, cls in self.fixtures.items():
             graph = chamber_graph(cls)
             for adj in graph.adjacencies:
                 brick = cls.bricks[adj.hyperplane_index]
                 if not graph.walls[brick].cone.contains(adj.facet_sample):
                     continue
                 samples += 1
-                if not any(
-                    graph.walls[b].interior.contains(adj.facet_sample)
-                    for b in cls.bricks
-                ):
-                    failures += 1
-        self.record(
-            "a:union-of-wall-interiors", failures == 0, f"{samples} facet samples"
-        )
+                if not any(graph.walls[b].interior.contains(adj.facet_sample) for b in cls.bricks):
+                    fails.add(f"{name}: theta={adj.facet_sample} on D({brick})")
+        self.record("a:union-of-wall-interiors", fails, f"{samples} facet samples")
 
     # (b) semistable label locally constant: 25 interior points per chamber
     def check_locally_constant(self):
         rng = random.Random((self.seed, "locally-constant").__repr__())
-        failures = 0
-        for cls in self.fixtures.values():
+        fails = Failures()
+        for name, cls in self.fixtures.items():
             graph = chamber_graph(cls)
             mix_cells = cls.flags.extension_closed is True
             for ch in graph.chambers:
-                points = []
+                # cell samples over one common denominator: an integer positive
+                # combination is a positive multiple of the normalized one
+                scale = lcm(*(x.denominator for c in ch.cells for x in c.sample))
+                samples = [
+                    tuple(x.numerator * (scale // x.denominator) for x in c.sample)
+                    for c in ch.cells
+                ]
                 for _ in range(25):
-                    if mix_cells:
-                        basis = [c.sample for c in ch.cells]
-                    else:
-                        basis = [rng.choice(ch.cells).sample]
-                    weights = [Fraction(rng.randint(1, 9)) for _ in basis]
-                    extra = rng.choice(ch.cells).sample
-                    basis = basis + [extra]
-                    weights.append(Fraction(rng.randint(1, 9)))
-                    total = sum(weights)
-                    point = tuple(
-                        sum(w * p[i] for w, p in zip(weights, basis)) / total
-                        for i in range(cls.catalog.quiver.n)
-                    )
-                    points.append(point)
-                for point in points:
+                    basis = samples if mix_cells else [rng.choice(samples)]
+                    weights = [rng.randint(1, 9) for _ in basis]
+                    basis = basis + [rng.choice(samples)]
+                    weights.append(rng.randint(1, 9))
+                    point = tuple(sum(map(mul, weights, col)) for col in zip(*basis))
                     if semistable_set(cls, point).bricks != ch.label.bricks:
-                        failures += 1
-        self.record("b:semistable-locally-constant", failures == 0)
+                        fails.add(f"{name}: theta={point} in chamber {ch.id}")
+        self.record("b:semistable-locally-constant", fails)
 
     # (c) wall crossing: S(theta-) = S(theta0) strictly below S(theta+)
     def check_wall_crossing(self):
-        failures = 0
+        fails = Failures()
         edges = 0
-        for cls in self.fixtures.values():
+        for name, cls in self.fixtures.items():
             graph = chamber_graph(cls)
             eta = tuple(Fraction(1) for _ in range(cls.catalog.quiver.n))
             for e in graph.edges:
@@ -210,48 +224,45 @@ class Verifier:
                     and e.wall_brick in s_plus - s_zero
                 )
                 if not ok:
-                    failures += 1
-        self.record("c:wall-crossing-monotone", failures == 0, f"{edges} edges")
+                    fails.add(f"{name}: theta0={theta0} on D({e.wall_brick})")
+        self.record("c:wall-crossing-monotone", fails, f"{edges} edges")
 
     # (d) quotient-time stability criterion == wall-interior membership
     def check_stability_equivalence(self):
         rng = random.Random((self.seed, "stability").__repr__())
-        failures = 0
+        fails = Failures()
         for name, cls in self.fixtures.items():
             for path in _random_generic_paths(cls, rng, self.paths):
                 for b in cls.bricks:
                     try:
                         is_relatively_stable(cls, path, b)
-                    except InternalConsistencyError:
-                        failures += 1
-        self.record(
-            "d:brick-stability-equivalence",
-            failures == 0,
-            f"{self.paths} paths x {len(self.fixtures)} fixtures",
-        )
+                    except InternalConsistencyError as exc:
+                        fails.add(f"{name}: {_path_str(path)}: {exc}")
+        detail = f"{self.paths} paths x {len(self.fixtures)} fixtures"
+        self.record("d:brick-stability-equivalence", fails, detail)
 
     # (e) ghost stability time criterion == exact domain membership
     def check_ghost_stability_equivalence(self):
         rng = random.Random((self.seed, "ghost-stability").__repr__())
-        failures = 0
-        for cls in self.fixtures.values():
-            ghosts, extra = _ghost_table(cls, (SUBOBJECT, QUOTIENT, EXTENSION))
+        fails = Failures()
+        for name, cls in self.fixtures.items():
+            ghosts, extra = _ghost_table(cls, ALL_KINDS)
             if not ghosts:
                 continue
             for path in _random_generic_paths(cls, rng, self.paths, extra_dims=extra):
                 for g in ghosts:
                     try:
                         ghost_stability(cls, path, g)
-                    except InternalConsistencyError:
-                        failures += 1
-        self.record("e:ghost-stability-equivalence", failures == 0)
+                    except InternalConsistencyError as exc:
+                        fails.add(f"{name}: {_path_str(path)}: {exc}")
+        self.record("e:ghost-stability-equivalence", fails)
 
     # (f) HN stratification exists for every class object over every MGS
     def check_hn_existence(self):
         rng = random.Random((self.seed, "hn").__repr__())
-        failures = 0
+        fails = Failures()
         checked = 0
-        for cls in self.fixtures.values():
+        for name, cls in self.fixtures.items():
             if cls.flags.extension_closed is not True:
                 continue
             graph = chamber_graph(cls)
@@ -265,26 +276,23 @@ class Verifier:
                     checked += 1
                     try:
                         hn_stratification(cls, graph, mgs, x)
-                    except InternalConsistencyError:
-                        failures += 1
-        self.record("f:hn-existence", failures == 0, f"{checked} filtrations")
+                    except InternalConsistencyError as exc:
+                        fails.add(f"{name}: {x} along {','.join(mgs.walls)}: {exc}")
+        self.record("f:hn-existence", fails, f"{checked} filtrations")
 
     # (g) chambers of extension-closed classes are the sign-vector regions of
     # their bounding walls, and labels are pairwise distinct
     def check_convexity_and_distinct_labels(self):
-        failures = 0
+        fails = Failures()
         report_only = []
         for name, cls in self.fixtures.items():
             graph = chamber_graph(cls)
-            asserted = cls.flags.extension_closed is True
             labels = [frozenset(c.label.bricks) for c in graph.chambers]
             distinct = len(set(labels)) == len(labels)
             convex = True
             index_of = {b: i for i, b in enumerate(cls.bricks)}
             for ch in graph.chambers:
-                wanted = {
-                    index_of[w.brick]: sign for (w, sign) in ch.bounding_walls
-                }
+                wanted = {index_of[w.brick]: sign for (w, sign) in ch.bounding_walls}
                 region_cells = {
                     c.signs
                     for c in graph.cells
@@ -293,22 +301,17 @@ class Verifier:
                 have = {c.signs for c in ch.cells}
                 if region_cells != have:
                     convex = False
-            if asserted:
-                if not (distinct and convex):
-                    failures += 1
-            else:
-                report_only.append(f"{name}: convex={convex} distinct={distinct}")
-        self.record(
-            "g:chamber-convexity-and-distinct-labels",
-            failures == 0,
-            "; ".join(report_only) if report_only else "",
-        )
+            verdict = f"{name}: convex={convex} distinct={distinct}"
+            if cls.flags.extension_closed is not True:
+                report_only.append(verdict)
+            elif not (distinct and convex):
+                fails.add(verdict)
+        self.record("g:chamber-convexity-and-distinct-labels", fails, "; ".join(report_only))
 
     # (h) duality round trip on the four-brick torsion fixture
     def check_duality(self):
         cls = self.fixtures["torsion4"]
-        ok = True
-        detail = ""
+        fails = Failures()
         try:
             duality = dualize(cls)
             ghosts = [g for g in enumerate_ghosts(cls) if g.kind == SUBOBJECT]
@@ -316,19 +319,16 @@ class Verifier:
             expected = sorted(duality.transport_key(g.key()) for g in ghosts)
             got = sorted(k for k in dual_ghosts if k[0] == "quotient")
             if expected != got:
-                ok = False
-                detail = "quotient census mismatch"
+                fails.add("torsion4: quotient census mismatch")
             for g in ghosts:
                 twin = dual_ghosts[duality.transport_key(g.key())]
                 if not (
                     cone_contains_cone(twin.domain, duality.transport_domain(g.domain))
                     and cone_contains_cone(duality.transport_domain(g.domain), twin.domain)
                 ):
-                    ok = False
-                    detail = f"domain transport mismatch for {g.display()}"
+                    fails.add(f"torsion4: domain transport mismatch for {g.display()}")
             if duality.dual_class.flags.is_torsion_free is not True:
-                ok = False
-                detail = "dual class is not torsion-free"
+                fails.add("torsion4: dual class is not torsion-free")
             path = LinearPath((Fraction(3), Fraction(0), Fraction(2)), (Fraction(1),) * 3)
             orig = [e.label for e in mgs_with_ghosts(cls, path)]
             dual = [
@@ -339,31 +339,23 @@ class Verifier:
             for label in reversed(orig):
                 if label.startswith("Gh("):
                     z, b = label[3:-1].split(";")
-                    transported.append(
-                        f"Gh*({duality.transport(z)};{duality.transport(b)})"
-                    )
+                    transported.append(f"Gh*({duality.transport(z)};{duality.transport(b)})")
                 else:
                     transported.append(duality.transport(label))
             if dual != transported:
-                ok = False
-                detail = "green sequence did not reverse"
+                fails.add(f"torsion4: {_path_str(path)}: green sequence did not reverse")
             double = dualize(duality.dual_class)
-            if not all(
-                double.to_dual[duality.to_dual[m.id]] == m.id
-                for m in cls.catalog.indecs
-            ):
-                ok = False
-                detail = "double dual is not the identity"
+            if any(double.to_dual[duality.to_dual[m.id]] != m.id for m in cls.catalog.indecs):
+                fails.add("torsion4: double dual is not the identity")
         except Exception as exc:  # a raise is a failure, not a crash
-            ok = False
-            detail = repr(exc)
-        self.record("h:duality-round-trip", ok, detail)
+            fails.add(f"torsion4: {exc!r}")
+        self.record("h:duality-round-trip", fails)
 
     # every enumerated MGS is relatively Hom-orthogonal, maximal and minimal
     def check_mgs_properties(self):
-        failures = 0
+        fails = Failures()
         total = 0
-        for cls in self.fixtures.values():
+        for name, cls in self.fixtures.items():
             if cls.catalog.complete is False:
                 continue
             graph = chamber_graph(cls)
@@ -371,72 +363,70 @@ class Verifier:
                 total += 1
                 ok, _ = check_relative_hom_orthogonality(cls, list(mgs.walls))
                 if not ok:
-                    failures += 1
+                    fails.add(f"{name}: {mgs.walls} is not relatively Hom-orthogonal")
                 if cls.flags.extension_closed is True:
                     if not check_mgs_maximality(cls, mgs):
-                        failures += 1
+                        fails.add(f"{name}: {mgs.walls} is not maximal")
                     if not check_hn_minimality(cls, mgs):
-                        failures += 1
-        self.record("mgs:orthogonal-maximal-minimal", failures == 0, f"{total} sequences")
+                        fails.add(f"{name}: {mgs.walls} is not HN-minimal")
+        self.record("mgs:orthogonal-maximal-minimal", fails, f"{total} sequences")
 
     # random linear paths traverse the chamber graph and reproduce linear_mgs
     def check_linear_paths_vs_graph(self):
         rng = random.Random((self.seed, "paths-vs-graph").__repr__())
-        failures = 0
+        fails = Failures()
         count = max(10, self.paths // 10)
-        for cls in self.fixtures.values():
+        for name, cls in self.fixtures.items():
             graph = chamber_graph(cls)
-            all_mgs = None
             try:
                 all_mgs = {m.walls for m in enumerate_mgs(cls, graph)}
-            except Exception:
-                pass
+            except GuardExceededError:
+                all_mgs = None
             for path in _random_generic_paths(cls, rng, count):
                 stable = tuple(linear_mgs(cls, path))
                 chain = _chamber_chain(graph, path)
                 if chain[0] != graph.source or chain[-1] != graph.sink:
-                    failures += 1
+                    fails.add(f"{name}: {_path_str(path)}: chamber chain {chain} misses an end")
                     continue
                 walls_crossed = []
-                good = True
                 for a, b in zip(chain, chain[1:]):
-                    edge = next(
-                        (e for e in graph.out_edges(a) if e.dst == b), None
-                    )
+                    edge = next((e for e in graph.out_edges(a) if e.dst == b), None)
                     if edge is None:
-                        good = False
+                        fails.add(f"{name}: {_path_str(path)}: no edge from chamber {a} to {b}")
                         break
                     walls_crossed.append(edge.wall_brick)
-                if not good or tuple(walls_crossed) != stable:
-                    failures += 1
+                else:
+                    if tuple(walls_crossed) != stable:
+                        fails.add(f"{name}: {_path_str(path)}: walls {walls_crossed}, MGS {stable}")
                 if all_mgs is not None and stable not in all_mgs:
-                    failures += 1
-        self.record("paths:linear-mgs-traverse-graph", failures == 0)
+                    fails.add(f"{name}: {_path_str(path)}: linear MGS {stable} is not enumerated")
+        self.record("paths:linear-mgs-traverse-graph", fails)
 
     # unstable objects above zero admit a semistable admissible subobject
     def check_admissible_subobject(self):
         rng = random.Random((self.seed, "adm-subobject").__repr__())
-        failures = 0
+        fails = Failures()
         for name, cls in self.fixtures.items():
             if cls.flags.extension_closed is not True:
                 continue
             n = cls.catalog.quiver.n
+            dims = [(m, cls.dim_of(m)) for m in cls.bricks]
             for _ in range(max(10, self.paths)):
                 theta = tuple(rng.randint(-9, 9) for _ in range(n))
                 label = semistable_set(cls, theta)
-                for m in cls.bricks:
-                    if int_dot(cls.dim_of(m), theta) <= 0 or m in label:
+                for m, d in dims:
+                    if int_dot(d, theta) <= 0 or m in label:
                         continue
                     if not any(
                         all(i in label for i in p.sub.ids) for p in cls.admissible_quotients(m)
                     ):
-                        failures += 1
-        self.record("lemma:admissible-subobject-exists", failures == 0)
+                        fails.add(f"{name}: {m} at theta={theta}")
+        self.record("lemma:admissible-subobject-exists", fails)
 
     # ghost domain geometry: shrinkage, monotone walls, bifurcation facets
     def check_ghost_geometry(self):
-        failures = 0
-        for cls in self.fixtures.values():
+        fails = Failures()
+        for name, cls in self.fixtures.items():
             ghosts = enumerate_ghosts(cls)
             for g in ghosts:
                 if g.kind != SUBOBJECT or g.minimal:
@@ -447,36 +437,37 @@ class Verifier:
                     weak=(tuple(cls.dim_of(ModuleSum([g.b]))),),
                 )
                 if not cone_contains_cone(half, g.domain):
-                    failures += 1
+                    fails.add(f"{name}: the domain of {g.display()} leaves theta({g.b}) >= 0")
             report = classify_bifurcations(cls, ghosts)
             by_key = {g.key(): g for g in ghosts}
             for b in report.bifurcations:
                 child = by_key[b.child]
                 parent = by_key[b.parent]
+                where = f"{name}: {child.display()} from {parent.display()}"
                 wall_dim = cls.dim_of(b.splitting_wall)
                 facet = child.domain.with_equality(wall_dim)
                 if feasible_point(facet) is None:
-                    failures += 1
+                    fails.add(f"{where}: no facet on D({b.splitting_wall})")
                 for sgn in (1, -1):
                     side = parent.domain.with_strict(tuple(sgn * x for x in wall_dim))
                     if feasible_point(side) is None:
-                        failures += 1
+                        fails.add(f"{where}: D({b.splitting_wall}) does not split the parent")
                 if b.case in (2, 3, 4) and b.wall_kind != "subobject-splitting":
-                    failures += 1
+                    fails.add(f"{where}: case {b.case} is {b.wall_kind}")
                 if b.case in (1, 5) and b.wall_kind != "quotient-splitting":
-                    failures += 1
+                    fails.add(f"{where}: case {b.case} is {b.wall_kind}")
         # enlarging the class shrinks walls
         containments = [("minimal3", "torsion4"), ("minimal3", "full6"), ("torsion4", "full6"), ("mixed5", "full6")]
         for small_name, big_name in containments:
             small = self.fixtures[small_name]
             big = self.fixtures[big_name]
             if set(small.bricks) - set(big.bricks):
-                failures += 1
+                fails.add(f"{small_name} is not contained in {big_name}")
                 continue
             for b in small.bricks:
                 if not cone_contains_cone(wall(small, b).cone, wall(big, b).cone):
-                    failures += 1
-        self.record("ghosts:domain-geometry", failures == 0)
+                    fails.add(f"{small_name} in {big_name}: D({b}) does not shrink")
+        self.record("ghosts:domain-geometry", fails)
 
     def run(self) -> list[CheckResult]:
         self.check_union_of_interiors()

@@ -1,0 +1,240 @@
+"""The per-class crossing plan: genericity and stability read index-aligned
+integer lists, and their verdicts are those of a Fraction reference that
+compares crossing times -h.d/k.d; the interior cross-check stays on; paths
+take exact coordinates only; `verify` names the first counterexample of a
+failed check."""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ghostpic import verify
+from ghostpic.catalog import ModuleClass, generate_type_a
+from ghostpic.errors import (
+    CatalogError,
+    GuardExceededError,
+    InternalConsistencyError,
+    NonGenericPathError,
+)
+from ghostpic.geometry import Cone, dot, int_dot, proportional
+from ghostpic.ghosts import ALL_KINDS, _ghost_table, ghost_stability
+from ghostpic.greenpaths import (
+    LinearPath,
+    _class_dims,
+    check_generic,
+    crossing_plan,
+    is_relatively_stable,
+    stable_along,
+)
+from ghostpic.stability import wall
+
+FIXTURES = verify.standard_fixtures()
+
+
+def time_of(h, k, d) -> Fraction:
+    return -dot(h, d) / dot(k, d)
+
+
+def reference_clash(cls, h, k, extra=()):
+    """The NonGenericPathError arguments for (h, k), or None when generic:
+    the relevant dims in sorted order, each against the first dim seen at
+    its time."""
+    first_at: dict[Fraction, tuple] = {}
+    for d, name in _class_dims(cls, extra):
+        t = time_of(h, k, d)
+        if t in first_at and not proportional(d, first_at[t][0]):
+            return first_at[t][1], name, t
+        first_at.setdefault(t, (d, name))
+    return None
+
+
+def reference_stable(h, k, event_dim, sides):
+    """True or False by crossing times, or "clash" when a non-proportional
+    side crosses together with the event."""
+    t_event = time_of(h, k, event_dim)
+    for s in sides:
+        t_side = time_of(h, k, s.dim)
+        if t_side == t_event and not proportional(s.dim, event_dim):
+            return "clash"
+        if (t_side <= t_event) if s.late else (t_side >= t_event):
+            return False
+    return True
+
+
+def verdict(decide):
+    try:
+        return decide()
+    except NonGenericPathError:
+        return "clash"
+
+
+def generic_args(path, cls, extra=()):
+    try:
+        check_generic(path, cls, extra_dims=extra)
+    except NonGenericPathError as err:
+        return err.first, err.second, err.time
+    return None
+
+
+@st.composite
+def fixture_paths(draw):
+    name = draw(st.sampled_from(sorted(FIXTURES)))
+    n = FIXTURES[name].catalog.quiver.n
+    h = tuple(draw(st.integers(-9, 9)) for _ in range(n))
+    k = tuple(draw(st.integers(1, 9)) for _ in range(n))
+    return name, h, k
+
+
+class TestPlanMatchesFractionReference:
+    @settings(max_examples=300, deadline=None)
+    @given(fixture_paths())
+    def test_genericity_and_brick_stability(self, drawn):
+        name, h, k = drawn
+        cls = FIXTURES[name]
+        path = LinearPath(h, k)
+        assert generic_args(path, cls) == reference_clash(cls, h, k)
+        for b in cls.bricks:
+            expected = reference_stable(h, k, cls.dim_of(b), wall(cls, b).sides)
+            assert verdict(lambda: is_relatively_stable(cls, path, b)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(fixture_paths())
+    def test_genericity_and_ghost_stability(self, drawn):
+        name, h, k = drawn
+        cls = FIXTURES[name]
+        ghosts, extra = _ghost_table(cls, ALL_KINDS)
+        path = LinearPath(h, k)
+        assert generic_args(path, cls, extra) == reference_clash(cls, h, k, extra)
+        assert {g.kind for g in ghosts} <= set(ALL_KINDS)
+        for g in ghosts:
+            expected = reference_stable(h, k, g.event_dim, g.sides)
+            assert verdict(lambda: ghost_stability(cls, path, g)) == expected
+
+    def test_every_kind_is_drawn_from(self):
+        kinds = {g.kind for cls in FIXTURES.values() for g in _ghost_table(cls, ALL_KINDS)[0]}
+        assert kinds == set(ALL_KINDS)
+
+    def test_a_fraction_path_reads_the_same_plan(self):
+        cls = FIXTURES["case1"]
+        ints = LinearPath((2, -3, 1), (1, 2, 3))
+        halves = LinearPath(tuple(Fraction(x, 2) for x in ints.h), tuple(Fraction(x, 2) for x in ints.k))
+        plan = crossing_plan(cls)
+        assert ints.crossings(plan) == halves.crossings(plan)
+        assert ints.crossings(plan) is ints.crossings(plan)  # computed once
+
+
+class TestDots:
+    """The lists equal the direct dot products with every plan dim, on
+    classes of rank 1, 3, 4 and 5."""
+
+    CLASSES = {
+        1: ModuleClass(generate_type_a(1, ""), ["S1"]),
+        3: FIXTURES["case2"],
+        4: ModuleClass(generate_type_a(4, "LRL"), [m.id for m in generate_type_a(4, "LRL").indecs][:6]),
+        5: ModuleClass(generate_type_a(5, "LLLL"), [m.id for m in generate_type_a(5, "LLLL").indecs][:7]),
+    }
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(sorted(CLASSES)), st.data())
+    def test_lists_are_the_dot_products(self, rank, data):
+        plan = crossing_plan(self.CLASSES[rank])
+        h = data.draw(st.tuples(*[st.integers(-9, 9)] * rank))
+        k = data.draw(st.tuples(*[st.integers(1, 9)] * rank))
+        path = LinearPath(h, k)
+        hd, kd = path.crossings(plan)
+        assert hd == [int_dot(h, d) for d in plan.dims]
+        assert kd == [int_dot(k, d) for d in plan.dims]
+        for d, h_d, k_d in zip(plan.dims, hd, kd):
+            assert path.crossing_time(d) == Fraction(-h_d, k_d)
+
+
+class TestInteriorCrossCheck:
+    @pytest.mark.parametrize("name", ["torsion4", "case2", "kronecker"])
+    def test_a_cone_that_disagrees_raises(self, name):
+        """An interior that excludes the crossing point of a stable event, or
+        contains that of an unstable one, is caught by the second reading."""
+        cls = FIXTURES[name]
+        plan = crossing_plan(cls)
+        path = next(verify._random_generic_paths(cls, verify.random.Random(5), 1))
+        for b, crossing in plan.bricks.items():
+            point = path.crossing_point(cls.dim_of(b))
+            stable = stable_along(path, plan, crossing)
+            excluding = Cone(len(point), strict=(tuple(-x for x in point),))
+            wrong = excluding if stable else Cone(len(point))
+            assert wrong.contains(point) is not stable
+            with pytest.raises(InternalConsistencyError, match=f"stability of {b}"):
+                stable_along(path, plan, crossing._replace(interior=wrong))
+
+
+class TestGhostOfTheClass:
+    def test_an_equal_ghost_is_decided_and_a_different_one_rejected(self):
+        """`ghost_stability` reads the class's plan only for a ghost of the
+        class: an equal ghost of another instance of the fixture is decided
+        the same, a ghost with the same key and another domain is refused."""
+        cls, twin = FIXTURES["kronecker"], verify.standard_fixtures()["kronecker"]
+        ghosts, extra = _ghost_table(cls, ALL_KINDS)
+        path = next(verify._random_generic_paths(cls, verify.random.Random(3), 1, extra))
+        for g, other in zip(ghosts, _ghost_table(twin, ALL_KINDS)[0]):
+            assert other is not g and other == g
+            assert ghost_stability(cls, path, other) == ghost_stability(cls, path, g)
+            foreign = dataclasses.replace(g, domain=Cone(len(g.event_dim)))
+            with pytest.raises(CatalogError, match="is not a ghost of"):
+                ghost_stability(cls, path, foreign)
+
+
+class TestExactCoordinates:
+    def test_float_coordinates_are_rejected(self):
+        with pytest.raises(CatalogError, match=r"h\[0\] = 0\.1 is a float"):
+            LinearPath((0.1, 1.0), (1, 1))
+        with pytest.raises(CatalogError, match=r"k\[1\] = 2\.0 is a float"):
+            LinearPath((1, Fraction(1, 2)), (1, 2.0))
+
+    def test_int_and_fraction_coordinates_give_one_path(self):
+        a = LinearPath((3, 0, -2), (1, 4, 1))
+        b = LinearPath(tuple(map(Fraction, (3, 0, -2))), tuple(map(Fraction, (1, 4, 1))))
+        assert a == b and a._hi == b._hi and a._ki == b._ki
+        assert all(type(x) is Fraction for x in a.h + a.k)
+        assert all(type(x) is int for x in a._hi + a._ki)
+
+
+class TestVerifyFailures:
+    def test_a_failing_enumeration_is_not_a_pass(self, monkeypatch):
+        def broken(cls, graph=None):
+            raise ValueError("broken enumeration")
+
+        monkeypatch.setattr(verify, "enumerate_mgs", broken)
+        checker = verify.Verifier(paths_per_fixture=10, seed=0)
+        with pytest.raises(ValueError, match="broken enumeration"):
+            checker.check_linear_paths_vs_graph()
+        assert not any(r.passed for r in checker.results)
+
+    def test_a_guard_abort_skips_only_the_enumerated_comparison(self, monkeypatch):
+        def guarded(cls, graph=None):
+            raise GuardExceededError("too many sequences", count=10**7)
+
+        monkeypatch.setattr(verify, "enumerate_mgs", guarded)
+        checker = verify.Verifier(paths_per_fixture=10, seed=0)
+        checker.check_linear_paths_vs_graph()
+        assert [r.line() for r in checker.results] == ["[PASS] paths:linear-mgs-traverse-graph"]
+
+    def test_a_failed_check_names_its_first_counterexample(self, monkeypatch):
+        seen = []
+
+        def disagree(cls, path, m):
+            seen.append((path, m))
+            raise InternalConsistencyError(f"stability of {m}: planted")
+
+        monkeypatch.setattr(verify, "is_relatively_stable", disagree)
+        checker = verify.Verifier(paths_per_fixture=2, seed=0)
+        checker.check_stability_equivalence()
+        (result,) = checker.results
+        path, m = seen[0]
+        assert m == "S1"
+        assert result.line() == (
+            "[FAIL] d:brick-stability-equivalence  (2 paths x 10 fixtures; "
+            f"{len(seen)} failures, first: a1: h=({path.h[0]}) k=({path.k[0]}): "
+            "stability of S1: planted)"
+        )

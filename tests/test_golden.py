@@ -59,3 +59,14 @@ def test_stdout_digest(capsys, fixture, command):
     assert dispatch(argv(fixture, command)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[fixture, command]
+
+
+# `ghostpic verify --seed 13 --paths 200`: every check line, PASS details
+# included, recorded before verify read crossing plans and integer probes.
+VERIFY_DIGEST = "5caedce1c77dc1ce683d33231010a5d55b1aa9fcf0a68b8143e7da1eca62a632"
+
+
+def test_verify_stdout_digest(capsys):
+    assert dispatch(["verify", "--seed", "13", "--paths", "200"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_DIGEST
