@@ -524,7 +524,7 @@ def per_class(f):
     """Memoize ``f(cls, *args)`` in the class's one table, keyed by f and its
     arguments with defaults filled in.  A class is immutable, so each
     per-class fact (Filt membership, quotients, walls, the chamber graph, the
-    ghost census, crossing plans) is computed once."""
+    ghost census, the brick and ghost crossing plans) is computed once."""
     code = f.__code__
     names = code.co_varnames[1 : code.co_argcount]
     defaults = dict(zip(reversed(names), reversed(f.__defaults__ or ())))

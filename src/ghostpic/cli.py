@@ -134,7 +134,7 @@ def cmd_chambers(args) -> int:
     doc = {
         "schema": "ghostpic-chambers/1",
         "class": list(cls.bricks),
-        "chambers": chamber_docs(graph),
+        "chambers": chamber_docs(cls, graph),
         "edges": edge_docs(graph),
         "source": graph.source,
         "sink": graph.sink,

@@ -79,33 +79,6 @@ def primitive(v) -> IntVec:
 
 
 @dataclass(frozen=True)
-class Hyperplane:
-    """An oriented hyperplane normal·theta = 0.
-
-    The normal is stored in primitive form with positive leading entry; the
-    ``flipped`` bit remembers whether the input vector pointed the other way,
-    so evaluation keeps the caller's sign convention.
-    """
-
-    normal: IntVec
-    flipped: bool = False
-
-    @staticmethod
-    def from_vector(v) -> "Hyperplane":
-        p = primitive(v)
-        lead = next(x for x in p if x != 0)
-        if lead < 0:
-            return Hyperplane(tuple(-x for x in p), True)
-        return Hyperplane(p, False)
-
-    @property
-    def oriented_normal(self) -> IntVec:
-        if self.flipped:
-            return tuple(-x for x in self.normal)
-        return self.normal
-
-
-@dataclass(frozen=True)
 class Cone:
     """Homogeneous cone {theta : E theta = 0, W theta >= 0, S theta > 0}."""
 
@@ -339,30 +312,36 @@ def cone_equal(a: Cone, b: Cone) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _check_hyperplanes(hyperplanes: list[Hyperplane]) -> int:
-    if not hyperplanes:
+def _normals(vectors) -> list[IntVec]:
+    """The primitive form of each normal vector, its sign kept; the vectors
+    must be nonzero, of one length and pairwise non-proportional."""
+    if not vectors:
         raise GhostpicError("empty hyperplane list")
-    n = len(hyperplanes[0].normal)
+    normals = [primitive(v) for v in vectors]
+    n = len(normals[0])
     seen = set()
-    for h in hyperplanes:
-        if len(h.normal) != n:
+    for p in normals:
+        if len(p) != n:
             raise GhostpicError("hyperplane dimension mismatch")
-        if h.normal in seen:
-            raise GhostpicError(f"hyperplanes must be pairwise non-proportional: {h.normal}")
-        seen.add(h.normal)
-    return n
+        if next(x for x in p if x != 0) < 0:
+            p = tuple(-x for x in p)
+        if p in seen:
+            raise GhostpicError(f"hyperplanes must be pairwise non-proportional: {p}")
+        seen.add(p)
+    return normals
 
 
-def enumerate_cells(hyperplanes: list[Hyperplane]) -> list[Cell]:
-    """All nonempty open sign regions of the arrangement, in lexicographic
-    order of their sign vectors (+ before -), each with an exact strict
-    sample point."""
-    n = _check_hyperplanes(hyperplanes)
-    if len(hyperplanes) > guard_limit(CELL_GUARD):
+def enumerate_cells(vectors) -> list[Cell]:
+    """All nonempty open sign regions of the arrangement of the hyperplanes
+    v.theta = 0, one per normal vector v, in lexicographic order of their
+    sign vectors (+ before -, the sign of v.theta), each with an exact
+    strict sample point."""
+    normals = _normals(vectors)
+    n = len(normals[0])
+    if len(normals) > guard_limit(CELL_GUARD):
         raise GuardExceededError(
-            f"{len(hyperplanes)} hyperplanes exceeds the cell enumeration guard"
+            f"{len(normals)} hyperplanes exceeds the cell enumeration guard"
         )
-    normals = [h.oriented_normal for h in hyperplanes]
     partials: list[tuple[tuple[int, ...], Vec]] = [((), tuple([ZERO] * n))]
     for k in range(len(normals)):
         grown: list[tuple[tuple[int, ...], Vec]] = []
@@ -403,17 +382,15 @@ def _kernel_vector(normal: IntVec) -> Vec:
     return tuple([ZERO] * n)
 
 
-def cell_facet_neighbors(
-    cells: list[Cell], hyperplanes: list[Hyperplane]
-) -> list[FacetAdjacency]:
+def cell_facet_neighbors(cells: list[Cell], vectors) -> list[FacetAdjacency]:
     """Pairs of cells sharing a full (n-1)-dimensional facet.
 
     Candidates differ in exactly one sign; the shared facet is certified by
     an exact relative-interior point lying on the separating hyperplane and
     strictly on the common side of every other hyperplane.
     """
-    n = _check_hyperplanes(hyperplanes)
-    normals = [h.oriented_normal for h in hyperplanes]
+    normals = _normals(vectors)
+    n = len(normals[0])
     by_signs = {c.signs: c for c in cells}
     out: list[FacetAdjacency] = []
     for cell in cells:

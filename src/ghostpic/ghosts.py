@@ -16,7 +16,9 @@ Every domain is stored as a closed cone inside the hyperplane of the ghost's
 crossing object, with one inequality per side condition.  Each condition also
 knows its crossing-time reading ("side object crosses before/after the
 ghost"), and stability along a generic linear path is decided both ways and
-cross-checked.
+cross-checked.  Both readings come from one ghost plan per class
+(`ghost_plan`), the class's crossing plan extended by every ghost; crossing
+schedules report its subobject and quotient ghosts.
 """
 
 from __future__ import annotations
@@ -360,11 +362,11 @@ def ghost_stability(cls: ModuleClass, path: LinearPath, g: Ghost) -> bool:
     the crossing point in the domain interior; the two must agree.  The
     ghost must be one of `enumerate_ghosts(cls)`: its crossing is read from
     the class's plan."""
-    ghost_plan = _ghost_plan(cls, ALL_KINDS)
-    ghost, crossing = ghost_plan.crossings.get(g.key(), (None, None))
+    plan = ghost_plan(cls)
+    ghost, crossing = plan.crossings.get(g.key(), (None, None))
     if ghost is not g and ghost != g:
         raise CatalogError(f"{g.display()} is not a ghost of {cls!r}")
-    return stable_along(path, ghost_plan.plan, crossing)
+    return stable_along(path, plan.plan, crossing)
 
 
 def _order_concurrent(cls: ModuleClass, ghosts: list[Ghost]) -> list[Ghost]:
@@ -387,10 +389,10 @@ def _order_concurrent(cls: ModuleClass, ghosts: list[Ghost]) -> list[Ghost]:
 
 
 class GhostPlan(NamedTuple):
-    """The ghosts of some kinds; the (dim, name) pairs their genericity
-    depends on (each event dim, then the dims of their sides); the crossing
-    plan over those and the class dims; and each ghost with its crossing, by
-    key, its label displayed once."""
+    """The ghosts of a class; the (dim, name) pairs their genericity depends
+    on (each event dim, then the dims of their sides); the crossing plan over
+    those and the class dims; and each ghost with its crossing, by key, its
+    label displayed once."""
 
     ghosts: tuple[Ghost, ...]
     extra: tuple[tuple[tuple, str], ...]
@@ -398,21 +400,13 @@ class GhostPlan(NamedTuple):
     crossings: dict[tuple, tuple[Ghost, Crossing]]
 
 
-def _ghost_plan(cls: ModuleClass, kinds) -> GhostPlan:
-    """The ghost plan of the given kinds; built once per class and tuple of
-    kinds."""
-    return _kinds_plan(cls, tuple(kinds))
-
-
-def _ghost_table(cls: ModuleClass, kinds) -> tuple[tuple[Ghost, ...], tuple[tuple[tuple, str], ...]]:
-    """The ghosts of the given kinds and the (dim, name) pairs their
-    genericity depends on, from their plan."""
-    return _ghost_plan(cls, kinds)[:2]
-
-
 @per_class
-def _kinds_plan(cls: ModuleClass, kinds: tuple) -> GhostPlan:
-    ghosts = tuple(g for g in enumerate_ghosts(cls) if g.kind in kinds)
+def ghost_plan(cls: ModuleClass) -> GhostPlan:
+    """The one ghost plan of the class, over every ghost of every kind.  An
+    extension ghost's event object and side object are class bricks, so it
+    adds no dim and no name: genericity along the plan is that of the
+    subobject and quotient ghosts alone."""
+    ghosts = enumerate_ghosts(cls)
     labels = [g.display() for g in ghosts]
     extra = [(g.event_dim, label) for g, label in zip(ghosts, labels)]
     extra += [(d, name) for g in ghosts for d, name, _ in g.sides]
@@ -424,21 +418,20 @@ def _kinds_plan(cls: ModuleClass, kinds: tuple) -> GhostPlan:
     return GhostPlan(ghosts, tuple(extra), plan, crossings)
 
 
-def ghost_events(
-    cls: ModuleClass, path: LinearPath, kinds: tuple[str, ...] = (SUBOBJECT, QUOTIENT)
-) -> list[Event]:
-    """Ghost crossing events with stability flags.
+def ghost_events(cls: ModuleClass, path: LinearPath) -> list[Event]:
+    """Subobject and quotient ghost crossing events with stability flags.
 
-    Extension ghosts are excluded by default: their events coincide with the
-    hyperplane crossing of their middle brick, which the schedule already
-    reports, and wall-crossing sequences track them separately.
+    Extension ghosts are left out: their events coincide with the hyperplane
+    crossing of their middle brick, which the schedule already reports, and
+    wall-crossing sequences track them separately.
     """
-    _, extra, plan, crossings = _ghost_plan(cls, kinds)
+    _, extra, plan, crossings = ghost_plan(cls)
     check_generic(path, cls, extra_dims=extra)
     hd, kd = path.crossings(plan)
     by_time: dict[Fraction, list[Ghost]] = {}
     for g, c in crossings.values():
-        by_time.setdefault(Fraction(-hd[c.event], kd[c.event]), []).append(g)
+        if g.kind != EXTENSION:
+            by_time.setdefault(Fraction(-hd[c.event], kd[c.event]), []).append(g)
     events: list[Event] = []
     for t, group in by_time.items():
         ordered = _order_concurrent(cls, group) if len(group) > 1 else group

@@ -8,13 +8,15 @@ Relative stability of a brick compares its crossing time with those of its
 weakly admissible quotients, and every such decision is cross-validated
 against exact membership of the crossing point in the wall interior.
 
-Both decisions read one crossing plan per class (`crossing_plan`): the
-relevant dims as a tuple, a proportionality class per dim, and for each brick
-(and, built in `ghosts`, each ghost) the index of its dim, its sides as
+Crossings are computed one way only, from one crossing plan per class
+(`crossing_plan`, and the one ghost plan built on it in `ghosts`): the
+relevant dims as a tuple, each under its first name, a proportionality class
+per dim, and for each brick (or ghost) the index of its dim, its sides as
 (index, late, name) and the interior cone of its wall or domain.  A path
 computes two index-aligned integer lists per plan, hd[i] = H*h.d_i and
 kd[i] = H*k.d_i, in one pass; genericity and stability compare times by
-cross-multiplying entries of these lists and touch no dim tuple.
+cross-multiplying entries of these lists and touch no dim tuple, and the
+crossing point of dim i is the integer point point_at(-hd[i], kd[i]).
 """
 
 from __future__ import annotations
@@ -52,9 +54,8 @@ class LinearPath:
 
     Genericity and stability read, for each crossing plan asked for, the two
     integer lists hd[i] = H*h.d_i and kd[i] = H*k.d_i over the plan's dims,
-    computed once (`crossings`).  `time_key`, `crossing_time` and
-    `crossing_point` give the crossing of a single dim, computed when asked,
-    and `point_at` gives integer points on the path."""
+    computed once (`crossings`); `point_at` gives integer points on the path,
+    the crossing of dim i being point_at(-hd[i], kd[i])."""
 
     h: Vec
     k: Vec
@@ -88,10 +89,6 @@ class LinearPath:
             lists = self._lists[plan] = plan.dots(self._hi, self._ki)
         return lists
 
-    def _crossing(self, dim) -> tuple[int, int]:
-        """(H*h.dim, H*k.dim)."""
-        return sum(map(mul, self._hi, dim)), sum(map(mul, self._ki, dim))
-
     def at(self, t) -> Vec:
         t = Fraction(t)
         return tuple(a + t * b for a, b in zip(self.h, self.k))
@@ -100,25 +97,6 @@ class LinearPath:
         """den*H*h + num*H*k: for den > 0 a positive integer multiple of
         at(num/den)."""
         return tuple([den * a + num * b for a, b in zip(self._hi, self._ki)])
-
-    def crossing_time(self, dim) -> Fraction:
-        return Fraction(*self.time_key(dim))
-
-    def time_key(self, dim) -> tuple[int, int]:
-        """crossing_time(dim) as a reduced (num, den) pair with den > 0, for
-        a dim with k.dim > 0 (every nonzero dimension vector)."""
-        hd, kd = self._crossing(dim)
-        if kd <= 0:
-            raise ValueError(f"k.dim must be positive, got dim {dim}")
-        g = gcd(hd, kd)
-        return -hd // g, kd // g
-
-    def crossing_point(self, dim) -> IntVec:
-        """(k.dim)*h - (h.dim)*k over the integers: for k.dim > 0 a positive
-        multiple of at(crossing_time(dim)), where the path meets the
-        hyperplane of dim."""
-        hd, kd = self._crossing(dim)
-        return self.point_at(-hd, kd)
 
 
 @dataclass(frozen=True)
@@ -136,22 +114,6 @@ class CrossingSchedule:
     events: tuple[Event, ...]
 
 
-@per_class
-def _class_dims(cls: ModuleClass, extra_dims: tuple = ()) -> tuple[tuple[tuple, str], ...]:
-    """The sorted (dim, name) pairs of the class bricks, of the sides of
-    their walls (every weakly admissible quotient sum) and of the extra pairs,
-    first name per dim."""
-    dims: dict[tuple, str] = {}
-    for b in cls.bricks:
-        dims.setdefault(cls.dim_of(b), b)
-    for b in cls.bricks:
-        for d, name, _ in wall(cls, b).sides:
-            dims.setdefault(d, name)
-    for d, name in extra_dims:
-        dims.setdefault(d, name)
-    return tuple(sorted(dims.items()))
-
-
 class Crossing(NamedTuple):
     """An event object (a brick, or a ghost's crossing object) in a crossing
     plan: its label, the index of its dim, one (index, late, name) per side
@@ -166,11 +128,10 @@ class Crossing(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class CrossingPlan:
     """What genericity and stability along any path need of a class: its
-    relevant dims in `_class_dims` order (extra dims sorted in), the first
-    name of each, and ``ray`` with ray[i] == ray[j] iff dims i and j are
-    proportional (they cross at the same time on every path), ray[i] being
-    the first such index.  ``bricks`` holds the crossing of each class
-    brick."""
+    relevant dims, sorted, the first name of each, and ``ray`` with
+    ray[i] == ray[j] iff dims i and j are proportional (they cross at the
+    same time on every path), ray[i] being the first such index.
+    ``bricks`` holds the crossing of each class brick."""
 
     dims: tuple[tuple[int, ...], ...]
     names: tuple[str, ...]
@@ -196,10 +157,19 @@ class CrossingPlan:
 
 @per_class
 def crossing_plan(cls: ModuleClass, extra_dims: tuple = ()) -> CrossingPlan:
-    """The crossing plan of the class bricks, over the dims of
-    `_class_dims(cls, extra_dims)`; built once per class and extra tuple."""
-    table = _class_dims(cls, extra_dims)
-    dims = tuple(d for d, _ in table)
+    """The crossing plan of the class bricks, built once per class and tuple
+    of extra (dim, name) pairs.  Its dims are those of the class bricks, of
+    the sides of their walls (every weakly admissible quotient sum) and of
+    the extra pairs, each under the first name given to it."""
+    names: dict[tuple, str] = {}
+    for b in cls.bricks:
+        names.setdefault(cls.dim_of(b), b)
+    for b in cls.bricks:
+        for d, name, _ in wall(cls, b).sides:
+            names.setdefault(d, name)
+    for d, name in extra_dims:
+        names.setdefault(d, name)
+    dims = tuple(sorted(names))
     for d in dims:
         if not any(d) or min(d) < 0:
             raise ValueError(f"{d} is not a nonzero dimension vector")
@@ -207,7 +177,7 @@ def crossing_plan(cls: ModuleClass, extra_dims: tuple = ()) -> CrossingPlan:
         next(j for j in range(i + 1) if proportional(dims[j], d)) for i, d in enumerate(dims)
     )
     index = {d: i for i, d in enumerate(dims)}
-    plan = CrossingPlan(dims, tuple(n for _, n in table), ray, index, {})
+    plan = CrossingPlan(dims, tuple(names[d] for d in dims), ray, index, {})
     for b in cls.bricks:  # filled once, here
         w = wall(cls, b)
         plan.bricks[b] = plan.crossing(b, cls.dim_of(b), w.sides, w.interior)
@@ -270,20 +240,13 @@ def is_relatively_stable(cls: ModuleClass, path: LinearPath, m: str) -> bool:
     return stable_along(path, plan, crossing)
 
 
-def crossing_schedule(
-    cls: ModuleClass,
-    path: LinearPath,
-    include_ghosts: bool = False,
-    ghost_kinds: tuple[str, ...] | None = None,
-) -> CrossingSchedule:
-    """Time-sorted crossing events of all class bricks (and, optionally,
-    ghosts) with their stability flags.  By default ghost events cover
-    subobject and quotient ghosts; pass ghost_kinds to change that."""
+def crossing_schedule(cls: ModuleClass, path: LinearPath, include_ghosts: bool = False) -> CrossingSchedule:
+    """Time-sorted crossing events of all class bricks (and, optionally, the
+    subobject and quotient ghosts) with their stability flags."""
     if include_ghosts:
         from ghostpic.ghosts import ghost_events
 
-        kwargs = {} if ghost_kinds is None else {"kinds": ghost_kinds}
-        ghost_evts = ghost_events(cls, path, **kwargs)  # validates genericity itself
+        ghost_evts = ghost_events(cls, path)  # validates genericity itself
     else:
         check_generic(path, cls)
         ghost_evts = []
@@ -304,16 +267,9 @@ def crossing_schedule(
 
 
 def linear_mgs(cls: ModuleClass, path: LinearPath) -> list[str]:
-    """The relatively stable bricks in crossing order."""
-    schedule = crossing_schedule(cls, path)
-    out = [e.label for e in schedule.events if e.stable]
-    plan = crossing_plan(cls)
-    hd, kd = path.crossings(plan)
-    for m in out:
-        c = plan.bricks[m]
-        if not c.interior.contains_int(path.point_at(-hd[c.event], kd[c.event])):
-            raise InternalConsistencyError(f"stable brick {m} missed int D({m})")
-    return out
+    """The relatively stable bricks in crossing order (each verdict
+    cross-validated against wall-interior membership by `stable_along`)."""
+    return [e.label for e in crossing_schedule(cls, path).events if e.stable]
 
 
 # ---------------------------------------------------------------------------

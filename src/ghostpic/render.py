@@ -523,9 +523,9 @@ def _cone_doc(cone: Cone) -> dict:
     }
 
 
-def chamber_docs(graph) -> list[dict]:
+def chamber_docs(cls: ModuleClass, graph) -> list[dict]:
     return [
-        {"id": c.id, "label": c.label.sorted(graph.cls), "sample": vec_str(c.sample)}
+        {"id": c.id, "label": c.label.sorted(cls), "sample": vec_str(c.sample)}
         for c in graph.chambers
     ]
 
@@ -586,7 +586,7 @@ def export_report(cls: ModuleClass, graph=None) -> str:
     if graph is None:
         graph = chamber_graph(cls)
     census = ghost_census_doc(cls)
-    chambers = chamber_docs(graph)
+    chambers = chamber_docs(cls, graph)
     for doc in chambers:
         doc["is_source"] = doc["id"] == graph.source
         doc["is_sink"] = doc["id"] == graph.sink

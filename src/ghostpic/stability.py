@@ -20,7 +20,6 @@ from ghostpic.geometry import (
     Cell,
     Cone,
     FacetAdjacency,
-    Hyperplane,
     Vec,
     cell_facet_neighbors,
     enumerate_cells,
@@ -54,9 +53,6 @@ class Wall:
     cone: Cone
     minimal: bool
     sides: tuple[Side, ...]  # the proper weakly admissible quotients, one per dim
-
-    def hyperplane(self) -> Hyperplane:
-        return Hyperplane.from_vector(self.cone.equalities[0])
 
     @cached_property
     def interior(self) -> Cone:
@@ -130,12 +126,11 @@ class ChamberEdge:
 
 @dataclass(frozen=True)
 class ChamberGraph:
-    cls: ModuleClass
     chambers: tuple[Chamber, ...]
     edges: tuple[ChamberEdge, ...]
     source: int
     sink: int
-    walls: dict[str, Wall]
+    walls: dict[str, Wall]  # in brick order
     # the brick-hyperplane arrangement the chambers were merged from: all of
     # its cells, and every facet adjacency, on a wall or not
     cells: tuple[Cell, ...]
@@ -178,9 +173,9 @@ def chamber_graph(cls: ModuleClass) -> ChamberGraph:
 def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
     catalog = cls.catalog
     bricks = cls.bricks
-    hyperplanes = [Hyperplane.from_vector(cls.dim_of(b)) for b in bricks]
-    cells = enumerate_cells(hyperplanes)
-    adjacencies = cell_facet_neighbors(cells, hyperplanes)
+    dims = [cls.dim_of(b) for b in bricks]
+    cells = enumerate_cells(dims)
+    adjacencies = cell_facet_neighbors(cells, dims)
     walls = {b: wall(cls, b) for b in bricks}
 
     # merge cells across facets that are not contained in any wall
@@ -281,7 +276,6 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
         sorted(edges.values(), key=lambda e: (e.src, catalog.position(e.wall_brick), e.dst))
     )
     return ChamberGraph(
-        cls=cls,
         chambers=chambers,
         edges=ordered_edges,
         source=source,
@@ -295,9 +289,8 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
 
 def locate_chamber(graph: ChamberGraph, theta) -> int:
     """Chamber containing an off-wall point, found by its sign vector."""
-    cls = graph.cls
     point = theta if is_intvec(theta) else integral(theta)
-    values = [sum(map(mul, dims[0], point)) for _, dims in _semistable_rows(cls)]
+    values = [sum(map(mul, w.cone.equalities[0], point)) for w in graph.walls.values()]
     if 0 in values:
         raise InternalConsistencyError(f"{theta} lies on a brick hyperplane")
     return graph.chamber_of_signs[tuple(1 if v > 0 else -1 for v in values)]

@@ -18,12 +18,11 @@ from ghostpic.catalog import ModuleClass, ModuleSum, builtin_kronecker, generate
 from ghostpic.errors import GuardExceededError, InternalConsistencyError, NonGenericPathError
 from ghostpic.geometry import Cone, cone_contains_cone, dot, feasible_point, int_dot
 from ghostpic.ghosts import (
-    ALL_KINDS,
     SUBOBJECT,
-    _ghost_table,
     classify_bifurcations,
     dualize,
     enumerate_ghosts,
+    ghost_plan,
     ghost_stability,
     mgs_with_ghosts,
 )
@@ -119,11 +118,11 @@ def _by_time(a: tuple[int, int], b: tuple[int, int]) -> int:
     return a[0] * b[1] - b[0] * a[1]
 
 
-def _chamber_chain(graph: ChamberGraph, path: LinearPath) -> list[int]:
+def _chamber_chain(cls: ModuleClass, graph: ChamberGraph, path: LinearPath) -> list[int]:
     """Chambers a generic path passes through, in order: located at a probe
     before the first brick crossing, between each two consecutive ones and
     after the last, each probe an integer point on the path's ray."""
-    plan = crossing_plan(graph.cls)
+    plan = crossing_plan(cls)
     hd, kd = path.crossings(plan)
     times = sorted(
         ((-hd[c.event], kd[c.event]) for c in plan.bricks.values()), key=cmp_to_key(_by_time)
@@ -246,7 +245,7 @@ class Verifier:
         rng = random.Random((self.seed, "ghost-stability").__repr__())
         fails = Failures()
         for name, cls in self.fixtures.items():
-            ghosts, extra = _ghost_table(cls, ALL_KINDS)
+            ghosts, extra = ghost_plan(cls)[:2]
             if not ghosts:
                 continue
             for path in _random_generic_paths(cls, rng, self.paths, extra_dims=extra):
@@ -384,7 +383,7 @@ class Verifier:
                 all_mgs = None
             for path in _random_generic_paths(cls, rng, count):
                 stable = tuple(linear_mgs(cls, path))
-                chain = _chamber_chain(graph, path)
+                chain = _chamber_chain(cls, graph, path)
                 if chain[0] != graph.source or chain[-1] != graph.sink:
                     fails.add(f"{name}: {_path_str(path)}: chamber chain {chain} misses an end")
                     continue

@@ -8,8 +8,7 @@ from ghostpic.geometry import dot
 from ghostpic.stability import locate_chamber
 
 
-def fraction_chamber_chain(graph, path) -> list[int]:
-    cls = graph.cls
+def fraction_chamber_chain(cls, graph, path) -> list[int]:
     times = sorted(-dot(path.h, cls.dim_of(b)) / dot(path.k, cls.dim_of(b)) for b in cls.bricks)
     probes = [times[0] - 1]
     probes += [(times[i] + times[i + 1]) / 2 for i in range(len(times) - 1)]

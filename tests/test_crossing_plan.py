@@ -5,6 +5,7 @@ take exact coordinates only; `verify` names the first counterexample of a
 failed check."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -20,13 +21,14 @@ from ghostpic.errors import (
     NonGenericPathError,
 )
 from ghostpic.geometry import Cone, dot, int_dot, proportional
-from ghostpic.ghosts import ALL_KINDS, _ghost_table, ghost_stability
+from ghostpic.ghosts import ALL_KINDS, EXTENSION, enumerate_ghosts, ghost_plan, ghost_stability
 from ghostpic.greenpaths import (
     LinearPath,
-    _class_dims,
     check_generic,
     crossing_plan,
+    crossing_schedule,
     is_relatively_stable,
+    linear_mgs,
     stable_along,
 )
 from ghostpic.stability import wall
@@ -38,17 +40,42 @@ def time_of(h, k, d) -> Fraction:
     return -dot(h, d) / dot(k, d)
 
 
-def reference_clash(cls, h, k, extra=()):
+def first_clash(pairs, h, k):
     """The NonGenericPathError arguments for (h, k), or None when generic:
-    the relevant dims in sorted order, each against the first dim seen at
-    its time."""
+    the (dim, name) pairs in sorted order, each against the first dim seen
+    at its time."""
     first_at: dict[Fraction, tuple] = {}
-    for d, name in _class_dims(cls, extra):
+    for d, name in sorted(pairs):
         t = time_of(h, k, d)
         if t in first_at and not proportional(d, first_at[t][0]):
             return first_at[t][1], name, t
         first_at.setdefault(t, (d, name))
     return None
+
+
+def reference_clash(cls, h, k, extra=()):
+    plan = crossing_plan(cls, tuple(extra))
+    return first_clash(zip(plan.dims, plan.names), h, k)
+
+
+def schedule_dims(cls):
+    """The (dim, name) pairs a schedule with ghosts depends on, each dim
+    under the first name given to it: the class bricks, the sides of their
+    walls, then the event and the sides of each subobject and quotient
+    ghost."""
+    names = {}
+    for b in cls.bricks:
+        names.setdefault(cls.dim_of(b), b)
+    for b in cls.bricks:
+        for side in wall(cls, b).sides:
+            names.setdefault(side.dim, side.name)
+    ghosts = [g for g in enumerate_ghosts(cls) if g.kind != EXTENSION]
+    for g in ghosts:
+        names.setdefault(g.event_dim, g.display())
+    for g in ghosts:
+        for c in g.conditions:
+            names.setdefault(cls.dim_of(c.obj), repr(c.obj))
+    return names.items()
 
 
 def reference_stable(h, k, event_dim, sides):
@@ -105,7 +132,7 @@ class TestPlanMatchesFractionReference:
     def test_genericity_and_ghost_stability(self, drawn):
         name, h, k = drawn
         cls = FIXTURES[name]
-        ghosts, extra = _ghost_table(cls, ALL_KINDS)
+        ghosts, extra = ghost_plan(cls)[:2]
         path = LinearPath(h, k)
         assert generic_args(path, cls, extra) == reference_clash(cls, h, k, extra)
         assert {g.kind for g in ghosts} <= set(ALL_KINDS)
@@ -113,8 +140,24 @@ class TestPlanMatchesFractionReference:
             expected = reference_stable(h, k, g.event_dim, g.sides)
             assert verdict(lambda: ghost_stability(cls, path, g)) == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(fixture_paths())
+    def test_a_schedule_with_ghosts_clashes_as_the_reference(self, drawn):
+        """One plan over every ghost decides the genericity of a schedule
+        exactly as the class dims plus the subobject and quotient ghost dims
+        do: the same first clash, or none."""
+        name, h, k = drawn
+        cls = FIXTURES[name]
+        expected = first_clash(schedule_dims(cls), h, k)
+        try:
+            crossing_schedule(cls, LinearPath(h, k), include_ghosts=True)
+        except NonGenericPathError as err:
+            assert (err.first, err.second, err.time) == expected
+        else:
+            assert expected is None
+
     def test_every_kind_is_drawn_from(self):
-        kinds = {g.kind for cls in FIXTURES.values() for g in _ghost_table(cls, ALL_KINDS)[0]}
+        kinds = {g.kind for cls in FIXTURES.values() for g in ghost_plan(cls).ghosts}
         assert kinds == set(ALL_KINDS)
 
     def test_a_fraction_path_reads_the_same_plan(self):
@@ -148,7 +191,7 @@ class TestDots:
         assert hd == [int_dot(h, d) for d in plan.dims]
         assert kd == [int_dot(k, d) for d in plan.dims]
         for d, h_d, k_d in zip(plan.dims, hd, kd):
-            assert path.crossing_time(d) == Fraction(-h_d, k_d)
+            assert time_of(h, k, d) == Fraction(-h_d, k_d)
 
 
 class TestInteriorCrossCheck:
@@ -159,14 +202,57 @@ class TestInteriorCrossCheck:
         cls = FIXTURES[name]
         plan = crossing_plan(cls)
         path = next(verify._random_generic_paths(cls, verify.random.Random(5), 1))
+        hd, kd = path.crossings(plan)
         for b, crossing in plan.bricks.items():
-            point = path.crossing_point(cls.dim_of(b))
+            point = path.point_at(-hd[crossing.event], kd[crossing.event])
             stable = stable_along(path, plan, crossing)
             excluding = Cone(len(point), strict=(tuple(-x for x in point),))
             wrong = excluding if stable else Cone(len(point))
             assert wrong.contains(point) is not stable
             with pytest.raises(InternalConsistencyError, match=f"stability of {b}"):
                 stable_along(path, plan, crossing._replace(interior=wrong))
+
+    def test_linear_mgs_keeps_the_cross_check(self, monkeypatch):
+        """A brick interior that disagrees with the time verdict makes
+        `linear_mgs` raise, stable brick or not."""
+        cls = FIXTURES["torsion4"]
+        plan = crossing_plan(cls)
+        path = next(verify._random_generic_paths(cls, verify.random.Random(5), 1))
+        hd, kd = path.crossings(plan)
+        for b, crossing in plan.bricks.items():
+            point = path.point_at(-hd[crossing.event], kd[crossing.event])
+            stable = stable_along(path, plan, crossing)
+            excluding = Cone(len(point), strict=(tuple(-x for x in point),))
+            wrong = excluding if stable else Cone(len(point))
+            with monkeypatch.context() as m:
+                m.setitem(plan.bricks, b, crossing._replace(interior=wrong))
+                with pytest.raises(InternalConsistencyError, match=f"stability of {b}"):
+                    linear_mgs(cls, path)
+        assert linear_mgs(cls, path)
+
+
+ORIENTATIONS = ["".join(o) for r in range(4) for o in itertools.product("LR", repeat=r)]
+
+
+def full_class(orientation):
+    cat = generate_type_a(len(orientation) + 1, orientation)
+    return ModuleClass(cat, [m.id for m in cat.indecs])
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [*FIXTURES.values(), *map(full_class, ORIENTATIONS)],
+    ids=[*FIXTURES, *(f"A{len(o) + 1}{o}" for o in ORIENTATIONS)],
+)
+def test_extension_ghosts_cross_on_class_dims(cls):
+    """An extension ghost's event object and side object are class bricks,
+    so one ghost plan over every kind has the dims of the subobject and
+    quotient ghosts alone."""
+    brick_dims = {cls.dim_of(b) for b in cls.bricks}
+    for g in enumerate_ghosts(cls):
+        if g.kind == EXTENSION:
+            assert g.event_dim in brick_dims
+            assert {s.dim for s in g.sides} <= brick_dims
 
 
 class TestGhostOfTheClass:
@@ -175,9 +261,9 @@ class TestGhostOfTheClass:
         class: an equal ghost of another instance of the fixture is decided
         the same, a ghost with the same key and another domain is refused."""
         cls, twin = FIXTURES["kronecker"], verify.standard_fixtures()["kronecker"]
-        ghosts, extra = _ghost_table(cls, ALL_KINDS)
+        ghosts, extra = ghost_plan(cls)[:2]
         path = next(verify._random_generic_paths(cls, verify.random.Random(3), 1, extra))
-        for g, other in zip(ghosts, _ghost_table(twin, ALL_KINDS)[0]):
+        for g, other in zip(ghosts, ghost_plan(twin).ghosts):
             assert other is not g and other == g
             assert ghost_stability(cls, path, other) == ghost_stability(cls, path, g)
             foreign = dataclasses.replace(g, domain=Cone(len(g.event_dim)))

@@ -7,7 +7,6 @@ from ghostpic.errors import GhostpicError, GuardExceededError
 from ghostpic.geometry import (
     Cell,
     Cone,
-    Hyperplane,
     cell_facet_neighbors,
     cone_contains_cone,
     dot,
@@ -66,17 +65,17 @@ class TestFeasiblePoint:
 
 class TestCells:
     def test_single_hyperplane_in_plane(self):
-        cells = enumerate_cells([Hyperplane.from_vector((1, 0))])
+        cells = enumerate_cells([(1, 0)])
         assert len(cells) == 2
         assert sorted(c.signs for c in cells) == [(-1,), (1,)]
 
     def test_samples_strictly_match_signs(self):
-        hs = [Hyperplane.from_vector(d) for d in A3_DIMS]
+        hs = A3_DIMS
         for cell in enumerate_cells(hs):
             assert sign_vector(A3_DIMS, cell.sample) == cell.signs
 
     def test_a3_count_matches_sampling_oracle(self):
-        hs = [Hyperplane.from_vector(d) for d in A3_DIMS]
+        hs = A3_DIMS
         cells = enumerate_cells(hs)
         rng = random.Random(20240)
         seen = set()
@@ -89,20 +88,22 @@ class TestCells:
 
     def test_proportional_normals_rejected(self):
         with pytest.raises(GhostpicError):
-            enumerate_cells(
-                [Hyperplane.from_vector((1, 1, 0)), Hyperplane.from_vector((2, 2, 0))]
-            )
+            enumerate_cells([(1, 1, 0), (2, 2, 0)])
+
+    def test_opposite_normals_rejected_and_signs_kept(self):
+        with pytest.raises(GhostpicError, match=r"non-proportional: \(1, 1, 0\)"):
+            enumerate_cells([(-1, -1, 0), (0, 0, 1), (2, 2, 0)])
+        flipped = [tuple(-x for x in d) if i == 1 else d for i, d in enumerate(A3_DIMS)]
+        for cell in enumerate_cells(flipped):
+            assert sign_vector(flipped, cell.sample) == cell.signs
 
     def test_guard(self):
-        hs = [
-            Hyperplane.from_vector(tuple(1 if j <= i else 0 for j in range(21)))
-            for i in range(21)
-        ]
+        hs = [tuple(1 if j <= i else 0 for j in range(21)) for i in range(21)]
         with pytest.raises(GuardExceededError):
             enumerate_cells(hs)
 
     def test_random_point_lands_in_some_closed_cell(self):
-        hs = [Hyperplane.from_vector(d) for d in A3_DIMS]
+        hs = A3_DIMS
         cells = enumerate_cells(hs)
         rng = random.Random(7)
         for _ in range(200):
@@ -119,14 +120,14 @@ class TestCells:
 
 class TestFacets:
     def test_two_halves_of_one_hyperplane(self):
-        hs = [Hyperplane.from_vector((1, 0))]
+        hs = [(1, 0)]
         cells = enumerate_cells(hs)
         adj = cell_facet_neighbors(cells, hs)
         assert len(adj) == 1
         assert dot((1, 0), adj[0].facet_sample) == 0
 
     def test_facet_sample_strict_on_other_hyperplanes(self):
-        hs = [Hyperplane.from_vector(d) for d in A3_DIMS]
+        hs = A3_DIMS
         cells = enumerate_cells(hs)
         for adj in cell_facet_neighbors(cells, hs):
             for i, d in enumerate(A3_DIMS):
@@ -137,7 +138,7 @@ class TestFacets:
                     assert v != 0
 
     def test_adjacency_graph_connected(self):
-        hs = [Hyperplane.from_vector(d) for d in A3_DIMS]
+        hs = A3_DIMS
         cells = enumerate_cells(hs)
         parent = {c.signs: c.signs for c in cells}
 
@@ -151,7 +152,7 @@ class TestFacets:
         assert len({find(c.signs) for c in cells}) == 1
 
     def test_double_sign_flips_never_adjacent(self):
-        hs = [Hyperplane.from_vector(d) for d in A3_DIMS]
+        hs = A3_DIMS
         cells = enumerate_cells(hs)
         for adj in cell_facet_neighbors(cells, hs):
             flips = sum(

@@ -6,6 +6,7 @@ import pytest
 
 from ghostpic.catalog import ModuleClass, ModuleSum
 from ghostpic.errors import CatalogError, NonGenericPathError
+from ghostpic.geometry import dot
 from ghostpic.greenpaths import (
     LinearPath,
     Mgs,
@@ -29,6 +30,10 @@ ONES = (Fraction(1), Fraction(1), Fraction(1))
 
 def path3(h, k=ONES):
     return LinearPath(tuple(Fraction(x) for x in h), tuple(Fraction(x) for x in k))
+
+
+def time_of(path, d) -> Fraction:
+    return -dot(path.h, d) / dot(path.k, d)
 
 
 # frozen realizations; orders verified against the crossing-time formula
@@ -236,9 +241,9 @@ class TestLastCrossing:
                     continue
                 count += 1
                 for b in cls.bricks:
-                    t_b = path.crossing_time(cls.dim_of(b))
+                    t_b = time_of(path, cls.dim_of(b))
                     quots_before = all(
-                        path.crossing_time(cls.dim_of(p.quot)) < t_b
+                        time_of(path, cls.dim_of(p.quot)) < t_b
                         for p in cls.weakly_admissible_quotients(b)
                     )
                     assert (b in stable) == quots_before

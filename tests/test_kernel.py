@@ -1,10 +1,9 @@
-"""Property tests of the integer exact kernel: integer crossing-time keys,
-integer crossing points, integer cone membership, the fraction-free simplex
-and the per-class tables.  Every integer reading is checked against the
+"""Property tests of the integer exact kernel: integer crossing lists and
+crossing points, integer cone membership, the fraction-free simplex and the
+per-class tables.  Every integer reading is checked against the
 Fraction reading it replaces."""
 
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +21,8 @@ from ghostpic.geometry import (
     feasible_point,
     integral,
 )
-from ghostpic.ghosts import QUOTIENT, SUBOBJECT, _ghost_table, enumerate_ghosts
-from ghostpic.greenpaths import LinearPath, _class_dims, check_generic, linear_mgs
+from ghostpic.ghosts import enumerate_ghosts, ghost_plan
+from ghostpic.greenpaths import CrossingPlan, LinearPath, check_generic, crossing_plan, linear_mgs
 from ghostpic.stability import chamber_graph, wall
 from reference_simplex import fraction_cone_lp, fraction_feasible_point, fraction_simplex_max
 
@@ -38,6 +37,15 @@ def paths_and_dims(draw, count=2):
     k = tuple(draw(positives) for _ in range(n))
     dim = st.tuples(*[st.integers(0, 3)] * n).filter(any)
     return LinearPath(h, k), [draw(dim) for _ in range(count)]
+
+
+def plan_over(dims) -> CrossingPlan:
+    """A bare crossing plan over the given dims, for their crossing lists."""
+    return CrossingPlan(tuple(dims), (), (), {}, {})
+
+
+def time_of(h, k, d) -> Fraction:
+    return -dot(h, d) / dot(k, d)
 
 
 @st.composite
@@ -112,33 +120,15 @@ def fraction_contains(cone, theta):
     )
 
 
-class TestTimeKey:
-    @settings(max_examples=300, deadline=None)
-    @given(paths_and_dims())
-    def test_is_the_reduced_crossing_time(self, drawn):
-        path, (d, _) = drawn
-        num, den = path.time_key(d)
-        assert den > 0 and gcd(num, den) == 1
-        assert Fraction(num, den) == path.crossing_time(d)
-
-    @settings(max_examples=300, deadline=None)
-    @given(paths_and_dims())
-    def test_order_and_equality_match_crossing_time(self, drawn):
-        path, (d1, d2) = drawn
-        (n1, e1), (n2, e2) = path.time_key(d1), path.time_key(d2)
-        t1, t2 = path.crossing_time(d1), path.crossing_time(d2)
-        assert ((n1, e1) == (n2, e2)) == (t1 == t2)
-        assert (n1 * e2 < n2 * e1) == (t1 < t2)
-
-
 class TestCrossingPoint:
     @settings(max_examples=300, deadline=None)
     @given(paths_and_dims(count=1))
     def test_positive_multiple_of_the_crossing(self, drawn):
         path, (d,) = drawn
-        point = path.crossing_point(d)
+        (hd,), (kd,) = path.crossings(plan_over([d]))
+        point = path.point_at(-hd, kd)
         assert all(isinstance(x, int) for x in point)
-        exact = path.at(path.crossing_time(d))
+        exact = path.at(time_of(path.h, path.k, d))
         nonzero = [i for i, x in enumerate(exact) if x != 0]
         if not nonzero:
             assert not any(point)
@@ -150,7 +140,7 @@ class TestCrossingPoint:
 
 
 class TestCrossingTable:
-    """Every reading of a path's crossing table against the Fraction
+    """Every reading of a path's crossing lists against the Fraction
     reference t_d = -dot(h, d)/dot(k, d), on the first and a second lookup."""
 
     @settings(max_examples=300, deadline=None)
@@ -158,19 +148,20 @@ class TestCrossingTable:
     def test_readings_match_the_fraction_reference(self, drawn):
         h, k, dims = drawn
         path = LinearPath(h, k)
+        plan = plan_over(dims)
 
         def readings():
-            return [(path.time_key(d), path.crossing_time(d), path.crossing_point(d)) for d in dims]
+            hd, kd = path.crossings(plan)
+            return [(Fraction(-a, b), path.point_at(-a, b)) for a, b in zip(hd, kd)]
 
         first = readings()
-        for d, (key, t, point) in zip(dims, first):
-            reference = -dot(h, d) / dot(k, d)
-            num, den = key
-            assert den > 0 and gcd(num, den) == 1 and Fraction(num, den) == reference
-            assert type(t) is Fraction and t == reference
+        for d, (t, point) in zip(dims, first):
+            reference = time_of(h, k, d)
+            assert t == reference
             assert_positive_multiple(point, path.at(reference))
             assert dot(d, point) == 0
         assert readings() == first
+        assert path.crossings(plan) is path.crossings(plan)
 
     @settings(max_examples=300, deadline=None)
     @given(table_paths(), st.integers(-50, 50), st.integers(1, 20))
@@ -245,7 +236,7 @@ class TestPerClassTables:
         cls = ModuleClass(cat_ll, ["S1", "P3", "I2", "S3"])
         chamber_graph(cls)
         enumerate_ghosts(cls)
-        _class_dims(cls)
+        crossing_plan(cls)
         sums = [ModuleSum(["P3", "S1"]), ModuleSum(["I2", "I2"]), ModuleSum(["P2"]), ModuleSum()]
         verdicts = [cls.in_filt(x) for x in sums]
         assert verdicts == [True, True, False, True]
@@ -266,9 +257,11 @@ class TestPerClassTables:
             assert set(first) <= set(every)
 
     def test_generic_dims_are_built_once_and_extras_merge_after(self, torsion4):
-        table = _class_dims(torsion4)
-        assert _class_dims(torsion4) is table
-        assert table == (((0, 0, 1), "S3"), ((0, 1, 1), "I2"), ((1, 0, 0), "S1"), ((1, 1, 1), "P3"))
+        plan = crossing_plan(torsion4)
+        assert crossing_plan(torsion4) is plan
+        assert tuple(zip(plan.dims, plan.names)) == (
+            ((0, 0, 1), "S3"), ((0, 1, 1), "I2"), ((1, 0, 0), "S1"), ((1, 1, 1), "P3")
+        )
         zero = LinearPath((Fraction(0),) * 3, (Fraction(1),) * 3)  # every dim crosses at 0
 
         def clash(extra):
@@ -282,19 +275,17 @@ class TestPerClassTables:
         # a new extra dim is sorted in among the class's
         assert clash([((0, 1, 0), "Y")]) == ("S3", "Y")
 
-    def test_ghost_dims_are_built_once_per_kinds(self, torsion4):
-        kinds = (SUBOBJECT, QUOTIENT)
-        ghosts, dims = _ghost_table(torsion4, kinds)
-        assert _ghost_table(torsion4, list(kinds)) == (ghosts, dims)
-        assert _ghost_table(torsion4, kinds)[1] is dims
-        assert ghosts == tuple(g for g in enumerate_ghosts(torsion4) if g.kind in kinds)
+    def test_ghost_plan_is_built_once_per_class(self, torsion4):
+        ghosts, dims, plan, _ = ghost_plan(torsion4)
+        assert ghost_plan(torsion4).extra is dims
+        assert ghosts == enumerate_ghosts(torsion4)
         expected = [(g.event_dim, g.display()) for g in ghosts]
         expected += [(torsion4.dim_of(c.obj), repr(c.obj)) for g in ghosts for c in g.conditions]
         assert dims == tuple(expected)
-        # check_generic keeps one merged, sorted table per tuple of extra dims
-        merged = _class_dims(torsion4, dims)
-        assert _class_dims(torsion4, dims) is merged
-        assert [d for d, _ in merged] == sorted({d for d, _ in _class_dims(torsion4) + dims})
+        # check_generic keeps one merged, sorted plan per tuple of extra dims
+        assert crossing_plan(torsion4, dims) is plan
+        class_dims = crossing_plan(torsion4).dims
+        assert list(plan.dims) == sorted({*class_dims, *(d for d, _ in dims)})
 
     def test_wall_is_built_once_with_its_interior(self, torsion4):
         for m in torsion4.bricks:
@@ -304,10 +295,10 @@ class TestPerClassTables:
 
     def test_graph_carries_its_arrangement(self, case1):
         graph = chamber_graph(case1)
-        hyperplanes = [graph.walls[b].hyperplane() for b in case1.bricks]
-        cells = enumerate_cells(hyperplanes)
+        dims = [graph.walls[b].cone.equalities[0] for b in case1.bricks]
+        cells = enumerate_cells(dims)
         assert list(graph.cells) == cells
-        assert list(graph.adjacencies) == cell_facet_neighbors(cells, hyperplanes)
+        assert list(graph.adjacencies) == cell_facet_neighbors(cells, dims)
         assert sorted(c.signs for ch in graph.chambers for c in ch.cells) == sorted(
             c.signs for c in cells
         )

@@ -1,6 +1,7 @@
 """The random linear paths of `ghostpic verify`: the draws are pinned, and the
 chamber chain read at integer probes is the chain read at Fraction probes."""
 
+import gc
 import hashlib
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from ghostpic.ghosts import enumerate_ghosts
 from ghostpic.greenpaths import LinearPath
 from ghostpic.stability import chamber_graph
-from ghostpic.verify import _chamber_chain, _random_generic_paths, standard_fixtures
+from ghostpic.verify import Verifier, _chamber_chain, _random_generic_paths, standard_fixtures
 from reference_chain import fraction_chamber_chain
 
 FIXTURES = standard_fixtures()
@@ -95,14 +96,14 @@ def test_integer_probes_give_the_fraction_chain(name):
     graph = chamber_graph(cls)
     rng = random.Random(("chain", name).__repr__())
     for path in _random_generic_paths(cls, rng, 100):
-        chain = _chamber_chain(graph, path)
-        assert chain == fraction_chamber_chain(graph, path)
+        chain = _chamber_chain(cls, graph, path)
+        assert chain == fraction_chamber_chain(cls, graph, path)
         assert chain[0] == graph.source and chain[-1] == graph.sink
         # the same times over a common denominator H > 1
         scaled = LinearPath(
             tuple(x / 3 for x in path.h), tuple(x / 2 for x in path.k)
         )
-        assert _chamber_chain(graph, scaled) == fraction_chamber_chain(graph, scaled)
+        assert _chamber_chain(cls, graph, scaled) == fraction_chamber_chain(cls, graph, scaled)
 
 
 def test_a_path_is_drawn_only_when_asked_for():
@@ -116,3 +117,16 @@ def test_a_path_is_drawn_only_when_asked_for():
     assert isinstance(first, LinearPath) and all(type(x) is Fraction for x in first.h)
     assert rng.getstate() == state
     assert len([first, *draws]) == 3
+
+
+def test_a_verifier_pass_leaves_no_cyclic_garbage():
+    """No per-class fact refers back to its class, so a dropped verifier and
+    its fixtures are freed by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        Verifier(50, 1).run()
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
