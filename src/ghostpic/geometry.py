@@ -64,17 +64,12 @@ def as_fracvec(a) -> Vec:
 
 
 def primitive(v) -> IntVec:
-    """Clear denominators and divide by the gcd; preserves direction."""
-    fracs = [Fraction(x) for x in v]
-    if all(x == 0 for x in fracs):
+    """Divide an integer vector (a rational one made `integral` first) by the
+    gcd of its entries; preserves direction."""
+    ints = v if is_intvec(v) else integral(v)
+    g = gcd(*ints)
+    if g == 0:
         raise GhostpicError("zero vector has no primitive form")
-    denom = 1
-    for x in fracs:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
     return tuple(x // g for x in ints)
 
 
@@ -411,10 +406,8 @@ def cell_facet_neighbors(cells: list[Cell], vectors) -> list[FacetAdjacency]:
                 sample = feasible_point(cone)
                 if sample is None:
                     continue
-            else:
-                sample = relative_interior_point(cone.closure())
-                if all(x == 0 for x in sample) and n > 1:
-                    sample = _kernel_vector(normals[i])
+            else:  # a lone hyperplane: any point of it will do
+                sample = _kernel_vector(normals[i])
             out.append(FacetAdjacency(cell, other, i, sample))
     out.sort(key=lambda f: (f.hyperplane_index, f.cell_a.signs))
     return out

@@ -17,15 +17,15 @@ crossing object, with one inequality per side condition.  Each condition also
 knows its crossing-time reading ("side object crosses before/after the
 ghost"), and stability along a generic linear path is decided both ways and
 cross-checked.  Both readings come from one ghost plan per class
-(`ghost_plan`), the class's crossing plan extended by every ghost; crossing
-schedules report its subobject and quotient ghosts.
+(`ghost_plan`), a crossing plan over the class bricks and every ghost, made
+by the builder of the brick plan; a crossing schedule with ghosts reads its
+bricks and its subobject and quotient ghosts from that one plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from ghostpic.catalog import (
     BrickCatalog,
@@ -39,13 +39,12 @@ from ghostpic.catalog import (
 from ghostpic.errors import CatalogError
 from ghostpic.geometry import Cone
 from ghostpic.greenpaths import (
-    Crossing,
     CrossingPlan,
     CrossingSchedule,
     Event,
     LinearPath,
+    build_plan,
     check_generic,
-    crossing_plan,
     crossing_schedule,
     stable_along,
 )
@@ -363,10 +362,10 @@ def ghost_stability(cls: ModuleClass, path: LinearPath, g: Ghost) -> bool:
     ghost must be one of `enumerate_ghosts(cls)`: its crossing is read from
     the class's plan."""
     plan = ghost_plan(cls)
-    ghost, crossing = plan.crossings.get(g.key(), (None, None))
+    ghost, crossing = plan.ghosts.get(g.key(), (None, None))
     if ghost is not g and ghost != g:
         raise CatalogError(f"{g.display()} is not a ghost of {cls!r}")
-    return stable_along(path, plan.plan, crossing)
+    return stable_along(path, plan, crossing)
 
 
 def _order_concurrent(cls: ModuleClass, ghosts: list[Ghost]) -> list[Ghost]:
@@ -388,34 +387,13 @@ def _order_concurrent(cls: ModuleClass, ghosts: list[Ghost]) -> list[Ghost]:
     return ordered
 
 
-class GhostPlan(NamedTuple):
-    """The ghosts of a class; the (dim, name) pairs their genericity depends
-    on (each event dim, then the dims of their sides); the crossing plan over
-    those and the class dims; and each ghost with its crossing, by key, its
-    label displayed once."""
-
-    ghosts: tuple[Ghost, ...]
-    extra: tuple[tuple[tuple, str], ...]
-    plan: CrossingPlan
-    crossings: dict[tuple, tuple[Ghost, Crossing]]
-
-
 @per_class
-def ghost_plan(cls: ModuleClass) -> GhostPlan:
-    """The one ghost plan of the class, over every ghost of every kind.  An
-    extension ghost's event object and side object are class bricks, so it
-    adds no dim and no name: genericity along the plan is that of the
-    subobject and quotient ghosts alone."""
-    ghosts = enumerate_ghosts(cls)
-    labels = [g.display() for g in ghosts]
-    extra = [(g.event_dim, label) for g, label in zip(ghosts, labels)]
-    extra += [(d, name) for g in ghosts for d, name, _ in g.sides]
-    plan = crossing_plan(cls, tuple(extra))
-    crossings = {
-        g.key(): (g, plan.crossing(label, g.event_dim, g.sides, g.domain.interior()))
-        for g, label in zip(ghosts, labels)
-    }
-    return GhostPlan(ghosts, tuple(extra), plan, crossings)
+def ghost_plan(cls: ModuleClass) -> CrossingPlan:
+    """The one ghost plan of the class: its crossing plan extended by every
+    ghost of every kind.  An extension ghost's event object and side object
+    are class bricks, so it adds no dim and no name: genericity along the
+    plan is that of the bricks and the subobject and quotient ghosts."""
+    return build_plan(cls, enumerate_ghosts(cls))
 
 
 def ghost_events(cls: ModuleClass, path: LinearPath) -> list[Event]:
@@ -425,18 +403,18 @@ def ghost_events(cls: ModuleClass, path: LinearPath) -> list[Event]:
     crossing of their middle brick, which the schedule already reports, and
     wall-crossing sequences track them separately.
     """
-    _, extra, plan, crossings = ghost_plan(cls)
-    check_generic(path, cls, extra_dims=extra)
+    plan = ghost_plan(cls)
+    check_generic(path, plan)
     hd, kd = path.crossings(plan)
     by_time: dict[Fraction, list[Ghost]] = {}
-    for g, c in crossings.values():
+    for g, c in plan.ghosts.values():
         if g.kind != EXTENSION:
             by_time.setdefault(Fraction(-hd[c.event], kd[c.event]), []).append(g)
     events: list[Event] = []
     for t, group in by_time.items():
         ordered = _order_concurrent(cls, group) if len(group) > 1 else group
         for g in ordered:
-            c = crossings[g.key()][1]
+            c = plan.ghosts[g.key()][1]
             events.append(
                 Event(
                     t=t,

@@ -8,15 +8,17 @@ Relative stability of a brick compares its crossing time with those of its
 weakly admissible quotients, and every such decision is cross-validated
 against exact membership of the crossing point in the wall interior.
 
-Crossings are computed one way only, from one crossing plan per class
-(`crossing_plan`, and the one ghost plan built on it in `ghosts`): the
-relevant dims as a tuple, each under its first name, a proportionality class
-per dim, and for each brick (or ghost) the index of its dim, its sides as
-(index, late, name) and the interior cone of its wall or domain.  A path
-computes two index-aligned integer lists per plan, hd[i] = H*h.d_i and
-kd[i] = H*k.d_i, in one pass; genericity and stability compare times by
-cross-multiplying entries of these lists and touch no dim tuple, and the
-crossing point of dim i is the integer point point_at(-hd[i], kd[i]).
+Crossings are computed one way only, from a crossing plan, which is also
+the scope of every genericity question.  One builder (`build_plan`) makes
+the two plans of a class: `crossing_plan` for its bricks and `ghost_plan` in
+`ghosts` for its bricks and every ghost.  A plan holds the relevant dims as
+a tuple, each under its first name, a proportionality class per dim, and for
+each brick (and ghost) the index of its dim, its sides as (index, late, name)
+and the interior cone of its wall or domain.  A path computes two
+index-aligned integer lists per plan, hd[i] = H*h.d_i and kd[i] = H*k.d_i,
+in one pass; genericity and stability compare times by cross-multiplying
+entries of these lists and touch no dim tuple, and the crossing point of dim
+i is the integer point point_at(-hd[i], kd[i]).
 """
 
 from __future__ import annotations
@@ -83,9 +85,14 @@ class LinearPath:
         self.__dict__.update(h=h, k=k, _hi=hi, _ki=ki, _lists={})
 
     def crossings(self, plan: CrossingPlan) -> tuple[list[int], list[int]]:
-        """(hd, kd) over the dims of a crossing plan, computed once per plan."""
+        """(hd, kd) over the dims of a crossing plan, computed once per plan;
+        a path whose rank is not the plan's is rejected."""
         lists = self._lists.get(plan)
         if lists is None:
+            if plan.dims and len(plan.dims[0]) != len(self._hi):
+                raise CatalogError(
+                    f"path of rank {len(self._hi)} on a class of rank {len(plan.dims[0])}"
+                )
             lists = self._lists[plan] = plan.dots(self._hi, self._ki)
         return lists
 
@@ -131,23 +138,14 @@ class CrossingPlan:
     relevant dims, sorted, the first name of each, and ``ray`` with
     ray[i] == ray[j] iff dims i and j are proportional (they cross at the
     same time on every path), ray[i] being the first such index.
-    ``bricks`` holds the crossing of each class brick."""
+    ``bricks`` holds the crossing of each class brick, ``ghosts`` each
+    planned ghost with its crossing, by key."""
 
     dims: tuple[tuple[int, ...], ...]
     names: tuple[str, ...]
     ray: tuple[int, ...]
-    index: dict[tuple, int]  # dim -> its index
     bricks: dict[str, Crossing]
-
-    def crossing(self, label: str, event_dim, sides, interior: Cone) -> Crossing:
-        """The crossing of an event of this dim with these sides."""
-        index = self.index
-        return Crossing(
-            label,
-            index[tuple(event_dim)],
-            tuple((index[s.dim], s.late, s.name) for s in sides),
-            interior,
-        )
+    ghosts: dict[tuple, tuple]  # ghost key -> (Ghost, Crossing)
 
     def dots(self, hi: IntVec, ki: IntVec) -> tuple[list[int], list[int]]:
         """(hi.d, ki.d) for every dim d of the plan, as two lists."""
@@ -155,20 +153,18 @@ class CrossingPlan:
         return [sum(map(mul, hi, d)) for d in dims], [sum(map(mul, ki, d)) for d in dims]
 
 
-@per_class
-def crossing_plan(cls: ModuleClass, extra_dims: tuple = ()) -> CrossingPlan:
-    """The crossing plan of the class bricks, built once per class and tuple
-    of extra (dim, name) pairs.  Its dims are those of the class bricks, of
-    the sides of their walls (every weakly admissible quotient sum) and of
-    the extra pairs, each under the first name given to it."""
-    names: dict[tuple, str] = {}
-    for b in cls.bricks:
-        names.setdefault(cls.dim_of(b), b)
-    for b in cls.bricks:
-        for d, name, _ in wall(cls, b).sides:
-            names.setdefault(d, name)
-    for d, name in extra_dims:
-        names.setdefault(d, name)
+def build_plan(cls: ModuleClass, ghosts=()) -> CrossingPlan:
+    """The crossing plan of the class bricks and the given ghosts.  Its dims
+    are those of the bricks, of the sides of their walls (every weakly
+    admissible quotient sum), of the ghost events and of the ghost sides,
+    each under the first name given to it in that order."""
+    walls = [wall(cls, b) for b in cls.bricks]
+    labels = [g.display() for g in ghosts]
+    named = [(cls.dim_of(b), b) for b in cls.bricks]
+    named += [(s.dim, s.name) for w in walls for s in w.sides]
+    named += zip([g.event_dim for g in ghosts], labels)
+    named += [(s.dim, s.name) for g in ghosts for s in g.sides]
+    names = dict(reversed(named))  # the first name given to a dim wins
     dims = tuple(sorted(names))
     for d in dims:
         if not any(d) or min(d) < 0:
@@ -177,21 +173,33 @@ def crossing_plan(cls: ModuleClass, extra_dims: tuple = ()) -> CrossingPlan:
         next(j for j in range(i + 1) if proportional(dims[j], d)) for i, d in enumerate(dims)
     )
     index = {d: i for i, d in enumerate(dims)}
-    plan = CrossingPlan(dims, tuple(names[d] for d in dims), ray, index, {})
-    for b in cls.bricks:  # filled once, here
-        w = wall(cls, b)
-        plan.bricks[b] = plan.crossing(b, cls.dim_of(b), w.sides, w.interior)
-    return plan
+
+    def crossing(label, event_dim, sides, interior) -> Crossing:
+        sides = tuple((index[s.dim], s.late, s.name) for s in sides)
+        return Crossing(label, index[event_dim], sides, interior)
+
+    return CrossingPlan(
+        dims,
+        tuple(names[d] for d in dims),
+        ray,
+        {b: crossing(b, cls.dim_of(b), w.sides, w.interior) for b, w in zip(cls.bricks, walls)},
+        {
+            g.key(): (g, crossing(label, g.event_dim, g.sides, g.domain.interior()))
+            for g, label in zip(ghosts, labels)
+        },
+    )
 
 
-def check_generic(path: LinearPath, cls: ModuleClass, extra_dims=()) -> None:
-    """Reject paths that cross two non-proportional relevant hyperplanes at
-    the same time.  Relevant objects are the class bricks, every weakly
-    admissible quotient sum, and any extra (dim, name) pairs the caller
-    supplies; pass the same tuple of them each time to reuse its plan."""
-    if type(extra_dims) is not tuple:
-        extra_dims = tuple((tuple(d), name) for d, name in extra_dims)
-    plan = crossing_plan(cls, extra_dims)
+@per_class
+def crossing_plan(cls: ModuleClass) -> CrossingPlan:
+    """The crossing plan of the class bricks alone, built once per class."""
+    return build_plan(cls)
+
+
+def check_generic(path: LinearPath, plan: CrossingPlan) -> None:
+    """Reject paths that cross two non-proportional dims of the plan at the
+    same time (`crossing_plan` for the class bricks and every weakly
+    admissible quotient sum, `ghosts.ghost_plan` for these and every ghost)."""
     hd, kd = path.crossings(plan)
     ray = plan.ray
     by_time: dict[tuple[int, int], int] = {}  # reduced time -> first index
@@ -242,15 +250,17 @@ def is_relatively_stable(cls: ModuleClass, path: LinearPath, m: str) -> bool:
 
 def crossing_schedule(cls: ModuleClass, path: LinearPath, include_ghosts: bool = False) -> CrossingSchedule:
     """Time-sorted crossing events of all class bricks (and, optionally, the
-    subobject and quotient ghosts) with their stability flags."""
+    subobject and quotient ghosts) with their stability flags, read from one
+    plan: the ghost plan holds every brick crossing too."""
     if include_ghosts:
-        from ghostpic.ghosts import ghost_events
+        from ghostpic.ghosts import ghost_events, ghost_plan
 
-        ghost_evts = ghost_events(cls, path)  # validates genericity itself
+        plan = ghost_plan(cls)
+        ghost_evts = ghost_events(cls, path)  # validates genericity on the plan
     else:
-        check_generic(path, cls)
+        plan = crossing_plan(cls)
+        check_generic(path, plan)
         ghost_evts = []
-    plan = crossing_plan(cls)
     hd, kd = path.crossings(plan)
     events = [
         Event(

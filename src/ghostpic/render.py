@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 from ghostpic.catalog import ModuleClass
 from ghostpic.errors import GhostpicError, InternalConsistencyError, RankError
@@ -116,14 +116,6 @@ def stereographic(theta) -> PlanePoint:
     return _grid_point(_project_int(primitive(theta)))
 
 
-def _int_primitive(v) -> tuple[int, ...]:
-    """`primitive` for an integer vector: divide by the gcd."""
-    g = gcd(*v)
-    if g == 0:
-        raise GhostpicError("zero vector has no primitive form")
-    return tuple(x // g for x in v)
-
-
 def _cross(a, b):
     return (
         a[1] * b[2] - a[2] * b[1],
@@ -207,7 +199,7 @@ def trace_wall_curve(cone: Cone, samples: int = 48) -> list[PlanePoint]:
         # only if it still satisfies the sector inequalities exactly
         na = isqrt((ra[0] * ra[0] + ra[1] * ra[1]) << 32)
         nb = isqrt((rb[0] * rb[0] + rb[1] * rb[1]) << 32)
-        m = _int_primitive((nb * ra[0] + na * rb[0], nb * ra[1] + na * rb[1]))
+        m = primitive((nb * ra[0] + na * rb[0], nb * ra[1] + na * rb[1]))
         mx = max(abs(m[0]), abs(m[1]))
         if mx > 1 << 26:
             scaled = (m[0] * (1 << 26)) // mx, (m[1] * (1 << 26)) // mx
@@ -219,7 +211,7 @@ def trace_wall_curve(cone: Cone, samples: int = 48) -> list[PlanePoint]:
 
     def project(r2):
         u, v = r2
-        return _project_int(_int_primitive(tuple(u * x + v * y for x, y in zip(b1, b2))))
+        return _project_int(primitive(tuple(u * x + v * y for x, y in zip(b1, b2))))
 
     out: list[tuple[int, int]] = [project(anchors2d[0])]
 

@@ -15,7 +15,7 @@ from operator import mul
 from typing import NamedTuple
 
 from ghostpic.catalog import ModuleClass, ModuleSum, per_class
-from ghostpic.errors import GuardExceededError, InternalConsistencyError, guard_limit
+from ghostpic.errors import CatalogError, GuardExceededError, InternalConsistencyError, guard_limit
 from ghostpic.geometry import (
     Cell,
     Cone,
@@ -95,6 +95,8 @@ def _semistable_rows(cls: ModuleClass) -> tuple[tuple[str, tuple[tuple[int, ...]
 def semistable_set(cls: ModuleClass, theta) -> SemistableSet:
     """S(theta): bricks M with theta(M) > 0 and theta(M') > 0 for every
     proper weakly admissible quotient M'.  theta may lie on walls."""
+    if len(theta) != cls.catalog.quiver.n:
+        raise CatalogError(f"theta of rank {len(theta)} on a class of rank {cls.catalog.quiver.n}")
     point = theta if is_intvec(theta) else integral(theta)  # same signs, integer dots
     return SemistableSet(
         frozenset(
@@ -289,6 +291,9 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
 
 def locate_chamber(graph: ChamberGraph, theta) -> int:
     """Chamber containing an off-wall point, found by its sign vector."""
+    n = len(graph.chambers[0].sample)
+    if len(theta) != n:
+        raise CatalogError(f"theta of rank {len(theta)} on a class of rank {n}")
     point = theta if is_intvec(theta) else integral(theta)
     values = [sum(map(mul, w.cone.equalities[0], point)) for w in graph.walls.values()]
     if 0 in values:

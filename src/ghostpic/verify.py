@@ -27,6 +27,7 @@ from ghostpic.ghosts import (
     mgs_with_ghosts,
 )
 from ghostpic.greenpaths import (
+    CrossingPlan,
     LinearPath,
     check_generic,
     check_hn_minimality,
@@ -94,11 +95,11 @@ def standard_fixtures() -> dict[str, ModuleClass]:
     }
 
 
-def _random_generic_paths(cls: ModuleClass, rng: random.Random, count: int, extra_dims=()):
-    """Yield count generic paths with integer h and k drawn from rng.  The
-    paths are drawn as they are consumed, so only the path in use keeps its
-    crossing lists; a consumer that draws nothing else from rng between
-    paths sees the same draws as from a list."""
+def _random_generic_paths(cls: ModuleClass, rng: random.Random, count: int, plan: CrossingPlan):
+    """Yield count paths with integer h and k drawn from rng, generic for
+    the plan.  The paths are drawn as they are consumed, so only the path in
+    use keeps its crossing lists; a consumer that draws nothing else from
+    rng between paths sees the same draws as from a list."""
     n = cls.catalog.quiver.n
     made = 0
     while made < count:
@@ -106,7 +107,7 @@ def _random_generic_paths(cls: ModuleClass, rng: random.Random, count: int, extr
         k = tuple(rng.randint(1, 9) for _ in range(n))
         path = LinearPath(h, k)
         try:
-            check_generic(path, cls, extra_dims=extra_dims)
+            check_generic(path, plan)
         except NonGenericPathError:
             continue
         made += 1
@@ -231,7 +232,7 @@ class Verifier:
         rng = random.Random((self.seed, "stability").__repr__())
         fails = Failures()
         for name, cls in self.fixtures.items():
-            for path in _random_generic_paths(cls, rng, self.paths):
+            for path in _random_generic_paths(cls, rng, self.paths, crossing_plan(cls)):
                 for b in cls.bricks:
                     try:
                         is_relatively_stable(cls, path, b)
@@ -245,10 +246,10 @@ class Verifier:
         rng = random.Random((self.seed, "ghost-stability").__repr__())
         fails = Failures()
         for name, cls in self.fixtures.items():
-            ghosts, extra = ghost_plan(cls)[:2]
+            ghosts = enumerate_ghosts(cls)
             if not ghosts:
                 continue
-            for path in _random_generic_paths(cls, rng, self.paths, extra_dims=extra):
+            for path in _random_generic_paths(cls, rng, self.paths, ghost_plan(cls)):
                 for g in ghosts:
                     try:
                         ghost_stability(cls, path, g)
@@ -381,7 +382,7 @@ class Verifier:
                 all_mgs = {m.walls for m in enumerate_mgs(cls, graph)}
             except GuardExceededError:
                 all_mgs = None
-            for path in _random_generic_paths(cls, rng, count):
+            for path in _random_generic_paths(cls, rng, count, crossing_plan(cls)):
                 stable = tuple(linear_mgs(cls, path))
                 chain = _chamber_chain(cls, graph, path)
                 if chain[0] != graph.source or chain[-1] != graph.sink:
@@ -444,8 +445,8 @@ class Verifier:
                 parent = by_key[b.parent]
                 where = f"{name}: {child.display()} from {parent.display()}"
                 wall_dim = cls.dim_of(b.splitting_wall)
-                facet = child.domain.with_equality(wall_dim)
-                if feasible_point(facet) is None:
+                # the facet is a closed cone, so it has a point: it must be nonzero
+                if not any(feasible_point(child.domain.with_equality(wall_dim)) or ()):
                     fails.add(f"{where}: no facet on D({b.splitting_wall})")
                 for sgn in (1, -1):
                     side = parent.domain.with_strict(tuple(sgn * x for x in wall_dim))

@@ -21,7 +21,14 @@ from ghostpic.errors import (
     NonGenericPathError,
 )
 from ghostpic.geometry import Cone, dot, int_dot, proportional
-from ghostpic.ghosts import ALL_KINDS, EXTENSION, enumerate_ghosts, ghost_plan, ghost_stability
+from ghostpic.ghosts import (
+    ALL_KINDS,
+    EXTENSION,
+    classify_bifurcations,
+    enumerate_ghosts,
+    ghost_plan,
+    ghost_stability,
+)
 from ghostpic.greenpaths import (
     LinearPath,
     check_generic,
@@ -31,7 +38,7 @@ from ghostpic.greenpaths import (
     linear_mgs,
     stable_along,
 )
-from ghostpic.stability import wall
+from ghostpic.stability import chamber_graph, locate_chamber, semistable_set, wall
 
 FIXTURES = verify.standard_fixtures()
 
@@ -53,8 +60,7 @@ def first_clash(pairs, h, k):
     return None
 
 
-def reference_clash(cls, h, k, extra=()):
-    plan = crossing_plan(cls, tuple(extra))
+def reference_clash(plan, h, k):
     return first_clash(zip(plan.dims, plan.names), h, k)
 
 
@@ -98,9 +104,9 @@ def verdict(decide):
         return "clash"
 
 
-def generic_args(path, cls, extra=()):
+def generic_args(path, plan):
     try:
-        check_generic(path, cls, extra_dims=extra)
+        check_generic(path, plan)
     except NonGenericPathError as err:
         return err.first, err.second, err.time
     return None
@@ -122,7 +128,8 @@ class TestPlanMatchesFractionReference:
         name, h, k = drawn
         cls = FIXTURES[name]
         path = LinearPath(h, k)
-        assert generic_args(path, cls) == reference_clash(cls, h, k)
+        plan = crossing_plan(cls)
+        assert generic_args(path, plan) == reference_clash(plan, h, k)
         for b in cls.bricks:
             expected = reference_stable(h, k, cls.dim_of(b), wall(cls, b).sides)
             assert verdict(lambda: is_relatively_stable(cls, path, b)) == expected
@@ -132,9 +139,10 @@ class TestPlanMatchesFractionReference:
     def test_genericity_and_ghost_stability(self, drawn):
         name, h, k = drawn
         cls = FIXTURES[name]
-        ghosts, extra = ghost_plan(cls)[:2]
+        plan = ghost_plan(cls)
+        ghosts = [g for g, _ in plan.ghosts.values()]
         path = LinearPath(h, k)
-        assert generic_args(path, cls, extra) == reference_clash(cls, h, k, extra)
+        assert generic_args(path, plan) == reference_clash(plan, h, k)
         assert {g.kind for g in ghosts} <= set(ALL_KINDS)
         for g in ghosts:
             expected = reference_stable(h, k, g.event_dim, g.sides)
@@ -157,7 +165,7 @@ class TestPlanMatchesFractionReference:
             assert expected is None
 
     def test_every_kind_is_drawn_from(self):
-        kinds = {g.kind for cls in FIXTURES.values() for g in ghost_plan(cls).ghosts}
+        kinds = {g.kind for cls in FIXTURES.values() for g, _ in ghost_plan(cls).ghosts.values()}
         assert kinds == set(ALL_KINDS)
 
     def test_a_fraction_path_reads_the_same_plan(self):
@@ -167,6 +175,37 @@ class TestPlanMatchesFractionReference:
         plan = crossing_plan(cls)
         assert ints.crossings(plan) == halves.crossings(plan)
         assert ints.crossings(plan) is ints.crossings(plan)  # computed once
+
+    @pytest.mark.parametrize("name", ["torsion4", "case2", "kronecker"])
+    def test_a_schedule_with_ghosts_computes_one_pair_of_lists(self, name):
+        """The ghost plan holds every brick crossing too, so a schedule with
+        ghosts reads its bricks and its ghosts from one pair of lists."""
+        cls = FIXTURES[name]
+        path = next(verify._random_generic_paths(cls, verify.random.Random(7), 1, ghost_plan(cls)))
+        crossing_schedule(cls, path, include_ghosts=True)
+        assert list(path._lists) == [ghost_plan(cls)]
+
+
+class TestRank:
+    """A path or a theta whose rank is not the class's is refused, not cut
+    to the shorter length."""
+
+    def test_a_path_of_another_rank_is_rejected(self):
+        cls = FIXTURES["torsion4"]
+        for path in (LinearPath((3, 0, 2, 5), (1, 1, 1, 1)), LinearPath((3, 0), (1, 1))):
+            with pytest.raises(CatalogError, match=f"path of rank {len(path.h)} on a class of rank 3"):
+                linear_mgs(cls, path)
+            with pytest.raises(CatalogError, match=f"path of rank {len(path.h)} on a class of rank 3"):
+                crossing_schedule(cls, path, include_ghosts=True)
+
+    def test_a_theta_of_another_rank_is_rejected(self):
+        cls = FIXTURES["torsion4"]
+        graph = chamber_graph(cls)
+        for theta in ((1, 1), (1, 1, 1, 1)):
+            with pytest.raises(CatalogError, match=f"theta of rank {len(theta)} on a class of rank 3"):
+                semistable_set(cls, theta)
+            with pytest.raises(CatalogError, match=f"theta of rank {len(theta)} on a class of rank 3"):
+                locate_chamber(graph, theta)
 
 
 class TestDots:
@@ -201,7 +240,7 @@ class TestInteriorCrossCheck:
         contains that of an unstable one, is caught by the second reading."""
         cls = FIXTURES[name]
         plan = crossing_plan(cls)
-        path = next(verify._random_generic_paths(cls, verify.random.Random(5), 1))
+        path = next(verify._random_generic_paths(cls, verify.random.Random(5), 1, plan))
         hd, kd = path.crossings(plan)
         for b, crossing in plan.bricks.items():
             point = path.point_at(-hd[crossing.event], kd[crossing.event])
@@ -217,7 +256,7 @@ class TestInteriorCrossCheck:
         `linear_mgs` raise, stable brick or not."""
         cls = FIXTURES["torsion4"]
         plan = crossing_plan(cls)
-        path = next(verify._random_generic_paths(cls, verify.random.Random(5), 1))
+        path = next(verify._random_generic_paths(cls, verify.random.Random(5), 1, plan))
         hd, kd = path.crossings(plan)
         for b, crossing in plan.bricks.items():
             point = path.point_at(-hd[crossing.event], kd[crossing.event])
@@ -261,9 +300,9 @@ class TestGhostOfTheClass:
         class: an equal ghost of another instance of the fixture is decided
         the same, a ghost with the same key and another domain is refused."""
         cls, twin = FIXTURES["kronecker"], verify.standard_fixtures()["kronecker"]
-        ghosts, extra = ghost_plan(cls)[:2]
-        path = next(verify._random_generic_paths(cls, verify.random.Random(3), 1, extra))
-        for g, other in zip(ghosts, ghost_plan(twin).ghosts):
+        ghosts = enumerate_ghosts(cls)
+        path = next(verify._random_generic_paths(cls, verify.random.Random(3), 1, ghost_plan(cls)))
+        for g, other in zip(ghosts, enumerate_ghosts(twin)):
             assert other is not g and other == g
             assert ghost_stability(cls, path, other) == ghost_stability(cls, path, g)
             foreign = dataclasses.replace(g, domain=Cone(len(g.event_dim)))
@@ -305,6 +344,28 @@ class TestVerifyFailures:
         checker = verify.Verifier(paths_per_fixture=10, seed=0)
         checker.check_linear_paths_vs_graph()
         assert [r.line() for r in checker.results] == ["[PASS] paths:linear-mgs-traverse-graph"]
+
+    def test_a_bifurcation_wall_meeting_the_child_only_at_zero_fails(self, monkeypatch):
+        """The facet of a child domain on its splitting wall must hold a
+        nonzero point: torsion4's Gh(P2;P3) split on I2 meets D(I2) only at
+        the origin."""
+        checker = verify.Verifier(paths_per_fixture=2, seed=0)
+        torsion4 = checker.fixtures["torsion4"]
+
+        def split_on_i2(cls, ghosts=None):
+            report = classify_bifurcations(cls, ghosts)
+            if cls is not torsion4:
+                return report
+            (b,) = report.bifurcations
+            assert b.child[1:3] == ("P2", "P3")
+            moved = dataclasses.replace(b, splitting_wall="I2")
+            return dataclasses.replace(report, bifurcations=(moved,))
+
+        monkeypatch.setattr(verify, "classify_bifurcations", split_on_i2)
+        checker.check_ghost_geometry()
+        (result,) = checker.results
+        assert not result.passed
+        assert "first: torsion4: Gh(P2;P3) from Gh(S2;I2): no facet on D(I2))" in result.line()
 
     def test_a_failed_check_names_its_first_counterexample(self, monkeypatch):
         seen = []

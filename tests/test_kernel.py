@@ -41,7 +41,7 @@ def paths_and_dims(draw, count=2):
 
 def plan_over(dims) -> CrossingPlan:
     """A bare crossing plan over the given dims, for their crossing lists."""
-    return CrossingPlan(tuple(dims), (), (), {}, {})
+    return CrossingPlan(tuple(dims), names=(), ray=(), bricks={}, ghosts={})
 
 
 def time_of(h, k, d) -> Fraction:
@@ -264,28 +264,31 @@ class TestPerClassTables:
         )
         zero = LinearPath((Fraction(0),) * 3, (Fraction(1),) * 3)  # every dim crosses at 0
 
-        def clash(extra):
+        def clash(plan):
             with pytest.raises(NonGenericPathError) as err:
-                check_generic(zero, torsion4, extra_dims=extra)
+                check_generic(zero, plan)
             return err.value.first, err.value.second
 
-        assert clash(()) == ("S3", "I2")
-        # first name wins: an extra dim the class already has keeps its name
-        assert clash([((0, 0, 1), "X")]) == ("S3", "I2")
-        # a new extra dim is sorted in among the class's
-        assert clash([((0, 1, 0), "Y")]) == ("S3", "Y")
+        assert clash(plan) == ("S3", "I2")
+        ghosts = ghost_plan(torsion4)
+        # first name wins: a ghost dim the class already has keeps its name,
+        # here the event dim of the extension ghost Gh(S1->P3->I2)
+        assert dict(zip(ghosts.dims, ghosts.names))[(1, 1, 1)] == "P3"
+        # a new ghost dim is sorted in among the class's
+        assert clash(ghosts) == ("S3", "Gh(S2;I2)")
 
     def test_ghost_plan_is_built_once_per_class(self, torsion4):
-        ghosts, dims, plan, _ = ghost_plan(torsion4)
-        assert ghost_plan(torsion4).extra is dims
-        assert ghosts == enumerate_ghosts(torsion4)
-        expected = [(g.event_dim, g.display()) for g in ghosts]
-        expected += [(torsion4.dim_of(c.obj), repr(c.obj)) for g in ghosts for c in g.conditions]
-        assert dims == tuple(expected)
-        # check_generic keeps one merged, sorted plan per tuple of extra dims
-        assert crossing_plan(torsion4, dims) is plan
+        plan = ghost_plan(torsion4)
+        assert ghost_plan(torsion4) is plan
+        ghosts = enumerate_ghosts(torsion4)
+        assert [g for g, _ in plan.ghosts.values()] == list(ghosts)
+        assert [c.label for _, c in plan.ghosts.values()] == [g.display() for g in ghosts]
+        assert plan.bricks.keys() == crossing_plan(torsion4).bricks.keys()
+        # one merged, sorted plan: the class dims and every ghost event and condition dim
+        ghost_dims = [g.event_dim for g in ghosts]
+        ghost_dims += [torsion4.dim_of(c.obj) for g in ghosts for c in g.conditions]
         class_dims = crossing_plan(torsion4).dims
-        assert list(plan.dims) == sorted({*class_dims, *(d for d, _ in dims)})
+        assert list(plan.dims) == sorted({*class_dims, *ghost_dims})
 
     def test_wall_is_built_once_with_its_interior(self, torsion4):
         for m in torsion4.bricks:

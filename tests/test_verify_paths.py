@@ -8,17 +8,18 @@ from fractions import Fraction
 
 import pytest
 
-from ghostpic.ghosts import enumerate_ghosts
-from ghostpic.greenpaths import LinearPath
+from ghostpic.ghosts import enumerate_ghosts, ghost_plan
+from ghostpic.greenpaths import LinearPath, crossing_plan
 from ghostpic.stability import chamber_graph
 from ghostpic.verify import Verifier, _chamber_chain, _random_generic_paths, standard_fixtures
 from reference_chain import fraction_chamber_chain
 
 FIXTURES = standard_fixtures()
 
-# SHA-256 of the (h, k) of the first 200 draws per fixture, without and with
-# the ghost event and condition dims as extra genericity dims.  Recorded on
-# the commit before the draws became a generator of integer paths.
+# SHA-256 of the (h, k) of the first 200 draws per fixture, generic for the
+# crossing plan and for the ghost plan, which adds the ghost event and
+# condition dims.  Recorded on the commit before the draws became a generator
+# of integer paths.
 DRAW_DIGESTS = {
     "a1": (
         "26979173a797b374b51de4fb7f5d3b6ee3249fb6e4a7c3e713c22177da95592a",
@@ -73,10 +74,10 @@ def ghost_dims(cls):
     return dims
 
 
-def draws_digest(name, cls, extra_dims):
+def draws_digest(name, cls, plan):
     rng = random.Random(("pinned-draws", name).__repr__())
     digest = hashlib.sha256()
-    for path in list(_random_generic_paths(cls, rng, 200, extra_dims=extra_dims)):
+    for path in list(_random_generic_paths(cls, rng, 200, plan)):
         line = ",".join(map(str, path.h)) + ";" + ",".join(map(str, path.k)) + "\n"
         digest.update(line.encode())
     return digest.hexdigest()
@@ -86,8 +87,10 @@ def draws_digest(name, cls, extra_dims):
 def test_draws_are_pinned(name):
     cls = FIXTURES[name]
     plain, with_ghosts = DRAW_DIGESTS[name]
-    assert draws_digest(name, cls, ()) == plain
-    assert draws_digest(name, cls, ghost_dims(cls)) == with_ghosts
+    assert draws_digest(name, cls, crossing_plan(cls)) == plain
+    dims = {*crossing_plan(cls).dims, *(d for d, _ in ghost_dims(cls))}
+    assert ghost_plan(cls).dims == tuple(sorted(dims))
+    assert draws_digest(name, cls, ghost_plan(cls)) == with_ghosts
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -95,7 +98,7 @@ def test_integer_probes_give_the_fraction_chain(name):
     cls = FIXTURES[name]
     graph = chamber_graph(cls)
     rng = random.Random(("chain", name).__repr__())
-    for path in _random_generic_paths(cls, rng, 100):
+    for path in _random_generic_paths(cls, rng, 100, crossing_plan(cls)):
         chain = _chamber_chain(cls, graph, path)
         assert chain == fraction_chamber_chain(cls, graph, path)
         assert chain[0] == graph.source and chain[-1] == graph.sink
@@ -109,7 +112,7 @@ def test_integer_probes_give_the_fraction_chain(name):
 def test_a_path_is_drawn_only_when_asked_for():
     cls = FIXTURES["torsion4"]
     rng = random.Random(0)
-    draws = _random_generic_paths(cls, rng, 3)
+    draws = _random_generic_paths(cls, rng, 3, crossing_plan(cls))
     state = rng.getstate()
     first = next(draws)
     assert rng.getstate() != state
