@@ -16,9 +16,9 @@ subobjects of direct sums.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import wraps
 from itertools import product
+from typing import NamedTuple
 
 from ghostpic.errors import CatalogError
 from ghostpic.geometry import proportional
@@ -26,30 +26,15 @@ from ghostpic.geometry import proportional
 Dim = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(NamedTuple):
     n: int
     arrows: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n <= 0:
-            raise CatalogError(f"vertex count must be a positive integer, got {self.n!r}")
-        for s, t in self.arrows:
-            if not (1 <= s <= self.n and 1 <= t <= self.n):
-                raise CatalogError(f"arrow ({s},{t}) outside vertex range 1..{self.n}")
-            if s == t:
-                raise CatalogError("loops are not allowed")
 
-
-@dataclass(frozen=True)
-class Indec:
+class Indec(NamedTuple):
     id: str
     name: str
     dim: Dim
-
-    def __post_init__(self):
-        if all(d == 0 for d in self.dim) or any(d < 0 for d in self.dim):
-            raise CatalogError(f"dimension vector of {self.id} must be nonzero and nonnegative")
 
 
 class ModuleSum:
@@ -86,8 +71,7 @@ class ModuleSum:
 ZERO_SUM = ModuleSum()
 
 
-@dataclass(frozen=True)
-class SubquotientPair:
+class SubquotientPair(NamedTuple):
     """One submodule of a catalog indecomposable, with its quotient.
 
     ``tag`` distinguishes distinct embeddings with isomorphic terms.  When the
@@ -105,8 +89,7 @@ class SubquotientPair:
     basis: frozenset | None = None
 
 
-@dataclass(frozen=True)
-class Ses:
+class Ses(NamedTuple):
     """A short exact sequence a >-> b ->> c of catalog bricks."""
 
     a: str
@@ -119,8 +102,6 @@ class BrickCatalog:
         self.quiver: Quiver = quiver
         self.indecs: tuple[Indec, ...] = tuple(indecs)
         self.by_id: dict[str, Indec] = {m.id: m for m in self.indecs}
-        if len(self.by_id) != len(self.indecs):
-            raise CatalogError("duplicate indec ids")
         self.subquotients: dict[str, tuple[SubquotientPair, ...]] = {
             k: tuple(v) for k, v in subquotients.items()
         }
@@ -160,6 +141,18 @@ class BrickCatalog:
 
     def _validate(self):
         n = self.quiver.n
+        if not isinstance(n, int) or n <= 0:
+            raise CatalogError(f"vertex count must be a positive integer, got {n!r}")
+        for s, t in self.quiver.arrows:
+            if not (1 <= s <= n and 1 <= t <= n):
+                raise CatalogError(f"arrow ({s},{t}) outside vertex range 1..{n}")
+            if s == t:
+                raise CatalogError("loops are not allowed")
+        for m in self.indecs:
+            if all(d == 0 for d in m.dim) or any(d < 0 for d in m.dim):
+                raise CatalogError(f"dimension vector of {m.id} must be nonzero and nonnegative")
+        if len(self.by_id) != len(self.indecs):
+            raise CatalogError("duplicate indec ids")
         for m in self.indecs:
             if len(m.dim) != n:
                 raise CatalogError(f"{m.id}: dimension vector has wrong length")
@@ -478,9 +471,9 @@ def _pairs(value) -> dict[str, list[SubquotientPair]]:
 # its expected shape and a parser that raises on any other shape.
 _FIELDS = (
     ("quiver", '{"n": int, "arrows": [[int, int], ...]}',
-     lambda q: Quiver(q["n"], tuple(tuple(a) for a in q["arrows"]))),
+     lambda q: Quiver(_int(q["n"]), tuple((_int(s), _int(t)) for s, t in q["arrows"]))),
     ("indecs", '[{"id": str, "name": str, "dim": [int, ...]}, ...]',
-     lambda ds: [Indec(_str(d["id"]), _str(d.get("name", d["id"])), tuple(d["dim"])) for d in ds]),
+     lambda ds: [Indec(_str(d["id"]), _str(d.get("name", d["id"])), tuple(map(_int, d["dim"]))) for d in ds]),
     ("subquotients", '{id: [{"sub": [id, ...], "quot": [id, ...], "tag": str}, ...]}', _pairs),
     ("hom", "[[id, id, int], ...]", lambda rows: {(_str(x), _str(y)): _int(d) for x, y, d in rows}),
     ("ses", "[[id, id, id], ...]", lambda rows: [Ses(*map(_str, r)) for r in rows]),
@@ -547,8 +540,7 @@ def per_class(f):
     return memo
 
 
-@dataclass(frozen=True)
-class ClassFlags:
+class ClassFlags(NamedTuple):
     quotient_closed: bool | None
     sub_closed: bool | None
     extension_closed: bool | None

@@ -5,7 +5,8 @@ Catalog sources are --type-a N --orient WORD, --builtin NAME, or --catalog
 FILE; classes are comma-separated brick names.  All randomness is seeded, so
 identical invocations produce byte-identical outputs.  Exit codes: 0 success,
 1 invariant violation, failed verification or stdout closed early (quietly),
-2 usage error.
+2 usage error.  Each subcommand imports only the layers it runs, so a
+command pays at start-up for no layer it does not use.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from ghostpic.catalog import (
     BUILTINS,
@@ -34,27 +34,6 @@ from ghostpic.errors import (
     RankError,
     UsageError,
 )
-from ghostpic.ghosts import format_schedule
-from ghostpic.greenpaths import (
-    LinearPath,
-    count_mgs,
-    crossing_schedule,
-    enumerate_mgs,
-    find_linear_paths,
-    hn_stratification,
-    resolve_mgs,
-)
-from ghostpic.render import (
-    RenderOptions,
-    chamber_docs,
-    edge_docs,
-    export_report,
-    ghost_census_doc,
-    render_picture,
-    vec_str,
-)
-from ghostpic.stability import chamber_graph
-from ghostpic.verify import run_verify
 
 
 def _add_source_args(parser: argparse.ArgumentParser):
@@ -100,6 +79,8 @@ def _class_from_args(args, catalog: BrickCatalog) -> ModuleClass:
 
 
 def _parse_vec(text: str, n: int, flag: str):
+    from fractions import Fraction
+
     parts = [x.strip() for x in text.split(",")]
     if len(parts) != n:
         raise CatalogError(f"{flag} needs {n} comma-separated rationals")
@@ -129,6 +110,8 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_chambers(args) -> int:
+    from ghostpic.stability import chamber_docs, chamber_graph, edge_docs
+
     cls = _class_from_args(args, _catalog_from_args(args))
     graph = chamber_graph(cls)
     doc = {
@@ -144,6 +127,10 @@ def cmd_chambers(args) -> int:
 
 
 def cmd_mgs(args) -> int:
+    from ghostpic.geometry import vec_str
+    from ghostpic.greenpaths import count_mgs, enumerate_mgs, find_linear_paths
+    from ghostpic.stability import chamber_graph
+
     cls = _class_from_args(args, _catalog_from_args(args))
     graph = chamber_graph(cls)
     if not args.all:
@@ -172,6 +159,8 @@ def cmd_mgs(args) -> int:
 
 
 def cmd_ghosts(args) -> int:
+    from ghostpic.ghosts import ghost_census_doc
+
     cls = _class_from_args(args, _catalog_from_args(args))
     doc = {
         "schema": "ghostpic-ghosts/1",
@@ -183,6 +172,9 @@ def cmd_ghosts(args) -> int:
 
 
 def cmd_hn(args) -> int:
+    from ghostpic.greenpaths import hn_stratification, resolve_mgs
+    from ghostpic.stability import chamber_graph
+
     cls = _class_from_args(args, _catalog_from_args(args))
     if not args.mgs or not args.module:
         raise CatalogError("hn needs --mgs CSV and --module NAME")
@@ -209,6 +201,10 @@ def cmd_hn(args) -> int:
 
 
 def cmd_path(args) -> int:
+    from ghostpic.geometry import vec_str
+    from ghostpic.ghosts import format_schedule
+    from ghostpic.greenpaths import LinearPath, crossing_schedule
+
     cls = _class_from_args(args, _catalog_from_args(args))
     n = cls.catalog.quiver.n
     if not args.h or not args.k:
@@ -236,6 +232,8 @@ def cmd_path(args) -> int:
 
 
 def cmd_picture(args) -> int:
+    from ghostpic.render import RenderOptions, export_report, render_picture
+
     cls = _class_from_args(args, _catalog_from_args(args))
     if args.report:
         _emit(args, export_report(cls))
@@ -251,6 +249,8 @@ def cmd_picture(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from ghostpic.verify import run_verify
+
     if args.paths < 1:
         raise UsageError(f"--paths must be a positive integer, got {args.paths}")
     results = run_verify(paths_per_fixture=args.paths, seed=args.seed)

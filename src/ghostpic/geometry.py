@@ -10,10 +10,10 @@ floating-point fast paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from typing import NamedTuple
 
 from ghostpic.errors import GhostpicError, GuardExceededError, guard_limit
 
@@ -63,6 +63,11 @@ def as_fracvec(a) -> Vec:
     return tuple(Fraction(x) for x in a)
 
 
+def vec_str(v) -> list[str]:
+    """Exact rationals as JSON strings, e.g. ["1/2", "-3", "0"]."""
+    return [str(Fraction(x)) for x in v]
+
+
 def primitive(v) -> IntVec:
     """Divide an integer vector (a rational one made `integral` first) by the
     gcd of its entries; preserves direction."""
@@ -73,8 +78,7 @@ def primitive(v) -> IntVec:
     return tuple(x // g for x in ints)
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     """Homogeneous cone {theta : E theta = 0, W theta >= 0, S theta > 0}."""
 
     dim: int
@@ -117,9 +121,15 @@ class Cone:
     def with_strict(self, v: IntVec) -> "Cone":
         return Cone(self.dim, self.equalities, self.weak, self.strict + (tuple(v),))
 
+    def doc(self) -> dict:
+        """The JSON document of a closed cone: its equalities and weak rows."""
+        return {
+            "equalities": [list(e) for e in self.equalities],
+            "weak": [list(w) for w in self.weak],
+        }
 
-@dataclass(frozen=True)
-class Cell:
+
+class Cell(NamedTuple):
     """An open full-dimensional region of a hyperplane arrangement.
 
     ``signs[i]`` is +1 or -1 and records on which side of hyperplane i the
@@ -356,8 +366,7 @@ def enumerate_cells(vectors) -> list[Cell]:
     return [Cell(signs, sample) for signs, sample in partials]
 
 
-@dataclass(frozen=True)
-class FacetAdjacency:
+class FacetAdjacency(NamedTuple):
     cell_a: Cell
     cell_b: Cell
     hyperplane_index: int

@@ -24,8 +24,8 @@ bricks and its subobject and quotient ghosts from that one plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ghostpic.catalog import (
     BrickCatalog,
@@ -59,8 +59,7 @@ SUBOBJECT_SPLITTING = "subobject-splitting"
 QUOTIENT_SPLITTING = "quotient-splitting"
 
 
-@dataclass(frozen=True)
-class GhostCondition:
+class GhostCondition(NamedTuple):
     """One boundary condition of a ghost domain.
 
     ``late`` records the crossing-time reading: True means the side object
@@ -76,8 +75,7 @@ class GhostCondition:
     recipe: tuple[ModuleSum, ModuleSum, ModuleSum] | None = None
 
 
-@dataclass(frozen=True)
-class Ghost:
+class Ghost(NamedTuple):
     kind: str
     a: str
     b: str
@@ -101,8 +99,7 @@ class Ghost:
         return f"Gh({self.a}->{self.b}->{self.c})"
 
 
-@dataclass(frozen=True)
-class Bifurcation:
+class Bifurcation(NamedTuple):
     child: tuple
     parent: tuple
     case: int
@@ -110,15 +107,13 @@ class Bifurcation:
     wall_kind: str
 
 
-@dataclass(frozen=True)
-class ExtensionLink:
+class ExtensionLink(NamedTuple):
     child: tuple
     parent: tuple
     splitting_wall: str
 
 
-@dataclass(frozen=True)
-class BifurcationReport:
+class BifurcationReport(NamedTuple):
     bifurcations: tuple[Bifurcation, ...]
     extension_links: tuple[ExtensionLink, ...]
     unclassified: tuple[tuple, ...]  # (child key, case, reason)
@@ -573,6 +568,52 @@ def classify_bifurcations(cls: ModuleClass, ghosts: tuple[Ghost, ...] | None = N
     )
 
 
+def ghost_census_doc(cls: ModuleClass) -> dict:
+    """The ghosts of the class with their domains, and the bifurcations,
+    extension links, unclassified and pathological cases among them."""
+    ghosts = enumerate_ghosts(cls)
+    bif = classify_bifurcations(cls, ghosts)
+    return {
+        "ghosts": [
+            {
+                "kind": g.kind,
+                "sequence": [g.a, g.b, g.c],
+                "missing": g.missing,
+                "display": g.display(),
+                "minimal": g.minimal,
+                "domain": g.domain.doc(),
+                "warnings": list(g.warnings),
+            }
+            for g in ghosts
+        ],
+        "bifurcations": [
+            {
+                "child": list(b.child),
+                "parent": list(b.parent),
+                "case": b.case,
+                "splitting_wall": b.splitting_wall,
+                "wall_kind": b.wall_kind,
+            }
+            for b in bif.bifurcations
+        ],
+        "extension_links": [
+            {
+                "child": list(l.child),
+                "parent": list(l.parent),
+                "splitting_wall": l.splitting_wall,
+            }
+            for l in bif.extension_links
+        ],
+        "unclassified": [
+            {"child": list(c), "case": case, "reason": reason}
+            for c, case, reason in bif.unclassified
+        ],
+        "pathological": [
+            {"child": list(a), "other": list(b)} for a, b in bif.pathological
+        ],
+    }
+
+
 # ---------------------------------------------------------------------------
 # Duality.
 # ---------------------------------------------------------------------------
@@ -602,8 +643,7 @@ def _transport_key(key: tuple, names: dict[str, str]) -> tuple:
     return (kind, names[c], names[b], names[a])
 
 
-@dataclass(frozen=True)
-class Duality:
+class Duality(NamedTuple):
     """Transport along the vector-space duality to the opposite quiver.
 
     Dimension vectors are preserved, so modules correspond by dimension

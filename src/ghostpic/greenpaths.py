@@ -24,7 +24,6 @@ i is the integer point point_at(-hd[i], kd[i]).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -47,26 +46,21 @@ MGS_GUARD = 10**6
 _fraction = lru_cache(maxsize=256)(Fraction)  # immutable, so paths share the Fraction of an int
 
 
-@dataclass(frozen=True)
 class LinearPath:
     """gamma_t = h + t*k with exact coordinates (int or Fraction; a float is
     rejected).  Besides the rational h and k the path keeps the integer pair
     (H*h, H*k) over their common denominator H; a path drawn with int
-    coordinates has H = 1 and keeps them as they are.
+    coordinates has H = 1 and keeps them as they are.  Paths are equal when
+    their h and k are.
 
     Genericity and stability read, for each crossing plan asked for, the two
     integer lists hd[i] = H*h.d_i and kd[i] = H*k.d_i over the plan's dims,
     computed once (`crossings`); `point_at` gives integer points on the path,
     the crossing of dim i being point_at(-hd[i], kd[i])."""
 
-    h: Vec
-    k: Vec
-    _hi: IntVec = field(init=False, repr=False, compare=False)
-    _ki: IntVec = field(init=False, repr=False, compare=False)
-    _lists: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("h", "k", "_hi", "_ki", "_lists")
 
-    def __post_init__(self):
-        h, k = self.h, self.k
+    def __init__(self, h, k):
         if len(h) != len(k):
             raise CatalogError("h and k must have equal length")
         if is_intvec((*h, *k)):
@@ -82,7 +76,20 @@ class LinearPath:
             hi, ki = hk[: len(h)], hk[len(h) :]
         if any(x <= 0 for x in ki):  # H > 0, so ki has the signs of k
             raise CatalogError("all coordinates of k must be strictly positive")
-        self.__dict__.update(h=h, k=k, _hi=hi, _ki=ki, _lists={})
+        self.h: Vec = h
+        self.k: Vec = k
+        self._hi: IntVec = hi
+        self._ki: IntVec = ki
+        self._lists: dict = {}
+
+    def __eq__(self, other):
+        return type(other) is LinearPath and (self.h, self.k) == (other.h, other.k)
+
+    def __hash__(self):
+        return hash((self.h, self.k))
+
+    def __repr__(self):
+        return f"LinearPath(h={self.h!r}, k={self.k!r})"
 
     def crossings(self, plan: CrossingPlan) -> tuple[list[int], list[int]]:
         """(hd, kd) over the dims of a crossing plan, computed once per plan;
@@ -106,8 +113,7 @@ class LinearPath:
         return tuple([den * a + num * b for a, b in zip(self._hi, self._ki)])
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     t: Fraction
     kind: str  # "brick" or "ghost"
     label: str
@@ -115,8 +121,7 @@ class Event:
     concurrent: bool = False
 
 
-@dataclass(frozen=True)
-class CrossingSchedule:
+class CrossingSchedule(NamedTuple):
     path: LinearPath
     events: tuple[Event, ...]
 
@@ -132,20 +137,23 @@ class Crossing(NamedTuple):
     interior: Cone
 
 
-@dataclass(frozen=True, eq=False)
 class CrossingPlan:
     """What genericity and stability along any path need of a class: its
     relevant dims, sorted, the first name of each, and ``ray`` with
     ray[i] == ray[j] iff dims i and j are proportional (they cross at the
     same time on every path), ray[i] being the first such index.
     ``bricks`` holds the crossing of each class brick, ``ghosts`` each
-    planned ghost with its crossing, by key."""
+    planned ghost with its crossing, by key.  A plan is equal only to
+    itself: paths key their crossing lists by plan."""
 
-    dims: tuple[tuple[int, ...], ...]
-    names: tuple[str, ...]
-    ray: tuple[int, ...]
-    bricks: dict[str, Crossing]
-    ghosts: dict[tuple, tuple]  # ghost key -> (Ghost, Crossing)
+    __slots__ = ("dims", "names", "ray", "bricks", "ghosts")
+
+    def __init__(self, dims, names, ray, bricks, ghosts):
+        self.dims: tuple[tuple[int, ...], ...] = dims
+        self.names: tuple[str, ...] = names
+        self.ray: tuple[int, ...] = ray
+        self.bricks: dict[str, Crossing] = bricks
+        self.ghosts: dict[tuple, tuple] = ghosts  # ghost key -> (Ghost, Crossing)
 
     def dots(self, hi: IntVec, ki: IntVec) -> tuple[list[int], list[int]]:
         """(hi.d, ki.d) for every dim d of the plan, as two lists."""
@@ -287,8 +295,7 @@ def linear_mgs(cls: ModuleClass, path: LinearPath) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Mgs:
+class Mgs(NamedTuple):
     walls: tuple[str, ...]
     chamber_ids: tuple[int, ...]
 
@@ -395,8 +402,7 @@ def check_mgs_maximality(cls: ModuleClass, mgs: Mgs) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HnFiltration:
+class HnFiltration(NamedTuple):
     mgs: Mgs
     layers: tuple[tuple[int, int], ...]  # (1-based position in the MGS, multiplicity)
     witnesses: tuple[tuple[str, int, str], ...]  # (component, layer, pair tag)

@@ -15,22 +15,16 @@ its bytes are identical across runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from typing import NamedTuple
 
 from ghostpic.catalog import ModuleClass
 from ghostpic.errors import GhostpicError, InternalConsistencyError, RankError
-from ghostpic.geometry import Cone, as_fracvec, dot, feasible_point, primitive
-from ghostpic.ghosts import (
-    EXTENSION,
-    QUOTIENT,
-    SUBOBJECT,
-    classify_bifurcations,
-    enumerate_ghosts,
-)
+from ghostpic.geometry import Cone, as_fracvec, dot, feasible_point, primitive, vec_str
+from ghostpic.ghosts import EXTENSION, QUOTIENT, SUBOBJECT, enumerate_ghosts, ghost_census_doc
 from ghostpic.greenpaths import count_mgs
-from ghostpic.stability import chamber_graph
+from ghostpic.stability import chamber_docs, chamber_graph, edge_docs
 
 SQRT_BITS = 80
 VIEWPORT = 1000
@@ -71,8 +65,7 @@ def _round_half_even(num: int, den: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class PlanePoint:
+class PlanePoint(NamedTuple):
     x: Fraction
     y: Fraction
 
@@ -248,24 +241,21 @@ def trace_wall_curve(cone: Cone, samples: int = 48) -> list[PlanePoint]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RenderOptions:
+class RenderOptions(NamedTuple):
     include_extension_ghosts: bool = False
     ghost_offset: Fraction = Fraction(1, 100)  # of the viewport, cosmetic
     samples: int = 48
     show_vertices: bool = False
 
 
-@dataclass(frozen=True)
-class SceneCurve:
+class SceneCurve(NamedTuple):
     name: str
     kind: str  # wall | subobject | quotient | extension
     points: tuple[PlanePoint, ...]
     style: dict
 
 
-@dataclass(frozen=True)
-class PictureScene:
+class PictureScene(NamedTuple):
     wall_curves: tuple[SceneCurve, ...]
     ghost_curves: tuple[SceneCurve, ...]
     labels: tuple[tuple[str, PlanePoint], ...]
@@ -499,77 +489,8 @@ def render_picture(cls: ModuleClass, options: RenderOptions | None = None, graph
 
 
 # ---------------------------------------------------------------------------
-# JSON report (any rank), and the fragments it shares with the CLI documents.
+# JSON report (any rank), from the document builders of each layer.
 # ---------------------------------------------------------------------------
-
-
-def vec_str(v) -> list[str]:
-    """Exact rationals as JSON strings, e.g. ["1/2", "-3", "0"]."""
-    return [str(Fraction(x)) for x in v]
-
-
-def _cone_doc(cone: Cone) -> dict:
-    return {
-        "equalities": [list(e) for e in cone.equalities],
-        "weak": [list(w) for w in cone.weak],
-    }
-
-
-def chamber_docs(cls: ModuleClass, graph) -> list[dict]:
-    return [
-        {"id": c.id, "label": c.label.sorted(cls), "sample": vec_str(c.sample)}
-        for c in graph.chambers
-    ]
-
-
-def edge_docs(graph) -> list[dict]:
-    return [{"from": e.src, "to": e.dst, "wall": e.wall_brick} for e in graph.edges]
-
-
-def ghost_census_doc(cls: ModuleClass) -> dict:
-    """The ghosts of the class with their domains, and the bifurcations,
-    extension links, unclassified and pathological cases among them."""
-    ghosts = enumerate_ghosts(cls)
-    bif = classify_bifurcations(cls, ghosts)
-    return {
-        "ghosts": [
-            {
-                "kind": g.kind,
-                "sequence": [g.a, g.b, g.c],
-                "missing": g.missing,
-                "display": g.display(),
-                "minimal": g.minimal,
-                "domain": _cone_doc(g.domain),
-                "warnings": list(g.warnings),
-            }
-            for g in ghosts
-        ],
-        "bifurcations": [
-            {
-                "child": list(b.child),
-                "parent": list(b.parent),
-                "case": b.case,
-                "splitting_wall": b.splitting_wall,
-                "wall_kind": b.wall_kind,
-            }
-            for b in bif.bifurcations
-        ],
-        "extension_links": [
-            {
-                "child": list(l.child),
-                "parent": list(l.parent),
-                "splitting_wall": l.splitting_wall,
-            }
-            for l in bif.extension_links
-        ],
-        "unclassified": [
-            {"child": list(c), "case": case, "reason": reason}
-            for c, case, reason in bif.unclassified
-        ],
-        "pathological": [
-            {"child": list(a), "other": list(b)} for a, b in bif.pathological
-        ],
-    }
 
 
 def export_report(cls: ModuleClass, graph=None) -> str:
@@ -602,7 +523,7 @@ def export_report(cls: ModuleClass, graph=None) -> str:
             {
                 "brick": b,
                 "minimal": graph.walls[b].minimal,
-                "cone": _cone_doc(graph.walls[b].cone),
+                "cone": graph.walls[b].cone.doc(),
             }
             for b in cls.bricks
         ],

@@ -9,8 +9,6 @@ because a wall is in general a proper subset of its hyperplane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from operator import mul
 from typing import NamedTuple
 
@@ -25,6 +23,7 @@ from ghostpic.geometry import (
     enumerate_cells,
     integral,
     is_intvec,
+    vec_str,
 )
 
 BRICK_GUARD = 20
@@ -47,16 +46,12 @@ def side_cone(event_dim, sides) -> Cone:
     return Cone(len(event_dim), equalities=(tuple(event_dim),), weak=tuple(dict.fromkeys(weak)))
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     brick: str
     cone: Cone
     minimal: bool
     sides: tuple[Side, ...]  # the proper weakly admissible quotients, one per dim
-
-    @cached_property
-    def interior(self) -> Cone:
-        return self.cone.interior()
+    interior: Cone  # cone.interior()
 
 
 @per_class
@@ -69,11 +64,11 @@ def wall(cls: ModuleClass, m: str) -> Wall:
     for p in cls.weakly_admissible_quotients(m):
         names.setdefault(cls.dim_of(p.quot), repr(p.quot))
     sides = tuple(Side(d, name) for d, name in names.items())
-    return Wall(m, side_cone(cls.dim_of(m), sides), minimal=not sides, sides=sides)
+    cone = side_cone(cls.dim_of(m), sides)
+    return Wall(m, cone, minimal=not sides, sides=sides, interior=cone.interior())
 
 
-@dataclass(frozen=True)
-class SemistableSet:
+class SemistableSet(NamedTuple):
     """Indecomposable members of S(theta); direct sums are derivable."""
 
     bricks: frozenset[str]
@@ -107,8 +102,7 @@ def semistable_set(cls: ModuleClass, theta) -> SemistableSet:
     )
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(NamedTuple):
     id: int
     cells: tuple[Cell, ...]
     label: SemistableSet
@@ -116,8 +110,7 @@ class Chamber:
     bounding_walls: tuple[tuple[Wall, int], ...]  # (wall, side sign)
 
 
-@dataclass(frozen=True)
-class ChamberEdge:
+class ChamberEdge(NamedTuple):
     src: int
     dst: int
     wall_brick: str
@@ -126,8 +119,7 @@ class ChamberEdge:
     witnesses: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class ChamberGraph:
+class ChamberGraph(NamedTuple):
     chambers: tuple[Chamber, ...]
     edges: tuple[ChamberEdge, ...]
     source: int
@@ -138,19 +130,13 @@ class ChamberGraph:
     cells: tuple[Cell, ...]
     adjacencies: tuple[FacetAdjacency, ...]
     chamber_of_signs: dict[tuple[int, ...], int]  # cell sign vector -> chamber id
+    out: dict[int, tuple[ChamberEdge, ...]]  # chamber id -> its out-edges, in edge order
 
     def chamber(self, cid: int) -> Chamber:
         return self.chambers[cid]
 
-    @cached_property
-    def _out(self) -> dict[int, tuple[ChamberEdge, ...]]:
-        out: dict[int, list[ChamberEdge]] = {}
-        for e in self.edges:
-            out.setdefault(e.src, []).append(e)
-        return {cid: tuple(es) for cid, es in out.items()}
-
     def out_edges(self, cid: int) -> tuple[ChamberEdge, ...]:
-        return self._out.get(cid, ())
+        return self.out.get(cid, ())
 
 
 def enumerate_chambers(cls: ModuleClass) -> list[Chamber]:
@@ -277,6 +263,9 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
     ordered_edges = tuple(
         sorted(edges.values(), key=lambda e: (e.src, catalog.position(e.wall_brick), e.dst))
     )
+    out: dict[int, list[ChamberEdge]] = {}
+    for e in ordered_edges:
+        out.setdefault(e.src, []).append(e)
     return ChamberGraph(
         chambers=chambers,
         edges=ordered_edges,
@@ -286,7 +275,21 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
         cells=tuple(cells),
         adjacencies=tuple(adjacencies),
         chamber_of_signs=chamber_of,
+        out={cid: tuple(es) for cid, es in out.items()},
     )
+
+
+def chamber_docs(cls: ModuleClass, graph: ChamberGraph) -> list[dict]:
+    """The JSON document of each chamber: id, sorted label and sample."""
+    return [
+        {"id": c.id, "label": c.label.sorted(cls), "sample": vec_str(c.sample)}
+        for c in graph.chambers
+    ]
+
+
+def edge_docs(graph: ChamberGraph) -> list[dict]:
+    """The JSON document of each green edge: its chambers and wall brick."""
+    return [{"from": e.src, "to": e.dst, "wall": e.wall_brick} for e in graph.edges]
 
 
 def locate_chamber(graph: ChamberGraph, theta) -> int:

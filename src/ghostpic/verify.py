@@ -8,11 +8,11 @@ non-generic, so all comparisons stay exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cmp_to_key
 from fractions import Fraction
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 from ghostpic.catalog import ModuleClass, ModuleSum, builtin_kronecker, generate_type_a
 from ghostpic.errors import GuardExceededError, InternalConsistencyError, NonGenericPathError
@@ -48,13 +48,15 @@ from ghostpic.stability import (
 )
 
 
-@dataclass
 class Failures:
     """The failures of one check: how many, and the first counterexample
     (fixture, then h/k, theta or object), which a FAIL line names."""
 
-    count: int = 0
-    first: str = ""
+    __slots__ = ("count", "first")
+
+    def __init__(self):
+        self.count = 0
+        self.first = ""
 
     def add(self, counterexample: str) -> None:
         self.first = self.first if self.count else counterexample
@@ -65,8 +67,7 @@ def _path_str(path: LinearPath) -> str:
     return f"h=({','.join(map(str, path.h))}) k=({','.join(map(str, path.k))})"
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

@@ -284,6 +284,23 @@ class TestSerialization:
         with pytest.raises(CatalogError, match="ses-dimension-mismatch"):
             load_catalog(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "malform,message",
+        [
+            (lambda doc: doc["quiver"].update(n=0), "vertex count must be a positive integer, got 0"),
+            (lambda doc: doc["quiver"].update(arrows=[[3, 1]]), r"arrow \(3,1\) outside vertex range 1\.\.2"),
+            (lambda doc: doc["quiver"].update(arrows=[[2, 2]]), "loops are not allowed"),
+            (lambda doc: doc["indecs"][0].update(dim=[0, 0]), "dimension vector of M must be nonzero"),
+            (lambda doc: doc["indecs"][0].update(dim=[-1, 2]), "dimension vector of M must be nonzero"),
+        ],
+        ids=["no-vertices", "arrow-out-of-range", "loop", "zero-dim", "negative-dim"],
+    )
+    def test_quiver_and_indec_checks(self, kronecker, malform, message):
+        doc = json.loads(dump_catalog(kronecker))
+        malform(doc)
+        with pytest.raises(CatalogError, match=message):
+            load_catalog(json.dumps(doc))
+
     def test_schema_violation(self):
         with pytest.raises(CatalogError):
             load_catalog("{}")

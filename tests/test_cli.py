@@ -300,6 +300,41 @@ class TestMalformedInput:
         assert err.count("\n") == 1 and err.startswith("error: catalog schema violation")
         assert mentions in err and "Error(" not in err
 
+    @pytest.mark.parametrize(
+        "malform,mentions",
+        [
+            (
+                lambda doc: {**doc, "indecs": [{**doc["indecs"][0], "dim": [1.0, 1]}, *doc["indecs"][1:]]},
+                "'indecs' must be [{",
+            ),
+            (
+                lambda doc: {**doc, "indecs": [{**doc["indecs"][0], "dim": [True, 1]}, *doc["indecs"][1:]]},
+                "'indecs' must be [{",
+            ),
+            (
+                lambda doc: {**doc, "quiver": {**doc["quiver"], "arrows": [[2.0, 1], [2, 1]]}},
+                "'quiver' must be {",
+            ),
+            (
+                lambda doc: {**doc, "quiver": {**doc["quiver"], "arrows": [[2, True], [2, 1]]}},
+                "'quiver' must be {",
+            ),
+            (lambda doc: {**doc, "quiver": {**doc["quiver"], "n": True}}, "'quiver' must be {"),
+        ],
+        ids=["float-dim", "boolean-dim", "float-arrow", "boolean-arrow", "boolean-n"],
+    )
+    def test_catalog_numbers_must_be_integers(self, capsys, tmp_path, malform, mentions):
+        """A number the catalog schema types as int is a JSON integer: a float
+        or a JSON true is a schema violation, not a crash or a silent 1."""
+        _, good, _ = run(capsys, "catalog", "--builtin", "kronecker")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(malform(json.loads(good))))
+        code, out, err = run(capsys, "catalog", "--catalog", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: catalog schema violation")
+        assert mentions in err
+
     def test_seed_is_a_verify_option_only(self, capsys):
         code, out, err = run(
             capsys,

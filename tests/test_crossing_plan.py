@@ -4,7 +4,6 @@ compares crossing times -h.d/k.d; the interior cross-check stays on; paths
 take exact coordinates only; `verify` names the first counterexample of a
 failed check."""
 
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -305,7 +304,7 @@ class TestGhostOfTheClass:
         for g, other in zip(ghosts, enumerate_ghosts(twin)):
             assert other is not g and other == g
             assert ghost_stability(cls, path, other) == ghost_stability(cls, path, g)
-            foreign = dataclasses.replace(g, domain=Cone(len(g.event_dim)))
+            foreign = g._replace(domain=Cone(len(g.event_dim)))
             with pytest.raises(CatalogError, match="is not a ghost of"):
                 ghost_stability(cls, path, foreign)
 
@@ -358,8 +357,8 @@ class TestVerifyFailures:
                 return report
             (b,) = report.bifurcations
             assert b.child[1:3] == ("P2", "P3")
-            moved = dataclasses.replace(b, splitting_wall="I2")
-            return dataclasses.replace(report, bifurcations=(moved,))
+            moved = b._replace(splitting_wall="I2")
+            return report._replace(bifurcations=(moved,))
 
         monkeypatch.setattr(verify, "classify_bifurcations", split_on_i2)
         checker.check_ghost_geometry()

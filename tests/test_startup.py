@@ -1,0 +1,92 @@
+"""Start-up pays only for what a subcommand runs.
+
+No module of the package generates code at import (no `dataclasses`), and
+each `ghostpic` subcommand imports only the layers it runs: `import
+ghostpic.cli` loads the catalog layer alone, and the chamber, ghost, render
+and verify layers load when a command needs them.  Each command runs in a
+fresh interpreter, which reports the `ghostpic` modules it has loaded.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+CLI_IMPORTS = {"ghostpic", "ghostpic.catalog", "ghostpic.errors", "ghostpic.geometry", "ghostpic.cli"}
+
+LL = ("--type-a", "3", "--orient", "LL")
+COMMANDS = {
+    "catalog": ("catalog", *LL),
+    "chambers": ("chambers", *LL),
+    "mgs": ("mgs", "--all", *LL),
+    "ghosts": ("ghosts", *LL),
+    "hn": ("hn", *LL, "--class", "S1,P3,I2,S3", "--mgs", "S1,S3,I2", "--module", "P3"),
+    "path": ("path", *LL, "--h", "-3,1,2", "--k", "1,1,1"),
+    "path-no-ghosts": ("path", *LL, "--h", "-3,1,2", "--k", "1,1,1", "--no-ghosts"),
+    "picture": ("picture", *LL),
+    "report": ("picture", *LL, "--report"),
+    "verify": ("verify", "--paths", "2"),
+}
+
+PROBE = """
+import contextlib, io, json, sys
+import ghostpic.cli
+loaded = lambda: sorted(m for m in sys.modules if m == "ghostpic" or m.startswith("ghostpic."))
+after_import = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ghostpic.cli.dispatch(sys.argv[1:])
+print(json.dumps({"code": code, "import": after_import, "run": loaded()}))
+"""
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted((SRC / "ghostpic").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in names, f"{path.name}:{node.lineno} imports dataclasses"
+
+
+@pytest.fixture(scope="module")
+def loaded_modules():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    out = {}
+    for name, argv in COMMANDS.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        out[name] = json.loads(proc.stdout)
+        assert out[name]["code"] == 0, (name, proc.stderr)
+    return out
+
+
+def test_importing_the_cli_loads_the_catalog_layer_only(loaded_modules):
+    for name, seen in loaded_modules.items():
+        assert set(seen["import"]) == CLI_IMPORTS, name
+
+
+def test_catalog_loads_no_chamber_layer(loaded_modules):
+    assert set(loaded_modules["catalog"]["run"]) == CLI_IMPORTS
+
+
+def test_chambers_loads_no_path_ghost_render_or_verify_layer(loaded_modules):
+    run = set(loaded_modules["chambers"]["run"])
+    assert "ghostpic.stability" in run
+    assert not run & {"ghostpic.greenpaths", "ghostpic.ghosts", "ghostpic.render", "ghostpic.verify"}
+
+
+@pytest.mark.parametrize("layer,users", [("render", {"picture", "report"}), ("verify", {"verify"})])
+def test_a_layer_loads_only_for_its_commands(loaded_modules, layer, users):
+    loads = {name for name, seen in loaded_modules.items() if f"ghostpic.{layer}" in seen["run"]}
+    assert loads == users
