@@ -1,11 +1,12 @@
 """Exact wall-and-chamber diagrams, green sequences and ghost modules.
 
-Every decision is exact: stability vectors are integer or
-``fractions.Fraction`` tuples, cone membership and crossing times are decided
-on integers, and the simplex pivots fraction-free on integer rows.  No float
-is used anywhere, the SVG renderer included: it projects onto a fixed-point
-integer grid (floor square roots, integer numerators over 2^-48) and prints
-exact decimals from it.
+Every decision is exact and made on integers: a point is an integer tuple (a
+rational one as its numerators over their least common denominator, which
+only printing reads), and the simplex pivots fraction-free on integer rows.
+``fractions.Fraction`` appears only where a value is printed or parsed.  No
+float is used anywhere, the SVG renderer included: it projects onto a
+fixed-point integer grid (floor square roots, integer numerators over 2^-48)
+and prints exact decimals from it.
 """
 
 from ghostpic.catalog import (

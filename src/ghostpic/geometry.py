@@ -3,9 +3,11 @@
 Cones are given by an H-representation (equalities, weak and strict
 inequalities, all homogeneous, all with integer entries).  Feasibility and
 relative-interior points are computed with a small dense simplex that pivots
-fraction-free on integer rows using Bland's rule; its answers are exact
-``fractions.Fraction`` points, and every run is reproducible.  There are no
-floating-point fast paths.
+fraction-free on integer rows using Bland's rule.  A point is an integer
+vector: the numerators of the exact rational point over their least common
+denominator ``den``.  Cones are homogeneous, so every decision reads the
+numerators alone; ``den`` is kept only where a sample is printed
+(`vec_str`).  There are no floating-point fast paths.
 """
 
 from __future__ import annotations
@@ -17,18 +19,9 @@ from typing import NamedTuple
 
 from ghostpic.errors import GhostpicError, GuardExceededError, guard_limit
 
-Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 CELL_GUARD = 20
-
-
-def dot(a, b) -> Fraction:
-    """Exact dot product of int or Fraction vectors, always a Fraction."""
-    return sum((x * y for x, y in zip(a, b)), ZERO)
 
 
 def int_dot(a, b) -> int:
@@ -43,15 +36,10 @@ def proportional(a, b) -> bool:
     return all(a[i] * b[j] == a[j] * b[i] for i in range(n) for j in range(n))
 
 
-def is_intvec(v) -> bool:
-    """True iff every coordinate is an int: the vector is its own integral
-    multiple, and callers skip `integral`."""
-    return all(type(x) is int for x in v)
-
-
 def integral(v) -> IntVec:
     """The positive integer multiple of a rational vector by the lcm of its
-    denominators (ints have denominator 1, so int vectors come back as is)."""
+    denominators (ints have denominator 1, so int vectors come back as is):
+    the one place a rational vector enters the integer engine."""
     den = 1
     for x in v:
         if x.denominator != 1:
@@ -59,19 +47,21 @@ def integral(v) -> IntVec:
     return tuple(x.numerator * (den // x.denominator) for x in v)
 
 
-def as_fracvec(a) -> Vec:
-    return tuple(Fraction(x) for x in a)
+def vec_str(num, den: int = 1) -> list[str]:
+    """The exact rationals num[i]/den as JSON strings, e.g. ["1/2", "-3", "0"]."""
+    return [str(Fraction(x, den)) for x in num]
 
 
-def vec_str(v) -> list[str]:
-    """Exact rationals as JSON strings, e.g. ["1/2", "-3", "0"]."""
-    return [str(Fraction(x)) for x in v]
+def _lowest(num, den: int) -> tuple[IntVec, int]:
+    """num/den (den > 0) over the least common denominator of its entries."""
+    g = gcd(*num, den)
+    return tuple([x // g for x in num]), den // g
 
 
 def primitive(v) -> IntVec:
-    """Divide an integer vector (a rational one made `integral` first) by the
-    gcd of its entries; preserves direction."""
-    ints = v if is_intvec(v) else integral(v)
+    """Divide a vector, made `integral` first, by the gcd of its entries;
+    preserves direction."""
+    ints = integral(v)
     g = gcd(*ints)
     if g == 0:
         raise GhostpicError("zero vector has no primitive form")
@@ -86,12 +76,9 @@ class Cone(NamedTuple):
     weak: tuple[IntVec, ...] = ()
     strict: tuple[IntVec, ...] = ()
 
-    def contains(self, theta) -> bool:
-        # cones are homogeneous: test the integer multiple of theta instead
-        return self.contains_int(theta if is_intvec(theta) else integral(theta))
-
-    def contains_int(self, p: IntVec) -> bool:
-        """Membership of an integer point."""
+    def contains(self, p: IntVec) -> bool:
+        """Membership of a point; cones are homogeneous, so an integer
+        multiple of a rational point answers for it."""
         for e in self.equalities:
             if sum(map(mul, e, p)) != 0:
                 return False
@@ -133,11 +120,13 @@ class Cell(NamedTuple):
     """An open full-dimensional region of a hyperplane arrangement.
 
     ``signs[i]`` is +1 or -1 and records on which side of hyperplane i the
-    cell lies; ``sample`` strictly satisfies every recorded sign.
+    cell lies; ``sample`` (numerators over ``den``) strictly satisfies every
+    recorded sign.
     """
 
     signs: tuple[int, ...]
-    sample: Vec
+    sample: IntVec
+    den: int
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +136,13 @@ class Cell(NamedTuple):
 # basic feasible solution, so no phase one is needed).  Bland's rule keeps
 # the pivoting finite and deterministic.
 #
-# Each tableau row is stored as a gcd-reduced integer row that is a positive
-# multiple of the rational row, in the spirit of Bareiss fraction-free
-# elimination and the integer pivoting of Avis's lrs; the objective row
-# carries one positive denominator besides.  Every test the pivoting makes
-# (the sign of an objective entry, the sign of a column entry, ratio
-# comparisons by cross-multiplication) is invariant under positive row
-# scaling, so every pivot, every basis and every returned point is exactly
-# the one of the rational tableau.
+# Each tableau row, the objective row included, is stored as a gcd-reduced
+# integer row that is a positive multiple of the rational row, in the spirit
+# of Bareiss fraction-free elimination and the integer pivoting of Avis's
+# lrs.  Every test the pivoting makes (the sign of an objective entry, the
+# sign of a column entry, ratio comparisons by cross-multiplication) is
+# invariant under positive row scaling, so every pivot, every basis and every
+# returned vertex is exactly the one of the rational tableau.
 # ---------------------------------------------------------------------------
 
 
@@ -164,14 +152,14 @@ def _reduced(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def _simplex_max(c: list[int], rows: list[list[int]], rhs: list[int]):
+def _simplex_max(c: list[int], rows: list[list[int]], rhs: list[int]) -> tuple[int, IntVec, int]:
+    """(c.num, num, den): the optimal vertex is num/den."""
     m = len(rows)
     n = len(c)
     total = n + m
     # Tableau with slack columns; basis starts as the slacks.
     tab = [_reduced(rows[i] + [1 if j == i else 0 for j in range(m)] + [rhs[i]]) for i in range(m)]
-    obj = [-x for x in c] + [0] * m + [0]  # the objective row is obj / den
-    den = 1
+    obj = [-x for x in c] + [0] * m + [0]
     basis = list(range(n, total))
     while True:
         enter = -1
@@ -203,22 +191,28 @@ def _simplex_max(c: list[int], rows: list[list[int]], rhs: list[int]):
             if i != leave and f != 0:
                 tab[i] = _reduced([piv * x - f * y for x, y in zip(tab[i], prow)])
         f = obj[enter]  # < 0: the entering column
-        *obj, den = _reduced([piv * x - f * y for x, y in zip(obj, prow)] + [den * piv])
+        obj = _reduced([piv * x - f * y for x, y in zip(obj, prow)])
         basis[leave] = enter
-    # row i is a positive multiple of the rational row, whose basic entry is 1
-    x = [ZERO] * total
+    # row i is a positive multiple of the rational row, whose basic entry is
+    # 1: the basic variable is tab[i][total] / tab[i][b]
+    den = lcm(*[tab[i][b] for i, b in enumerate(basis) if b < n])
+    x = [0] * n
     for i, b in enumerate(basis):
-        x[b] = Fraction(tab[i][total], tab[i][b])
-    return Fraction(obj[total], den), x[:n]
+        if b < n:
+            x[b] = tab[i][total] * (den // tab[i][b])
+    x, den = _lowest(x, den)
+    return int_dot(c, x), x, den
 
 
-def _cone_lp(cone: Cone, slack_rows: tuple[IntVec, ...]):
+def _cone_lp(cone: Cone, slack_rows: tuple[IntVec, ...]) -> tuple[int, IntVec, int]:
     """Maximize a single slack below the given rows, inside the cone closure.
 
     Variables are theta = p - q (componentwise, p, q >= 0) and the slack s.
     A unit box on theta and s <= 1 keep the LP bounded; by homogeneity this
     does not affect feasibility questions.  Every row is an integer row, as
-    the cone's are.  Returns (s*, theta*).
+    the cone's are.  Returns (s, num, den) with s* = s/den and theta* =
+    num/den; den is theta*'s least common denominator, as s* is 0, 1 or a
+    tight slack row's value at theta*.
     """
     n = cone.dim
     nv = 2 * n + 1
@@ -244,42 +238,45 @@ def _cone_lp(cone: Cone, slack_rows: tuple[IntVec, ...]):
     rhs += [1] * (2 * n + 1)
     c = [0] * nv
     c[2 * n] = 1
-    value, x = _simplex_max(c, rows, rhs)
-    theta = tuple(x[j] - x[n + j] for j in range(n))
-    return value, theta
+    _, x, den = _simplex_max(c, rows, rhs)
+    (value, *theta), den = _lowest((x[2 * n], *(x[j] - x[n + j] for j in range(n))), den)
+    return value, tuple(theta), den
 
 
-def feasible_point(cone: Cone) -> Vec | None:
-    """An exact point of the cone, or None when it is empty.
+def _sample(cone: Cone) -> tuple[IntVec, int] | None:
+    """A point (num, den) of a cone with strict rows, or None when it is
+    empty: a common slack under the strict rows is maximized."""
+    value, num, den = _cone_lp(cone, cone.strict)
+    if value <= 0:
+        return None
+    if not cone.contains(num):
+        raise GhostpicError("simplex returned an infeasible point")
+    return num, den
 
-    Strictness is achieved by maximizing a common slack under the strict
-    inequalities.  Cones without strict inequalities always contain the
-    origin; for those a relative-interior point of the weak system is
-    returned instead, so the answer is as generic as the cone allows.
+
+def feasible_point(cone: Cone) -> IntVec | None:
+    """An exact point of the cone as integer numerators, or None when it is
+    empty.
+
+    Cones without strict inequalities always contain the origin; for those a
+    relative-interior point of the weak system is returned instead, so the
+    answer is as generic as the cone allows.
     """
     if cone.strict:
-        value, theta = _cone_lp(cone, cone.strict)
-        if value <= 0:
-            return None
-        if not cone.contains(theta):
-            raise GhostpicError("simplex returned an infeasible point")
-        return theta
+        sample = _sample(cone)
+        return sample and sample[0]
     return relative_interior_point(cone)
 
 
-def relative_interior_point(cone: Cone) -> Vec:
-    """A point with every non-forced weak inequality strictly positive."""
+def relative_interior_point(cone: Cone) -> IntVec:
+    """A point with every non-forced weak inequality strictly positive, as
+    integer numerators."""
     if cone.strict:
         raise GhostpicError("relative_interior_point expects a closed cone")
-    improvable = []
-    for w in cone.weak:
-        value, _ = _cone_lp(Cone(cone.dim, cone.equalities, cone.weak, ()), (w,))
-        if value > 0:
-            improvable.append(w)
+    improvable = tuple(w for w in cone.weak if _cone_lp(cone, (w,))[0] > 0)
     if not improvable:
-        return tuple([ZERO] * cone.dim)
-    base = Cone(cone.dim, cone.equalities, cone.weak, ())
-    value, theta = _cone_lp(base, tuple(improvable))
+        return (0,) * cone.dim
+    value, theta, _ = _cone_lp(cone, improvable)
     if value <= 0:
         raise GhostpicError("relative interior slack vanished unexpectedly")
     return theta
@@ -347,43 +344,41 @@ def enumerate_cells(vectors) -> list[Cell]:
         raise GuardExceededError(
             f"{len(normals)} hyperplanes exceeds the cell enumeration guard"
         )
-    partials: list[tuple[tuple[int, ...], Vec]] = [((), tuple([ZERO] * n))]
+    cells = [Cell((), (0,) * n, 1)]
     for k in range(len(normals)):
-        grown: list[tuple[tuple[int, ...], Vec]] = []
-        for signs, _ in partials:
+        grown: list[Cell] = []
+        for cell in cells:
             for s in (1, -1):
-                new = signs + (s,)
-                cone = Cone(
-                    n,
-                    strict=tuple(
-                        tuple(sg * x for x in normals[i]) for i, sg in enumerate(new)
-                    ),
-                )
-                point = feasible_point(cone)
-                if point is not None:
-                    grown.append((new, point))
-        partials = grown
-    return [Cell(signs, sample) for signs, sample in partials]
+                signs = cell.signs + (s,)
+                strict = tuple(tuple(sg * x for x in normals[i]) for i, sg in enumerate(signs))
+                sample = _sample(Cone(n, strict=strict))
+                if sample is not None:
+                    grown.append(Cell(signs, *sample))
+        cells = grown
+    return cells
 
 
 class FacetAdjacency(NamedTuple):
     cell_a: Cell
     cell_b: Cell
     hyperplane_index: int
-    facet_sample: Vec
+    facet_sample: IntVec  # numerators over den, as a cell's sample
+    den: int
 
 
-def _kernel_vector(normal: IntVec) -> Vec:
-    # Deterministic nonzero rational vector orthogonal to a single normal.
+def _kernel_vector(normal: IntVec) -> tuple[IntVec, int]:
+    # Deterministic nonzero rational vector orthogonal to a single normal,
+    # e_j - (normal[j]/normal[i]) e_i, as (num, den).
     n = len(normal)
     i = next(j for j, x in enumerate(normal) if x != 0)
+    a = abs(normal[i])
     for j in range(n):
         if j != i:
-            v = [ZERO] * n
-            v[j] = ONE
-            v[i] = Fraction(-normal[j], normal[i])
-            return tuple(v)
-    return tuple([ZERO] * n)
+            v = [0] * n
+            v[j] = a
+            v[i] = -normal[j] if normal[i] > 0 else normal[j]
+            return _lowest(v, a)
+    return (0,) * n, 1
 
 
 def cell_facet_neighbors(cells: list[Cell], vectors) -> list[FacetAdjacency]:
@@ -412,11 +407,11 @@ def cell_facet_neighbors(cells: list[Cell], vectors) -> list[FacetAdjacency]:
             )
             cone = Cone(n, equalities=(normals[i],), strict=stricts)
             if stricts:
-                sample = feasible_point(cone)
+                sample = _sample(cone)
                 if sample is None:
                     continue
             else:  # a lone hyperplane: any point of it will do
                 sample = _kernel_vector(normals[i])
-            out.append(FacetAdjacency(cell, other, i, sample))
+            out.append(FacetAdjacency(cell, other, i, *sample))
     out.sort(key=lambda f: (f.hyperplane_index, f.cell_a.signs))
     return out

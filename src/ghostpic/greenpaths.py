@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from operator import mul
 from typing import NamedTuple
@@ -38,55 +37,57 @@ from ghostpic.errors import (
     NonGenericPathError,
     guard_limit,
 )
-from ghostpic.geometry import Cone, IntVec, Vec, as_fracvec, integral, is_intvec, proportional
+from ghostpic.geometry import Cone, IntVec, integral, proportional
 from ghostpic.stability import ChamberGraph, chamber_graph, wall
 
 MGS_GUARD = 10**6
 
-_fraction = lru_cache(maxsize=256)(Fraction)  # immutable, so paths share the Fraction of an int
-
 
 class LinearPath:
     """gamma_t = h + t*k with exact coordinates (int or Fraction; a float is
-    rejected).  Besides the rational h and k the path keeps the integer pair
-    (H*h, H*k) over their common denominator H; a path drawn with int
-    coordinates has H = 1 and keeps them as they are.  Paths are equal when
-    their h and k are.
+    rejected).  The path keeps only integers, (H*h, H*k) and their least
+    common denominator H, and builds h, k and at() as Fractions when read.
+    Paths are equal when their h and k are.
 
     Genericity and stability read, for each crossing plan asked for, the two
     integer lists hd[i] = H*h.d_i and kd[i] = H*k.d_i over the plan's dims,
     computed once (`crossings`); `point_at` gives integer points on the path,
     the crossing of dim i being point_at(-hd[i], kd[i])."""
 
-    __slots__ = ("h", "k", "_hi", "_ki", "_lists")
+    __slots__ = ("_hi", "_ki", "_den", "_lists")
 
     def __init__(self, h, k):
-        if len(h) != len(k):
+        n = len(h)
+        if n != len(k):
             raise CatalogError("h and k must have equal length")
-        if is_intvec((*h, *k)):
-            hi, ki = tuple(h), tuple(k)
-            h, k = tuple(map(_fraction, hi)), tuple(map(_fraction, ki))
-        else:
-            for name, v in (("h", h), ("k", k)):
-                for i, x in enumerate(v):
-                    if isinstance(x, float):
-                        raise CatalogError(f"{name}[{i}] = {x!r} is a float; use int or Fraction")
-            h, k = as_fracvec(h), as_fracvec(k)
-            hk = integral(h + k)
-            hi, ki = hk[: len(h)], hk[len(h) :]
+        for name, v in (("h", h), ("k", k)):
+            for i, x in enumerate(v):
+                if isinstance(x, float):
+                    raise CatalogError(f"{name}[{i}] = {x!r} is a float; use int or Fraction")
+        *hk, den = integral((*h, *k, 1))  # the trailing 1 comes back as H
+        ki = tuple(hk[n:])
         if any(x <= 0 for x in ki):  # H > 0, so ki has the signs of k
             raise CatalogError("all coordinates of k must be strictly positive")
-        self.h: Vec = h
-        self.k: Vec = k
-        self._hi: IntVec = hi
+        self._hi: IntVec = tuple(hk[:n])
         self._ki: IntVec = ki
+        self._den: int = den
         self._lists: dict = {}
 
-    def __eq__(self, other):
-        return type(other) is LinearPath and (self.h, self.k) == (other.h, other.k)
+    @property
+    def h(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(x, self._den) for x in self._hi])
+
+    @property
+    def k(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(x, self._den) for x in self._ki])
+
+    def __eq__(self, other):  # (_hi, _ki, _den) is canonical
+        return type(other) is LinearPath and (self._hi, self._ki, self._den) == (
+            other._hi, other._ki, other._den
+        )
 
     def __hash__(self):
-        return hash((self.h, self.k))
+        return hash((self._hi, self._ki, self._den))
 
     def __repr__(self):
         return f"LinearPath(h={self.h!r}, k={self.k!r})"
@@ -103,7 +104,7 @@ class LinearPath:
             lists = self._lists[plan] = plan.dots(self._hi, self._ki)
         return lists
 
-    def at(self, t) -> Vec:
+    def at(self, t) -> tuple[Fraction, ...]:
         t = Fraction(t)
         return tuple(a + t * b for a, b in zip(self.h, self.k))
 
@@ -237,7 +238,7 @@ def stable_along(path: LinearPath, plan: CrossingPlan, crossing: Crossing) -> bo
         if (lag <= 0) if late else (lag >= 0):
             by_times = False
             break
-    by_interior = crossing.interior.contains_int(path.point_at(-h_e, k_e))
+    by_interior = crossing.interior.contains(path.point_at(-h_e, k_e))
     if by_times != by_interior:
         raise InternalConsistencyError(
             f"stability of {crossing.label}: time criterion ({by_times}) disagrees "

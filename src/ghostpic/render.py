@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from ghostpic.catalog import ModuleClass
 from ghostpic.errors import GhostpicError, InternalConsistencyError, RankError
-from ghostpic.geometry import Cone, as_fracvec, dot, feasible_point, primitive, vec_str
+from ghostpic.geometry import Cone, feasible_point, int_dot, primitive, vec_str
 from ghostpic.ghosts import EXTENSION, QUOTIENT, SUBOBJECT, enumerate_ghosts, ghost_census_doc
 from ghostpic.greenpaths import count_mgs
 from ghostpic.stability import chamber_docs, chamber_graph, edge_docs
@@ -101,10 +101,9 @@ def stereographic(theta) -> PlanePoint:
     The ray is reduced to primitive integer form first, so proportional
     inputs map to identical points despite the fixed-precision square root.
     """
-    theta = as_fracvec(theta)
     if len(theta) != 3:
         raise RankError("stereographic projection is rank-3 only")
-    if all(x == 0 for x in theta):
+    if not any(theta):
         raise GhostpicError("cannot project the zero vector")
     return _grid_point(_project_int(primitive(theta)))
 
@@ -148,7 +147,7 @@ def trace_wall_curve(cone: Cone, samples: int = 48) -> list[PlanePoint]:
     b1, b2 = _plane_basis(e)
     ineqs: list[tuple] = []
     for a in cone.weak + cone.strict:
-        n2 = (dot(a, b1), dot(a, b2))
+        n2 = (int_dot(a, b1), int_dot(a, b2))
         if n2 == (0, 0):
             continue
         n2 = primitive(n2)
@@ -161,7 +160,7 @@ def trace_wall_curve(cone: Cone, samples: int = 48) -> list[PlanePoint]:
         candidates = []
         for n in ineqs:
             for p in ((-n[1], n[0]), (n[1], -n[0])):
-                if all(dot(m, p) >= 0 for m in ineqs):
+                if all(int_dot(m, p) >= 0 for m in ineqs):
                     p = primitive(p)
                     if p not in candidates:
                         candidates.append(p)
@@ -174,7 +173,7 @@ def trace_wall_curve(cone: Cone, samples: int = 48) -> list[PlanePoint]:
             if r != r1 and all(_cross2(t, r) >= 0 for t in candidates)
         )
         if _cross2(r1, r2) == 0:  # half-plane: route the arc through the normal
-            mid = next(n for n in ineqs if dot(n, r1) == 0)
+            mid = next(n for n in ineqs if int_dot(n, r1) == 0)
             anchors2d = [r1, mid, r2]
         else:
             anchors2d = [r1, r2]
@@ -505,7 +504,7 @@ def export_report(cls: ModuleClass, graph=None) -> str:
         doc["is_sink"] = doc["id"] == graph.sink
     edges = edge_docs(graph)
     for doc, e in zip(edges, graph.edges):
-        doc["facet_sample"] = vec_str(e.facet_sample)
+        doc["facet_sample"] = vec_str(e.facet_sample, e.den)
     flags = cls.flags
     doc = {
         "schema": REPORT_SCHEMA,

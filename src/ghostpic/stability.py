@@ -18,11 +18,9 @@ from ghostpic.geometry import (
     Cell,
     Cone,
     FacetAdjacency,
-    Vec,
+    IntVec,
     cell_facet_neighbors,
     enumerate_cells,
-    integral,
-    is_intvec,
     vec_str,
 )
 
@@ -87,17 +85,17 @@ def _semistable_rows(cls: ModuleClass) -> tuple[tuple[str, tuple[tuple[int, ...]
     return tuple((m, (cls.dim_of(m), *(s.dim for s in wall(cls, m).sides))) for m in cls.bricks)
 
 
-def semistable_set(cls: ModuleClass, theta) -> SemistableSet:
+def semistable_set(cls: ModuleClass, theta: IntVec) -> SemistableSet:
     """S(theta): bricks M with theta(M) > 0 and theta(M') > 0 for every
-    proper weakly admissible quotient M'.  theta may lie on walls."""
+    proper weakly admissible quotient M'.  theta may lie on walls; any
+    positive multiple of it gives the same set."""
     if len(theta) != cls.catalog.quiver.n:
         raise CatalogError(f"theta of rank {len(theta)} on a class of rank {cls.catalog.quiver.n}")
-    point = theta if is_intvec(theta) else integral(theta)  # same signs, integer dots
     return SemistableSet(
         frozenset(
             m
             for m, dims in _semistable_rows(cls)
-            if all(sum(map(mul, d, point)) > 0 for d in dims)
+            if all(sum(map(mul, d, theta)) > 0 for d in dims)
         )
     )
 
@@ -106,7 +104,8 @@ class Chamber(NamedTuple):
     id: int
     cells: tuple[Cell, ...]
     label: SemistableSet
-    sample: Vec
+    sample: IntVec  # its first cell's sample: numerators over den
+    den: int
     bounding_walls: tuple[tuple[Wall, int], ...]  # (wall, side sign)
 
 
@@ -114,7 +113,8 @@ class ChamberEdge(NamedTuple):
     src: int
     dst: int
     wall_brick: str
-    facet_sample: Vec
+    facet_sample: IntVec  # numerators over den
+    den: int
     # weakly admissible epimorphism witnesses: new label member -> pair tag
     witnesses: tuple[tuple[str, str], ...]
 
@@ -212,7 +212,8 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
         ca, cb = chamber_of[adj.cell_a.signs], chamber_of[adj.cell_b.signs]
         if ca == cb:
             raise InternalConsistencyError(
-                f"wall facet of {brick} inside a single chamber at {adj.facet_sample}"
+                f"wall facet of {brick} inside a single chamber "
+                f"at ({','.join(vec_str(adj.facet_sample, adj.den))})"
             )
         bounding[ca][brick] = adj.cell_a.signs[i]
         bounding[cb][brick] = adj.cell_b.signs[i]
@@ -224,7 +225,7 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
         if not (label_src < label_dst) or brick not in label_dst or brick in label_src:
             raise InternalConsistencyError(
                 f"wall crossing of {brick} violates strict label growth "
-                f"at facet sample {adj.facet_sample}"
+                f"at facet sample ({','.join(vec_str(adj.facet_sample, adj.den))})"
             )
         witnesses = []
         target = ModuleSum([brick])
@@ -239,7 +240,7 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
                     f"{x} becomes semistable across D({brick})"
                 )
             witnesses.append((x, pair.tag))
-        edges[key] = ChamberEdge(src, dst, brick, adj.facet_sample, tuple(witnesses))
+        edges[key] = ChamberEdge(src, dst, brick, adj.facet_sample, adj.den, tuple(witnesses))
 
     source = chamber_of[tuple(-1 for _ in bricks)]
     sink = chamber_of[tuple(1 for _ in bricks)]
@@ -253,6 +254,7 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
             cells=tuple(cell_group),
             label=SemistableSet(labels[cid]),
             sample=cell_group[0].sample,
+            den=cell_group[0].den,
             bounding_walls=tuple(
                 (walls[b], s)
                 for b, s in sorted(bounding[cid].items(), key=lambda kv: catalog.position(kv[0]))
@@ -282,7 +284,7 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
 def chamber_docs(cls: ModuleClass, graph: ChamberGraph) -> list[dict]:
     """The JSON document of each chamber: id, sorted label and sample."""
     return [
-        {"id": c.id, "label": c.label.sorted(cls), "sample": vec_str(c.sample)}
+        {"id": c.id, "label": c.label.sorted(cls), "sample": vec_str(c.sample, c.den)}
         for c in graph.chambers
     ]
 
@@ -292,13 +294,12 @@ def edge_docs(graph: ChamberGraph) -> list[dict]:
     return [{"from": e.src, "to": e.dst, "wall": e.wall_brick} for e in graph.edges]
 
 
-def locate_chamber(graph: ChamberGraph, theta) -> int:
+def locate_chamber(graph: ChamberGraph, theta: IntVec) -> int:
     """Chamber containing an off-wall point, found by its sign vector."""
     n = len(graph.chambers[0].sample)
     if len(theta) != n:
         raise CatalogError(f"theta of rank {len(theta)} on a class of rank {n}")
-    point = theta if is_intvec(theta) else integral(theta)
-    values = [sum(map(mul, w.cone.equalities[0], point)) for w in graph.walls.values()]
+    values = [sum(map(mul, w.cone.equalities[0], theta)) for w in graph.walls.values()]
     if 0 in values:
         raise InternalConsistencyError(f"{theta} lies on a brick hyperplane")
     return graph.chamber_of_signs[tuple(1 if v > 0 else -1 for v in values)]

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import random
 from functools import cmp_to_key
-from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import NamedTuple
 
 from ghostpic.catalog import ModuleClass, ModuleSum, builtin_kronecker, generate_type_a
 from ghostpic.errors import GuardExceededError, InternalConsistencyError, NonGenericPathError
-from ghostpic.geometry import Cone, cone_contains_cone, dot, feasible_point, int_dot
+from ghostpic.geometry import Cone, cone_contains_cone, feasible_point, int_dot, vec_str
 from ghostpic.ghosts import (
     SUBOBJECT,
     classify_bifurcations,
@@ -67,6 +66,11 @@ def _path_str(path: LinearPath) -> str:
     return f"h=({','.join(map(str, path.h))}) k=({','.join(map(str, path.k))})"
 
 
+def _sample_str(num, den: int) -> str:
+    """A sample point num/den in exact rationals, e.g. (-1/2,1)."""
+    return f"({','.join(vec_str(num, den))})"
+
+
 class CheckResult(NamedTuple):
     name: str
     passed: bool
@@ -115,8 +119,8 @@ def _random_generic_paths(cls: ModuleClass, rng: random.Random, count: int, plan
         yield path
 
 
-def _by_time(a: tuple[int, int], b: tuple[int, int]) -> int:
-    """Order two (num, den) time pairs (den > 0) by the times they stand for."""
+def _by_ratio(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Order two (num, den) pairs (den > 0) by the rationals they stand for."""
     return a[0] * b[1] - b[0] * a[1]
 
 
@@ -127,7 +131,7 @@ def _chamber_chain(cls: ModuleClass, graph: ChamberGraph, path: LinearPath) -> l
     plan = crossing_plan(cls)
     hd, kd = path.crossings(plan)
     times = sorted(
-        ((-hd[c.event], kd[c.event]) for c in plan.bricks.values()), key=cmp_to_key(_by_time)
+        ((-hd[c.event], kd[c.event]) for c in plan.bricks.values()), key=cmp_to_key(_by_ratio)
     )
     (first_num, first_den), (last_num, last_den) = times[0], times[-1]
     probes = [(first_num - first_den, first_den)]
@@ -166,7 +170,7 @@ class Verifier:
                     continue
                 samples += 1
                 if not any(graph.walls[b].interior.contains(adj.facet_sample) for b in cls.bricks):
-                    fails.add(f"{name}: theta={adj.facet_sample} on D({brick})")
+                    fails.add(f"{name}: theta={_sample_str(adj.facet_sample, adj.den)} on D({brick})")
         self.record("a:union-of-wall-interiors", fails, f"{samples} facet samples")
 
     # (b) semistable label locally constant: 25 interior points per chamber
@@ -179,11 +183,8 @@ class Verifier:
             for ch in graph.chambers:
                 # cell samples over one common denominator: an integer positive
                 # combination is a positive multiple of the normalized one
-                scale = lcm(*(x.denominator for c in ch.cells for x in c.sample))
-                samples = [
-                    tuple(x.numerator * (scale // x.denominator) for x in c.sample)
-                    for c in ch.cells
-                ]
+                scale = lcm(*(c.den for c in ch.cells))
+                samples = [tuple(x * (scale // c.den) for x in c.sample) for c in ch.cells]
                 for _ in range(25):
                     basis = samples if mix_cells else [rng.choice(samples)]
                     weights = [rng.randint(1, 9) for _ in basis]
@@ -200,19 +201,17 @@ class Verifier:
         edges = 0
         for name, cls in self.fixtures.items():
             graph = chamber_graph(cls)
-            eta = tuple(Fraction(1) for _ in range(cls.catalog.quiver.n))
+            dims = [cls.dim_of(b) for b in cls.bricks]
             for e in graph.edges:
                 edges += 1
-                theta0 = e.facet_sample
-                margins = []
-                for b in cls.bricks:
-                    d = cls.dim_of(b)
-                    v = dot(d, theta0)
-                    if v != 0:
-                        margins.append(abs(v) / dot(d, eta))
-                eps = min(margins) / 2 if margins else Fraction(1)
-                minus = tuple(x - eps for x in theta0)
-                plus = tuple(x + eps for x in theta0)
+                theta0 = e.facet_sample  # den times the rational sample
+                # eps = p/q is half the least margin |d.theta0| / d.eta over the
+                # bricks off the wall, else den (1 on the rational sample's
+                # scale); the points theta0 -+ eps*eta are scaled by q
+                halves = [(abs(v), 2 * sum(d)) for d in dims if (v := int_dot(d, theta0))]
+                p, q = min(halves, key=cmp_to_key(_by_ratio)) if halves else (e.den, 1)
+                minus = tuple(q * x - p for x in theta0)
+                plus = tuple(q * x + p for x in theta0)
                 s_minus = semistable_set(cls, minus).bricks
                 s_zero = semistable_set(cls, theta0).bricks
                 s_plus = semistable_set(cls, plus).bricks
@@ -225,7 +224,7 @@ class Verifier:
                     and e.wall_brick in s_plus - s_zero
                 )
                 if not ok:
-                    fails.add(f"{name}: theta0={theta0} on D({e.wall_brick})")
+                    fails.add(f"{name}: theta0={_sample_str(theta0, e.den)} on D({e.wall_brick})")
         self.record("c:wall-crossing-monotone", fails, f"{edges} edges")
 
     # (d) quotient-time stability criterion == wall-interior membership
@@ -330,7 +329,7 @@ class Verifier:
                     fails.add(f"torsion4: domain transport mismatch for {g.display()}")
             if duality.dual_class.flags.is_torsion_free is not True:
                 fails.add("torsion4: dual class is not torsion-free")
-            path = LinearPath((Fraction(3), Fraction(0), Fraction(2)), (Fraction(1),) * 3)
+            path = LinearPath((3, 0, 2), (1, 1, 1))
             orig = [e.label for e in mgs_with_ghosts(cls, path)]
             dual = [
                 e.label

@@ -4,8 +4,8 @@ first time, halfway between consecutive times and one after the last, and
 each probe point is path.at(t).  This is the reading the integer probes of
 `verify._chamber_chain` replace, kept as their oracle."""
 
-from ghostpic.geometry import dot
 from ghostpic.stability import locate_chamber
+from reference_vectors import dot
 
 
 def fraction_chamber_chain(cls, graph, path) -> list[int]:

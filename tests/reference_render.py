@@ -10,8 +10,9 @@ and a coordinate prints as three decimals rounded half-even.
 from fractions import Fraction
 
 from ghostpic.errors import GhostpicError, RankError
-from ghostpic.geometry import as_fracvec, dot, primitive
+from ghostpic.geometry import primitive
 from ghostpic.render import VIEWPORT, WINDOW, PlanePoint, rational_sqrt
+from reference_vectors import as_fracvec, dot
 
 _SQRT2 = rational_sqrt(2)
 _SQRT3 = rational_sqrt(3)

@@ -19,7 +19,7 @@ from ghostpic.errors import (
     InternalConsistencyError,
     NonGenericPathError,
 )
-from ghostpic.geometry import Cone, dot, int_dot, proportional
+from ghostpic.geometry import Cone, int_dot, proportional
 from ghostpic.ghosts import (
     ALL_KINDS,
     EXTENSION,
@@ -38,6 +38,7 @@ from ghostpic.greenpaths import (
     stable_along,
 )
 from ghostpic.stability import chamber_graph, locate_chamber, semistable_set, wall
+from reference_vectors import dot
 
 FIXTURES = verify.standard_fixtures()
 
@@ -383,4 +384,26 @@ class TestVerifyFailures:
             "[FAIL] d:brick-stability-equivalence  (2 paths x 10 fixtures; "
             f"{len(seen)} failures, first: a1: h=({path.h[0]}) k=({path.k[0]}): "
             "stability of S1: planted)"
+        )
+
+    def test_a_wall_crossing_failure_names_its_facet_sample_in_exact_rationals(self, monkeypatch):
+        """Facet samples are kept as integer numerators over a denominator;
+        the FAIL line prints the rational point, not the numerators."""
+        checker = verify.Verifier(paths_per_fixture=2, seed=0)
+        torsion4 = checker.fixtures["torsion4"]
+        edge = next(e for e in chamber_graph(torsion4).edges if e.den > 1)
+        assert (edge.facet_sample, edge.den, edge.wall_brick) == ((-2, 1, 0), 2, "S3")
+
+        def wrong_at_the_sample(cls, theta):
+            found = semistable_set(cls, theta)
+            if cls is torsion4 and theta == edge.facet_sample:
+                return found._replace(bricks=frozenset(cls.bricks))
+            return found
+
+        monkeypatch.setattr(verify, "semistable_set", wrong_at_the_sample)
+        checker.check_wall_crossing()
+        (result,) = checker.results
+        assert result.line() == (
+            "[FAIL] c:wall-crossing-monotone  (149 edges; 1 failures, "
+            "first: torsion4: theta0=(-1,1/2,0) on D(S3))"
         )

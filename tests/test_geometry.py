@@ -9,12 +9,12 @@ from ghostpic.geometry import (
     Cone,
     cell_facet_neighbors,
     cone_contains_cone,
-    dot,
     enumerate_cells,
     feasible_point,
     primitive,
     relative_interior_point,
 )
+from reference_vectors import dot
 
 A3_DIMS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)]
 

@@ -2,8 +2,9 @@
 
 The SHA-256 of the `chambers`, `mgs --all`, `ghosts`, `path` and
 `picture --report` output is pinned for three fixtures over three catalogs
-(A3 with orientations LL and LR, and the Kronecker fragment).  A change that
-moves any output byte fails here and must say so.
+(A3 with orientations LL and LR, and the Kronecker fragment), and the
+`chambers`, `path` and `picture --report` output of the one-brick Kronecker
+class {P2}.  A change that moves any output byte fails here and must say so.
 """
 
 import hashlib
@@ -16,12 +17,15 @@ FIXTURES = {
     "torsion4": ["--type-a", "3", "--orient", "LL", "--class", "S1,P3,I2,S3"],
     "case2": ["--type-a", "3", "--orient", "LR", "--class", "S1,P2,S2,I3,I1"],
     "kronecker": ["--builtin", "kronecker", "--class", "P1,P2,M"],
+    # one brick: its edge's facet sample is the kernel vector of one hyperplane
+    "kronecker-P2": ["--builtin", "kronecker", "--class", "P2"],
 }
 
 PATHS = {
     "torsion4": ["--h=3,0,2", "--k=1,1,1"],
     "case2": ["--h=2,-3,1", "--k=1,2,3"],
     "kronecker": ["--h=1,-3", "--k=2,1"],
+    "kronecker-P2": ["--h=1,-3", "--k=2,1"],
 }
 
 DIGESTS = {
@@ -40,6 +44,9 @@ DIGESTS = {
     ("torsion4", "report"): "86714844e4de78da8ca8d102ce95029266e7feaf0c7ddc15a4de1b18cfcb92ab",
     ("case2", "report"): "ba82957b903965ca6f58926558ed7f7337689d3dafa516e51877b6465ca71f85",
     ("kronecker", "report"): "997b9339511abecd6e3978ffd3cf3da76be65fd50dd060128d26f92f67380039",
+    ("kronecker-P2", "chambers"): "abd4dfcb110412d4dc187f69b461390a2cf4f755c1460897bffc4ff6eece5af0",
+    ("kronecker-P2", "path"): "0ef3288bdb98ece9833469253e0dab696068cb76469cb6fc9127c9aeaeace6a3",
+    ("kronecker-P2", "report"): "3f9dd7a5c04315646ad37590e264a87a42d323cc324a6916735fd9c36ec8d1f7",
 }
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from ghostpic.catalog import ModuleClass, ModuleSum
 from ghostpic.errors import CatalogError, NonGenericPathError
-from ghostpic.geometry import dot
 from ghostpic.greenpaths import (
     LinearPath,
     Mgs,
@@ -24,6 +23,7 @@ from ghostpic.greenpaths import (
     weakly_admissible_morphism_witness,
 )
 from ghostpic.stability import chamber_graph
+from reference_vectors import dot
 
 ONES = (Fraction(1), Fraction(1), Fraction(1))
 

@@ -4,6 +4,7 @@ per-class tables.  Every integer reading is checked against the
 Fraction reading it replaces."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from ghostpic.geometry import (
     _cone_lp,
     _simplex_max,
     cell_facet_neighbors,
-    dot,
     enumerate_cells,
     feasible_point,
     integral,
@@ -25,6 +25,7 @@ from ghostpic.ghosts import enumerate_ghosts, ghost_plan
 from ghostpic.greenpaths import CrossingPlan, LinearPath, check_generic, crossing_plan, linear_mgs
 from ghostpic.stability import chamber_graph, wall
 from reference_simplex import fraction_cone_lp, fraction_feasible_point, fraction_simplex_max
+from reference_vectors import dot
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=9)
 positives = st.fractions(min_value=Fraction(1, 9), max_value=12, max_denominator=9)
@@ -211,22 +212,26 @@ class TestIntegerSimplex:
             with pytest.raises(GhostpicError, match="unbounded"):
                 _simplex_max(c, rows, rhs)
             return
-        value, x = _simplex_max(c, rows, rhs)
-        assert (value, x) == expected
-        assert all(isinstance(v, Fraction) for v in (value, *x))
+        value, num, den = _simplex_max(c, rows, rhs)
+        assert (Fraction(value, den), [Fraction(x, den) for x in num]) == expected
+        assert all(type(v) is int for v in (value, *num, den))
 
     @settings(max_examples=400, deadline=None)
     @given(integer_cones(), st.data())
     def test_cone_lp_matches_the_rational_one(self, cone, data):
         row = st.tuples(*[st.integers(-3, 3)] * cone.dim)
         slack_rows = tuple(data.draw(st.lists(row, max_size=3)))
-        assert _cone_lp(cone, slack_rows) == fraction_cone_lp(cone, slack_rows)
+        value, num, den = _cone_lp(cone, slack_rows)
+        expected = fraction_cone_lp(cone, slack_rows)
+        assert (Fraction(value, den), tuple(Fraction(x, den) for x in num)) == expected
 
     @settings(max_examples=400, deadline=None)
     @given(integer_cones())
     def test_feasible_point_matches_the_rational_one(self, cone):
         point = feasible_point(cone)
-        assert point == fraction_feasible_point(cone)
+        expected = fraction_feasible_point(cone)
+        den = lcm(*(x.denominator for x in expected or ()))
+        assert (point and tuple(Fraction(x, den) for x in point)) == expected
         if point is not None:
             assert cone.contains(point)
 

@@ -6,7 +6,6 @@ import pytest
 
 from ghostpic import greenpaths
 from ghostpic.errors import NonGenericPathError
-from ghostpic.geometry import as_fracvec
 from ghostpic.greenpaths import (
     LinearPath,
     _search_grid,
@@ -16,6 +15,7 @@ from ghostpic.greenpaths import (
     linear_mgs,
 )
 from ghostpic.verify import standard_fixtures
+from reference_vectors import as_fracvec
 
 
 def reference_find_linear_path(cls, walls, radius):

@@ -1,0 +1,56 @@
+"""The no-float contract of the package docstring, checked on the source.
+
+Every module of `src/ghostpic` is parsed, and its syntax tree may hold no
+float or complex literal, no call of `float`, `round` or `complex`, no name
+of `math` but `gcd`, `lcm` and `isqrt`, and no true division (`/`, `/=`):
+integers divide with `//` or `divmod`, and rationals are compared by
+cross-multiplying.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "ghostpic").glob("*.py"))
+MATH_NAMES = {"gcd", "lcm", "isqrt"}
+
+
+def violations(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        where = f"line {getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            found.append(f"{where}: literal {node.value!r}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in ("float", "round", "complex"):
+                found.append(f"{where}: call of {node.func.id}")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"{where}: true division")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [f"{where}: math.{a.name}" for a in node.names if a.name not in MATH_NAMES]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "math" and node.attr not in MATH_NAMES:
+                found.append(f"{where}: math.{node.attr}")
+    return found
+
+
+def test_the_package_has_sources():
+    assert {p.name for p in SOURCES} >= {"geometry.py", "render.py", "verify.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_float_arithmetic(path):
+    assert violations(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_every_kind_of_violation_is_seen():
+    source = (
+        "from math import floor, gcd\n"
+        "import math\n"
+        "a = 0.5 + 1j\n"
+        "b = float(a) + round(a) + complex(a)\n"
+        "c = math.sqrt(2) + math.isqrt(4) / 2\n"
+        "c /= 2\n"
+    )
+    assert len(violations(ast.parse(source))) == 9

@@ -7,7 +7,7 @@ import pytest
 
 from ghostpic.catalog import ModuleClass
 from ghostpic.errors import GhostpicError, RankError
-from ghostpic.geometry import Cone, dot, primitive
+from ghostpic.geometry import Cone, primitive
 from ghostpic.ghosts import SUBOBJECT, enumerate_ghosts
 from ghostpic.render import (
     RenderOptions,
@@ -19,6 +19,7 @@ from ghostpic.render import (
     trace_wall_curve,
 )
 from ghostpic.stability import wall
+from reference_vectors import dot
 
 
 def wall_paths(svg):

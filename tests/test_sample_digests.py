@@ -7,6 +7,7 @@ pivots as the rational one it replaced, so not one sample may move.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -33,23 +34,23 @@ def _signs(signs):
     return "".join("+" if s > 0 else "-" for s in signs)
 
 
-def _vec(v):
-    return ",".join(str(x) for x in v)
+def _vec(num, den):
+    return ",".join(str(Fraction(x, den)) for x in num)
 
 
 def sample_lines(graph):
     """One line per exact sample of the graph's arrangement and chambers."""
     for c in graph.cells:
-        yield f"cell {_signs(c.signs)} {_vec(c.sample)}"
+        yield f"cell {_signs(c.signs)} {_vec(c.sample, c.den)}"
     for a in graph.adjacencies:
         yield (
             f"facet {a.hyperplane_index} {_signs(a.cell_a.signs)} "
-            f"{_signs(a.cell_b.signs)} {_vec(a.facet_sample)}"
+            f"{_signs(a.cell_b.signs)} {_vec(a.facet_sample, a.den)}"
         )
     for ch in graph.chambers:
-        yield f"chamber {ch.id} {_vec(ch.sample)}"
+        yield f"chamber {ch.id} {_vec(ch.sample, ch.den)}"
     for e in graph.edges:
-        yield f"edge {e.src} {e.dst} {e.wall_brick} {_vec(e.facet_sample)}"
+        yield f"edge {e.src} {e.dst} {e.wall_brick} {_vec(e.facet_sample, e.den)}"
 
 
 def sample_digest(cls):

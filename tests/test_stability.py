@@ -5,7 +5,6 @@ import pytest
 
 from ghostpic.catalog import ModuleClass, ModuleSum
 from ghostpic.errors import GuardExceededError
-from ghostpic.geometry import dot
 from ghostpic.stability import (
     chamber_graph,
     enumerate_chambers,
@@ -13,6 +12,7 @@ from ghostpic.stability import (
     semistable_set,
     wall,
 )
+from reference_vectors import dot
 
 ETA3 = (Fraction(1), Fraction(1), Fraction(1))
 
