@@ -43,9 +43,12 @@ def guard_limit(default: int) -> int:
     if not raw:
         return default
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
-        raise UsageError(f"GHOSTPIC_GUARD must be an integer, got {raw!r}") from None
+        limit = 0  # refused below, like every value under 1
+    if limit < 1:
+        raise UsageError(f"GHOSTPIC_GUARD must be a positive integer, got {raw!r}")
+    return limit
 
 
 class InternalConsistencyError(GhostpicError):

@@ -25,6 +25,7 @@ bricks and its subobject and quotient ghosts from that one plan.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from ghostpic.catalog import (
@@ -401,10 +402,12 @@ def ghost_events(cls: ModuleClass, path: LinearPath) -> list[Event]:
     plan = ghost_plan(cls)
     check_generic(path, plan)
     hd, kd = path.crossings(plan)
-    by_time: dict[Fraction, list[Ghost]] = {}
+    by_time: dict[tuple[int, int], list[Ghost]] = {}  # reduced time -> group
     for g, c in plan.ghosts.values():
         if g.kind != EXTENSION:
-            by_time.setdefault(Fraction(-hd[c.event], kd[c.event]), []).append(g)
+            h, k = hd[c.event], kd[c.event]
+            r = gcd(h, k)
+            by_time.setdefault((-h // r, k // r), []).append(g)
     events: list[Event] = []
     for t, group in by_time.items():
         ordered = _order_concurrent(cls, group) if len(group) > 1 else group
@@ -412,7 +415,7 @@ def ghost_events(cls: ModuleClass, path: LinearPath) -> list[Event]:
             c = plan.ghosts[g.key()][1]
             events.append(
                 Event(
-                    t=t,
+                    t=Fraction(*t),
                     kind="ghost",
                     label=c.label,
                     stable=stable_along(path, plan, c),

@@ -4,19 +4,19 @@ Walls, ghost domains and chamber labels are traced on the unit sphere and
 drawn through the stereographic projection with pole at -eta/sqrt(3) and
 image plane tangent at eta/sqrt(3), so the all-positive chamber appears at
 the center.  All curve clipping decisions are exact (rays and cone
-membership).  The drawing runs on a fixed-point integer grid from the ray to
-the printed digits: square roots are floor roots at 2^-80, every projected
-coordinate is an integer numerator over 2^-48 (rounded half-even), the
-viewport map, Liang-Barsky clipping and the three-decimal printing work on
-integers over one common denominator per curve, so the output is exact and
-its bytes are identical across runs.
+membership).  The drawing runs on integers from the ray to the printed
+digits: square roots are floor roots at 2^-80, every projected coordinate is
+an integer numerator over 2^48 (rounded half-even), a scene keeps its points
+as numerators over one denominator per picture, and the viewport map,
+Liang-Barsky clipping and the three-decimal printing work on those
+numerators, so the output is exact and its bytes are identical across runs.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from ghostpic.catalog import ModuleClass
@@ -28,7 +28,7 @@ from ghostpic.stability import chamber_docs, chamber_graph, edge_docs
 
 SQRT_BITS = 80
 VIEWPORT = 1000
-WINDOW = Fraction(8)  # plane coordinates [-WINDOW, WINDOW] map onto the viewport
+WINDOW = 8  # plane coordinates [-WINDOW, WINDOW] map onto the viewport
 
 REPORT_SCHEMA = "ghostpic-report/1"
 
@@ -41,20 +41,15 @@ PALETTE = {
 }
 
 
-def rational_sqrt(x, bits: int = SQRT_BITS) -> Fraction:
-    """Floor square root of a nonnegative rational at 2^-bits precision."""
-    x = Fraction(x)
-    if x < 0:
-        raise GhostpicError("square root of a negative rational")
-    n, d = x.numerator, x.denominator
-    return Fraction(isqrt((n * d) << (2 * bits)), d << bits)
-
-
 _GRID_BITS = 48  # projected coordinates snap to this fixed grid
 _GRID = 1 << _GRID_BITS
 _ROOT_SHIFT = 2 * SQRT_BITS
 # floor square roots of 2, 3 and 6 at 2^-SQRT_BITS, as integer numerators
 _S2, _S3, _S6 = (isqrt(k << _ROOT_SHIFT) for k in (2, 3, 6))
+# a chord is short enough when |chord| <= 0.5% of the viewport, that is
+# |chord|^2 * _CHORD_DEN <= _CHORD_NUM with the chord in grid units
+_CHORD_DEN = VIEWPORT * VIEWPORT
+_CHORD_NUM = (2 * WINDOW * 5) ** 2 << (2 * _GRID_BITS)
 
 
 def _round_half_even(num: int, den: int) -> int:
@@ -66,11 +61,14 @@ def _round_half_even(num: int, den: int) -> int:
 
 
 class PlanePoint(NamedTuple):
-    x: Fraction
-    y: Fraction
+    """Integer numerators of a plane point: over 2^48 as projected, over the
+    picture's `PictureScene.den` in a scene."""
+
+    x: int
+    y: int
 
 
-def _project_int(t) -> tuple[int, int]:
+def _project_int(t) -> PlanePoint:
     """Grid numerators (X, Y) of the projection of a primitive integer ray t;
     the plane point is (X, Y) / 2^48.
 
@@ -85,14 +83,10 @@ def _project_int(t) -> tuple[int, int]:
     if d <= 0:
         raise GhostpicError("at-pole: ray is antipodal to eta")
     shift = SQRT_BITS + _GRID_BITS
-    return (
+    return PlanePoint(
         _round_half_even((_S6 * (t[0] - t[1])) << shift, d),
         _round_half_even((_S2 * (t[0] + t[1] - 2 * t[2])) << shift, d),
     )
-
-
-def _grid_point(xy: tuple[int, int]) -> PlanePoint:
-    return PlanePoint(Fraction(xy[0], _GRID), Fraction(xy[1], _GRID))
 
 
 def stereographic(theta) -> PlanePoint:
@@ -105,7 +99,7 @@ def stereographic(theta) -> PlanePoint:
         raise RankError("stereographic projection is rank-3 only")
     if not any(theta):
         raise GhostpicError("cannot project the zero vector")
-    return _grid_point(_project_int(primitive(theta)))
+    return _project_int(primitive(theta))
 
 
 def _cross(a, b):
@@ -182,10 +176,6 @@ def trace_wall_curve(cone: Cone, samples: int = 48) -> list[PlanePoint]:
         anchors2d = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0)]
         closed = True
 
-    tol2 = (2 * WINDOW * Fraction(5, VIEWPORT)) ** 2  # 0.5% of the viewport
-    # chord^2 <= tol2 on the grid, whose unit is 2^-48
-    tol_den, tol_num = tol2.denominator, tol2.numerator << (2 * _GRID_BITS)
-
     def midpoint_ray(ra, rb):
         # angular bisection up to integer rounding; the rounded ray is kept
         # only if it still satisfies the sector inequalities exactly
@@ -205,12 +195,12 @@ def trace_wall_curve(cone: Cone, samples: int = 48) -> list[PlanePoint]:
         u, v = r2
         return _project_int(primitive(tuple(u * x + v * y for x, y in zip(b1, b2))))
 
-    out: list[tuple[int, int]] = [project(anchors2d[0])]
+    out: list[PlanePoint] = [project(anchors2d[0])]
 
     def refine(ra, rb, pa, pb, depth):
         if depth <= 0:
             dx, dy = pa[0] - pb[0], pa[1] - pb[1]
-            if tol_den * (dx * dx + dy * dy) <= tol_num:
+            if _CHORD_DEN * (dx * dx + dy * dy) <= _CHORD_NUM:
                 out.append(pb)
                 return
         if depth <= -16:
@@ -232,7 +222,7 @@ def trace_wall_curve(cone: Cone, samples: int = 48) -> list[PlanePoint]:
         )
     if closed:
         out[-1] = out[0]
-    return [_grid_point(xy) for xy in out]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +232,7 @@ def trace_wall_curve(cone: Cone, samples: int = 48) -> list[PlanePoint]:
 
 class RenderOptions(NamedTuple):
     include_extension_ghosts: bool = False
-    ghost_offset: Fraction = Fraction(1, 100)  # of the viewport, cosmetic
+    ghost_offset: int | Fraction = Fraction(1, 100)  # of the viewport, cosmetic
     samples: int = 48
     show_vertices: bool = False
 
@@ -255,10 +245,14 @@ class SceneCurve(NamedTuple):
 
 
 class PictureScene(NamedTuple):
+    """Every point of the scene is a numerator over den = 2^48 * q, where q is
+    the denominator of the ghost shift 2 * WINDOW * ghost_offset."""
+
     wall_curves: tuple[SceneCurve, ...]
     ghost_curves: tuple[SceneCurve, ...]
     labels: tuple[tuple[str, PlanePoint], ...]
     vertices: tuple[tuple[PlanePoint, tuple[str, ...]], ...]
+    den: int
 
 
 def _canonical_cone(cone: Cone):
@@ -269,8 +263,19 @@ def build_scene(cls: ModuleClass, options: RenderOptions, graph=None) -> Picture
     if cls.catalog.quiver.n != 3:
         raise RankError("rank-3-only: pictures need exactly three simples; "
                         "use the JSON report for other ranks")
+    offset = options.ghost_offset
+    if isinstance(offset, bool) or not isinstance(offset, (int, Fraction)):
+        raise GhostpicError(f"ghost_offset must be an int or a Fraction, got {offset!r}")
     if graph is None:
         graph = chamber_graph(cls)
+    # the ghost shift 2 * WINDOW * ghost_offset is step / q in lowest terms
+    k = gcd(2 * WINDOW * offset.numerator, offset.denominator)
+    step, q = 2 * WINDOW * offset.numerator // k, offset.denominator // k
+    den = _GRID * q
+
+    def scaled(p: PlanePoint, eps: int = 0) -> PlanePoint:
+        return PlanePoint(p.x * q + eps, p.y * q + eps)
+
     wall_curves = []
     for b in cls.bricks:
         pts = trace_wall_curve(graph.walls[b].cone, options.samples)
@@ -279,7 +284,7 @@ def build_scene(cls: ModuleClass, options: RenderOptions, graph=None) -> Picture
                 SceneCurve(
                     name=b,
                     kind="wall",
-                    points=tuple(pts),
+                    points=tuple(scaled(p) for p in pts),
                     style={"stroke": PALETTE["wall"], "fill": "none", "stroke-width": "2"},
                 )
             )
@@ -307,19 +312,16 @@ def build_scene(cls: ModuleClass, options: RenderOptions, graph=None) -> Picture
         canon = _canonical_cone(g.domain)
         shift = domain_groups.get(canon, 0)
         domain_groups[canon] = shift + 1
-        if shift:
-            eps = 2 * WINDOW * options.ghost_offset * shift
-            pts = [PlanePoint(p.x + eps, p.y + eps) for p in pts]
-        ghost_curves.append(SceneCurve(g.display(), g.kind, tuple(pts), style))
+        pts = tuple(scaled(p, step * shift * _GRID) for p in pts)
+        ghost_curves.append(SceneCurve(g.display(), g.kind, pts, style))
 
+    edge = WINDOW * den
     labels = []
     for ch in graph.chambers:
         if ch.id == graph.source:
             continue  # the outer all-negative chamber is left unlabeled
-        anchor = stereographic(ch.sample)
-        anchor = PlanePoint(
-            max(-WINDOW, min(WINDOW, anchor.x)), max(-WINDOW, min(WINDOW, anchor.y))
-        )
+        anchor = scaled(stereographic(ch.sample))
+        anchor = PlanePoint(max(-edge, min(edge, anchor.x)), max(-edge, min(edge, anchor.y)))
         labels.append(("".join(ch.label.sorted(cls)), anchor))
 
     vertices = []
@@ -336,12 +338,13 @@ def build_scene(cls: ModuleClass, options: RenderOptions, graph=None) -> Picture
                         b for b in bricks if graph.walls[b].cone.contains(v)
                     )
                     if len(incident) >= 2:
-                        vertices.append((stereographic(v), incident))
+                        vertices.append((scaled(stereographic(v)), incident))
     return PictureScene(
         wall_curves=tuple(wall_curves),
         ghost_curves=tuple(ghost_curves),
         labels=tuple(labels),
         vertices=tuple(vertices),
+        den=den,
     )
 
 
@@ -358,25 +361,15 @@ def _px(num: int, den: int) -> str:
     return f"{sign}{scaled // 1000}.{scaled % 1000:03d}"
 
 
-def _to_viewport(points) -> tuple[list[tuple[int, int]], int]:
-    """Viewport coordinates of plane points as integer pairs over one common
-    denominator: 2*WINDOW times the lcm of the points' denominators.
+def _to_viewport(points, den: int) -> tuple[list[tuple[int, int]], int]:
+    """Viewport coordinates of plane points, numerators over den > 0, as
+    integer pairs over the one denominator 2*WINDOW*den.
 
     x maps to VIEWPORT/2 * (1 + x/WINDOW) and y to VIEWPORT/2 * (1 - y/WINDOW).
     """
-    common = 1
-    for p in points:
-        common = lcm(common, p.x.denominator, p.y.denominator)
-    wn, wd = WINDOW.numerator, WINDOW.denominator
-    center = wn * common
-    view = [
-        (
-            VIEWPORT * (center + wd * p.x.numerator * (common // p.x.denominator)),
-            VIEWPORT * (center - wd * p.y.numerator * (common // p.y.denominator)),
-        )
-        for p in points
-    ]
-    return view, 2 * wn * common
+    center = WINDOW * den
+    view = [(VIEWPORT * (center + p.x), VIEWPORT * (center - p.y)) for p in points]
+    return view, 2 * center
 
 
 def _clip_segment(p, q, den: int):
@@ -419,12 +412,12 @@ def _same_point(a, b) -> bool:
     return a[0] * b[2] == b[0] * a[2] and a[1] * b[2] == b[1] * a[2]
 
 
-def _polyline_paths(points) -> list[str]:
-    view, den = _to_viewport(points)
+def _polyline_paths(points, den: int) -> list[str]:
+    view, view_den = _to_viewport(points, den)
     paths = []
     run: list[tuple] = []
     for i in range(len(view) - 1):
-        seg = _clip_segment(view[i], view[i + 1], den)
+        seg = _clip_segment(view[i], view[i + 1], view_den)
         if seg is None:
             if len(run) >= 2:
                 paths.append(run)
@@ -469,16 +462,16 @@ def render_picture(cls: ModuleClass, options: RenderOptions | None = None, graph
     ]
     for curve in scene.wall_curves + scene.ghost_curves:
         style = ";".join(f"{k}:{v}" for k, v in sorted(curve.style.items()))
-        for d in _polyline_paths(curve.points):
+        for d in _polyline_paths(curve.points, scene.den):
             lines.append(f'<path class="{curve.kind}" data-name="{curve.name}" d="{d}" style="{style}"/>')
     for text, anchor in scene.labels:
-        ((x, y),), den = _to_viewport((anchor,))
+        ((x, y),), den = _to_viewport((anchor,), scene.den)
         lines.append(
             f'<text class="chamber-label" x="{_px(x, den)}" y="{_px(y, den)}" '
             f'font-size="18" text-anchor="middle">{text}</text>'
         )
     for point, incident in scene.vertices:
-        ((x, y),), den = _to_viewport((point,))
+        ((x, y),), den = _to_viewport((point,), scene.den)
         lines.append(
             f'<circle class="vertex" cx="{_px(x, den)}" cy="{_px(y, den)}" r="3" '
             f'data-walls="{",".join(incident)}"/>'

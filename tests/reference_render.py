@@ -4,15 +4,27 @@ that the integer fixed-point renderer replaced, kept as an oracle for it.
 Same formulas and the same roundings: the square roots are floor roots at
 2^-80, projected coordinates snap half-even to the 2^-48 grid, the viewport
 map is exact, Liang-Barsky clipping keeps its parameters as `Fraction`s,
-and a coordinate prints as three decimals rounded half-even.
+and a coordinate prints as three decimals rounded half-even.  Plane points
+are `(x, y)` pairs of `Fraction`s.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from ghostpic.errors import GhostpicError, RankError
 from ghostpic.geometry import primitive
-from ghostpic.render import VIEWPORT, WINDOW, PlanePoint, rational_sqrt
+from ghostpic.render import SQRT_BITS, VIEWPORT, WINDOW
 from reference_vectors import as_fracvec, dot
+
+
+def rational_sqrt(x, bits: int = SQRT_BITS) -> Fraction:
+    """Floor square root of a nonnegative rational at 2^-bits precision."""
+    x = Fraction(x)
+    if x < 0:
+        raise GhostpicError("square root of a negative rational")
+    n, d = x.numerator, x.denominator
+    return Fraction(isqrt((n * d) << (2 * bits)), d << bits)
+
 
 _SQRT2 = rational_sqrt(2)
 _SQRT3 = rational_sqrt(3)
@@ -25,7 +37,7 @@ def _quantize(x: Fraction) -> Fraction:
     return Fraction(round(x * (1 << _GRID_BITS)), 1 << _GRID_BITS)
 
 
-def fraction_stereographic(theta) -> PlanePoint:
+def fraction_stereographic(theta) -> tuple[Fraction, Fraction]:
     theta = as_fracvec(theta)
     if len(theta) != 3:
         raise RankError("stereographic projection is rank-3 only")
@@ -39,9 +51,9 @@ def fraction_stereographic(theta) -> PlanePoint:
     denom = a + _SQRT3 * r
     if denom <= 0:
         raise GhostpicError("at-pole: ray is antipodal to eta")
-    return PlanePoint(
-        x=_quantize(_SQRT6 * (theta[0] - theta[1]) / denom),
-        y=_quantize(_SQRT2 * (theta[0] + theta[1] - 2 * theta[2]) / denom),
+    return (
+        _quantize(_SQRT6 * (theta[0] - theta[1]) / denom),
+        _quantize(_SQRT2 * (theta[0] + theta[1] - 2 * theta[2]) / denom),
     )
 
 
@@ -52,9 +64,10 @@ def fraction_px(value: Fraction) -> str:
     return f"{sign}{scaled // 1000}.{scaled % 1000:03d}"
 
 
-def fraction_to_viewport(p: PlanePoint) -> tuple[Fraction, Fraction]:
+def fraction_to_viewport(p: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+    x, y = p
     scale = Fraction(VIEWPORT, 2) / WINDOW
-    return (Fraction(VIEWPORT, 2) + p.x * scale, Fraction(VIEWPORT, 2) - p.y * scale)
+    return (Fraction(VIEWPORT, 2) + x * scale, Fraction(VIEWPORT, 2) - y * scale)
 
 
 def fraction_clip_segment(p, q):

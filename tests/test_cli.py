@@ -230,13 +230,14 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("command", ["mgs", "chambers"])
     def test_guard_non_integer_is_usage_error(self, capsys, monkeypatch, command):
-        monkeypatch.setenv("GHOSTPIC_GUARD", "abc")
-        code, out, err = run(
-            capsys, command, "--type-a", "3", "--orient", "LL", "--class", "S1,P3,I2,S3"
-        )
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1 and "GHOSTPIC_GUARD" in err
+        for value in ("abc", "-1", "0"):
+            monkeypatch.setenv("GHOSTPIC_GUARD", value)
+            code, out, err = run(
+                capsys, command, "--type-a", "3", "--orient", "LL", "--class", "S1,P3,I2,S3"
+            )
+            assert code == 2
+            assert out == ""
+            assert err.count("\n") == 1 and "GHOSTPIC_GUARD" in err
 
     @pytest.mark.parametrize("h", ["1,2,x", "1,2,1/0"])
     def test_non_rational_vector_is_usage_error(self, capsys, h):

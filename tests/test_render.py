@@ -13,13 +13,15 @@ from ghostpic.render import (
     RenderOptions,
     build_scene,
     export_report,
-    rational_sqrt,
     render_picture,
     stereographic,
     trace_wall_curve,
 )
 from ghostpic.stability import wall
+from reference_render import rational_sqrt
 from reference_vectors import dot
+
+GRID = 1 << 48  # projected points are numerators over 2^48
 
 
 def wall_paths(svg):
@@ -54,11 +56,11 @@ class TestStereographic:
     def test_equator_maps_to_radius_two_circle(self):
         # closed form: a ray orthogonal to eta projects onto the circle of
         # radius 2 around the origin
-        tol = Fraction(1, 10**12)
+        tol = Fraction(GRID**2, 10**12)
         for ray in [(1, -1, 0), (0, 1, -1), (1, 0, -1), (2, -1, -1), (-3, 1, 2)]:
             assert dot(ray, (1, 1, 1)) == 0
             p = stereographic(ray)
-            assert abs(p.x**2 + p.y**2 - 4) < tol
+            assert abs(p.x**2 + p.y**2 - 4 * GRID**2) < tol
 
     def test_scale_invariance(self):
         a = stereographic((3, 1, 2))
@@ -122,7 +124,7 @@ class TestTrace:
 
     def test_chord_tolerance(self, torsion4):
         pts = trace_wall_curve(wall(torsion4, "S1").cone)
-        tol2 = (2 * Fraction(8) * Fraction(5, 1000)) ** 2
+        tol2 = (2 * Fraction(8) * Fraction(5, 1000) * GRID) ** 2
         for a, b in zip(pts, pts[1:]):
             assert (a.x - b.x) ** 2 + (a.y - b.y) ** 2 <= tol2
 
@@ -178,6 +180,26 @@ class TestRenderPicture:
         svg = render_picture(case2)
         meta = json.loads(re.search(r"<metadata>(.*)</metadata>", svg).group(1))
         assert meta["options"]["ghost_offset"] == "1/100"
+
+    @pytest.mark.parametrize("offset", [Fraction(1, 100), Fraction(-3, 7), Fraction(5, 2), 2, 0])
+    def test_stacked_ghost_is_shifted_by_the_offset(self, torsion4, monkeypatch, offset):
+        # no fixture stacks two ghost domains, so draw one ghost twice: the
+        # copy is the curve moved by 2 * WINDOW * ghost_offset in x and y
+        ghost = next(g for g in enumerate_ghosts(torsion4) if trace_wall_curve(g.domain))
+        monkeypatch.setattr("ghostpic.render.enumerate_ghosts", lambda cls: [ghost, ghost])
+        scene = build_scene(torsion4, RenderOptions(ghost_offset=offset))
+        first, second = (c.points for c in scene.ghost_curves)
+        eps = 2 * 8 * Fraction(offset)
+        grid = [(Fraction(p.x, GRID), Fraction(p.y, GRID)) for p in trace_wall_curve(ghost.domain)]
+        assert [(Fraction(p.x, scene.den), Fraction(p.y, scene.den)) for p in first] == grid
+        assert [(Fraction(p.x, scene.den), Fraction(p.y, scene.den)) for p in second] == [
+            (x + eps, y + eps) for x, y in grid
+        ]
+
+    @pytest.mark.parametrize("offset", [0.01, "1/100", True])
+    def test_ghost_offset_must_be_rational(self, torsion4, offset):
+        with pytest.raises(GhostpicError, match=r"^ghost_offset must be an int or a Fraction, got [^\n]*$"):
+            render_picture(torsion4, RenderOptions(ghost_offset=offset))
 
     def test_metadata_block(self, torsion4):
         svg = render_picture(torsion4)

@@ -1,7 +1,9 @@
 """Property tests of the integer fixed-point renderer against the `Fraction`
 one it replaced (`reference_render.py`): projection onto the 2^-48 grid,
 the viewport map, Liang-Barsky clipping, polyline joins and the
-three-decimal printing must agree exactly, ties included."""
+three-decimal printing must agree exactly, ties included.  Plane points are
+drawn as the renderer keeps them in a scene: grid numerators shifted by a
+ghost offset p/q, all over the one denominator 2^48 * q."""
 
 from fractions import Fraction
 
@@ -39,11 +41,8 @@ coords = st.one_of(
     st.integers(-12 * GRID, 12 * GRID),
     st.sampled_from([-EDGE, EDGE, 0, EDGE + 1, -EDGE - 1, EDGE - 1, 1 - EDGE]),
 )
-# the ghost offset 2*WINDOW*offset*shift moves whole curves off the grid
-offsets = st.one_of(
-    st.just(Fraction(0)),
-    st.builds(lambda n, d: Fraction(16 * n, d), st.integers(-3, 3), st.integers(1, 200)),
-)
+# the ghost shift p/q moves whole curves off the grid
+offsets = st.one_of(st.just((0, 1)), st.tuples(st.integers(-48, 48), st.integers(1, 200)))
 
 
 def at_pole(ray) -> bool:
@@ -54,6 +53,17 @@ def at_pole(ray) -> bool:
     return False
 
 
+def shifted(pts, offset):
+    """Grid points (x, y) shifted by offset = (p, q), as numerators over
+    den = 2^48 * q, with den."""
+    p, q = offset
+    return [PlanePoint(x * q + p * GRID, y * q + p * GRID) for x, y in pts], GRID * q
+
+
+def as_fractions(point, den):
+    return (Fraction(point.x, den), Fraction(point.y, den))
+
+
 @st.composite
 def segments(draw):
     x0, y0, x1, y1 = (draw(coords) for _ in range(4))
@@ -62,18 +72,13 @@ def segments(draw):
         x1 = x0
     if kind in ("horizontal", "point"):
         y1 = y0
-    off = draw(offsets)
-    return [
-        PlanePoint(Fraction(x0, GRID) + off, Fraction(y0, GRID) + off),
-        PlanePoint(Fraction(x1, GRID) + off, Fraction(y1, GRID) + off),
-    ]
+    return shifted([(x0, y0), (x1, y1)], draw(offsets))
 
 
 @st.composite
 def polylines(draw):
-    off = draw(offsets)
     pts = draw(st.lists(st.tuples(coords, coords), min_size=2, max_size=7))
-    return [PlanePoint(Fraction(x, GRID) + off, Fraction(y, GRID) + off) for x, y in pts]
+    return shifted(pts, draw(offsets))
 
 
 class TestProjection:
@@ -81,16 +86,15 @@ class TestProjection:
     @given(rays)
     def test_project_int_matches_fraction_projection(self, ray):
         assume(not at_pole(ray))
-        ref = fraction_stereographic(ray)
         x, y = _project_int(primitive(ray))
-        assert (Fraction(x, GRID), Fraction(y, GRID)) == (ref.x, ref.y)
+        assert (Fraction(x, GRID), Fraction(y, GRID)) == fraction_stereographic(ray)
 
     @settings(max_examples=200, deadline=None)
     @given(rays, st.integers(1, 7))
     def test_stereographic_matches_on_scaled_rays(self, ray, scale):
         assume(not at_pole(ray))
         theta = tuple(Fraction(scale * x, 3) for x in ray)
-        assert stereographic(theta) == fraction_stereographic(theta)
+        assert as_fractions(stereographic(theta), GRID) == fraction_stereographic(theta)
 
     @pytest.mark.parametrize("ray", [(-1, -1, -1), (-4, -4, -4)])
     def test_pole_raises_like_the_reference(self, ray):
@@ -106,16 +110,18 @@ class TestViewportAndClipping:
     @settings(max_examples=300, deadline=None)
     @given(segments())
     def test_viewport_is_exact(self, seg):
-        view, den = _to_viewport(seg)
-        for (x, y), p in zip(view, seg):
-            assert (Fraction(x, den), Fraction(y, den)) == fraction_to_viewport(p)
+        points, den = seg
+        view, vden = _to_viewport(points, den)
+        for (x, y), p in zip(view, points):
+            assert (Fraction(x, vden), Fraction(y, vden)) == fraction_to_viewport(as_fractions(p, den))
 
     @settings(max_examples=500, deadline=None)
     @given(segments())
     def test_clip_matches_fraction_clip(self, seg):
-        (p, q), den = _to_viewport(seg)
-        got = _clip_segment(p, q, den)
-        ref = fraction_clip_segment(*(fraction_to_viewport(pt) for pt in seg))
+        points, den = seg
+        (p, q), vden = _to_viewport(points, den)
+        got = _clip_segment(p, q, vden)
+        ref = fraction_clip_segment(*(fraction_to_viewport(as_fractions(pt, den)) for pt in points))
         if ref is None:
             assert got is None
             return
@@ -125,16 +131,19 @@ class TestViewportAndClipping:
 
     @settings(max_examples=300, deadline=None)
     @given(polylines())
-    def test_polyline_paths_match(self, points):
-        assert _polyline_paths(points) == fraction_polyline_paths(points)
+    def test_polyline_paths_match(self, line):
+        points, den = line
+        ref = fraction_polyline_paths([as_fractions(p, den) for p in points])
+        assert _polyline_paths(points, den) == ref
 
     def test_segment_along_an_edge_and_outside(self):
-        on_edge = [PlanePoint(Fraction(-8), Fraction(-9)), PlanePoint(Fraction(-8), Fraction(9))]
-        outside = [PlanePoint(Fraction(9), Fraction(-1)), PlanePoint(Fraction(9), Fraction(1))]
+        on_edge = [PlanePoint(-EDGE, -9 * GRID), PlanePoint(-EDGE, 9 * GRID)]
+        outside = [PlanePoint(9 * GRID, -GRID), PlanePoint(9 * GRID, GRID)]
         for seg in (on_edge, outside):
-            assert _polyline_paths(seg) == fraction_polyline_paths(seg)
-        assert _polyline_paths(on_edge) == ["M 0.000 1000.000 L 0.000 0.000"]
-        assert _polyline_paths(outside) == []
+            ref = fraction_polyline_paths([as_fractions(p, GRID) for p in seg])
+            assert _polyline_paths(seg, GRID) == ref
+        assert _polyline_paths(on_edge, GRID) == ["M 0.000 1000.000 L 0.000 0.000"]
+        assert _polyline_paths(outside, GRID) == []
 
 
 class TestPrinting:
