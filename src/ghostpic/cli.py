@@ -33,6 +33,7 @@ from ghostpic.errors import (
     NonGenericPathError,
     RankError,
     UsageError,
+    guard_limit,
 )
 
 
@@ -355,6 +356,7 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        guard_limit(1)  # every subcommand refuses a malformed GHOSTPIC_GUARD
         return args.func(args)
     except (CatalogError, RankError, NonGenericPathError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,8 +38,12 @@ def proportional(a, b) -> bool:
 
 def integral(v) -> IntVec:
     """The positive integer multiple of a rational vector by the lcm of its
-    denominators (ints have denominator 1, so int vectors come back as is):
-    the one place a rational vector enters the integer engine."""
+    denominators: the one place a rational vector enters the integer engine.
+    A vector of exact ints comes back as a tuple of the same ints after one
+    type scan; any other entry (a Fraction, a bool) takes the lcm route,
+    which also turns a bool into an int."""
+    if all(type(x) is int for x in v):
+        return tuple(v)
     den = 1
     for x in v:
         if x.denominator != 1:

@@ -25,7 +25,7 @@ bricks and its subobject and quotient ghosts from that one plan.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import NamedTuple
 
 from ghostpic.catalog import (
@@ -402,20 +402,19 @@ def ghost_events(cls: ModuleClass, path: LinearPath) -> list[Event]:
     plan = ghost_plan(cls)
     check_generic(path, plan)
     hd, kd = path.crossings(plan)
-    by_time: dict[tuple[int, int], list[Ghost]] = {}  # reduced time -> group
+    scale = lcm(*kd)
+    by_time: dict[int, list[Ghost]] = {}  # time key of `check_generic` -> group
     for g, c in plan.ghosts.values():
         if g.kind != EXTENSION:
-            h, k = hd[c.event], kd[c.event]
-            r = gcd(h, k)
-            by_time.setdefault((-h // r, k // r), []).append(g)
+            by_time.setdefault(hd[c.event] * (scale // kd[c.event]), []).append(g)
     events: list[Event] = []
-    for t, group in by_time.items():
+    for group in by_time.values():
         ordered = _order_concurrent(cls, group) if len(group) > 1 else group
         for g in ordered:
             c = plan.ghosts[g.key()][1]
             events.append(
                 Event(
-                    t=Fraction(*t),
+                    t=Fraction(-hd[c.event], kd[c.event]),
                     kind="ghost",
                     label=c.label,
                     stable=stable_along(path, plan, c),

@@ -16,16 +16,17 @@ a tuple, each under its first name, a proportionality class per dim, and for
 each brick (and ghost) the index of its dim, its sides as (index, late, name)
 and the interior cone of its wall or domain.  A path computes two
 index-aligned integer lists per plan, hd[i] = H*h.d_i and kd[i] = H*k.d_i,
-in one pass; genericity and stability compare times by cross-multiplying
-entries of these lists and touch no dim tuple, and the crossing point of dim
-i is the integer point point_at(-hd[i], kd[i]).
+in one pass; genericity compares times by one integer key per dim (see
+`check_generic`), stability by cross-multiplying entries of these lists, and
+neither touches a dim tuple; the crossing point of dim i is the integer
+point point_at(-hd[i], kd[i]).
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -49,6 +50,12 @@ class LinearPath:
     common denominator H, and builds h, k and at() as Fractions when read.
     Paths are equal when their h and k are.
 
+    The route is chosen by input type: when every coordinate is exactly an
+    int, h and k are kept as given with H = 1, with no float scan and no
+    `integral` call; otherwise (a Fraction, a bool) the coordinates are
+    checked for floats and made `integral` over their common denominator.
+    Both routes give the same (H*h, H*k, H) for the same values.
+
     Genericity and stability read, for each crossing plan asked for, the two
     integer lists hd[i] = H*h.d_i and kd[i] = H*k.d_i over the plan's dims,
     computed once (`crossings`); `point_at` gives integer points on the path,
@@ -60,11 +67,13 @@ class LinearPath:
         n = len(h)
         if n != len(k):
             raise CatalogError("h and k must have equal length")
-        for name, v in (("h", h), ("k", k)):
-            for i, x in enumerate(v):
-                if isinstance(x, float):
-                    raise CatalogError(f"{name}[{i}] = {x!r} is a float; use int or Fraction")
-        *hk, den = integral((*h, *k, 1))  # the trailing 1 comes back as H
+        hk, den = (*h, *k), 1
+        if not all(type(x) is int for x in hk):  # exact ints are kept as given
+            for name, v in (("h", h), ("k", k)):
+                for i, x in enumerate(v):
+                    if isinstance(x, float):
+                        raise CatalogError(f"{name}[{i}] = {x!r} is a float; use int or Fraction")
+            *hk, den = integral((*hk, 1))  # the trailing 1 comes back as H
         ki = tuple(hk[n:])
         if any(x <= 0 for x in ki):  # H > 0, so ki has the signs of k
             raise CatalogError("all coordinates of k must be strictly positive")
@@ -208,16 +217,20 @@ def crossing_plan(cls: ModuleClass) -> CrossingPlan:
 def check_generic(path: LinearPath, plan: CrossingPlan) -> None:
     """Reject paths that cross two non-proportional dims of the plan at the
     same time (`crossing_plan` for the class bricks and every weakly
-    admissible quotient sum, `ghosts.ghost_plan` for these and every ghost)."""
+    admissible quotient sum, `ghosts.ghost_plan` for these and every ghost).
+
+    Each dim's time is keyed by one integer, hd[i] * (L // kd[i]) with
+    L = lcm(*kd) (every kd > 0): the time -hd[i]/kd[i] is minus the key over
+    L, so two dims share a key iff they cross together.  The Fraction time
+    is built only for the error."""
     hd, kd = path.crossings(plan)
     ray = plan.ray
-    by_time: dict[tuple[int, int], int] = {}  # reduced time -> first index
+    scale = lcm(*kd)
+    by_time: dict[int, int] = {}  # time key -> first index
     for i, (h, k) in enumerate(zip(hd, kd)):
-        g = gcd(h, k)
-        t = (-h // g, k // g)
-        first = by_time.setdefault(t, i)
+        first = by_time.setdefault(h * (scale // k), i)
         if ray[first] != ray[i]:
-            raise NonGenericPathError(plan.names[first], plan.names[i], Fraction(*t))
+            raise NonGenericPathError(plan.names[first], plan.names[i], Fraction(-hd[i], kd[i]))
 
 
 def stable_along(path: LinearPath, plan: CrossingPlan, crossing: Crossing) -> bool:

@@ -22,7 +22,6 @@ from ghostpic.ghosts import (
     dualize,
     enumerate_ghosts,
     ghost_plan,
-    ghost_stability,
     mgs_with_ghosts,
 )
 from ghostpic.greenpaths import (
@@ -35,8 +34,8 @@ from ghostpic.greenpaths import (
     crossing_plan,
     enumerate_mgs,
     hn_stratification,
-    is_relatively_stable,
     linear_mgs,
+    stable_along,
 )
 from ghostpic.stability import (
     ChamberGraph,
@@ -227,21 +226,26 @@ class Verifier:
                     fails.add(f"{name}: theta0={_sample_str(theta0, e.den)} on D({e.wall_brick})")
         self.record("c:wall-crossing-monotone", fails, f"{edges} edges")
 
-    # (d) quotient-time stability criterion == wall-interior membership
+    # (d) quotient-time stability criterion == wall-interior membership; the
+    # plan and the brick crossings are resolved once per fixture, and every
+    # (path, brick) is decided and cross-checked by `stable_along`
     def check_stability_equivalence(self):
         rng = random.Random((self.seed, "stability").__repr__())
         fails = Failures()
         for name, cls in self.fixtures.items():
-            for path in _random_generic_paths(cls, rng, self.paths, crossing_plan(cls)):
-                for b in cls.bricks:
+            plan = crossing_plan(cls)
+            crossings = [plan.bricks[b] for b in cls.bricks]
+            for path in _random_generic_paths(cls, rng, self.paths, plan):
+                for crossing in crossings:
                     try:
-                        is_relatively_stable(cls, path, b)
+                        stable_along(path, plan, crossing)
                     except InternalConsistencyError as exc:
                         fails.add(f"{name}: {_path_str(path)}: {exc}")
         detail = f"{self.paths} paths x {len(self.fixtures)} fixtures"
         self.record("d:brick-stability-equivalence", fails, detail)
 
-    # (e) ghost stability time criterion == exact domain membership
+    # (e) ghost stability time criterion == exact domain membership, with the
+    # ghost crossings resolved once per fixture as in (d)
     def check_ghost_stability_equivalence(self):
         rng = random.Random((self.seed, "ghost-stability").__repr__())
         fails = Failures()
@@ -249,10 +253,12 @@ class Verifier:
             ghosts = enumerate_ghosts(cls)
             if not ghosts:
                 continue
-            for path in _random_generic_paths(cls, rng, self.paths, ghost_plan(cls)):
-                for g in ghosts:
+            plan = ghost_plan(cls)
+            crossings = [plan.ghosts[g.key()][1] for g in ghosts]
+            for path in _random_generic_paths(cls, rng, self.paths, plan):
+                for crossing in crossings:
                     try:
-                        ghost_stability(cls, path, g)
+                        stable_along(path, plan, crossing)
                     except InternalConsistencyError as exc:
                         fails.add(f"{name}: {_path_str(path)}: {exc}")
         self.record("e:ghost-stability-equivalence", fails)

@@ -228,13 +228,25 @@ class TestMalformedInput:
         assert code == 0
         assert json.loads(out)["mgs_count"] == 7
 
-    @pytest.mark.parametrize("command", ["mgs", "chambers"])
+    TORSION4 = ("--type-a", "3", "--orient", "LL", "--class", "S1,P3,I2,S3")
+    GUARDED_COMMANDS = {
+        "catalog": ("--type-a", "3", "--orient", "LL"),
+        "chambers": TORSION4,
+        "mgs": TORSION4,
+        "ghosts": TORSION4,
+        "hn": (*TORSION4, "--mgs", "S1,S3,I2", "--module", "P3"),
+        "path": (*TORSION4, "--h=-3,1,2", "--k=1,1,1"),
+        "picture": TORSION4,
+        "verify": ("--paths", "2"),
+    }
+
+    @pytest.mark.parametrize("command", list(GUARDED_COMMANDS))
     def test_guard_non_integer_is_usage_error(self, capsys, monkeypatch, command):
+        """GHOSTPIC_GUARD is read once at dispatch, so every subcommand
+        refuses a malformed value, whether or not it reads a guard."""
         for value in ("abc", "-1", "0"):
             monkeypatch.setenv("GHOSTPIC_GUARD", value)
-            code, out, err = run(
-                capsys, command, "--type-a", "3", "--orient", "LL", "--class", "S1,P3,I2,S3"
-            )
+            code, out, err = run(capsys, command, *self.GUARDED_COMMANDS[command])
             assert code == 2
             assert out == ""
             assert err.count("\n") == 1 and "GHOSTPIC_GUARD" in err

@@ -19,7 +19,7 @@ from ghostpic.errors import (
     InternalConsistencyError,
     NonGenericPathError,
 )
-from ghostpic.geometry import Cone, int_dot, proportional
+from ghostpic.geometry import Cone, int_dot, integral, proportional
 from ghostpic.ghosts import (
     ALL_KINDS,
     EXTENSION,
@@ -121,32 +121,46 @@ def fixture_paths(draw):
     return name, h, k
 
 
+def routes(h, k):
+    """The drawn integer path by both construction routes, each with the
+    values the reference reads: the ints as drawn (kept as given), the same
+    values as Fractions, and h/3, k/2 as Fractions (H = 6; every time is
+    scaled by 2/3, so the order of crossings and every verdict are the same)."""
+    yield h, k
+    yield tuple(map(Fraction, h)), tuple(map(Fraction, k))
+    yield tuple(Fraction(x, 3) for x in h), tuple(Fraction(x, 2) for x in k)
+
+
 class TestPlanMatchesFractionReference:
     @settings(max_examples=300, deadline=None)
     @given(fixture_paths())
     def test_genericity_and_brick_stability(self, drawn):
-        name, h, k = drawn
+        name, h0, k0 = drawn
         cls = FIXTURES[name]
-        path = LinearPath(h, k)
         plan = crossing_plan(cls)
-        assert generic_args(path, plan) == reference_clash(plan, h, k)
-        for b in cls.bricks:
-            expected = reference_stable(h, k, cls.dim_of(b), wall(cls, b).sides)
-            assert verdict(lambda: is_relatively_stable(cls, path, b)) == expected
+        for h, k in routes(h0, k0):
+            path = LinearPath(h, k)
+            assert generic_args(path, plan) == reference_clash(plan, h, k)
+            for b in cls.bricks:
+                expected = reference_stable(h, k, cls.dim_of(b), wall(cls, b).sides)
+                assert expected == reference_stable(h0, k0, cls.dim_of(b), wall(cls, b).sides)
+                assert verdict(lambda: is_relatively_stable(cls, path, b)) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(fixture_paths())
     def test_genericity_and_ghost_stability(self, drawn):
-        name, h, k = drawn
+        name, h0, k0 = drawn
         cls = FIXTURES[name]
         plan = ghost_plan(cls)
         ghosts = [g for g, _ in plan.ghosts.values()]
-        path = LinearPath(h, k)
-        assert generic_args(path, plan) == reference_clash(plan, h, k)
         assert {g.kind for g in ghosts} <= set(ALL_KINDS)
-        for g in ghosts:
-            expected = reference_stable(h, k, g.event_dim, g.sides)
-            assert verdict(lambda: ghost_stability(cls, path, g)) == expected
+        for h, k in routes(h0, k0):
+            path = LinearPath(h, k)
+            assert generic_args(path, plan) == reference_clash(plan, h, k)
+            for g in ghosts:
+                expected = reference_stable(h, k, g.event_dim, g.sides)
+                assert expected == reference_stable(h0, k0, g.event_dim, g.sides)
+                assert verdict(lambda: ghost_stability(cls, path, g)) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(fixture_paths())
@@ -154,15 +168,16 @@ class TestPlanMatchesFractionReference:
         """One plan over every ghost decides the genericity of a schedule
         exactly as the class dims plus the subobject and quotient ghost dims
         do: the same first clash, or none."""
-        name, h, k = drawn
+        name, h0, k0 = drawn
         cls = FIXTURES[name]
-        expected = first_clash(schedule_dims(cls), h, k)
-        try:
-            crossing_schedule(cls, LinearPath(h, k), include_ghosts=True)
-        except NonGenericPathError as err:
-            assert (err.first, err.second, err.time) == expected
-        else:
-            assert expected is None
+        for h, k in routes(h0, k0):
+            expected = first_clash(schedule_dims(cls), h, k)
+            try:
+                crossing_schedule(cls, LinearPath(h, k), include_ghosts=True)
+            except NonGenericPathError as err:
+                assert (err.first, err.second, err.time) == expected
+            else:
+                assert expected is None
 
     def test_every_kind_is_drawn_from(self):
         kinds = {g.kind for cls in FIXTURES.values() for g, _ in ghost_plan(cls).ghosts.values()}
@@ -324,6 +339,65 @@ class TestExactCoordinates:
         assert all(type(x) is Fraction for x in a.h + a.k)
         assert all(type(x) is int for x in a._hi + a._ki)
 
+    def test_an_int_path_keeps_its_coordinates(self):
+        h, k = (3, 0, -2), (1, 4, 1)
+        path = LinearPath(h, k)
+        assert (path._hi, path._ki, path._den) == (h, k, 1)
+        assert path == LinearPath([3, 0, -2], [1, 4, 1])
+
+    def test_a_bool_coordinate_is_normalized_to_int(self):
+        path = LinearPath((True, 0, -2), (1, True, 1))
+        assert (path._hi, path._ki, path._den) == ((1, 0, -2), (1, 1, 1), 1)
+        assert all(type(x) is int for x in path._hi + path._ki)
+        assert path == LinearPath((1, 0, -2), (1, 1, 1))
+
+
+class TestWorkCounts:
+    """What a path and a verify pass do, counted, not timed: an int path is
+    stored as given, and checks (d) and (e) resolve their plan once per
+    fixture, not once per (path, object)."""
+
+    def test_an_int_path_never_calls_integral(self, monkeypatch):
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return integral(v)
+
+        monkeypatch.setattr("ghostpic.greenpaths.integral", counted)
+        cls = FIXTURES["case2"]
+        for path in verify._random_generic_paths(cls, verify.random.Random(1), 20, crossing_plan(cls)):
+            linear_mgs(cls, path)
+        assert calls == []
+        LinearPath((Fraction(1, 2), 0, -2), (1, 1, 1))
+        LinearPath((True, 0, -2), (1, 1, 1))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "check, fetch",
+        [
+            ("check_stability_equivalence", crossing_plan),
+            ("check_ghost_stability_equivalence", ghost_plan),
+        ],
+    )
+    def test_a_stability_check_fetches_its_plan_once_per_fixture(self, monkeypatch, check, fetch):
+        fetched = []
+
+        def counted(cls):
+            fetched.append(cls)
+            return fetch(cls)
+
+        # every module that looks the plan up by name
+        for module in ("verify", "greenpaths", "ghosts"):
+            monkeypatch.setattr(f"ghostpic.{module}.{fetch.__name__}", counted, raising=False)
+        checker = verify.Verifier(paths_per_fixture=5, seed=0)
+        getattr(checker, check)()
+        assert [r.passed for r in checker.results] == [True]
+        expected = list(checker.fixtures.values())
+        if fetch is ghost_plan:
+            expected = [cls for cls in expected if enumerate_ghosts(cls)]
+        assert fetched == expected
+
 
 class TestVerifyFailures:
     def test_a_failing_enumeration_is_not_a_pass(self, monkeypatch):
@@ -367,23 +441,47 @@ class TestVerifyFailures:
         assert not result.passed
         assert "first: torsion4: Gh(P2;P3) from Gh(S2;I2): no facet on D(I2))" in result.line()
 
-    def test_a_failed_check_names_its_first_counterexample(self, monkeypatch):
+    @staticmethod
+    def plant_disagreement(monkeypatch):
+        """Make every stability decision of verify raise; returns the
+        (path, label) of each call, in order."""
         seen = []
 
-        def disagree(cls, path, m):
-            seen.append((path, m))
-            raise InternalConsistencyError(f"stability of {m}: planted")
+        def disagree(path, plan, crossing):
+            seen.append((path, crossing.label))
+            raise InternalConsistencyError(f"stability of {crossing.label}: planted")
 
-        monkeypatch.setattr(verify, "is_relatively_stable", disagree)
+        monkeypatch.setattr(verify, "stable_along", disagree)
+        return seen
+
+    def test_a_failed_check_names_its_first_counterexample(self, monkeypatch):
+        seen = self.plant_disagreement(monkeypatch)
         checker = verify.Verifier(paths_per_fixture=2, seed=0)
         checker.check_stability_equivalence()
         (result,) = checker.results
         path, m = seen[0]
         assert m == "S1"
+        assert len(seen) == 2 * sum(len(cls.bricks) for cls in checker.fixtures.values())
         assert result.line() == (
             "[FAIL] d:brick-stability-equivalence  (2 paths x 10 fixtures; "
             f"{len(seen)} failures, first: a1: h=({path.h[0]}) k=({path.k[0]}): "
             "stability of S1: planted)"
+        )
+
+    def test_a_failed_ghost_check_names_its_first_counterexample(self, monkeypatch):
+        seen = self.plant_disagreement(monkeypatch)
+        checker = verify.Verifier(paths_per_fixture=2, seed=0)
+        checker.check_ghost_stability_equivalence()
+        (result,) = checker.results
+        name, cls = next((n, c) for n, c in checker.fixtures.items() if enumerate_ghosts(c))
+        path, label = seen[0]
+        assert label == enumerate_ghosts(cls)[0].display()
+        assert len(seen) == 2 * sum(len(enumerate_ghosts(c)) for c in checker.fixtures.values())
+        h, k = ",".join(map(str, path.h)), ",".join(map(str, path.k))
+        assert result.line() == (
+            "[FAIL] e:ghost-stability-equivalence  ("
+            f"{len(seen)} failures, first: {name}: h=({h}) k=({k}): "
+            f"stability of {label}: planted)"
         )
 
     def test_a_wall_crossing_failure_names_its_facet_sample_in_exact_rationals(self, monkeypatch):

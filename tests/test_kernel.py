@@ -197,6 +197,18 @@ class TestIntegerContains:
         else:
             assert not any(p)
 
+    @given(st.lists(st.integers(-9, 9), max_size=4))
+    def test_integral_keeps_an_int_vector(self, v):
+        assert integral(v) == tuple(v)
+        t = tuple(v)
+        assert integral(t) is t  # no copy: the scan is the whole cost
+        assert all(type(x) is int for x in integral(v))
+
+    def test_integral_normalizes_a_bool_to_int(self):
+        p = integral((True, False, 2))
+        assert p == (1, 0, 2) and all(type(x) is int for x in p)
+        assert integral((True, Fraction(1, 2))) == (2, 1)
+
 
 class TestIntegerSimplex:
     """The fraction-free simplex takes the rational simplex's pivots, so it

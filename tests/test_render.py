@@ -11,6 +11,7 @@ from ghostpic.geometry import Cone, primitive
 from ghostpic.ghosts import SUBOBJECT, enumerate_ghosts
 from ghostpic.render import (
     RenderOptions,
+    _canonical_cone,
     build_scene,
     export_report,
     render_picture,
@@ -171,12 +172,19 @@ class TestRenderPicture:
                 [b for b in cls.bricks if trace_wall_curve(wall(cls, b).cone)]
             )
 
-    def test_coincident_ghosts_get_declared_offset(self, case2):
-        # both ghosts of the missing module live on the same half-hyperplane;
-        # the drawing separates them, the report keeps them exactly equal
+    def test_ghosts_on_one_hyperplane_are_not_stacked(self, case2):
+        # case2's Gh(S3;I3) and Gh(S3;P2) share the hyperplane theta(S3) = 0,
+        # but their weak rows differ, so their domains are different pieces
+        # of it: neither curve is shifted, each is its own domain's trace
+        ghosts = {g.display(): g for g in enumerate_ghosts(case2)}
+        pair = [ghosts["Gh(S3;I3)"], ghosts["Gh(S3;P2)"]]
+        assert pair[0].domain.equalities == pair[1].domain.equalities == ((0, 0, 1),)
+        assert _canonical_cone(pair[0].domain) != _canonical_cone(pair[1].domain)
         scene = build_scene(case2, RenderOptions())
-        doms = [c for c in scene.ghost_curves]
-        assert len(doms) == 2
+        assert [c.name for c in scene.ghost_curves] == ["Gh(S3;I3)", "Gh(S3;P2)"]
+        for curve, g in zip(scene.ghost_curves, pair):
+            trace = [(Fraction(p.x, GRID), Fraction(p.y, GRID)) for p in trace_wall_curve(g.domain)]
+            assert [(Fraction(p.x, scene.den), Fraction(p.y, scene.den)) for p in curve.points] == trace
         svg = render_picture(case2)
         meta = json.loads(re.search(r"<metadata>(.*)</metadata>", svg).group(1))
         assert meta["options"]["ghost_offset"] == "1/100"
