@@ -84,7 +84,6 @@ class SubquotientPair(NamedTuple):
     parent: str
     sub: ModuleSum
     quot: ModuleSum
-    sub_proper: bool
     tag: str
     basis: frozenset | None = None
 
@@ -173,8 +172,6 @@ class BrickCatalog:
                     raise CatalogError(
                         f"subquotient of {m.id}: dim(sub)+dim(quot) != dim(parent)"
                     )
-                if p.sub_proper != (p.sub.ids != (m.id,)):
-                    raise CatalogError(f"{m.id}: sub_proper flag inconsistent")
                 pair_keys.add((p.sub, p.quot))
             if (ZERO_SUM, ModuleSum([m.id])) not in pair_keys:
                 raise CatalogError(f"{m.id}: missing trivial pair (0, parent)")
@@ -316,7 +313,6 @@ def generate_type_a(n: int, orientation: str) -> BrickCatalog:
                     parent=nm,
                     sub=sum_of(sub_runs),
                     quot=sum_of(quot_runs),
-                    sub_proper=s != frozenset(range(a, b + 1)),
                     tag="sub{" + ",".join(str(v) for v in sorted(s)) + "}",
                     basis=s,
                 )
@@ -365,21 +361,19 @@ def builtin_kronecker() -> BrickCatalog:
 
     def trivials(m: str):
         return [
-            SubquotientPair(m, ZERO_SUM, ModuleSum([m]), True, "sub{}"),
-            SubquotientPair(m, ModuleSum([m]), ZERO_SUM, False, "sub{all}"),
+            SubquotientPair(m, ZERO_SUM, ModuleSum([m]), "sub{}"),
+            SubquotientPair(m, ModuleSum([m]), ZERO_SUM, "sub{all}"),
         ]
 
     subquotients = {
         "P1": trivials("P1"),
         "S2": trivials("S2"),
         "M": trivials("M")
-        + [SubquotientPair("M", ModuleSum(["P1"]), ModuleSum(["S2"]), True, "socle")],
+        + [SubquotientPair("M", ModuleSum(["P1"]), ModuleSum(["S2"]), "socle")],
         "P2": trivials("P2")
         + [
-            SubquotientPair("P2", ModuleSum(["P1"]), ModuleSum(["M"]), True, "line"),
-            SubquotientPair(
-                "P2", ModuleSum(["P1", "P1"]), ModuleSum(["S2"]), True, "radical"
-            ),
+            SubquotientPair("P2", ModuleSum(["P1"]), ModuleSum(["M"]), "line"),
+            SubquotientPair("P2", ModuleSum(["P1", "P1"]), ModuleSum(["S2"]), "radical"),
         ],
     }
     hom = {
@@ -457,9 +451,8 @@ def _pairs(value) -> dict[str, list[SubquotientPair]]:
                 parent=mid,
                 sub=ModuleSum(map(_str, p["sub"])),
                 quot=ModuleSum(map(_str, p["quot"])),
-                sub_proper=ModuleSum(p["sub"]) != ModuleSum([mid]),
                 tag=_str(p.get("tag", f"pair{i}")),
-                basis=frozenset(p["basis"]) if "basis" in p else None,
+                basis=frozenset(map(_int, p["basis"])) if "basis" in p else None,
             )
             for i, p in enumerate(plist)
         ]
@@ -474,7 +467,7 @@ _FIELDS = (
      lambda q: Quiver(_int(q["n"]), tuple((_int(s), _int(t)) for s, t in q["arrows"]))),
     ("indecs", '[{"id": str, "name": str, "dim": [int, ...]}, ...]',
      lambda ds: [Indec(_str(d["id"]), _str(d.get("name", d["id"])), tuple(map(_int, d["dim"]))) for d in ds]),
-    ("subquotients", '{id: [{"sub": [id, ...], "quot": [id, ...], "tag": str}, ...]}', _pairs),
+    ("subquotients", '{id: [{"sub": [id, ...], "quot": [id, ...], "basis": [int, ...], "tag": str}, ...]}', _pairs),
     ("hom", "[[id, id, int], ...]", lambda rows: {(_str(x), _str(y)): _int(d) for x, y, d in rows}),
     ("ses", "[[id, id, id], ...]", lambda rows: [Ses(*map(_str, r)) for r in rows]),
     ("complete", "true or false", _bool),

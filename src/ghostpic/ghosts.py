@@ -490,7 +490,7 @@ def _subobject_bifurcations(ghosts: tuple[Ghost, ...]) -> tuple[list[Bifurcation
     return bifurcations, unclassified
 
 
-def classify_bifurcations(cls: ModuleClass, ghosts: tuple[Ghost, ...] | None = None) -> BifurcationReport:
+def classify_bifurcations(cls: ModuleClass) -> BifurcationReport:
     """Match every side condition of every non-minimal ghost against the
     case recipes.
 
@@ -503,8 +503,7 @@ def classify_bifurcations(cls: ModuleClass, ghosts: tuple[Ghost, ...] | None = N
     occurrences of the unlisted pattern (an epimorphism from a child's C
     onto another ghost's middle term) are reported as pathological.
     """
-    if ghosts is None:
-        ghosts = enumerate_ghosts(cls)
+    ghosts = enumerate_ghosts(cls)
     by_key = {g.key(): g for g in ghosts}
     bifurcations, unclassified = _subobject_bifurcations(ghosts)
 
@@ -574,7 +573,7 @@ def ghost_census_doc(cls: ModuleClass) -> dict:
     """The ghosts of the class with their domains, and the bifurcations,
     extension links, unclassified and pathological cases among them."""
     ghosts = enumerate_ghosts(cls)
-    bif = classify_bifurcations(cls, ghosts)
+    bif = classify_bifurcations(cls)
     return {
         "ghosts": [
             {

@@ -7,7 +7,7 @@ the center.  All curve clipping decisions are exact (rays and cone
 membership).  The drawing runs on integers from the ray to the printed
 digits: square roots are floor roots at 2^-80, every projected coordinate is
 an integer numerator over 2^48 (rounded half-even), a scene keeps its points
-as numerators over one denominator per picture, and the viewport map,
+as numerators over the one denominator SCENE_DEN, and the viewport map,
 Liang-Barsky clipping and the three-decimal printing work on those
 numerators, so the output is exact and its bytes are identical across runs.
 """
@@ -15,8 +15,7 @@ numerators, so the output is exact and its bytes are identical across runs.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from typing import NamedTuple
 
 from ghostpic.catalog import ModuleClass
@@ -29,6 +28,7 @@ from ghostpic.stability import chamber_docs, chamber_graph, edge_docs
 SQRT_BITS = 80
 VIEWPORT = 1000
 WINDOW = 8  # plane coordinates [-WINDOW, WINDOW] map onto the viewport
+SAMPLES = 48  # trace density: a curve starts from at least this many chords
 
 REPORT_SCHEMA = "ghostpic-report/1"
 
@@ -43,6 +43,10 @@ PALETTE = {
 
 _GRID_BITS = 48  # projected coordinates snap to this fixed grid
 _GRID = 1 << _GRID_BITS
+# a ghost curve stacked on an earlier one with the same domain is shifted by
+# 1/100 of the viewport in x and y: 2 * WINDOW / 100 = 4/25 in the plane
+_SHIFT_NUM, _SHIFT_DEN = 4, 25
+SCENE_DEN = _GRID * _SHIFT_DEN  # every point of a scene is a numerator over it
 _ROOT_SHIFT = 2 * SQRT_BITS
 # floor square roots of 2, 3 and 6 at 2^-SQRT_BITS, as integer numerators
 _S2, _S3, _S6 = (isqrt(k << _ROOT_SHIFT) for k in (2, 3, 6))
@@ -61,8 +65,8 @@ def _round_half_even(num: int, den: int) -> int:
 
 
 class PlanePoint(NamedTuple):
-    """Integer numerators of a plane point: over 2^48 as projected, over the
-    picture's `PictureScene.den` in a scene."""
+    """Integer numerators of a plane point: over 2^48 as projected, over
+    SCENE_DEN in a scene."""
 
     x: int
     y: int
@@ -122,7 +126,7 @@ def _plane_basis(e):
     return b1, b2
 
 
-def trace_wall_curve(cone: Cone, samples: int = 48) -> list[PlanePoint]:
+def trace_wall_curve(cone: Cone) -> list[PlanePoint]:
     """Projected trace of a rank-3 cone with exactly one equality.
 
     The cone's intersection with its hyperplane is a 2D sector (possibly the
@@ -135,8 +139,6 @@ def trace_wall_curve(cone: Cone, samples: int = 48) -> list[PlanePoint]:
         raise RankError("wall tracing is rank-3 only")
     if len(cone.equalities) != 1:
         raise GhostpicError("trace expects a cone with exactly one equality")
-    if samples <= 0:
-        raise GhostpicError("samples must be positive")
     e = cone.equalities[0]
     b1, b2 = _plane_basis(e)
     ineqs: list[tuple] = []
@@ -211,7 +213,7 @@ def trace_wall_curve(cone: Cone, samples: int = 48) -> list[PlanePoint]:
         refine(ra, rm, pa, pm, depth - 1)
         refine(rm, rb, pm, pb, depth - 1)
 
-    init_depth = max(1, (samples // max(1, len(anchors2d) - 1)).bit_length())
+    init_depth = (SAMPLES // (len(anchors2d) - 1)).bit_length()
     for i in range(len(anchors2d) - 1):
         refine(
             anchors2d[i],
@@ -232,9 +234,6 @@ def trace_wall_curve(cone: Cone, samples: int = 48) -> list[PlanePoint]:
 
 class RenderOptions(NamedTuple):
     include_extension_ghosts: bool = False
-    ghost_offset: int | Fraction = Fraction(1, 100)  # of the viewport, cosmetic
-    samples: int = 48
-    show_vertices: bool = False
 
 
 class SceneCurve(NamedTuple):
@@ -245,14 +244,11 @@ class SceneCurve(NamedTuple):
 
 
 class PictureScene(NamedTuple):
-    """Every point of the scene is a numerator over den = 2^48 * q, where q is
-    the denominator of the ghost shift 2 * WINDOW * ghost_offset."""
+    """Every point of the scene is a numerator over SCENE_DEN."""
 
     wall_curves: tuple[SceneCurve, ...]
     ghost_curves: tuple[SceneCurve, ...]
     labels: tuple[tuple[str, PlanePoint], ...]
-    vertices: tuple[tuple[PlanePoint, tuple[str, ...]], ...]
-    den: int
 
 
 def _canonical_cone(cone: Cone):
@@ -263,22 +259,15 @@ def build_scene(cls: ModuleClass, options: RenderOptions, graph=None) -> Picture
     if cls.catalog.quiver.n != 3:
         raise RankError("rank-3-only: pictures need exactly three simples; "
                         "use the JSON report for other ranks")
-    offset = options.ghost_offset
-    if isinstance(offset, bool) or not isinstance(offset, (int, Fraction)):
-        raise GhostpicError(f"ghost_offset must be an int or a Fraction, got {offset!r}")
     if graph is None:
         graph = chamber_graph(cls)
-    # the ghost shift 2 * WINDOW * ghost_offset is step / q in lowest terms
-    k = gcd(2 * WINDOW * offset.numerator, offset.denominator)
-    step, q = 2 * WINDOW * offset.numerator // k, offset.denominator // k
-    den = _GRID * q
 
     def scaled(p: PlanePoint, eps: int = 0) -> PlanePoint:
-        return PlanePoint(p.x * q + eps, p.y * q + eps)
+        return PlanePoint(p.x * _SHIFT_DEN + eps, p.y * _SHIFT_DEN + eps)
 
     wall_curves = []
     for b in cls.bricks:
-        pts = trace_wall_curve(graph.walls[b].cone, options.samples)
+        pts = trace_wall_curve(graph.walls[b].cone)
         if pts:
             wall_curves.append(
                 SceneCurve(
@@ -296,7 +285,7 @@ def build_scene(cls: ModuleClass, options: RenderOptions, graph=None) -> Picture
     domain_groups: dict[tuple, int] = {}
     ghost_curves = []
     for g in ghosts:
-        pts = trace_wall_curve(g.domain, options.samples)
+        pts = trace_wall_curve(g.domain)
         if not pts:
             continue
         idx = counters[g.kind]
@@ -312,10 +301,10 @@ def build_scene(cls: ModuleClass, options: RenderOptions, graph=None) -> Picture
         canon = _canonical_cone(g.domain)
         shift = domain_groups.get(canon, 0)
         domain_groups[canon] = shift + 1
-        pts = tuple(scaled(p, step * shift * _GRID) for p in pts)
+        pts = tuple(scaled(p, _SHIFT_NUM * shift * _GRID) for p in pts)
         ghost_curves.append(SceneCurve(g.display(), g.kind, pts, style))
 
-    edge = WINDOW * den
+    edge = WINDOW * SCENE_DEN
     labels = []
     for ch in graph.chambers:
         if ch.id == graph.source:
@@ -323,29 +312,7 @@ def build_scene(cls: ModuleClass, options: RenderOptions, graph=None) -> Picture
         anchor = scaled(stereographic(ch.sample))
         anchor = PlanePoint(max(-edge, min(edge, anchor.x)), max(-edge, min(edge, anchor.y)))
         labels.append(("".join(ch.label.sorted(cls)), anchor))
-
-    vertices = []
-    if options.show_vertices:
-        bricks = list(cls.bricks)
-        for i in range(len(bricks)):
-            for j in range(i + 1, len(bricks)):
-                ray = _cross(cls.dim_of(bricks[i]), cls.dim_of(bricks[j]))
-                if not any(ray):
-                    continue
-                for sgn in (1, -1):
-                    v = tuple(sgn * x for x in ray)
-                    incident = tuple(
-                        b for b in bricks if graph.walls[b].cone.contains(v)
-                    )
-                    if len(incident) >= 2:
-                        vertices.append((scaled(stereographic(v)), incident))
-    return PictureScene(
-        wall_curves=tuple(wall_curves),
-        ghost_curves=tuple(ghost_curves),
-        labels=tuple(labels),
-        vertices=tuple(vertices),
-        den=den,
-    )
+    return PictureScene(tuple(wall_curves), tuple(ghost_curves), tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +414,8 @@ def render_picture(cls: ModuleClass, options: RenderOptions | None = None, graph
         "quiver": {"n": cls.catalog.quiver.n, "arrows": [list(a) for a in cls.catalog.quiver.arrows]},
         "options": {
             "include_extension_ghosts": options.include_extension_ghosts,
-            "ghost_offset": str(options.ghost_offset),
-            "samples": options.samples,
+            "ghost_offset": "1/100",  # of the viewport, as _SHIFT_NUM / _SHIFT_DEN
+            "samples": SAMPLES,
         },
         "palette": {k: v for k, v in PALETTE.items() if k != "label"},
         "window": str(WINDOW),
@@ -462,19 +429,13 @@ def render_picture(cls: ModuleClass, options: RenderOptions | None = None, graph
     ]
     for curve in scene.wall_curves + scene.ghost_curves:
         style = ";".join(f"{k}:{v}" for k, v in sorted(curve.style.items()))
-        for d in _polyline_paths(curve.points, scene.den):
+        for d in _polyline_paths(curve.points, SCENE_DEN):
             lines.append(f'<path class="{curve.kind}" data-name="{curve.name}" d="{d}" style="{style}"/>')
     for text, anchor in scene.labels:
-        ((x, y),), den = _to_viewport((anchor,), scene.den)
+        ((x, y),), den = _to_viewport((anchor,), SCENE_DEN)
         lines.append(
             f'<text class="chamber-label" x="{_px(x, den)}" y="{_px(y, den)}" '
             f'font-size="18" text-anchor="middle">{text}</text>'
-        )
-    for point, incident in scene.vertices:
-        ((x, y),), den = _to_viewport((point,), scene.den)
-        lines.append(
-            f'<circle class="vertex" cx="{_px(x, den)}" cy="{_px(y, den)}" r="3" '
-            f'data-walls="{",".join(incident)}"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -444,7 +444,7 @@ class Verifier:
                 )
                 if not cone_contains_cone(half, g.domain):
                     fails.add(f"{name}: the domain of {g.display()} leaves theta({g.b}) >= 0")
-            report = classify_bifurcations(cls, ghosts)
+            report = classify_bifurcations(cls)
             by_key = {g.key(): g for g in ghosts}
             for b in report.bifurcations:
                 child = by_key[b.child]

@@ -216,7 +216,7 @@ class TestCriterion6ExtensionCensus:
             ("S1", "P3", "I2"),
             ("S2", "I2", "S3"),
         ]
-        rep = classify_bifurcations(full6, ghosts)
+        rep = classify_bifurcations(full6)
         links = sorted(
             (l.child[1:], l.parent[1:], l.splitting_wall) for l in rep.extension_links
         )

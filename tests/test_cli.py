@@ -348,6 +348,24 @@ class TestMalformedInput:
         assert err.count("\n") == 1 and err.startswith("error: catalog schema violation")
         assert mentions in err
 
+    @pytest.mark.parametrize(
+        "basis", ["12", [1.5], [True], ["x"]], ids=["string", "float", "boolean", "non-number"]
+    )
+    def test_catalog_basis_entries_must_be_integers(self, capsys, tmp_path, basis):
+        """A subquotient basis is a list of JSON integers; any other entry is a
+        schema violation, not a value that reaches the ghost conditions."""
+        _, good, _ = run(capsys, "catalog", "--type-a", "3", "--orient", "LL")
+        doc = json.loads(good)
+        first = next(iter(doc["subquotients"]))
+        doc["subquotients"][first][0]["basis"] = basis
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "catalog", "--catalog", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: catalog schema violation")
+        assert "'subquotients' must be {" in err and '"basis": [int, ...]' in err
+
     def test_seed_is_a_verify_option_only(self, capsys):
         code, out, err = run(
             capsys,

@@ -426,8 +426,8 @@ class TestVerifyFailures:
         checker = verify.Verifier(paths_per_fixture=2, seed=0)
         torsion4 = checker.fixtures["torsion4"]
 
-        def split_on_i2(cls, ghosts=None):
-            report = classify_bifurcations(cls, ghosts)
+        def split_on_i2(cls):
+            report = classify_bifurcations(cls)
             if cls is not torsion4:
                 return report
             (b,) = report.bifurcations

@@ -340,7 +340,7 @@ class TestBifurcations:
         for cls in (torsion4, case1, case2, case4, case5):
             ghosts = enumerate_ghosts(cls)
             by_key = {g.key(): g for g in ghosts}
-            for b in classify_bifurcations(cls, ghosts).bifurcations:
+            for b in classify_bifurcations(cls).bifurcations:
                 child = by_key[b.child]
                 parent = by_key[b.parent]
                 wall_dim = cls.dim_of(b.splitting_wall)

@@ -2,7 +2,8 @@
 
 The SHA-256 of the `chambers`, `mgs --all`, `ghosts`, `path` and
 `picture --report` output is pinned for three fixtures over three catalogs
-(A3 with orientations LL and LR, and the Kronecker fragment), and the
+(A3 with orientations LL and LR, and the Kronecker fragment), the SVG of
+`picture` and `picture --ext-ghosts` for the two A3 fixtures, and the
 `chambers`, `path` and `picture --report` output of the one-brick Kronecker
 class {P2}.  A change that moves any output byte fails here and must say so.
 """
@@ -47,6 +48,10 @@ DIGESTS = {
     ("kronecker-P2", "chambers"): "abd4dfcb110412d4dc187f69b461390a2cf4f755c1460897bffc4ff6eece5af0",
     ("kronecker-P2", "path"): "0ef3288bdb98ece9833469253e0dab696068cb76469cb6fc9127c9aeaeace6a3",
     ("kronecker-P2", "report"): "3f9dd7a5c04315646ad37590e264a87a42d323cc324a6916735fd9c36ec8d1f7",
+    ("torsion4", "svg"): "c5096f0f4271741c9f1bd122a63c7717a311005036e46e874f0b0f2857fb8568",
+    ("torsion4", "svg-ext"): "9ee3b0c4fe59b7eee008673adce08a922ccc3907a40939ea0a64f9d86db90d8e",
+    ("case2", "svg"): "191b7b7162d427e2dfa6ff971a83ce605f30266aee429bf79a439db6957699c6",
+    ("case2", "svg-ext"): "87676256be08119465b32a0166b9efc1078f6842d30104acc608ed0b8658c589",
 }
 
 
@@ -57,6 +62,8 @@ def argv(fixture, command):
         "ghosts": ["ghosts"],
         "path": ["path", *PATHS[fixture]],
         "report": ["picture", "--report"],
+        "svg": ["picture"],
+        "svg-ext": ["picture", "--ext-ghosts"],
     }[command]
     return [*head, *FIXTURES[fixture]]
 

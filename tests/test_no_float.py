@@ -6,7 +6,7 @@ of `math` but `gcd`, `lcm` and `isqrt`, and no true division (`/`, `/=`):
 integers divide with `//` or `divmod`, and rationals are compared by
 cross-multiplying.  A `Fraction` is constructed only in the functions of
 `FRACTION_SITES`, where a value is parsed or printed (or handed to a caller
-as a rational), and as the `RenderOptions` default.
+as a rational).
 """
 
 import ast
@@ -30,7 +30,6 @@ FRACTION_SITES = {
         "crossing_schedule",  # Event.t
     },
     "ghosts.py": {"ghost_events"},  # Event.t
-    "render.py": {"RenderOptions"},  # the ghost_offset default 1/100
 }
 
 
