@@ -161,16 +161,21 @@ class BrickCatalog:
             if m.id not in self.subquotients:
                 raise CatalogError(f"missing subquotient data for {m.id}")
             pair_keys = set()
+            support = {v for v, d in enumerate(m.dim, 1) if d}
             for p in self.subquotients[m.id]:
                 for i in p.sub.ids + p.quot.ids:
                     if i not in self.by_id:
                         raise CatalogError(f"subquotient of {m.id} references unknown {i}")
-                total = tuple(
-                    a + b for a, b in zip(self.dim_of(p.sub), self.dim_of(p.quot))
-                )
-                if total != m.dim:
+                sub_dim = self.dim_of(p.sub)
+                if tuple(a + b for a, b in zip(sub_dim, self.dim_of(p.quot))) != m.dim:
                     raise CatalogError(
                         f"subquotient of {m.id}: dim(sub)+dim(quot) != dim(parent)"
+                    )
+                basis = p.basis
+                if basis is not None and not (basis <= support and len(basis) == sum(sub_dim)):
+                    raise CatalogError(
+                        f"subquotient {p.tag} of {m.id}: basis {sorted(basis)} is not dim(sub) = "
+                        f"{sum(sub_dim)} vertices of the support {sorted(support)}"
                     )
                 pair_keys.add((p.sub, p.quot))
             if (ZERO_SUM, ModuleSum([m.id])) not in pair_keys:

@@ -161,16 +161,13 @@ def _simplex_max(c: list[int], rows: list[list[int]], rhs: list[int]) -> tuple[i
     m = len(rows)
     n = len(c)
     total = n + m
-    # Tableau with slack columns; basis starts as the slacks.
-    tab = [_reduced(rows[i] + [1 if j == i else 0 for j in range(m)] + [rhs[i]]) for i in range(m)]
-    obj = [-x for x in c] + [0] * m + [0]
+    # Tableau: each row with its basic slack 1 (so gcd-reduced), the objective row last.
+    tab = [rows[i] + [0] * i + [1] + [0] * (m - 1 - i) + [rhs[i]] for i in range(m)]
+    tab.append([-x for x in c] + [0] * m + [0])
     basis = list(range(n, total))
     while True:
-        enter = -1
-        for j in range(total):
-            if obj[j] < 0:
-                enter = j
-                break
+        obj = tab[m]
+        enter = next((j for j in range(total) if obj[j] < 0), -1)
         if enter < 0:
             break
         leave = -1
@@ -190,12 +187,14 @@ def _simplex_max(c: list[int], rows: list[list[int]], rhs: list[int]) -> tuple[i
             raise GhostpicError("unbounded LP (missing box constraints)")
         prow = tab[leave]
         piv = prow[enter]  # > 0 by the ratio test
-        for i in range(m):
-            f = tab[i][enter]
-            if i != leave and f != 0:
-                tab[i] = _reduced([piv * x - f * y for x, y in zip(tab[i], prow)])
-        f = obj[enter]  # < 0: the entering column
-        obj = _reduced([piv * x - f * y for x, y in zip(obj, prow)])
+        nonzero = [(j, y) for j, y in enumerate(prow) if y]  # few: most slack entries are 0
+        for i, row in enumerate(tab):  # the objective row too: its entry is < 0
+            f = row[enter]
+            if f and i != leave:  # piv*row - f*prow, made on prow's nonzero columns
+                new = row[:] if piv == 1 else [piv * x for x in row]
+                for j, y in nonzero:
+                    new[j] -= f * y
+                tab[i] = _reduced(new)
         basis[leave] = enter
     # row i is a positive multiple of the rational row, whose basic entry is
     # 1: the basic variable is tab[i][total] / tab[i][b]

@@ -68,14 +68,14 @@ class LinearPath:
         if n != len(k):
             raise CatalogError("h and k must have equal length")
         hk, den = (*h, *k), 1
-        if not all(type(x) is int for x in hk):  # exact ints are kept as given
+        if set(map(type, hk)) != {int}:  # exact ints are kept as given
             for name, v in (("h", h), ("k", k)):
                 for i, x in enumerate(v):
                     if isinstance(x, float):
                         raise CatalogError(f"{name}[{i}] = {x!r} is a float; use int or Fraction")
             *hk, den = integral((*hk, 1))  # the trailing 1 comes back as H
         ki = tuple(hk[n:])
-        if any(x <= 0 for x in ki):  # H > 0, so ki has the signs of k
+        if min(ki, default=1) <= 0:  # H > 0, so ki has the signs of k
             raise CatalogError("all coordinates of k must be strictly positive")
         self._hi: IntVec = tuple(hk[:n])
         self._ki: IntVec = ki
@@ -214,23 +214,25 @@ def crossing_plan(cls: ModuleClass) -> CrossingPlan:
     return build_plan(cls)
 
 
-def check_generic(path: LinearPath, plan: CrossingPlan) -> None:
+def check_generic(path: LinearPath, plan: CrossingPlan) -> tuple[list[int], int]:
     """Reject paths that cross two non-proportional dims of the plan at the
     same time (`crossing_plan` for the class bricks and every weakly
     admissible quotient sum, `ghosts.ghost_plan` for these and every ghost).
 
     Each dim's time is keyed by one integer, hd[i] * (L // kd[i]) with
     L = lcm(*kd) (every kd > 0): the time -hd[i]/kd[i] is minus the key over
-    L, so two dims share a key iff they cross together.  The Fraction time
-    is built only for the error."""
+    L, so two dims share a key iff they cross together.  Returns the keys,
+    in plan order, and L.  The Fraction time is built only for the error."""
     hd, kd = path.crossings(plan)
     ray = plan.ray
     scale = lcm(*kd)
+    keys = [h * (scale // k) for h, k in zip(hd, kd)]
     by_time: dict[int, int] = {}  # time key -> first index
-    for i, (h, k) in enumerate(zip(hd, kd)):
-        first = by_time.setdefault(h * (scale // k), i)
+    for i, key in enumerate(keys):
+        first = by_time.setdefault(key, i)
         if ray[first] != ray[i]:
             raise NonGenericPathError(plan.names[first], plan.names[i], Fraction(-hd[i], kd[i]))
+    return keys, scale
 
 
 def stable_along(path: LinearPath, plan: CrossingPlan, crossing: Crossing) -> bool:
@@ -299,9 +301,13 @@ def crossing_schedule(cls: ModuleClass, path: LinearPath, include_ghosts: bool =
 
 
 def linear_mgs(cls: ModuleClass, path: LinearPath) -> list[str]:
-    """The relatively stable bricks in crossing order (each verdict
-    cross-validated against wall-interior membership by `stable_along`)."""
-    return [e.label for e in crossing_schedule(cls, path).events if e.stable]
+    """The relatively stable bricks (each verdict cross-validated by
+    `stable_along`) in crossing order: by falling `check_generic` time key,
+    which no two bricks share on a generic path."""
+    plan = crossing_plan(cls)
+    keys, _ = check_generic(path, plan)
+    stable = [c for c in plan.bricks.values() if stable_along(path, plan, c)]
+    return [c.label for c in sorted(stable, key=lambda c: -keys[c.event])]
 
 
 # ---------------------------------------------------------------------------

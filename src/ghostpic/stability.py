@@ -79,10 +79,16 @@ class SemistableSet(NamedTuple):
 
 
 @per_class
-def _semistable_rows(cls: ModuleClass) -> tuple[tuple[str, tuple[tuple[int, ...], ...]], ...]:
-    """Each brick with the dims theta must be positive on for it to be
-    semistable: its own, then those of its wall's sides."""
-    return tuple((m, (cls.dim_of(m), *(s.dim for s in wall(cls, m).sides))) for m in cls.bricks)
+def _semistable_rows(cls: ModuleClass) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+    """(dims, rows): the distinct dims theta must be positive on for some
+    brick to be semistable, and each brick with the indices into dims of
+    its own dim and of its wall's sides."""
+    index: dict[tuple[int, ...], int] = {}  # dim -> its place in dims
+    rows = []
+    for m in cls.bricks:
+        dims = (cls.dim_of(m), *(s.dim for s in wall(cls, m).sides))
+        rows.append((m, tuple(index.setdefault(d, len(index)) for d in dims)))
+    return tuple(index), tuple(rows)
 
 
 def semistable_set(cls: ModuleClass, theta: IntVec) -> SemistableSet:
@@ -91,13 +97,9 @@ def semistable_set(cls: ModuleClass, theta: IntVec) -> SemistableSet:
     positive multiple of it gives the same set."""
     if len(theta) != cls.catalog.quiver.n:
         raise CatalogError(f"theta of rank {len(theta)} on a class of rank {cls.catalog.quiver.n}")
-    return SemistableSet(
-        frozenset(
-            m
-            for m, dims in _semistable_rows(cls)
-            if all(sum(map(mul, d, theta)) > 0 for d in dims)
-        )
-    )
+    dims, rows = _semistable_rows(cls)
+    off = {i for i, d in enumerate(dims) if sum(map(mul, d, theta)) <= 0}
+    return SemistableSet(frozenset(m for m, at in rows if off.isdisjoint(at)))
 
 
 class Chamber(NamedTuple):

@@ -8,7 +8,6 @@ non-generic, so all comparisons stay exact.
 from __future__ import annotations
 
 import random
-from functools import cmp_to_key
 from math import lcm
 from operator import mul
 from typing import NamedTuple
@@ -99,6 +98,18 @@ def standard_fixtures() -> dict[str, ModuleClass]:
     }
 
 
+def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
+    """The values of count rng.randint(lo, hi) calls, by the same getrandbits
+    calls: lo plus a k-bit draw below the width hi - lo + 1, redrawn past it."""
+    width = hi - lo + 1
+    k, bits, out = width.bit_length(), rng.getrandbits, []
+    while len(out) < count:
+        r = bits(k)
+        if r < width:
+            out.append(lo + r)
+    return out
+
+
 def _random_generic_paths(cls: ModuleClass, rng: random.Random, count: int, plan: CrossingPlan):
     """Yield count paths with integer h and k drawn from rng, generic for
     the plan.  The paths are drawn as they are consumed, so only the path in
@@ -107,9 +118,7 @@ def _random_generic_paths(cls: ModuleClass, rng: random.Random, count: int, plan
     n = cls.catalog.quiver.n
     made = 0
     while made < count:
-        h = tuple(rng.randint(-9, 9) for _ in range(n))
-        k = tuple(rng.randint(1, 9) for _ in range(n))
-        path = LinearPath(h, k)
+        path = LinearPath(_randints(rng, -9, 9, n), _randints(rng, 1, 9, n))
         try:
             check_generic(path, plan)
         except NonGenericPathError:
@@ -118,24 +127,18 @@ def _random_generic_paths(cls: ModuleClass, rng: random.Random, count: int, plan
         yield path
 
 
-def _by_ratio(a: tuple[int, int], b: tuple[int, int]) -> int:
-    """Order two (num, den) pairs (den > 0) by the rationals they stand for."""
-    return a[0] * b[1] - b[0] * a[1]
-
-
 def _chamber_chain(cls: ModuleClass, graph: ChamberGraph, path: LinearPath) -> list[int]:
     """Chambers a generic path passes through, in order: located at a probe
     before the first brick crossing, between each two consecutive ones and
-    after the last, each probe an integer point on the path's ray."""
+    after the last, each probe an integer point on the path's ray.  Brick
+    times are put over one denominator L = lcm(kd), as in `check_generic`."""
     plan = crossing_plan(cls)
     hd, kd = path.crossings(plan)
-    times = sorted(
-        ((-hd[c.event], kd[c.event]) for c in plan.bricks.values()), key=cmp_to_key(_by_ratio)
-    )
-    (first_num, first_den), (last_num, last_den) = times[0], times[-1]
-    probes = [(first_num - first_den, first_den)]
-    probes += [(a * d + c * b, 2 * b * d) for (a, b), (c, d) in zip(times, times[1:])]
-    probes.append((last_num + last_den, last_den))
+    scale = lcm(*kd)
+    times = sorted(-hd[c.event] * (scale // kd[c.event]) for c in plan.bricks.values())
+    probes = [(times[0] - scale, scale)]
+    probes += [(a + b, 2 * scale) for a, b in zip(times, times[1:])]
+    probes.append((times[-1] + scale, scale))
     chain: list[int] = []
     for num, den in probes:
         cid = locate_chamber(graph, path.point_at(num, den))
@@ -186,9 +189,9 @@ class Verifier:
                 samples = [tuple(x * (scale // c.den) for x in c.sample) for c in ch.cells]
                 for _ in range(25):
                     basis = samples if mix_cells else [rng.choice(samples)]
-                    weights = [rng.randint(1, 9) for _ in basis]
+                    weights = _randints(rng, 1, 9, len(basis))
                     basis = basis + [rng.choice(samples)]
-                    weights.append(rng.randint(1, 9))
+                    weights += _randints(rng, 1, 9, 1)
                     point = tuple(sum(map(mul, weights, col)) for col in zip(*basis))
                     if semistable_set(cls, point).bricks != ch.label.bricks:
                         fails.add(f"{name}: theta={point} in chamber {ch.id}")
@@ -208,7 +211,8 @@ class Verifier:
                 # bricks off the wall, else den (1 on the rational sample's
                 # scale); the points theta0 -+ eps*eta are scaled by q
                 halves = [(abs(v), 2 * sum(d)) for d in dims if (v := int_dot(d, theta0))]
-                p, q = min(halves, key=cmp_to_key(_by_ratio)) if halves else (e.den, 1)
+                scale = lcm(*(q for _, q in halves))  # each p/q as p * (scale // q) / scale
+                p, q = min(halves, key=lambda h: h[0] * (scale // h[1])) if halves else (e.den, 1)
                 minus = tuple(q * x - p for x in theta0)
                 plus = tuple(q * x + p for x in theta0)
                 s_minus = semistable_set(cls, minus).bricks
@@ -275,7 +279,7 @@ class Verifier:
             sequences = enumerate_mgs(cls, graph)
             objects = [ModuleSum([b]) for b in cls.bricks]
             for _ in range(5):
-                size = rng.randint(2, 3)
+                (size,) = _randints(rng, 2, 3, 1)
                 objects.append(ModuleSum([rng.choice(cls.bricks) for _ in range(size)]))
             for mgs in sequences:
                 for x in objects:
@@ -416,16 +420,18 @@ class Verifier:
             if cls.flags.extension_closed is not True:
                 continue
             n = cls.catalog.quiver.n
-            dims = [(m, cls.dim_of(m)) for m in cls.bricks]
+            # each brick's dim and its admissible subobjects, once per fixture
+            subs = [
+                (m, cls.dim_of(m), [frozenset(p.sub.ids) for p in cls.admissible_quotients(m)])
+                for m in cls.bricks
+            ]
             for _ in range(max(10, self.paths)):
-                theta = tuple(rng.randint(-9, 9) for _ in range(n))
-                label = semistable_set(cls, theta)
-                for m, d in dims:
-                    if int_dot(d, theta) <= 0 or m in label:
+                theta = tuple(_randints(rng, -9, 9, n))
+                label = semistable_set(cls, theta).bricks
+                for m, d, admissible in subs:
+                    if m in label or int_dot(d, theta) <= 0:
                         continue
-                    if not any(
-                        all(i in label for i in p.sub.ids) for p in cls.admissible_quotients(m)
-                    ):
+                    if not any(sub <= label for sub in admissible):
                         fails.add(f"{name}: {m} at theta={theta}")
         self.record("lemma:admissible-subobject-exists", fails)
 

@@ -366,6 +366,27 @@ class TestMalformedInput:
         assert err.count("\n") == 1 and err.startswith("error: catalog schema violation")
         assert "'subquotients' must be {" in err and '"basis": [int, ...]' in err
 
+    @pytest.mark.parametrize("bad", ["off-support", "wrong-size"])
+    def test_a_catalog_basis_must_span_its_sub(self, capsys, tmp_path, bad):
+        """A subquotient basis is a set of the parent's supported vertices,
+        one per dimension of the sub: a vertex outside the support, or a
+        basis of the wrong size, is refused instead of silently changing the
+        ghost side conditions."""
+        _, good, _ = run(capsys, "catalog", "--type-a", "3", "--orient", "LL")
+        doc = json.loads(good)
+        pairs = next(iter(doc["subquotients"].values()))
+        zero = next(p for p in pairs if not p["sub"])
+        whole = next(p for p in pairs if not p["quot"])
+        zero["basis"] = [99] if bad == "off-support" else whole["basis"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "catalog", "--catalog", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: subquotient sub{} of ")
+        basis = "[99]" if bad == "off-support" else str(whole["basis"])
+        assert f"basis {basis} is not dim(sub) = 0 vertices of the support" in err
+
     def test_seed_is_a_verify_option_only(self, capsys):
         code, out, err = run(
             capsys,

@@ -398,6 +398,53 @@ class TestWorkCounts:
             expected = [cls for cls in expected if enumerate_ghosts(cls)]
         assert fetched == expected
 
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_linear_mgs_is_the_schedule_without_its_events(self, monkeypatch, name):
+        """`linear_mgs` gives the stable bricks of `crossing_schedule` in its
+        order, on int and Fraction paths alike, and raises the schedule's
+        NonGenericPathError on a path that is not generic; it builds no
+        `Event` (no Fraction time) to do so."""
+        cls = FIXTURES[name]
+        rng = verify.random.Random(("linear-mgs", name).__repr__())
+        n = cls.catalog.quiver.n
+        # small coordinates: many drawn paths are not generic
+        drawn = [
+            ([rng.randint(-3, 3) for _ in range(n)], [rng.randint(1, 3) for _ in range(n)])
+            for _ in range(150)
+        ]
+        drawn.append(([0] * n, [1] * n))  # every dim crosses at t = 0
+        nongeneric = 0
+        for h, k in drawn:
+            scaled = ([Fraction(x, 3) for x in h], [Fraction(x, 2) for x in k])
+            for path in (LinearPath(h, k), LinearPath(*scaled)):
+                try:
+                    expected = [e.label for e in crossing_schedule(cls, path).events if e.stable]
+                except NonGenericPathError as exc:
+                    expected = str(exc)
+                with monkeypatch.context() as m:
+                    m.setattr("ghostpic.greenpaths.Event", None)
+                    try:
+                        got = linear_mgs(cls, path)
+                    except NonGenericPathError as exc:
+                        got = str(exc)
+                nongeneric += isinstance(got, str)
+                assert got == expected, (h, k)
+        assert nongeneric or name == "a1"
+
+    def test_the_admissible_check_reads_each_bricks_subobjects_once(self, monkeypatch):
+        calls = []
+        checker = verify.Verifier(paths_per_fixture=50, seed=0)
+        original = ModuleClass.admissible_quotients
+
+        def counted(cls, m, *args, **kwargs):
+            calls.append((cls, m))
+            return original(cls, m, *args, **kwargs)
+
+        monkeypatch.setattr(ModuleClass, "admissible_quotients", counted)
+        checker.check_admissible_subobject()
+        assert [r.passed for r in checker.results] == [True]
+        assert calls and len(calls) == len(set(calls))
+
 
 class TestVerifyFailures:
     def test_a_failing_enumeration_is_not_a_pass(self, monkeypatch):

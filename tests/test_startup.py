@@ -90,3 +90,38 @@ def test_chambers_loads_no_path_ghost_render_or_verify_layer(loaded_modules):
 def test_a_layer_loads_only_for_its_commands(loaded_modules, layer, users):
     loads = {name for name, seen in loaded_modules.items() if f"ghostpic.{layer}" in seen["run"]}
     assert loads == users
+
+
+VERIFY_IMPORTS = {
+    "ghostpic",
+    "ghostpic.catalog",
+    "ghostpic.errors",
+    "ghostpic.geometry",
+    "ghostpic.stability",
+    "ghostpic.greenpaths",
+    "ghostpic.ghosts",
+    "ghostpic.verify",
+}
+
+VERIFY_SET_UP = """
+import json, sys
+from ghostpic.verify import Verifier
+loaded = sorted(m for m in sys.modules if m == "ghostpic" or m.startswith("ghostpic."))
+verifier = Verifier(1000, 3)
+print(json.dumps({"import": loaded, "tables": {n: len(c._table) for n, c in verifier.fixtures.items()}}))
+"""
+
+
+def test_verify_set_up_builds_no_per_class_fact():
+    """Setting up `verify` (the import and `Verifier(...)`, which the
+    benchmark times as its set-up) loads the layers the checks run and
+    builds the fixtures, and nothing more: every per-class table is filled
+    lazily, inside the checks."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", VERIFY_SET_UP], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert set(seen["import"]) == VERIFY_IMPORTS
+    assert len(seen["tables"]) == 10 and not any(seen["tables"].values())

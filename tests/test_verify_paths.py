@@ -11,7 +11,13 @@ import pytest
 from ghostpic.ghosts import enumerate_ghosts, ghost_plan
 from ghostpic.greenpaths import LinearPath, crossing_plan
 from ghostpic.stability import chamber_graph
-from ghostpic.verify import Verifier, _chamber_chain, _random_generic_paths, standard_fixtures
+from ghostpic.verify import (
+    Verifier,
+    _chamber_chain,
+    _randints,
+    _random_generic_paths,
+    standard_fixtures,
+)
 from reference_chain import fraction_chamber_chain
 
 FIXTURES = standard_fixtures()
@@ -81,6 +87,19 @@ def draws_digest(name, cls, plan):
         line = ",".join(map(str, path.h)) + ";" + ",".join(map(str, path.k)) + "\n"
         digest.update(line.encode())
     return digest.hexdigest()
+
+
+@pytest.mark.parametrize("lo, hi", [(-9, 9), (1, 9), (2, 3), (0, 15)])
+@pytest.mark.parametrize("seed", [0, 1, 7, "adm-subobject"])
+def test_randints_are_randint_draws(seed, lo, hi):
+    """`_randints` gives the values of as many `randint` calls and leaves
+    the generator in the same state, a redrawn value past the width included
+    (the width 16 of (0, 15) is a power of two: half its 5-bit draws are
+    redrawn)."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for count in (1, 3, 4, 25):
+        assert _randints(ours, lo, hi, count) == [theirs.randint(lo, hi) for _ in range(count)]
+        assert ours.getstate() == theirs.getstate()
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
