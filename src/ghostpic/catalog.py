@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from functools import wraps
 from itertools import product
+from operator import add, mul
 from typing import NamedTuple
 
 from ghostpic.errors import CatalogError
@@ -182,6 +183,17 @@ class BrickCatalog:
                 raise CatalogError(f"{m.id}: missing trivial pair (0, parent)")
             if (ModuleSum([m.id]), ZERO_SUM) not in pair_keys:
                 raise CatalogError(f"{m.id}: missing trivial pair (parent, 0)")
+
+        def euler(x: Dim, y: Dim) -> int:  # <x,y> = sum x_i y_i - sum over arrows s->t of x_s y_t
+            return sum(map(mul, x, y)) - sum(x[s - 1] * y[t - 1] for s, t in self.quiver.arrows)
+
+        bad = "catalog schema violation: "
+        for x, y in product(self.indecs, repeat=2):
+            if self.hom.get((x.id, y.id), 0) < euler(x.dim, y.dim):
+                raise CatalogError(
+                    f"{bad}hom({x.id},{y.id}) = {self.hom.get((x.id, y.id), 0)} is below "
+                    f"the Euler form <dim {x.id}, dim {y.id}> = {euler(x.dim, y.dim)}"
+                )
         for s in self.ses_list:
             for i in (s.a, s.b, s.c):
                 self.indec(i)
@@ -195,6 +207,23 @@ class BrickCatalog:
                 raise CatalogError(
                     f"ses ({s.a},{s.b},{s.c}) has no matching subquotient pair"
                 )
+            if self.hom.get((s.c, s.a), 0) == euler(dc, da):  # never below, by the check above
+                raise CatalogError(
+                    f"{bad}ses ({s.a},{s.b},{s.c}) does not split, but hom({s.c},{s.a}) - "
+                    f"<dim {s.c}, dim {s.a}> = 0 says Ext^1({s.c},{s.a}) = 0"
+                )
+        if self.complete:  # exactly the positive roots, once each: on a Dynkin
+            # quiver every non-simple one is a smaller one plus a simple one
+            dims = {m.dim for m in self.indecs}
+            simples = [tuple(int(v == i) for v in range(n)) for i in range(n)]
+            if len(dims) != len(self.indecs):
+                raise CatalogError(f"{bad}a complete catalog repeats a dimension vector")
+            for m in self.indecs:
+                if euler(m.dim, m.dim) != 1:
+                    raise CatalogError(f"{bad}dim {m.id} = {list(m.dim)} is not a positive root")
+            for d in simples + [tuple(map(add, m.dim, e)) for m in self.indecs for e in simples]:
+                if d not in dims and euler(d, d) == 1:
+                    raise CatalogError(f"{bad}a complete catalog lacks the positive root {list(d)}")
 
     def ses_pair(self, s: Ses) -> SubquotientPair:
         wanted = (ModuleSum([s.a]), ModuleSum([s.c]))

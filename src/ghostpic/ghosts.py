@@ -24,8 +24,6 @@ bricks and its subobject and quotient ghosts from that one plan.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from ghostpic.catalog import (
@@ -45,7 +43,6 @@ from ghostpic.greenpaths import (
     Event,
     LinearPath,
     build_plan,
-    check_generic,
     crossing_schedule,
     stable_along,
 )
@@ -364,10 +361,11 @@ def ghost_stability(cls: ModuleClass, path: LinearPath, g: Ghost) -> bool:
     return stable_along(path, plan, crossing)
 
 
-def _order_concurrent(cls: ModuleClass, ghosts: list[Ghost]) -> list[Ghost]:
-    # Order so no middle-term morphism points forward; the exact-sequence
-    # relation between concurrent ghosts of one missing module makes this
-    # order well defined in the examples, otherwise catalog order is kept.
+def order_concurrent(cls: ModuleClass, ghosts: list[Ghost]) -> list[Ghost]:
+    """Ghosts that cross at one time, in schedule order: no middle-term
+    morphism points forward.  The exact-sequence relation between concurrent
+    ghosts of one missing module makes this order well defined in the
+    examples, otherwise catalog order is kept."""
     remaining = sorted(ghosts, key=lambda g: (cls.catalog.position(g.b), g.key()))
     ordered: list[Ghost] = []
     while remaining:
@@ -393,35 +391,11 @@ def ghost_plan(cls: ModuleClass) -> CrossingPlan:
 
 
 def ghost_events(cls: ModuleClass, path: LinearPath) -> list[Event]:
-    """Subobject and quotient ghost crossing events with stability flags.
-
-    Extension ghosts are left out: their events coincide with the hyperplane
-    crossing of their middle brick, which the schedule already reports, and
-    wall-crossing sequences track them separately.
-    """
-    plan = ghost_plan(cls)
-    check_generic(path, plan)
-    hd, kd = path.crossings(plan)
-    scale = lcm(*kd)
-    by_time: dict[int, list[Ghost]] = {}  # time key of `check_generic` -> group
-    for g, c in plan.ghosts.values():
-        if g.kind != EXTENSION:
-            by_time.setdefault(hd[c.event] * (scale // kd[c.event]), []).append(g)
-    events: list[Event] = []
-    for group in by_time.values():
-        ordered = _order_concurrent(cls, group) if len(group) > 1 else group
-        for g in ordered:
-            c = plan.ghosts[g.key()][1]
-            events.append(
-                Event(
-                    t=Fraction(-hd[c.event], kd[c.event]),
-                    kind="ghost",
-                    label=c.label,
-                    stable=stable_along(path, plan, c),
-                    concurrent=len(group) > 1,
-                )
-            )
-    return events
+    """The subobject and quotient ghost events of the path's schedule with
+    ghosts, in its order (extension ghosts cross with their middle brick and
+    are left out)."""
+    schedule = crossing_schedule(cls, path, include_ghosts=True)
+    return [e for e in schedule.events if e.kind == "ghost"]
 
 
 def mgs_with_ghosts(cls: ModuleClass, path: LinearPath) -> list[Event]:

@@ -58,10 +58,11 @@ class LinearPath:
 
     Genericity and stability read, for each crossing plan asked for, the two
     integer lists hd[i] = H*h.d_i and kd[i] = H*k.d_i over the plan's dims,
-    computed once (`crossings`); `point_at` gives integer points on the path,
-    the crossing of dim i being point_at(-hd[i], kd[i])."""
+    computed once (`crossings`), and for a generic path the time keys of
+    `check_generic`, kept by plan too; `point_at` gives integer points on the
+    path, the crossing of dim i being point_at(-hd[i], kd[i])."""
 
-    __slots__ = ("_hi", "_ki", "_den", "_lists")
+    __slots__ = ("_hi", "_ki", "_den", "_lists", "_keys")
 
     def __init__(self, h, k):
         n = len(h)
@@ -81,6 +82,7 @@ class LinearPath:
         self._ki: IntVec = ki
         self._den: int = den
         self._lists: dict = {}
+        self._keys: dict = {}
 
     @property
     def h(self) -> tuple[Fraction, ...]:
@@ -102,15 +104,16 @@ class LinearPath:
         return f"LinearPath(h={self.h!r}, k={self.k!r})"
 
     def crossings(self, plan: CrossingPlan) -> tuple[list[int], list[int]]:
-        """(hd, kd) over the dims of a crossing plan, computed once per plan;
-        a path whose rank is not the plan's is rejected."""
+        """(hd, kd) = (H*h.d, H*k.d) over the dims d of a crossing plan,
+        computed once per plan; a path whose rank is not the plan's is
+        rejected."""
         lists = self._lists.get(plan)
         if lists is None:
-            if plan.dims and len(plan.dims[0]) != len(self._hi):
-                raise CatalogError(
-                    f"path of rank {len(self._hi)} on a class of rank {len(plan.dims[0])}"
-                )
-            lists = self._lists[plan] = plan.dots(self._hi, self._ki)
+            dims, hi, ki = plan.dims, self._hi, self._ki
+            if dims and len(dims[0]) != len(hi):
+                raise CatalogError(f"path of rank {len(hi)} on a class of rank {len(dims[0])}")
+            lists = [sum(map(mul, hi, d)) for d in dims], [sum(map(mul, ki, d)) for d in dims]
+            self._lists[plan] = lists
         return lists
 
     def at(self, t) -> tuple[Fraction, ...]:
@@ -165,11 +168,6 @@ class CrossingPlan:
         self.bricks: dict[str, Crossing] = bricks
         self.ghosts: dict[tuple, tuple] = ghosts  # ghost key -> (Ghost, Crossing)
 
-    def dots(self, hi: IntVec, ki: IntVec) -> tuple[list[int], list[int]]:
-        """(hi.d, ki.d) for every dim d of the plan, as two lists."""
-        dims = self.dims
-        return [sum(map(mul, hi, d)) for d in dims], [sum(map(mul, ki, d)) for d in dims]
-
 
 def build_plan(cls: ModuleClass, ghosts=()) -> CrossingPlan:
     """The crossing plan of the class bricks and the given ghosts.  Its dims
@@ -221,18 +219,23 @@ def check_generic(path: LinearPath, plan: CrossingPlan) -> tuple[list[int], int]
 
     Each dim's time is keyed by one integer, hd[i] * (L // kd[i]) with
     L = lcm(*kd) (every kd > 0): the time -hd[i]/kd[i] is minus the key over
-    L, so two dims share a key iff they cross together.  Returns the keys,
-    in plan order, and L.  The Fraction time is built only for the error."""
-    hd, kd = path.crossings(plan)
-    ray = plan.ray
-    scale = lcm(*kd)
-    keys = [h * (scale // k) for h, k in zip(hd, kd)]
-    by_time: dict[int, int] = {}  # time key -> first index
-    for i, key in enumerate(keys):
-        first = by_time.setdefault(key, i)
-        if ray[first] != ray[i]:
-            raise NonGenericPathError(plan.names[first], plan.names[i], Fraction(-hd[i], kd[i]))
-    return keys, scale
+    L, so two dims share a key iff they cross together, and a higher key
+    crosses earlier.  Returns the keys, in plan order, and L; the path keeps
+    them, so a second call on the same plan is a lookup.  The Fraction time
+    is built only for the error."""
+    found = path._keys.get(plan)
+    if found is None:
+        hd, kd = path.crossings(plan)
+        ray = plan.ray
+        scale = lcm(*kd)
+        keys = [h * (scale // k) for h, k in zip(hd, kd)]
+        by_time: dict[int, int] = {}  # time key -> first index
+        for i, key in enumerate(keys):
+            first = by_time.setdefault(key, i)
+            if ray[first] != ray[i]:
+                raise NonGenericPathError(plan.names[first], plan.names[i], Fraction(-hd[i], kd[i]))
+        found = path._keys[plan] = keys, scale
+    return found
 
 
 def stable_along(path: LinearPath, plan: CrossingPlan, crossing: Crossing) -> bool:
@@ -275,29 +278,33 @@ def is_relatively_stable(cls: ModuleClass, path: LinearPath, m: str) -> bool:
 def crossing_schedule(cls: ModuleClass, path: LinearPath, include_ghosts: bool = False) -> CrossingSchedule:
     """Time-sorted crossing events of all class bricks (and, optionally, the
     subobject and quotient ghosts) with their stability flags, read from one
-    plan: the ghost plan holds every brick crossing too."""
-    if include_ghosts:
-        from ghostpic.ghosts import ghost_events, ghost_plan
+    plan (the ghost plan holds every brick crossing too) in one pass.
 
-        plan = ghost_plan(cls)
-        ghost_evts = ghost_events(cls, path)  # validates genericity on the plan
-    else:
-        plan = crossing_plan(cls)
-        check_generic(path, plan)
-        ghost_evts = []
-    hd, kd = path.crossings(plan)
-    events = [
-        Event(
-            t=Fraction(-hd[c.event], kd[c.event]),
-            kind="brick",
-            label=b,
-            stable=stable_along(path, plan, c),
-        )
-        for b, c in plan.bricks.items()
-    ]
-    events.extend(ghost_evts)
-    events.sort(key=lambda e: (e.t, 0 if e.kind == "brick" else 1))
-    return CrossingSchedule(path, tuple(events))
+    Events are sorted by falling `check_generic` time key, a brick before
+    the ghosts of its time; ghosts that cross together are `concurrent` and
+    keep the order of `ghosts.order_concurrent`.  Extension ghosts are left
+    out: they cross with their middle brick, which the schedule reports."""
+    if include_ghosts:
+        from ghostpic.ghosts import EXTENSION, ghost_plan, order_concurrent
+    plan = ghost_plan(cls) if include_ghosts else crossing_plan(cls)
+    keys, scale = check_generic(path, plan)
+    rows = [(c, "brick", False) for c in plan.bricks.values()]
+    if include_ghosts:
+        at_key: dict[int, list] = {}  # time key -> the ghosts crossing then
+        for g, c in plan.ghosts.values():
+            if g.kind != EXTENSION:
+                at_key.setdefault(keys[c.event], []).append(g)
+        rows += [
+            (plan.ghosts[g.key()][1], "ghost", len(group) > 1)
+            for group in at_key.values()
+            for g in order_concurrent(cls, group)
+        ]
+    rows.sort(key=lambda row: (-keys[row[0].event], row[1] == "ghost"))
+    events = tuple(
+        Event(Fraction(-keys[c.event], scale), kind, c.label, stable_along(path, plan, c), concurrent)
+        for c, kind, concurrent in rows
+    )
+    return CrossingSchedule(path, events)
 
 
 def linear_mgs(cls: ModuleClass, path: LinearPath) -> list[str]:

@@ -131,11 +131,10 @@ def _chamber_chain(cls: ModuleClass, graph: ChamberGraph, path: LinearPath) -> l
     """Chambers a generic path passes through, in order: located at a probe
     before the first brick crossing, between each two consecutive ones and
     after the last, each probe an integer point on the path's ray.  Brick
-    times are put over one denominator L = lcm(kd), as in `check_generic`."""
+    time t is -key/L over the `check_generic` keys and their L."""
     plan = crossing_plan(cls)
-    hd, kd = path.crossings(plan)
-    scale = lcm(*kd)
-    times = sorted(-hd[c.event] * (scale // kd[c.event]) for c in plan.bricks.values())
+    keys, scale = check_generic(path, plan)
+    times = sorted(-keys[c.event] for c in plan.bricks.values())
     probes = [(times[0] - scale, scale)]
     probes += [(a + b, 2 * scale) for a, b in zip(times, times[1:])]
     probes.append((times[-1] + scale, scale))

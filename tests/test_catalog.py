@@ -395,6 +395,8 @@ class TestClassification:
             {"sub": ["M2"], "quot": [], "tag": "sub{all}"},
         ]
         doc["hom"].append(["M2", "M2", 1])
+        # the rows the Euler form asks of a (2,2) module: <P1,M2> = <P2,M2> = <M2,S2> = 2
+        doc["hom"] += [["P1", "M2", 2], ["P2", "M2", 2], ["M2", "S2", 2]]
         cat = load_catalog(json.dumps(doc))
         with pytest.raises(CatalogError, match="linearly dependent"):
             ModuleClass(cat, ["M", "M2"])

@@ -387,6 +387,39 @@ class TestMalformedInput:
         basis = "[99]" if bad == "off-support" else str(whole["basis"])
         assert f"basis {basis} is not dim(sub) = 0 vertices of the support" in err
 
+    @pytest.mark.parametrize("bad", ["hom-below-euler", "split-ses", "missing-root"])
+    def test_a_catalog_that_contradicts_its_quiver_is_refused(self, capsys, tmp_path, bad):
+        """With the Euler form <x,y> = sum x_i y_i - sum over arrows s->t of
+        x_s y_t, hom(X,Y) is at least <dim X, dim Y>, a listed sequence
+        A >-> B ->> C has Ext^1(C,A) = hom(C,A) - <dim C, dim A> > 0, and a
+        complete catalog holds every positive root: a catalog that breaks
+        one of these is refused, not loaded."""
+        _, good, _ = run(capsys, "catalog", "--type-a", "3", "--orient", "LL")
+        doc = json.loads(good)
+        if bad == "hom-below-euler":
+            doc["hom"] = [row for row in doc["hom"] if row[:2] != ["S1", "P2"]]
+            said = "hom(S1,P2) = 0 is below the Euler form <dim S1, dim P2> = 1"
+        elif bad == "split-ses":
+            fake = {"sub": ["S3"], "quot": ["S2"], "basis": [3], "tag": "fake"}
+            doc["subquotients"]["I2"].append(fake)
+            doc["ses"].append(["S3", "I2", "S2"])
+            said = "ses (S3,I2,S2) does not split, but hom(S2,S3) - <dim S2, dim S3> = 0"
+        else:  # P3 and every entry that names it
+            doc["indecs"] = [m for m in doc["indecs"] if m["id"] != "P3"]
+            del doc["subquotients"]["P3"]
+            for pairs in doc["subquotients"].values():
+                pairs[:] = [p for p in pairs if "P3" not in p["sub"] + p["quot"]]
+            doc["hom"] = [row for row in doc["hom"] if "P3" not in row]
+            doc["ses"] = [row for row in doc["ses"] if "P3" not in row]
+            said = "a complete catalog lacks the positive root [1, 1, 1]"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "catalog", "--catalog", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: catalog schema violation: ")
+        assert said in err
+
     def test_seed_is_a_verify_option_only(self, capsys):
         code, out, err = run(
             capsys,

@@ -25,6 +25,7 @@ from ghostpic.ghosts import (
     EXTENSION,
     classify_bifurcations,
     enumerate_ghosts,
+    ghost_events,
     ghost_plan,
     ghost_stability,
 )
@@ -38,6 +39,7 @@ from ghostpic.greenpaths import (
     stable_along,
 )
 from ghostpic.stability import chamber_graph, locate_chamber, semistable_set, wall
+from reference_schedule import reference_ghost_events, reference_schedule
 from reference_vectors import dot
 
 FIXTURES = verify.standard_fixtures()
@@ -431,6 +433,56 @@ class TestWorkCounts:
                 assert got == expected, (h, k)
         assert nongeneric or name == "a1"
 
+    @staticmethod
+    def count_scans(monkeypatch):
+        """Count the genericity scans: each one takes the lcm of its kd."""
+        scans = []
+
+        def counted(*kd):
+            scans.append(kd)
+            return verify.lcm(*kd)
+
+        monkeypatch.setattr("ghostpic.greenpaths.lcm", counted)
+        return scans
+
+    def test_a_second_genericity_check_is_a_lookup(self, monkeypatch):
+        """`check_generic` keeps the keys of a generic path by plan: a second
+        call on the same (path, plan), and a schedule after it, scan nothing;
+        a non-generic path is scanned, and refused, on every call."""
+        scans = self.count_scans(monkeypatch)
+        cls = FIXTURES["case2"]
+        plan = ghost_plan(cls)
+        path = next(verify._random_generic_paths(cls, verify.random.Random(2), 1, plan))
+        assert len(scans) == 1
+        assert check_generic(path, plan) is check_generic(path, plan)
+        crossing_schedule(cls, path, include_ghosts=True)
+        assert len(scans) == 1
+        fresh = LinearPath(path.h, path.k)
+        crossing_schedule(cls, fresh, include_ghosts=True)  # one decision per schedule
+        assert len(scans) == 2
+        zero = LinearPath((0, 0, 0), (1, 1, 1))
+        for _ in range(2):
+            with pytest.raises(NonGenericPathError):
+                check_generic(zero, plan)
+        assert len(scans) == 4
+
+    def test_the_paths_check_decides_each_drawn_path_once(self, monkeypatch):
+        """In the paths-vs-graph check the draw's genericity scan is the only
+        one: `linear_mgs` and the chamber chain read its keys."""
+        scans = self.count_scans(monkeypatch)
+        drawn = []
+
+        def counted_path(h, k):
+            drawn.append((h, k))
+            return LinearPath(h, k)
+
+        monkeypatch.setattr(verify, "LinearPath", counted_path)
+        checker = verify.Verifier(paths_per_fixture=100, seed=0)
+        checker.check_linear_paths_vs_graph()
+        assert [r.passed for r in checker.results] == [True]
+        assert len(drawn) > 10 * len(checker.fixtures)  # some draws were refused
+        assert len(scans) == len(drawn)
+
     def test_the_admissible_check_reads_each_bricks_subobjects_once(self, monkeypatch):
         calls = []
         checker = verify.Verifier(paths_per_fixture=50, seed=0)
@@ -444,6 +496,68 @@ class TestWorkCounts:
         checker.check_admissible_subobject()
         assert [r.passed for r in checker.results] == [True]
         assert calls and len(calls) == len(set(calls))
+
+
+def schedule_or_message(schedule, cls, h, k, include_ghosts):
+    """The events of a schedule on a fresh path, or its NonGenericPathError message."""
+    try:
+        return schedule(cls, LinearPath(h, k), include_ghosts).events
+    except NonGenericPathError as exc:
+        return str(exc)
+
+
+class TestOneSchedule:
+    """The one-pass schedule gives the events of the two-pass Fraction
+    reference, field by field, and `ghost_events` is its ghost part."""
+
+    @staticmethod
+    def drawn(name):
+        """150 seeded int paths with small coordinates (many not generic, and
+        ghosts crossing together), the all-zero h, and each path's twin
+        h/3, k/2 in Fractions, which crosses in the same order."""
+        n = FIXTURES[name].catalog.quiver.n
+        rng = verify.random.Random(("schedule", name).__repr__())
+        paths = [
+            ([rng.randint(-3, 3) for _ in range(n)], [rng.randint(1, 3) for _ in range(n)])
+            for _ in range(150)
+        ]
+        paths.append(([0] * n, [1] * n))
+        for h, k in list(paths):
+            paths.append(([Fraction(x, 3) for x in h], [Fraction(x, 2) for x in k]))
+        return paths
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_the_schedule_is_the_reference(self, name):
+        cls = FIXTURES[name]
+        seen = {"generic": 0, "nongeneric": 0, "concurrent": 0}
+        for h, k in self.drawn(name):
+            for include_ghosts in (False, True):
+                got = schedule_or_message(crossing_schedule, cls, h, k, include_ghosts)
+                assert got == schedule_or_message(reference_schedule, cls, h, k, include_ghosts)
+                if isinstance(got, str):
+                    seen["nongeneric"] += 1
+                    continue
+                seen["generic"] += 1
+                seen["concurrent"] += any(e.concurrent for e in got)
+                assert all(type(e.t) is Fraction for e in got)
+        assert seen["generic"] and (seen["nongeneric"] or name == "a1")
+        assert seen["concurrent"] or name not in ("case1", "case2", "mixed5")
+
+    @pytest.mark.parametrize("name", ["case1", "case2", "kronecker", "torsion4"])
+    def test_ghost_events_are_the_ghost_part_of_the_schedule(self, name):
+        cls = FIXTURES[name]
+        for h, k in self.drawn(name):
+            path = LinearPath(h, k)
+            try:
+                events = crossing_schedule(cls, path, include_ghosts=True).events
+            except NonGenericPathError as exc:
+                with pytest.raises(NonGenericPathError) as again:
+                    ghost_events(cls, LinearPath(h, k))
+                assert str(again.value) == str(exc)
+                continue
+            ghosts = ghost_events(cls, LinearPath(h, k))
+            assert ghosts == [e for e in events if e.kind == "ghost"]
+            assert sorted(ghosts) == sorted(reference_ghost_events(cls, LinearPath(h, k)))
 
 
 class TestVerifyFailures:

@@ -29,7 +29,6 @@ FRACTION_SITES = {
         "stable_along",
         "crossing_schedule",  # Event.t
     },
-    "ghosts.py": {"ghost_events"},  # Event.t
 }
 
 
