@@ -652,16 +652,14 @@ class ModuleClass:
             and self.is_weakly_admissible_quotient(m, p)
         )
 
-    def admissible_quotients(self, m: str, proper: bool = True):
-        """Pairs of m whose submodule and quotient both lie in the class: the
-        admissible quotients, and equally the admissible subobjects."""
-        out = []
-        for p in self.catalog.pairs(m):
-            if proper and (not p.sub or not p.quot):
-                continue
-            if self.in_add(p.quot) and self.in_add(p.sub):
-                out.append(p)
-        return out
+    def admissible_quotients(self, m: str):
+        """Pairs of m with nonzero submodule and quotient, both in the class:
+        the admissible quotients, and equally the admissible subobjects."""
+        return [
+            p
+            for p in self.catalog.pairs(m)
+            if p.sub and p.quot and self.in_add(p.quot) and self.in_add(p.sub)
+        ]
 
     def is_minimal_brick(self, m: str) -> bool:
         return not self.weakly_admissible_quotients(m)

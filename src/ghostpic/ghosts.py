@@ -11,6 +11,9 @@ A >-> B ->> C.  With respect to a module class there are three kinds:
 
 Subobject and quotient ghosts additionally require Hom(A,C)=0; extension
 ghosts do not (the Kronecker extension P1 -> P2 -> M has Hom(P1,M) != 0).
+Vector-space duality swaps the first two kinds, and one builder makes the
+side conditions of both: a quotient ghost's are those of the subobject ghost
+DZ* >-> DB ->> DA of the opposite modules, read in the catalog's own pairs.
 
 Every domain is stored as a closed cone inside the hyperplane of the ghost's
 crossing object, with one inequality per side condition.  Each condition also
@@ -64,7 +67,9 @@ class GhostCondition(NamedTuple):
     must cross after the ghost (so theta(obj) < 0 on the domain interior),
     False means before (theta(obj) > 0).  Case 0 is the defining condition
     shared by all ghosts of the kind; cases 1-5 carry the parent-triple
-    recipe used by bifurcation classification.
+    recipe used by bifurcation classification.  A quotient ghost's case and
+    recipe are those of its subobject reading in the opposite modules, with
+    ``late`` reversed.
     """
 
     case: int
@@ -132,141 +137,101 @@ def _basis(pair: SubquotientPair, context: str) -> frozenset:
     return pair.basis
 
 
-def _pair_with_basis(catalog: BrickCatalog, parent: str, basis: frozenset):
-    for p in catalog.pairs(parent):
+def _pair_with_basis(pairs, basis: frozenset):
+    for p in pairs:
         if p.basis == basis:
             return p
     return None
 
 
-def _subobject_conditions(cls: ModuleClass, ses: Ses) -> list[GhostCondition]:
+def _support(catalog: BrickCatalog, m: str) -> frozenset:
+    return frozenset(v for v, d in enumerate(catalog.dim_of(m), 1) if d)
+
+
+def _opposite(catalog: BrickCatalog, p: SubquotientPair) -> SubquotientPair:
+    """The pair read in the dual module: the vector-space dual of
+    X >-> M ->> M/X is D(M/X) >-> DM ->> DX, spanned by the complement of
+    X's basis in M's support."""
+    basis = None if p.basis is None else _support(catalog, p.parent) - p.basis
+    return p._replace(sub=p.quot, quot=p.sub, basis=basis)
+
+
+def _conditions(cls: ModuleClass, ses: Ses, flip: bool) -> list[GhostCondition]:
+    """The side conditions of the subobject ghost Gh(Z;B) of Z >-> B ->> C,
+    or with ``flip`` of the quotient ghost Gh*(Z*;B) of A >-> B ->> Z*, read
+    as the subobject ghost DZ* >-> DB ->> DA of the opposite module: every
+    pair is read through `_opposite` and every crossing-time reading is
+    reversed, so the two kinds are dual by construction.  A recipe names the
+    parent triple (Z', B', C') in the reading of the child."""
     catalog = cls.catalog
-    z, b, c = ses.a, ses.b, ses.c
-    ses_pair = catalog.ses_pair(ses)
-    conds: list[GhostCondition] = [GhostCondition(0, ModuleSum([b]), late=False)]
+    z, b, c = (ses.c, ses.b, ses.a) if flip else (ses.a, ses.b, ses.c)
+    read = (lambda p: _opposite(catalog, p)) if flip else (lambda p: p)
+    pairs = {m: tuple(map(read, catalog.pairs(m))) for m in (z, b, c)}
+    own = read(catalog.ses_pair(ses))
+    conds: list[GhostCondition] = [GhostCondition(0, ModuleSum([b]), late=flip)]
+
+    def side(case, obj, late, recipe=None):
+        conds.append(GhostCondition(case, obj, late != flip, recipe))
 
     # (1) common admissible quotients of B and C
     qb = {}
-    for p in cls.admissible_quotients(b):
+    for p in map(read, cls.admissible_quotients(b)):
         qb.setdefault(p.quot, p)
-    for q in cls.admissible_quotients(c):
+    for q in map(read, cls.admissible_quotients(c)):
         if q.quot in qb:
-            conds.append(
-                GhostCondition(
-                    1, q.quot, late=False, recipe=(ModuleSum([z]), qb[q.quot].sub, q.sub)
-                )
-            )
+            side(1, q.quot, False, (ModuleSum([z]), qb[q.quot].sub, q.sub))
 
     # (2) class submodules of B disjoint from Z
-    for p in catalog.pairs(b):
+    for p in pairs[b]:
         if not p.sub or not p.quot or not cls.in_add(p.sub):
             continue
-        if _basis(p, "case 2") & _basis(ses_pair, "case 2"):
+        if _basis(p, "case 2") & _basis(own, "case 2"):
             continue
-        cq = _pair_with_basis(catalog, c, _basis(p, "case 2"))
-        recipe = (ModuleSum([z]), p.quot, cq.quot) if cq is not None else None
-        conds.append(GhostCondition(2, p.sub, late=True, recipe=recipe))
+        cq = _pair_with_basis(pairs[c], p.basis)
+        side(2, p.sub, True, (ModuleSum([z]), p.quot, cq.quot) if cq is not None else None)
 
     # (3) class subobjects of Z
-    for p in catalog.pairs(z):
+    for p in pairs[z]:
         if not p.sub or not cls.in_add(p.sub):
             continue
-        bq = _pair_with_basis(catalog, b, _basis(p, "case 3"))
-        recipe = (p.quot, bq.quot, ModuleSum([c])) if bq is not None else None
-        conds.append(GhostCondition(3, p.sub, late=True, recipe=recipe))
+        bq = _pair_with_basis(pairs[b], _basis(p, "case 3"))
+        side(3, p.sub, True, (p.quot, bq.quot, ModuleSum([c])) if bq is not None else None)
 
     # (4) class subobjects X of C with B ->> C/X not admissible
-    for q in catalog.pairs(c):
+    for q in pairs[c]:
         if not q.sub or not q.quot or not cls.in_add(q.sub):
             continue
-        kp = _pair_with_basis(
-            catalog, b, _basis(ses_pair, "case 4") | _basis(q, "case 4")
-        )
-        if kp is None:
+        kp = _pair_with_basis(pairs[b], _basis(own, "case 4") | _basis(q, "case 4"))
+        if kp is not None and not (cls.in_add(kp.sub) and cls.in_add(q.quot)):
+            side(4, q.sub, True, (kp.sub, ModuleSum([b]), q.quot))
+
+    # (5) epimorphisms onto class quotients B ->> Y whose kernel maps onto
+    # C (Z + ker = B); the sequence's own pair (ker = Z) never does, and is
+    # skipped before its basis is read, so a catalog without bases is asked
+    # for one only when another candidate exists
+    for p in pairs[b]:
+        if not p.quot or not p.sub or not cls.in_add(p.quot) or p == own:
             continue
-        admissible = cls.in_add(kp.sub) and cls.in_add(q.quot)
-        if not admissible:
-            conds.append(
-                GhostCondition(4, q.sub, late=True, recipe=(kp.sub, ModuleSum([b]), q.quot))
-            )
-
-    # (5) epimorphisms B -> Y whose kernel maps onto C (Z + ker = B)
-    b_support = frozenset().union(*(_basis(p, "case 5") for p in catalog.pairs(b)))
-    for p in catalog.pairs(b):
-        if not p.quot or not p.sub:
+        if _basis(p, "case 5") | _basis(own, "case 5") != _support(catalog, b):
             continue
-        if _basis(p, "case 5") | _basis(ses_pair, "case 5") != b_support:
-            continue
-        zp = _pair_with_basis(catalog, z, _basis(ses_pair, "case 5") & _basis(p, "case 5"))
-        recipe = (zp.sub, p.sub, ModuleSum([c])) if zp is not None else None
-        conds.append(GhostCondition(5, p.quot, late=False, recipe=recipe))
-    return conds
-
-
-def _quotient_conditions(cls: ModuleClass, ses: Ses) -> list[GhostCondition]:
-    catalog = cls.catalog
-    a, b, zstar = ses.a, ses.b, ses.c
-    ses_pair = catalog.ses_pair(ses)
-    conds: list[GhostCondition] = [GhostCondition(0, ModuleSum([b]), late=True)]
-
-    # (1) common admissible subobjects of A and B
-    sa = {}
-    for p in cls.admissible_quotients(a, proper=False):
-        if p.sub:
-            sa.setdefault(p.sub, p)
-    for q in cls.admissible_quotients(b, proper=False):
-        if q.sub and q.sub in sa:
-            conds.append(GhostCondition(1, q.sub, late=True))
-
-    # (2) common class quotients of A and B
-    ta = {p.quot for p in catalog.pairs(a) if p.quot and cls.in_add(p.quot)}
-    for q in catalog.pairs(b):
-        if q.quot and q.quot in ta and cls.in_add(q.quot):
-            conds.append(GhostCondition(2, q.quot, late=False))
-
-    # (3) class quotients of the missing module
-    for p in catalog.pairs(zstar):
-        if p.sub and p.quot and cls.in_add(p.quot):
-            conds.append(GhostCondition(3, p.quot, late=False))
-
-    # (4) class quotients of A with indecomposable kernel A' and B/A' missing
-    for p in catalog.pairs(a):
-        if not p.sub.is_indec() or not p.quot or not cls.in_add(p.quot):
-            continue
-        bp = _pair_with_basis(catalog, b, _basis(p, "case 4*"))
-        if bp is None:
-            continue
-        if not cls.in_add(bp.quot):
-            conds.append(GhostCondition(4, p.quot, late=False))
-
-    # (5) admissible subobjects of B disjoint from A
-    for p in cls.admissible_quotients(b):
-        if _basis(p, "case 5*") & _basis(ses_pair, "case 5*"):
-            continue
-        conds.append(GhostCondition(5, p.sub, late=True))
+        zp = _pair_with_basis(pairs[z], own.basis & p.basis)
+        side(5, p.quot, False, (zp.sub, p.sub, ModuleSum([c])) if zp is not None else None)
     return conds
 
 
 def _build_ghost(cls: ModuleClass, ses: Ses, kind: str) -> Ghost:
     warnings = []
-    if kind == SUBOBJECT:
-        if cls.flags.is_torsion is not True:
-            warnings.append("class is not a known torsion class; domain computed anyway")
-        conds = _subobject_conditions(cls, ses)
-        missing = ses.a
-        event_dim = cls.dim_of(ses.a)
-        minimal = len(conds) == 1
-    elif kind == QUOTIENT:
-        if cls.flags.is_torsion_free is not True:
-            warnings.append("class is not a known torsion-free class; domain computed anyway")
-        conds = _quotient_conditions(cls, ses)
-        missing = ses.c
-        event_dim = cls.dim_of(ses.c)
+    if kind in (SUBOBJECT, QUOTIENT):
+        flip = kind == QUOTIENT
+        if (cls.flags.is_torsion_free if flip else cls.flags.is_torsion) is not True:
+            closure = "torsion-free" if flip else "torsion"
+            warnings.append(f"class is not a known {closure} class; domain computed anyway")
+        conds = _conditions(cls, ses, flip)
+        missing = ses.c if flip else ses.a
         minimal = len(conds) == 1
     elif kind == EXTENSION:
         conds = [GhostCondition(0, ModuleSum([ses.c]), late=True)]
         missing = ses.b
-        event_dim = cls.dim_of(ses.b)
         wa = {p.quot for p in cls.weakly_admissible_quotients(ses.b)}
         minimal = (
             cls.is_minimal_brick(ses.a)
@@ -275,6 +240,7 @@ def _build_ghost(cls: ModuleClass, ses: Ses, kind: str) -> Ghost:
         )
     else:
         raise CatalogError(f"unknown ghost kind {kind!r}")
+    event_dim = cls.dim_of(missing)
     sides = tuple(Side(cls.dim_of(c.obj), repr(c.obj), c.late) for c in conds)
     return Ghost(
         kind=kind,
@@ -421,14 +387,16 @@ def format_schedule(schedule: CrossingSchedule) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _subobject_bifurcations(ghosts: tuple[Ghost, ...]) -> tuple[list[Bifurcation], list[tuple]]:
+def _recipe_bifurcations(ghosts: tuple[Ghost, ...]) -> tuple[list[Bifurcation], list[tuple]]:
     """Bifurcations and unclassified conditions of the non-minimal subobject
-    ghosts, matched against the five parent-triple recipes."""
+    and quotient ghosts, matched against the five parent-triple recipes.  A
+    quotient ghost's recipe (Z', B', C') is read in the opposite module, so
+    its parent is the quotient ghost of C' >-> B' ->> Z'."""
     keys = {g.key() for g in ghosts}
     bifurcations: list[Bifurcation] = []
     unclassified: list[tuple] = []
     for child in ghosts:
-        if child.kind != SUBOBJECT or child.minimal:
+        if child.kind == EXTENSION or child.minimal:
             continue
         for cond in child.conditions:
             if cond.case == 0:
@@ -448,7 +416,10 @@ def _subobject_bifurcations(ghosts: tuple[Ghost, ...]) -> tuple[list[Bifurcation
                     (child.key(), cond.case, f"parent triple ({zp},{bp},{cp}) not indecomposable")
                 )
                 continue
-            parent_key = (SUBOBJECT, zp.ids[0], bp.ids[0], cp.ids[0])
+            if child.kind == SUBOBJECT:
+                parent_key = (SUBOBJECT, zp.ids[0], bp.ids[0], cp.ids[0])
+            else:
+                parent_key = (QUOTIENT, cp.ids[0], bp.ids[0], zp.ids[0])
             if parent_key not in keys:
                 unclassified.append((child.key(), cond.case, f"{parent_key} is not an enumerated ghost"))
                 continue
@@ -468,46 +439,17 @@ def classify_bifurcations(cls: ModuleClass) -> BifurcationReport:
     """Match every side condition of every non-minimal ghost against the
     case recipes.
 
-    Subobject cases follow the five parent-triple constructions; quotient
-    ghosts are classified through the duality transport, as the subobject
-    ghosts of the dual class (torsion-free side); extension ghosts are
-    linked by shared end terms.  Recipes that produce a decomposable term or
-    a triple that is not an enumerated ghost are reported unclassified
-    rather than silently dropped, and candidate
-    occurrences of the unlisted pattern (an epimorphism from a child's C
-    onto another ghost's middle term) are reported as pathological.
+    Subobject and quotient ghosts follow the five parent-triple
+    constructions (a quotient ghost's recipes are read in the opposite
+    modules, like its side conditions); extension ghosts are linked by
+    shared end terms.  Recipes that produce a decomposable term or a triple
+    that is not an enumerated ghost are reported unclassified rather than
+    silently dropped, and candidate occurrences of the unlisted pattern (an
+    epimorphism from a child's C onto another ghost's middle term) are
+    reported as pathological.
     """
     ghosts = enumerate_ghosts(cls)
-    by_key = {g.key(): g for g in ghosts}
-    bifurcations, unclassified = _subobject_bifurcations(ghosts)
-
-    if any(g.kind == QUOTIENT and not g.minimal for g in ghosts):
-        try:
-            duality = dualize(cls)
-        except CatalogError:
-            duality = None
-            for g in ghosts:
-                if g.kind == QUOTIENT and not g.minimal:
-                    unclassified.append(
-                        (g.key(), 0, "quotient-side classification needs a dualizable catalog")
-                    )
-        if duality is not None:
-            dual_bifurcations, _ = _subobject_bifurcations(
-                enumerate_ghosts(duality.dual_class)
-            )
-            for bf in dual_bifurcations:
-                child = _transport_key(bf.child, duality.from_dual)
-                parent = _transport_key(bf.parent, duality.from_dual)
-                if child in by_key and parent in by_key:
-                    bifurcations.append(
-                        Bifurcation(
-                            child=child,
-                            parent=parent,
-                            case=bf.case,
-                            splitting_wall=duality.from_dual[bf.splitting_wall],
-                            wall_kind=bf.wall_kind,
-                        )
-                    )
+    bifurcations, unclassified = _recipe_bifurcations(ghosts)
 
     extension_links: list[ExtensionLink] = []
     ext = [g for g in ghosts if g.kind == EXTENSION]
@@ -610,14 +552,6 @@ def _type_a_orientation(catalog: BrickCatalog) -> str:
     return "".join(letters)
 
 
-def _transport_key(key: tuple, names: dict[str, str]) -> tuple:
-    """A ghost key (kind, A, B, C) carried along the duality by ``names``:
-    the sequence reverses and subobject and quotient ghosts trade kinds."""
-    kind, a, b, c = key
-    kind = {SUBOBJECT: QUOTIENT, QUOTIENT: SUBOBJECT}.get(kind, kind)
-    return (kind, names[c], names[b], names[a])
-
-
 class Duality(NamedTuple):
     """Transport along the vector-space duality to the opposite quiver.
 
@@ -635,7 +569,11 @@ class Duality(NamedTuple):
         return self.to_dual[m]
 
     def transport_key(self, key: tuple) -> tuple:
-        return _transport_key(key, self.to_dual)
+        """A ghost key (kind, A, B, C) carried to the dual class: the sequence
+        reverses and subobject and quotient ghosts trade kinds."""
+        kind, a, b, c = key
+        kind = {SUBOBJECT: QUOTIENT, QUOTIENT: SUBOBJECT}.get(kind, kind)
+        return (kind, self.to_dual[c], self.to_dual[b], self.to_dual[a])
 
     def transport_path(self, path: LinearPath) -> LinearPath:
         return LinearPath(tuple(-x for x in path.h), path.k)

@@ -36,6 +36,17 @@ class TestGhostsCommand:
         ]
 
 
+    def test_kronecker_ghost_without_embedding_data(self, capsys):
+        # the Kronecker catalog tags no basis; the only epimorphism from M
+        # onto S2 is the sequence P1 >-> M ->> S2 itself, so Gh(P1;M) has no
+        # case-5 candidate and needs no basis
+        code, out, _ = run(capsys, "ghosts", "--builtin", "kronecker", "--class", "S2,M")
+        assert code == 0
+        ghosts = [(g["display"], g["minimal"], g["domain"]) for g in json.loads(out)["ghosts"]]
+        assert ghosts == [("Gh(P1;M)", True, {"equalities": [[1, 0]], "weak": [[1, 1]]})]
+        code, _, _ = run(capsys, "picture", "--builtin", "kronecker", "--class", "S2,M", "--report")
+        assert code == 0
+
 class TestMgsCommand:
     def test_all_sequences(self, capsys):
         code, out, _ = run(

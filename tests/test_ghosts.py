@@ -1,11 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ghostpic.catalog import ModuleClass, ModuleSum
+from ghostpic.catalog import ModuleClass, ModuleSum, generate_type_a
 from ghostpic.errors import CatalogError
-from ghostpic.geometry import Cone, cone_equal, feasible_point
+from ghostpic.geometry import Cone, cone_contains_cone, cone_equal, feasible_point
 from ghostpic.ghosts import (
     EXTENSION,
     QUOTIENT,
@@ -31,6 +35,40 @@ def path3(h, k=ONES):
 
 def ghost_by(cls_ghosts, kind, a, b):
     return next(g for g in cls_ghosts if g.kind == kind and (g.a, g.b) == (a, b))
+
+
+@cache
+def type_a(n, orient):
+    return generate_type_a(n, orient)
+
+
+def a3_classes(orient):
+    """Every class of at least two bricks over the A3 orientation."""
+    catalog = type_a(3, orient)
+    ids = [m.id for m in catalog.indecs]
+    for size in range(2, len(ids) + 1):
+        for bricks in itertools.combinations(ids, size):
+            yield ModuleClass(catalog, bricks)
+
+
+def transport_failures(cls):
+    """Where the ghosts of the class and of its dual class disagree under the
+    duality: the census, or a transported domain and its twin's domain, each
+    tested for containment both ways."""
+    duality = dualize(cls)
+    ghosts = enumerate_ghosts(cls)
+    dual = {g.key(): g for g in enumerate_ghosts(duality.dual_class)}
+    if sorted(duality.transport_key(g.key()) for g in ghosts) != sorted(dual):
+        return [f"{cls!r}: census"]
+    failures = []
+    for g in ghosts:
+        twin = dual[duality.transport_key(g.key())].domain
+        moved = duality.transport_domain(g.domain)
+        if not cone_contains_cone(twin, moved):
+            failures.append(f"{cls!r}: {g.display()}'s twin misses part of its domain")
+        if not cone_contains_cone(moved, twin):
+            failures.append(f"{cls!r}: {g.display()}'s twin reaches past its domain")
+    return failures
 
 
 def tokens(cls, h):
@@ -320,6 +358,30 @@ class TestBifurcations:
         report = self.expect(case5, ("P3", "I2"), ("S2", "P1"), 5, "S3")
         assert report.bifurcations[0].wall_kind == "quotient-splitting"
 
+    @pytest.mark.parametrize("orient", ["LL", "LR", "RL", "RR"])
+    def test_every_side_of_a_non_minimal_ghost_is_reported(self, orient):
+        # over every A3 class: a splitting wall is a class brick, and each
+        # nonzero-case side condition of a non-minimal subobject or quotient
+        # ghost is a bifurcation or an unclassified entry
+        failures = []
+        for cls in a3_classes(orient):
+            report = classify_bifurcations(cls)
+            reported = {(b.child, b.case, b.splitting_wall) for b in report.bifurcations}
+            reported |= {(child, case, None) for child, case, _ in report.unclassified}
+            failures += [
+                f"{cls!r}: D({b.splitting_wall}) is no wall of the class"
+                for b in report.bifurcations
+                if not cls.contains_indec(b.splitting_wall)
+            ]
+            for g in enumerate_ghosts(cls):
+                if g.kind == EXTENSION or g.minimal:
+                    continue
+                for cond in g.conditions[1:]:
+                    wall = cond.obj.ids[0] if cond.obj.is_indec() else None
+                    if not {(g.key(), cond.case, wall), (g.key(), cond.case, None)} & reported:
+                        failures.append(f"{cls!r}: {g.display()} case {cond.case} ({cond.obj})")
+        assert failures == []
+
     def test_full6_extension_links(self, full6):
         report = classify_bifurcations(full6)
         links = sorted(
@@ -351,6 +413,21 @@ class TestBifurcations:
 
 
 class TestDuality:
+    @pytest.mark.parametrize("orient", ["LL", "LR", "RL", "RR"])
+    def test_every_a3_class_transports(self, orient):
+        failures = [f for cls in a3_classes(orient) for f in transport_failures(cls)]
+        assert failures == []
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        orient=st.text(alphabet="LR", min_size=3, max_size=3),
+        picks=st.sets(st.integers(0, 9), min_size=2),
+    )
+    def test_random_a4_classes_transport(self, orient, picks):
+        catalog = type_a(4, orient)
+        cls = ModuleClass(catalog, [catalog.indecs[i].id for i in sorted(picks)])
+        assert transport_failures(cls) == []
+
     def test_torsion4_quotient_census(self, torsion4):
         duality = dualize(torsion4)
         subs = [g for g in enumerate_ghosts(torsion4) if g.kind == SUBOBJECT]
