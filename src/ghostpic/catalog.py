@@ -5,6 +5,7 @@ dimension vectors), the full subquotient lattice of each indecomposable, a
 Hom-dimension table and the list of short exact sequences of bricks.  Type-A
 catalogs are generated from scratch; the Kronecker fragment used throughout
 the examples is built in; anything else is loaded from a JSON document.
+Every catalog reads its opposite catalog (vector-space duality) from itself.
 
 A :class:`ModuleClass` is a chosen subset of bricks closed under direct sums
 (the class itself is the additive closure) together with computed closure
@@ -109,6 +110,7 @@ class BrickCatalog:
         self.ses_list: tuple[Ses, ...] = tuple(ses_list)
         self.complete: bool = complete
         self._position = {m.id: i for i, m in enumerate(self.indecs)}
+        self._dual: BrickCatalog | None = None
         self._validate()
 
     # -- basic queries ------------------------------------------------------
@@ -162,7 +164,7 @@ class BrickCatalog:
             if m.id not in self.subquotients:
                 raise CatalogError(f"missing subquotient data for {m.id}")
             pair_keys = set()
-            support = {v for v, d in enumerate(m.dim, 1) if d}
+            support = _support(self, m.id)
             for p in self.subquotients[m.id]:
                 for i in p.sub.ids + p.quot.ids:
                     if i not in self.by_id:
@@ -231,6 +233,36 @@ class BrickCatalog:
             if (p.sub, p.quot) == wanted:
                 return p
         raise CatalogError(f"no subquotient pair realizes {s}")
+
+    def opposite(self) -> BrickCatalog:
+        """The catalog of the opposite quiver under vector-space duality D,
+        built once and validated like any catalog.  It keeps the ids, names,
+        dims and order of the indecomposables (its P2 stands for D(P2)),
+        reads every pair through `_opposite`, transposes `hom`
+        (Hom(DY,DX) = Hom(X,Y)) and reads a >-> b ->> c as
+        Dc >-> Db ->> Da.  It holds no link back to this catalog."""
+        if self._dual is None:
+            self._dual = BrickCatalog(
+                Quiver(self.quiver.n, tuple((t, s) for s, t in self.quiver.arrows)),
+                self.indecs,
+                {m.id: [_opposite(self, p) for p in self.subquotients[m.id]] for m in self.indecs},
+                {(y, x): d for (x, y), d in self.hom.items()},
+                [Ses(s.c, s.b, s.a) for s in self.ses_list],
+                self.complete,
+            )
+        return self._dual
+
+
+def _support(catalog: BrickCatalog, m: str) -> frozenset:
+    return frozenset(v for v, d in enumerate(catalog.dim_of(m), 1) if d)
+
+
+def _opposite(catalog: BrickCatalog, p: SubquotientPair) -> SubquotientPair:
+    """The pair read in the dual module: the vector-space dual of
+    X >-> M ->> M/X is D(M/X) >-> DM ->> DX, spanned by the complement of
+    X's basis in M's support."""
+    basis = None if p.basis is None else _support(catalog, p.parent) - p.basis
+    return p._replace(sub=p.quot, quot=p.sub, basis=basis)
 
 
 # ---------------------------------------------------------------------------

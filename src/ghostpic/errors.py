@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all ghostpic modules, and the reader of the
-GHOSTPIC_GUARD override."""
+"""Exception hierarchy shared by all ghostpic modules, the reader of the
+GHOSTPIC_GUARD override and the one check of the enumeration guards."""
 
 import os
 
@@ -49,6 +49,16 @@ def guard_limit(default: int) -> int:
     if limit < 1:
         raise UsageError(f"GHOSTPIC_GUARD must be a positive integer, got {raw!r}")
     return limit
+
+
+def check_guard(count: int, noun: str, guard: str, default: int) -> None:
+    """Abort when count exceeds the limit in force for the guard named
+    ``guard`` (whose default is ``default``); the message names both."""
+    limit = guard_limit(default)
+    if count > limit:
+        raise GuardExceededError(
+            f"{count} {noun} exceed {guard} = {limit} (GHOSTPIC_GUARD)", count=count
+        )
 
 
 class InternalConsistencyError(GhostpicError):

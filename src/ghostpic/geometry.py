@@ -17,7 +17,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from ghostpic.errors import GhostpicError, GuardExceededError, guard_limit
+from ghostpic.errors import GhostpicError, check_guard
 
 IntVec = tuple[int, ...]
 
@@ -343,10 +343,7 @@ def enumerate_cells(vectors) -> list[Cell]:
     strict sample point."""
     normals = _normals(vectors)
     n = len(normals[0])
-    if len(normals) > guard_limit(CELL_GUARD):
-        raise GuardExceededError(
-            f"{len(normals)} hyperplanes exceeds the cell enumeration guard"
-        )
+    check_guard(len(normals), "hyperplanes", "CELL_GUARD", CELL_GUARD)
     cells = [Cell((), (0,) * n, 1)]
     for k in range(len(normals)):
         grown: list[Cell] = []

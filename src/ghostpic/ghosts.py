@@ -14,6 +14,8 @@ ghosts do not (the Kronecker extension P1 -> P2 -> M has Hom(P1,M) != 0).
 Vector-space duality swaps the first two kinds, and one builder makes the
 side conditions of both: a quotient ghost's are those of the subobject ghost
 DZ* >-> DB ->> DA of the opposite modules, read in the catalog's own pairs.
+`dualize` carries a class over any catalog to the same brick ids over the
+catalog's opposite (`BrickCatalog.opposite`), where every ghost has its twin.
 
 Every domain is stored as a closed cone inside the hyperplane of the ghost's
 crossing object, with one inequality per side condition.  Each condition also
@@ -30,12 +32,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ghostpic.catalog import (
-    BrickCatalog,
     ModuleClass,
     ModuleSum,
     Ses,
     SubquotientPair,
-    generate_type_a,
+    _opposite,
+    _support,
     per_class,
 )
 from ghostpic.errors import CatalogError
@@ -142,18 +144,6 @@ def _pair_with_basis(pairs, basis: frozenset):
         if p.basis == basis:
             return p
     return None
-
-
-def _support(catalog: BrickCatalog, m: str) -> frozenset:
-    return frozenset(v for v, d in enumerate(catalog.dim_of(m), 1) if d)
-
-
-def _opposite(catalog: BrickCatalog, p: SubquotientPair) -> SubquotientPair:
-    """The pair read in the dual module: the vector-space dual of
-    X >-> M ->> M/X is D(M/X) >-> DM ->> DX, spanned by the complement of
-    X's basis in M's support."""
-    basis = None if p.basis is None else _support(catalog, p.parent) - p.basis
-    return p._replace(sub=p.quot, quot=p.sub, basis=basis)
 
 
 def _conditions(cls: ModuleClass, ses: Ses, flip: bool) -> list[GhostCondition]:
@@ -479,7 +469,7 @@ def classify_bifurcations(cls: ModuleClass) -> BifurcationReport:
     bifurcations = sorted(set(bifurcations), key=lambda b: (b.child, b.case, b.parent))
     return BifurcationReport(
         bifurcations=tuple(bifurcations),
-        extension_links=tuple(sorted(set(extension_links), key=lambda l: l.child)),
+        extension_links=tuple(sorted(set(extension_links))),
         unclassified=tuple(unclassified),
         pathological=tuple(sorted(set(pathological))),
     )
@@ -536,44 +526,23 @@ def ghost_census_doc(cls: ModuleClass) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _type_a_orientation(catalog: BrickCatalog) -> str:
-    n = catalog.quiver.n
-    letters = []
-    arrows = set(catalog.quiver.arrows)
-    if len(catalog.quiver.arrows) != n - 1:
-        raise CatalogError("catalog is not a generated type-A catalog")
-    for i in range(1, n):
-        if (i + 1, i) in arrows:
-            letters.append("L")
-        elif (i, i + 1) in arrows:
-            letters.append("R")
-        else:
-            raise CatalogError("catalog is not a generated type-A catalog")
-    return "".join(letters)
-
-
 class Duality(NamedTuple):
-    """Transport along the vector-space duality to the opposite quiver.
+    """Transport along vector-space duality D to the opposite catalog.
 
-    Dimension vectors are preserved, so modules correspond by dimension
-    vector; stability vectors transport by negation (a green path reverses),
-    and subobject ghosts (Z,B,C) become quotient ghosts (DC,DB,DZ).
+    The dual class has the same brick ids over `BrickCatalog.opposite`,
+    whose P2 stands for D(P2), so modules transport as themselves; stability
+    vectors transport by negation (a green path reverses), and subobject
+    ghosts (Z,B,C) become quotient ghosts (C,B,Z).
     """
 
     cls: ModuleClass
     dual_class: ModuleClass
-    to_dual: dict[str, str]
-    from_dual: dict[str, str]
-
-    def transport(self, m: str) -> str:
-        return self.to_dual[m]
 
     def transport_key(self, key: tuple) -> tuple:
         """A ghost key (kind, A, B, C) carried to the dual class: the sequence
         reverses and subobject and quotient ghosts trade kinds."""
         kind, a, b, c = key
-        kind = {SUBOBJECT: QUOTIENT, QUOTIENT: SUBOBJECT}.get(kind, kind)
-        return (kind, self.to_dual[c], self.to_dual[b], self.to_dual[a])
+        return ({SUBOBJECT: QUOTIENT, QUOTIENT: SUBOBJECT}.get(kind, kind), c, b, a)
 
     def transport_path(self, path: LinearPath) -> LinearPath:
         return LinearPath(tuple(-x for x in path.h), path.k)
@@ -583,14 +552,6 @@ class Duality(NamedTuple):
 
 
 def dualize(cls: ModuleClass) -> Duality:
-    catalog = cls.catalog
-    if not catalog.complete:
-        raise CatalogError("duality needs a complete generated catalog")
-    orientation = _type_a_orientation(catalog)
-    flipped = "".join("R" if x == "L" else "L" for x in orientation)
-    dual_catalog = generate_type_a(catalog.quiver.n, flipped)
-    by_dim = {m.dim: m.id for m in dual_catalog.indecs}
-    to_dual = {m.id: by_dim[m.dim] for m in catalog.indecs}
-    from_dual = {v: k for k, v in to_dual.items()}
-    dual_class = ModuleClass(dual_catalog, [to_dual[b] for b in cls.bricks])
-    return Duality(cls=cls, dual_class=dual_class, to_dual=to_dual, from_dual=from_dual)
+    """The class's bricks over the opposite catalog, for any catalog: the
+    opposite is built once per catalog object."""
+    return Duality(cls=cls, dual_class=ModuleClass(cls.catalog.opposite(), cls.bricks))

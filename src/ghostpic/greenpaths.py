@@ -33,10 +33,9 @@ from typing import NamedTuple
 from ghostpic.catalog import ModuleClass, ModuleSum, per_class
 from ghostpic.errors import (
     CatalogError,
-    GuardExceededError,
     InternalConsistencyError,
     NonGenericPathError,
-    guard_limit,
+    check_guard,
 )
 from ghostpic.geometry import Cone, IntVec, integral, proportional
 from ghostpic.stability import ChamberGraph, chamber_graph, wall
@@ -345,10 +344,7 @@ def enumerate_mgs(cls: ModuleClass, graph: ChamberGraph | None = None) -> list[M
     if graph is None:
         graph = chamber_graph(cls)
     total = count_mgs(graph)
-    if total > guard_limit(MGS_GUARD):
-        raise GuardExceededError(
-            f"{total} maximal green sequences exceed the enumeration guard", count=total
-        )
+    check_guard(total, "maximal green sequences", "MGS_GUARD", MGS_GUARD)
     out: list[Mgs] = []
     stack = [(graph.source, (), (graph.source,))]  # depth first, edges in order
     while stack:

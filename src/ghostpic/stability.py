@@ -13,7 +13,7 @@ from operator import mul
 from typing import NamedTuple
 
 from ghostpic.catalog import ModuleClass, ModuleSum, per_class
-from ghostpic.errors import CatalogError, GuardExceededError, InternalConsistencyError, guard_limit
+from ghostpic.errors import CatalogError, InternalConsistencyError, check_guard
 from ghostpic.geometry import (
     Cell,
     Cone,
@@ -154,8 +154,7 @@ def chamber_graph(cls: ModuleClass) -> ChamberGraph:
     strictly, the wall brick is among the new semistables, and each new
     semistable admits a weakly admissible epimorphism onto the wall brick.
     """
-    if len(cls.bricks) > guard_limit(BRICK_GUARD):
-        raise GuardExceededError(f"{len(cls.bricks)} bricks exceeds the chamber guard")
+    check_guard(len(cls.bricks), "bricks", "BRICK_GUARD", BRICK_GUARD)
     return _build_chamber_graph(cls)
 
 

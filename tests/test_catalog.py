@@ -308,6 +308,71 @@ class TestSerialization:
             load_catalog("not json")
 
 
+def _orientations(n):
+    return ["".join(w) for w in itertools.product("LR", repeat=n - 1)]
+
+
+def _by_dims(catalog):
+    """The catalog's arrows, pairs with their bases, hom, short exact
+    sequences and completeness, with every module named by its dims."""
+    dim = catalog.dim_of
+
+    def dims(x):
+        return tuple(sorted(dim(i) for i in x))
+
+    return (
+        sorted(catalog.quiver.arrows),
+        {
+            dim(m.id): sorted(
+                (dims(p.sub), dims(p.quot), sorted(p.basis)) for p in catalog.pairs(m.id)
+            )
+            for m in catalog.indecs
+        },
+        {(dim(x), dim(y)): d for (x, y), d in catalog.hom.items() if d},
+        sorted((dim(s.a), dim(s.b), dim(s.c)) for s in catalog.ses_list),
+        catalog.complete,
+    )
+
+
+class TestOpposite:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_is_the_catalog_of_the_flipped_orientation(self, n):
+        # an oracle independent of `opposite`: reversing every arrow turns
+        # each L (i+1 -> i) into R (i -> i+1) and back
+        for w in _orientations(n):
+            flipped = "".join({"L": "R", "R": "L"}[x] for x in w)
+            opposite = generate_type_a(n, w).opposite()
+            assert _by_dims(opposite) == _by_dims(generate_type_a(n, flipped))
+
+    def test_built_once_per_catalog(self, cat_ll, kronecker):
+        for c in (cat_ll, kronecker):
+            assert c.opposite() is c.opposite()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_double_opposite_of_a_generated_catalog(self, n):
+        for w in _orientations(n):
+            c = generate_type_a(n, w)
+            assert dump_catalog(c.opposite().opposite()) == dump_catalog(c)
+
+    def test_kronecker(self, kronecker):
+        opposite = kronecker.opposite()
+        assert opposite.quiver.arrows == ((1, 2), (1, 2))
+        assert [m.id for m in opposite.indecs] == [m.id for m in kronecker.indecs]
+        assert opposite.hom_dim("P2", "P1") == 2 and opposite.hom_dim("P1", "P2") == 0
+        assert [(s.a, s.b, s.c) for s in opposite.ses_list] == [("M", "P2", "P1"), ("S2", "M", "P1")]
+        assert opposite.complete is False
+        assert dump_catalog(opposite.opposite()) == dump_catalog(kronecker)
+
+    def test_double_opposite_of_a_loaded_catalog_without_bases(self, cat_lr):
+        doc = json.loads(dump_catalog(cat_lr))
+        for plist in doc["subquotients"].values():
+            for p in plist:
+                del p["basis"]
+        c = load_catalog(json.dumps(doc))
+        assert all(p.basis is None for m in c.indecs for p in c.opposite().pairs(m.id))
+        assert dump_catalog(c.opposite().opposite()) == dump_catalog(c)
+
+
 class TestFilt:
     def test_direct_sums_of_members(self, kronecker_class):
         assert kronecker_class.in_filt(ModuleSum(["P1", "P1"]))

@@ -221,6 +221,30 @@ class TestGuards:
         assert json.loads(out)["mgs_count"] == 7
 
 
+class TestGuardDetail:
+    """A guard abort names the guard and the limit in force."""
+
+    TORSION4 = ("--type-a", "3", "--orient", "LL", "--class", "S1,P3,I2,S3")
+
+    def guard_abort(self, capsys, monkeypatch, limit, *argv):
+        monkeypatch.setenv("GHOSTPIC_GUARD", limit)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        return json.loads(err)
+
+    def test_mgs_guard(self, capsys, monkeypatch):
+        summary = self.guard_abort(capsys, monkeypatch, "5", "mgs", *self.TORSION4, "--all")
+        assert summary["detail"] == "7 maximal green sequences exceed MGS_GUARD = 5 (GHOSTPIC_GUARD)"
+
+    def test_brick_guard(self, capsys, monkeypatch):
+        summary = self.guard_abort(capsys, monkeypatch, "3", "chambers", *self.TORSION4)
+        assert summary == {
+            "count": 4,
+            "detail": "4 bricks exceed BRICK_GUARD = 3 (GHOSTPIC_GUARD)",
+            "error": "guard-exceeded",
+        }
+
+
 class TestVerifyCommand:
     def test_reduced_run_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--paths", "20")
@@ -508,3 +532,19 @@ class TestClosedStdout:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert err == b""
+
+
+class TestHashSeed:
+    def test_report_bytes_do_not_depend_on_the_hash_seed(self):
+        # the full A4-LLL class has extension links that share a child, whose
+        # order once followed set iteration and so PYTHONHASHSEED
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        paths = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "ghostpic.cli", "picture", "--type-a", "4", "--orient", "LLL"]
+        outs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONPATH": paths, "PYTHONHASHSEED": seed}
+            proc = subprocess.run([*argv, "--report"], capture_output=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]

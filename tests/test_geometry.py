@@ -102,6 +102,15 @@ class TestCells:
         with pytest.raises(GuardExceededError):
             enumerate_cells(hs)
 
+    def test_guard_detail_names_the_guard_and_its_limit(self, monkeypatch):
+        # chamber_graph's BRICK_GUARD fires first on as many hyperplanes, so
+        # CELL_GUARD's text is read here, where the CLI would print it
+        monkeypatch.setenv("GHOSTPIC_GUARD", "2")
+        with pytest.raises(GuardExceededError) as caught:
+            enumerate_cells([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        assert str(caught.value) == "3 hyperplanes exceed CELL_GUARD = 2 (GHOSTPIC_GUARD)"
+        assert caught.value.count == 3
+
     def test_random_point_lands_in_some_closed_cell(self):
         hs = A3_DIMS
         cells = enumerate_cells(hs)

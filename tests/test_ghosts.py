@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghostpic.catalog import ModuleClass, ModuleSum, generate_type_a
+from ghostpic.catalog import ModuleClass, ModuleSum, dump_catalog, generate_type_a
 from ghostpic.errors import CatalogError
 from ghostpic.geometry import Cone, cone_contains_cone, cone_equal, feasible_point
 from ghostpic.ghosts import (
@@ -445,6 +445,7 @@ class TestDuality:
             assert cone_equal(twin.domain, duality.transport_domain(g.domain))
 
     def test_mgs_reversal(self, torsion4):
+        # the dual class keeps the brick ids: the opposite's S1 stands for D(S1)
         duality = dualize(torsion4)
         path = path3((3, 0, 2))
         orig = [e.label for e in mgs_with_ghosts(torsion4, path)]
@@ -452,14 +453,8 @@ class TestDuality:
             e.label
             for e in mgs_with_ghosts(duality.dual_class, duality.transport_path(path))
         ]
-        transported = []
-        for label in reversed(orig):
-            if label.startswith("Gh("):
-                z, b = label[3:-1].split(";")
-                transported.append(f"Gh*({duality.transport(z)};{duality.transport(b)})")
-            else:
-                transported.append(duality.transport(label))
-        assert dual == transported
+        assert orig == ["S1", "S3", "I2", "Gh(S2;I2)"]
+        assert dual == ["Gh*(S2;I2)", "I2", "S3", "S1"]
 
     def test_flags_swap(self, torsion4):
         duality = dualize(torsion4)
@@ -469,12 +464,21 @@ class TestDuality:
     def test_double_dual_identity(self, torsion4):
         duality = dualize(torsion4)
         double = dualize(duality.dual_class)
-        for m in torsion4.catalog.indecs:
-            assert double.to_dual[duality.to_dual[m.id]] == m.id
-        for g in enumerate_ghosts(torsion4):
-            key = duality.transport_key(g.key())
-            assert double.transport_key(key) == g.key()
+        assert double.dual_class.bricks == torsion4.bricks
+        assert dump_catalog(double.dual_class.catalog) == dump_catalog(torsion4.catalog)
+        keys = [g.key() for g in enumerate_ghosts(torsion4)]
+        assert [double.transport_key(duality.transport_key(k)) for k in keys] == keys
+        assert [g.key() for g in enumerate_ghosts(double.dual_class)] == keys
 
-    def test_incomplete_catalog_rejected(self, kronecker_class):
-        with pytest.raises(CatalogError):
-            dualize(kronecker_class)
+    def test_one_opposite_per_catalog(self, torsion4):
+        assert dualize(torsion4).dual_class.catalog is dualize(torsion4).dual_class.catalog
+
+    def test_every_kronecker_class_transports(self, kronecker):
+        ids = [m.id for m in kronecker.indecs]
+        classes = [
+            ModuleClass(kronecker, bricks)
+            for size in range(1, len(ids) + 1)
+            for bricks in itertools.combinations(ids, size)
+        ]
+        assert len(classes) == 15
+        assert [f for cls in classes for f in transport_failures(cls)] == []
