@@ -160,6 +160,7 @@ class BrickCatalog:
                 raise CatalogError(f"{m.id}: dimension vector has wrong length")
             if self.hom.get((m.id, m.id), 0) != 1:
                 raise CatalogError(f"{m.id} is not a brick: hom({m.id},{m.id}) != 1")
+        bad = "catalog schema violation: "
         for m in self.indecs:
             if m.id not in self.subquotients:
                 raise CatalogError(f"missing subquotient data for {m.id}")
@@ -175,6 +176,11 @@ class BrickCatalog:
                         f"subquotient of {m.id}: dim(sub)+dim(quot) != dim(parent)"
                     )
                 basis = p.basis
+                if basis is not None and max(m.dim) > 1:  # vertices name no subspace
+                    raise CatalogError(
+                        f"{bad}subquotient {p.tag} of {m.id} has a vertex basis, but "
+                        f"dim {m.id} = {list(m.dim)} is not thin"
+                    )
                 if basis is not None and not (basis <= support and len(basis) == sum(sub_dim)):
                     raise CatalogError(
                         f"subquotient {p.tag} of {m.id}: basis {sorted(basis)} is not dim(sub) = "
@@ -189,7 +195,6 @@ class BrickCatalog:
         def euler(x: Dim, y: Dim) -> int:  # <x,y> = sum x_i y_i - sum over arrows s->t of x_s y_t
             return sum(map(mul, x, y)) - sum(x[s - 1] * y[t - 1] for s, t in self.quiver.arrows)
 
-        bad = "catalog schema violation: "
         for x, y in product(self.indecs, repeat=2):
             if self.hom.get((x.id, y.id), 0) < euler(x.dim, y.dim):
                 raise CatalogError(

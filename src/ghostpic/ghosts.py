@@ -23,8 +23,10 @@ knows its crossing-time reading ("side object crosses before/after the
 ghost"), and stability along a generic linear path is decided both ways and
 cross-checked.  Both readings come from one ghost plan per class
 (`ghost_plan`), a crossing plan over the class bricks and every ghost, made
-by the builder of the brick plan; a crossing schedule with ghosts reads its
-bricks and its subobject and quotient ghosts from that one plan.
+by the builder of the brick plan (`stability.build_plan`).  The ghost plan
+also orders, once per class, the subobject and quotient ghosts that cross
+together (`order_concurrent`); a crossing schedule with ghosts reads its
+bricks and these ghosts from that one plan.
 """
 
 from __future__ import annotations
@@ -43,15 +45,13 @@ from ghostpic.catalog import (
 from ghostpic.errors import CatalogError
 from ghostpic.geometry import Cone
 from ghostpic.greenpaths import (
-    CrossingPlan,
     CrossingSchedule,
     Event,
     LinearPath,
-    build_plan,
     crossing_schedule,
     stable_along,
 )
-from ghostpic.stability import Side, side_cone
+from ghostpic.stability import CrossingPlan, Side, build_plan, side_cone
 
 SUBOBJECT = "subobject"
 QUOTIENT = "quotient"
@@ -342,8 +342,23 @@ def ghost_plan(cls: ModuleClass) -> CrossingPlan:
     """The one ghost plan of the class: its crossing plan extended by every
     ghost of every kind.  An extension ghost's event object and side object
     are class bricks, so it adds no dim and no name: genericity along the
-    plan is that of the bricks and the subobject and quotient ghosts."""
-    return build_plan(cls, enumerate_ghosts(cls))
+    plan is that of the bricks and the subobject and quotient ghosts.
+
+    On a path generic for the plan, two ghosts cross together iff their
+    event dims share a ray, so the schedule rows of the subobject and
+    quotient ghosts are appended once, grouped by ray, each group in
+    `order_concurrent` order and `concurrent` when it has two or more."""
+    plan = build_plan(cls, enumerate_ghosts(cls))
+    by_ray: dict[int, list[Ghost]] = {}
+    for g, c in plan.ghosts.values():
+        if g.kind != EXTENSION:
+            by_ray.setdefault(plan.ray[c.event], []).append(g)
+    plan.schedule += tuple(
+        (plan.ghosts[g.key()][1], "ghost", len(group) > 1)
+        for group in by_ray.values()
+        for g in order_concurrent(cls, group)
+    )
+    return plan
 
 
 def ghost_events(cls: ModuleClass, path: LinearPath) -> list[Event]:
@@ -493,24 +508,8 @@ def ghost_census_doc(cls: ModuleClass) -> dict:
             }
             for g in ghosts
         ],
-        "bifurcations": [
-            {
-                "child": list(b.child),
-                "parent": list(b.parent),
-                "case": b.case,
-                "splitting_wall": b.splitting_wall,
-                "wall_kind": b.wall_kind,
-            }
-            for b in bif.bifurcations
-        ],
-        "extension_links": [
-            {
-                "child": list(l.child),
-                "parent": list(l.parent),
-                "splitting_wall": l.splitting_wall,
-            }
-            for l in bif.extension_links
-        ],
+        "bifurcations": [b._asdict() for b in bif.bifurcations],
+        "extension_links": [link._asdict() for link in bif.extension_links],
         "unclassified": [
             {"child": list(c), "case": case, "reason": reason}
             for c, case, reason in bif.unclassified

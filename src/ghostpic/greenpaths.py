@@ -8,18 +8,16 @@ Relative stability of a brick compares its crossing time with those of its
 weakly admissible quotients, and every such decision is cross-validated
 against exact membership of the crossing point in the wall interior.
 
-Crossings are computed one way only, from a crossing plan, which is also
-the scope of every genericity question.  One builder (`build_plan`) makes
-the two plans of a class: `crossing_plan` for its bricks and `ghost_plan` in
-`ghosts` for its bricks and every ghost.  A plan holds the relevant dims as
-a tuple, each under its first name, a proportionality class per dim, and for
-each brick (and ghost) the index of its dim, its sides as (index, late, name)
-and the interior cone of its wall or domain.  A path computes two
-index-aligned integer lists per plan, hd[i] = H*h.d_i and kd[i] = H*k.d_i,
-in one pass; genericity compares times by one integer key per dim (see
-`check_generic`), stability by cross-multiplying entries of these lists, and
-neither touches a dim tuple; the crossing point of dim i is the integer
-point point_at(-hd[i], kd[i]).
+Crossings are computed one way only, from a crossing plan
+(`stability.CrossingPlan`), which is also the scope of every genericity
+question: `stability.crossing_plan` for the class bricks, `ghosts.ghost_plan`
+for its bricks and every ghost.  A path computes two index-aligned integer
+lists per plan, hd[i] = H*h.d_i and kd[i] = H*k.d_i, in one pass; genericity
+compares times by one integer key per dim (see `check_generic`), stability
+by cross-multiplying entries of these lists, and neither touches a dim
+tuple; the crossing point of dim i is the integer point
+point_at(-hd[i], kd[i]).  A crossing schedule sorts the plan's schedule rows
+by these keys.
 """
 
 from __future__ import annotations
@@ -37,8 +35,15 @@ from ghostpic.errors import (
     NonGenericPathError,
     check_guard,
 )
-from ghostpic.geometry import Cone, IntVec, integral, proportional
-from ghostpic.stability import ChamberGraph, chamber_graph, wall
+from ghostpic.geometry import IntVec, integral
+from ghostpic.stability import (
+    ChamberGraph,
+    Crossing,
+    CrossingPlan,
+    chamber_graph,
+    crossing_plan,
+    wall,
+)
 
 MGS_GUARD = 10**6
 
@@ -138,79 +143,6 @@ class CrossingSchedule(NamedTuple):
     events: tuple[Event, ...]
 
 
-class Crossing(NamedTuple):
-    """An event object (a brick, or a ghost's crossing object) in a crossing
-    plan: its label, the index of its dim, one (index, late, name) per side
-    condition, in order, and the interior of its wall or ghost domain."""
-
-    label: str
-    event: int
-    sides: tuple[tuple[int, bool, str], ...]
-    interior: Cone
-
-
-class CrossingPlan:
-    """What genericity and stability along any path need of a class: its
-    relevant dims, sorted, the first name of each, and ``ray`` with
-    ray[i] == ray[j] iff dims i and j are proportional (they cross at the
-    same time on every path), ray[i] being the first such index.
-    ``bricks`` holds the crossing of each class brick, ``ghosts`` each
-    planned ghost with its crossing, by key.  A plan is equal only to
-    itself: paths key their crossing lists by plan."""
-
-    __slots__ = ("dims", "names", "ray", "bricks", "ghosts")
-
-    def __init__(self, dims, names, ray, bricks, ghosts):
-        self.dims: tuple[tuple[int, ...], ...] = dims
-        self.names: tuple[str, ...] = names
-        self.ray: tuple[int, ...] = ray
-        self.bricks: dict[str, Crossing] = bricks
-        self.ghosts: dict[tuple, tuple] = ghosts  # ghost key -> (Ghost, Crossing)
-
-
-def build_plan(cls: ModuleClass, ghosts=()) -> CrossingPlan:
-    """The crossing plan of the class bricks and the given ghosts.  Its dims
-    are those of the bricks, of the sides of their walls (every weakly
-    admissible quotient sum), of the ghost events and of the ghost sides,
-    each under the first name given to it in that order."""
-    walls = [wall(cls, b) for b in cls.bricks]
-    labels = [g.display() for g in ghosts]
-    named = [(cls.dim_of(b), b) for b in cls.bricks]
-    named += [(s.dim, s.name) for w in walls for s in w.sides]
-    named += zip([g.event_dim for g in ghosts], labels)
-    named += [(s.dim, s.name) for g in ghosts for s in g.sides]
-    names = dict(reversed(named))  # the first name given to a dim wins
-    dims = tuple(sorted(names))
-    for d in dims:
-        if not any(d) or min(d) < 0:
-            raise ValueError(f"{d} is not a nonzero dimension vector")
-    ray = tuple(
-        next(j for j in range(i + 1) if proportional(dims[j], d)) for i, d in enumerate(dims)
-    )
-    index = {d: i for i, d in enumerate(dims)}
-
-    def crossing(label, event_dim, sides, interior) -> Crossing:
-        sides = tuple((index[s.dim], s.late, s.name) for s in sides)
-        return Crossing(label, index[event_dim], sides, interior)
-
-    return CrossingPlan(
-        dims,
-        tuple(names[d] for d in dims),
-        ray,
-        {b: crossing(b, cls.dim_of(b), w.sides, w.interior) for b, w in zip(cls.bricks, walls)},
-        {
-            g.key(): (g, crossing(label, g.event_dim, g.sides, g.domain.interior()))
-            for g, label in zip(ghosts, labels)
-        },
-    )
-
-
-@per_class
-def crossing_plan(cls: ModuleClass) -> CrossingPlan:
-    """The crossing plan of the class bricks alone, built once per class."""
-    return build_plan(cls)
-
-
 def check_generic(path: LinearPath, plan: CrossingPlan) -> tuple[list[int], int]:
     """Reject paths that cross two non-proportional dims of the plan at the
     same time (`crossing_plan` for the class bricks and every weakly
@@ -279,26 +211,17 @@ def crossing_schedule(cls: ModuleClass, path: LinearPath, include_ghosts: bool =
     subobject and quotient ghosts) with their stability flags, read from one
     plan (the ghost plan holds every brick crossing too) in one pass.
 
-    Events are sorted by falling `check_generic` time key, a brick before
-    the ghosts of its time; ghosts that cross together are `concurrent` and
-    keep the order of `ghosts.order_concurrent`.  Extension ghosts are left
-    out: they cross with their middle brick, which the schedule reports."""
+    The plan's schedule rows are sorted by falling `check_generic` time key,
+    a brick before the ghosts of its time.  On a path generic for the plan,
+    ghosts cross together iff their dims share a ray, so the ghost plan
+    groups and orders its `concurrent` ghosts once per class.  Extension
+    ghosts are left out: they cross with their middle brick, which the
+    schedule reports."""
     if include_ghosts:
-        from ghostpic.ghosts import EXTENSION, ghost_plan, order_concurrent
+        from ghostpic.ghosts import ghost_plan
     plan = ghost_plan(cls) if include_ghosts else crossing_plan(cls)
     keys, scale = check_generic(path, plan)
-    rows = [(c, "brick", False) for c in plan.bricks.values()]
-    if include_ghosts:
-        at_key: dict[int, list] = {}  # time key -> the ghosts crossing then
-        for g, c in plan.ghosts.values():
-            if g.kind != EXTENSION:
-                at_key.setdefault(keys[c.event], []).append(g)
-        rows += [
-            (plan.ghosts[g.key()][1], "ghost", len(group) > 1)
-            for group in at_key.values()
-            for g in order_concurrent(cls, group)
-        ]
-    rows.sort(key=lambda row: (-keys[row[0].event], row[1] == "ghost"))
+    rows = sorted(plan.schedule, key=lambda row: (-keys[row[0].event], row[1] == "ghost"))
     events = tuple(
         Event(Fraction(-keys[c.event], scale), kind, c.label, stable_along(path, plan, c), concurrent)
         for c, kind, concurrent in rows
@@ -329,7 +252,7 @@ class Mgs(NamedTuple):
 def count_mgs(graph: ChamberGraph) -> int:
     counts = {graph.sink: 1}
     order = sorted(
-        graph.chambers, key=lambda c: len(c.label.bricks), reverse=True
+        graph.chambers, key=lambda c: len(c.label), reverse=True
     )  # labels grow along edges, so this is a reverse topological order
     for c in order:
         if c.id == graph.sink:
@@ -477,33 +400,20 @@ def hn_stratification(cls: ModuleClass, graph: ChamberGraph, mgs: Mgs, x: Module
     return HnFiltration(mgs=mgs, layers=layers, witnesses=tuple(witnesses))
 
 
-def filtration_exists(cls: ModuleClass, x: ModuleSum, terms: tuple[str, ...], _memo=None) -> bool:
+@per_class
+def filtration_exists(cls: ModuleClass, x: ModuleSum, terms: tuple[str, ...]) -> bool:
     """Exhaustive search for a filtration of x with i-th subquotient in
-    add(terms[i]), independent of the HN recipe above."""
-    if _memo is None:
-        _memo = {}
-    key = (x, terms)
-    if key in _memo:
-        return _memo[key]
+    add(terms[i]), independent of the HN recipe above; each (x, terms) is
+    decided once per class."""
     if not x:
-        _memo[key] = True
         return True
     if not terms:
-        _memo[key] = False
         return False
     top = terms[-1]
-    result = False
-    seen = set()
-    for sub, quot in cls.sum_subquotient_pairs(x):
-        if (sub, quot) in seen:
-            continue
-        seen.add((sub, quot))
-        if all(i == top for i in quot.ids):
-            if filtration_exists(cls, sub, terms[:-1], _memo):
-                result = True
-                break
-    _memo[key] = result
-    return result
+    return any(
+        all(i == top for i in quot.ids) and filtration_exists(cls, sub, terms[:-1])
+        for sub, quot in cls.sum_subquotient_pairs(x)
+    )
 
 
 def check_hn_minimality(cls: ModuleClass, mgs: Mgs) -> bool:
@@ -526,10 +436,9 @@ def check_hn_minimality(cls: ModuleClass, mgs: Mgs) -> bool:
 
 
 def _search_grid(rank: int, radius: int):
-    ks = [tuple([1] * rank)]
+    k = tuple([1] * rank)
     for h in itertools.product(range(-radius, radius + 1), repeat=rank):
-        for k in ks:
-            yield h, k
+        yield h, k
 
 
 def find_linear_paths(

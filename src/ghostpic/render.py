@@ -311,7 +311,7 @@ def build_scene(cls: ModuleClass, options: RenderOptions, graph=None) -> Picture
             continue  # the outer all-negative chamber is left unlabeled
         anchor = scaled(stereographic(ch.sample))
         anchor = PlanePoint(max(-edge, min(edge, anchor.x)), max(-edge, min(edge, anchor.y)))
-        labels.append(("".join(ch.label.sorted(cls)), anchor))
+        labels.append(("".join(sorted(ch.label, key=cls.catalog.position)), anchor))
     return PictureScene(tuple(wall_curves), tuple(ghost_curves), tuple(labels))
 
 
@@ -459,19 +459,9 @@ def export_report(cls: ModuleClass, graph=None) -> str:
     edges = edge_docs(graph)
     for doc, e in zip(edges, graph.edges):
         doc["facet_sample"] = vec_str(e.facet_sample, e.den)
-    flags = cls.flags
     doc = {
         "schema": REPORT_SCHEMA,
-        "class": {
-            "bricks": list(cls.bricks),
-            "flags": {
-                "quotient_closed": flags.quotient_closed,
-                "sub_closed": flags.sub_closed,
-                "extension_closed": flags.extension_closed,
-                "is_torsion": flags.is_torsion,
-                "is_torsion_free": flags.is_torsion_free,
-            },
-        },
+        "class": {"bricks": list(cls.bricks), "flags": cls.flags._asdict()},
         "walls": [
             {
                 "brick": b,

@@ -5,6 +5,13 @@ theta(M') >= 0 over the proper weakly admissible quotients M'.  Chambers are
 computed by refining along *all* brick hyperplanes and then merging adjacent
 cells across facets that are not contained in any wall; this is necessary
 because a wall is in general a proper subset of its hyperplane.
+
+The walls are indexed once per class by a crossing plan (`crossing_plan`):
+the distinct dims of the bricks and of their weakly admissible quotients,
+and for each brick the index of its dim and of its wall's sides.  A chamber
+label S(theta) reads it (theta positive on every index of a brick), and so do
+genericity and stability along a linear path (`greenpaths`); `build_plan`
+also makes the ghost plan of `ghosts`, which indexes every ghost domain too.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from ghostpic.geometry import (
     IntVec,
     cell_facet_neighbors,
     enumerate_cells,
+    proportional,
     vec_str,
 )
 
@@ -66,46 +74,103 @@ def wall(cls: ModuleClass, m: str) -> Wall:
     return Wall(m, cone, minimal=not sides, sides=sides, interior=cone.interior())
 
 
-class SemistableSet(NamedTuple):
-    """Indecomposable members of S(theta); direct sums are derivable."""
+class Crossing(NamedTuple):
+    """An event object (a brick, or a ghost's crossing object) in a crossing
+    plan: its label, the index of its dim, one (index, late, name) per side
+    condition, in order, and the interior of its wall or ghost domain."""
 
-    bricks: frozenset[str]
+    label: str
+    event: int
+    sides: tuple[tuple[int, bool, str], ...]
+    interior: Cone
 
-    def __contains__(self, m: str) -> bool:
-        return m in self.bricks
 
-    def sorted(self, cls: ModuleClass) -> list[str]:
-        return sorted(self.bricks, key=cls.catalog.position)
+class CrossingPlan:
+    """What chamber labels and genericity and stability along any path need
+    of a class: its relevant dims, sorted, the first name of each, and
+    ``ray`` with ray[i] == ray[j] iff dims i and j are proportional (they
+    cross at the same time on every path), ray[i] being the first such
+    index.  ``bricks`` holds the crossing of each class brick, ``ghosts``
+    each planned ghost with its crossing, by key.  ``schedule`` lists the
+    (crossing, kind, concurrent) rows of a crossing schedule, the bricks
+    first; a ghost plan appends its subobject and quotient ghosts.  A plan is
+    equal only to itself: paths key their crossing lists by plan."""
+
+    __slots__ = ("dims", "names", "ray", "bricks", "ghosts", "schedule")
+
+    def __init__(self, dims, names, ray, bricks, ghosts):
+        self.dims: tuple[tuple[int, ...], ...] = dims
+        self.names: tuple[str, ...] = names
+        self.ray: tuple[int, ...] = ray
+        self.bricks: dict[str, Crossing] = bricks
+        self.ghosts: dict[tuple, tuple] = ghosts  # ghost key -> (Ghost, Crossing)
+        self.schedule: tuple[tuple[Crossing, str, bool], ...] = tuple(
+            (c, "brick", False) for c in bricks.values()
+        )
+
+
+def build_plan(cls: ModuleClass, ghosts=()) -> CrossingPlan:
+    """The crossing plan of the class bricks and the given ghosts.  Its dims
+    are those of the bricks, of the sides of their walls (every weakly
+    admissible quotient sum), of the ghost events and of the ghost sides,
+    each under the first name given to it in that order."""
+    walls = [wall(cls, b) for b in cls.bricks]
+    labels = [g.display() for g in ghosts]
+    named = [(cls.dim_of(b), b) for b in cls.bricks]
+    named += [(s.dim, s.name) for w in walls for s in w.sides]
+    named += zip([g.event_dim for g in ghosts], labels)
+    named += [(s.dim, s.name) for g in ghosts for s in g.sides]
+    names = dict(reversed(named))  # the first name given to a dim wins
+    dims = tuple(sorted(names))
+    for d in dims:
+        if not any(d) or min(d) < 0:
+            raise ValueError(f"{d} is not a nonzero dimension vector")
+    ray = tuple(
+        next(j for j in range(i + 1) if proportional(dims[j], d)) for i, d in enumerate(dims)
+    )
+    index = {d: i for i, d in enumerate(dims)}
+
+    def crossing(label, event_dim, sides, interior) -> Crossing:
+        sides = tuple((index[s.dim], s.late, s.name) for s in sides)
+        return Crossing(label, index[event_dim], sides, interior)
+
+    return CrossingPlan(
+        dims,
+        tuple(names[d] for d in dims),
+        ray,
+        {b: crossing(b, cls.dim_of(b), w.sides, w.interior) for b, w in zip(cls.bricks, walls)},
+        {
+            g.key(): (g, crossing(label, g.event_dim, g.sides, g.domain.interior()))
+            for g, label in zip(ghosts, labels)
+        },
+    )
 
 
 @per_class
-def _semistable_rows(cls: ModuleClass) -> tuple[tuple[tuple[int, ...], ...], tuple]:
-    """(dims, rows): the distinct dims theta must be positive on for some
-    brick to be semistable, and each brick with the indices into dims of
-    its own dim and of its wall's sides."""
-    index: dict[tuple[int, ...], int] = {}  # dim -> its place in dims
-    rows = []
-    for m in cls.bricks:
-        dims = (cls.dim_of(m), *(s.dim for s in wall(cls, m).sides))
-        rows.append((m, tuple(index.setdefault(d, len(index)) for d in dims)))
-    return tuple(index), tuple(rows)
+def crossing_plan(cls: ModuleClass) -> CrossingPlan:
+    """The crossing plan of the class bricks alone, built once per class."""
+    return build_plan(cls)
 
 
-def semistable_set(cls: ModuleClass, theta: IntVec) -> SemistableSet:
+def semistable_set(cls: ModuleClass, theta: IntVec) -> frozenset[str]:
     """S(theta): bricks M with theta(M) > 0 and theta(M') > 0 for every
-    proper weakly admissible quotient M'.  theta may lie on walls; any
-    positive multiple of it gives the same set."""
+    proper weakly admissible quotient M', read from the class's crossing
+    plan: theta is positive on the brick's event dim and on every side
+    index.  theta may lie on walls; any positive multiple of it gives the
+    same set.  Direct sums of its members are derivable."""
     if len(theta) != cls.catalog.quiver.n:
         raise CatalogError(f"theta of rank {len(theta)} on a class of rank {cls.catalog.quiver.n}")
-    dims, rows = _semistable_rows(cls)
-    off = {i for i, d in enumerate(dims) if sum(map(mul, d, theta)) <= 0}
-    return SemistableSet(frozenset(m for m, at in rows if off.isdisjoint(at)))
+    plan = crossing_plan(cls)
+    on = [sum(map(mul, d, theta)) > 0 for d in plan.dims]
+    return frozenset(
+        m for m, c in plan.bricks.items() if on[c.event] and all(on[i] for i, _, _ in c.sides)
+    )
 
 
 class Chamber(NamedTuple):
     id: int
     cells: tuple[Cell, ...]
-    label: SemistableSet
+    label: frozenset[str]  # S(theta) on the chamber
     sample: IntVec  # its first cell's sample: numerators over den
     den: int
     bounding_walls: tuple[tuple[Wall, int], ...]  # (wall, side sign)
@@ -193,7 +258,7 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
     chamber_of: dict[tuple, int] = {}
     labels: list[frozenset[str]] = []
     for cid, cell_group in enumerate(ordered):
-        found = {semistable_set(cls, c.sample).bricks for c in cell_group}
+        found = {semistable_set(cls, c.sample) for c in cell_group}
         if len(found) != 1:
             raise InternalConsistencyError(
                 f"semistable label not constant on merged chamber {cid}"
@@ -253,7 +318,7 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
         Chamber(
             id=cid,
             cells=tuple(cell_group),
-            label=SemistableSet(labels[cid]),
+            label=labels[cid],
             sample=cell_group[0].sample,
             den=cell_group[0].den,
             bounding_walls=tuple(
@@ -285,7 +350,7 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
 def chamber_docs(cls: ModuleClass, graph: ChamberGraph) -> list[dict]:
     """The JSON document of each chamber: id, sorted label and sample."""
     return [
-        {"id": c.id, "label": c.label.sorted(cls), "sample": vec_str(c.sample, c.den)}
+        {"id": c.id, "label": sorted(c.label, key=cls.catalog.position), "sample": vec_str(c.sample, c.den)}
         for c in graph.chambers
     ]
 

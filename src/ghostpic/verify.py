@@ -24,13 +24,11 @@ from ghostpic.ghosts import (
     mgs_with_ghosts,
 )
 from ghostpic.greenpaths import (
-    CrossingPlan,
     LinearPath,
     check_generic,
     check_hn_minimality,
     check_mgs_maximality,
     check_relative_hom_orthogonality,
-    crossing_plan,
     enumerate_mgs,
     hn_stratification,
     linear_mgs,
@@ -38,7 +36,9 @@ from ghostpic.greenpaths import (
 )
 from ghostpic.stability import (
     ChamberGraph,
+    CrossingPlan,
     chamber_graph,
+    crossing_plan,
     locate_chamber,
     semistable_set,
     wall,
@@ -192,7 +192,7 @@ class Verifier:
                     basis = basis + [rng.choice(samples)]
                     weights += _randints(rng, 1, 9, 1)
                     point = tuple(sum(map(mul, weights, col)) for col in zip(*basis))
-                    if semistable_set(cls, point).bricks != ch.label.bricks:
+                    if semistable_set(cls, point) != ch.label:
                         fails.add(f"{name}: theta={point} in chamber {ch.id}")
         self.record("b:semistable-locally-constant", fails)
 
@@ -214,11 +214,11 @@ class Verifier:
                 p, q = min(halves, key=lambda h: h[0] * (scale // h[1])) if halves else (e.den, 1)
                 minus = tuple(q * x - p for x in theta0)
                 plus = tuple(q * x + p for x in theta0)
-                s_minus = semistable_set(cls, minus).bricks
-                s_zero = semistable_set(cls, theta0).bricks
-                s_plus = semistable_set(cls, plus).bricks
-                src = graph.chamber(e.src).label.bricks
-                dst = graph.chamber(e.dst).label.bricks
+                s_minus = semistable_set(cls, minus)
+                s_zero = semistable_set(cls, theta0)
+                s_plus = semistable_set(cls, plus)
+                src = graph.chamber(e.src).label
+                dst = graph.chamber(e.dst).label
                 ok = (
                     s_minus == s_zero == src
                     and s_plus == dst
@@ -296,7 +296,7 @@ class Verifier:
         report_only = []
         for name, cls in self.fixtures.items():
             graph = chamber_graph(cls)
-            labels = [frozenset(c.label.bricks) for c in graph.chambers]
+            labels = [c.label for c in graph.chambers]
             distinct = len(set(labels)) == len(labels)
             convex = True
             index_of = {b: i for i, b in enumerate(cls.bricks)}
@@ -425,7 +425,7 @@ class Verifier:
             ]
             for _ in range(max(10, self.paths)):
                 theta = tuple(_randints(rng, -9, 9, n))
-                label = semistable_set(cls, theta).bricks
+                label = semistable_set(cls, theta)
                 for m, d, admissible in subs:
                     if m in label or int_dot(d, theta) <= 0:
                         continue

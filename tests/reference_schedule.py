@@ -8,13 +8,8 @@ from fractions import Fraction
 from math import lcm
 
 from ghostpic.ghosts import EXTENSION, ghost_plan, order_concurrent
-from ghostpic.greenpaths import (
-    CrossingSchedule,
-    Event,
-    check_generic,
-    crossing_plan,
-    stable_along,
-)
+from ghostpic.greenpaths import CrossingSchedule, Event, check_generic, stable_along
+from ghostpic.stability import crossing_plan
 
 
 def reference_ghost_events(cls, path) -> list[Event]:

@@ -68,7 +68,7 @@ class TestCriterion1Chambers:
     def test_torsion4_chamber_labels(self, torsion4):
         start = time.perf_counter()
         chambers = enumerate_chambers(torsion4)
-        labels = sorted(sorted(c.label.bricks) for c in chambers)
+        labels = sorted(sorted(c.label) for c in chambers)
         expected = sorted(
             sorted(s)
             for s in [

@@ -115,7 +115,7 @@ def test_the_chamber_graph_is_the_torsion_class_lattice(n, orientation):
     cls, graph = full_class(n, orientation)
     classes = torsion_classes(cls.catalog)
     assert len(classes) == catalan(n + 1)
-    labels = {ch.id: ch.label.bricks for ch in graph.chambers}
+    labels = {ch.id: ch.label for ch in graph.chambers}
     assert sorted(labels.values(), key=sorted) == sorted(classes, key=sorted)
     lattice = covers(classes)
     assert {(labels[e.src], labels[e.dst]) for e in graph.edges} == lattice

@@ -422,6 +422,22 @@ class TestMalformedInput:
         basis = "[99]" if bad == "off-support" else str(whole["basis"])
         assert f"basis {basis} is not dim(sub) = 0 vertices of the support" in err
 
+    def test_a_basis_on_a_parent_that_is_not_thin_is_refused(self, capsys, tmp_path):
+        """A basis names one vertex per dimension of the sub, which names a
+        subspace only when every entry of the parent's dim is 0 or 1: on the
+        Kronecker P2, of dim [2, 1], a basis is refused at load time instead
+        of giving its dual a complement of the wrong size."""
+        _, good, _ = run(capsys, "catalog", "--builtin", "kronecker")
+        doc = json.loads(good)
+        next(p for p in doc["subquotients"]["P2"] if p["tag"] == "line")["basis"] = [1]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "ghosts", "--catalog", str(path), "--class", "P1,P2,M")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: catalog schema violation: ")
+        assert "subquotient line of P2 has a vertex basis, but dim P2 = [2, 1] is not thin" in err
+
     @pytest.mark.parametrize("bad", ["hom-below-euler", "split-ses", "missing-root"])
     def test_a_catalog_that_contradicts_its_quiver_is_refused(self, capsys, tmp_path, bad):
         """With the Euler form <x,y> = sum x_i y_i - sum over arrows s->t of

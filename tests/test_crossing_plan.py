@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghostpic import ghosts as ghosts_module
 from ghostpic import verify
 from ghostpic.catalog import ModuleClass, generate_type_a
 from ghostpic.errors import (
@@ -28,17 +29,17 @@ from ghostpic.ghosts import (
     ghost_events,
     ghost_plan,
     ghost_stability,
+    order_concurrent,
 )
 from ghostpic.greenpaths import (
     LinearPath,
     check_generic,
-    crossing_plan,
     crossing_schedule,
     is_relatively_stable,
     linear_mgs,
     stable_along,
 )
-from ghostpic.stability import chamber_graph, locate_chamber, semistable_set, wall
+from ghostpic.stability import chamber_graph, crossing_plan, locate_chamber, semistable_set, wall
 from reference_schedule import reference_ghost_events, reference_schedule
 from reference_vectors import dot
 
@@ -506,16 +507,38 @@ def schedule_or_message(schedule, cls, h, k, include_ghosts):
         return str(exc)
 
 
+def concurrent_a3_classes() -> dict[str, ModuleClass]:
+    """Every A3 class with two subobject or quotient ghosts whose event dims
+    are proportional (they cross together on every path), by orientation
+    and bricks."""
+    found = {}
+    for orient in ("LL", "LR", "RL", "RR"):
+        catalog = generate_type_a(3, orient)
+        ids = [m.id for m in catalog.indecs]
+        for size in range(1, len(ids) + 1):
+            for bricks in itertools.combinations(ids, size):
+                cls = ModuleClass(catalog, bricks)
+                ghosts = [g for g in enumerate_ghosts(cls) if g.kind != EXTENSION]
+                if any(proportional(g.event_dim, o.event_dim) for g, o in itertools.combinations(ghosts, 2)):
+                    found[f"{orient}:{','.join(bricks)}"] = cls
+    return found
+
+
+CONCURRENT_A3 = concurrent_a3_classes()
+SCHEDULED = {**FIXTURES, **CONCURRENT_A3}
+
+
 class TestOneSchedule:
     """The one-pass schedule gives the events of the two-pass Fraction
-    reference, field by field, and `ghost_events` is its ghost part."""
+    reference, field by field, on every fixture and on every A3 class with
+    ghosts that cross together, and `ghost_events` is its ghost part."""
 
     @staticmethod
     def drawn(name):
         """150 seeded int paths with small coordinates (many not generic, and
         ghosts crossing together), the all-zero h, and each path's twin
         h/3, k/2 in Fractions, which crosses in the same order."""
-        n = FIXTURES[name].catalog.quiver.n
+        n = SCHEDULED[name].catalog.quiver.n
         rng = verify.random.Random(("schedule", name).__repr__())
         paths = [
             ([rng.randint(-3, 3) for _ in range(n)], [rng.randint(1, 3) for _ in range(n)])
@@ -526,9 +549,12 @@ class TestOneSchedule:
             paths.append(([Fraction(x, 3) for x in h], [Fraction(x, 2) for x in k]))
         return paths
 
-    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_twenty_a3_classes_have_ghosts_that_cross_together(self):
+        assert len(CONCURRENT_A3) == 20
+
+    @pytest.mark.parametrize("name", [*sorted(FIXTURES), *sorted(CONCURRENT_A3)])
     def test_the_schedule_is_the_reference(self, name):
-        cls = FIXTURES[name]
+        cls = SCHEDULED[name]
         seen = {"generic": 0, "nongeneric": 0, "concurrent": 0}
         for h, k in self.drawn(name):
             for include_ghosts in (False, True):
@@ -541,7 +567,26 @@ class TestOneSchedule:
                 seen["concurrent"] += any(e.concurrent for e in got)
                 assert all(type(e.t) is Fraction for e in got)
         assert seen["generic"] and (seen["nongeneric"] or name == "a1")
-        assert seen["concurrent"] or name not in ("case1", "case2", "mixed5")
+        assert seen["concurrent"] or name not in ("case1", "case2", "mixed5", *CONCURRENT_A3)
+
+    def test_a_second_path_orders_no_concurrent_ghosts(self, monkeypatch):
+        """The ghost plan groups and orders the ghosts that cross together
+        once per class: a schedule on a second path reads its rows."""
+        case1 = FIXTURES["case1"]
+        cls = ModuleClass(case1.catalog, case1.bricks)  # a fresh class: no plan yet
+        first, second = verify._random_generic_paths(cls, verify.random.Random(0), 2, ghost_plan(case1))
+        groups = []
+
+        def counted(cls, ghosts):
+            groups.append(len(ghosts))
+            return order_concurrent(cls, ghosts)
+
+        monkeypatch.setattr(ghosts_module, "order_concurrent", counted)
+        assert any(e.concurrent for e in crossing_schedule(cls, first, include_ghosts=True).events)
+        assert max(groups) > 1
+        groups.clear()
+        assert any(e.concurrent for e in crossing_schedule(cls, second, include_ghosts=True).events)
+        assert groups == []
 
     @pytest.mark.parametrize("name", ["case1", "case2", "kronecker", "torsion4"])
     def test_ghost_events_are_the_ghost_part_of_the_schedule(self, name):
@@ -656,7 +701,7 @@ class TestVerifyFailures:
         def wrong_at_the_sample(cls, theta):
             found = semistable_set(cls, theta)
             if cls is torsion4 and theta == edge.facet_sample:
-                return found._replace(bricks=frozenset(cls.bricks))
+                return frozenset(cls.bricks)
             return found
 
         monkeypatch.setattr(verify, "semistable_set", wrong_at_the_sample)

@@ -22,8 +22,8 @@ from ghostpic.geometry import (
     integral,
 )
 from ghostpic.ghosts import enumerate_ghosts, ghost_plan
-from ghostpic.greenpaths import CrossingPlan, LinearPath, check_generic, crossing_plan, linear_mgs
-from ghostpic.stability import chamber_graph, wall
+from ghostpic.greenpaths import LinearPath, check_generic, linear_mgs
+from ghostpic.stability import CrossingPlan, chamber_graph, crossing_plan, wall
 from reference_simplex import fraction_cone_lp, fraction_feasible_point, fraction_simplex_max
 from reference_vectors import dot
 

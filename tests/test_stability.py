@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from ghostpic.catalog import ModuleClass, ModuleSum
+from ghostpic import verify
+from ghostpic.catalog import ModuleClass, ModuleSum, generate_type_a
 from ghostpic.errors import GuardExceededError
 from ghostpic.stability import (
     chamber_graph,
@@ -55,40 +57,75 @@ class TestWalls:
 class TestSemistableSet:
     def test_eta_gives_everything(self, torsion4, full6, case2, kronecker_class):
         for cls in (torsion4, full6, case2):
-            assert semistable_set(cls, ETA3).bricks == frozenset(cls.bricks)
-            assert semistable_set(cls, tuple(-x for x in ETA3)).bricks == frozenset()
+            assert semistable_set(cls, ETA3) == frozenset(cls.bricks)
+            assert semistable_set(cls, tuple(-x for x in ETA3)) == frozenset()
         eta2 = (Fraction(1), Fraction(1))
-        assert semistable_set(kronecker_class, eta2).bricks == frozenset(
+        assert semistable_set(kronecker_class, eta2) == frozenset(
             kronecker_class.bricks
         )
 
     def test_torsion4_chamber_label(self, torsion4):
         graph = chamber_graph(torsion4)
         ch = next(
-            c for c in graph.chambers if c.label.bricks == frozenset({"I2", "P3"})
+            c for c in graph.chambers if c.label == frozenset({"I2", "P3"})
         )
-        assert semistable_set(torsion4, ch.sample).bricks == {"I2", "P3"}
+        assert semistable_set(torsion4, ch.sample) == {"I2", "P3"}
 
     def test_closed_under_weakly_admissible_quotients(self, full6):
         rng = random.Random(11)
         for _ in range(200):
             theta = tuple(Fraction(rng.randint(-9, 9)) for _ in range(3))
             label = semistable_set(full6, theta)
-            for m in label.bricks:
+            for m in label:
                 for p in full6.weakly_admissible_quotients(m):
                     assert all(i in label for i in p.quot.ids)
+
+
+    def test_the_definition_on_every_fixture_and_a3_class(self):
+        """S(theta), read from the crossing plan, is its definition read from
+        the weakly admissible quotients themselves: the bricks with theta
+        positive on their dim and on the dim of every proper one.  Seeded
+        theta, and points on the hyperplane of each brick and quotient dim,
+        so on walls too."""
+        rng = random.Random(22)
+        classes = list(verify.standard_fixtures().values())
+        for orient in ("LL", "LR", "RL", "RR"):
+            catalog = generate_type_a(3, orient)
+            ids = [m.id for m in catalog.indecs]
+            classes += [
+                ModuleClass(catalog, bricks)
+                for size in range(1, len(ids) + 1)
+                for bricks in itertools.combinations(ids, size)
+            ]
+        on_walls = 0
+        for cls in classes:
+            n = cls.catalog.quiver.n
+            dims = {
+                m: [cls.dim_of(m), *(cls.dim_of(p.quot) for p in cls.weakly_admissible_quotients(m))]
+                for m in cls.bricks
+            }
+            thetas = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(10)]
+            for d in sorted({d for ds in dims.values() for d in ds}):
+                for _ in range(2):  # r projected onto the hyperplane of d, times d.d
+                    r = [rng.randint(-4, 4) for _ in range(n)]
+                    thetas.append(tuple(int(dot(d, d) * x - dot(r, d) * y) for x, y in zip(r, d)))
+            for theta in thetas:
+                expected = {m for m, ds in dims.items() if all(dot(d, theta) > 0 for d in ds)}
+                assert semistable_set(cls, theta) == expected, (cls, theta)
+                on_walls += any(theta) and any(wall(cls, m).cone.contains(theta) for m in cls.bricks)
+        assert len(classes) == 262 and on_walls > 1000
 
 
 class TestChambers:
     def test_torsion4_exactly_ten(self, torsion4):
         chambers = enumerate_chambers(torsion4)
         assert len(chambers) == 10
-        labels = sorted(sorted(c.label.bricks) for c in chambers)
+        labels = sorted(sorted(c.label) for c in chambers)
         assert labels == sorted(sorted(s) for s in TORSION4_LABELS)
 
     def test_a1(self, a1):
         chambers = enumerate_chambers(a1)
-        assert sorted(sorted(c.label.bricks) for c in chambers) == [[], ["S1"]]
+        assert sorted(sorted(c.label) for c in chambers) == [[], ["S1"]]
 
     def test_kronecker_sampling_oracle(self, kronecker_class):
         chambers = enumerate_chambers(kronecker_class)
@@ -101,20 +138,20 @@ class TestChambers:
                 for b in kronecker_class.bricks
             ):
                 continue
-            labels.add(semistable_set(kronecker_class, theta).bricks)
+            labels.add(semistable_set(kronecker_class, theta))
         assert len(chambers) == len(labels) == 5
 
     def test_label_constant_on_cells(self, torsion4, case2):
         for cls in (torsion4, case2):
             for ch in enumerate_chambers(cls):
                 for cell in ch.cells:
-                    assert semistable_set(cls, cell.sample).bricks == ch.label.bricks
+                    assert semistable_set(cls, cell.sample) == ch.label
 
 
 class TestChamberGraph:
     def test_torsion4_crossing_d_i2_adds_two(self, torsion4):
         graph = chamber_graph(torsion4)
-        by_id = {c.id: c.label.bricks for c in graph.chambers}
+        by_id = {c.id: c.label for c in graph.chambers}
         edges = [
             e
             for e in graph.edges
@@ -134,13 +171,13 @@ class TestChamberGraph:
         assert all(e.dst != graph.source for e in graph.edges)
         assert all(e.src != graph.sink for e in graph.edges)
         # strict label growth gives acyclicity; verify by topological order
-        order = {c.id: len(c.label.bricks) for c in graph.chambers}
+        order = {c.id: len(c.label) for c in graph.chambers}
         for e in graph.edges:
             assert order[e.src] < order[e.dst]
 
     def test_edges_carry_witnesses(self, torsion4):
         graph = chamber_graph(torsion4)
-        by_id = {c.id: c.label.bricks for c in graph.chambers}
+        by_id = {c.id: c.label for c in graph.chambers}
         for e in graph.edges:
             gained = by_id[e.dst] - by_id[e.src]
             assert {w[0] for w in e.witnesses} == gained

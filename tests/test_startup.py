@@ -57,6 +57,28 @@ def test_no_module_imports_dataclasses():
             assert "dataclasses" not in names, f"{path.name}:{node.lineno} imports dataclasses"
 
 
+def imports_of(module):
+    """(module, name) of every import in a package module, those inside
+    functions included; `import m` gives (m, None)."""
+    tree = ast.parse((SRC / "ghostpic" / f"{module}.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((a.name, None) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "ghostpic":
+            yield from ((f"ghostpic.{a.name}", None) for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.module, a.name) for a in node.names)
+
+
+def test_the_chamber_layer_imports_no_path_or_ghost_layer():
+    """The crossing plan lives with the walls, below the layers that read it."""
+    assert not {m for m, _ in imports_of("stability")} & {"ghostpic.greenpaths", "ghostpic.ghosts"}
+
+
+def test_the_path_layer_takes_only_the_ghost_plan_from_the_ghost_layer():
+    assert {name for m, name in imports_of("greenpaths") if m == "ghostpic.ghosts"} == {"ghost_plan"}
+
+
 @pytest.fixture(scope="module")
 def loaded_modules():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}

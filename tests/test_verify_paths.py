@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from ghostpic.ghosts import enumerate_ghosts, ghost_plan
-from ghostpic.greenpaths import LinearPath, crossing_plan
-from ghostpic.stability import chamber_graph
+from ghostpic.greenpaths import LinearPath
+from ghostpic.stability import chamber_graph, crossing_plan
 from ghostpic.verify import (
     Verifier,
     _chamber_chain,
