@@ -155,12 +155,21 @@ class BrickCatalog:
                 raise CatalogError(f"dimension vector of {m.id} must be nonzero and nonnegative")
         if len(self.by_id) != len(self.indecs):
             raise CatalogError("duplicate indec ids")
+        bad = "catalog schema violation: "
+        for m in self.indecs:  # --class splits at ',' and --module at '+', and strips each name
+            if not m.id or m.id != m.id.strip() or "," in m.id or "+" in m.id:
+                raise CatalogError(
+                    f"{bad}indec id {m.id!r} must be nonempty, unpadded and free of ',' and '+'"
+                )
+        for table, ids in (("hom", [i for row in self.hom for i in row]), ("subquotients", self.subquotients)):
+            for i in ids:
+                if i not in self.by_id:
+                    raise CatalogError(f"{bad}{table} names {i!r}, which is not in indecs")
         for m in self.indecs:
             if len(m.dim) != n:
                 raise CatalogError(f"{m.id}: dimension vector has wrong length")
             if self.hom.get((m.id, m.id), 0) != 1:
                 raise CatalogError(f"{m.id} is not a brick: hom({m.id},{m.id}) != 1")
-        bad = "catalog schema violation: "
         for m in self.indecs:
             if m.id not in self.subquotients:
                 raise CatalogError(f"missing subquotient data for {m.id}")
@@ -658,7 +667,9 @@ class ModuleClass:
 
         Submodules of direct sums are enumerated componentwise, so each
         filtration step peels one class brick off a single component (this
-        terminates: the total dimension drops each step).
+        terminates: the total dimension drops each step).  That is exact when
+        the summands of every listed pair have disjoint, non-adjacent
+        supports, as in generated type-A catalogs; a catalog file is not checked.
         """
         if not x:
             return True
@@ -704,7 +715,8 @@ class ModuleClass:
     # -- direct sums ---------------------------------------------------------
 
     def sum_subquotient_pairs(self, x: ModuleSum):
-        """All (sub, quot) pairs of a direct sum, as componentwise products."""
+        """All (sub, quot) pairs of a direct sum, as componentwise products
+        (the reading of `in_filt`, with the same limit)."""
         per_component = [self.catalog.pairs(c) for c in x.ids]
         for choice in product(*per_component):
             sub = ModuleSum([i for p in choice for i in p.sub.ids])

@@ -211,7 +211,7 @@ def cmd_path(args) -> int:
     if not args.h or not args.k:
         raise CatalogError("path needs --h CSV and --k CSV")
     path = LinearPath(_parse_vec(args.h, n, "--h"), _parse_vec(args.k, n, "--k"))
-    schedule = crossing_schedule(cls, path, include_ghosts=not args.no_ghosts)
+    events = crossing_schedule(cls, path, include_ghosts=not args.no_ghosts)
     doc = {
         "schema": "ghostpic-path/1",
         "h": vec_str(path.h),
@@ -224,9 +224,9 @@ def cmd_path(args) -> int:
                 "stable": e.stable,
                 "concurrent": e.concurrent,
             }
-            for e in schedule.events
+            for e in events
         ],
-        "tokens": format_schedule(schedule),
+        "tokens": format_schedule(events),
     }
     _emit(args, json.dumps(doc, indent=1, sort_keys=True))
     return 0

@@ -45,7 +45,6 @@ from ghostpic.catalog import (
 from ghostpic.errors import CatalogError
 from ghostpic.geometry import Cone
 from ghostpic.greenpaths import (
-    CrossingSchedule,
     Event,
     LinearPath,
     crossing_schedule,
@@ -365,21 +364,19 @@ def ghost_events(cls: ModuleClass, path: LinearPath) -> list[Event]:
     """The subobject and quotient ghost events of the path's schedule with
     ghosts, in its order (extension ghosts cross with their middle brick and
     are left out)."""
-    schedule = crossing_schedule(cls, path, include_ghosts=True)
-    return [e for e in schedule.events if e.kind == "ghost"]
+    return [e for e in crossing_schedule(cls, path, include_ghosts=True) if e.kind == "ghost"]
 
 
 def mgs_with_ghosts(cls: ModuleClass, path: LinearPath) -> list[Event]:
     """Stable wall crossings, bricks and ghosts merged in time order."""
-    schedule = crossing_schedule(cls, path, include_ghosts=True)
-    return [e for e in schedule.events if e.stable]
+    return [e for e in crossing_schedule(cls, path, include_ghosts=True) if e.stable]
 
 
-def format_schedule(schedule: CrossingSchedule) -> list[str]:
-    """Display tokens: every brick crossing (parenthesized when unstable),
-    stable ghosts only."""
+def format_schedule(events: tuple[Event, ...]) -> list[str]:
+    """Display tokens of a crossing schedule's events: every brick crossing
+    (parenthesized when unstable), stable ghosts only."""
     tokens = []
-    for e in schedule.events:
+    for e in events:
         if e.kind == "brick":
             tokens.append(e.label if e.stable else f"({e.label})")
         elif e.stable:
@@ -534,7 +531,6 @@ class Duality(NamedTuple):
     ghosts (Z,B,C) become quotient ghosts (C,B,Z).
     """
 
-    cls: ModuleClass
     dual_class: ModuleClass
 
     def transport_key(self, key: tuple) -> tuple:
@@ -551,6 +547,6 @@ class Duality(NamedTuple):
 
 
 def dualize(cls: ModuleClass) -> Duality:
-    """The class's bricks over the opposite catalog, for any catalog: the
-    opposite is built once per catalog object."""
-    return Duality(cls=cls, dual_class=ModuleClass(cls.catalog.opposite(), cls.bricks))
+    """The class's bricks over the opposite catalog, for any catalog, as the
+    one field of a `Duality`: the opposite is built once per catalog object."""
+    return Duality(ModuleClass(cls.catalog.opposite(), cls.bricks))

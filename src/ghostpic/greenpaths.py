@@ -138,11 +138,6 @@ class Event(NamedTuple):
     concurrent: bool = False
 
 
-class CrossingSchedule(NamedTuple):
-    path: LinearPath
-    events: tuple[Event, ...]
-
-
 def check_generic(path: LinearPath, plan: CrossingPlan) -> tuple[list[int], int]:
     """Reject paths that cross two non-proportional dims of the plan at the
     same time (`crossing_plan` for the class bricks and every weakly
@@ -206,7 +201,7 @@ def is_relatively_stable(cls: ModuleClass, path: LinearPath, m: str) -> bool:
     return stable_along(path, plan, crossing)
 
 
-def crossing_schedule(cls: ModuleClass, path: LinearPath, include_ghosts: bool = False) -> CrossingSchedule:
+def crossing_schedule(cls: ModuleClass, path: LinearPath, include_ghosts: bool = False) -> tuple[Event, ...]:
     """Time-sorted crossing events of all class bricks (and, optionally, the
     subobject and quotient ghosts) with their stability flags, read from one
     plan (the ghost plan holds every brick crossing too) in one pass.
@@ -222,11 +217,10 @@ def crossing_schedule(cls: ModuleClass, path: LinearPath, include_ghosts: bool =
     plan = ghost_plan(cls) if include_ghosts else crossing_plan(cls)
     keys, scale = check_generic(path, plan)
     rows = sorted(plan.schedule, key=lambda row: (-keys[row[0].event], row[1] == "ghost"))
-    events = tuple(
+    return tuple(
         Event(Fraction(-keys[c.event], scale), kind, c.label, stable_along(path, plan, c), concurrent)
         for c, kind, concurrent in rows
     )
-    return CrossingSchedule(path, events)
 
 
 def linear_mgs(cls: ModuleClass, path: LinearPath) -> list[str]:
@@ -349,7 +343,6 @@ def check_mgs_maximality(cls: ModuleClass, mgs: Mgs) -> bool:
 
 
 class HnFiltration(NamedTuple):
-    mgs: Mgs
     layers: tuple[tuple[int, int], ...]  # (1-based position in the MGS, multiplicity)
     witnesses: tuple[tuple[str, int, str], ...]  # (component, layer, pair tag)
 
@@ -397,7 +390,7 @@ def hn_stratification(cls: ModuleClass, graph: ChamberGraph, mgs: Mgs, x: Module
         total = [a + mult * b for a, b in zip(total, d)]
     if tuple(total) != cls.dim_of(x):
         raise InternalConsistencyError("HN layers do not add up to dim(x)")
-    return HnFiltration(mgs=mgs, layers=layers, witnesses=tuple(witnesses))
+    return HnFiltration(layers=layers, witnesses=tuple(witnesses))
 
 
 @per_class

@@ -182,8 +182,6 @@ class ChamberEdge(NamedTuple):
     wall_brick: str
     facet_sample: IntVec  # numerators over den
     den: int
-    # weakly admissible epimorphism witnesses: new label member -> pair tag
-    witnesses: tuple[tuple[str, str], ...]
 
 
 class ChamberGraph(NamedTuple):
@@ -293,20 +291,14 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
                 f"wall crossing of {brick} violates strict label growth "
                 f"at facet sample ({','.join(vec_str(adj.facet_sample, adj.den))})"
             )
-        witnesses = []
         target = ModuleSum([brick])
         for x in sorted(label_dst - label_src, key=catalog.position):
-            pair = next(
-                (p for p in cls.weakly_admissible_quotients(x, False) if p.quot == target),
-                None,
-            )
-            if pair is None:
+            if not any(p.quot == target for p in cls.weakly_admissible_quotients(x, False)):
                 raise InternalConsistencyError(
                     f"no weakly admissible epimorphism {x} ->> {brick} although "
                     f"{x} becomes semistable across D({brick})"
                 )
-            witnesses.append((x, pair.tag))
-        edges[key] = ChamberEdge(src, dst, brick, adj.facet_sample, adj.den, tuple(witnesses))
+        edges[key] = ChamberEdge(src, dst, brick, adj.facet_sample, adj.den)
 
     source = chamber_of[tuple(-1 for _ in bricks)]
     sink = chamber_of[tuple(1 for _ in bricks)]

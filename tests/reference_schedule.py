@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import lcm
 
 from ghostpic.ghosts import EXTENSION, ghost_plan, order_concurrent
-from ghostpic.greenpaths import CrossingSchedule, Event, check_generic, stable_along
+from ghostpic.greenpaths import Event, check_generic, stable_along
 from ghostpic.stability import crossing_plan
 
 
@@ -38,7 +38,7 @@ def reference_ghost_events(cls, path) -> list[Event]:
     return events
 
 
-def reference_schedule(cls, path, include_ghosts=False) -> CrossingSchedule:
+def reference_schedule(cls, path, include_ghosts=False) -> tuple[Event, ...]:
     if include_ghosts:
         plan = ghost_plan(cls)
         ghost_evts = reference_ghost_events(cls, path)
@@ -58,4 +58,4 @@ def reference_schedule(cls, path, include_ghosts=False) -> CrossingSchedule:
     ]
     events.extend(ghost_evts)
     events.sort(key=lambda e: (e.t, 0 if e.kind == "brick" else 1))
-    return CrossingSchedule(path, tuple(events))
+    return tuple(events)

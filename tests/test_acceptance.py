@@ -183,7 +183,7 @@ class TestCriterion5MgsWithGhosts:
                 schedule = crossing_schedule(case4, path, include_ghosts=True)
             except NonGenericPathError:
                 continue
-            stable = tuple(e.label for e in schedule.events if e.stable)
+            stable = tuple(e.label for e in schedule if e.stable)
             if "Gh(S1;P3)" in stable:
                 assert stable == target
 

@@ -278,6 +278,14 @@ class TestSerialization:
         doc = dump_catalog(kronecker)
         assert dump_catalog(load_catalog(doc)) == doc
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_round_trip_every_orientation_and_its_opposite(self, n):
+        for w in _orientations(n):
+            catalog = generate_type_a(n, w)
+            for c in (catalog, catalog.opposite()):
+                doc = dump_catalog(c)
+                assert dump_catalog(load_catalog(doc)) == doc
+
     def test_ses_dimension_mismatch(self, kronecker):
         doc = json.loads(dump_catalog(kronecker))
         doc["ses"] = [["P1", "P2", "S2"]]

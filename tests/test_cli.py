@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -254,6 +255,11 @@ class TestVerifyCommand:
         assert len(lines) >= 12
 
 
+def renamed(doc, old, new):
+    """The catalog document with the id `old` renamed `new` in every table."""
+    return json.loads(json.dumps(doc).replace(json.dumps(old), json.dumps(new)))
+
+
 class TestMalformedInput:
     def test_guard_empty_means_unset(self, capsys, monkeypatch):
         monkeypatch.setenv("GHOSTPIC_GUARD", "")
@@ -326,6 +332,17 @@ class TestMalformedInput:
                 lambda doc: {**doc, "hom": [[x, y, float(d)] for x, y, d in doc["hom"]]},
                 "'hom' must be [[id, id, int]",
             ),
+            # an id is what --class (split at ',') and --module (split at '+')
+            # name once stripped, and what a ghost's display joins
+            (lambda doc: renamed(doc, "M", "M+X"), "indec id 'M+X' must be nonempty, unpadded and free of"),
+            (lambda doc: renamed(doc, "M", ""), "indec id '' must be nonempty"),
+            (lambda doc: renamed(doc, "M", "M,X"), "indec id 'M,X' must be nonempty"),
+            (lambda doc: renamed(doc, "M", " M"), "indec id ' M' must be nonempty"),
+            (lambda doc: {**doc, "hom": [*doc["hom"], ["Z", "P1", 1]]}, "hom names 'Z', which is not in indecs"),
+            (
+                lambda doc: {**doc, "subquotients": {**doc["subquotients"], "Z": []}},
+                "subquotients names 'Z', which is not in indecs",
+            ),
         ],
         ids=[
             "short-hom-entry",
@@ -336,6 +353,12 @@ class TestMalformedInput:
             "non-string-tag",
             "non-boolean-complete",
             "non-integer-hom",
+            "id-with-plus",
+            "empty-id",
+            "id-with-comma",
+            "padded-id",
+            "unknown-hom-id",
+            "unknown-subquotients-id",
         ],
     )
     def test_malformed_catalog_is_usage_error(self, capsys, tmp_path, malform, mentions):
@@ -564,3 +587,46 @@ class TestHashSeed:
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+SCHEMAS = {
+    "chambers": "ghostpic-chambers/1",
+    "mgs": "ghostpic-mgs/1",
+    "ghosts": "ghostpic-ghosts/1",
+    "path": "ghostpic-path/1",
+    "hn": "ghostpic-hn/1",
+    "picture": "ghostpic-report/1",
+}
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of each `ghostpic ...` line of the sh block under
+    README's "## Command line"."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("ghostpic ")]
+
+
+class TestReadmeExamples:
+    def test_every_subcommand_with_a_schema_is_shown(self):
+        assert set(SCHEMAS) | {"verify"} <= {argv[0] for argv in readme_commands()}
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_readme_command_runs(self, tmp_path, argv):
+        """Each README example exits 0, its output written under tmp_path;
+        a JSON document carries its subcommand's schema."""
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv = [*argv[:i], str(tmp_path / argv[i]), *argv[i + 1 :]]
+        else:
+            argv = [*argv, "--out", str(tmp_path / "out")]
+        out = Path(argv[argv.index("--out") + 1])
+        assert dispatch(argv) == 0
+        text = out.read_text(encoding="utf-8")
+        if argv[0] == "verify":
+            assert text.endswith(" checks passed\n")
+        elif out.suffix == ".svg":
+            assert text.startswith("<?xml") and "\n<svg " in text
+        else:
+            assert json.loads(text)["schema"] == SCHEMAS[argv[0]]

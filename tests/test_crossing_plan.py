@@ -421,7 +421,7 @@ class TestWorkCounts:
             scaled = ([Fraction(x, 3) for x in h], [Fraction(x, 2) for x in k])
             for path in (LinearPath(h, k), LinearPath(*scaled)):
                 try:
-                    expected = [e.label for e in crossing_schedule(cls, path).events if e.stable]
+                    expected = [e.label for e in crossing_schedule(cls, path) if e.stable]
                 except NonGenericPathError as exc:
                     expected = str(exc)
                 with monkeypatch.context() as m:
@@ -502,7 +502,7 @@ class TestWorkCounts:
 def schedule_or_message(schedule, cls, h, k, include_ghosts):
     """The events of a schedule on a fresh path, or its NonGenericPathError message."""
     try:
-        return schedule(cls, LinearPath(h, k), include_ghosts).events
+        return schedule(cls, LinearPath(h, k), include_ghosts)
     except NonGenericPathError as exc:
         return str(exc)
 
@@ -582,10 +582,10 @@ class TestOneSchedule:
             return order_concurrent(cls, ghosts)
 
         monkeypatch.setattr(ghosts_module, "order_concurrent", counted)
-        assert any(e.concurrent for e in crossing_schedule(cls, first, include_ghosts=True).events)
+        assert any(e.concurrent for e in crossing_schedule(cls, first, include_ghosts=True))
         assert max(groups) > 1
         groups.clear()
-        assert any(e.concurrent for e in crossing_schedule(cls, second, include_ghosts=True).events)
+        assert any(e.concurrent for e in crossing_schedule(cls, second, include_ghosts=True))
         assert groups == []
 
     @pytest.mark.parametrize("name", ["case1", "case2", "kronecker", "torsion4"])
@@ -594,7 +594,7 @@ class TestOneSchedule:
         for h, k in self.drawn(name):
             path = LinearPath(h, k)
             try:
-                events = crossing_schedule(cls, path, include_ghosts=True).events
+                events = crossing_schedule(cls, path, include_ghosts=True)
             except NonGenericPathError as exc:
                 with pytest.raises(NonGenericPathError) as again:
                     ghost_events(cls, LinearPath(h, k))

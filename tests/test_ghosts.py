@@ -309,7 +309,7 @@ class TestMgsWithGhosts:
 
     def test_concurrent_flag(self, case2):
         schedule = crossing_schedule(case2, path3((0, 3, 1)), include_ghosts=True)
-        ghosts = [e for e in schedule.events if e.kind == "ghost"]
+        ghosts = [e for e in schedule if e.kind == "ghost"]
         assert len(ghosts) == 2
         assert all(e.concurrent for e in ghosts)
         assert ghosts[0].t == ghosts[1].t

@@ -1,17 +1,22 @@
 import gc
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ghostpic.catalog import ModuleClass, ModuleSum
+from ghostpic.catalog import ModuleClass, ModuleSum, generate_type_a
 from ghostpic.errors import CatalogError, NonGenericPathError
 from ghostpic.greenpaths import (
+    Event,
     LinearPath,
     Mgs,
     check_hn_minimality,
     check_mgs_maximality,
     check_relative_hom_orthogonality,
+    count_mgs,
     crossing_schedule,
     enumerate_mgs,
     filtration_exists,
@@ -26,6 +31,11 @@ from ghostpic.stability import chamber_graph
 from reference_vectors import dot
 
 ONES = (Fraction(1), Fraction(1), Fraction(1))
+
+
+@cache
+def type_a(n, orient):
+    return generate_type_a(n, orient)
 
 
 def path3(h, k=ONES):
@@ -46,11 +56,11 @@ class TestCrossingSchedule:
     def test_a1(self, a1):
         path = LinearPath((Fraction(-1),), (Fraction(1),))
         schedule = crossing_schedule(a1, path)
-        assert [(e.label, e.stable) for e in schedule.events] == [("S1", True)]
+        assert [(e.label, e.stable) for e in schedule] == [("S1", True)]
 
     def test_case1_event_order_and_flags(self, case1):
         schedule = crossing_schedule(case1, CASE1_PATH)
-        assert [(e.label, e.stable) for e in schedule.events] == [
+        assert [(e.label, e.stable) for e in schedule] == [
             ("S2", True),
             ("I2", False),
             ("P2", True),
@@ -60,13 +70,17 @@ class TestCrossingSchedule:
 
     def test_crossing_times_sorted(self, case1):
         schedule = crossing_schedule(case1, CASE1_PATH)
-        times = [e.t for e in schedule.events]
+        times = [e.t for e in schedule]
         assert times == sorted(times)
-        for e in schedule.events:
+        for e in schedule:
             point = CASE1_PATH.at(e.t)
             assert sum(
                 a * b for a, b in zip(case1.dim_of(e.label), point)
             ) == 0
+
+    def test_is_the_tuple_of_its_events(self, a1):
+        path = LinearPath((Fraction(-1),), (Fraction(1),))
+        assert crossing_schedule(a1, path) == (Event(Fraction(1), "brick", "S1", True),)
 
     def test_non_generic_rejected(self, torsion4):
         with pytest.raises(NonGenericPathError):
@@ -134,6 +148,17 @@ class TestEnumerateMgs:
                     e.src == a and e.dst == b and e.wall_brick == w
                     for e in graph.edges
                 )
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(orient=st.text(alphabet="LR", max_size=3), data=st.data())
+    def test_count_is_the_enumeration(self, orient, data):
+        """count_mgs, a path count over the chamber graph, is the number of
+        sequences enumerate_mgs lists, on random classes of type A1-A4."""
+        catalog = type_a(len(orient) + 1, orient)
+        picks = data.draw(st.sets(st.integers(0, len(catalog.indecs) - 1), min_size=1))
+        cls = ModuleClass(catalog, [catalog.indecs[i].id for i in sorted(picks)])
+        graph = chamber_graph(cls)
+        assert count_mgs(graph) == len(enumerate_mgs(cls, graph))
 
 
 class TestHomOrthogonality:

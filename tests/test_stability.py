@@ -1,12 +1,13 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from ghostpic import verify
 from ghostpic.catalog import ModuleClass, ModuleSum, generate_type_a
-from ghostpic.errors import GuardExceededError
+from ghostpic.errors import GuardExceededError, InternalConsistencyError
 from ghostpic.stability import (
     chamber_graph,
     enumerate_chambers,
@@ -30,6 +31,20 @@ TORSION4_LABELS = [
     {"S3", "I2"},
     {"S3"},
 ]
+
+
+def fixture_and_a3_classes() -> list[ModuleClass]:
+    """The ten standard fixtures, then every class over each A3 orientation."""
+    classes = list(verify.standard_fixtures().values())
+    for orient in ("LL", "LR", "RL", "RR"):
+        catalog = generate_type_a(3, orient)
+        ids = [m.id for m in catalog.indecs]
+        classes += [
+            ModuleClass(catalog, bricks)
+            for size in range(1, len(ids) + 1)
+            for bricks in itertools.combinations(ids, size)
+        ]
+    return classes
 
 
 class TestWalls:
@@ -88,15 +103,7 @@ class TestSemistableSet:
         theta, and points on the hyperplane of each brick and quotient dim,
         so on walls too."""
         rng = random.Random(22)
-        classes = list(verify.standard_fixtures().values())
-        for orient in ("LL", "LR", "RL", "RR"):
-            catalog = generate_type_a(3, orient)
-            ids = [m.id for m in catalog.indecs]
-            classes += [
-                ModuleClass(catalog, bricks)
-                for size in range(1, len(ids) + 1)
-                for bricks in itertools.combinations(ids, size)
-            ]
+        classes = fixture_and_a3_classes()
         on_walls = 0
         for cls in classes:
             n = cls.catalog.quiver.n
@@ -128,17 +135,17 @@ class TestChambers:
         assert sorted(sorted(c.label) for c in chambers) == [[], ["S1"]]
 
     def test_kronecker_sampling_oracle(self, kronecker_class):
+        """Every integer theta of the box [-60, 60]^2 off the brick lines
+        lands in one of the five chambers, and each chamber is hit."""
         chambers = enumerate_chambers(kronecker_class)
-        rng = random.Random(13)
-        labels = set()
-        for _ in range(10**5):
-            theta = (Fraction(rng.randint(-60, 60)), Fraction(rng.randint(-60, 60)))
-            if any(
-                dot(kronecker_class.dim_of(b), theta) == 0
-                for b in kronecker_class.bricks
-            ):
-                continue
-            labels.add(semistable_set(kronecker_class, theta))
+        dims = [kronecker_class.dim_of(b) for b in kronecker_class.bricks]
+        thetas = [
+            theta
+            for theta in itertools.product(range(-60, 61), repeat=2)
+            if all(dot(d, theta) != 0 for d in dims)
+        ]
+        labels = {semistable_set(kronecker_class, theta) for theta in thetas}
+        assert len(thetas) == 14340
         assert len(chambers) == len(labels) == 5
 
     def test_label_constant_on_cells(self, torsion4, case2):
@@ -175,18 +182,38 @@ class TestChamberGraph:
         for e in graph.edges:
             assert order[e.src] < order[e.dst]
 
-    def test_edges_carry_witnesses(self, torsion4):
-        graph = chamber_graph(torsion4)
-        by_id = {c.id: c.label for c in graph.chambers}
-        for e in graph.edges:
-            gained = by_id[e.dst] - by_id[e.src]
-            assert {w[0] for w in e.witnesses} == gained
-            for x, tag in e.witnesses:
-                pair = next(
-                    p for p in torsion4.catalog.pairs(x) if p.tag == tag
-                )
-                assert pair.quot == ModuleSum([e.wall_brick])
-                assert torsion4.in_filt(pair.sub)
+    def test_every_gained_brick_has_an_epimorphism_onto_the_wall(self):
+        """The wall-crossing theorem on every edge of every fixture and A3
+        class: each brick that becomes semistable across D(B) has a catalog
+        pair whose quotient is B and whose submodule is in Filt of the class."""
+        classes = fixture_and_a3_classes()
+        for cls in classes:
+            graph = chamber_graph(cls)
+            labels = {c.id: c.label for c in graph.chambers}
+            for e in graph.edges:
+                target = ModuleSum([e.wall_brick])
+                for x in labels[e.dst] - labels[e.src]:
+                    assert any(
+                        p.quot == target and cls.in_filt(p.sub) for p in cls.catalog.pairs(x)
+                    ), (cls, e.wall_brick, x)
+        assert len(classes) == 262
+
+    def test_a_missing_epimorphism_onto_the_wall_is_refused(self, cat_ll, monkeypatch):
+        """Crossing D(I2) from {S1} makes P3 semistable; with every
+        epimorphism P3 ->> I2 hidden from the build, it raises."""
+        cls = ModuleClass(cat_ll, ["S1", "P3", "I2", "S3"])  # torsion4, nothing built yet
+        quotients = ModuleClass.weakly_admissible_quotients
+
+        def hiding(self, m, proper=True):
+            pairs = quotients(self, m, proper)
+            if self is cls and m == "P3" and not proper:
+                return tuple(p for p in pairs if p.quot != ModuleSum(["I2"]))
+            return pairs
+
+        monkeypatch.setattr(ModuleClass, "weakly_admissible_quotients", hiding)
+        message = "no weakly admissible epimorphism P3 ->> I2 although P3 becomes semistable across D(I2)"
+        with pytest.raises(InternalConsistencyError, match=re.escape(message)):
+            chamber_graph(cls)
 
     def test_wall_crossing_signs(self, torsion4):
         graph = chamber_graph(torsion4)
