@@ -142,20 +142,22 @@ class BrickCatalog:
     # -- validation ---------------------------------------------------------
 
     def _validate(self):
+        """Refuse a catalog that breaks a rule of the schema, each refusal
+        one CatalogError line starting with `catalog schema violation: `."""
+        bad = "catalog schema violation: "
         n = self.quiver.n
         if not isinstance(n, int) or n <= 0:
-            raise CatalogError(f"vertex count must be a positive integer, got {n!r}")
+            raise CatalogError(f"{bad}vertex count must be a positive integer, got {n!r}")
         for s, t in self.quiver.arrows:
             if not (1 <= s <= n and 1 <= t <= n):
-                raise CatalogError(f"arrow ({s},{t}) outside vertex range 1..{n}")
+                raise CatalogError(f"{bad}arrow ({s},{t}) outside vertex range 1..{n}")
             if s == t:
-                raise CatalogError("loops are not allowed")
+                raise CatalogError(f"{bad}loops are not allowed")
         for m in self.indecs:
             if all(d == 0 for d in m.dim) or any(d < 0 for d in m.dim):
-                raise CatalogError(f"dimension vector of {m.id} must be nonzero and nonnegative")
+                raise CatalogError(f"{bad}dimension vector of {m.id} must be nonzero and nonnegative")
         if len(self.by_id) != len(self.indecs):
-            raise CatalogError("duplicate indec ids")
-        bad = "catalog schema violation: "
+            raise CatalogError(f"{bad}duplicate indec ids")
         for m in self.indecs:  # --class splits at ',' and --module at '+', and strips each name
             if not m.id or m.id != m.id.strip() or "," in m.id or "+" in m.id:
                 raise CatalogError(
@@ -167,22 +169,26 @@ class BrickCatalog:
                     raise CatalogError(f"{bad}{table} names {i!r}, which is not in indecs")
         for m in self.indecs:
             if len(m.dim) != n:
-                raise CatalogError(f"{m.id}: dimension vector has wrong length")
+                raise CatalogError(f"{bad}{m.id}: dimension vector has wrong length")
             if self.hom.get((m.id, m.id), 0) != 1:
-                raise CatalogError(f"{m.id} is not a brick: hom({m.id},{m.id}) != 1")
+                raise CatalogError(f"{bad}{m.id} is not a brick: hom({m.id},{m.id}) != 1")
         for m in self.indecs:
             if m.id not in self.subquotients:
-                raise CatalogError(f"missing subquotient data for {m.id}")
+                raise CatalogError(f"{bad}missing subquotient data for {m.id}")
             pair_keys = set()
             support = _support(self, m.id)
             for p in self.subquotients[m.id]:
                 for i in p.sub.ids + p.quot.ids:
                     if i not in self.by_id:
-                        raise CatalogError(f"subquotient of {m.id} references unknown {i}")
+                        raise CatalogError(f"{bad}subquotient of {m.id} references unknown {i}")
+                if (p.sub, p.quot) in pair_keys:
+                    raise CatalogError(
+                        f"{bad}subquotients of {m.id} list the pair ({p.sub}, {p.quot}) twice"
+                    )
                 sub_dim = self.dim_of(p.sub)
                 if tuple(a + b for a, b in zip(sub_dim, self.dim_of(p.quot))) != m.dim:
                     raise CatalogError(
-                        f"subquotient of {m.id}: dim(sub)+dim(quot) != dim(parent)"
+                        f"{bad}subquotient of {m.id}: dim(sub)+dim(quot) != dim(parent)"
                     )
                 basis = p.basis
                 if basis is not None and max(m.dim) > 1:  # vertices name no subspace
@@ -192,14 +198,14 @@ class BrickCatalog:
                     )
                 if basis is not None and not (basis <= support and len(basis) == sum(sub_dim)):
                     raise CatalogError(
-                        f"subquotient {p.tag} of {m.id}: basis {sorted(basis)} is not dim(sub) = "
+                        f"{bad}subquotient {p.tag} of {m.id}: basis {sorted(basis)} is not dim(sub) = "
                         f"{sum(sub_dim)} vertices of the support {sorted(support)}"
                     )
                 pair_keys.add((p.sub, p.quot))
             if (ZERO_SUM, ModuleSum([m.id])) not in pair_keys:
-                raise CatalogError(f"{m.id}: missing trivial pair (0, parent)")
+                raise CatalogError(f"{bad}{m.id}: missing trivial pair (0, parent)")
             if (ModuleSum([m.id]), ZERO_SUM) not in pair_keys:
-                raise CatalogError(f"{m.id}: missing trivial pair (parent, 0)")
+                raise CatalogError(f"{bad}{m.id}: missing trivial pair (parent, 0)")
 
         def euler(x: Dim, y: Dim) -> int:  # <x,y> = sum x_i y_i - sum over arrows s->t of x_s y_t
             return sum(map(mul, x, y)) - sum(x[s - 1] * y[t - 1] for s, t in self.quiver.arrows)
@@ -210,18 +216,23 @@ class BrickCatalog:
                     f"{bad}hom({x.id},{y.id}) = {self.hom.get((x.id, y.id), 0)} is below "
                     f"the Euler form <dim {x.id}, dim {y.id}> = {euler(x.dim, y.dim)}"
                 )
+        listed = set()
         for s in self.ses_list:
+            if s in listed:
+                raise CatalogError(f"{bad}ses lists ({s.a},{s.b},{s.c}) twice")
+            listed.add(s)
             for i in (s.a, s.b, s.c):
-                self.indec(i)
+                if i not in self.by_id:
+                    raise CatalogError(f"{bad}ses ({s.a},{s.b},{s.c}) names unknown indecomposable {i!r}")
             da, db, dc = self.dim_of(s.a), self.dim_of(s.b), self.dim_of(s.c)
             if tuple(x + y for x, y in zip(da, dc)) != db:
                 raise CatalogError(
-                    f"ses-dimension-mismatch: dim({s.a})+dim({s.c}) != dim({s.b})"
+                    f"{bad}ses-dimension-mismatch: dim({s.a})+dim({s.c}) != dim({s.b})"
                 )
             wanted = (ModuleSum([s.a]), ModuleSum([s.c]))
             if not any((p.sub, p.quot) == wanted for p in self.subquotients[s.b]):
                 raise CatalogError(
-                    f"ses ({s.a},{s.b},{s.c}) has no matching subquotient pair"
+                    f"{bad}ses ({s.a},{s.b},{s.c}) has no matching subquotient pair"
                 )
             if self.hom.get((s.c, s.a), 0) == euler(dc, da):  # never below, by the check above
                 raise CatalogError(
@@ -540,6 +551,18 @@ def _pairs(value) -> dict[str, list[SubquotientPair]]:
     }
 
 
+def _hom(rows) -> dict[tuple[str, str], int]:
+    """The hom table of a document's rows; a pair listed twice is refused,
+    whatever its dims, so no row silently wins."""
+    hom: dict[tuple[str, str], int] = {}
+    for x, y, d in rows:
+        pair = _str(x), _str(y)
+        if pair in hom:
+            raise CatalogError(f"catalog schema violation: hom lists the pair ({x},{y}) twice")
+        hom[pair] = _int(d)
+    return hom
+
+
 # The fields of a catalog document in BrickCatalog's argument order, each with
 # its expected shape and a parser that raises on any other shape.
 _FIELDS = (
@@ -548,7 +571,7 @@ _FIELDS = (
     ("indecs", '[{"id": str, "name": str, "dim": [int, ...]}, ...]',
      lambda ds: [Indec(_str(d["id"]), _str(d.get("name", d["id"])), tuple(map(_int, d["dim"]))) for d in ds]),
     ("subquotients", '{id: [{"sub": [id, ...], "quot": [id, ...], "basis": [int, ...], "tag": str}, ...]}', _pairs),
-    ("hom", "[[id, id, int], ...]", lambda rows: {(_str(x), _str(y)): _int(d) for x, y, d in rows}),
+    ("hom", "[[id, id, int], ...]", _hom),
     ("ses", "[[id, id, id], ...]", lambda rows: [Ses(*map(_str, r)) for r in rows]),
     ("complete", "true or false", _bool),
 )

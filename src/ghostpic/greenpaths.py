@@ -18,6 +18,12 @@ by cross-multiplying entries of these lists, and neither touches a dim
 tuple; the crossing point of dim i is the integer point
 point_at(-hd[i], kd[i]).  A crossing schedule sorts the plan's schedule rows
 by these keys.
+
+A block of paths (`PathColumns`) holds the same integers as columns, one int
+per path, so that `generic_columns` and `stable_columns` decide genericity
+and stability for every path of the block in a few `map` passes per dim and
+per side.  They give `check_generic`'s and `stable_along`'s verdicts path by
+path; the scalar functions stay for single paths.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, and_, eq, mul, ne, not_, or_, sub
 from typing import NamedTuple
 
 from ghostpic.catalog import ModuleClass, ModuleSum, per_class
@@ -184,11 +190,16 @@ def stable_along(path: LinearPath, plan: CrossingPlan, crossing: Crossing) -> bo
             break
     by_interior = crossing.interior.contains(path.point_at(-h_e, k_e))
     if by_times != by_interior:
-        raise InternalConsistencyError(
-            f"stability of {crossing.label}: time criterion ({by_times}) disagrees "
-            f"with interior membership ({by_interior})"
-        )
+        raise disagreement(crossing, by_times)
     return by_times
+
+
+def disagreement(crossing: Crossing, by_times: bool) -> InternalConsistencyError:
+    """The error of a time verdict that interior membership contradicts."""
+    return InternalConsistencyError(
+        f"stability of {crossing.label}: time criterion ({by_times}) disagrees "
+        f"with interior membership ({not by_times})"
+    )
 
 
 def is_relatively_stable(cls: ModuleClass, path: LinearPath, m: str) -> bool:
@@ -231,6 +242,125 @@ def linear_mgs(cls: ModuleClass, path: LinearPath) -> list[str]:
     keys, _ = check_generic(path, plan)
     stable = [c for c in plan.bricks.values() if stable_along(path, plan, c)]
     return [c.label for c in sorted(stable, key=lambda c: -keys[c.event])]
+
+
+# ---------------------------------------------------------------------------
+# Blocks of paths in columns.
+# ---------------------------------------------------------------------------
+
+
+class PathColumns:
+    """A block of linear paths as columns: h[j][p] and k[j][p] are the
+    coordinate j of H*h and H*k of path p, integers with every k[j][p] > 0
+    (a path's common denominator H scales no verdict).  Like a path, a block
+    computes its crossing columns once per plan."""
+
+    __slots__ = ("h", "k", "size", "_lists")
+
+    def __init__(self, h: list[list[int]], k: list[list[int]], size: int):
+        self.h = h
+        self.k = k
+        self.size = size
+        self._lists: dict = {}
+
+    @classmethod
+    def of_rows(cls, rank: int, hs, ks) -> PathColumns:
+        """The block of the paths (hs[p], ks[p]), integer vectors of the rank."""
+        columns = lambda rows: [list(c) for c in zip(*rows)] if rows else [[] for _ in range(rank)]
+        return cls(columns(hs), columns(ks), len(hs))
+
+    @classmethod
+    def of_paths(cls, rank: int, paths) -> PathColumns:
+        return cls.of_rows(rank, [p._hi for p in paths], [p._ki for p in paths])
+
+    def path(self, p: int) -> LinearPath:
+        return LinearPath(tuple([c[p] for c in self.h]), tuple([c[p] for c in self.k]))
+
+    def select(self, mask) -> PathColumns:
+        """The block of the paths where mask is true, in order, with the
+        crossing columns computed so far."""
+        keep = lambda cols: [list(itertools.compress(c, mask)) for c in cols]
+        out = PathColumns(keep(self.h), keep(self.k), sum(mask))
+        out._lists = {plan: (keep(hd), keep(kd)) for plan, (hd, kd) in self._lists.items()}
+        return out
+
+    def crossings(self, plan: CrossingPlan) -> tuple[list[list[int]], list[list[int]]]:
+        """The columns of `LinearPath.crossings`: hd[i][p] and kd[i][p] for
+        each plan dim i, computed once per plan."""
+        lists = self._lists.get(plan)
+        if lists is None:
+            dims = plan.dims
+            if dims and len(dims[0]) != len(self.h):
+                raise CatalogError(f"path of rank {len(self.h)} on a class of rank {len(dims[0])}")
+            lists = [list(_combination(d, self.h, self.size)) for d in dims], [
+                list(_combination(d, self.k, self.size)) for d in dims
+            ]
+            self._lists[plan] = lists
+        return lists
+
+
+def _combination(row, cols: list[list[int]], size: int):
+    """An iterator over the column sum_j row[j]*cols[j]."""
+    total = None
+    for c, col in zip(row, cols):
+        if c:
+            term = col if c == 1 else map(c.__mul__, col)
+            total = term if total is None else map(add, total, term)
+    return itertools.repeat(0, size) if total is None else iter(total)
+
+
+def generic_columns(block: PathColumns, plan: CrossingPlan) -> list[bool]:
+    """`check_generic`'s decision for every path of the block: True where no
+    two non-proportional dims of the plan cross together.  As every kd > 0,
+    dims i and j cross together iff hd[i]*kd[j] == hd[j]*kd[i]; proportional
+    dims cross together on every path, so one dim per ray is compared."""
+    hd, kd = block.crossings(plan)
+    rays = sorted(set(plan.ray))
+    clash = [False] * block.size
+    for a, i in enumerate(rays):
+        for j in rays[a + 1 :]:
+            clash = list(map(or_, clash, map(eq, map(mul, hd[i], kd[j]), map(mul, hd[j], kd[i]))))
+    return list(map(not_, clash))
+
+
+# x == 0, x >= 0, x > 0 and x < 0 as C calls on a column
+_ZERO, _NONNEGATIVE, _POSITIVE, _NEGATIVE = (0).__eq__, (0).__le__, (0).__lt__, (0).__gt__
+
+
+def stable_columns(block: PathColumns, plan: CrossingPlan, crossing: Crossing) -> tuple[list[bool], list[int]]:
+    """`stable_along` for every path of the block: the time verdicts, and
+    the indices of the paths whose integer crossing point's membership in
+    the interior cone disagrees with them.  The lag of each side is one
+    column; a path whose first failing side crosses together with the event,
+    their dims not proportional, raises the NonGenericPathError that
+    `stable_along` raises on it, for the first such path of the block.  The
+    membership is read from the cone's own rows, not from the plan's dims."""
+    hd, kd = block.crossings(plan)
+    e = crossing.event
+    h_e, k_e = hd[e], kd[e]
+    ray = plan.ray
+    by_times = [True] * block.size
+    first = None  # (path, side name) of the first non-generic path
+    for i, late, name in crossing.sides:
+        # t_side - t_event = lag / (kd[i]*k_e), and kd[i]*k_e > 0
+        lag = list(map(sub, map(mul, h_e, kd[i]), map(mul, hd[i], k_e)))
+        if ray[i] != ray[e] and 0 in lag:
+            at = map(and_, by_times, map(_ZERO, lag))
+            p = next(itertools.compress(itertools.count(), at), None)
+            if p is not None and (first is None or p < first[0]):
+                first = p, name
+        by_times = list(map(and_, by_times, map(_POSITIVE if late else _NEGATIVE, lag)))
+    if first is not None:
+        p, name = first
+        raise NonGenericPathError(crossing.label, name, Fraction(-h_e[p], k_e[p]))
+    # the crossing point k_e*H*h - h_e*H*k of each path, one column per coordinate
+    point = [list(map(sub, map(mul, k_e, hj), map(mul, h_e, kj))) for hj, kj in zip(block.h, block.k)]
+    cone = crossing.interior
+    inside = [True] * block.size
+    for rows, holds in ((cone.equalities, _ZERO), (cone.weak, _NONNEGATIVE), (cone.strict, _POSITIVE)):
+        for r in rows:
+            inside = list(map(and_, inside, map(holds, _combination(r, point, block.size))))
+    return by_times, list(itertools.compress(itertools.count(), map(ne, by_times, inside)))
 
 
 # ---------------------------------------------------------------------------

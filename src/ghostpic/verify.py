@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import random
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from ghostpic.catalog import ModuleClass, ModuleSum, builtin_kronecker, generate_type_a
-from ghostpic.errors import GuardExceededError, InternalConsistencyError, NonGenericPathError
+from ghostpic.errors import GuardExceededError, InternalConsistencyError
 from ghostpic.geometry import Cone, cone_contains_cone, cone_equal, feasible_point, int_dot, vec_str
 from ghostpic.ghosts import (
     SUBOBJECT,
@@ -25,14 +25,17 @@ from ghostpic.ghosts import (
 )
 from ghostpic.greenpaths import (
     LinearPath,
+    PathColumns,
     check_generic,
     check_hn_minimality,
     check_mgs_maximality,
     check_relative_hom_orthogonality,
+    disagreement,
     enumerate_mgs,
+    generic_columns,
     hn_stratification,
     linear_mgs,
-    stable_along,
+    stable_columns,
 )
 from ghostpic.stability import (
     ChamberGraph,
@@ -55,9 +58,10 @@ class Failures:
         self.count = 0
         self.first = ""
 
-    def add(self, counterexample: str) -> None:
+    def add(self, counterexample: str, times: int = 1) -> None:
+        """Count times failures, the first of them named by counterexample."""
         self.first = self.first if self.count else counterexample
-        self.count += 1
+        self.count += times
 
 
 def _path_str(path: LinearPath) -> str:
@@ -110,21 +114,50 @@ def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
     return out
 
 
-def _random_generic_paths(cls: ModuleClass, rng: random.Random, count: int, plan: CrossingPlan):
-    """Yield count paths with integer h and k drawn from rng, generic for
-    the plan.  The paths are drawn as they are consumed, so only the path in
-    use keeps its crossing lists; a consumer that draws nothing else from
-    rng between paths sees the same draws as from a list."""
+# candidate paths drawn at a time: bounds the columns held, whatever the count
+BLOCK = 512
+
+
+def _generic_blocks(cls: ModuleClass, rng: random.Random, count: int, plan: CrossingPlan):
+    """Yield blocks (`PathColumns`) of count paths in all, with integer h
+    and k drawn from rng and generic for the plan, in draw order.  Each
+    candidate is h, then k, from `_randints`, and `generic_columns` refuses
+    the non-generic ones.  A round draws as many candidates as are still
+    wanted, at most BLOCK, and yields those kept, so no candidate is drawn
+    past the count-th generic path: the paths and rng's final state are
+    those of drawing and refusing path by path.  A consumer that draws
+    nothing else from rng between blocks sees the same draws as from a
+    list, and one that keeps no block holds one block at a time."""
     n = cls.catalog.quiver.n
-    made = 0
-    while made < count:
-        path = LinearPath(_randints(rng, -9, 9, n), _randints(rng, 1, 9, n))
-        try:
+    wanted = count
+    while wanted > 0:
+        block = _generic_block(n, rng, min(BLOCK, wanted), plan)
+        wanted -= block.size
+        if block.size:
+            yield block
+        del block  # dropped before the next round is drawn
+
+
+def _generic_block(n: int, rng: random.Random, count: int, plan: CrossingPlan) -> PathColumns:
+    """The generic paths among count candidates drawn from rng."""
+    hs, ks = [], []
+    for _ in range(count):
+        hs.append(_randints(rng, -9, 9, n))
+        ks.append(_randints(rng, 1, 9, n))
+    candidates = PathColumns.of_rows(n, hs, ks)
+    return candidates.select(generic_columns(candidates, plan))
+
+
+def _random_generic_paths(cls: ModuleClass, rng: random.Random, count: int, plan: CrossingPlan):
+    """Yield the count paths of `_generic_blocks` one at a time, each with
+    its `check_generic` keys for the plan, which the consumer reads.  The
+    paths are drawn a block at a time; a consumer that draws nothing else
+    from rng between paths sees the same draws as from a list."""
+    for block in _generic_blocks(cls, rng, count, plan):
+        for p in range(block.size):
+            path = block.path(p)
             check_generic(path, plan)
-        except NonGenericPathError:
-            continue
-        made += 1
-        yield path
+            yield path
 
 
 def _chamber_chain(cls: ModuleClass, graph: ChamberGraph, path: LinearPath) -> list[int]:
@@ -229,21 +262,34 @@ class Verifier:
                     fails.add(f"{name}: theta0={_sample_str(theta0, e.den)} on D({e.wall_brick})")
         self.record("c:wall-crossing-monotone", fails, f"{edges} edges")
 
+    def _decide_paths(self, name: str, cls: ModuleClass, rng, plan: CrossingPlan, crossings, fails):
+        """Decide every (path, crossing) of the fixture's random paths with
+        `stable_columns`, a block at a time: each disagreement of the time
+        criterion with interior membership is a failure, and the first is
+        named as a path-major loop meets it (path, then crossing)."""
+
+        def decide(block) -> None:
+            found = []  # (path, crossing, time verdict), crossing by crossing
+            for crossing in crossings:
+                by_times, disagree = stable_columns(block, plan, crossing)
+                found += [(p, crossing, by_times[p]) for p in disagree]
+            if found:
+                p, crossing, by_times = min(found, key=itemgetter(0))
+                path = _path_str(block.path(p))
+                fails.add(f"{name}: {path}: {disagreement(crossing, by_times)}", len(found))
+
+        # map keeps no decided block, so one block is held while the next is drawn
+        for _ in map(decide, _generic_blocks(cls, rng, self.paths, plan)):
+            pass
+
     # (d) quotient-time stability criterion == wall-interior membership; the
-    # plan and the brick crossings are resolved once per fixture, and every
-    # (path, brick) is decided and cross-checked by `stable_along`
+    # plan and the brick crossings are resolved once per fixture
     def check_stability_equivalence(self):
         rng = random.Random((self.seed, "stability").__repr__())
         fails = Failures()
         for name, cls in self.fixtures.items():
             plan = crossing_plan(cls)
-            crossings = [plan.bricks[b] for b in cls.bricks]
-            for path in _random_generic_paths(cls, rng, self.paths, plan):
-                for crossing in crossings:
-                    try:
-                        stable_along(path, plan, crossing)
-                    except InternalConsistencyError as exc:
-                        fails.add(f"{name}: {_path_str(path)}: {exc}")
+            self._decide_paths(name, cls, rng, plan, [plan.bricks[b] for b in cls.bricks], fails)
         detail = f"{self.paths} paths x {len(self.fixtures)} fixtures"
         self.record("d:brick-stability-equivalence", fails, detail)
 
@@ -257,13 +303,7 @@ class Verifier:
             if not ghosts:
                 continue
             plan = ghost_plan(cls)
-            crossings = [plan.ghosts[g.key()][1] for g in ghosts]
-            for path in _random_generic_paths(cls, rng, self.paths, plan):
-                for crossing in crossings:
-                    try:
-                        stable_along(path, plan, crossing)
-                    except InternalConsistencyError as exc:
-                        fails.add(f"{name}: {_path_str(path)}: {exc}")
+            self._decide_paths(name, cls, rng, plan, [plan.ghosts[g.key()][1] for g in ghosts], fails)
         self.record("e:ghost-stability-equivalence", fails)
 
     # (f) HN stratification exists for every class object over every MGS

@@ -343,6 +343,19 @@ class TestMalformedInput:
                 lambda doc: {**doc, "subquotients": {**doc["subquotients"], "Z": []}},
                 "subquotients names 'Z', which is not in indecs",
             ),
+            # a row listed twice is refused: no later row silently wins
+            (lambda doc: {**doc, "hom": [["P1", "M", 5], *doc["hom"]]}, "hom lists the pair (P1,M) twice"),
+            (lambda doc: {**doc, "ses": [*doc["ses"], doc["ses"][0]]}, "ses lists (P1,M,S2) twice"),
+            (
+                lambda doc: {
+                    **doc,
+                    "subquotients": {
+                        **doc["subquotients"],
+                        "P2": [*doc["subquotients"]["P2"], {"sub": ["P1"], "quot": ["M"], "tag": "again"}],
+                    },
+                },
+                "subquotients of P2 list the pair (P1, M) twice",
+            ),
         ],
         ids=[
             "short-hom-entry",
@@ -359,6 +372,9 @@ class TestMalformedInput:
             "padded-id",
             "unknown-hom-id",
             "unknown-subquotients-id",
+            "repeated-hom-pair",
+            "repeated-ses-row",
+            "repeated-subquotient-pair",
         ],
     )
     def test_malformed_catalog_is_usage_error(self, capsys, tmp_path, malform, mentions):
@@ -441,7 +457,7 @@ class TestMalformedInput:
         code, out, err = run(capsys, "catalog", "--catalog", str(path))
         assert code == 2
         assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: subquotient sub{} of ")
+        assert err.count("\n") == 1 and err.startswith("error: catalog schema violation: subquotient sub{} of ")
         basis = "[99]" if bad == "off-support" else str(whole["basis"])
         assert f"basis {basis} is not dim(sub) = 0 vertices of the support" in err
 

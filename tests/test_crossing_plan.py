@@ -469,19 +469,28 @@ class TestWorkCounts:
 
     def test_the_paths_check_decides_each_drawn_path_once(self, monkeypatch):
         """In the paths-vs-graph check the draw's genericity scan is the only
-        one: `linear_mgs` and the chamber chain read its keys."""
+        one: `linear_mgs` and the chamber chain read its keys.  The refused
+        candidates are refused by the block's mask, which scans nothing."""
         scans = self.count_scans(monkeypatch)
-        drawn = []
+        drawn, candidates = [], []
+        draw_paths, randints = verify._random_generic_paths, verify._randints
 
-        def counted_path(h, k):
-            drawn.append((h, k))
-            return LinearPath(h, k)
+        def counted_paths(*args):
+            for path in draw_paths(*args):
+                drawn.append(path)
+                yield path
 
-        monkeypatch.setattr(verify, "LinearPath", counted_path)
+        def counted_draws(rng, lo, hi, count):
+            candidates.append((lo, hi))
+            return randints(rng, lo, hi, count)
+
+        monkeypatch.setattr(verify, "_random_generic_paths", counted_paths)
+        monkeypatch.setattr(verify, "_randints", counted_draws)
         checker = verify.Verifier(paths_per_fixture=100, seed=0)
         checker.check_linear_paths_vs_graph()
         assert [r.passed for r in checker.results] == [True]
-        assert len(drawn) > 10 * len(checker.fixtures)  # some draws were refused
+        assert len(drawn) == 10 * len(checker.fixtures)
+        assert candidates.count((1, 9)) > len(drawn)  # some draws were refused
         assert len(scans) == len(drawn)
 
     def test_the_admissible_check_reads_each_bricks_subobjects_once(self, monkeypatch):
@@ -649,15 +658,20 @@ class TestVerifyFailures:
 
     @staticmethod
     def plant_disagreement(monkeypatch):
-        """Make every stability decision of verify raise; returns the
-        (path, label) of each call, in order."""
+        """Make the kernel report a disagreement on every (path, crossing)
+        that verify decides, worded as planted; returns the (path, label)
+        of each decision, block by block and crossing by crossing."""
         seen = []
 
-        def disagree(path, plan, crossing):
-            seen.append((path, crossing.label))
-            raise InternalConsistencyError(f"stability of {crossing.label}: planted")
+        def disagree(block, plan, crossing):
+            seen.extend((block.path(p), crossing.label) for p in range(block.size))
+            return [True] * block.size, list(range(block.size))
 
-        monkeypatch.setattr(verify, "stable_along", disagree)
+        def planted(crossing, by_times):
+            return InternalConsistencyError(f"stability of {crossing.label}: planted")
+
+        monkeypatch.setattr(verify, "stable_columns", disagree)
+        monkeypatch.setattr(verify, "disagreement", planted)
         return seen
 
     def test_a_failed_check_names_its_first_counterexample(self, monkeypatch):

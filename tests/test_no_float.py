@@ -27,6 +27,7 @@ FRACTION_SITES = {
         "LinearPath.at",
         "check_generic",  # the crossing time a NonGenericPathError prints
         "stable_along",
+        "stable_columns",
         "crossing_schedule",  # Event.t
     },
 }

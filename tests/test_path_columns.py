@@ -1,0 +1,175 @@
+"""The column kernel of `greenpaths` against its scalar reference: on a block
+of paths, `generic_columns` is `check_generic`'s decision and
+`stable_columns` is `stable_along`'s verdict, raise and interior cross-check,
+path by path, on both plans of every standard fixture and on random type-A
+classes."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ghostpic.catalog import ModuleClass, generate_type_a
+from ghostpic.errors import CatalogError, InternalConsistencyError, NonGenericPathError
+from ghostpic.geometry import Cone
+from ghostpic.ghosts import ghost_plan
+from ghostpic.greenpaths import (
+    LinearPath,
+    PathColumns,
+    check_generic,
+    disagreement,
+    generic_columns,
+    stable_along,
+    stable_columns,
+)
+from ghostpic.stability import crossing_plan
+from ghostpic.verify import standard_fixtures
+
+FIXTURES = standard_fixtures()
+
+
+def plan_rank(plan) -> int:
+    return len(plan.dims[0])
+
+
+def generic(path, plan) -> bool:
+    try:
+        check_generic(path, plan)
+    except NonGenericPathError:
+        return False
+    return True
+
+
+def scalar(path, plan, crossing):
+    """`stable_along`'s outcome on one path: its verdict, or the type and
+    text of the error it raises."""
+    try:
+        return stable_along(path, plan, crossing)
+    except (NonGenericPathError, InternalConsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+def kernel(paths, plan, crossing):
+    """`stable_columns` read back per path in the form of `scalar`, or the
+    type and text of the error it raises for the whole block."""
+    try:
+        by_times, disagree = stable_columns(PathColumns.of_paths(plan_rank(plan), paths), plan, crossing)
+    except NonGenericPathError as exc:
+        return type(exc), str(exc)
+    out = list(by_times)
+    for p in disagree:
+        out[p] = InternalConsistencyError, str(disagreement(crossing, by_times[p]))
+    return out
+
+
+def variants(plan, crossing):
+    """The crossing, and the same with interiors that disagree with its
+    time criterion: negated, the whole space, the closed cone, and the
+    half-space theta(event) >= 0, which holds every crossing point on its
+    boundary."""
+    n = crossing.interior.dim
+    return [
+        crossing,
+        crossing._replace(interior=crossing.interior.negated()),
+        crossing._replace(interior=Cone(n)),
+        crossing._replace(interior=crossing.interior.closure()),
+        crossing._replace(interior=Cone(n, weak=(plan.dims[crossing.event],))),
+    ]
+
+
+def raises(outcome) -> bool:
+    return type(outcome) is tuple and outcome[0] is NonGenericPathError
+
+
+def assert_kernel_is_scalar(paths, plan):
+    """The mask, and for each crossing of the plan (and its variants) the
+    outcome on the whole block, on the paths that do not raise, and on each
+    path alone."""
+    block = PathColumns.of_paths(plan_rank(plan), paths)
+    assert generic_columns(block, plan) == [generic(p, plan) for p in paths]
+    crossings = [*plan.bricks.values(), *(c for _, c in plan.ghosts.values())]
+    for crossing in (v for c in crossings for v in variants(plan, c)):
+        want = [scalar(p, plan, crossing) for p in paths]
+        raised = [w for w in want if raises(w)]
+        assert kernel(paths, plan, crossing) == (raised[0] if raised else want)
+        calm = [(p, w) for p, w in zip(paths, want) if not raises(w)]
+        assert kernel([p for p, _ in calm], plan, crossing) == [w for _, w in calm]
+        for path, one in zip(paths, want):
+            assert kernel([path], plan, crossing) == (one if raises(one) else [one])
+    assert kernel([], plan, crossings[0]) == []
+
+
+def small_paths(rng, n, count):
+    """Paths with small coordinates, so that many are not generic; every
+    fourth one has h and k over a common denominator H > 1."""
+    paths = []
+    for i in range(count):
+        h = [rng.randint(-2, 2) for _ in range(n)]
+        k = [rng.randint(1, 2) for _ in range(n)]
+        if i % 4 == 3:
+            h, k = [Fraction(x, 3) for x in h], [Fraction(x, 2) for x in k]
+        paths.append(LinearPath(h, k))
+    return paths
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+@pytest.mark.parametrize("which", ["bricks", "ghosts"])
+def test_the_kernel_is_the_scalar_reference_on_every_fixture(name, which):
+    cls = FIXTURES[name]
+    plan = crossing_plan(cls) if which == "bricks" else ghost_plan(cls)
+    rng = random.Random(("columns", name, which).__repr__())
+    paths = small_paths(rng, cls.catalog.quiver.n, 60)
+    paths += [LinearPath([rng.randint(-9, 9) for _ in p.h], [rng.randint(1, 9) for _ in p.h]) for p in paths]
+    assert not all(generic(p, plan) for p in paths) or len(plan.dims) == 1
+    assert_kernel_is_scalar(paths, plan)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(orient=st.text(alphabet="LR", max_size=3), data=st.data())
+def test_the_kernel_is_the_scalar_reference_on_random_classes(orient, data):
+    """Type-A classes with n <= 4 and random brick subsets, on both plans."""
+    catalog = generate_type_a(len(orient) + 1, orient)
+    picks = data.draw(st.sets(st.integers(0, len(catalog.indecs) - 1), min_size=1))
+    cls = ModuleClass(catalog, [catalog.indecs[i].id for i in sorted(picks)])
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    paths = small_paths(rng, catalog.quiver.n, 12)
+    assert_kernel_is_scalar(paths, crossing_plan(cls))
+    assert_kernel_is_scalar(paths, ghost_plan(cls))
+
+
+def test_a_block_raises_for_its_first_non_generic_path():
+    """A block whose paths cross a brick and its side together raises the
+    error that `stable_along` raises on the first of them, whatever comes
+    after it."""
+    cls = FIXTURES["torsion4"]
+    plan = crossing_plan(cls)
+    crossing = next(c for c in plan.bricks.values() if c.sides)
+    fine = next(
+        p for p in small_paths(random.Random(0), 3, 200) if not isinstance(scalar(p, plan, crossing), tuple)
+    )
+    bad = [p for p in small_paths(random.Random(1), 3, 400) if isinstance(scalar(p, plan, crossing), tuple)]
+    assert len(bad) >= 2 and scalar(bad[0], plan, crossing) != scalar(bad[1], plan, crossing)
+    with pytest.raises(NonGenericPathError) as caught:
+        stable_columns(PathColumns.of_paths(3, [fine, bad[1], bad[0]]), plan, crossing)
+    assert (NonGenericPathError, str(caught.value)) == scalar(bad[1], plan, crossing)
+
+
+def test_a_path_of_the_wrong_rank_is_refused():
+    plan = crossing_plan(FIXTURES["kronecker"])
+    block = PathColumns.of_rows(3, [(1, 2, 3)], [(1, 1, 1)])
+    with pytest.raises(CatalogError, match="path of rank 3 on a class of rank 2"):
+        generic_columns(block, plan)
+
+
+def test_a_selection_keeps_its_paths_and_their_crossings():
+    cls = FIXTURES["full6"]
+    plan = ghost_plan(cls)
+    paths = [p for i, p in enumerate(small_paths(random.Random(2), 3, 60)) if i % 4 != 3]
+    block = PathColumns.of_paths(3, paths)
+    mask = generic_columns(block, plan)
+    kept = block.select(mask)
+    assert kept.size == sum(mask) > 0
+    assert [kept.path(p) for p in range(kept.size)] == [p for p, m in zip(paths, mask) if m]
+    assert kept.crossings(plan) == PathColumns.of_paths(3, [p for p, m in zip(paths, mask) if m]).crossings(plan)

@@ -1,19 +1,30 @@
-"""The random linear paths of `ghostpic verify`: the draws are pinned, and the
-chamber chain read at integer probes is the chain read at Fraction probes."""
+"""The random linear paths of `ghostpic verify`: the draws are pinned, drawn
+a block at a time they are the draws made path by path, checks (d) and (e)
+decide them in columns with the verdicts and first counterexamples of the
+path-by-path loop, and the chamber chain read at integer probes is the chain
+read at Fraction probes."""
 
 import gc
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ghostpic import verify
+from ghostpic.catalog import ModuleClass, generate_type_a
+from ghostpic.errors import NonGenericPathError
 from ghostpic.ghosts import enumerate_ghosts, ghost_plan
-from ghostpic.greenpaths import LinearPath
+from ghostpic.greenpaths import LinearPath, check_generic, linear_mgs, stable_along, stable_columns
 from ghostpic.stability import chamber_graph, crossing_plan
 from ghostpic.verify import (
     Verifier,
     _chamber_chain,
+    _generic_blocks,
+    _path_str,
     _randints,
     _random_generic_paths,
     standard_fixtures,
@@ -152,3 +163,165 @@ def test_a_verifier_pass_leaves_no_cyclic_garbage():
     finally:
         gc.enable()
     assert unreachable == 0
+
+
+def path_by_path(cls, rng, count, plan):
+    """The draw as it was made one path at a time: h, then k, from
+    `_randints`, each candidate refused by `check_generic` alone."""
+    n = cls.catalog.quiver.n
+    made = 0
+    while made < count:
+        path = LinearPath(_randints(rng, -9, 9, n), _randints(rng, 1, 9, n))
+        try:
+            check_generic(path, plan)
+        except NonGenericPathError:
+            continue
+        made += 1
+        yield path
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+@pytest.mark.parametrize("block", [7, verify.BLOCK])
+def test_blocks_draw_the_paths_of_a_path_by_path_draw(monkeypatch, name, block):
+    """Counts that are not multiples of the block size, on both plans: the
+    same paths in the same order, and the generator left in the same state
+    (no candidate is drawn past the last path)."""
+    monkeypatch.setattr(verify, "BLOCK", block)
+    cls = FIXTURES[name]
+    for plan in (crossing_plan(cls), ghost_plan(cls)):
+        for count in (1, 3 * block + 2):
+            ours, theirs = random.Random(name), random.Random(name)
+            blocks = list(_generic_blocks(cls, ours, count, plan))
+            assert all(0 < b.size <= block for b in blocks)
+            paths = [b.path(p) for b in blocks for p in range(b.size)]
+            assert paths == list(path_by_path(cls, theirs, count, plan))
+            assert ours.getstate() == theirs.getstate()
+
+
+def path_major_result(checker, check: str):
+    """The result line of check (d) or (e) as the loop before the column
+    kernel made it: path by path, each crossing by `stable_along`."""
+    seed = "stability" if check == "d" else "ghost-stability"
+    rng = random.Random((checker.seed, seed).__repr__())
+    count, first = 0, ""
+    for name, cls in checker.fixtures.items():
+        if check == "d":
+            plan = crossing_plan(cls)
+            crossings = [plan.bricks[b] for b in cls.bricks]
+        else:
+            if not enumerate_ghosts(cls):
+                continue
+            plan = ghost_plan(cls)
+            crossings = [plan.ghosts[g.key()][1] for g in enumerate_ghosts(cls)]
+        for path in path_by_path(cls, rng, checker.paths, plan):
+            for crossing in crossings:
+                try:
+                    stable_along(path, plan, crossing)
+                except verify.InternalConsistencyError as exc:
+                    first = first or f"{name}: {_path_str(path)}: {exc}"
+                    count += 1
+    return count, first
+
+
+def negate_every_other_interior(checker, monkeypatch):
+    """Plant a disagreement on half of the bricks and half of the ghosts of
+    every fixture: their interiors negated."""
+    for cls in checker.fixtures.values():
+        plan = crossing_plan(cls)
+        for b in cls.bricks[1::2]:
+            c = plan.bricks[b]
+            monkeypatch.setitem(plan.bricks, b, c._replace(interior=c.interior.negated()))
+        plan = ghost_plan(cls)
+        for g in enumerate_ghosts(cls)[::2]:
+            ghost, c = plan.ghosts[g.key()]
+            monkeypatch.setitem(plan.ghosts, g.key(), (ghost, c._replace(interior=c.interior.negated())))
+
+
+@pytest.mark.parametrize("check", ["d", "e"])
+def test_planted_interiors_fail_as_in_the_path_major_loop(monkeypatch, check):
+    monkeypatch.setattr(verify, "BLOCK", 7)
+    checker = Verifier(paths_per_fixture=30, seed=4)
+    negate_every_other_interior(checker, monkeypatch)
+    count, first = path_major_result(checker, check)
+    getattr(checker, "check_stability_equivalence" if check == "d" else "check_ghost_stability_equivalence")()
+    (result,) = checker.results
+    assert count > 30 and not result.passed
+    assert result.line().endswith(f"{count} failures, first: {first})")
+
+
+def test_a_failure_first_met_in_a_later_block_is_named(monkeypatch):
+    """Disagreements planted in mixed5's second block: at its second path's
+    first brick, and at its first path's third and second bricks.  The
+    three are counted, and the first path at the second brick is named, as
+    a path-major loop meets them."""
+    monkeypatch.setattr(verify, "BLOCK", 5)
+    checker = Verifier(paths_per_fixture=12, seed=0)
+    cls = checker.fixtures["mixed5"]
+    plan = crossing_plan(cls)
+    bricks = [plan.bricks[b] for b in cls.bricks]
+    planted = {(1, bricks[0].label), (0, bricks[2].label), (0, bricks[1].label)}
+    blocks = []
+
+    def with_planted(block, at_plan, crossing):
+        by_times, disagree = stable_columns(block, at_plan, crossing)
+        if at_plan is plan:
+            if crossing is bricks[0]:
+                blocks.append(block)
+            if len(blocks) == 2:
+                disagree = sorted({*disagree, *(p for p, label in planted if label == crossing.label)})
+        return by_times, disagree
+
+    monkeypatch.setattr(verify, "stable_columns", with_planted)
+    checker.check_stability_equivalence()
+    (result,) = checker.results
+    rng = random.Random((checker.seed, "stability").__repr__())
+    for name, drawn in checker.fixtures.items():
+        paths = list(path_by_path(drawn, rng, checker.paths, crossing_plan(drawn)))
+        if name == "mixed5":
+            break
+    first = blocks[1].path(0)
+    assert len(blocks) >= 2 and first == paths[blocks[0].size]
+    stable = stable_along(first, plan, bricks[1])
+    assert result.line() == (
+        "[FAIL] d:brick-stability-equivalence  (12 paths x 10 fixtures; 3 failures, first: "
+        f"mixed5: {_path_str(first)}: stability of {bricks[1].label}: time criterion "
+        f"({stable}) disagrees with interior membership ({not stable}))"
+    )
+
+
+def test_check_d_holds_one_block_whatever_the_path_count(monkeypatch):
+    """tracemalloc's peak of check (d) over 8 blocks of paths per fixture is
+    that of 1 block: the draw holds one block of columns at a time (a second
+    block held while the next is drawn adds about a third)."""
+    monkeypatch.setattr(verify, "BLOCK", 128)
+    checker = Verifier(paths_per_fixture=10, seed=0)
+    checker.check_stability_equivalence()  # per-class plans built outside the measurement
+    peaks = []
+    for blocks in (1, 8):
+        checker.paths = blocks * verify.BLOCK
+        tracemalloc.start()
+        try:
+            checker.check_stability_equivalence()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert all(r.passed for r in checker.results)
+    assert peaks[1] <= peaks[0] * 1.1
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(orient=st.text(alphabet="LR", max_size=3), data=st.data())
+def test_linear_mgs_is_the_walls_of_the_chamber_chain(orient, data):
+    """On type-A classes with n <= 4 and random brick subsets, the relatively
+    stable bricks of a drawn path, in crossing order, are the walls of the
+    chambers it passes through."""
+    catalog = generate_type_a(len(orient) + 1, orient)
+    picks = data.draw(st.sets(st.integers(0, len(catalog.indecs) - 1), min_size=1))
+    cls = ModuleClass(catalog, [catalog.indecs[i].id for i in sorted(picks)])
+    graph = chamber_graph(cls)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    for path in _random_generic_paths(cls, rng, 10, crossing_plan(cls)):
+        chain = _chamber_chain(cls, graph, path)
+        assert chain[0] == graph.source and chain[-1] == graph.sink
+        walls = [next(e.wall_brick for e in graph.out_edges(a) if e.dst == b) for a, b in zip(chain, chain[1:])]
+        assert linear_mgs(cls, path) == walls
