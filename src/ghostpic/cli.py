@@ -51,6 +51,8 @@ def _catalog_from_args(args) -> BrickCatalog:
             "choose exactly one catalog source: --type-a N --orient WORD, "
             "--builtin NAME, or --catalog FILE"
         )
+    if args.orient is not None and args.type_a is None:
+        raise UsageError("--orient is read only with --type-a N")
     if args.type_a is not None:
         if args.orient is None and args.type_a == 1:
             args.orient = ""

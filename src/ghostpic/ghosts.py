@@ -47,8 +47,9 @@ from ghostpic.geometry import Cone
 from ghostpic.greenpaths import (
     Event,
     LinearPath,
+    PathColumns,
     crossing_schedule,
-    stable_along,
+    stable_verdicts,
 )
 from ghostpic.stability import CrossingPlan, Side, build_plan, side_cone
 
@@ -305,15 +306,18 @@ def extension_ghost_domain(cls: ModuleClass, g: Ghost) -> Cone:
 
 
 def ghost_stability(cls: ModuleClass, path: LinearPath, g: Ghost) -> bool:
-    """Crossing-time stability, cross-checked against exact membership of
-    the crossing point in the domain interior; the two must agree.  The
+    """Crossing-time stability (`stable_verdicts` on a block of one path),
+    cross-checked against exact membership of the crossing point in the
+    domain interior; the two must agree.  The
     ghost must be one of `enumerate_ghosts(cls)`: its crossing is read from
     the class's plan."""
     plan = ghost_plan(cls)
     ghost, crossing = plan.ghosts.get(g.key(), (None, None))
     if ghost is not g and ghost != g:
         raise CatalogError(f"{g.display()} is not a ghost of {cls!r}")
-    return stable_along(path, plan, crossing)
+    block = PathColumns.of_paths(cls.catalog.quiver.n, [path])
+    ((stable,),) = stable_verdicts(block, plan, [crossing])
+    return stable
 
 
 def order_concurrent(cls: ModuleClass, ghosts: list[Ghost]) -> list[Ghost]:

@@ -11,19 +11,18 @@ against exact membership of the crossing point in the wall interior.
 Crossings are computed one way only, from a crossing plan
 (`stability.CrossingPlan`), which is also the scope of every genericity
 question: `stability.crossing_plan` for the class bricks, `ghosts.ghost_plan`
-for its bricks and every ghost.  A path computes two index-aligned integer
-lists per plan, hd[i] = H*h.d_i and kd[i] = H*k.d_i, in one pass; genericity
-compares times by one integer key per dim (see `check_generic`), stability
-by cross-multiplying entries of these lists, and neither touches a dim
-tuple; the crossing point of dim i is the integer point
-point_at(-hd[i], kd[i]).  A crossing schedule sorts the plan's schedule rows
-by these keys.
-
-A block of paths (`PathColumns`) holds the same integers as columns, one int
-per path, so that `generic_columns` and `stable_columns` decide genericity
-and stability for every path of the block in a few `map` passes per dim and
-per side.  They give `check_generic`'s and `stable_along`'s verdicts path by
-path; the scalar functions stay for single paths.
+for its bricks and every ghost.  Paths are decided in blocks
+(`PathColumns`), and a single path is a block of one.  A block holds, per
+plan dim i, the columns hd[i][p] = H*h.d_i and kd[i][p] = H*k.d_i of its
+paths p, computed once per plan; one kernel reads them: `generic_columns`
+decides genericity, `time_keys` keys each crossing time by one integer,
+and `stable_columns` decides stability by the time criterion and
+cross-checks it against the interior cone, all in a few `map` passes per
+dim and per side.  No decision touches a dim tuple; the crossing point of
+dim i is the integer point point_at(-hd[i], kd[i]).  The single-path
+entries (`check_generic`, `is_relatively_stable`, `crossing_schedule`,
+`linear_mgs`) read a block of one, and the grid sweep of
+`find_linear_paths` reads a block of grid paths at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
-from operator import add, and_, eq, mul, ne, not_, or_, sub
+from operator import add, and_, eq, floordiv, mul, ne, not_, or_, sub
 from typing import NamedTuple
 
 from ghostpic.catalog import ModuleClass, ModuleSum, per_class
@@ -53,46 +52,34 @@ from ghostpic.stability import (
 
 MGS_GUARD = 10**6
 
+# paths decided at a time: bounds the columns a block holds
+BLOCK = 512
+
 
 class LinearPath:
     """gamma_t = h + t*k with exact coordinates (int or Fraction; a float is
     rejected).  The path keeps only integers, (H*h, H*k) and their least
-    common denominator H, and builds h, k and at() as Fractions when read.
-    Paths are equal when their h and k are.
+    common denominator H (`geometry.integral`), and builds h, k and at() as
+    Fractions when read.  Paths are equal when their h and k are;
+    `point_at` gives integer points on the path."""
 
-    The route is chosen by input type: when every coordinate is exactly an
-    int, h and k are kept as given with H = 1, with no float scan and no
-    `integral` call; otherwise (a Fraction, a bool) the coordinates are
-    checked for floats and made `integral` over their common denominator.
-    Both routes give the same (H*h, H*k, H) for the same values.
-
-    Genericity and stability read, for each crossing plan asked for, the two
-    integer lists hd[i] = H*h.d_i and kd[i] = H*k.d_i over the plan's dims,
-    computed once (`crossings`), and for a generic path the time keys of
-    `check_generic`, kept by plan too; `point_at` gives integer points on the
-    path, the crossing of dim i being point_at(-hd[i], kd[i])."""
-
-    __slots__ = ("_hi", "_ki", "_den", "_lists", "_keys")
+    __slots__ = ("_hi", "_ki", "_den")
 
     def __init__(self, h, k):
         n = len(h)
         if n != len(k):
             raise CatalogError("h and k must have equal length")
-        hk, den = (*h, *k), 1
-        if set(map(type, hk)) != {int}:  # exact ints are kept as given
-            for name, v in (("h", h), ("k", k)):
-                for i, x in enumerate(v):
-                    if isinstance(x, float):
-                        raise CatalogError(f"{name}[{i}] = {x!r} is a float; use int or Fraction")
-            *hk, den = integral((*hk, 1))  # the trailing 1 comes back as H
+        for name, v in (("h", h), ("k", k)):
+            for i, x in enumerate(v):
+                if isinstance(x, float):
+                    raise CatalogError(f"{name}[{i}] = {x!r} is a float; use int or Fraction")
+        *hk, den = integral((*h, *k, 1))  # the trailing 1 comes back as H
         ki = tuple(hk[n:])
         if min(ki, default=1) <= 0:  # H > 0, so ki has the signs of k
             raise CatalogError("all coordinates of k must be strictly positive")
         self._hi: IntVec = tuple(hk[:n])
         self._ki: IntVec = ki
         self._den: int = den
-        self._lists: dict = {}
-        self._keys: dict = {}
 
     @property
     def h(self) -> tuple[Fraction, ...]:
@@ -113,19 +100,6 @@ class LinearPath:
     def __repr__(self):
         return f"LinearPath(h={self.h!r}, k={self.k!r})"
 
-    def crossings(self, plan: CrossingPlan) -> tuple[list[int], list[int]]:
-        """(hd, kd) = (H*h.d, H*k.d) over the dims d of a crossing plan,
-        computed once per plan; a path whose rank is not the plan's is
-        rejected."""
-        lists = self._lists.get(plan)
-        if lists is None:
-            dims, hi, ki = plan.dims, self._hi, self._ki
-            if dims and len(dims[0]) != len(hi):
-                raise CatalogError(f"path of rank {len(hi)} on a class of rank {len(dims[0])}")
-            lists = [sum(map(mul, hi, d)) for d in dims], [sum(map(mul, ki, d)) for d in dims]
-            self._lists[plan] = lists
-        return lists
-
     def at(self, t) -> tuple[Fraction, ...]:
         t = Fraction(t)
         return tuple(a + t * b for a, b in zip(self.h, self.k))
@@ -144,116 +118,16 @@ class Event(NamedTuple):
     concurrent: bool = False
 
 
-def check_generic(path: LinearPath, plan: CrossingPlan) -> tuple[list[int], int]:
-    """Reject paths that cross two non-proportional dims of the plan at the
-    same time (`crossing_plan` for the class bricks and every weakly
-    admissible quotient sum, `ghosts.ghost_plan` for these and every ghost).
-
-    Each dim's time is keyed by one integer, hd[i] * (L // kd[i]) with
-    L = lcm(*kd) (every kd > 0): the time -hd[i]/kd[i] is minus the key over
-    L, so two dims share a key iff they cross together, and a higher key
-    crosses earlier.  Returns the keys, in plan order, and L; the path keeps
-    them, so a second call on the same plan is a lookup.  The Fraction time
-    is built only for the error."""
-    found = path._keys.get(plan)
-    if found is None:
-        hd, kd = path.crossings(plan)
-        ray = plan.ray
-        scale = lcm(*kd)
-        keys = [h * (scale // k) for h, k in zip(hd, kd)]
-        by_time: dict[int, int] = {}  # time key -> first index
-        for i, key in enumerate(keys):
-            first = by_time.setdefault(key, i)
-            if ray[first] != ray[i]:
-                raise NonGenericPathError(plan.names[first], plan.names[i], Fraction(-hd[i], kd[i]))
-        found = path._keys[plan] = keys, scale
-    return found
-
-
-def stable_along(path: LinearPath, plan: CrossingPlan, crossing: Crossing) -> bool:
-    """Stability of an event object along a path: every side crosses before
-    the event, or after it when ``late``.  A side crossing together with the
-    event raises NonGenericPathError; the verdict is cross-validated against
-    membership of the integer crossing point in the interior cone."""
-    hd, kd = path.crossings(plan)
-    e = crossing.event
-    h_e, k_e = hd[e], kd[e]
-    ray = plan.ray
-    by_times = True
-    for i, late, name in crossing.sides:
-        # t_side - t_event = lag / (kd[i]*k_e), and kd[i]*k_e > 0
-        lag = h_e * kd[i] - hd[i] * k_e
-        if lag == 0 and ray[i] != ray[e]:
-            raise NonGenericPathError(crossing.label, name, Fraction(-h_e, k_e))
-        if (lag <= 0) if late else (lag >= 0):
-            by_times = False
-            break
-    by_interior = crossing.interior.contains(path.point_at(-h_e, k_e))
-    if by_times != by_interior:
-        raise disagreement(crossing, by_times)
-    return by_times
-
-
-def disagreement(crossing: Crossing, by_times: bool) -> InternalConsistencyError:
-    """The error of a time verdict that interior membership contradicts."""
-    return InternalConsistencyError(
-        f"stability of {crossing.label}: time criterion ({by_times}) disagrees "
-        f"with interior membership ({not by_times})"
-    )
-
-
-def is_relatively_stable(cls: ModuleClass, path: LinearPath, m: str) -> bool:
-    """True iff t_m exceeds the crossing time of every proper weakly
-    admissible quotient; cross-validated against wall-interior membership."""
-    plan = crossing_plan(cls)
-    crossing = plan.bricks.get(m)
-    if crossing is None:
-        wall(cls, m)  # raises: m is not a brick of the class
-    return stable_along(path, plan, crossing)
-
-
-def crossing_schedule(cls: ModuleClass, path: LinearPath, include_ghosts: bool = False) -> tuple[Event, ...]:
-    """Time-sorted crossing events of all class bricks (and, optionally, the
-    subobject and quotient ghosts) with their stability flags, read from one
-    plan (the ghost plan holds every brick crossing too) in one pass.
-
-    The plan's schedule rows are sorted by falling `check_generic` time key,
-    a brick before the ghosts of its time.  On a path generic for the plan,
-    ghosts cross together iff their dims share a ray, so the ghost plan
-    groups and orders its `concurrent` ghosts once per class.  Extension
-    ghosts are left out: they cross with their middle brick, which the
-    schedule reports."""
-    if include_ghosts:
-        from ghostpic.ghosts import ghost_plan
-    plan = ghost_plan(cls) if include_ghosts else crossing_plan(cls)
-    keys, scale = check_generic(path, plan)
-    rows = sorted(plan.schedule, key=lambda row: (-keys[row[0].event], row[1] == "ghost"))
-    return tuple(
-        Event(Fraction(-keys[c.event], scale), kind, c.label, stable_along(path, plan, c), concurrent)
-        for c, kind, concurrent in rows
-    )
-
-
-def linear_mgs(cls: ModuleClass, path: LinearPath) -> list[str]:
-    """The relatively stable bricks (each verdict cross-validated by
-    `stable_along`) in crossing order: by falling `check_generic` time key,
-    which no two bricks share on a generic path."""
-    plan = crossing_plan(cls)
-    keys, _ = check_generic(path, plan)
-    stable = [c for c in plan.bricks.values() if stable_along(path, plan, c)]
-    return [c.label for c in sorted(stable, key=lambda c: -keys[c.event])]
-
-
 # ---------------------------------------------------------------------------
-# Blocks of paths in columns.
+# Blocks of paths in columns: the one crossing kernel.
 # ---------------------------------------------------------------------------
 
 
 class PathColumns:
     """A block of linear paths as columns: h[j][p] and k[j][p] are the
     coordinate j of H*h and H*k of path p, integers with every k[j][p] > 0
-    (a path's common denominator H scales no verdict).  Like a path, a block
-    computes its crossing columns once per plan."""
+    (a path's common denominator H scales no verdict).  A block computes
+    its crossing columns once per plan."""
 
     __slots__ = ("h", "k", "size", "_lists")
 
@@ -285,8 +159,9 @@ class PathColumns:
         return out
 
     def crossings(self, plan: CrossingPlan) -> tuple[list[list[int]], list[list[int]]]:
-        """The columns of `LinearPath.crossings`: hd[i][p] and kd[i][p] for
-        each plan dim i, computed once per plan."""
+        """hd[i][p] = H*h.d_i and kd[i][p] = H*k.d_i for each plan dim d_i,
+        computed once per plan; a path whose rank is not the plan's is
+        rejected."""
         lists = self._lists.get(plan)
         if lists is None:
             dims = plan.dims
@@ -310,8 +185,8 @@ def _combination(row, cols: list[list[int]], size: int):
 
 
 def generic_columns(block: PathColumns, plan: CrossingPlan) -> list[bool]:
-    """`check_generic`'s decision for every path of the block: True where no
-    two non-proportional dims of the plan cross together.  As every kd > 0,
+    """The genericity of every path of the block: True where no two
+    non-proportional dims of the plan cross together.  As every kd > 0,
     dims i and j cross together iff hd[i]*kd[j] == hd[j]*kd[i]; proportional
     dims cross together on every path, so one dim per ray is compared."""
     hd, kd = block.crossings(plan)
@@ -323,18 +198,30 @@ def generic_columns(block: PathColumns, plan: CrossingPlan) -> list[bool]:
     return list(map(not_, clash))
 
 
+def time_keys(block: PathColumns, plan: CrossingPlan) -> tuple[list[list[int]], list[int]]:
+    """The crossing time of each plan dim on every path of the block keyed
+    by one integer, key[i][p] = hd[i][p] * (L[p] // kd[i][p]) with L[p] the
+    lcm of the path's kd (every kd > 0): the time -hd/kd is minus the key
+    over L, so two dims share a key iff they cross together, and a higher
+    key crosses earlier.  Returns the key columns, in plan order, and L."""
+    hd, kd = block.crossings(plan)
+    scale = list(map(lcm, *kd)) if kd else [1] * block.size
+    return [list(map(mul, h, map(floordiv, scale, k))) for h, k in zip(hd, kd)], scale
+
+
 # x == 0, x >= 0, x > 0 and x < 0 as C calls on a column
 _ZERO, _NONNEGATIVE, _POSITIVE, _NEGATIVE = (0).__eq__, (0).__le__, (0).__lt__, (0).__gt__
 
 
 def stable_columns(block: PathColumns, plan: CrossingPlan, crossing: Crossing) -> tuple[list[bool], list[int]]:
-    """`stable_along` for every path of the block: the time verdicts, and
-    the indices of the paths whose integer crossing point's membership in
-    the interior cone disagrees with them.  The lag of each side is one
-    column; a path whose first failing side crosses together with the event,
-    their dims not proportional, raises the NonGenericPathError that
-    `stable_along` raises on it, for the first such path of the block.  The
-    membership is read from the cone's own rows, not from the plan's dims."""
+    """Stability of an event object along every path of the block: the time
+    verdicts (every side crosses before the event, or after it when
+    ``late``), and the indices of the paths whose integer crossing point's
+    membership in the interior cone disagrees with them.  The lag of each
+    side is one column; a path whose first failing side crosses together
+    with the event, their dims not proportional, raises NonGenericPathError,
+    for the first such path of the block.  The membership is read from the
+    cone's own rows, not from the plan's dims."""
     hd, kd = block.crossings(plan)
     e = crossing.event
     h_e, k_e = hd[e], kd[e]
@@ -361,6 +248,121 @@ def stable_columns(block: PathColumns, plan: CrossingPlan, crossing: Crossing) -
         for r in rows:
             inside = list(map(and_, inside, map(holds, _combination(r, point, block.size))))
     return by_times, list(itertools.compress(itertools.count(), map(ne, by_times, inside)))
+
+
+def disagreement(crossing: Crossing, by_times: bool) -> InternalConsistencyError:
+    """The error of a time verdict that interior membership contradicts."""
+    return InternalConsistencyError(
+        f"stability of {crossing.label}: time criterion ({by_times}) disagrees "
+        f"with interior membership ({not by_times})"
+    )
+
+
+def stable_verdicts(block: PathColumns, plan: CrossingPlan, crossings) -> list[list[bool]]:
+    """The `stable_columns` verdicts of each crossing on the block, in
+    order; a disagreement raises, for the first path that has one, at its
+    first such crossing."""
+    verdicts, bad = [], None
+    for c in crossings:
+        by_times, disagree = stable_columns(block, plan, c)
+        if disagree and (bad is None or disagree[0] < bad[0]):
+            bad = disagree[0], c, by_times[disagree[0]]
+        verdicts.append(by_times)
+    if bad is not None:
+        raise disagreement(bad[1], bad[2])
+    return verdicts
+
+
+def mgs_columns(block: PathColumns, plan: CrossingPlan, keys) -> list[tuple[str, ...]]:
+    """The linear MGS of every path of a block generic for the plan: its
+    relatively stable bricks (`stable_verdicts`) by falling time key (the
+    columns `time_keys` gives), which no two bricks share on a generic
+    path."""
+    bricks = list(plan.bricks.values())
+    verdicts = stable_verdicts(block, plan, bricks)
+    return [
+        tuple(
+            c.label
+            for c in sorted(
+                itertools.compress(bricks, [v[p] for v in verdicts]), key=lambda c: -keys[c.event][p]
+            )
+        )
+        for p in range(block.size)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Single paths: blocks of one.
+# ---------------------------------------------------------------------------
+
+
+def _generic_one(path: LinearPath, plan: CrossingPlan):
+    """The block of one path, with its `time_keys`, for a path generic for
+    the plan; otherwise NonGenericPathError names the first clash in plan
+    order: the first dim whose key an earlier dim of another ray shares,
+    with its time."""
+    block = PathColumns.of_paths(len(path._hi), [path])
+    keys, scale = time_keys(block, plan)
+    if not generic_columns(block, plan)[0]:
+        by_time: dict[int, int] = {}  # time key -> first index
+        for i, (key,) in enumerate(keys):
+            first = by_time.setdefault(key, i)
+            if plan.ray[first] != plan.ray[i]:
+                hd, kd = block.crossings(plan)
+                raise NonGenericPathError(plan.names[first], plan.names[i], Fraction(-hd[i][0], kd[i][0]))
+    return block, keys, scale
+
+
+def check_generic(path: LinearPath, plan: CrossingPlan) -> tuple[list[int], int]:
+    """Reject paths that cross two non-proportional dims of the plan at the
+    same time (`crossing_plan` for the class bricks and every weakly
+    admissible quotient sum, `ghosts.ghost_plan` for these and every ghost).
+    Returns the path's `time_keys`, in plan order, and their L."""
+    _, keys, (scale,) = _generic_one(path, plan)
+    return [key for key, in keys], scale
+
+
+def is_relatively_stable(cls: ModuleClass, path: LinearPath, m: str) -> bool:
+    """True iff t_m exceeds the crossing time of every proper weakly
+    admissible quotient; cross-validated against wall-interior membership."""
+    plan = crossing_plan(cls)
+    crossing = plan.bricks.get(m)
+    if crossing is None:
+        wall(cls, m)  # raises: m is not a brick of the class
+    block = PathColumns.of_paths(cls.catalog.quiver.n, [path])
+    ((stable,),) = stable_verdicts(block, plan, [crossing])
+    return stable
+
+
+def crossing_schedule(cls: ModuleClass, path: LinearPath, include_ghosts: bool = False) -> tuple[Event, ...]:
+    """Time-sorted crossing events of all class bricks (and, optionally, the
+    subobject and quotient ghosts) with their stability flags, read from one
+    plan (the ghost plan holds every brick crossing too) in one pass.
+
+    The plan's schedule rows are sorted by falling time key, a brick before
+    the ghosts of its time.  On a path generic for the plan, ghosts cross
+    together iff their dims share a ray, so the ghost plan groups and orders
+    its `concurrent` ghosts once per class.  Extension ghosts are left out:
+    they cross with their middle brick, which the schedule reports."""
+    if include_ghosts:
+        from ghostpic.ghosts import ghost_plan
+    plan = ghost_plan(cls) if include_ghosts else crossing_plan(cls)
+    block, keys, (scale,) = _generic_one(path, plan)
+    rows = sorted(plan.schedule, key=lambda row: (-keys[row[0].event][0], row[1] == "ghost"))
+    verdicts = stable_verdicts(block, plan, [c for c, _, _ in rows])
+    return tuple(
+        Event(Fraction(-keys[c.event][0], scale), kind, c.label, stable, concurrent)
+        for (c, kind, concurrent), (stable,) in zip(rows, verdicts)
+    )
+
+
+def linear_mgs(cls: ModuleClass, path: LinearPath) -> list[str]:
+    """The relatively stable bricks (each verdict cross-validated against
+    interior membership) in crossing order: `mgs_columns` on a block of
+    one."""
+    plan = crossing_plan(cls)
+    block, keys, _ = _generic_one(path, plan)
+    return list(mgs_columns(block, plan, keys)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -571,24 +573,24 @@ def find_linear_paths(
     MGS: the first grid path whose linear MGS is the target, or None when no
     grid path matches (not every MGS is linear).
 
-    The sweep stops once every target has a path, so it visits exactly the
-    grid points that separate searches for each target would visit together.
+    The grid is decided in order, a block of at most BLOCK paths at a time:
+    the non-generic paths are dropped by the block's mask and the others
+    read their MGS from `mgs_columns`.  The sweep stops after the block that
+    holds the last target's path; an interior disagreement in a decided
+    block raises for its first path in grid order.
     """
     found: dict[tuple[str, ...], LinearPath | None] = {tuple(t): None for t in targets}
     missing = len(found)
-    if not missing:
-        return found
-    for h, k in _search_grid(cls.catalog.quiver.n, radius):
-        path = LinearPath(h, k)
-        try:
-            walls = tuple(linear_mgs(cls, path))
-        except NonGenericPathError:
-            continue
-        if walls in found and found[walls] is None:
-            found[walls] = path
-            missing -= 1
-            if not missing:
-                break
+    n, plan = cls.catalog.quiver.n, crossing_plan(cls)
+    grid = _search_grid(n, radius)
+    while missing and (rows := list(itertools.islice(grid, BLOCK))):
+        block = PathColumns.of_rows(n, *zip(*rows))
+        block = block.select(generic_columns(block, plan))
+        keys, _ = time_keys(block, plan)
+        for p, walls in enumerate(mgs_columns(block, plan, keys)):
+            if walls in found and found[walls] is None:
+                found[walls] = block.path(p)
+                missing -= 1
     return found
 
 

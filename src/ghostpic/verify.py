@@ -24,9 +24,9 @@ from ghostpic.ghosts import (
     mgs_with_ghosts,
 )
 from ghostpic.greenpaths import (
+    BLOCK,
     LinearPath,
     PathColumns,
-    check_generic,
     check_hn_minimality,
     check_mgs_maximality,
     check_relative_hom_orthogonality,
@@ -34,8 +34,9 @@ from ghostpic.greenpaths import (
     enumerate_mgs,
     generic_columns,
     hn_stratification,
-    linear_mgs,
+    mgs_columns,
     stable_columns,
+    time_keys,
 )
 from ghostpic.stability import (
     ChamberGraph,
@@ -114,10 +115,6 @@ def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
     return out
 
 
-# candidate paths drawn at a time: bounds the columns held, whatever the count
-BLOCK = 512
-
-
 def _generic_blocks(cls: ModuleClass, rng: random.Random, count: int, plan: CrossingPlan):
     """Yield blocks (`PathColumns`) of count paths in all, with integer h
     and k drawn from rng and generic for the plan, in draw order.  Each
@@ -148,26 +145,12 @@ def _generic_block(n: int, rng: random.Random, count: int, plan: CrossingPlan) -
     return candidates.select(generic_columns(candidates, plan))
 
 
-def _random_generic_paths(cls: ModuleClass, rng: random.Random, count: int, plan: CrossingPlan):
-    """Yield the count paths of `_generic_blocks` one at a time, each with
-    its `check_generic` keys for the plan, which the consumer reads.  The
-    paths are drawn a block at a time; a consumer that draws nothing else
-    from rng between paths sees the same draws as from a list."""
-    for block in _generic_blocks(cls, rng, count, plan):
-        for p in range(block.size):
-            path = block.path(p)
-            check_generic(path, plan)
-            yield path
-
-
-def _chamber_chain(cls: ModuleClass, graph: ChamberGraph, path: LinearPath) -> list[int]:
+def _chamber_chain(graph: ChamberGraph, path: LinearPath, keys: list[int], scale: int) -> list[int]:
     """Chambers a generic path passes through, in order: located at a probe
     before the first brick crossing, between each two consecutive ones and
     after the last, each probe an integer point on the path's ray.  Brick
-    time t is -key/L over the `check_generic` keys and their L."""
-    plan = crossing_plan(cls)
-    keys, scale = check_generic(path, plan)
-    times = sorted(-keys[c.event] for c in plan.bricks.values())
+    time t is -key/L over the path's `time_keys` of the bricks and their L."""
+    times = sorted(-key for key in keys)
     probes = [(times[0] - scale, scale)]
     probes += [(a + b, 2 * scale) for a, b in zip(times, times[1:])]
     probes.append((times[-1] + scale, scale))
@@ -430,24 +413,28 @@ class Verifier:
                 all_mgs = {m.walls for m in enumerate_mgs(cls, graph)}
             except GuardExceededError:
                 all_mgs = None
-            for path in _random_generic_paths(cls, rng, count, crossing_plan(cls)):
-                stable = tuple(linear_mgs(cls, path))
-                chain = _chamber_chain(cls, graph, path)
-                if chain[0] != graph.source or chain[-1] != graph.sink:
-                    fails.add(f"{name}: {_path_str(path)}: chamber chain {chain} misses an end")
-                    continue
-                walls_crossed = []
-                for a, b in zip(chain, chain[1:]):
-                    edge = next((e for e in graph.out_edges(a) if e.dst == b), None)
-                    if edge is None:
-                        fails.add(f"{name}: {_path_str(path)}: no edge from chamber {a} to {b}")
-                        break
-                    walls_crossed.append(edge.wall_brick)
-                else:
-                    if tuple(walls_crossed) != stable:
-                        fails.add(f"{name}: {_path_str(path)}: walls {walls_crossed}, MGS {stable}")
-                if all_mgs is not None and stable not in all_mgs:
-                    fails.add(f"{name}: {_path_str(path)}: linear MGS {stable} is not enumerated")
+            plan = crossing_plan(cls)
+            for block in _generic_blocks(cls, rng, count, plan):
+                keys, scale = time_keys(block, plan)
+                bricks = [keys[c.event] for c in plan.bricks.values()]
+                for p, stable in enumerate(mgs_columns(block, plan, keys)):
+                    path = block.path(p)
+                    chain = _chamber_chain(graph, path, [key[p] for key in bricks], scale[p])
+                    if chain[0] != graph.source or chain[-1] != graph.sink:
+                        fails.add(f"{name}: {_path_str(path)}: chamber chain {chain} misses an end")
+                        continue
+                    walls_crossed = []
+                    for a, b in zip(chain, chain[1:]):
+                        edge = next((e for e in graph.out_edges(a) if e.dst == b), None)
+                        if edge is None:
+                            fails.add(f"{name}: {_path_str(path)}: no edge from chamber {a} to {b}")
+                            break
+                        walls_crossed.append(edge.wall_brick)
+                    else:
+                        if tuple(walls_crossed) != stable:
+                            fails.add(f"{name}: {_path_str(path)}: walls {walls_crossed}, MGS {stable}")
+                    if all_mgs is not None and stable not in all_mgs:
+                        fails.add(f"{name}: {_path_str(path)}: linear MGS {stable} is not enumerated")
         self.record("paths:linear-mgs-traverse-graph", fails)
 
     # unstable objects above zero admit a semistable admissible subobject

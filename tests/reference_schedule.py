@@ -8,14 +8,15 @@ from fractions import Fraction
 from math import lcm
 
 from ghostpic.ghosts import EXTENSION, ghost_plan, order_concurrent
-from ghostpic.greenpaths import Event, check_generic, stable_along
+from ghostpic.greenpaths import Event
 from ghostpic.stability import crossing_plan
+from reference_paths import reference_check_generic, reference_crossings, reference_stable_along
 
 
 def reference_ghost_events(cls, path) -> list[Event]:
     plan = ghost_plan(cls)
-    check_generic(path, plan)
-    hd, kd = path.crossings(plan)
+    reference_check_generic(path, plan)
+    hd, kd = reference_crossings(path, plan)
     scale = lcm(*kd)
     by_time: dict[int, list] = {}
     for g, c in plan.ghosts.values():
@@ -31,7 +32,7 @@ def reference_ghost_events(cls, path) -> list[Event]:
                     t=Fraction(-hd[c.event], kd[c.event]),
                     kind="ghost",
                     label=c.label,
-                    stable=stable_along(path, plan, c),
+                    stable=reference_stable_along(path, plan, c),
                     concurrent=len(group) > 1,
                 )
             )
@@ -44,15 +45,15 @@ def reference_schedule(cls, path, include_ghosts=False) -> tuple[Event, ...]:
         ghost_evts = reference_ghost_events(cls, path)
     else:
         plan = crossing_plan(cls)
-        check_generic(path, plan)
+        reference_check_generic(path, plan)
         ghost_evts = []
-    hd, kd = path.crossings(plan)
+    hd, kd = reference_crossings(path, plan)
     events = [
         Event(
             t=Fraction(-hd[c.event], kd[c.event]),
             kind="brick",
             label=b,
-            stable=stable_along(path, plan, c),
+            stable=reference_stable_along(path, plan, c),
         )
         for b, c in plan.bricks.items()
     ]

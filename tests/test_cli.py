@@ -292,6 +292,20 @@ class TestMalformedInput:
             assert out == ""
             assert err.count("\n") == 1 and "GHOSTPIC_GUARD" in err
 
+    @pytest.mark.parametrize(
+        "source", [("--builtin", "kronecker"), ("--catalog", "kronecker.json")], ids=["builtin", "catalog"]
+    )
+    def test_orient_without_type_a_is_usage_error(self, capsys, tmp_path, monkeypatch, source):
+        """--orient names a type-A orientation: with another catalog source
+        it is refused, not ignored."""
+        _, catalog, _ = run(capsys, "catalog", "--builtin", "kronecker")
+        (tmp_path / "kronecker.json").write_text(catalog)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "chambers", *source, "--orient", "LL")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --orient is read only with --type-a N\n"
+
     @pytest.mark.parametrize("h", ["1,2,x", "1,2,1/0"])
     def test_non_rational_vector_is_usage_error(self, capsys, h):
         code, out, err = run(

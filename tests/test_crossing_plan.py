@@ -31,15 +31,17 @@ from ghostpic.ghosts import (
     ghost_stability,
     order_concurrent,
 )
+from ghostpic import greenpaths
 from ghostpic.greenpaths import (
     LinearPath,
+    PathColumns,
     check_generic,
     crossing_schedule,
     is_relatively_stable,
     linear_mgs,
-    stable_along,
 )
 from ghostpic.stability import chamber_graph, crossing_plan, locate_chamber, semistable_set, wall
+from reference_paths import drawn_paths, reference_crossings
 from reference_schedule import reference_ghost_events, reference_schedule
 from reference_vectors import dot
 
@@ -125,10 +127,10 @@ def fixture_paths(draw):
 
 
 def routes(h, k):
-    """The drawn integer path by both construction routes, each with the
-    values the reference reads: the ints as drawn (kept as given), the same
-    values as Fractions, and h/3, k/2 as Fractions (H = 6; every time is
-    scaled by 2/3, so the order of crossings and every verdict are the same)."""
+    """The drawn integer path given three ways, each with the values the
+    reference reads: the ints as drawn, the same values as Fractions, and
+    h/3, k/2 as Fractions (H = 6; every time is scaled by 2/3, so the order
+    of crossings and every verdict are the same)."""
     yield h, k
     yield tuple(map(Fraction, h)), tuple(map(Fraction, k))
     yield tuple(Fraction(x, 3) for x in h), tuple(Fraction(x, 2) for x in k)
@@ -191,17 +193,25 @@ class TestPlanMatchesFractionReference:
         ints = LinearPath((2, -3, 1), (1, 2, 3))
         halves = LinearPath(tuple(Fraction(x, 2) for x in ints.h), tuple(Fraction(x, 2) for x in ints.k))
         plan = crossing_plan(cls)
-        assert ints.crossings(plan) == halves.crossings(plan)
-        assert ints.crossings(plan) is ints.crossings(plan)  # computed once
+        block = PathColumns.of_paths(3, [ints])
+        assert block.crossings(plan) == PathColumns.of_paths(3, [halves]).crossings(plan)
+        assert block.crossings(plan) is block.crossings(plan)  # computed once
 
     @pytest.mark.parametrize("name", ["torsion4", "case2", "kronecker"])
-    def test_a_schedule_with_ghosts_computes_one_pair_of_lists(self, name):
+    def test_a_schedule_with_ghosts_computes_one_pair_of_lists(self, monkeypatch, name):
         """The ghost plan holds every brick crossing too, so a schedule with
         ghosts reads its bricks and its ghosts from one pair of lists."""
         cls = FIXTURES[name]
-        path = next(verify._random_generic_paths(cls, verify.random.Random(7), 1, ghost_plan(cls)))
+        path = next(drawn_paths(cls, verify.random.Random(7), 1, ghost_plan(cls)))
+        read, crossings = [], PathColumns.crossings
+
+        def counted(block, plan):
+            read.append((block, plan))
+            return crossings(block, plan)
+
+        monkeypatch.setattr(PathColumns, "crossings", counted)
         crossing_schedule(cls, path, include_ghosts=True)
-        assert list(path._lists) == [ghost_plan(cls)]
+        assert {(id(block), plan) for block, plan in read} == {(id(read[0][0]), ghost_plan(cls))}
 
 
 class TestRank:
@@ -243,8 +253,8 @@ class TestDots:
         plan = crossing_plan(self.CLASSES[rank])
         h = data.draw(st.tuples(*[st.integers(-9, 9)] * rank))
         k = data.draw(st.tuples(*[st.integers(1, 9)] * rank))
-        path = LinearPath(h, k)
-        hd, kd = path.crossings(plan)
+        hd, kd = PathColumns.of_paths(rank, [LinearPath(h, k)]).crossings(plan)
+        hd, kd = [a for a, in hd], [b for b, in kd]
         assert hd == [int_dot(h, d) for d in plan.dims]
         assert kd == [int_dot(k, d) for d in plan.dims]
         for d, h_d, k_d in zip(plan.dims, hd, kd):
@@ -253,32 +263,34 @@ class TestDots:
 
 class TestInteriorCrossCheck:
     @pytest.mark.parametrize("name", ["torsion4", "case2", "kronecker"])
-    def test_a_cone_that_disagrees_raises(self, name):
+    def test_a_cone_that_disagrees_raises(self, monkeypatch, name):
         """An interior that excludes the crossing point of a stable event, or
         contains that of an unstable one, is caught by the second reading."""
         cls = FIXTURES[name]
         plan = crossing_plan(cls)
-        path = next(verify._random_generic_paths(cls, verify.random.Random(5), 1, plan))
-        hd, kd = path.crossings(plan)
+        path = next(drawn_paths(cls, verify.random.Random(5), 1, plan))
+        hd, kd = reference_crossings(path, plan)
         for b, crossing in plan.bricks.items():
             point = path.point_at(-hd[crossing.event], kd[crossing.event])
-            stable = stable_along(path, plan, crossing)
+            stable = is_relatively_stable(cls, path, b)
             excluding = Cone(len(point), strict=(tuple(-x for x in point),))
             wrong = excluding if stable else Cone(len(point))
             assert wrong.contains(point) is not stable
-            with pytest.raises(InternalConsistencyError, match=f"stability of {b}"):
-                stable_along(path, plan, crossing._replace(interior=wrong))
+            with monkeypatch.context() as m:
+                m.setitem(plan.bricks, b, crossing._replace(interior=wrong))
+                with pytest.raises(InternalConsistencyError, match=f"stability of {b}"):
+                    is_relatively_stable(cls, path, b)
 
     def test_linear_mgs_keeps_the_cross_check(self, monkeypatch):
         """A brick interior that disagrees with the time verdict makes
         `linear_mgs` raise, stable brick or not."""
         cls = FIXTURES["torsion4"]
         plan = crossing_plan(cls)
-        path = next(verify._random_generic_paths(cls, verify.random.Random(5), 1, plan))
-        hd, kd = path.crossings(plan)
+        path = next(drawn_paths(cls, verify.random.Random(5), 1, plan))
+        hd, kd = reference_crossings(path, plan)
         for b, crossing in plan.bricks.items():
             point = path.point_at(-hd[crossing.event], kd[crossing.event])
-            stable = stable_along(path, plan, crossing)
+            stable = is_relatively_stable(cls, path, b)
             excluding = Cone(len(point), strict=(tuple(-x for x in point),))
             wrong = excluding if stable else Cone(len(point))
             with monkeypatch.context() as m:
@@ -319,7 +331,7 @@ class TestGhostOfTheClass:
         the same, a ghost with the same key and another domain is refused."""
         cls, twin = FIXTURES["kronecker"], verify.standard_fixtures()["kronecker"]
         ghosts = enumerate_ghosts(cls)
-        path = next(verify._random_generic_paths(cls, verify.random.Random(3), 1, ghost_plan(cls)))
+        path = next(drawn_paths(cls, verify.random.Random(3), 1, ghost_plan(cls)))
         for g, other in zip(ghosts, enumerate_ghosts(twin)):
             assert other is not g and other == g
             assert ghost_stability(cls, path, other) == ghost_stability(cls, path, g)
@@ -356,11 +368,14 @@ class TestExactCoordinates:
 
 
 class TestWorkCounts:
-    """What a path and a verify pass do, counted, not timed: an int path is
-    stored as given, and checks (d) and (e) resolve their plan once per
-    fixture, not once per (path, object)."""
+    """What a path, a block and a verify pass do, counted, not timed: a path
+    is made integral once, a block computes its crossings once per plan, and
+    checks (d) and (e) resolve their plan once per fixture, not once per
+    (path, object)."""
 
-    def test_an_int_path_never_calls_integral(self, monkeypatch):
+    def test_every_path_is_made_integral_once(self, monkeypatch):
+        """A path has one construction route, whatever its coordinates: one
+        `integral` call over (h, k, 1)."""
         calls = []
 
         def counted(v):
@@ -368,13 +383,10 @@ class TestWorkCounts:
             return integral(v)
 
         monkeypatch.setattr("ghostpic.greenpaths.integral", counted)
-        cls = FIXTURES["case2"]
-        for path in verify._random_generic_paths(cls, verify.random.Random(1), 20, crossing_plan(cls)):
-            linear_mgs(cls, path)
-        assert calls == []
-        LinearPath((Fraction(1, 2), 0, -2), (1, 1, 1))
-        LinearPath((True, 0, -2), (1, 1, 1))
-        assert len(calls) == 2
+        given = [((3, 0, -2), (1, 4, 1)), ((Fraction(1, 2), 0, -2), (1, 1, 1)), ((True, 0, -2), (1, 1, 1))]
+        for h, k in given:
+            LinearPath(h, k)
+        assert calls == [(*h, *k, 1) for h, k in given]
 
     @pytest.mark.parametrize(
         "check, fetch",
@@ -436,7 +448,7 @@ class TestWorkCounts:
 
     @staticmethod
     def count_scans(monkeypatch):
-        """Count the genericity scans: each one takes the lcm of its kd."""
+        """Count the paths keyed: `time_keys` takes the lcm of each path's kd."""
         scans = []
 
         def counted(*kd):
@@ -446,51 +458,65 @@ class TestWorkCounts:
         monkeypatch.setattr("ghostpic.greenpaths.lcm", counted)
         return scans
 
-    def test_a_second_genericity_check_is_a_lookup(self, monkeypatch):
-        """`check_generic` keeps the keys of a generic path by plan: a second
-        call on the same (path, plan), and a schedule after it, scan nothing;
-        a non-generic path is scanned, and refused, on every call."""
-        scans = self.count_scans(monkeypatch)
+    def test_a_block_computes_its_crossings_once_per_plan(self, monkeypatch):
+        """The mask, the keys, every stability verdict and the MGS of a block
+        read its crossing columns, computed once per plan, and a selection
+        keeps them; a schedule keys its path once."""
         cls = FIXTURES["case2"]
         plan = ghost_plan(cls)
-        path = next(verify._random_generic_paths(cls, verify.random.Random(2), 1, plan))
+        paths = list(drawn_paths(cls, verify.random.Random(2), 20, plan))
+        block = PathColumns.of_paths(3, paths)
+        reads, combination = [], greenpaths._combination
+
+        def counted(row, cols, size):
+            reads.append(cols is block.h or cols is block.k)
+            return combination(row, cols, size)
+
+        monkeypatch.setattr(greenpaths, "_combination", counted)
+        mask = greenpaths.generic_columns(block, plan)
+        keys, _ = greenpaths.time_keys(block, plan)
+        crossings = [c for c, _, _ in plan.schedule]
+        greenpaths.stable_verdicts(block, plan, crossings)
+        greenpaths.mgs_columns(block, plan, keys)
+        assert all(mask) and reads.count(True) == 2 * len(plan.dims)
+        kept = block.select(mask)
+        assert kept.crossings(plan) == block.crossings(plan) and kept.size == block.size
+        assert reads.count(True) == 2 * len(plan.dims)
+        scans = self.count_scans(monkeypatch)
+        crossing_schedule(cls, paths[0], include_ghosts=True)
         assert len(scans) == 1
-        assert check_generic(path, plan) is check_generic(path, plan)
-        crossing_schedule(cls, path, include_ghosts=True)
-        assert len(scans) == 1
-        fresh = LinearPath(path.h, path.k)
-        crossing_schedule(cls, fresh, include_ghosts=True)  # one decision per schedule
-        assert len(scans) == 2
-        zero = LinearPath((0, 0, 0), (1, 1, 1))
-        for _ in range(2):
-            with pytest.raises(NonGenericPathError):
-                check_generic(zero, plan)
-        assert len(scans) == 4
 
     def test_the_paths_check_decides_each_drawn_path_once(self, monkeypatch):
-        """In the paths-vs-graph check the draw's genericity scan is the only
-        one: `linear_mgs` and the chamber chain read its keys.  The refused
-        candidates are refused by the block's mask, which scans nothing."""
+        """In the paths-vs-graph check the draw's mask is the one genericity
+        decision, made once per candidate, and each kept path is keyed once:
+        its MGS and its chamber chain read the block's keys.  The refused
+        candidates are refused by the mask, which keys nothing."""
         scans = self.count_scans(monkeypatch)
-        drawn, candidates = [], []
-        draw_paths, randints = verify._random_generic_paths, verify._randints
+        drawn, candidates, decided = [], [], []
+        draw_blocks, randints, mask = verify._generic_blocks, verify._randints, verify.generic_columns
 
-        def counted_paths(*args):
-            for path in draw_paths(*args):
-                drawn.append(path)
-                yield path
+        def counted_mask(block, plan):
+            decided.append(block.size)
+            return mask(block, plan)
+
+        def counted_blocks(*args):
+            for block in draw_blocks(*args):
+                drawn.extend(block.path(p) for p in range(block.size))
+                yield block
 
         def counted_draws(rng, lo, hi, count):
             candidates.append((lo, hi))
             return randints(rng, lo, hi, count)
 
-        monkeypatch.setattr(verify, "_random_generic_paths", counted_paths)
+        monkeypatch.setattr(verify, "_generic_blocks", counted_blocks)
         monkeypatch.setattr(verify, "_randints", counted_draws)
+        monkeypatch.setattr(verify, "generic_columns", counted_mask)
+        monkeypatch.setattr(greenpaths, "_generic_one", None)  # no single-path decision
         checker = verify.Verifier(paths_per_fixture=100, seed=0)
         checker.check_linear_paths_vs_graph()
         assert [r.passed for r in checker.results] == [True]
         assert len(drawn) == 10 * len(checker.fixtures)
-        assert candidates.count((1, 9)) > len(drawn)  # some draws were refused
+        assert sum(decided) == candidates.count((1, 9)) > len(drawn)  # some draws were refused
         assert len(scans) == len(drawn)
 
     def test_the_admissible_check_reads_each_bricks_subobjects_once(self, monkeypatch):
@@ -583,7 +609,7 @@ class TestOneSchedule:
         once per class: a schedule on a second path reads its rows."""
         case1 = FIXTURES["case1"]
         cls = ModuleClass(case1.catalog, case1.bricks)  # a fresh class: no plan yet
-        first, second = verify._random_generic_paths(cls, verify.random.Random(0), 2, ghost_plan(case1))
+        first, second = drawn_paths(cls, verify.random.Random(0), 2, ghost_plan(case1))
         groups = []
 
         def counted(cls, ghosts):

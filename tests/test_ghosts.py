@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghostpic.catalog import ModuleClass, ModuleSum, dump_catalog, generate_type_a
+from ghostpic.catalog import ModuleClass, ModuleSum, dump_catalog, generate_type_a, load_catalog
 from ghostpic.errors import CatalogError
 from ghostpic.geometry import Cone, cone_contains_cone, cone_equal, feasible_point
 from ghostpic.ghosts import (
@@ -40,6 +40,11 @@ def ghost_by(cls_ghosts, kind, a, b):
 @cache
 def type_a(n, orient):
     return generate_type_a(n, orient)
+
+
+@cache
+def loaded_type_a(n, orient):
+    return load_catalog(dump_catalog(generate_type_a(n, orient)))
 
 
 def a3_classes(orient):
@@ -469,6 +474,21 @@ class TestDuality:
         keys = [g.key() for g in enumerate_ghosts(torsion4)]
         assert [double.transport_key(duality.transport_key(k)) for k in keys] == keys
         assert [g.key() for g in enumerate_ghosts(double.dual_class)] == keys
+
+    @settings(max_examples=75, deadline=None, derandomize=True)
+    @given(orient=st.text(alphabet="LR", max_size=3), data=st.data())
+    def test_the_double_dual_of_a_loaded_class_is_the_class(self, orient, data):
+        """Over a catalog read back from its dump, with n <= 4 and a random
+        brick subset: the class dualized twice has the class's ghost keys,
+        and each ghost's domain is its twin's."""
+        catalog = loaded_type_a(len(orient) + 1, orient)
+        picks = data.draw(st.sets(st.integers(0, len(catalog.indecs) - 1), min_size=1))
+        cls = ModuleClass(catalog, [catalog.indecs[i].id for i in sorted(picks)])
+        double = dualize(dualize(cls).dual_class).dual_class
+        ghosts = {g.key(): g for g in enumerate_ghosts(cls)}
+        twins = {g.key(): g for g in enumerate_ghosts(double)}
+        assert list(twins) == list(ghosts)
+        assert all(cone_equal(twins[key].domain, g.domain) for key, g in ghosts.items())
 
     def test_one_opposite_per_catalog(self, torsion4):
         assert dualize(torsion4).dual_class.catalog is dualize(torsion4).dual_class.catalog

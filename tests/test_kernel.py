@@ -22,7 +22,7 @@ from ghostpic.geometry import (
     integral,
 )
 from ghostpic.ghosts import enumerate_ghosts, ghost_plan
-from ghostpic.greenpaths import LinearPath, check_generic, linear_mgs
+from ghostpic.greenpaths import LinearPath, PathColumns, check_generic, linear_mgs
 from ghostpic.stability import CrossingPlan, chamber_graph, crossing_plan, wall
 from reference_simplex import fraction_cone_lp, fraction_feasible_point, fraction_simplex_max
 from reference_vectors import dot
@@ -126,7 +126,7 @@ class TestCrossingPoint:
     @given(paths_and_dims(count=1))
     def test_positive_multiple_of_the_crossing(self, drawn):
         path, (d,) = drawn
-        (hd,), (kd,) = path.crossings(plan_over([d]))
+        ((hd,),), ((kd,),) = PathColumns.of_paths(len(d), [path]).crossings(plan_over([d]))
         point = path.point_at(-hd, kd)
         assert all(isinstance(x, int) for x in point)
         exact = path.at(time_of(path.h, path.k, d))
@@ -141,7 +141,7 @@ class TestCrossingPoint:
 
 
 class TestCrossingTable:
-    """Every reading of a path's crossing lists against the Fraction
+    """Every reading of a path's crossing columns against the Fraction
     reference t_d = -dot(h, d)/dot(k, d), on the first and a second lookup."""
 
     @settings(max_examples=300, deadline=None)
@@ -150,10 +150,11 @@ class TestCrossingTable:
         h, k, dims = drawn
         path = LinearPath(h, k)
         plan = plan_over(dims)
+        block = PathColumns.of_paths(len(h), [path])
 
         def readings():
-            hd, kd = path.crossings(plan)
-            return [(Fraction(-a, b), path.point_at(-a, b)) for a, b in zip(hd, kd)]
+            hd, kd = block.crossings(plan)
+            return [(Fraction(-a, b), path.point_at(-a, b)) for (a,), (b,) in zip(hd, kd)]
 
         first = readings()
         for d, (t, point) in zip(dims, first):
@@ -162,7 +163,7 @@ class TestCrossingTable:
             assert_positive_multiple(point, path.at(reference))
             assert dot(d, point) == 0
         assert readings() == first
-        assert path.crossings(plan) is path.crossings(plan)
+        assert block.crossings(plan) is block.crossings(plan)
 
     @settings(max_examples=300, deadline=None)
     @given(table_paths(), st.integers(-50, 50), st.integers(1, 20))

@@ -25,8 +25,7 @@ FRACTION_SITES = {
         "LinearPath.h",  # h, k and at() are read as rationals
         "LinearPath.k",
         "LinearPath.at",
-        "check_generic",  # the crossing time a NonGenericPathError prints
-        "stable_along",
+        "_generic_one",  # the crossing time a NonGenericPathError prints
         "stable_columns",
         "crossing_schedule",  # Event.t
     },

@@ -1,8 +1,9 @@
-"""The column kernel of `greenpaths` against its scalar reference: on a block
-of paths, `generic_columns` is `check_generic`'s decision and
-`stable_columns` is `stable_along`'s verdict, raise and interior cross-check,
-path by path, on both plans of every standard fixture and on random type-A
-classes."""
+"""The column kernel of `greenpaths` against the scalar reference of
+`reference_paths`: on a block of paths, `generic_columns` is the reference
+genericity decision, `time_keys` its keys, `stable_columns` the reference
+verdict, raise and interior cross-check, path by path, and the single-path
+`check_generic` (a block of one) gives the reference keys or error, on both
+plans of every standard fixture and on random type-A classes."""
 
 import random
 from fractions import Fraction
@@ -21,11 +22,12 @@ from ghostpic.greenpaths import (
     check_generic,
     disagreement,
     generic_columns,
-    stable_along,
     stable_columns,
+    time_keys,
 )
 from ghostpic.stability import crossing_plan
 from ghostpic.verify import standard_fixtures
+from reference_paths import reference_check_generic, reference_stable_along
 
 FIXTURES = standard_fixtures()
 
@@ -34,21 +36,21 @@ def plan_rank(plan) -> int:
     return len(plan.dims[0])
 
 
-def generic(path, plan) -> bool:
+def outcome(decide, *args):
+    """decide's value, or the type and text of the error it raises."""
     try:
-        check_generic(path, plan)
-    except NonGenericPathError:
-        return False
-    return True
+        return decide(*args)
+    except (NonGenericPathError, InternalConsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+def generic(path, plan) -> bool:
+    return not raises(outcome(reference_check_generic, path, plan))
 
 
 def scalar(path, plan, crossing):
-    """`stable_along`'s outcome on one path: its verdict, or the type and
-    text of the error it raises."""
-    try:
-        return stable_along(path, plan, crossing)
-    except (NonGenericPathError, InternalConsistencyError) as exc:
-        return type(exc), str(exc)
+    """The reference stability outcome on one path."""
+    return outcome(reference_stable_along, path, plan, crossing)
 
 
 def kernel(paths, plan, crossing):
@@ -84,11 +86,17 @@ def raises(outcome) -> bool:
 
 
 def assert_kernel_is_scalar(paths, plan):
-    """The mask, and for each crossing of the plan (and its variants) the
-    outcome on the whole block, on the paths that do not raise, and on each
-    path alone."""
+    """The mask, the keys of every path (generic or not) and the outcome of
+    `check_generic` on each, and for each crossing of the plan (and its
+    variants) the outcome on the whole block, on the paths that do not
+    raise, and on each path alone."""
     block = PathColumns.of_paths(plan_rank(plan), paths)
     assert generic_columns(block, plan) == [generic(p, plan) for p in paths]
+    keys, scale = time_keys(block, plan)
+    for p, path in enumerate(paths):
+        want = outcome(reference_check_generic, path, plan)
+        assert outcome(check_generic, path, plan) == want
+        assert raises(want) or ([column[p] for column in keys], scale[p]) == want
     crossings = [*plan.bricks.values(), *(c for _, c in plan.ghosts.values())]
     for crossing in (v for c in crossings for v in variants(plan, c)):
         want = [scalar(p, plan, crossing) for p in paths]
@@ -141,7 +149,7 @@ def test_the_kernel_is_the_scalar_reference_on_random_classes(orient, data):
 
 def test_a_block_raises_for_its_first_non_generic_path():
     """A block whose paths cross a brick and its side together raises the
-    error that `stable_along` raises on the first of them, whatever comes
+    error that the reference raises on the first of them, whatever comes
     after it."""
     cls = FIXTURES["torsion4"]
     plan = crossing_plan(cls)

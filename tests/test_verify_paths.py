@@ -18,7 +18,7 @@ from ghostpic import verify
 from ghostpic.catalog import ModuleClass, generate_type_a
 from ghostpic.errors import NonGenericPathError
 from ghostpic.ghosts import enumerate_ghosts, ghost_plan
-from ghostpic.greenpaths import LinearPath, check_generic, linear_mgs, stable_along, stable_columns
+from ghostpic.greenpaths import LinearPath, check_generic, linear_mgs, stable_columns
 from ghostpic.stability import chamber_graph, crossing_plan
 from ghostpic.verify import (
     Verifier,
@@ -26,10 +26,10 @@ from ghostpic.verify import (
     _generic_blocks,
     _path_str,
     _randints,
-    _random_generic_paths,
     standard_fixtures,
 )
 from reference_chain import fraction_chamber_chain
+from reference_paths import drawn_paths, reference_check_generic, reference_stable_along
 
 FIXTURES = standard_fixtures()
 
@@ -94,7 +94,7 @@ def ghost_dims(cls):
 def draws_digest(name, cls, plan):
     rng = random.Random(("pinned-draws", name).__repr__())
     digest = hashlib.sha256()
-    for path in list(_random_generic_paths(cls, rng, 200, plan)):
+    for path in list(drawn_paths(cls, rng, 200, plan)):
         line = ",".join(map(str, path.h)) + ";" + ",".join(map(str, path.k)) + "\n"
         digest.update(line.encode())
     return digest.hexdigest()
@@ -123,33 +123,42 @@ def test_draws_are_pinned(name):
     assert draws_digest(name, cls, ghost_plan(cls)) == with_ghosts
 
 
+def chamber_chain(cls, graph, path):
+    """`_chamber_chain` of one path, over its keys of the class bricks."""
+    plan = crossing_plan(cls)
+    keys, scale = check_generic(path, plan)
+    return _chamber_chain(graph, path, [keys[c.event] for c in plan.bricks.values()], scale)
+
+
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_integer_probes_give_the_fraction_chain(name):
     cls = FIXTURES[name]
     graph = chamber_graph(cls)
     rng = random.Random(("chain", name).__repr__())
-    for path in _random_generic_paths(cls, rng, 100, crossing_plan(cls)):
-        chain = _chamber_chain(cls, graph, path)
+    for path in drawn_paths(cls, rng, 100, crossing_plan(cls)):
+        chain = chamber_chain(cls, graph, path)
         assert chain == fraction_chamber_chain(cls, graph, path)
         assert chain[0] == graph.source and chain[-1] == graph.sink
         # the same times over a common denominator H > 1
         scaled = LinearPath(
             tuple(x / 3 for x in path.h), tuple(x / 2 for x in path.k)
         )
-        assert _chamber_chain(cls, graph, scaled) == fraction_chamber_chain(cls, graph, scaled)
+        assert chamber_chain(cls, graph, scaled) == fraction_chamber_chain(cls, graph, scaled)
 
 
 def test_a_path_is_drawn_only_when_asked_for():
+    """Paths are drawn a block at a time, when the next block is asked for."""
     cls = FIXTURES["torsion4"]
     rng = random.Random(0)
-    draws = _random_generic_paths(cls, rng, 3, crossing_plan(cls))
+    draws = _generic_blocks(cls, rng, 3, crossing_plan(cls))
     state = rng.getstate()
     first = next(draws)
     assert rng.getstate() != state
     state = rng.getstate()
-    assert isinstance(first, LinearPath) and all(type(x) is Fraction for x in first.h)
+    path = first.path(0)
+    assert isinstance(path, LinearPath) and all(type(x) is Fraction for x in path.h)
     assert rng.getstate() == state
-    assert len([first, *draws]) == 3
+    assert first.size + sum(b.size for b in draws) == 3
 
 
 def test_a_verifier_pass_leaves_no_cyclic_garbage():
@@ -167,13 +176,14 @@ def test_a_verifier_pass_leaves_no_cyclic_garbage():
 
 def path_by_path(cls, rng, count, plan):
     """The draw as it was made one path at a time: h, then k, from
-    `_randints`, each candidate refused by `check_generic` alone."""
+    `_randints`, each candidate refused by the reference genericity scan
+    alone."""
     n = cls.catalog.quiver.n
     made = 0
     while made < count:
         path = LinearPath(_randints(rng, -9, 9, n), _randints(rng, 1, 9, n))
         try:
-            check_generic(path, plan)
+            reference_check_generic(path, plan)
         except NonGenericPathError:
             continue
         made += 1
@@ -200,7 +210,7 @@ def test_blocks_draw_the_paths_of_a_path_by_path_draw(monkeypatch, name, block):
 
 def path_major_result(checker, check: str):
     """The result line of check (d) or (e) as the loop before the column
-    kernel made it: path by path, each crossing by `stable_along`."""
+    kernel made it: path by path, each crossing by the reference."""
     seed = "stability" if check == "d" else "ghost-stability"
     rng = random.Random((checker.seed, seed).__repr__())
     count, first = 0, ""
@@ -216,7 +226,7 @@ def path_major_result(checker, check: str):
         for path in path_by_path(cls, rng, checker.paths, plan):
             for crossing in crossings:
                 try:
-                    stable_along(path, plan, crossing)
+                    reference_stable_along(path, plan, crossing)
                 except verify.InternalConsistencyError as exc:
                     first = first or f"{name}: {_path_str(path)}: {exc}"
                     count += 1
@@ -281,7 +291,7 @@ def test_a_failure_first_met_in_a_later_block_is_named(monkeypatch):
             break
     first = blocks[1].path(0)
     assert len(blocks) >= 2 and first == paths[blocks[0].size]
-    stable = stable_along(first, plan, bricks[1])
+    stable = reference_stable_along(first, plan, bricks[1])
     assert result.line() == (
         "[FAIL] d:brick-stability-equivalence  (12 paths x 10 fixtures; 3 failures, first: "
         f"mixed5: {_path_str(first)}: stability of {bricks[1].label}: time criterion "
@@ -320,8 +330,8 @@ def test_linear_mgs_is_the_walls_of_the_chamber_chain(orient, data):
     cls = ModuleClass(catalog, [catalog.indecs[i].id for i in sorted(picks)])
     graph = chamber_graph(cls)
     rng = random.Random(data.draw(st.integers(0, 2**32)))
-    for path in _random_generic_paths(cls, rng, 10, crossing_plan(cls)):
-        chain = _chamber_chain(cls, graph, path)
+    for path in drawn_paths(cls, rng, 10, crossing_plan(cls)):
+        chain = chamber_chain(cls, graph, path)
         assert chain[0] == graph.source and chain[-1] == graph.sink
         walls = [next(e.wall_brick for e in graph.out_edges(a) if e.dst == b) for a, b in zip(chain, chain[1:])]
         assert linear_mgs(cls, path) == walls
