@@ -163,7 +163,12 @@ class BrickCatalog:
                 raise CatalogError(
                     f"{bad}indec id {m.id!r} must be nonempty, unpadded and free of ',' and '+'"
                 )
-        for table, ids in (("hom", [i for row in self.hom for i in row]), ("subquotients", self.subquotients)):
+        pairs = [p for ps in self.subquotients.values() for p in ps]
+        for table, ids in (
+            ("hom", [i for row in self.hom for i in row]),
+            ("subquotients", [*self.subquotients, *(i for p in pairs for i in p.sub.ids + p.quot.ids)]),
+            ("ses", [i for s in self.ses_list for i in (s.a, s.b, s.c)]),
+        ):
             for i in ids:
                 if i not in self.by_id:
                     raise CatalogError(f"{bad}{table} names {i!r}, which is not in indecs")
@@ -178,9 +183,6 @@ class BrickCatalog:
             pair_keys = set()
             support = _support(self, m.id)
             for p in self.subquotients[m.id]:
-                for i in p.sub.ids + p.quot.ids:
-                    if i not in self.by_id:
-                        raise CatalogError(f"{bad}subquotient of {m.id} references unknown {i}")
                 if (p.sub, p.quot) in pair_keys:
                     raise CatalogError(
                         f"{bad}subquotients of {m.id} list the pair ({p.sub}, {p.quot}) twice"
@@ -221,9 +223,6 @@ class BrickCatalog:
             if s in listed:
                 raise CatalogError(f"{bad}ses lists ({s.a},{s.b},{s.c}) twice")
             listed.add(s)
-            for i in (s.a, s.b, s.c):
-                if i not in self.by_id:
-                    raise CatalogError(f"{bad}ses ({s.a},{s.b},{s.c}) names unknown indecomposable {i!r}")
             da, db, dc = self.dim_of(s.a), self.dim_of(s.b), self.dim_of(s.c)
             if tuple(x + y for x, y in zip(da, dc)) != db:
                 raise CatalogError(

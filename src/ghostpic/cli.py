@@ -72,7 +72,7 @@ def _catalog_from_args(args) -> BrickCatalog:
 
 
 def _class_from_args(args, catalog: BrickCatalog) -> ModuleClass:
-    if args.cls:
+    if args.cls is not None:
         names = [x.strip() for x in args.cls.split(",") if x.strip()]
         if not names:
             raise CatalogError(f"--class needs at least one brick name, got {args.cls!r}")

@@ -12,17 +12,19 @@ Crossings are computed one way only, from a crossing plan
 (`stability.CrossingPlan`), which is also the scope of every genericity
 question: `stability.crossing_plan` for the class bricks, `ghosts.ghost_plan`
 for its bricks and every ghost.  Paths are decided in blocks
-(`PathColumns`), and a single path is a block of one.  A block holds, per
-plan dim i, the columns hd[i][p] = H*h.d_i and kd[i][p] = H*k.d_i of its
-paths p, computed once per plan; one kernel reads them: `generic_columns`
-decides genericity, `time_keys` keys each crossing time by one integer,
-and `stable_columns` decides stability by the time criterion and
-cross-checks it against the interior cone, all in a few `map` passes per
-dim and per side.  No decision touches a dim tuple; the crossing point of
-dim i is the integer point point_at(-hd[i], kd[i]).  The single-path
-entries (`check_generic`, `is_relatively_stable`, `crossing_schedule`,
-`linear_mgs`) read a block of one, and the grid sweep of
-`find_linear_paths` reads a block of grid paths at a time.
+(`PathColumns`), and a single path is a block of one.  A crossing time is
+held in one form only, an integer key: `time_keys` gives, per plan dim i,
+the column key[i][p] = hd*(L//kd) of the paths p, where hd = H*h.d_i,
+kd = H*k.d_i > 0 and L is the lcm of the path's kd, so the time is -key/L
+and a higher key crosses earlier.  A block computes its keys once per plan
+and keeps them, and every decision reads them: `generic_columns` decides
+genericity (distinct keys across rays), and `stable_columns` decides
+stability by the time criterion and cross-checks it against the interior
+cone at the integer crossing point point_at(-key[i], L), all in a few `map`
+passes per dim and per side.  No decision touches a dim tuple.  The
+single-path entries (`check_generic`, `is_relatively_stable`,
+`crossing_schedule`, `linear_mgs`) read a block of one, and the grid sweep
+of `find_linear_paths` reads a block of grid paths at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
-from operator import add, and_, eq, floordiv, mul, ne, not_, or_, sub
+from operator import add, and_, eq, floordiv, gt, lt, mul, ne, sub
 from typing import NamedTuple
 
 from ghostpic.catalog import ModuleClass, ModuleSum, per_class
@@ -59,7 +61,7 @@ BLOCK = 512
 class LinearPath:
     """gamma_t = h + t*k with exact coordinates (int or Fraction; a float is
     rejected).  The path keeps only integers, (H*h, H*k) and their least
-    common denominator H (`geometry.integral`), and builds h, k and at() as
+    common denominator H (`geometry.integral`), and builds h and k as
     Fractions when read.  Paths are equal when their h and k are;
     `point_at` gives integer points on the path."""
 
@@ -100,13 +102,9 @@ class LinearPath:
     def __repr__(self):
         return f"LinearPath(h={self.h!r}, k={self.k!r})"
 
-    def at(self, t) -> tuple[Fraction, ...]:
-        t = Fraction(t)
-        return tuple(a + t * b for a, b in zip(self.h, self.k))
-
     def point_at(self, num: int, den: int) -> IntVec:
         """den*H*h + num*H*k: for den > 0 a positive integer multiple of
-        at(num/den)."""
+        the point h + (num/den)*k."""
         return tuple([den * a + num * b for a, b in zip(self._hi, self._ki)])
 
 
@@ -126,16 +124,16 @@ class Event(NamedTuple):
 class PathColumns:
     """A block of linear paths as columns: h[j][p] and k[j][p] are the
     coordinate j of H*h and H*k of path p, integers with every k[j][p] > 0
-    (a path's common denominator H scales no verdict).  A block computes
-    its crossing columns once per plan."""
+    (a path's common denominator H scales no verdict).  A block keeps the
+    `time_keys` of each plan it is decided for."""
 
-    __slots__ = ("h", "k", "size", "_lists")
+    __slots__ = ("h", "k", "size", "_keys")
 
     def __init__(self, h: list[list[int]], k: list[list[int]], size: int):
         self.h = h
         self.k = k
         self.size = size
-        self._lists: dict = {}
+        self._keys: dict = {}
 
     @classmethod
     def of_rows(cls, rank: int, hs, ks) -> PathColumns:
@@ -152,26 +150,12 @@ class PathColumns:
 
     def select(self, mask) -> PathColumns:
         """The block of the paths where mask is true, in order, with the
-        crossing columns computed so far."""
+        time keys computed so far."""
         keep = lambda cols: [list(itertools.compress(c, mask)) for c in cols]
         out = PathColumns(keep(self.h), keep(self.k), sum(mask))
-        out._lists = {plan: (keep(hd), keep(kd)) for plan, (hd, kd) in self._lists.items()}
+        for plan, (keys, scale) in self._keys.items():
+            out._keys[plan] = keep(keys), list(itertools.compress(scale, mask))
         return out
-
-    def crossings(self, plan: CrossingPlan) -> tuple[list[list[int]], list[list[int]]]:
-        """hd[i][p] = H*h.d_i and kd[i][p] = H*k.d_i for each plan dim d_i,
-        computed once per plan; a path whose rank is not the plan's is
-        rejected."""
-        lists = self._lists.get(plan)
-        if lists is None:
-            dims = plan.dims
-            if dims and len(dims[0]) != len(self.h):
-                raise CatalogError(f"path of rank {len(self.h)} on a class of rank {len(dims[0])}")
-            lists = [list(_combination(d, self.h, self.size)) for d in dims], [
-                list(_combination(d, self.k, self.size)) for d in dims
-            ]
-            self._lists[plan] = lists
-        return lists
 
 
 def _combination(row, cols: list[list[int]], size: int):
@@ -184,64 +168,70 @@ def _combination(row, cols: list[list[int]], size: int):
     return itertools.repeat(0, size) if total is None else iter(total)
 
 
+def time_keys(block: PathColumns, plan: CrossingPlan) -> tuple[list[list[int]], list[int]]:
+    """The crossing time of each plan dim d_i on every path of the block
+    keyed by one integer, key[i][p] = hd * (L[p] // kd) with hd = H*h.d_i,
+    kd = H*k.d_i > 0 and L[p] the lcm of the path's kd: the time -hd/kd is
+    minus the key over L, so two dims share a key iff they cross together,
+    and a higher key crosses earlier.  Returns the key columns, in plan
+    order, and L, computed once per plan; a path whose rank is not the
+    plan's is rejected."""
+    memo = block._keys.get(plan)
+    if memo is None:
+        dims = plan.dims
+        if dims and len(dims[0]) != len(block.h):
+            raise CatalogError(f"path of rank {len(block.h)} on a class of rank {len(dims[0])}")
+        kd = [list(_combination(d, block.k, block.size)) for d in dims]
+        scale = list(map(lcm, *kd)) if kd else [1] * block.size
+        hd = [_combination(d, block.h, block.size) for d in dims]
+        keys = [list(map(mul, h, map(floordiv, scale, k))) for h, k in zip(hd, kd)]
+        memo = block._keys[plan] = keys, scale
+    return memo
+
+
 def generic_columns(block: PathColumns, plan: CrossingPlan) -> list[bool]:
     """The genericity of every path of the block: True where no two
-    non-proportional dims of the plan cross together.  As every kd > 0,
-    dims i and j cross together iff hd[i]*kd[j] == hd[j]*kd[i]; proportional
-    dims cross together on every path, so one dim per ray is compared."""
-    hd, kd = block.crossings(plan)
-    rays = sorted(set(plan.ray))
-    clash = [False] * block.size
-    for a, i in enumerate(rays):
-        for j in rays[a + 1 :]:
-            clash = list(map(or_, clash, map(eq, map(mul, hd[i], kd[j]), map(mul, hd[j], kd[i]))))
-    return list(map(not_, clash))
+    non-proportional dims of the plan cross together, that is where the
+    `time_keys` of one dim per ray are distinct (proportional dims cross
+    together on every path)."""
+    keys, _ = time_keys(block, plan)
+    rays = set(plan.ray)
+    if not rays:
+        return [True] * block.size
+    return list(map(len(rays).__eq__, map(len, map(set, zip(*[keys[i] for i in rays])))))
 
 
-def time_keys(block: PathColumns, plan: CrossingPlan) -> tuple[list[list[int]], list[int]]:
-    """The crossing time of each plan dim on every path of the block keyed
-    by one integer, key[i][p] = hd[i][p] * (L[p] // kd[i][p]) with L[p] the
-    lcm of the path's kd (every kd > 0): the time -hd/kd is minus the key
-    over L, so two dims share a key iff they cross together, and a higher
-    key crosses earlier.  Returns the key columns, in plan order, and L."""
-    hd, kd = block.crossings(plan)
-    scale = list(map(lcm, *kd)) if kd else [1] * block.size
-    return [list(map(mul, h, map(floordiv, scale, k))) for h, k in zip(hd, kd)], scale
-
-
-# x == 0, x >= 0, x > 0 and x < 0 as C calls on a column
-_ZERO, _NONNEGATIVE, _POSITIVE, _NEGATIVE = (0).__eq__, (0).__le__, (0).__lt__, (0).__gt__
+# x == 0, x >= 0 and x > 0 as C calls on a column
+_ZERO, _NONNEGATIVE, _POSITIVE = (0).__eq__, (0).__le__, (0).__lt__
 
 
 def stable_columns(block: PathColumns, plan: CrossingPlan, crossing: Crossing) -> tuple[list[bool], list[int]]:
     """Stability of an event object along every path of the block: the time
-    verdicts (every side crosses before the event, or after it when
-    ``late``), and the indices of the paths whose integer crossing point's
-    membership in the interior cone disagrees with them.  The lag of each
-    side is one column; a path whose first failing side crosses together
-    with the event, their dims not proportional, raises NonGenericPathError,
-    for the first such path of the block.  The membership is read from the
-    cone's own rows, not from the plan's dims."""
-    hd, kd = block.crossings(plan)
+    verdicts (every side crosses before the event, a higher `time_keys`
+    key, or after it, a lower one, when ``late``), and the indices of the
+    paths whose integer crossing point's membership in the interior cone
+    disagrees with them.  A path whose first failing side crosses together
+    with the event, their dims not proportional, raises
+    NonGenericPathError, for the first such path of the block.  The
+    membership is read from the cone's own rows, not from the plan's dims."""
+    keys, scale = time_keys(block, plan)
     e = crossing.event
-    h_e, k_e = hd[e], kd[e]
+    key_e = keys[e]
     ray = plan.ray
     by_times = [True] * block.size
     first = None  # (path, side name) of the first non-generic path
     for i, late, name in crossing.sides:
-        # t_side - t_event = lag / (kd[i]*k_e), and kd[i]*k_e > 0
-        lag = list(map(sub, map(mul, h_e, kd[i]), map(mul, hd[i], k_e)))
-        if ray[i] != ray[e] and 0 in lag:
-            at = map(and_, by_times, map(_ZERO, lag))
+        if ray[i] != ray[e]:
+            at = map(and_, by_times, map(eq, keys[i], key_e))
             p = next(itertools.compress(itertools.count(), at), None)
             if p is not None and (first is None or p < first[0]):
                 first = p, name
-        by_times = list(map(and_, by_times, map(_POSITIVE if late else _NEGATIVE, lag)))
+        by_times = list(map(and_, by_times, map(lt if late else gt, keys[i], key_e)))
     if first is not None:
         p, name = first
-        raise NonGenericPathError(crossing.label, name, Fraction(-h_e[p], k_e[p]))
-    # the crossing point k_e*H*h - h_e*H*k of each path, one column per coordinate
-    point = [list(map(sub, map(mul, k_e, hj), map(mul, h_e, kj))) for hj, kj in zip(block.h, block.k)]
+        raise NonGenericPathError(crossing.label, name, Fraction(-key_e[p], scale[p]))
+    # the crossing point L*H*h - key_e*H*k of each path, one column per coordinate
+    point = [list(map(sub, map(mul, scale, hj), map(mul, key_e, kj))) for hj, kj in zip(block.h, block.k)]
     cone = crossing.interior
     inside = [True] * block.size
     for rows, holds in ((cone.equalities, _ZERO), (cone.weak, _NONNEGATIVE), (cone.strict, _POSITIVE)):
@@ -303,13 +293,11 @@ def _generic_one(path: LinearPath, plan: CrossingPlan):
     with its time."""
     block = PathColumns.of_paths(len(path._hi), [path])
     keys, scale = time_keys(block, plan)
-    if not generic_columns(block, plan)[0]:
-        by_time: dict[int, int] = {}  # time key -> first index
-        for i, (key,) in enumerate(keys):
-            first = by_time.setdefault(key, i)
-            if plan.ray[first] != plan.ray[i]:
-                hd, kd = block.crossings(plan)
-                raise NonGenericPathError(plan.names[first], plan.names[i], Fraction(-hd[i][0], kd[i][0]))
+    by_time: dict[int, int] = {}  # time key -> first index
+    for i, (key,) in enumerate(keys):
+        first = by_time.setdefault(key, i)
+        if plan.ray[first] != plan.ray[i]:
+            raise NonGenericPathError(plan.names[first], plan.names[i], Fraction(-key, scale[0]))
     return block, keys, scale
 
 

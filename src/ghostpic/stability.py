@@ -94,7 +94,7 @@ class CrossingPlan:
     each planned ghost with its crossing, by key.  ``schedule`` lists the
     (crossing, kind, concurrent) rows of a crossing schedule, the bricks
     first; a ghost plan appends its subobject and quotient ghosts.  A plan is
-    equal only to itself: blocks of paths key their crossing columns by plan."""
+    equal only to itself: blocks of paths keep their time keys by plan."""
 
     __slots__ = ("dims", "names", "ray", "bricks", "ghosts", "schedule")
 

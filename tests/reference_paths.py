@@ -1,6 +1,7 @@
 """The path-by-path reading of the crossing kernel, kept as its oracle: a
 path's crossing lists, its genericity scan by time key and its stability
-by the time criterion with the interior cross-check, one path at a time.
+by the time criterion with the interior cross-check, one path at a time,
+and the Fraction point h + t*k of a path (`point_on_path`).
 These were the scalar bodies of `greenpaths` before a single path became a
 block of one, and `reference_find_linear_paths` is the grid sweep that
 decided one path at a time.  `drawn_paths` reads the paths `verify` draws
@@ -14,6 +15,12 @@ from ghostpic.errors import CatalogError, NonGenericPathError
 from ghostpic.greenpaths import LinearPath, _search_grid, disagreement
 from ghostpic.stability import crossing_plan
 from ghostpic.verify import _generic_blocks
+
+
+def point_on_path(path, t):
+    """The point h + t*k of the path, as Fractions."""
+    t = Fraction(t)
+    return tuple(a + t * b for a, b in zip(path.h, path.k))
 
 
 def reference_crossings(path, plan):

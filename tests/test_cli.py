@@ -306,6 +306,15 @@ class TestMalformedInput:
         assert out == ""
         assert err == "error: --orient is read only with --type-a N\n"
 
+    @pytest.mark.parametrize("cls", ["", " ", ","])
+    def test_a_class_naming_no_brick_is_usage_error(self, capsys, cls):
+        """An empty --class is refused like a blank one, not read as the
+        full class that leaving --class out means."""
+        code, out, err = run(capsys, "chambers", "--type-a", "3", "--orient", "LL", "--class", cls)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --class needs at least one brick name, got {cls!r}\n"
+
     @pytest.mark.parametrize("h", ["1,2,x", "1,2,1/0"])
     def test_non_rational_vector_is_usage_error(self, capsys, h):
         code, out, err = run(
@@ -357,6 +366,17 @@ class TestMalformedInput:
                 lambda doc: {**doc, "subquotients": {**doc["subquotients"], "Z": []}},
                 "subquotients names 'Z', which is not in indecs",
             ),
+            (
+                lambda doc: {
+                    **doc,
+                    "subquotients": {
+                        **doc["subquotients"],
+                        "P2": [{**p, "quot": ["Z"]} if p["tag"] == "line" else p for p in doc["subquotients"]["P2"]],
+                    },
+                },
+                "subquotients names 'Z', which is not in indecs",
+            ),
+            (lambda doc: {**doc, "ses": [*doc["ses"], ["Z", "P2", "S2"]]}, "ses names 'Z', which is not in indecs"),
             # a row listed twice is refused: no later row silently wins
             (lambda doc: {**doc, "hom": [["P1", "M", 5], *doc["hom"]]}, "hom lists the pair (P1,M) twice"),
             (lambda doc: {**doc, "ses": [*doc["ses"], doc["ses"][0]]}, "ses lists (P1,M,S2) twice"),
@@ -386,6 +406,8 @@ class TestMalformedInput:
             "padded-id",
             "unknown-hom-id",
             "unknown-subquotients-id",
+            "unknown-pair-term",
+            "unknown-ses-id",
             "repeated-hom-pair",
             "repeated-ses-row",
             "repeated-subquotient-pair",

@@ -6,6 +6,7 @@ failed check."""
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,7 @@ from ghostpic.greenpaths import (
     crossing_schedule,
     is_relatively_stable,
     linear_mgs,
+    time_keys,
 )
 from ghostpic.stability import chamber_graph, crossing_plan, locate_chamber, semistable_set, wall
 from reference_paths import drawn_paths, reference_crossings
@@ -194,24 +196,27 @@ class TestPlanMatchesFractionReference:
         halves = LinearPath(tuple(Fraction(x, 2) for x in ints.h), tuple(Fraction(x, 2) for x in ints.k))
         plan = crossing_plan(cls)
         block = PathColumns.of_paths(3, [ints])
-        assert block.crossings(plan) == PathColumns.of_paths(3, [halves]).crossings(plan)
-        assert block.crossings(plan) is block.crossings(plan)  # computed once
+        assert time_keys(block, plan) == time_keys(PathColumns.of_paths(3, [halves]), plan)
+        assert time_keys(block, plan) is time_keys(block, plan)  # computed once
 
     @pytest.mark.parametrize("name", ["torsion4", "case2", "kronecker"])
     def test_a_schedule_with_ghosts_computes_one_pair_of_lists(self, monkeypatch, name):
         """The ghost plan holds every brick crossing too, so a schedule with
-        ghosts reads its bricks and its ghosts from one pair of lists."""
+        ghosts reads its bricks and its ghosts from one pair of lists, the
+        keys and L of one block under the ghost plan."""
         cls = FIXTURES[name]
         path = next(drawn_paths(cls, verify.random.Random(7), 1, ghost_plan(cls)))
-        read, crossings = [], PathColumns.crossings
+        read, keyed = [], greenpaths.time_keys
 
         def counted(block, plan):
             read.append((block, plan))
-            return crossings(block, plan)
+            return keyed(block, plan)
 
-        monkeypatch.setattr(PathColumns, "crossings", counted)
+        monkeypatch.setattr(greenpaths, "time_keys", counted)
         crossing_schedule(cls, path, include_ghosts=True)
-        assert {(id(block), plan) for block, plan in read} == {(id(read[0][0]), ghost_plan(cls))}
+        block = read[0][0]
+        assert {(id(b), plan) for b, plan in read} == {(id(block), ghost_plan(cls))}
+        assert list(block._keys) == [ghost_plan(cls)]
 
 
 class TestRank:
@@ -237,8 +242,8 @@ class TestRank:
 
 
 class TestDots:
-    """The lists equal the direct dot products with every plan dim, on
-    classes of rank 1, 3, 4 and 5."""
+    """The keys are read from the direct dot products with every plan dim,
+    on classes of rank 1, 3, 4 and 5."""
 
     CLASSES = {
         1: ModuleClass(generate_type_a(1, ""), ["S1"]),
@@ -253,12 +258,13 @@ class TestDots:
         plan = crossing_plan(self.CLASSES[rank])
         h = data.draw(st.tuples(*[st.integers(-9, 9)] * rank))
         k = data.draw(st.tuples(*[st.integers(1, 9)] * rank))
-        hd, kd = PathColumns.of_paths(rank, [LinearPath(h, k)]).crossings(plan)
-        hd, kd = [a for a, in hd], [b for b, in kd]
-        assert hd == [int_dot(h, d) for d in plan.dims]
-        assert kd == [int_dot(k, d) for d in plan.dims]
-        for d, h_d, k_d in zip(plan.dims, hd, kd):
-            assert time_of(h, k, d) == Fraction(-h_d, k_d)
+        keys, (scale,) = time_keys(PathColumns.of_paths(rank, [LinearPath(h, k)]), plan)
+        hd = [int_dot(h, d) for d in plan.dims]
+        kd = [int_dot(k, d) for d in plan.dims]
+        assert scale == lcm(*kd)
+        assert [key for key, in keys] == [a * (scale // b) for a, b in zip(hd, kd)]
+        for d, (key,) in zip(plan.dims, keys):
+            assert time_of(h, k, d) == Fraction(-key, scale)
 
 
 class TestInteriorCrossCheck:
@@ -369,7 +375,7 @@ class TestExactCoordinates:
 
 class TestWorkCounts:
     """What a path, a block and a verify pass do, counted, not timed: a path
-    is made integral once, a block computes its crossings once per plan, and
+    is made integral once, a block computes its time keys once per plan, and
     checks (d) and (e) resolve their plan once per fixture, not once per
     (path, object)."""
 
@@ -459,9 +465,9 @@ class TestWorkCounts:
         return scans
 
     def test_a_block_computes_its_crossings_once_per_plan(self, monkeypatch):
-        """The mask, the keys, every stability verdict and the MGS of a block
-        read its crossing columns, computed once per plan, and a selection
-        keeps them; a schedule keys its path once."""
+        """The mask, every stability verdict and the MGS of a block read its
+        time keys, computed once per plan, and a selection keeps them; a
+        schedule keys its path once."""
         cls = FIXTURES["case2"]
         plan = ghost_plan(cls)
         paths = list(drawn_paths(cls, verify.random.Random(2), 20, plan))
@@ -473,6 +479,7 @@ class TestWorkCounts:
             return combination(row, cols, size)
 
         monkeypatch.setattr(greenpaths, "_combination", counted)
+        scans = self.count_scans(monkeypatch)
         mask = greenpaths.generic_columns(block, plan)
         keys, _ = greenpaths.time_keys(block, plan)
         crossings = [c for c, _, _ in plan.schedule]
@@ -480,17 +487,18 @@ class TestWorkCounts:
         greenpaths.mgs_columns(block, plan, keys)
         assert all(mask) and reads.count(True) == 2 * len(plan.dims)
         kept = block.select(mask)
-        assert kept.crossings(plan) == block.crossings(plan) and kept.size == block.size
-        assert reads.count(True) == 2 * len(plan.dims)
-        scans = self.count_scans(monkeypatch)
+        assert greenpaths.time_keys(kept, plan) == greenpaths.time_keys(block, plan)
+        assert kept.size == block.size
+        assert reads.count(True) == 2 * len(plan.dims) and len(scans) == block.size
+        scans.clear()
         crossing_schedule(cls, paths[0], include_ghosts=True)
         assert len(scans) == 1
 
     def test_the_paths_check_decides_each_drawn_path_once(self, monkeypatch):
         """In the paths-vs-graph check the draw's mask is the one genericity
-        decision, made once per candidate, and each kept path is keyed once:
-        its MGS and its chamber chain read the block's keys.  The refused
-        candidates are refused by the mask, which keys nothing."""
+        decision, made once per candidate, and it keys every candidate, kept
+        or refused: the selection carries the keys of the kept paths, and
+        their MGS and chamber chains read them, keying nothing again."""
         scans = self.count_scans(monkeypatch)
         drawn, candidates, decided = [], [], []
         draw_blocks, randints, mask = verify._generic_blocks, verify._randints, verify.generic_columns
@@ -517,7 +525,7 @@ class TestWorkCounts:
         assert [r.passed for r in checker.results] == [True]
         assert len(drawn) == 10 * len(checker.fixtures)
         assert sum(decided) == candidates.count((1, 9)) > len(drawn)  # some draws were refused
-        assert len(scans) == len(drawn)
+        assert len(scans) == sum(decided)
 
     def test_the_admissible_check_reads_each_bricks_subobjects_once(self, monkeypatch):
         calls = []

@@ -28,6 +28,7 @@ from ghostpic.greenpaths import (
     weakly_admissible_morphism_witness,
 )
 from ghostpic.stability import chamber_graph
+from reference_paths import point_on_path
 from reference_vectors import dot
 
 ONES = (Fraction(1), Fraction(1), Fraction(1))
@@ -73,7 +74,7 @@ class TestCrossingSchedule:
         times = [e.t for e in schedule]
         assert times == sorted(times)
         for e in schedule:
-            point = CASE1_PATH.at(e.t)
+            point = point_on_path(CASE1_PATH, e.t)
             assert sum(
                 a * b for a, b in zip(case1.dim_of(e.label), point)
             ) == 0

@@ -1,4 +1,4 @@
-"""Property tests of the integer exact kernel: integer crossing lists and
+"""Property tests of the integer exact kernel: integer time keys and
 crossing points, integer cone membership, the fraction-free simplex and the
 per-class tables.  Every integer reading is checked against the
 Fraction reading it replaces."""
@@ -22,8 +22,9 @@ from ghostpic.geometry import (
     integral,
 )
 from ghostpic.ghosts import enumerate_ghosts, ghost_plan
-from ghostpic.greenpaths import LinearPath, PathColumns, check_generic, linear_mgs
+from ghostpic.greenpaths import LinearPath, PathColumns, check_generic, linear_mgs, time_keys
 from ghostpic.stability import CrossingPlan, chamber_graph, crossing_plan, wall
+from reference_paths import point_on_path
 from reference_simplex import fraction_cone_lp, fraction_feasible_point, fraction_simplex_max
 from reference_vectors import dot
 
@@ -41,7 +42,7 @@ def paths_and_dims(draw, count=2):
 
 
 def plan_over(dims) -> CrossingPlan:
-    """A bare crossing plan over the given dims, for their crossing lists."""
+    """A bare crossing plan over the given dims, for their time keys."""
     return CrossingPlan(tuple(dims), names=(), ray=(), bricks={}, ghosts={})
 
 
@@ -126,10 +127,10 @@ class TestCrossingPoint:
     @given(paths_and_dims(count=1))
     def test_positive_multiple_of_the_crossing(self, drawn):
         path, (d,) = drawn
-        ((hd,),), ((kd,),) = PathColumns.of_paths(len(d), [path]).crossings(plan_over([d]))
-        point = path.point_at(-hd, kd)
+        ((key,),), (scale,) = time_keys(PathColumns.of_paths(len(d), [path]), plan_over([d]))
+        point = path.point_at(-key, scale)
         assert all(isinstance(x, int) for x in point)
-        exact = path.at(time_of(path.h, path.k, d))
+        exact = point_on_path(path, time_of(path.h, path.k, d))
         nonzero = [i for i, x in enumerate(exact) if x != 0]
         if not nonzero:
             assert not any(point)
@@ -141,8 +142,8 @@ class TestCrossingPoint:
 
 
 class TestCrossingTable:
-    """Every reading of a path's crossing columns against the Fraction
-    reference t_d = -dot(h, d)/dot(k, d), on the first and a second lookup."""
+    """Every reading of a path's time keys against the Fraction reference
+    t_d = -dot(h, d)/dot(k, d), on the first and a second lookup."""
 
     @settings(max_examples=300, deadline=None)
     @given(table_paths())
@@ -153,17 +154,17 @@ class TestCrossingTable:
         block = PathColumns.of_paths(len(h), [path])
 
         def readings():
-            hd, kd = block.crossings(plan)
-            return [(Fraction(-a, b), path.point_at(-a, b)) for (a,), (b,) in zip(hd, kd)]
+            keys, (scale,) = time_keys(block, plan)
+            return [(Fraction(-key, scale), path.point_at(-key, scale)) for (key,) in keys]
 
         first = readings()
         for d, (t, point) in zip(dims, first):
             reference = time_of(h, k, d)
             assert t == reference
-            assert_positive_multiple(point, path.at(reference))
+            assert_positive_multiple(point, point_on_path(path, reference))
             assert dot(d, point) == 0
         assert readings() == first
-        assert block.crossings(plan) is block.crossings(plan)
+        assert time_keys(block, plan) is time_keys(block, plan)
 
     @settings(max_examples=300, deadline=None)
     @given(table_paths(), st.integers(-50, 50), st.integers(1, 20))
@@ -171,7 +172,7 @@ class TestCrossingTable:
         h, k, _ = drawn
         path = LinearPath(h, k)
         point = path.point_at(num, den)
-        assert_positive_multiple(point, path.at(Fraction(num, den)))
+        assert_positive_multiple(point, point_on_path(path, Fraction(num, den)))
         assert path.point_at(num, den) == point
         assert path.point_at(2 * num, 2 * den) == tuple(2 * x for x in point)
 

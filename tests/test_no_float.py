@@ -22,9 +22,8 @@ FRACTION_SITES = {
     "cli.py": {"_parse_vec"},  # --h and --k
     "geometry.py": {"vec_str"},  # every printed point
     "greenpaths.py": {
-        "LinearPath.h",  # h, k and at() are read as rationals
+        "LinearPath.h",  # h and k are read as rationals
         "LinearPath.k",
-        "LinearPath.at",
         "_generic_one",  # the crossing time a NonGenericPathError prints
         "stable_columns",
         "crossing_schedule",  # Event.t

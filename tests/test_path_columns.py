@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ghostpic.catalog import ModuleClass, generate_type_a
 from ghostpic.errors import CatalogError, InternalConsistencyError, NonGenericPathError
-from ghostpic.geometry import Cone
+from ghostpic.geometry import Cone, int_dot
 from ghostpic.ghosts import ghost_plan
 from ghostpic.greenpaths import (
     LinearPath,
@@ -172,6 +172,8 @@ def test_a_path_of_the_wrong_rank_is_refused():
 
 
 def test_a_selection_keeps_its_paths_and_their_crossings():
+    """The mask keys every path; the selection keeps the keys of the kept
+    paths, which are their reference keys, and computes none again."""
     cls = FIXTURES["full6"]
     plan = ghost_plan(cls)
     paths = [p for i, p in enumerate(small_paths(random.Random(2), 3, 60)) if i % 4 != 3]
@@ -179,5 +181,49 @@ def test_a_selection_keeps_its_paths_and_their_crossings():
     mask = generic_columns(block, plan)
     kept = block.select(mask)
     assert kept.size == sum(mask) > 0
-    assert [kept.path(p) for p in range(kept.size)] == [p for p, m in zip(paths, mask) if m]
-    assert kept.crossings(plan) == PathColumns.of_paths(3, [p for p, m in zip(paths, mask) if m]).crossings(plan)
+    generic_paths = [p for p, m in zip(paths, mask) if m]
+    assert [kept.path(p) for p in range(kept.size)] == generic_paths
+    carried = kept._keys[plan]
+    assert time_keys(kept, plan) is carried
+    keys, scale = carried
+    assert [([column[p] for column in keys], scale[p]) for p in range(kept.size)] == [
+        reference_check_generic(p, plan) for p in generic_paths
+    ]
+
+
+def stress_paths(rng, n, count):
+    """Paths that stress the integer keys, over Fraction and large integer
+    coordinates: h = -T*k + w/10**6, on which every dim crosses within a
+    few millionths of T and some cross together; h and k with coordinates
+    up to 10**9, whose lcm L of the k.d exceeds 2**64; and h = -T*k + w
+    with such a k, whose dims cross within about 10**-8 of T."""
+    paths = []
+    for _ in range(count):
+        t = Fraction(rng.randint(-50, 50), rng.randint(1, 7))
+        k = [rng.randint(1, 9) for _ in range(n)]
+        w = [rng.randint(-2, 2) for _ in range(n)]
+        paths.append(LinearPath([-t * b + Fraction(c, 10**6) for b, c in zip(k, w)], k))
+        big = [rng.randint(1, 10**9) for _ in range(n)]
+        paths.append(LinearPath([rng.randint(-(10**9), 10**9) for _ in range(n)], big))
+        paths.append(LinearPath([-t * b + c for b, c in zip(big, w)], big))
+    return paths
+
+
+@pytest.mark.parametrize("name", ["full6", "mixed5", "case4"])
+@pytest.mark.parametrize("which", ["bricks", "ghosts"])
+def test_the_keys_decide_near_ties_and_large_coordinates(name, which):
+    cls = FIXTURES[name]
+    plan = crossing_plan(cls) if which == "bricks" else ghost_plan(cls)
+    paths = stress_paths(random.Random(("stress", name, which).__repr__()), cls.catalog.quiver.n, 8)
+    _, scale = time_keys(PathColumns.of_paths(plan_rank(plan), paths), plan)
+    assert max(scale) > 2**64
+    gaps = set()  # the times between two non-proportional dims on a generic path
+    for path in paths:
+        if generic(path, plan):
+            times = sorted(
+                {-int_dot(path._hi, d) / Fraction(int_dot(path._ki, d)) for d in plan.dims}
+            )
+            gaps.update(b - a for a, b in zip(times, times[1:]))
+    assert 0 < min(gaps) <= Fraction(1, 10**6)
+    assert not all(generic(p, plan) for p in paths)
+    assert_kernel_is_scalar(paths, plan)
