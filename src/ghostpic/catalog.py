@@ -3,9 +3,10 @@
 A :class:`BrickCatalog` stores the indecomposables that matter (with their
 dimension vectors), the full subquotient lattice of each indecomposable, a
 Hom-dimension table and the list of short exact sequences of bricks.  Type-A
-catalogs are generated from scratch; the Kronecker fragment used throughout
-the examples is built in; anything else is loaded from a JSON document.
-Every catalog reads its opposite catalog (vector-space duality) from itself.
+catalogs are generated from scratch, reading Hom and the P/I names off the
+Euler form; the Kronecker fragment used throughout the examples is built in;
+anything else is loaded from a JSON document.  Every catalog reads its
+opposite catalog (vector-space duality) from itself.
 
 A :class:`ModuleClass` is a chosen subset of bricks closed under direct sums
 (the class itself is the additive closure) together with computed closure
@@ -19,7 +20,7 @@ from __future__ import annotations
 import json
 from functools import wraps
 from itertools import product
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple
 
 from ghostpic.errors import CatalogError
@@ -96,6 +97,13 @@ class Ses(NamedTuple):
     a: str
     b: str
     c: str
+
+
+def euler_form(quiver: Quiver, x: Dim, y: Dim) -> int:
+    """The Euler form <x,y> = sum x_i y_i - sum over arrows s->t of x_s y_t,
+    which is dim Hom(X,Y) - dim Ext^1(X,Y) for modules of dims x and y
+    (Ringel 1984)."""
+    return sum(map(mul, x, y)) - sum([x[s - 1] * y[t - 1] for s, t in quiver.arrows])
 
 
 class BrickCatalog:
@@ -177,10 +185,30 @@ class BrickCatalog:
                 raise CatalogError(f"{bad}{m.id}: dimension vector has wrong length")
             if self.hom.get((m.id, m.id), 0) != 1:
                 raise CatalogError(f"{bad}{m.id} is not a brick: hom({m.id},{m.id}) != 1")
+        q = self.quiver
+        if self.complete:  # exactly the positive roots, once each: they hold the simples and
+            # are closed under the simple reflections s_i(d) = d - (<d,e_i> + <e_i,d>) e_i for
+            # d != e_i, which no finite list is unless the quiver is Dynkin (BGP 1973)
+            dims = {m.dim for m in self.indecs}
+            simples = sum(sum(d) == 1 for d in dims)
+            if simples < n:  # refused before any n-by-n work
+                raise CatalogError(f"{bad}a complete catalog must list all {n} simples, but lists {simples}")
+            if len(dims) != len(self.indecs):
+                raise CatalogError(f"{bad}a complete catalog repeats a dimension vector")
+            units = [tuple(int(v == i) for v in range(n)) for i in range(n)]
+            for m in self.indecs:
+                if euler_form(q, m.dim, m.dim) != 1:
+                    raise CatalogError(f"{bad}dim {m.id} = {list(m.dim)} is not a positive root")
+                for i, e in enumerate(units):
+                    d = list(m.dim)
+                    d[i] -= euler_form(q, m.dim, e) + euler_form(q, e, m.dim)
+                    if m.dim != e and tuple(d) not in dims:
+                        raise CatalogError(f"{bad}a complete catalog lacks the positive root {d}")
+        listed_pairs = {}
         for m in self.indecs:
             if m.id not in self.subquotients:
                 raise CatalogError(f"{bad}missing subquotient data for {m.id}")
-            pair_keys = set()
+            pair_keys = listed_pairs[m.id] = set()
             support = _support(self, m.id)
             for p in self.subquotients[m.id]:
                 if (p.sub, p.quot) in pair_keys:
@@ -209,14 +237,20 @@ class BrickCatalog:
             if (ModuleSum([m.id]), ZERO_SUM) not in pair_keys:
                 raise CatalogError(f"{bad}{m.id}: missing trivial pair (parent, 0)")
 
-        def euler(x: Dim, y: Dim) -> int:  # <x,y> = sum x_i y_i - sum over arrows s->t of x_s y_t
-            return sum(map(mul, x, y)) - sum(x[s - 1] * y[t - 1] for s, t in self.quiver.arrows)
-
         for x, y in product(self.indecs, repeat=2):
-            if self.hom.get((x.id, y.id), 0) < euler(x.dim, y.dim):
+            h, e = self.hom.get((x.id, y.id), 0), euler_form(q, x.dim, y.dim)
+            if h < e:
                 raise CatalogError(
-                    f"{bad}hom({x.id},{y.id}) = {self.hom.get((x.id, y.id), 0)} is below "
-                    f"the Euler form <dim {x.id}, dim {y.id}> = {euler(x.dim, y.dim)}"
+                    f"{bad}hom({x.id},{y.id}) = {h} is below the Euler form <dim {x.id}, dim {y.id}> = {e}"
+                )
+            if h < 0:
+                raise CatalogError(
+                    f"{bad}hom({x.id},{y.id}) = {h} is negative, with <dim {x.id}, dim {y.id}> = {e}"
+                )
+            if self.complete and h > max(e, 0):  # Dynkin: Hom and Ext^1 are never both nonzero
+                raise CatalogError(
+                    f"{bad}hom({x.id},{y.id}) = {h}, but a complete catalog has "
+                    f"hom = max(<dim {x.id}, dim {y.id}>, 0) = {max(e, 0)}"
                 )
         listed = set()
         for s in self.ses_list:
@@ -228,28 +262,15 @@ class BrickCatalog:
                 raise CatalogError(
                     f"{bad}ses-dimension-mismatch: dim({s.a})+dim({s.c}) != dim({s.b})"
                 )
-            wanted = (ModuleSum([s.a]), ModuleSum([s.c]))
-            if not any((p.sub, p.quot) == wanted for p in self.subquotients[s.b]):
+            if (ModuleSum([s.a]), ModuleSum([s.c])) not in listed_pairs[s.b]:
                 raise CatalogError(
                     f"{bad}ses ({s.a},{s.b},{s.c}) has no matching subquotient pair"
                 )
-            if self.hom.get((s.c, s.a), 0) == euler(dc, da):  # never below, by the check above
+            if self.hom.get((s.c, s.a), 0) == euler_form(q, dc, da):  # never below, by the check above
                 raise CatalogError(
                     f"{bad}ses ({s.a},{s.b},{s.c}) does not split, but hom({s.c},{s.a}) - "
                     f"<dim {s.c}, dim {s.a}> = 0 says Ext^1({s.c},{s.a}) = 0"
                 )
-        if self.complete:  # exactly the positive roots, once each: on a Dynkin
-            # quiver every non-simple one is a smaller one plus a simple one
-            dims = {m.dim for m in self.indecs}
-            simples = [tuple(int(v == i) for v in range(n)) for i in range(n)]
-            if len(dims) != len(self.indecs):
-                raise CatalogError(f"{bad}a complete catalog repeats a dimension vector")
-            for m in self.indecs:
-                if euler(m.dim, m.dim) != 1:
-                    raise CatalogError(f"{bad}dim {m.id} = {list(m.dim)} is not a positive root")
-            for d in simples + [tuple(map(add, m.dim, e)) for m in self.indecs for e in simples]:
-                if d not in dims and euler(d, d) == 1:
-                    raise CatalogError(f"{bad}a complete catalog lacks the positive root {list(d)}")
 
     def ses_pair(self, s: Ses) -> SubquotientPair:
         wanted = (ModuleSum([s.a]), ModuleSum([s.c]))
@@ -306,22 +327,20 @@ def _arrow_list(n: int, orientation: str) -> tuple[tuple[int, int], ...]:
     return tuple(arrows)
 
 
-def _closed_subsets(a: int, b: int, orientation: str):
-    """Subsets of the interval [a,b] closed under the arrow action."""
-    verts = list(range(a, b + 1))
-    for mask in range(1 << len(verts)):
-        s = {verts[i] for i in range(len(verts)) if mask >> i & 1}
-        ok = True
-        for i in range(a, b):
-            letter = orientation[i - 1]
-            if letter == "L" and i + 1 in s and i not in s:
-                ok = False
-                break
-            if letter == "R" and i in s and i + 1 not in s:
-                ok = False
-                break
-        if ok:
-            yield frozenset(s)
+def _closed_subsets(a: int, b: int, orientation: str) -> list[frozenset]:
+    """Subsets of the interval [a,b] closed under the arrow action, grown one
+    vertex v at a time, as only the arrow between v-1 and v constrains v."""
+    subsets = [frozenset(), frozenset([a])]
+    for v in range(a + 1, b + 1):
+        towards_v = orientation[v - 2] == "R"  # v-1 -> v, else v -> v-1
+        grown = []
+        for s in subsets:
+            if not (towards_v and v - 1 in s):  # v left out
+                grown.append(s)
+            if towards_v or v - 1 in s:  # v taken in
+                grown.append(s | {v})
+        subsets = grown
+    return subsets
 
 
 def _runs(s) -> list[tuple[int, int]]:
@@ -334,94 +353,73 @@ def _runs(s) -> list[tuple[int, int]]:
     return out
 
 
-def _reach(n: int, orientation: str, i: int, forward: bool) -> tuple[int, int]:
-    # forward: vertices reachable from i (projective support);
-    # backward: vertices that reach i (injective support).
-    left = i
-    while left > 1 and (orientation[left - 2] == ("L" if forward else "R")):
-        left -= 1
-    right = i
-    while right < n and (orientation[right - 1] == ("R" if forward else "L")):
-        right += 1
-    return left, right
-
-
 def generate_type_a(n: int, orientation: str) -> BrickCatalog:
     """Complete catalog of a type-A path algebra.
 
     ``orientation`` is a word over {L, R} of length n-1; letter i describes
     the arrow between vertices i and i+1, with L meaning i+1 -> i (so "LL"
     is the quiver 1 <- 2 <- 3).  Indecomposables are the interval modules;
-    names follow the usual S/P/I convention of AR-quiver pictures.
+    names follow the usual S/P/I convention of AR-quiver pictures.  Hom and
+    the P/I names are read off the Euler form.
     """
     if not (1 <= n <= 12):
         raise CatalogError("type-A generation supports 1 <= n <= 12")
     if len(orientation) != n - 1:
         raise CatalogError("orientation word must have length n-1")
-    arrows = _arrow_list(n, orientation)
-    quiver = Quiver(n, arrows)
+    quiver = Quiver(n, _arrow_list(n, orientation))
+    units = [tuple(int(v == i) for v in range(1, n + 1)) for i in range(1, n + 1)]
 
-    proj = {i: _reach(n, orientation, i, True) for i in range(1, n + 1)}
-    inj = {i: _reach(n, orientation, i, False) for i in range(1, n + 1)}
+    intervals = {
+        (a, b): tuple(1 if a <= v <= b else 0 for v in range(1, n + 1))
+        for a in range(1, n + 1)
+        for b in range(a, n + 1)
+    }
+    rows = {dim: tuple(euler_form(quiver, dim, e) for e in units) for dim in intervals.values()}
 
-    def name_of(a: int, b: int) -> str:
+    def name_of(a: int, b: int, dim: Dim) -> str:
+        # P_i is the X with <dim X, e_j> = [i = j] for every j, I_i the X with
+        # <e_j, dim X> = [i = j]: Hom(P_i,-) and Hom(-,I_i) read vertex i, Ext^1 is 0
         if a == b:
             return f"S{a}"
-        for i in range(1, n + 1):
-            if proj[i] == (a, b):
-                return f"P{i}"
-        for i in range(1, n + 1):
-            if inj[i] == (a, b):
-                return f"I{i}"
+        if rows[dim] in units:
+            return f"P{units.index(rows[dim]) + 1}"
+        column = tuple(euler_form(quiver, e, dim) for e in units)
+        if column in units:
+            return f"I{units.index(column) + 1}"
         return f"M{a}.{b}"
 
-    intervals = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
-    interval_name = {iv: name_of(*iv) for iv in intervals}
-    indecs = []
-    for a, b in intervals:
-        dim = tuple(1 if a <= v <= b else 0 for v in range(1, n + 1))
-        nm = interval_name[(a, b)]
-        indecs.append(Indec(nm, nm, dim))
+    interval_name = {iv: name_of(*iv, dim) for iv, dim in intervals.items()}
+    indecs = [Indec(interval_name[iv], interval_name[iv], dim) for iv, dim in intervals.items()]
     indecs.sort(key=lambda m: (sum(m.dim), m.dim))
 
     def sum_of(runs) -> ModuleSum:
         return ModuleSum(interval_name[r] for r in runs)
 
     subquotients: dict[str, list[SubquotientPair]] = {}
-    sub_intervals: dict[str, set[tuple[int, int]]] = {}
-    quot_intervals: dict[str, set[tuple[int, int]]] = {}
     for a, b in intervals:
         nm = interval_name[(a, b)]
         plist = []
-        subs: set[tuple[int, int]] = set()
-        quots: set[tuple[int, int]] = set()
         for s in _closed_subsets(a, b, orientation):
-            sub_runs = _runs(s)
-            quot_runs = _runs(set(range(a, b + 1)) - s)
             plist.append(
                 SubquotientPair(
                     parent=nm,
-                    sub=sum_of(sub_runs),
-                    quot=sum_of(quot_runs),
+                    sub=sum_of(_runs(s)),
+                    quot=sum_of(_runs(set(range(a, b + 1)) - s)),
                     tag="sub{" + ",".join(str(v) for v in sorted(s)) + "}",
                     basis=s,
                 )
             )
-            if len(sub_runs) == 1:
-                subs.add(sub_runs[0])
-            if len(quot_runs) == 1:
-                quots.add(quot_runs[0])
         plist.sort(key=lambda p: (len(p.basis), sorted(p.basis)))
         subquotients[nm] = plist
-        sub_intervals[nm] = subs
-        quot_intervals[nm] = quots
 
+    # Dims of indecomposables over a Dynkin quiver are the positive roots, and
+    # Hom and Ext^1 between two of them are never both nonzero (Gabriel 1972),
+    # so hom is max(<x,y>, 0), with <x,y> = sum_j <x,e_j> y_j by linearity
     hom = {}
-    for x in indecs:
-        for y in indecs:
-            d = 1 if quot_intervals[x.id] & sub_intervals[y.id] else 0
-            if d:
-                hom[(x.id, y.id)] = d
+    for x, y in product(indecs, repeat=2):
+        d = sum(map(mul, rows[x.dim], y.dim))
+        if d > 0:
+            hom[(x.id, y.id)] = d
 
     ses = set()
     for m in indecs:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -318,6 +319,39 @@ class TestSerialization:
 
 def _orientations(n):
     return ["".join(w) for w in itertools.product("LR", repeat=n - 1)]
+
+
+# One sha256 over dump_catalog of every type-A orientation with n <= 6, each
+# followed by its opposite, in the order of _orientations.
+GENERATED_DIGEST = "91f3c87b6d897bbb318dd54ea71574d103e3286c2485628de0bc799467ff56e1"
+
+
+def test_every_small_generated_catalog_keeps_its_bytes():
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for w in _orientations(n):
+            catalog = generate_type_a(n, w)
+            for c in (catalog, catalog.opposite()):
+                digest.update(dump_catalog(c).encode("utf-8"))
+    assert digest.hexdigest() == GENERATED_DIGEST
+
+
+@pytest.mark.parametrize("w", _orientations(3))
+def test_every_single_hom_change_is_refused(w):
+    """On a complete catalog Hom is exactly max(<dim X, dim Y>, 0), so moving
+    any one entry by +-1 (a 0 entry by adding a row, a 1 entry to 0 by
+    dropping its row) is refused, on each A3 catalog and its opposite."""
+    catalog = generate_type_a(3, w)
+    for c in (catalog, catalog.opposite()):
+        doc = json.loads(dump_catalog(c))
+        hom = {(x, y): d for x, y, d in doc["hom"]}
+        assert dump_catalog(load_catalog(json.dumps(doc))) == dump_catalog(c)
+        for pair in itertools.product([m.id for m in c.indecs], repeat=2):
+            for step in (-1, 1):
+                changed = {**hom, pair: hom.get(pair, 0) + step}
+                doc["hom"] = [[x, y, d] for (x, y), d in changed.items() if d]
+                with pytest.raises(CatalogError, match="^catalog schema violation: "):
+                    load_catalog(json.dumps(doc))
 
 
 def _by_dims(catalog):

@@ -390,6 +390,32 @@ class TestMalformedInput:
                 },
                 "subquotients of P2 list the pair (P1, M) twice",
             ),
+            # a Hom dimension is never negative, whatever the Euler form allows
+            (
+                lambda doc: {**doc, "hom": [*doc["hom"], ["S2", "P1", -1]]},
+                "hom(S2,P1) = -1 is negative, with <dim S2, dim P1> = -2",
+            ),
+            # a complete catalog is Dynkin: P1 = S1 and S2 alone claimed every
+            # closure flag, though Ext^1(S2,S1) is 2-dimensional
+            (
+                lambda doc: {
+                    **doc,
+                    "indecs": [m for m in doc["indecs"] if m["id"] in ("P1", "S2")],
+                    "subquotients": {m: doc["subquotients"][m] for m in ("P1", "S2")},
+                    "hom": [r for r in doc["hom"] if {r[0], r[1]} <= {"P1", "S2"}],
+                    "ses": [],
+                    "complete": True,
+                },
+                "a complete catalog lacks the positive root [1, 2]",
+            ),
+            # refused before any work on vectors of length n
+            (
+                lambda doc: {
+                    "quiver": {"n": 3000, "arrows": []},
+                    "indecs": [], "subquotients": {}, "hom": [], "ses": [], "complete": True,
+                },
+                "a complete catalog must list all 3000 simples, but lists 0",
+            ),
         ],
         ids=[
             "short-hom-entry",
@@ -411,6 +437,9 @@ class TestMalformedInput:
             "repeated-hom-pair",
             "repeated-ses-row",
             "repeated-subquotient-pair",
+            "negative-hom",
+            "complete-but-not-dynkin",
+            "complete-without-its-simples",
         ],
     )
     def test_malformed_catalog_is_usage_error(self, capsys, tmp_path, malform, mentions):
@@ -513,18 +542,28 @@ class TestMalformedInput:
         assert err.count("\n") == 1 and err.startswith("error: catalog schema violation: ")
         assert "subquotient line of P2 has a vertex basis, but dim P2 = [2, 1] is not thin" in err
 
-    @pytest.mark.parametrize("bad", ["hom-below-euler", "split-ses", "missing-root"])
+    @pytest.mark.parametrize(
+        "bad", ["hom-below-euler", "hom-above-euler", "hom-extra-row", "split-ses", "missing-root"]
+    )
     def test_a_catalog_that_contradicts_its_quiver_is_refused(self, capsys, tmp_path, bad):
         """With the Euler form <x,y> = sum x_i y_i - sum over arrows s->t of
-        x_s y_t, hom(X,Y) is at least <dim X, dim Y>, a listed sequence
+        x_s y_t, hom(X,Y) is at least <dim X, dim Y>, and exactly
+        max(<dim X, dim Y>, 0) on a complete catalog; a listed sequence
         A >-> B ->> C has Ext^1(C,A) = hom(C,A) - <dim C, dim A> > 0, and a
         complete catalog holds every positive root: a catalog that breaks
-        one of these is refused, not loaded."""
+        one of these is refused, not loaded.  (A stray hom(S2,S3) = 1 made
+        `ghosts` drop Gh(S2;I2) of mixed5, whose Hom(A,C) it read as nonzero.)"""
         _, good, _ = run(capsys, "catalog", "--type-a", "3", "--orient", "LL")
         doc = json.loads(good)
         if bad == "hom-below-euler":
             doc["hom"] = [row for row in doc["hom"] if row[:2] != ["S1", "P2"]]
             said = "hom(S1,P2) = 0 is below the Euler form <dim S1, dim P2> = 1"
+        elif bad == "hom-above-euler":
+            doc["hom"] = [[x, y, 2 if [x, y] == ["S1", "P2"] else d] for x, y, d in doc["hom"]]
+            said = "hom(S1,P2) = 2, but a complete catalog has hom = max(<dim S1, dim P2>, 0) = 1"
+        elif bad == "hom-extra-row":
+            doc["hom"].append(["S2", "S3", 1])
+            said = "hom(S2,S3) = 1, but a complete catalog has hom = max(<dim S2, dim S3>, 0) = 0"
         elif bad == "split-ses":
             fake = {"sub": ["S3"], "quot": ["S2"], "basis": [3], "tag": "fake"}
             doc["subquotients"]["I2"].append(fake)
