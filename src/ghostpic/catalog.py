@@ -180,11 +180,17 @@ class BrickCatalog:
             for i in ids:
                 if i not in self.by_id:
                     raise CatalogError(f"{bad}{table} names {i!r}, which is not in indecs")
+        masks = {}  # for _componentwise
         for m in self.indecs:
             if len(m.dim) != n:
                 raise CatalogError(f"{bad}{m.id}: dimension vector has wrong length")
             if self.hom.get((m.id, m.id), 0) != 1:
                 raise CatalogError(f"{bad}{m.id} is not a brick: hom({m.id},{m.id}) != 1")
+            support = near = sum(1 << v for v, d in enumerate(m.dim, 1) if d)
+            for s, t in self.quiver.arrows:
+                if (support >> s | support >> t) & 1:
+                    near |= 1 << s | 1 << t
+            masks[m.id] = support, near
         q = self.quiver
         if self.complete:  # exactly the positive roots, once each: they hold the simples and
             # are closed under the simple reflections s_i(d) = d - (<d,e_i> + <e_i,d>) e_i for
@@ -220,6 +226,12 @@ class BrickCatalog:
                     raise CatalogError(
                         f"{bad}subquotient of {m.id}: dim(sub)+dim(quot) != dim(parent)"
                     )
+                for x in (p.sub, p.quot):
+                    if not _componentwise(self, x, masks):
+                        raise CatalogError(
+                            f"{bad}subquotient {p.tag} of {m.id}: the summands of {x} are neither "
+                            "copies of one simple nor on disjoint supports that no arrow joins"
+                        )
                 basis = p.basis
                 if basis is not None and max(m.dim) > 1:  # vertices name no subspace
                     raise CatalogError(
@@ -300,6 +312,22 @@ class BrickCatalog:
 
 def _support(catalog: BrickCatalog, m: str) -> frozenset:
     return frozenset(v for v, d in enumerate(catalog.dim_of(m), 1) if d)
+
+
+def _componentwise(catalog: BrickCatalog, x: ModuleSum, masks) -> bool:
+    """True when each submodule of the direct sum x is, up to isomorphism, a
+    sum of submodules of its summands, as `in_filt` reads it: the summands
+    are copies of one simple (each submodule of S^m is some S^k), or their
+    supports are disjoint and no arrow joins two of them (each submodule
+    splits by support).  `masks` holds each indecomposable's support, and
+    that support grown by the vertices one arrow away, as bits."""
+    ids, seen = x.ids, 0
+    for i in ids:
+        support, near = masks[i]
+        if near & seen:
+            return ids[0] == ids[-1] and sum(catalog.by_id[i].dim) == 1
+        seen |= support
+    return True
 
 
 def _opposite(catalog: BrickCatalog, p: SubquotientPair) -> SubquotientPair:

@@ -5,8 +5,10 @@ Catalog sources are --type-a N --orient WORD, --builtin NAME, or --catalog
 FILE; classes are comma-separated brick names.  All randomness is seeded, so
 identical invocations produce byte-identical outputs.  Exit codes: 0 success,
 1 invariant violation, failed verification or stdout closed early (quietly),
-2 usage error.  Each subcommand imports only the layers it runs, so a
-command pays at start-up for no layer it does not use.
+2 usage error.  Each subcommand returns its document (a dict, encoded as
+JSON, or text) and `dispatch` writes it, to stdout or to the `--out` file,
+the same bytes either way.  Each subcommand imports only the layers it runs,
+so a command pays at start-up for no layer it does not use.
 """
 
 from __future__ import annotations
@@ -29,19 +31,11 @@ from ghostpic.errors import (
     CatalogError,
     GhostpicError,
     GuardExceededError,
-    InternalConsistencyError,
     NonGenericPathError,
     RankError,
     UsageError,
     guard_limit,
 )
-
-
-def _add_source_args(parser: argparse.ArgumentParser):
-    parser.add_argument("--type-a", type=int, metavar="N", dest="type_a")
-    parser.add_argument("--orient", type=str, default=None)
-    parser.add_argument("--builtin", type=str, default=None)
-    parser.add_argument("--catalog", type=str, default=None, metavar="FILE")
 
 
 def _catalog_from_args(args) -> BrickCatalog:
@@ -71,7 +65,8 @@ def _catalog_from_args(args) -> BrickCatalog:
     return load_catalog(text)
 
 
-def _class_from_args(args, catalog: BrickCatalog) -> ModuleClass:
+def _class_from_args(args) -> ModuleClass:
+    catalog = _catalog_from_args(args)
     if args.cls is not None:
         names = [x.strip() for x in args.cls.split(",") if x.strip()]
         if not names:
@@ -93,31 +88,32 @@ def _parse_vec(text: str, n: int, flag: str):
         raise CatalogError(f"{flag} needs {n} comma-separated rationals, got {text!r}") from None
 
 
-def _emit(args, payload: str):
-    if getattr(args, "out", None):
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            raise UsageError(f"cannot write --out {args.out!r}: {exc}") from None
-    else:
-        sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
+def _write(out: str | None, text: str):
+    """Write a document and its final newline to stdout, or the same bytes to
+    the file `out`."""
+    end = "" if text.endswith("\n") else "\n"
+    if out is None:  # two writes: a reader that leaves early must see exit 1,
+        # and one large write into a pipe whose reader has gone can end with 0
+        sys.stdout.write(text)
+        sys.stdout.write(end)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text + end)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out!r}: {exc}") from None
 
 
-def cmd_catalog(args) -> int:
-    catalog = _catalog_from_args(args)
-    _emit(args, dump_catalog(catalog))
-    return 0
+def cmd_catalog(args) -> str:
+    return dump_catalog(_catalog_from_args(args))
 
 
-def cmd_chambers(args) -> int:
+def cmd_chambers(args) -> dict:
     from ghostpic.stability import chamber_docs, chamber_graph, edge_docs
 
-    cls = _class_from_args(args, _catalog_from_args(args))
+    cls = _class_from_args(args)
     graph = chamber_graph(cls)
-    doc = {
+    return {
         "schema": "ghostpic-chambers/1",
         "class": list(cls.bricks),
         "chambers": chamber_docs(cls, graph),
@@ -125,21 +121,17 @@ def cmd_chambers(args) -> int:
         "source": graph.source,
         "sink": graph.sink,
     }
-    _emit(args, json.dumps(doc, indent=1, sort_keys=True))
-    return 0
 
 
-def cmd_mgs(args) -> int:
+def cmd_mgs(args) -> dict:
     from ghostpic.geometry import vec_str
     from ghostpic.greenpaths import count_mgs, enumerate_mgs, find_linear_paths
     from ghostpic.stability import chamber_graph
 
-    cls = _class_from_args(args, _catalog_from_args(args))
+    cls = _class_from_args(args)
     graph = chamber_graph(cls)
     if not args.all:
-        doc = {"schema": "ghostpic-mgs/1", "mgs_count": count_mgs(graph)}
-        _emit(args, json.dumps(doc, indent=1, sort_keys=True))
-        return 0
+        return {"schema": "ghostpic-mgs/1", "mgs_count": count_mgs(graph)}
     all_mgs = enumerate_mgs(cls, graph)
     paths = find_linear_paths(cls, [mgs.walls for mgs in all_mgs], radius=4)
     sequences = []
@@ -156,29 +148,21 @@ def cmd_mgs(args) -> int:
                 "chamber_path": list(mgs.chamber_ids),
             }
         )
-    doc = {"schema": "ghostpic-mgs/1", "sequences": sequences}
-    _emit(args, json.dumps(doc, indent=1, sort_keys=True))
-    return 0
+    return {"schema": "ghostpic-mgs/1", "sequences": sequences}
 
 
-def cmd_ghosts(args) -> int:
+def cmd_ghosts(args) -> dict:
     from ghostpic.ghosts import ghost_census_doc
 
-    cls = _class_from_args(args, _catalog_from_args(args))
-    doc = {
-        "schema": "ghostpic-ghosts/1",
-        "class": list(cls.bricks),
-        **ghost_census_doc(cls),
-    }
-    _emit(args, json.dumps(doc, indent=1, sort_keys=True))
-    return 0
+    cls = _class_from_args(args)
+    return {"schema": "ghostpic-ghosts/1", "class": list(cls.bricks), **ghost_census_doc(cls)}
 
 
-def cmd_hn(args) -> int:
+def cmd_hn(args) -> dict:
     from ghostpic.greenpaths import hn_stratification, resolve_mgs
     from ghostpic.stability import chamber_graph
 
-    cls = _class_from_args(args, _catalog_from_args(args))
+    cls = _class_from_args(args)
     if not args.mgs or not args.module:
         raise CatalogError("hn needs --mgs CSV and --module NAME")
     graph = chamber_graph(cls)
@@ -186,7 +170,7 @@ def cmd_hn(args) -> int:
     mgs = resolve_mgs(graph, [cls.catalog.indec(w).id for w in walls])
     target = ModuleSum([cls.catalog.indec(x.strip()).id for x in args.module.split("+")])
     hn = hn_stratification(cls, graph, mgs, target)
-    doc = {
+    return {
         "schema": "ghostpic-hn/1",
         "mgs": list(mgs.walls),
         "module": list(target.ids),
@@ -199,98 +183,73 @@ def cmd_hn(args) -> int:
             for comp, layer, tag in hn.witnesses
         ],
     }
-    _emit(args, json.dumps(doc, indent=1, sort_keys=True))
-    return 0
 
 
-def cmd_path(args) -> int:
+def cmd_path(args) -> dict:
     from ghostpic.geometry import vec_str
     from ghostpic.ghosts import format_schedule
     from ghostpic.greenpaths import LinearPath, crossing_schedule
 
-    cls = _class_from_args(args, _catalog_from_args(args))
+    cls = _class_from_args(args)
     n = cls.catalog.quiver.n
     if not args.h or not args.k:
         raise CatalogError("path needs --h CSV and --k CSV")
     path = LinearPath(_parse_vec(args.h, n, "--h"), _parse_vec(args.k, n, "--k"))
     events = crossing_schedule(cls, path, include_ghosts=not args.no_ghosts)
-    doc = {
+    return {
         "schema": "ghostpic-path/1",
         "h": vec_str(path.h),
         "k": vec_str(path.k),
-        "events": [
-            {
-                "t": str(e.t),
-                "kind": e.kind,
-                "label": e.label,
-                "stable": e.stable,
-                "concurrent": e.concurrent,
-            }
-            for e in events
-        ],
+        "events": [{**e._asdict(), "t": str(e.t)} for e in events],
         "tokens": format_schedule(events),
     }
-    _emit(args, json.dumps(doc, indent=1, sort_keys=True))
-    return 0
 
 
-def cmd_picture(args) -> int:
+def cmd_picture(args) -> str:
     from ghostpic.render import RenderOptions, export_report, render_picture
 
-    cls = _class_from_args(args, _catalog_from_args(args))
+    if args.report and args.ext_ghosts:
+        raise UsageError("--ext-ghosts is read only by the SVG picture, not with --report")
+    cls = _class_from_args(args)
     if args.report:
-        _emit(args, export_report(cls))
-        return 0
+        return export_report(cls)
     if cls.catalog.quiver.n != 3:
         raise RankError(
             "rank-3-only: the SVG picture needs exactly three simples; "
             "run with --report for the JSON report instead"
         )
-    options = RenderOptions(include_extension_ghosts=args.ext_ghosts)
-    _emit(args, render_picture(cls, options))
-    return 0
+    return render_picture(cls, RenderOptions(include_extension_ghosts=args.ext_ghosts))
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
     from ghostpic.verify import run_verify
 
     if args.paths < 1:
         raise UsageError(f"--paths must be a positive integer, got {args.paths}")
     results = run_verify(paths_per_fixture=args.paths, seed=args.seed)
-    lines = [r.line() for r in results]
     passed = sum(r.passed for r in results)
-    lines.append(f"{passed}/{len(results)} checks passed")
-    _emit(args, "\n".join(lines) + "\n")
-    return 0 if passed == len(results) else 1
-
-
-_VECTOR_FLAGS = ("--h", "--k")
-
-
-def _attach_vector_values(argv) -> list[str]:
-    """Write `--h -3,1,2` as `--h=-3,1,2`: argparse takes a separate value
-    that starts with '-' and is not a plain number for an option."""
-    out: list[str] = []
-    for arg in argv:
-        if out and out[-1] in _VECTOR_FLAGS and arg.startswith("-") and not arg.startswith("--"):
-            out[-1] = f"{out[-1]}={arg}"
-        else:
-            out.append(arg)
-    return out
+    lines = [*(r.line() for r in results), f"{passed}/{len(results)} checks passed"]
+    return "\n".join(lines) + "\n", 0 if passed == len(results) else 1
 
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are one line on stderr (exit 2);
     ``--help`` still prints the full usage.  The vector values of ``--h`` and
-    ``--k`` may start with '-'."""
+    ``--k`` may start with '-': `--h -3,1,2` is read as `--h=-3,1,2`, since
+    argparse takes a separate value that starts with '-' and is not a plain
+    number for an option."""
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
     def parse_known_args(self, args=None, namespace=None):
-        if args is None:
-            args = sys.argv[1:]
-        return super().parse_known_args(_attach_vector_values(args), namespace)
+        argv: list[str] = []
+        for arg in sys.argv[1:] if args is None else args:
+            if argv and argv[-1] in ("--h", "--k") and arg.startswith("-") and not arg.startswith("--"):
+                argv[-1] = f"{argv[-1]}={arg}"
+            else:
+                argv.append(arg)
+        return super().parse_known_args(argv, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,7 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_class=True):
-        _add_source_args(p)
+        p.add_argument("--type-a", type=int, metavar="N", dest="type_a")
+        p.add_argument("--orient", type=str, default=None)
+        p.add_argument("--builtin", type=str, default=None)
+        p.add_argument("--catalog", type=str, default=None, metavar="FILE")
         if with_class:
             p.add_argument("--class", dest="cls", type=str, default=None, metavar="CSV")
         p.add_argument("--out", type=str, default=None, metavar="PATH")
@@ -359,7 +321,11 @@ def dispatch(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         guard_limit(1)  # every subcommand refuses a malformed GHOSTPIC_GUARD
-        return args.func(args)
+        doc, status = args.func(args), 0
+        if isinstance(doc, tuple):
+            doc, status = doc
+        _write(args.out, doc if isinstance(doc, str) else json.dumps(doc, indent=1, sort_keys=True))
+        return status
     except (CatalogError, RankError, NonGenericPathError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -369,7 +335,7 @@ def dispatch(argv) -> int:
             summary["count"] = exc.count
         print(json.dumps(summary, sort_keys=True), file=sys.stderr)
         return 1
-    except (InternalConsistencyError, GhostpicError) as exc:
+    except GhostpicError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 1
 

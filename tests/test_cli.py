@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from ghostpic.cli import build_parser, dispatch
+from test_startup import COMMANDS
 
 
 def run(capsys, *argv):
@@ -83,6 +84,15 @@ class TestPictureCommand:
         code, out, _ = run(capsys, "picture", "--builtin", "kronecker", "--report")
         assert code == 0
         assert json.loads(out)["schema"] == "ghostpic-report/1"
+
+    def test_ext_ghosts_with_report_is_usage_error(self, capsys):
+        """--ext-ghosts selects what the SVG picture draws; the report always
+        lists extension ghosts, so with --report the flag is refused, not
+        ignored."""
+        code, out, err = run(capsys, "picture", "--type-a", "3", "--orient", "LL", "--report", "--ext-ghosts")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --ext-ghosts is read only by the SVG picture, not with --report\n"
 
     def test_same_argv_same_bytes(self, capsys, tmp_path):
         out1 = tmp_path / "a.svg"
@@ -165,7 +175,7 @@ class TestCatalogCommand:
         assert dispatch(["catalog", "--type-a", "3", "--orient", "LL", "--out", str(out)]) == 0
         code, stdout, _ = run(capsys, "catalog", "--catalog", str(out))
         assert code == 0
-        assert stdout.strip() == out.read_text().strip()
+        assert stdout == out.read_text()
 
     def test_chambers_from_file(self, capsys, tmp_path):
         out = tmp_path / "cat.json"
@@ -253,6 +263,19 @@ class TestVerifyCommand:
         assert "FAIL" not in out
         lines = [l for l in out.splitlines() if l.startswith("[")]
         assert len(lines) >= 12
+
+    def test_a_failed_check_exits_1_with_its_line(self, capsys, tmp_path, monkeypatch):
+        import ghostpic.verify
+        from ghostpic.verify import CheckResult
+
+        results = [CheckResult("kept", True), CheckResult("broken", False, "first counterexample")]
+        monkeypatch.setattr(ghostpic.verify, "run_verify", lambda paths_per_fixture, seed: results)
+        code, out, _ = run(capsys, "verify", "--paths", "1")
+        assert code == 1
+        assert out == "[PASS] kept\n[FAIL] broken  (first counterexample)\n1/2 checks passed\n"
+        path = tmp_path / "verify.txt"
+        assert dispatch(["verify", "--paths", "1", "--out", str(path)]) == 1
+        assert path.read_text() == out
 
 
 def renamed(doc, old, new):
@@ -585,6 +608,28 @@ class TestMalformedInput:
         assert err.count("\n") == 1 and err.startswith("error: catalog schema violation: ")
         assert said in err
 
+    def test_a_direct_sum_read_componentwise_must_split(self, capsys, tmp_path):
+        """A pair's sub or quot is read summand by summand, which is exact
+        only when the summands are copies of one simple or lie on disjoint
+        supports that no arrow joins.  Over 1 <- 2 <- 3, the pair
+        S1 >-> P3 ->> S2 + S3 has the right dims, but the arrow 3 -> 2 joins
+        S2 and S3; loaded, it made `picture --report` fail an internal check
+        (exit 1) instead of refusing the document (exit 2)."""
+        _, good, _ = run(capsys, "catalog", "--type-a", "3", "--orient", "LL")
+        doc = json.loads(good)
+        next(p for p in doc["subquotients"]["P3"] if p["sub"] == ["S1"])["quot"] = ["S2", "S3"]
+        doc["ses"].remove(["S1", "P3", "I2"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["catalog"], ["picture", "--class", "S1,S2,S3,P3", "--report"]):
+            code, out, err = run(capsys, *argv, "--catalog", str(path))
+            assert code == 2
+            assert out == ""
+            assert err == (
+                "error: catalog schema violation: subquotient sub{1} of P3: the summands of S2+S3 "
+                "are neither copies of one simple nor on disjoint supports that no arrow joins\n"
+            )
+
     def test_seed_is_a_verify_option_only(self, capsys):
         code, out, err = run(
             capsys,
@@ -636,6 +681,13 @@ class TestUnreadablePathsAndEmptyValues:
             mentions="--out",
         )
 
+    def test_out_empty_is_refused(self, capsys):
+        """An empty --out names no file: it is refused like any path that
+        cannot be written, not read as "no --out"."""
+        self.one_line_usage_error(
+            capsys, "catalog", "--type-a", "2", "--orient", "L", "--out", "", mentions="--out ''"
+        )
+
     def test_class_without_names(self, capsys):
         self.one_line_usage_error(
             capsys, "chambers", "--type-a", "3", "--orient", "LL", "--class", ",,,",
@@ -662,6 +714,37 @@ class TestClosedStdout:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert err == b""
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("argv", list(COMMANDS.values()), ids=list(COMMANDS))
+    def test_out_writes_the_bytes_of_stdout(self, capsys, tmp_path, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "out"
+        assert dispatch([*argv, "--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == out.encode("utf-8")
+
+
+class TestStdoutClosedBeforeTheStart:
+    @pytest.mark.parametrize("command", ["catalog", "chambers", "verify"])
+    def test_quiet_exit_1(self, command):
+        """The read end of the pipe is closed before the command starts, so
+        its first write to stdout fails, whatever the size of its output."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ghostpic.cli", *COMMANDS[command]],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
 
 
 class TestHashSeed:
