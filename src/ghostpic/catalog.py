@@ -20,11 +20,11 @@ from __future__ import annotations
 import json
 from functools import wraps
 from itertools import product
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 from ghostpic.errors import CatalogError
-from ghostpic.geometry import proportional
+from ghostpic.geometry import primitive
 
 Dim = tuple[int, ...]
 
@@ -249,6 +249,7 @@ class BrickCatalog:
             if (ModuleSum([m.id]), ZERO_SUM) not in pair_keys:
                 raise CatalogError(f"{bad}{m.id}: missing trivial pair (parent, 0)")
 
+        implied = []  # (A, C) with Ext^1(C,A) != 0 and hom(A,C) = 0 in a complete catalog
         for x, y in product(self.indecs, repeat=2):
             h, e = self.hom.get((x.id, y.id), 0), euler_form(q, x.dim, y.dim)
             if h < e:
@@ -264,6 +265,8 @@ class BrickCatalog:
                     f"{bad}hom({x.id},{y.id}) = {h}, but a complete catalog has "
                     f"hom = max(<dim {x.id}, dim {y.id}>, 0) = {max(e, 0)}"
                 )
+            if self.complete and h > e and not self.hom.get((y.id, x.id)):
+                implied.append((y, x))
         listed = set()
         for s in self.ses_list:
             if s in listed:
@@ -282,6 +285,15 @@ class BrickCatalog:
                 raise CatalogError(
                     f"{bad}ses ({s.a},{s.b},{s.c}) does not split, but hom({s.c},{s.a}) - "
                     f"<dim {s.c}, dim {s.a}> = 0 says Ext^1({s.c},{s.a}) = 0"
+                )
+        by_dim = {m.dim: m.id for m in self.indecs}
+        for a, c in implied:  # (C, A) is then an exceptional pair, and the middle term of its
+            # nonsplit extension is the indecomposable of dim A + dim C, a positive root
+            s = Ses(a.id, by_dim[tuple(map(add, a.dim, c.dim))], c.id)
+            if s not in listed:
+                raise CatalogError(
+                    f"{bad}Ext^1({c.id},{a.id}) != 0 and hom({a.id},{c.id}) = 0, so a complete catalog "
+                    f"lists their nonsplit extension {s.b} and the ses ({s.a},{s.b},{s.c})"
                 )
 
     def ses_pair(self, s: Ses) -> SubquotientPair:
@@ -636,22 +648,13 @@ _MISSING = object()
 
 def per_class(f):
     """Memoize ``f(cls, *args)`` in the class's one table, keyed by f and its
-    arguments with defaults filled in.  A class is immutable, so each
-    per-class fact (Filt membership, quotients, walls, the chamber graph, the
-    ghost census, the brick and ghost crossing plans) is computed once."""
-    code = f.__code__
-    names = code.co_varnames[1 : code.co_argcount]
-    defaults = dict(zip(reversed(names), reversed(f.__defaults__ or ())))
-    first_default = len(names) - len(defaults)
-    tails = {i: tuple(defaults[n] for n in names[i:]) for i in range(first_default, len(names))}
+    positional arguments, which every caller passes in full.  A class is
+    immutable, so each per-class fact (Filt membership, quotients, walls, the
+    chamber graph, the ghost census, the brick and ghost crossing plans) is
+    computed once."""
 
     @wraps(f)
-    def memo(cls, *args, **kwargs):
-        if kwargs:
-            given = {**defaults, **kwargs}
-            args += tuple(given[n] for n in names[len(args) :])
-        elif len(args) < len(names):
-            args += tails.get(len(args), ())
+    def memo(cls, *args):
         table = cls._table
         value = table.get((f, args), _MISSING)
         if value is _MISSING:
@@ -689,14 +692,14 @@ class ModuleClass:
         self.flags: ClassFlags = classify_class(self)
 
     def _check_independence(self):
-        dims = [self.catalog.dim_of(b) for b in self.bricks]
-        for i in range(len(dims)):
-            for j in range(i + 1, len(dims)):
-                if proportional(dims[i], dims[j]):
-                    raise CatalogError(
-                        f"dimension vectors of {self.bricks[i]} and {self.bricks[j]} "
-                        "are linearly dependent"
-                    )
+        """Refuse two bricks on one line through the origin, naming the first
+        line in brick order that holds two: dims are nonzero and nonnegative,
+        so two are proportional iff their primitive vectors are equal."""
+        lines: dict = {}
+        for b in self.bricks:
+            lines.setdefault(primitive(self.catalog.dim_of(b)), []).append(b)
+        for first, second, *_ in (bs for bs in lines.values() if len(bs) > 1):
+            raise CatalogError(f"dimension vectors of {first} and {second} are linearly dependent")
 
     def __repr__(self):
         return f"ModuleClass({','.join(self.bricks)})"
@@ -715,9 +718,10 @@ class ModuleClass:
 
         Submodules of direct sums are enumerated componentwise, so each
         filtration step peels one class brick off a single component (this
-        terminates: the total dimension drops each step).  That is exact when
-        the summands of every listed pair have disjoint, non-adjacent
-        supports, as in generated type-A catalogs; a catalog file is not checked.
+        terminates: the total dimension drops each step).  That is exact for
+        a listed pair, whose summands every catalog must keep apart (see
+        `_componentwise`); a sum built during the search, such as P3 + S2
+        over A3-LL, is read componentwise all the same (README "Limit").
         """
         if not x:
             return True
@@ -732,20 +736,17 @@ class ModuleClass:
 
     # -- quotients and subobjects of indecomposables -------------------------
 
-    def is_weakly_admissible_quotient(self, m: str, pair: SubquotientPair) -> bool:
-        if pair.parent != m:
-            raise CatalogError("pair does not belong to the given parent")
-        return self.in_add(pair.quot) and self.in_filt(pair.sub)
-
     @per_class
-    def weakly_admissible_quotients(self, m: str, proper: bool = True):
-        """Pairs of m whose quotient is weakly admissible, as a tuple; with
-        ``proper`` only nonzero quotients by nonzero kernels are kept."""
+    def weakly_admissible_quotients(self, m: str, proper: bool):
+        """Pairs of m whose quotient is in the class by a kernel in Filt of
+        the class, as a tuple; with ``proper`` only nonzero quotients by
+        nonzero kernels are kept."""
         return tuple(
             p
             for p in self.catalog.pairs(m)
             if not (proper and (not p.sub or not p.quot))
-            and self.is_weakly_admissible_quotient(m, p)
+            and self.in_add(p.quot)
+            and self.in_filt(p.sub)
         )
 
     def admissible_quotients(self, m: str):
@@ -758,7 +759,7 @@ class ModuleClass:
         ]
 
     def is_minimal_brick(self, m: str) -> bool:
-        return not self.weakly_admissible_quotients(m)
+        return not self.weakly_admissible_quotients(m, True)
 
     # -- direct sums ---------------------------------------------------------
 

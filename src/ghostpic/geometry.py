@@ -29,13 +29,6 @@ def int_dot(a, b) -> int:
     return sum(map(mul, a, b))
 
 
-def proportional(a, b) -> bool:
-    """True iff the integer vectors a and b are linearly dependent (all 2x2
-    minors vanish), decided without floats."""
-    n = len(a)
-    return all(a[i] * b[j] == a[j] * b[i] for i in range(n) for j in range(n))
-
-
 def integral(v) -> IntVec:
     """The positive integer multiple of a rational vector by the lcm of its
     denominators: the one place a rational vector enters the integer engine.

@@ -222,7 +222,7 @@ def _build_ghost(cls: ModuleClass, ses: Ses, kind: str) -> Ghost:
     elif kind == EXTENSION:
         conds = [GhostCondition(0, ModuleSum([ses.c]), late=True)]
         missing = ses.b
-        wa = {p.quot for p in cls.weakly_admissible_quotients(ses.b)}
+        wa = {p.quot for p in cls.weakly_admissible_quotients(ses.b, True)}
         minimal = (
             cls.is_minimal_brick(ses.a)
             and cls.is_minimal_brick(ses.c)
@@ -294,7 +294,7 @@ def extension_ghost_domain(cls: ModuleClass, g: Ghost) -> Cone:
     if g.kind != EXTENSION:
         raise CatalogError(f"{g.display()} is not an extension ghost")
     if not any(
-        p.quot == ModuleSum([g.c]) for p in cls.weakly_admissible_quotients(g.b)
+        p.quot == ModuleSum([g.c]) for p in cls.weakly_admissible_quotients(g.b, True)
     ):
         raise CatalogError(f"{g.c} is not a weakly admissible quotient of {g.b}")
     return g.domain

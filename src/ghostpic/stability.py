@@ -28,7 +28,7 @@ from ghostpic.geometry import (
     IntVec,
     cell_facet_neighbors,
     enumerate_cells,
-    proportional,
+    primitive,
     vec_str,
 )
 
@@ -67,7 +67,7 @@ def wall(cls: ModuleClass, m: str) -> Wall:
     if not cls.contains_indec(m):
         raise InternalConsistencyError(f"{m} is not a brick of the class")
     names: dict[tuple, str] = {}
-    for p in cls.weakly_admissible_quotients(m):
+    for p in cls.weakly_admissible_quotients(m, True):
         names.setdefault(cls.dim_of(p.quot), repr(p.quot))
     sides = tuple(Side(d, name) for d, name in names.items())
     cone = side_cone(cls.dim_of(m), sides)
@@ -122,12 +122,8 @@ def build_plan(cls: ModuleClass, ghosts=()) -> CrossingPlan:
     named += [(s.dim, s.name) for g in ghosts for s in g.sides]
     names = dict(reversed(named))  # the first name given to a dim wins
     dims = tuple(sorted(names))
-    for d in dims:
-        if not any(d) or min(d) < 0:
-            raise ValueError(f"{d} is not a nonzero dimension vector")
-    ray = tuple(
-        next(j for j in range(i + 1) if proportional(dims[j], d)) for i, d in enumerate(dims)
-    )
+    first: dict[IntVec, int] = {}  # dims are nonnegative: one primitive vector per ray
+    ray = tuple(first.setdefault(primitive(d), i) for i, d in enumerate(dims))
     index = {d: i for i, d in enumerate(dims)}
 
     def crossing(label, event_dim, sides, interior) -> Crossing:

@@ -8,12 +8,15 @@ import pytest
 from ghostpic.catalog import (
     ModuleClass,
     ModuleSum,
+    Quiver,
     builtin_kronecker,
     dump_catalog,
+    euler_form,
     generate_type_a,
     load_catalog,
 )
 from ghostpic.errors import CatalogError
+from reference_vectors import proportional
 
 # ---------------------------------------------------------------------------
 # Independent oracles: plain linear algebra over F2 for representations of
@@ -458,13 +461,13 @@ class TestFilt:
 class TestWeakAdmissibility:
     def test_kronecker_examples(self, kronecker, kronecker_class):
         line = next(p for p in kronecker.pairs("P2") if p.sub == ModuleSum(["P1"]))
-        assert kronecker_class.is_weakly_admissible_quotient("P2", line)
+        assert line in kronecker_class.weakly_admissible_quotients("P2", False)
         socle = next(p for p in kronecker.pairs("M") if p.sub == ModuleSum(["P1"]))
-        assert not kronecker_class.is_weakly_admissible_quotient("M", socle)
+        assert socle not in kronecker_class.weakly_admissible_quotients("M", False)
 
     def test_minimal_brick_example(self, minimal3, cat_ll):
         pair = next(p for p in cat_ll.pairs("P3") if p.sub == ModuleSum(["S1"]))
-        assert not minimal3.is_weakly_admissible_quotient("P3", pair)
+        assert pair not in minimal3.weakly_admissible_quotients("P3", False)
         assert minimal3.is_minimal_brick("P3")
 
     def test_extension_closed_weak_equals_admissible(self, torsion4, full6, case1, case2):
@@ -472,7 +475,7 @@ class TestWeakAdmissibility:
         for cls in (torsion4, full6, case1, case2):
             assert cls.flags.extension_closed
             for m in cls.bricks:
-                weak = {p.quot for p in cls.weakly_admissible_quotients(m)}
+                weak = {p.quot for p in cls.weakly_admissible_quotients(m, True)}
                 adm = {p.quot for p in cls.admissible_quotients(m)}
                 assert weak == adm
 
@@ -507,3 +510,32 @@ class TestClassification:
         cat = load_catalog(json.dumps(doc))
         with pytest.raises(CatalogError, match="linearly dependent"):
             ModuleClass(cat, ["M", "M2"])
+
+    def test_two_proportional_lines_name_the_pair_of_the_pairwise_scan(self):
+        """Over the quiver with three arrows 2 -> 1, the bricks A, B, C, D of
+        dims (1,1), (1,2), (2,4), (2,2) lie on two lines, A with D and B with
+        C.  The class is refused for the first pair (i, j) in brick order
+        whose dims have vanishing 2x2 minors: (A, D), though B and C meet
+        first when the bricks are read in order."""
+        quiver = Quiver(2, ((2, 1),) * 3)
+        dims = {"A": (1, 1), "B": (1, 2), "C": (2, 4), "D": (2, 2)}
+        doc = {
+            "quiver": {"n": quiver.n, "arrows": quiver.arrows},
+            "indecs": [{"id": m, "dim": list(d)} for m, d in dims.items()],
+            "subquotients": {m: [{"sub": [], "quot": [m]}, {"sub": [m], "quot": []}] for m in dims},
+            "hom": [
+                [x, y, 1 if x == y else max(euler_form(quiver, dx, dy), 0)]
+                for (x, dx), (y, dy) in itertools.product(dims.items(), repeat=2)
+            ],
+            "ses": [],
+            "complete": False,
+        }
+        catalog = load_catalog(json.dumps(doc))
+        bricks = list(dims)
+        first = next(
+            (x, y) for x, y in itertools.combinations(bricks, 2) if proportional(dims[x], dims[y])
+        )
+        assert first == ("A", "D")
+        with pytest.raises(CatalogError) as refused:
+            ModuleClass(catalog, bricks)
+        assert str(refused.value) == "dimension vectors of A and D are linearly dependent"

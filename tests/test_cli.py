@@ -566,16 +566,20 @@ class TestMalformedInput:
         assert "subquotient line of P2 has a vertex basis, but dim P2 = [2, 1] is not thin" in err
 
     @pytest.mark.parametrize(
-        "bad", ["hom-below-euler", "hom-above-euler", "hom-extra-row", "split-ses", "missing-root"]
+        "bad",
+        ["hom-below-euler", "hom-above-euler", "hom-extra-row", "split-ses", "missing-root", "missing-extension"],
     )
     def test_a_catalog_that_contradicts_its_quiver_is_refused(self, capsys, tmp_path, bad):
         """With the Euler form <x,y> = sum x_i y_i - sum over arrows s->t of
         x_s y_t, hom(X,Y) is at least <dim X, dim Y>, and exactly
         max(<dim X, dim Y>, 0) on a complete catalog; a listed sequence
         A >-> B ->> C has Ext^1(C,A) = hom(C,A) - <dim C, dim A> > 0, and a
-        complete catalog holds every positive root: a catalog that breaks
-        one of these is refused, not loaded.  (A stray hom(S2,S3) = 1 made
-        `ghosts` drop Gh(S2;I2) of mixed5, whose Hom(A,C) it read as nonzero.)"""
+        complete catalog holds every positive root and the sequence
+        A >-> E ->> C of every A and C with Ext^1(C,A) != 0 and
+        hom(A,C) = 0: a catalog that breaks one of these is refused, not
+        loaded.  (A stray hom(S2,S3) = 1 made `ghosts` drop Gh(S2;I2) of
+        mixed5, whose Hom(A,C) it read as nonzero; without S1 >-> P2 ->> S2,
+        the class {S1, S2} was reported extension-closed.)"""
         _, good, _ = run(capsys, "catalog", "--type-a", "3", "--orient", "LL")
         doc = json.loads(good)
         if bad == "hom-below-euler":
@@ -592,6 +596,13 @@ class TestMalformedInput:
             doc["subquotients"]["I2"].append(fake)
             doc["ses"].append(["S3", "I2", "S2"])
             said = "ses (S3,I2,S2) does not split, but hom(S2,S3) - <dim S2, dim S3> = 0"
+        elif bad == "missing-extension":  # S1 >-> P2 ->> S2 and its pair
+            doc["subquotients"]["P2"] = [p for p in doc["subquotients"]["P2"] if p["sub"] != ["S1"]]
+            doc["ses"].remove(["S1", "P2", "S2"])
+            said = (
+                "Ext^1(S2,S1) != 0 and hom(S1,S2) = 0, so a complete catalog lists their "
+                "nonsplit extension P2 and the ses (S1,P2,S2)"
+            )
         else:  # P3 and every entry that names it
             doc["indecs"] = [m for m in doc["indecs"] if m["id"] != "P3"]
             del doc["subquotients"]["P3"]
@@ -701,8 +712,10 @@ class TestUnreadablePathsAndEmptyValues:
 
 class TestClosedStdout:
     def test_reader_closing_early_gets_a_quiet_exit_1(self):
-        # the A12 catalog document (~130 kB) overflows the pipe buffer, so the
-        # writer is still writing when the reader goes away after one byte
+        # the reader takes one byte of the A12 catalog document (~130 kB) and
+        # closes the pipe; exit 1 comes from the final newline, which
+        # `cli._write` writes on its own into the closed pipe (one write of the
+        # whole document can end with 0, whatever the pipe holds)
         src = str(Path(__file__).resolve().parent.parent / "src")
         paths = [src, os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}

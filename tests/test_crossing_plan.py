@@ -14,14 +14,14 @@ from hypothesis import strategies as st
 
 from ghostpic import ghosts as ghosts_module
 from ghostpic import verify
-from ghostpic.catalog import ModuleClass, generate_type_a
+from ghostpic.catalog import ModuleClass, builtin_kronecker, generate_type_a
 from ghostpic.errors import (
     CatalogError,
     GuardExceededError,
     InternalConsistencyError,
     NonGenericPathError,
 )
-from ghostpic.geometry import Cone, int_dot, integral, proportional
+from ghostpic.geometry import Cone, int_dot, integral
 from ghostpic.ghosts import (
     ALL_KINDS,
     EXTENSION,
@@ -45,7 +45,7 @@ from ghostpic.greenpaths import (
 from ghostpic.stability import chamber_graph, crossing_plan, locate_chamber, semistable_set, wall
 from reference_paths import drawn_paths, reference_crossings
 from reference_schedule import reference_ghost_events, reference_schedule
-from reference_vectors import dot
+from reference_vectors import dot, proportional
 
 FIXTURES = verify.standard_fixtures()
 
@@ -217,6 +217,40 @@ class TestPlanMatchesFractionReference:
         block = read[0][0]
         assert {(id(b), plan) for b, plan in read} == {(id(block), ghost_plan(cls))}
         assert list(block._keys) == [ghost_plan(cls)]
+
+
+def every_class(catalog):
+    ids = [m.id for m in catalog.indecs]
+    for size in range(1, len(ids) + 1):
+        for bricks in itertools.combinations(ids, size):
+            yield ModuleClass(catalog, bricks)
+
+
+class TestRays:
+    """A plan's ``ray`` partitions its dims into lines through the origin:
+    ray[i] is the first index whose dim is proportional to dim i, as the
+    pairwise 2x2-minor oracle reads it, on the brick plan and the ghost plan
+    of every A3 class, of every class over the Kronecker fragment and its
+    opposite, and of the fixtures."""
+
+    @staticmethod
+    def oracle_ray(dims):
+        return tuple(next(j for j in range(i + 1) if proportional(dims[j], d)) for i, d in enumerate(dims))
+
+    def test_the_partition_is_the_proportionality_oracle(self):
+        kronecker = builtin_kronecker()
+        catalogs = [generate_type_a(3, o) for o in ("LL", "LR", "RL", "RR")] + [kronecker, kronecker.opposite()]
+        classes = [cls for catalog in catalogs for cls in every_class(catalog)] + list(FIXTURES.values())
+        shared = []
+        for cls in classes:
+            for plan in (crossing_plan(cls), ghost_plan(cls)):
+                assert plan.ray == self.oracle_ray(plan.dims), cls
+                shared += [(cls, plan.names[j], plan.names[i]) for i, j in enumerate(plan.ray) if i != j]
+        # over the opposite Kronecker fragment, P2's quotient P1+P1 shares the ray of P1
+        assert {(cls.bricks, first, other) for cls, first, other in shared} == {
+            (("P1", "S2", "P2"), "P1", "P1+P1"),
+            (("P1", "S2", "M", "P2"), "P1", "P1+P1"),
+        }
 
 
 class TestRank:

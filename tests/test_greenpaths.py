@@ -270,7 +270,7 @@ class TestLastCrossing:
                     t_b = time_of(path, cls.dim_of(b))
                     quots_before = all(
                         time_of(path, cls.dim_of(p.quot)) < t_b
-                        for p in cls.weakly_admissible_quotients(b)
+                        for p in cls.weakly_admissible_quotients(b, True)
                     )
                     assert (b in stable) == quots_before
 

@@ -269,10 +269,10 @@ class TestPerClassTables:
 
     def test_quotient_table_is_computed_once_and_immutable(self, full6):
         for m in full6.bricks:
-            first = full6.weakly_admissible_quotients(m)
+            first = full6.weakly_admissible_quotients(m, True)
             assert isinstance(first, tuple)
-            assert full6.weakly_admissible_quotients(m) is first
-            every = full6.weakly_admissible_quotients(m, proper=False)
+            assert full6.weakly_admissible_quotients(m, True) is first
+            every = full6.weakly_admissible_quotients(m, False)
             assert set(first) <= set(every)
 
     def test_generic_dims_are_built_once_and_extras_merge_after(self, torsion4):

@@ -92,7 +92,7 @@ class TestSemistableSet:
             theta = tuple(Fraction(rng.randint(-9, 9)) for _ in range(3))
             label = semistable_set(full6, theta)
             for m in label:
-                for p in full6.weakly_admissible_quotients(m):
+                for p in full6.weakly_admissible_quotients(m, True):
                     assert all(i in label for i in p.quot.ids)
 
 
@@ -108,7 +108,7 @@ class TestSemistableSet:
         for cls in classes:
             n = cls.catalog.quiver.n
             dims = {
-                m: [cls.dim_of(m), *(cls.dim_of(p.quot) for p in cls.weakly_admissible_quotients(m))]
+                m: [cls.dim_of(m), *(cls.dim_of(p.quot) for p in cls.weakly_admissible_quotients(m, True))]
                 for m in cls.bricks
             }
             thetas = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(10)]
@@ -153,6 +153,58 @@ class TestChambers:
             for ch in enumerate_chambers(cls):
                 for cell in ch.cells:
                     assert semistable_set(cls, cell.sample) == ch.label
+
+
+def convex_with_distinct_labels(cls) -> bool:
+    """Verify check (g)'s property of a class: its chamber labels are
+    pairwise distinct, and each chamber's cells are exactly the cells on its
+    side of every one of its bounding walls."""
+    graph = chamber_graph(cls)
+    index_of = {b: i for i, b in enumerate(cls.bricks)}
+    for ch in graph.chambers:
+        sides = [(index_of[w.brick], sign) for w, sign in ch.bounding_walls]
+        region = {c.signs for c in graph.cells if all(c.signs[i] == sign for i, sign in sides)}
+        if region != {c.signs for c in ch.cells}:
+            return False
+    labels = [ch.label for ch in graph.chambers]
+    return len(set(labels)) == len(labels)
+
+
+A4 = {w: generate_type_a(4, w) for w in map("".join, itertools.product("LR", repeat=3))}
+A4_DRAWS = 30  # distinct seeded A4 classes, about half of them flagged: about 1 s
+
+
+class TestExtensionClosedClasses:
+    """Wherever `flags.extension_closed` reads True, the chambers are convex
+    and their labels distinct (check (g)), also on the A3 classes, mixed5
+    among them, whose flag misses an extension with a decomposable middle
+    term."""
+
+    def test_every_a2_and_a3_class(self):
+        flagged = []
+        for w in ("L", "R", "LL", "LR", "RL", "RR"):
+            catalog = generate_type_a(len(w) + 1, w)
+            ids = [m.id for m in catalog.indecs]
+            for size in range(1, len(ids) + 1):
+                flagged += [
+                    cls
+                    for cls in (ModuleClass(catalog, b) for b in itertools.combinations(ids, size))
+                    if cls.flags.extension_closed
+                ]
+        assert len(flagged) == 168
+        assert [cls for cls in flagged if not convex_with_distinct_labels(cls)] == []
+
+    def test_seeded_a4_classes(self):
+        rng = random.Random(4)
+        drawn = set()
+        while len(drawn) < A4_DRAWS:
+            drawn.add((rng.choice(sorted(A4)), tuple(sorted(rng.sample(range(10), rng.randint(1, 10))))))
+        flagged = []
+        for orient, picks in sorted(drawn):
+            catalog = A4[orient]
+            cls = ModuleClass(catalog, [catalog.indecs[i].id for i in picks])
+            flagged += [cls] if cls.flags.extension_closed else []
+        assert flagged and [cls for cls in flagged if not convex_with_distinct_labels(cls)] == []
 
 
 class TestChamberGraph:

@@ -79,6 +79,36 @@ def test_the_path_layer_takes_only_the_ghost_plan_from_the_ghost_layer():
     assert {name for m, name in imports_of("greenpaths") if m == "ghostpic.ghosts"} == {"ghost_plan"}
 
 
+def per_class_functions():
+    """(module, FunctionDef) of every function the package memoizes with
+    `catalog.per_class`."""
+    for path in sorted((SRC / "ghostpic").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(d, ast.Name) and d.id == "per_class" for d in node.decorator_list
+            ):
+                yield path.stem, node
+
+
+def test_per_class_facts_take_positional_arguments_only():
+    """`per_class` keys a fact by its positional arguments alone, so a
+    memoized function declares no default, `*args`, `**kwargs` or
+    keyword-only parameter, and no call in the package passes one a keyword:
+    one fact, one key."""
+    names = set()
+    for module, f in per_class_functions():
+        a = f.args
+        assert not (a.defaults or a.vararg or a.kwarg or a.kwonlyargs), f"{module}.{f.name}"
+        names.add(f.name)
+    assert {"in_filt", "weakly_admissible_quotients", "wall", "crossing_plan", "ghost_plan"} <= names
+    for path in sorted((SRC / "ghostpic").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if called in names:
+                    assert not node.keywords, f"{path.name}:{node.lineno} passes {called} a keyword"
+
+
 @pytest.fixture(scope="module")
 def loaded_modules():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
