@@ -89,19 +89,23 @@ def _parse_vec(text: str, n: int, flag: str):
 
 
 def _write(out: str | None, text: str):
-    """Write a document and its final newline to stdout, or the same bytes to
-    the file `out`."""
-    end = "" if text.endswith("\n") else "\n"
-    if out is None:  # two writes: a reader that leaves early must see exit 1,
-        # and one large write into a pipe whose reader has gone can end with 0
+    """Write a document and its final newline to the file `out`, or to stdout
+    as bytes until all are taken (a raw unbuffered stdout may take a part, and
+    a reader that leaves early must see exit 1), or as text to an io.StringIO."""
+    text += "" if text.endswith("\n") else "\n"
+    if out is not None:
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out!r}: {exc}") from None
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        data = memoryview(text.encode(sys.stdout.encoding))
+        while data:
+            data = data[sys.stdout.buffer.write(data) :]
+    else:
         sys.stdout.write(text)
-        sys.stdout.write(end)
-        return
-    try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + end)
-    except OSError as exc:
-        raise UsageError(f"cannot write --out {out!r}: {exc}") from None
 
 
 def cmd_catalog(args) -> str:

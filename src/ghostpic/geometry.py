@@ -12,9 +12,11 @@ numerators alone; ``den`` is kept only where a sample is printed
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 from ghostpic.errors import GhostpicError, check_guard
@@ -27,6 +29,17 @@ CELL_GUARD = 20
 def int_dot(a, b) -> int:
     """Dot product of two integer vectors, as an int."""
     return sum(map(mul, a, b))
+
+
+def _combination(row, cols: list[list[int]], size: int):
+    """An iterator over the column sum_j row[j]*cols[j] of a block of size
+    points held as columns (of ints, or of Fractions)."""
+    total = None
+    for c, col in zip(row, cols):
+        if c:
+            term = col if c == 1 else map(mul, col, itertools.repeat(c))
+            total = term if total is None else map(add, total, term)
+    return itertools.repeat(0, size) if total is None else iter(total)
 
 
 def integral(v) -> IntVec:
@@ -200,6 +213,19 @@ def _simplex_max(c: list[int], rows: list[list[int]], rhs: list[int]) -> tuple[i
     return int_dot(c, x), x, den
 
 
+def _theta_row(v, scale=1, slack=0) -> list[int]:
+    """The row scale*v on theta = p - q, then the slack's coefficient."""
+    return [scale * x for x in v] + [-scale * x for x in v] + [slack]
+
+
+@cache
+def _box(n: int) -> tuple[list[list[int]], list[int]]:
+    """The unit box rows on theta, s <= 1 and the objective s of the LPs of
+    rank n, built once: `_simplex_max` writes neither rows nor objective."""
+    rows = [_theta_row([s * (i == j) for i in range(n)]) for j in range(n) for s in (1, -1)]
+    return rows + [[0] * 2 * n + [1]], [0] * 2 * n + [1]
+
+
 def _cone_lp(cone: Cone, slack_rows: tuple[IntVec, ...]) -> tuple[int, IntVec, int]:
     """Maximize a single slack below the given rows, inside the cone closure.
 
@@ -211,30 +237,11 @@ def _cone_lp(cone: Cone, slack_rows: tuple[IntVec, ...]) -> tuple[int, IntVec, i
     tight slack row's value at theta*.
     """
     n = cone.dim
-    nv = 2 * n + 1
-
-    def theta_row(v, scale=1, slack=0):
-        return [scale * x for x in v] + [-scale * x for x in v] + [slack]
-
-    rows: list[list[int]] = []
-    for e in cone.equalities:
-        rows.append(theta_row(e))
-        rows.append(theta_row(e, -1))
-    for w in cone.weak:
-        rows.append(theta_row(w, -1))
-    for s_vec in slack_rows:
-        rows.append(theta_row(s_vec, -1, 1))
-    rhs = [0] * len(rows)
-    for j in range(n):
-        unit = [0] * n
-        unit[j] = 1
-        rows.append(theta_row(unit))
-        rows.append(theta_row(unit, -1))
-    rows.append([0] * (nv - 1) + [1])
-    rhs += [1] * (2 * n + 1)
-    c = [0] * nv
-    c[2 * n] = 1
-    _, x, den = _simplex_max(c, rows, rhs)
+    rows = [row for e in cone.equalities for row in (_theta_row(e), _theta_row(e, -1))]
+    rows += [_theta_row(w, -1) for w in cone.weak]
+    rows += [_theta_row(s_vec, -1, 1) for s_vec in slack_rows]
+    box, c = _box(n)
+    _, x, den = _simplex_max(c, rows + box, [0] * len(rows) + [1] * len(box))
     (value, *theta), den = _lowest((x[2 * n], *(x[j] - x[n + j] for j in range(n))), den)
     return value, tuple(theta), den
 
@@ -338,11 +345,19 @@ def enumerate_cells(vectors) -> list[Cell]:
     n = len(normals[0])
     check_guard(len(normals), "hyperplanes", "CELL_GUARD", CELL_GUARD)
     cells = [Cell((), (0,) * n, 1)]
-    for k in range(len(normals)):
+    last = len(normals) - 1
+    for k, normal in enumerate(normals):
         grown: list[Cell] = []
         for cell in cells:
+            # below the last level a child on its parent's side of the new
+            # hyperplane keeps the parent's sample, which needs no LP; the
+            # last level's samples are the output, so each is solved
+            side = int_dot(normal, cell.sample) if k < last else 0
             for s in (1, -1):
                 signs = cell.signs + (s,)
+                if side * s > 0:
+                    grown.append(Cell(signs, cell.sample, cell.den))
+                    continue
                 strict = tuple(tuple(sg * x for x in normals[i]) for i, sg in enumerate(signs))
                 sample = _sample(Cone(n, strict=strict))
                 if sample is not None:

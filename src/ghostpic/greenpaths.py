@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
-from operator import add, and_, eq, floordiv, gt, lt, mul, ne, sub
+from operator import and_, eq, floordiv, gt, lt, mul, ne, sub
 from typing import NamedTuple
 
 from ghostpic.catalog import ModuleClass, ModuleSum, per_class
@@ -42,7 +42,7 @@ from ghostpic.errors import (
     NonGenericPathError,
     check_guard,
 )
-from ghostpic.geometry import IntVec, integral
+from ghostpic.geometry import IntVec, _combination, integral
 from ghostpic.stability import (
     ChamberGraph,
     Crossing,
@@ -156,16 +156,6 @@ class PathColumns:
         for plan, (keys, scale) in self._keys.items():
             out._keys[plan] = keep(keys), list(itertools.compress(scale, mask))
         return out
-
-
-def _combination(row, cols: list[list[int]], size: int):
-    """An iterator over the column sum_j row[j]*cols[j]."""
-    total = None
-    for c, col in zip(row, cols):
-        if c:
-            term = col if c == 1 else map(c.__mul__, col)
-            total = term if total is None else map(add, total, term)
-    return itertools.repeat(0, size) if total is None else iter(total)
 
 
 def time_keys(block: PathColumns, plan: CrossingPlan) -> tuple[list[list[int]], list[int]]:

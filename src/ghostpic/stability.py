@@ -8,15 +8,16 @@ because a wall is in general a proper subset of its hyperplane.
 
 The walls are indexed once per class by a crossing plan (`crossing_plan`):
 the distinct dims of the bricks and of their weakly admissible quotients,
-and for each brick the index of its dim and of its wall's sides.  A chamber
-label S(theta) reads it (theta positive on every index of a brick), and so do
+and for each brick the index of its dim and of its wall's sides.  S(theta)
+reads it for a block of theta at once (`semistable_columns`), and so do
 genericity and stability along a linear path (`greenpaths`); `build_plan`
 also makes the ghost plan of `ghosts`, which indexes every ghost domain too.
 """
 
 from __future__ import annotations
 
-from operator import mul
+import itertools
+from operator import gt
 from typing import NamedTuple
 
 from ghostpic.catalog import ModuleClass, ModuleSum, per_class
@@ -26,6 +27,7 @@ from ghostpic.geometry import (
     Cone,
     FacetAdjacency,
     IntVec,
+    _combination,
     cell_facet_neighbors,
     enumerate_cells,
     primitive,
@@ -148,19 +150,29 @@ def crossing_plan(cls: ModuleClass) -> CrossingPlan:
     return build_plan(cls)
 
 
-def semistable_set(cls: ModuleClass, theta: IntVec) -> frozenset[str]:
-    """S(theta): bricks M with theta(M) > 0 and theta(M') > 0 for every
-    proper weakly admissible quotient M', read from the class's crossing
-    plan: theta is positive on the brick's event dim and on every side
-    index.  theta may lie on walls; any positive multiple of it gives the
-    same set.  Direct sums of its members are derivable."""
+def semistable_columns(cls: ModuleClass, theta) -> list[list[bool]]:
+    """The membership in S(theta) of each class brick, in brick order, for a
+    block of theta given as its n coordinate columns: a brick's column is
+    true where theta is positive on its event dim and on every side dim of
+    the crossing plan, each dim's dot products taken once for the block.
+    theta may lie on walls; a positive multiple of a point reads the same."""
     if len(theta) != cls.catalog.quiver.n:
         raise CatalogError(f"theta of rank {len(theta)} on a class of rank {cls.catalog.quiver.n}")
-    plan = crossing_plan(cls)
-    on = [sum(map(mul, d, theta)) > 0 for d in plan.dims]
-    return frozenset(
-        m for m, c in plan.bricks.items() if on[c.event] and all(on[i] for i, _, _ in c.sides)
-    )
+    plan, size, zeros = crossing_plan(cls), len(theta[0]), itertools.repeat(0)
+    on = [list(map(gt, _combination(d, theta, size), zeros)) for d in plan.dims]
+    return [list(map(all, zip(on[c.event], *[on[i] for i, _, _ in c.sides]))) for c in plan.bricks.values()]
+
+
+def semistable_sets(cls: ModuleClass, points) -> list[frozenset[str]]:
+    """S(theta) of each point, decided by `semistable_columns`, and for one
+    point by `semistable_set`.  Direct sums of the members are derivable."""
+    members = zip(*semistable_columns(cls, list(zip(*points))))
+    return [frozenset(itertools.compress(cls.bricks, m)) for m in members]
+
+
+def semistable_set(cls: ModuleClass, theta: IntVec) -> frozenset[str]:
+    """S(theta) of one point: `semistable_sets` of a block of one."""
+    return semistable_sets(cls, [theta])[0]
 
 
 class Chamber(NamedTuple):
@@ -249,10 +261,11 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
         (sorted(cs, key=lambda c: c.signs) for cs in groups.values()),
         key=lambda cs: cs[0].signs,
     )
+    label_of = dict(zip([c.signs for c in cells], semistable_sets(cls, [c.sample for c in cells])))
     chamber_of: dict[tuple, int] = {}
     labels: list[frozenset[str]] = []
     for cid, cell_group in enumerate(ordered):
-        found = {semistable_set(cls, c.sample) for c in cell_group}
+        found = {label_of[c.signs] for c in cell_group}
         if len(found) != 1:
             raise InternalConsistencyError(
                 f"semistable label not constant on merged chamber {cid}"
@@ -348,12 +361,21 @@ def edge_docs(graph: ChamberGraph) -> list[dict]:
     return [{"from": e.src, "to": e.dst, "wall": e.wall_brick} for e in graph.edges]
 
 
-def locate_chamber(graph: ChamberGraph, theta: IntVec) -> int:
-    """Chamber containing an off-wall point, found by its sign vector."""
+def locate_columns(graph: ChamberGraph, theta) -> list[int]:
+    """The chamber of each off-wall point of a block of theta given as its
+    coordinate columns, read from the sign columns of the brick hyperplanes;
+    `locate_chamber` is a block of one.  A point on a brick hyperplane
+    raises, the first in block order named."""
     n = len(graph.chambers[0].sample)
     if len(theta) != n:
         raise CatalogError(f"theta of rank {len(theta)} on a class of rank {n}")
-    values = [sum(map(mul, w.cone.equalities[0], theta)) for w in graph.walls.values()]
-    if 0 in values:
-        raise InternalConsistencyError(f"{theta} lies on a brick hyperplane")
-    return graph.chamber_of_signs[tuple(1 if v > 0 else -1 for v in values)]
+    values = [list(_combination(w.cone.equalities[0], theta, len(theta[0]))) for w in graph.walls.values()]
+    if on := [v.index(0) for v in values if 0 in v]:
+        raise InternalConsistencyError(f"{tuple(c[min(on)] for c in theta)} lies on a brick hyperplane")
+    signs = zip(*[[1 if x > 0 else -1 for x in v] for v in values])
+    return list(map(graph.chamber_of_signs.__getitem__, signs))
+
+
+def locate_chamber(graph: ChamberGraph, theta: IntVec) -> int:
+    """Chamber containing an off-wall point: `locate_columns` of a block of one."""
+    return locate_columns(graph, [[x] for x in theta])[0]

@@ -7,14 +7,15 @@ non-generic, so all comparisons stay exact.
 
 from __future__ import annotations
 
+import itertools
 import random
 from math import lcm
-from operator import itemgetter, mul
+from operator import gt, itemgetter, mul, or_
 from typing import NamedTuple
 
 from ghostpic.catalog import ModuleClass, ModuleSum, builtin_kronecker, generate_type_a
 from ghostpic.errors import GuardExceededError, InternalConsistencyError
-from ghostpic.geometry import Cone, cone_contains_cone, cone_equal, feasible_point, int_dot, vec_str
+from ghostpic.geometry import Cone, _combination, cone_contains_cone, cone_equal, feasible_point, int_dot, vec_str
 from ghostpic.ghosts import (
     SUBOBJECT,
     classify_bifurcations,
@@ -43,8 +44,9 @@ from ghostpic.stability import (
     CrossingPlan,
     chamber_graph,
     crossing_plan,
-    locate_chamber,
-    semistable_set,
+    locate_columns,
+    semistable_columns,
+    semistable_sets,
     wall,
 )
 
@@ -145,21 +147,23 @@ def _generic_block(n: int, rng: random.Random, count: int, plan: CrossingPlan) -
     return candidates.select(generic_columns(candidates, plan))
 
 
-def _chamber_chain(graph: ChamberGraph, path: LinearPath, keys: list[int], scale: int) -> list[int]:
-    """Chambers a generic path passes through, in order: located at a probe
-    before the first brick crossing, between each two consecutive ones and
-    after the last, each probe an integer point on the path's ray.  Brick
-    time t is -key/L over the path's `time_keys` of the bricks and their L."""
-    times = sorted(-key for key in keys)
-    probes = [(times[0] - scale, scale)]
-    probes += [(a + b, 2 * scale) for a, b in zip(times, times[1:])]
-    probes.append((times[-1] + scale, scale))
-    chain: list[int] = []
-    for num, den in probes:
-        cid = locate_chamber(graph, path.point_at(num, den))
-        if not chain or chain[-1] != cid:
-            chain.append(cid)
-    return chain
+def _chamber_chains(graph: ChamberGraph, block: PathColumns, keys, scale: list[int]) -> list[list[int]]:
+    """Chambers each path of a generic block passes through, in order:
+    located at a probe before the first brick crossing, between each two
+    consecutive ones and after the last, each probe an integer point on the
+    path's ray, all probes of the block located in one call.  Brick time t
+    is -key/L over the block's `time_keys` of the bricks and their L."""
+    probes = []  # (path, num, den): the point den*H*h + num*H*k
+    for p, L in enumerate(scale):
+        times = sorted(-key[p] for key in keys)
+        probes.append((p, times[0] - L, L))
+        probes += [(p, a + b, 2 * L) for a, b in zip(times, times[1:])]
+        probes.append((p, times[-1] + L, L))
+    points = [[den * h[p] + num * k[p] for p, num, den in probes] for h, k in zip(block.h, block.k)]
+    chains: list[list[int]] = [[] for _ in scale]
+    for (p, cid), _ in itertools.groupby(zip([p for p, _, _ in probes], locate_columns(graph, points))):
+        chains[p].append(cid)  # one entry per run of probes in one chamber
+    return chains
 
 
 class Verifier:
@@ -197,6 +201,7 @@ class Verifier:
         for name, cls in self.fixtures.items():
             graph = chamber_graph(cls)
             mix_cells = cls.flags.extension_closed is True
+            points, chambers = [], []
             for ch in graph.chambers:
                 # cell samples over one common denominator: an integer positive
                 # combination is a positive multiple of the normalized one
@@ -207,9 +212,11 @@ class Verifier:
                     weights = _randints(rng, 1, 9, len(basis))
                     basis = basis + [rng.choice(samples)]
                     weights += _randints(rng, 1, 9, 1)
-                    point = tuple(sum(map(mul, weights, col)) for col in zip(*basis))
-                    if semistable_set(cls, point) != ch.label:
-                        fails.add(f"{name}: theta={point} in chamber {ch.id}")
+                    points.append(tuple(sum(map(mul, weights, col)) for col in zip(*basis)))
+                    chambers.append(ch)
+            for point, label, ch in zip(points, semistable_sets(cls, points), chambers):
+                if label != ch.label:
+                    fails.add(f"{name}: theta={point} in chamber {ch.id}")
         self.record("b:semistable-locally-constant", fails)
 
     # (c) wall crossing: S(theta-) = S(theta0) strictly below S(theta+)
@@ -219,8 +226,8 @@ class Verifier:
         for name, cls in self.fixtures.items():
             graph = chamber_graph(cls)
             dims = [cls.dim_of(b) for b in cls.bricks]
+            points = []  # theta-, theta0 and theta+ of every edge, in one block
             for e in graph.edges:
-                edges += 1
                 theta0 = e.facet_sample  # den times the rational sample
                 # eps = p/q is half the least margin |d.theta0| / d.eta over the
                 # bricks off the wall, else den (1 on the rational sample's
@@ -228,11 +235,11 @@ class Verifier:
                 halves = [(abs(v), 2 * sum(d)) for d in dims if (v := int_dot(d, theta0))]
                 scale = lcm(*(q for _, q in halves))  # each p/q as p * (scale // q) / scale
                 p, q = min(halves, key=lambda h: h[0] * (scale // h[1])) if halves else (e.den, 1)
-                minus = tuple(q * x - p for x in theta0)
-                plus = tuple(q * x + p for x in theta0)
-                s_minus = semistable_set(cls, minus)
-                s_zero = semistable_set(cls, theta0)
-                s_plus = semistable_set(cls, plus)
+                points += [tuple(q * x - p for x in theta0), theta0, tuple(q * x + p for x in theta0)]
+            labels = semistable_sets(cls, points)
+            for i, e in enumerate(graph.edges):
+                edges += 1
+                s_minus, s_zero, s_plus = labels[3 * i : 3 * i + 3]
                 src = graph.chamber(e.src).label
                 dst = graph.chamber(e.dst).label
                 ok = (
@@ -242,7 +249,7 @@ class Verifier:
                     and e.wall_brick in s_plus - s_zero
                 )
                 if not ok:
-                    fails.add(f"{name}: theta0={_sample_str(theta0, e.den)} on D({e.wall_brick})")
+                    fails.add(f"{name}: theta0={_sample_str(e.facet_sample, e.den)} on D({e.wall_brick})")
         self.record("c:wall-crossing-monotone", fails, f"{edges} edges")
 
     def _decide_paths(self, name: str, cls: ModuleClass, rng, plan: CrossingPlan, crossings, fails):
@@ -417,24 +424,24 @@ class Verifier:
             for block in _generic_blocks(cls, rng, count, plan):
                 keys, scale = time_keys(block, plan)
                 bricks = [keys[c.event] for c in plan.bricks.values()]
-                for p, stable in enumerate(mgs_columns(block, plan, keys)):
-                    path = block.path(p)
-                    chain = _chamber_chain(graph, path, [key[p] for key in bricks], scale[p])
+                chains = _chamber_chains(graph, block, bricks, scale)
+                for p, (stable, chain) in enumerate(zip(mgs_columns(block, plan, keys), chains)):
+                    where = lambda: f"{name}: {_path_str(block.path(p))}"  # read on a failure only
                     if chain[0] != graph.source or chain[-1] != graph.sink:
-                        fails.add(f"{name}: {_path_str(path)}: chamber chain {chain} misses an end")
+                        fails.add(f"{where()}: chamber chain {chain} misses an end")
                         continue
                     walls_crossed = []
                     for a, b in zip(chain, chain[1:]):
                         edge = next((e for e in graph.out_edges(a) if e.dst == b), None)
                         if edge is None:
-                            fails.add(f"{name}: {_path_str(path)}: no edge from chamber {a} to {b}")
+                            fails.add(f"{where()}: no edge from chamber {a} to {b}")
                             break
                         walls_crossed.append(edge.wall_brick)
                     else:
                         if tuple(walls_crossed) != stable:
-                            fails.add(f"{name}: {_path_str(path)}: walls {walls_crossed}, MGS {stable}")
+                            fails.add(f"{where()}: walls {walls_crossed}, MGS {stable}")
                     if all_mgs is not None and stable not in all_mgs:
-                        fails.add(f"{name}: {_path_str(path)}: linear MGS {stable} is not enumerated")
+                        fails.add(f"{where()}: linear MGS {stable} is not enumerated")
         self.record("paths:linear-mgs-traverse-graph", fails)
 
     # unstable objects above zero admit a semistable admissible subobject
@@ -444,20 +451,22 @@ class Verifier:
         for name, cls in self.fixtures.items():
             if cls.flags.extension_closed is not True:
                 continue
-            n = cls.catalog.quiver.n
-            # each brick's dim and its admissible subobjects, once per fixture
-            subs = [
-                (m, cls.dim_of(m), [frozenset(p.sub.ids) for p in cls.admissible_quotients(m)])
-                for m in cls.bricks
-            ]
-            for _ in range(max(10, self.paths)):
-                theta = tuple(_randints(rng, -9, 9, n))
-                label = semistable_set(cls, theta)
-                for m, d, admissible in subs:
-                    if m in label or int_dot(d, theta) <= 0:
-                        continue
-                    if not any(sub <= label for sub in admissible):
-                        fails.add(f"{name}: {m} at theta={theta}")
+            n, count = cls.catalog.quiver.n, max(10, self.paths)
+            values = _randints(rng, -9, 9, n * count)  # count theta, one after another
+            theta = [values[j::n] for j in range(n)]
+            members = dict(zip(cls.bricks, semistable_columns(cls, theta)))
+            bad = []
+            for m in cls.bricks:
+                admitted = [False] * count  # some admissible subobject lies in S(theta)
+                for q in cls.admissible_quotients(m):  # q.sub is a sum of class bricks
+                    admitted = list(map(or_, admitted, map(all, zip(*[members[x] for x in q.sub.ids]))))
+                # theta(m) > 0 while m is not semistable and admits none: the
+                # bools above > (member or admitted)
+                above = map(gt, _combination(cls.dim_of(m), theta, count), itertools.repeat(0))
+                bad.append(list(map(gt, above, map(or_, members[m], admitted))))
+            for p, row in enumerate(zip(*bad)):  # point-major, as the draws
+                for m in itertools.compress(cls.bricks, row):
+                    fails.add(f"{name}: {m} at theta={tuple(values[n * p : n * p + n])}")
         self.record("lemma:admissible-subobject-exists", fails)
 
     # ghost domain geometry: shrinkage, monotone walls, bifurcation facets

@@ -713,9 +713,8 @@ class TestUnreadablePathsAndEmptyValues:
 class TestClosedStdout:
     def test_reader_closing_early_gets_a_quiet_exit_1(self):
         # the reader takes one byte of the A12 catalog document (~130 kB) and
-        # closes the pipe; exit 1 comes from the final newline, which
-        # `cli._write` writes on its own into the closed pipe (one write of the
-        # whole document can end with 0, whatever the pipe holds)
+        # closes the pipe; `cli._write` writes the bytes until all are taken,
+        # so the write into the closed pipe fails and the exit is 1
         src = str(Path(__file__).resolve().parent.parent / "src")
         paths = [src, os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
@@ -727,6 +726,49 @@ class TestClosedStdout:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert err == b""
+
+
+class TestShortWrites:
+    """`cli._write` writes the encoded document until every byte is taken.
+    With PYTHONUNBUFFERED=1 stdout's byte layer is a raw FileIO, and a text
+    write there drops the count of a short write: a 130,000-byte document
+    ending in a newline, read 1 byte at a time by a reader that then
+    leaves, gave exit 0.  Each case runs in a child with and without the
+    variable set, and with and without the final newline."""
+
+    CHILD = (
+        "import sys\n"
+        "from ghostpic import cli\n"
+        "text = 'x' * 129999 + ('\\n' if sys.argv[1] == 'newline' else 'x')\n"
+        "cli.dispatch = lambda argv: cli._write(None, text) or 0\n"
+        "cli.main()\n"
+    )
+
+    @staticmethod
+    def child(end, unbuffered):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [sys.executable, "-c", TestShortWrites.CHILD, end]
+        return subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env)
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    @pytest.mark.parametrize("end", ["newline", "none"])
+    def test_a_reader_leaving_early_gets_exit_1(self, end, unbuffered):
+        proc = self.child(end, unbuffered)
+        assert proc.stdout.read(1) == b"x"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (1, b"")
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    @pytest.mark.parametrize("end", ["newline", "none"])
+    def test_a_full_reader_gets_every_byte(self, end, unbuffered):
+        out, err = self.child(end, unbuffered).communicate(timeout=60)
+        assert (out, err) == (b"x" * 129999 + (b"\n" if end == "newline" else b"x\n"), b"")
 
 
 class TestOutFile:

@@ -42,7 +42,14 @@ from ghostpic.greenpaths import (
     linear_mgs,
     time_keys,
 )
-from ghostpic.stability import chamber_graph, crossing_plan, locate_chamber, semistable_set, wall
+from ghostpic.stability import (
+    chamber_graph,
+    crossing_plan,
+    locate_chamber,
+    semistable_columns,
+    semistable_set,
+    wall,
+)
 from reference_paths import drawn_paths, reference_crossings
 from reference_schedule import reference_ghost_events, reference_schedule
 from reference_vectors import dot, proportional
@@ -781,12 +788,14 @@ class TestVerifyFailures:
         assert (edge.facet_sample, edge.den, edge.wall_brick) == ((-2, 1, 0), 2, "S3")
 
         def wrong_at_the_sample(cls, theta):
-            found = semistable_set(cls, theta)
-            if cls is torsion4 and theta == edge.facet_sample:
-                return frozenset(cls.bricks)
+            found = semistable_columns(cls, theta)
+            for p, point in enumerate(zip(*theta)):
+                if cls is torsion4 and point == edge.facet_sample:
+                    for column in found:
+                        column[p] = True
             return found
 
-        monkeypatch.setattr(verify, "semistable_set", wrong_at_the_sample)
+        monkeypatch.setattr("ghostpic.stability.semistable_columns", wrong_at_the_sample)
         checker.check_wall_crossing()
         (result,) = checker.results
         assert result.line() == (

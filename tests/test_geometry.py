@@ -1,8 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from ghostpic import geometry
+from ghostpic.catalog import ModuleClass, generate_type_a
 from ghostpic.errors import GhostpicError, GuardExceededError
 from ghostpic.geometry import (
     Cell,
@@ -14,6 +17,9 @@ from ghostpic.geometry import (
     primitive,
     relative_interior_point,
 )
+from ghostpic.stability import chamber_graph
+from ghostpic.verify import standard_fixtures
+from reference_cells import reference_enumerate_cells
 from reference_vectors import dot
 
 A3_DIMS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)]
@@ -186,3 +192,41 @@ class TestConeAlgebra:
         p = feasible_point(cone.negated().interior())
         assert p is not None
         assert cone.contains(tuple(-x for x in p))
+
+
+class TestCellsKeepTheReferenceEnumeration:
+    """A child cell on its parent's side of the new hyperplane keeps its
+    parent's sample below the last level, and `_cone_lp` builds its box rows
+    and objective once per rank: the cells, samples and denominators are
+    those of the enumeration that solved every child's LP in full
+    (`reference_cells`)."""
+
+    @staticmethod
+    def classes():
+        for n in range(1, 5):
+            for orient in map("".join, itertools.product("LR", repeat=n - 1)):
+                catalog = generate_type_a(n, orient)
+                yield ModuleClass(catalog, [m.id for m in catalog.indecs])
+        yield from standard_fixtures().values()
+
+    def test_every_full_class_up_to_a4_and_every_fixture(self):
+        checked = 0
+        for cls in self.classes():
+            dims = [cls.dim_of(b) for b in cls.bricks]
+            assert enumerate_cells(dims) == reference_enumerate_cells(dims), cls.bricks
+            checked += 1
+        assert checked == 1 + 2 + 4 + 8 + 10
+
+    def test_the_a4_lll_chamber_build_solves_724_lps(self, monkeypatch):
+        """866 before the kept samples and the box built once per rank."""
+        solved = []
+        simplex = geometry._simplex_max
+
+        def counted(*args):
+            solved.append(args)
+            return simplex(*args)
+
+        monkeypatch.setattr(geometry, "_simplex_max", counted)
+        catalog = generate_type_a(4, "LLL")
+        graph = chamber_graph(ModuleClass(catalog, [m.id for m in catalog.indecs]))
+        assert (len(graph.cells), len(graph.chambers), len(solved)) == (120, 42, 724)

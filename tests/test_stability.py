@@ -7,12 +7,15 @@ import pytest
 
 from ghostpic import verify
 from ghostpic.catalog import ModuleClass, ModuleSum, generate_type_a
-from ghostpic.errors import GuardExceededError, InternalConsistencyError
+from ghostpic.errors import CatalogError, GuardExceededError, InternalConsistencyError
 from ghostpic.stability import (
     chamber_graph,
     enumerate_chambers,
     locate_chamber,
+    locate_columns,
+    semistable_columns,
     semistable_set,
+    semistable_sets,
     wall,
 )
 from reference_vectors import dot
@@ -98,29 +101,89 @@ class TestSemistableSet:
 
     def test_the_definition_on_every_fixture_and_a3_class(self):
         """S(theta), read from the crossing plan, is its definition read from
-        the weakly admissible quotients themselves: the bricks with theta
-        positive on their dim and on the dim of every proper one.  Seeded
-        theta, and points on the hyperplane of each brick and quotient dim,
-        so on walls too."""
-        rng = random.Random(22)
-        classes = fixture_and_a3_classes()
-        on_walls = 0
-        for cls in classes:
-            n = cls.catalog.quiver.n
-            dims = {
-                m: [cls.dim_of(m), *(cls.dim_of(p.quot) for p in cls.weakly_admissible_quotients(m, True))]
-                for m in cls.bricks
-            }
-            thetas = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(10)]
-            for d in sorted({d for ds in dims.values() for d in ds}):
-                for _ in range(2):  # r projected onto the hyperplane of d, times d.d
-                    r = [rng.randint(-4, 4) for _ in range(n)]
-                    thetas.append(tuple(int(dot(d, d) * x - dot(r, d) * y) for x, y in zip(r, d)))
-            for theta in thetas:
-                expected = {m for m, ds in dims.items() if all(dot(d, theta) > 0 for d in ds)}
-                assert semistable_set(cls, theta) == expected, (cls, theta)
+        the weakly admissible quotients themselves (`definition_cases`)."""
+        classes = on_walls = 0
+        for cls, thetas, expected in definition_cases(random.Random(22)):
+            for theta, wanted in zip(thetas, expected):
+                assert semistable_set(cls, theta) == wanted, (cls, theta)
                 on_walls += any(theta) and any(wall(cls, m).cone.contains(theta) for m in cls.bricks)
-        assert len(classes) == 262 and on_walls > 1000
+            classes += 1
+        assert classes == 262 and on_walls > 1000
+
+
+def columns(points):
+    """A block of points as its coordinate columns."""
+    return [list(c) for c in zip(*points)]
+
+
+def definition_cases(rng):
+    """(class, theta, S(theta) by its definition) over the fixtures and
+    every A3 class: seeded theta, and points on the hyperplane of each brick
+    and quotient dim, so on walls too.  S(theta) by definition is the
+    bricks with theta positive on their dim and on the dim of every proper
+    weakly admissible quotient."""
+    for cls in fixture_and_a3_classes():
+        n = cls.catalog.quiver.n
+        dims = {
+            m: [cls.dim_of(m), *(cls.dim_of(p.quot) for p in cls.weakly_admissible_quotients(m, True))]
+            for m in cls.bricks
+        }
+        thetas = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(10)]
+        for d in sorted({d for ds in dims.values() for d in ds}):
+            for _ in range(2):  # r projected onto the hyperplane of d, times d.d
+                r = [rng.randint(-4, 4) for _ in range(n)]
+                thetas.append(tuple(int(dot(d, d) * x - dot(r, d) * y) for x, y in zip(r, d)))
+        yield cls, thetas, [{m for m, ds in dims.items() if all(dot(d, t) > 0 for d in ds)} for t in thetas]
+
+
+class TestKernels:
+    """`semistable_columns` and `locate_columns` decide a block of points
+    given as columns; `semistable_set` and `locate_chamber` are blocks of
+    one."""
+
+    def test_the_membership_columns_are_the_definition_and_the_block_of_one(self):
+        classes = 0
+        for cls, thetas, expected in definition_cases(random.Random(23)):
+            members = semistable_columns(cls, columns(thetas))
+            assert [len(m) for m in members] == [len(thetas)] * len(cls.bricks)
+            rows = [{b for b, on in zip(cls.bricks, row) if on} for row in zip(*members)]
+            assert rows == expected == [semistable_set(cls, t) for t in thetas], cls.bricks
+            assert semistable_sets(cls, thetas) == rows
+            classes += 1
+        assert classes == 262
+
+    def test_a_block_is_located_as_its_points_one_by_one(self):
+        rng = random.Random(5)
+        for cls in verify.standard_fixtures().values():
+            graph = chamber_graph(cls)
+            dims = [cls.dim_of(b) for b in cls.bricks]
+            n = cls.catalog.quiver.n
+            draws = (tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(400))
+            thetas = [t for t in draws if all(dot(d, t) for d in dims)]
+            ids = locate_columns(graph, columns(thetas))
+            assert ids == [locate_chamber(graph, t) for t in thetas]
+            assert [graph.chamber(c).label for c in ids] == [semistable_set(cls, t) for t in thetas]
+
+    def test_a_theta_of_another_rank_is_refused_for_the_block(self, torsion4):
+        graph = chamber_graph(torsion4)
+        for block in (columns([(1, 1), (2, 3)]), columns([(1, 1, 1, 1)])):
+            message = f"theta of rank {len(block)} on a class of rank 3"
+            with pytest.raises(CatalogError, match=message):
+                semistable_columns(torsion4, block)
+            with pytest.raises(CatalogError, match=message):
+                locate_columns(graph, block)
+
+    def test_the_first_point_on_a_brick_hyperplane_is_named(self, torsion4):
+        """Two points of the block lie on brick hyperplanes (theta(S3) = 0,
+        then theta(S1) = 0): the first in block order is named, with the
+        text of a block of one."""
+        graph = chamber_graph(torsion4)
+        thetas = [(1, 2, 3), (-1, 2, -3), (4, -1, 0), (2, 2, 2), (0, 5, -1)]
+        with pytest.raises(InternalConsistencyError, match=re.escape("(4, -1, 0) lies on a brick hyperplane")):
+            locate_columns(graph, columns(thetas))
+        for theta in thetas[2::2]:
+            with pytest.raises(InternalConsistencyError, match=re.escape(f"{theta} lies on a brick hyperplane")):
+                locate_chamber(graph, theta)
 
 
 class TestChambers:

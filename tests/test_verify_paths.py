@@ -15,14 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghostpic import verify
-from ghostpic.catalog import ModuleClass, generate_type_a
+from ghostpic.catalog import ModuleClass, builtin_kronecker, generate_type_a
 from ghostpic.errors import NonGenericPathError
 from ghostpic.ghosts import enumerate_ghosts, ghost_plan
-from ghostpic.greenpaths import LinearPath, check_generic, linear_mgs, stable_columns
+from ghostpic.greenpaths import LinearPath, PathColumns, linear_mgs, stable_columns, time_keys
 from ghostpic.stability import chamber_graph, crossing_plan
 from ghostpic.verify import (
     Verifier,
-    _chamber_chain,
+    _chamber_chains,
     _generic_blocks,
     _path_str,
     _randints,
@@ -124,10 +124,13 @@ def test_draws_are_pinned(name):
 
 
 def chamber_chain(cls, graph, path):
-    """`_chamber_chain` of one path, over its keys of the class bricks."""
+    """`_chamber_chains` of the block of one path, over its keys of the
+    class bricks."""
     plan = crossing_plan(cls)
-    keys, scale = check_generic(path, plan)
-    return _chamber_chain(graph, path, [keys[c.event] for c in plan.bricks.values()], scale)
+    block = PathColumns.of_paths(cls.catalog.quiver.n, [path])
+    keys, scale = time_keys(block, plan)
+    (chain,) = _chamber_chains(graph, block, [keys[c.event] for c in plan.bricks.values()], scale)
+    return chain
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -335,3 +338,50 @@ def test_linear_mgs_is_the_walls_of_the_chamber_chain(orient, data):
         assert chain[0] == graph.source and chain[-1] == graph.sink
         walls = [next(e.wall_brick for e in graph.out_edges(a) if e.dst == b) for a, b in zip(chain, chain[1:])]
         assert linear_mgs(cls, path) == walls
+
+
+def test_checks_d_and_e_decide_plans_with_two_dims_on_one_ray():
+    """Over the opposite Kronecker fragment P2's quotient P1+P1 shares the
+    ray of P1, which no standard fixture has: checks (d) and (e) pass on its
+    classes {P1,S2,P2} and {P1,S2,M,P2} (the second has ghosts), and on the
+    same draws the kernel's verdicts are the path-by-path reference's."""
+    opposite = builtin_kronecker().opposite()
+    checker = Verifier(paths_per_fixture=300, seed=0)
+    checker.fixtures = {
+        "p1s2p2": ModuleClass(opposite, ["P1", "S2", "P2"]),
+        "p1s2mp2": ModuleClass(opposite, ["P1", "S2", "M", "P2"]),
+    }
+    checker.check_stability_equivalence()
+    checker.check_ghost_stability_equivalence()
+    assert [r.line() for r in checker.results] == [
+        "[PASS] d:brick-stability-equivalence  (300 paths x 2 fixtures)",
+        "[PASS] e:ghost-stability-equivalence",
+    ]
+    decided = 0
+    for check in ("stability", "ghost-stability"):
+        rng = random.Random((checker.seed, check).__repr__())
+        for cls in checker.fixtures.values():
+            ghosts = enumerate_ghosts(cls)
+            if check == "stability":
+                plan = crossing_plan(cls)
+                crossings = [plan.bricks[b] for b in cls.bricks]
+            elif ghosts:
+                plan = ghost_plan(cls)
+                crossings = [plan.ghosts[g.key()][1] for g in ghosts]
+            else:
+                continue
+            assert plan.ray != tuple(range(len(plan.dims)))
+            theirs = random.Random()
+            theirs.setstate(rng.getstate())
+            blocks = list(_generic_blocks(cls, rng, checker.paths, plan))
+            paths = [b.path(p) for b in blocks for p in range(b.size)]
+            assert paths == list(path_by_path(cls, theirs, checker.paths, plan))
+            for crossing in crossings:
+                verdicts = []
+                for block in blocks:
+                    by_times, disagree = stable_columns(block, plan, crossing)
+                    assert disagree == []
+                    verdicts += by_times
+                assert verdicts == [reference_stable_along(path, plan, crossing) for path in paths]
+                decided += len(paths)
+    assert decided == 300 * (3 + 4 + 2)
