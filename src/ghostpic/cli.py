@@ -217,11 +217,6 @@ def cmd_picture(args) -> str:
     cls = _class_from_args(args)
     if args.report:
         return export_report(cls)
-    if cls.catalog.quiver.n != 3:
-        raise RankError(
-            "rank-3-only: the SVG picture needs exactly three simples; "
-            "run with --report for the JSON report instead"
-        )
     return render_picture(cls, RenderOptions(include_extension_ghosts=args.ext_ghosts))
 
 

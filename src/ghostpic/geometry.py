@@ -19,7 +19,7 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import NamedTuple
 
-from ghostpic.errors import GhostpicError, check_guard
+from ghostpic.errors import GhostpicError, InternalConsistencyError, check_guard
 
 IntVec = tuple[int, ...]
 
@@ -394,7 +394,9 @@ def cell_facet_neighbors(cells: list[Cell], vectors) -> list[FacetAdjacency]:
 
     Candidates differ in exactly one sign; the shared facet is certified by
     an exact relative-interior point lying on the separating hyperplane and
-    strictly on the common side of every other hyperplane.
+    strictly on the common side of every other hyperplane.  Such a point
+    always exists: the segment between the two cells' samples stays in the
+    open cone of the common sides and crosses the hyperplane there.
     """
     normals = _normals(vectors)
     n = len(normals[0])
@@ -417,7 +419,9 @@ def cell_facet_neighbors(cells: list[Cell], vectors) -> list[FacetAdjacency]:
             if stricts:
                 sample = _sample(cone)
                 if sample is None:
-                    continue
+                    raise InternalConsistencyError(
+                        f"cells {cell.signs} and {other.signs} share no facet on hyperplane {i}"
+                    )
             else:  # a lone hyperplane: any point of it will do
                 sample = _kernel_vector(normals[i])
             out.append(FacetAdjacency(cell, other, i, *sample))

@@ -315,8 +315,7 @@ def ghost_stability(cls: ModuleClass, path: LinearPath, g: Ghost) -> bool:
     ghost, crossing = plan.ghosts.get(g.key(), (None, None))
     if ghost is not g and ghost != g:
         raise CatalogError(f"{g.display()} is not a ghost of {cls!r}")
-    block = PathColumns.of_paths(cls.catalog.quiver.n, [path])
-    ((stable,),) = stable_verdicts(block, plan, [crossing])
+    ((stable,),) = stable_verdicts(PathColumns.of_paths(plan, [path]), [crossing])
     return stable
 
 

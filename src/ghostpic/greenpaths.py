@@ -12,16 +12,14 @@ Crossings are computed one way only, from a crossing plan
 (`stability.CrossingPlan`), which is also the scope of every genericity
 question: `stability.crossing_plan` for the class bricks, `ghosts.ghost_plan`
 for its bricks and every ghost.  Paths are decided in blocks
-(`PathColumns`), and a single path is a block of one.  A crossing time is
-held in one form only, an integer key: `time_keys` gives, per plan dim i,
-the column key[i][p] = hd*(L//kd) of the paths p, where hd = H*h.d_i,
-kd = H*k.d_i > 0 and L is the lcm of the path's kd, so the time is -key/L
-and a higher key crosses earlier.  A block computes its keys once per plan
-and keeps them, and every decision reads them: `generic_columns` decides
-genericity (distinct keys across rays), and `stable_columns` decides
-stability by the time criterion and cross-checks it against the interior
-cone at the integer crossing point point_at(-key[i], L), all in a few `map`
-passes per dim and per side.  No decision touches a dim tuple.  The
+(`PathColumns`), each made for one plan, and a single path is a block of
+one.  A crossing time is held in one form only, an integer key -time*L
+that a block computes for every dim of its plan when it is made, and every
+decision reads the keys: `generic_columns` decides genericity (distinct
+keys across rays), and `stable_columns` decides stability by the time
+criterion and cross-checks it against the interior cone at the integer
+crossing point L*H*h - key*H*k, all in a few `map` passes per dim and per
+side.  No decision touches a dim tuple.  The
 single-path entries (`check_generic`, `is_relatively_stable`,
 `crossing_schedule`, `linear_mgs`) read a block of one, and the grid sweep
 of `find_linear_paths` reads a block of grid paths at a time.
@@ -62,8 +60,7 @@ class LinearPath:
     """gamma_t = h + t*k with exact coordinates (int or Fraction; a float is
     rejected).  The path keeps only integers, (H*h, H*k) and their least
     common denominator H (`geometry.integral`), and builds h and k as
-    Fractions when read.  Paths are equal when their h and k are;
-    `point_at` gives integer points on the path."""
+    Fractions when read.  Paths are equal when their h and k are."""
 
     __slots__ = ("_hi", "_ki", "_den")
 
@@ -102,11 +99,6 @@ class LinearPath:
     def __repr__(self):
         return f"LinearPath(h={self.h!r}, k={self.k!r})"
 
-    def point_at(self, num: int, den: int) -> IntVec:
-        """den*H*h + num*H*k: for den > 0 a positive integer multiple of
-        the point h + (num/den)*k."""
-        return tuple([den * a + num * b for a, b in zip(self._hi, self._ki)])
-
 
 class Event(NamedTuple):
     t: Fraction
@@ -121,93 +113,83 @@ class Event(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-class PathColumns:
-    """A block of linear paths as columns: h[j][p] and k[j][p] are the
-    coordinate j of H*h and H*k of path p, integers with every k[j][p] > 0
-    (a path's common denominator H scales no verdict).  A block keeps the
-    `time_keys` of each plan it is decided for."""
+class PathColumns(NamedTuple):
+    """A block of linear paths for one crossing plan, as columns: h[j][p]
+    and k[j][p] are the coordinate j of H*h and H*k of path p, integers with
+    every k[j][p] > 0 (a path's common denominator H scales no verdict).
+    The crossing time of each plan dim d_i is keyed by one integer,
+    keys[i][p] = hd * (scale[p] // kd) with hd = H*h.d_i, kd = H*k.d_i > 0
+    and scale[p] the lcm of the path's kd: the time -hd/kd is minus the key
+    over the scale, so two dims share a key iff they cross together, and a
+    higher key crosses earlier.  The keys are computed when the block is
+    made."""
 
-    __slots__ = ("h", "k", "size", "_keys")
+    plan: CrossingPlan
+    h: list[list[int]]
+    k: list[list[int]]
+    keys: list[list[int]]
+    scale: list[int]
 
-    def __init__(self, h: list[list[int]], k: list[list[int]], size: int):
-        self.h = h
-        self.k = k
-        self.size = size
-        self._keys: dict = {}
+    @property
+    def size(self) -> int:
+        return len(self.scale)
 
     @classmethod
-    def of_rows(cls, rank: int, hs, ks) -> PathColumns:
-        """The block of the paths (hs[p], ks[p]), integer vectors of the rank."""
-        columns = lambda rows: [list(c) for c in zip(*rows)] if rows else [[] for _ in range(rank)]
-        return cls(columns(hs), columns(ks), len(hs))
+    def of_rows(cls, plan: CrossingPlan, hs, ks) -> PathColumns:
+        """The block of the paths (hs[p], ks[p]), integer vectors of the
+        plan's rank; a path of another rank is rejected."""
+        dims, size = plan.dims, len(hs)
+        rank = len(hs[0]) if hs else len(dims[0]) if dims else 0
+        if dims and rank != len(dims[0]):
+            raise CatalogError(f"path of rank {rank} on a class of rank {len(dims[0])}")
+        h, k = ([list(c) for c in zip(*rows)] if rows else [[] for _ in range(rank)] for rows in (hs, ks))
+        kd = [list(_combination(d, k, size)) for d in dims]
+        scale = list(map(lcm, *kd)) if kd else [1] * size
+        keys = [list(map(mul, _combination(d, h, size), map(floordiv, scale, c))) for d, c in zip(dims, kd)]
+        return cls(plan, h, k, keys, scale)
 
     @classmethod
-    def of_paths(cls, rank: int, paths) -> PathColumns:
-        return cls.of_rows(rank, [p._hi for p in paths], [p._ki for p in paths])
+    def of_paths(cls, plan: CrossingPlan, paths) -> PathColumns:
+        return cls.of_rows(plan, [p._hi for p in paths], [p._ki for p in paths])
 
     def path(self, p: int) -> LinearPath:
         return LinearPath(tuple([c[p] for c in self.h]), tuple([c[p] for c in self.k]))
 
     def select(self, mask) -> PathColumns:
-        """The block of the paths where mask is true, in order, with the
-        time keys computed so far."""
+        """The block of the paths where mask is true, in order."""
         keep = lambda cols: [list(itertools.compress(c, mask)) for c in cols]
-        out = PathColumns(keep(self.h), keep(self.k), sum(mask))
-        for plan, (keys, scale) in self._keys.items():
-            out._keys[plan] = keep(keys), list(itertools.compress(scale, mask))
-        return out
+        scale = list(itertools.compress(self.scale, mask))
+        return PathColumns(self.plan, keep(self.h), keep(self.k), keep(self.keys), scale)
 
 
-def time_keys(block: PathColumns, plan: CrossingPlan) -> tuple[list[list[int]], list[int]]:
-    """The crossing time of each plan dim d_i on every path of the block
-    keyed by one integer, key[i][p] = hd * (L[p] // kd) with hd = H*h.d_i,
-    kd = H*k.d_i > 0 and L[p] the lcm of the path's kd: the time -hd/kd is
-    minus the key over L, so two dims share a key iff they cross together,
-    and a higher key crosses earlier.  Returns the key columns, in plan
-    order, and L, computed once per plan; a path whose rank is not the
-    plan's is rejected."""
-    memo = block._keys.get(plan)
-    if memo is None:
-        dims = plan.dims
-        if dims and len(dims[0]) != len(block.h):
-            raise CatalogError(f"path of rank {len(block.h)} on a class of rank {len(dims[0])}")
-        kd = [list(_combination(d, block.k, block.size)) for d in dims]
-        scale = list(map(lcm, *kd)) if kd else [1] * block.size
-        hd = [_combination(d, block.h, block.size) for d in dims]
-        keys = [list(map(mul, h, map(floordiv, scale, k))) for h, k in zip(hd, kd)]
-        memo = block._keys[plan] = keys, scale
-    return memo
-
-
-def generic_columns(block: PathColumns, plan: CrossingPlan) -> list[bool]:
+def generic_columns(block: PathColumns) -> list[bool]:
     """The genericity of every path of the block: True where no two
-    non-proportional dims of the plan cross together, that is where the
-    `time_keys` of one dim per ray are distinct (proportional dims cross
-    together on every path)."""
-    keys, _ = time_keys(block, plan)
-    rays = set(plan.ray)
+    non-proportional dims of its plan cross together, that is where the
+    keys of one dim per ray are distinct (proportional dims cross together
+    on every path)."""
+    rays = set(block.plan.ray)
     if not rays:
         return [True] * block.size
-    return list(map(len(rays).__eq__, map(len, map(set, zip(*[keys[i] for i in rays])))))
+    return list(map(len(rays).__eq__, map(len, map(set, zip(*[block.keys[i] for i in rays])))))
 
 
 # x == 0, x >= 0 and x > 0 as C calls on a column
 _ZERO, _NONNEGATIVE, _POSITIVE = (0).__eq__, (0).__le__, (0).__lt__
 
 
-def stable_columns(block: PathColumns, plan: CrossingPlan, crossing: Crossing) -> tuple[list[bool], list[int]]:
-    """Stability of an event object along every path of the block: the time
-    verdicts (every side crosses before the event, a higher `time_keys`
-    key, or after it, a lower one, when ``late``), and the indices of the
+def stable_columns(block: PathColumns, crossing: Crossing) -> tuple[list[bool], list[int]]:
+    """Stability of an event object of the block's plan along every path of
+    the block: the time verdicts (every side crosses before the event, a
+    higher key, or after it, a lower one, when ``late``), and the indices of the
     paths whose integer crossing point's membership in the interior cone
     disagrees with them.  A path whose first failing side crosses together
     with the event, their dims not proportional, raises
     NonGenericPathError, for the first such path of the block.  The
     membership is read from the cone's own rows, not from the plan's dims."""
-    keys, scale = time_keys(block, plan)
+    keys, scale = block.keys, block.scale
     e = crossing.event
     key_e = keys[e]
-    ray = plan.ray
+    ray = block.plan.ray
     by_times = [True] * block.size
     first = None  # (path, side name) of the first non-generic path
     for i, late, name in crossing.sides:
@@ -238,13 +220,13 @@ def disagreement(crossing: Crossing, by_times: bool) -> InternalConsistencyError
     )
 
 
-def stable_verdicts(block: PathColumns, plan: CrossingPlan, crossings) -> list[list[bool]]:
+def stable_verdicts(block: PathColumns, crossings) -> list[list[bool]]:
     """The `stable_columns` verdicts of each crossing on the block, in
     order; a disagreement raises, for the first path that has one, at its
     first such crossing."""
     verdicts, bad = [], None
     for c in crossings:
-        by_times, disagree = stable_columns(block, plan, c)
+        by_times, disagree = stable_columns(block, c)
         if disagree and (bad is None or disagree[0] < bad[0]):
             bad = disagree[0], c, by_times[disagree[0]]
         verdicts.append(by_times)
@@ -253,13 +235,12 @@ def stable_verdicts(block: PathColumns, plan: CrossingPlan, crossings) -> list[l
     return verdicts
 
 
-def mgs_columns(block: PathColumns, plan: CrossingPlan, keys) -> list[tuple[str, ...]]:
-    """The linear MGS of every path of a block generic for the plan: its
-    relatively stable bricks (`stable_verdicts`) by falling time key (the
-    columns `time_keys` gives), which no two bricks share on a generic
-    path."""
-    bricks = list(plan.bricks.values())
-    verdicts = stable_verdicts(block, plan, bricks)
+def mgs_columns(block: PathColumns) -> list[tuple[str, ...]]:
+    """The linear MGS of every path of a block generic for its plan: its
+    relatively stable bricks (`stable_verdicts`) by falling time key, which
+    no two bricks share on a generic path."""
+    bricks, keys = list(block.plan.bricks.values()), block.keys
+    verdicts = stable_verdicts(block, bricks)
     return [
         tuple(
             c.label
@@ -276,28 +257,26 @@ def mgs_columns(block: PathColumns, plan: CrossingPlan, keys) -> list[tuple[str,
 # ---------------------------------------------------------------------------
 
 
-def _generic_one(path: LinearPath, plan: CrossingPlan):
-    """The block of one path, with its `time_keys`, for a path generic for
-    the plan; otherwise NonGenericPathError names the first clash in plan
-    order: the first dim whose key an earlier dim of another ray shares,
-    with its time."""
-    block = PathColumns.of_paths(len(path._hi), [path])
-    keys, scale = time_keys(block, plan)
+def _generic_one(path: LinearPath, plan: CrossingPlan) -> PathColumns:
+    """The block of one path for a path generic for the plan; otherwise
+    NonGenericPathError names the first clash in plan order: the first dim
+    whose key an earlier dim of another ray shares, with its time."""
+    block = PathColumns.of_paths(plan, [path])
     by_time: dict[int, int] = {}  # time key -> first index
-    for i, (key,) in enumerate(keys):
+    for i, (key,) in enumerate(block.keys):
         first = by_time.setdefault(key, i)
         if plan.ray[first] != plan.ray[i]:
-            raise NonGenericPathError(plan.names[first], plan.names[i], Fraction(-key, scale[0]))
-    return block, keys, scale
+            raise NonGenericPathError(plan.names[first], plan.names[i], Fraction(-key, block.scale[0]))
+    return block
 
 
 def check_generic(path: LinearPath, plan: CrossingPlan) -> tuple[list[int], int]:
     """Reject paths that cross two non-proportional dims of the plan at the
     same time (`crossing_plan` for the class bricks and every weakly
     admissible quotient sum, `ghosts.ghost_plan` for these and every ghost).
-    Returns the path's `time_keys`, in plan order, and their L."""
-    _, keys, (scale,) = _generic_one(path, plan)
-    return [key for key, in keys], scale
+    Returns the path's time keys, in plan order, and their scale."""
+    block = _generic_one(path, plan)
+    return [key for key, in block.keys], block.scale[0]
 
 
 def is_relatively_stable(cls: ModuleClass, path: LinearPath, m: str) -> bool:
@@ -307,8 +286,7 @@ def is_relatively_stable(cls: ModuleClass, path: LinearPath, m: str) -> bool:
     crossing = plan.bricks.get(m)
     if crossing is None:
         wall(cls, m)  # raises: m is not a brick of the class
-    block = PathColumns.of_paths(cls.catalog.quiver.n, [path])
-    ((stable,),) = stable_verdicts(block, plan, [crossing])
+    ((stable,),) = stable_verdicts(PathColumns.of_paths(plan, [path]), [crossing])
     return stable
 
 
@@ -325,9 +303,10 @@ def crossing_schedule(cls: ModuleClass, path: LinearPath, include_ghosts: bool =
     if include_ghosts:
         from ghostpic.ghosts import ghost_plan
     plan = ghost_plan(cls) if include_ghosts else crossing_plan(cls)
-    block, keys, (scale,) = _generic_one(path, plan)
+    block = _generic_one(path, plan)
+    keys, (scale,) = block.keys, block.scale
     rows = sorted(plan.schedule, key=lambda row: (-keys[row[0].event][0], row[1] == "ghost"))
-    verdicts = stable_verdicts(block, plan, [c for c, _, _ in rows])
+    verdicts = stable_verdicts(block, [c for c, _, _ in rows])
     return tuple(
         Event(Fraction(-keys[c.event][0], scale), kind, c.label, stable, concurrent)
         for (c, kind, concurrent), (stable,) in zip(rows, verdicts)
@@ -338,9 +317,7 @@ def linear_mgs(cls: ModuleClass, path: LinearPath) -> list[str]:
     """The relatively stable bricks (each verdict cross-validated against
     interior membership) in crossing order: `mgs_columns` on a block of
     one."""
-    plan = crossing_plan(cls)
-    block, keys, _ = _generic_one(path, plan)
-    return list(mgs_columns(block, plan, keys)[0])
+    return list(mgs_columns(_generic_one(path, crossing_plan(cls)))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -559,13 +536,12 @@ def find_linear_paths(
     """
     found: dict[tuple[str, ...], LinearPath | None] = {tuple(t): None for t in targets}
     missing = len(found)
-    n, plan = cls.catalog.quiver.n, crossing_plan(cls)
-    grid = _search_grid(n, radius)
+    plan = crossing_plan(cls)
+    grid = _search_grid(cls.catalog.quiver.n, radius)
     while missing and (rows := list(itertools.islice(grid, BLOCK))):
-        block = PathColumns.of_rows(n, *zip(*rows))
-        block = block.select(generic_columns(block, plan))
-        keys, _ = time_keys(block, plan)
-        for p, walls in enumerate(mgs_columns(block, plan, keys)):
+        block = PathColumns.of_rows(plan, *zip(*rows))
+        block = block.select(generic_columns(block))
+        for p, walls in enumerate(mgs_columns(block)):
             if walls in found and found[walls] is None:
                 found[walls] = block.path(p)
                 missing -= 1

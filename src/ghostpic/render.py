@@ -257,8 +257,8 @@ def _canonical_cone(cone: Cone):
 
 def build_scene(cls: ModuleClass, options: RenderOptions, graph=None) -> PictureScene:
     if cls.catalog.quiver.n != 3:
-        raise RankError("rank-3-only: pictures need exactly three simples; "
-                        "use the JSON report for other ranks")
+        raise RankError("rank-3-only: the SVG picture needs exactly three simples; "
+                        "run with --report for the JSON report instead")
     if graph is None:
         graph = chamber_graph(cls)
 

@@ -95,8 +95,7 @@ class CrossingPlan:
     index.  ``bricks`` holds the crossing of each class brick, ``ghosts``
     each planned ghost with its crossing, by key.  ``schedule`` lists the
     (crossing, kind, concurrent) rows of a crossing schedule, the bricks
-    first; a ghost plan appends its subobject and quotient ghosts.  A plan is
-    equal only to itself: blocks of paths keep their time keys by plan."""
+    first; a ghost plan appends its subobject and quotient ghosts."""
 
     __slots__ = ("dims", "names", "ray", "bricks", "ghosts", "schedule")
 

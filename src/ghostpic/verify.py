@@ -37,7 +37,6 @@ from ghostpic.greenpaths import (
     hn_stratification,
     mgs_columns,
     stable_columns,
-    time_keys,
 )
 from ghostpic.stability import (
     ChamberGraph,
@@ -143,24 +142,25 @@ def _generic_block(n: int, rng: random.Random, count: int, plan: CrossingPlan) -
     for _ in range(count):
         hs.append(_randints(rng, -9, 9, n))
         ks.append(_randints(rng, 1, 9, n))
-    candidates = PathColumns.of_rows(n, hs, ks)
-    return candidates.select(generic_columns(candidates, plan))
+    candidates = PathColumns.of_rows(plan, hs, ks)
+    return candidates.select(generic_columns(candidates))
 
 
-def _chamber_chains(graph: ChamberGraph, block: PathColumns, keys, scale: list[int]) -> list[list[int]]:
+def _chamber_chains(graph: ChamberGraph, block: PathColumns) -> list[list[int]]:
     """Chambers each path of a generic block passes through, in order:
     located at a probe before the first brick crossing, between each two
     consecutive ones and after the last, each probe an integer point on the
     path's ray, all probes of the block located in one call.  Brick time t
-    is -key/L over the block's `time_keys` of the bricks and their L."""
+    is -key/L over the block's keys of the bricks of its plan and their L."""
+    keys = [block.keys[c.event] for c in block.plan.bricks.values()]
     probes = []  # (path, num, den): the point den*H*h + num*H*k
-    for p, L in enumerate(scale):
+    for p, L in enumerate(block.scale):
         times = sorted(-key[p] for key in keys)
         probes.append((p, times[0] - L, L))
         probes += [(p, a + b, 2 * L) for a, b in zip(times, times[1:])]
         probes.append((p, times[-1] + L, L))
     points = [[den * h[p] + num * k[p] for p, num, den in probes] for h, k in zip(block.h, block.k)]
-    chains: list[list[int]] = [[] for _ in scale]
+    chains: list[list[int]] = [[] for _ in block.scale]
     for (p, cid), _ in itertools.groupby(zip([p for p, _, _ in probes], locate_columns(graph, points))):
         chains[p].append(cid)  # one entry per run of probes in one chamber
     return chains
@@ -261,7 +261,7 @@ class Verifier:
         def decide(block) -> None:
             found = []  # (path, crossing, time verdict), crossing by crossing
             for crossing in crossings:
-                by_times, disagree = stable_columns(block, plan, crossing)
+                by_times, disagree = stable_columns(block, crossing)
                 found += [(p, crossing, by_times[p]) for p in disagree]
             if found:
                 p, crossing, by_times = min(found, key=itemgetter(0))
@@ -422,10 +422,8 @@ class Verifier:
                 all_mgs = None
             plan = crossing_plan(cls)
             for block in _generic_blocks(cls, rng, count, plan):
-                keys, scale = time_keys(block, plan)
-                bricks = [keys[c.event] for c in plan.bricks.values()]
-                chains = _chamber_chains(graph, block, bricks, scale)
-                for p, (stable, chain) in enumerate(zip(mgs_columns(block, plan, keys), chains)):
+                chains = _chamber_chains(graph, block)
+                for p, (stable, chain) in enumerate(zip(mgs_columns(block), chains)):
                     where = lambda: f"{name}: {_path_str(block.path(p))}"  # read on a failure only
                     if chain[0] != graph.source or chain[-1] != graph.sink:
                         fails.add(f"{where()}: chamber chain {chain} misses an end")

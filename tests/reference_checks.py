@@ -14,7 +14,7 @@ from ghostpic.errors import GuardExceededError
 from ghostpic.greenpaths import enumerate_mgs
 from ghostpic.stability import chamber_graph, crossing_plan
 from ghostpic.verify import _path_str, _randints, _sample_str
-from reference_paths import drawn_paths, reference_check_generic, reference_linear_mgs
+from reference_paths import drawn_paths, point_at, reference_check_generic, reference_linear_mgs
 
 
 class Found:
@@ -106,7 +106,7 @@ def reference_paths_vs_graph(checker, locate):
             probes.append((times[-1] + scale, scale))
             chain = []
             for num, den in probes:
-                cid = locate(graph, path.point_at(num, den))
+                cid = locate(graph, point_at(path, num, den))
                 if not chain or chain[-1] != cid:
                     chain.append(cid)
             stable = tuple(reference_linear_mgs(cls, path))

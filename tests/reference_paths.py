@@ -1,7 +1,8 @@
 """The path-by-path reading of the crossing kernel, kept as its oracle: a
 path's crossing lists, its genericity scan by time key and its stability
 by the time criterion with the interior cross-check, one path at a time,
-and the Fraction point h + t*k of a path (`point_on_path`).
+the Fraction point h + t*k of a path (`point_on_path`) and its integer
+points (`point_at`).
 These were the scalar bodies of `greenpaths` before a single path became a
 block of one, and `reference_find_linear_paths` is the grid sweep that
 decided one path at a time.  `drawn_paths` reads the paths `verify` draws
@@ -21,6 +22,12 @@ def point_on_path(path, t):
     """The point h + t*k of the path, as Fractions."""
     t = Fraction(t)
     return tuple(a + t * b for a, b in zip(path.h, path.k))
+
+
+def point_at(path, num: int, den: int):
+    """den*H*h + num*H*k: for den > 0 a positive integer multiple of the
+    point h + (num/den)*k."""
+    return tuple([den * a + num * b for a, b in zip(path._hi, path._ki)])
 
 
 def reference_crossings(path, plan):
@@ -66,7 +73,7 @@ def reference_stable_along(path, plan, crossing):
         if (lag <= 0) if late else (lag >= 0):
             by_times = False
             break
-    by_interior = crossing.interior.contains(path.point_at(-h_e, k_e))
+    by_interior = crossing.interior.contains(point_at(path, -h_e, k_e))
     if by_times != by_interior:
         raise disagreement(crossing, by_times)
     return by_times

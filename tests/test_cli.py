@@ -338,6 +338,10 @@ class TestMalformedInput:
         assert out == ""
         assert err == f"error: --class needs at least one brick name, got {cls!r}\n"
 
+    def test_a_class_naming_a_brick_twice_is_refused(self, capsys):
+        code, out, err = run(capsys, "chambers", "--type-a", "2", "--orient", "L", "--class", "S1,S1")
+        assert (code, out, err) == (2, "", "error: duplicate bricks in class\n")
+
     @pytest.mark.parametrize("h", ["1,2,x", "1,2,1/0"])
     def test_non_rational_vector_is_usage_error(self, capsys, h):
         code, out, err = run(
@@ -439,6 +443,24 @@ class TestMalformedInput:
                 },
                 "a complete catalog must list all 3000 simples, but lists 0",
             ),
+            (lambda doc: {**doc, "indecs": [*doc["indecs"], doc["indecs"][0]]}, "violation: duplicate indec ids\n"),
+            (
+                lambda doc: {**doc, "indecs": [{**doc["indecs"][0], "dim": [1, 1, 1]}, *doc["indecs"][1:]]},
+                "violation: M: dimension vector has wrong length\n",
+            ),
+            # P2 takes the dim of M; both simples are still listed
+            (
+                lambda doc: {
+                    **doc,
+                    "indecs": [{**m, "dim": [1, 1]} if m["id"] == "P2" else m for m in doc["indecs"]],
+                    "complete": True,
+                },
+                "violation: a complete catalog repeats a dimension vector\n",
+            ),
+            (
+                lambda doc: {**doc, "subquotients": {m: ps for m, ps in doc["subquotients"].items() if m != "M"}},
+                "violation: missing subquotient data for M\n",
+            ),
         ],
         ids=[
             "short-hom-entry",
@@ -463,6 +485,10 @@ class TestMalformedInput:
             "negative-hom",
             "complete-but-not-dynkin",
             "complete-without-its-simples",
+            "repeated-id",
+            "dim-of-wrong-length",
+            "complete-with-a-repeated-dim",
+            "missing-subquotients",
         ],
     )
     def test_malformed_catalog_is_usage_error(self, capsys, tmp_path, malform, mentions):

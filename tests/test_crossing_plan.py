@@ -40,7 +40,6 @@ from ghostpic.greenpaths import (
     crossing_schedule,
     is_relatively_stable,
     linear_mgs,
-    time_keys,
 )
 from ghostpic.stability import (
     chamber_graph,
@@ -50,7 +49,7 @@ from ghostpic.stability import (
     semistable_set,
     wall,
 )
-from reference_paths import drawn_paths, reference_crossings
+from reference_paths import drawn_paths, point_at, reference_crossings
 from reference_schedule import reference_ghost_events, reference_schedule
 from reference_vectors import dot, proportional
 
@@ -202,28 +201,25 @@ class TestPlanMatchesFractionReference:
         ints = LinearPath((2, -3, 1), (1, 2, 3))
         halves = LinearPath(tuple(Fraction(x, 2) for x in ints.h), tuple(Fraction(x, 2) for x in ints.k))
         plan = crossing_plan(cls)
-        block = PathColumns.of_paths(3, [ints])
-        assert time_keys(block, plan) == time_keys(PathColumns.of_paths(3, [halves]), plan)
-        assert time_keys(block, plan) is time_keys(block, plan)  # computed once
+        block, other = PathColumns.of_paths(plan, [ints]), PathColumns.of_paths(plan, [halves])
+        assert (block.keys, block.scale) == (other.keys, other.scale)
 
     @pytest.mark.parametrize("name", ["torsion4", "case2", "kronecker"])
     def test_a_schedule_with_ghosts_computes_one_pair_of_lists(self, monkeypatch, name):
         """The ghost plan holds every brick crossing too, so a schedule with
         ghosts reads its bricks and its ghosts from one pair of lists, the
-        keys and L of one block under the ghost plan."""
+        keys and L of the one block it makes, for the ghost plan."""
         cls = FIXTURES[name]
         path = next(drawn_paths(cls, verify.random.Random(7), 1, ghost_plan(cls)))
-        read, keyed = [], greenpaths.time_keys
+        made, of_rows = [], PathColumns.of_rows
 
-        def counted(block, plan):
-            read.append((block, plan))
-            return keyed(block, plan)
+        def counted(plan, hs, ks):
+            made.append(of_rows(plan, hs, ks))
+            return made[-1]
 
-        monkeypatch.setattr(greenpaths, "time_keys", counted)
+        monkeypatch.setattr(PathColumns, "of_rows", counted)
         crossing_schedule(cls, path, include_ghosts=True)
-        block = read[0][0]
-        assert {(id(b), plan) for b, plan in read} == {(id(block), ghost_plan(cls))}
-        assert list(block._keys) == [ghost_plan(cls)]
+        assert [block.plan for block in made] == [ghost_plan(cls)]
 
 
 def every_class(catalog):
@@ -299,7 +295,8 @@ class TestDots:
         plan = crossing_plan(self.CLASSES[rank])
         h = data.draw(st.tuples(*[st.integers(-9, 9)] * rank))
         k = data.draw(st.tuples(*[st.integers(1, 9)] * rank))
-        keys, (scale,) = time_keys(PathColumns.of_paths(rank, [LinearPath(h, k)]), plan)
+        block = PathColumns.of_paths(plan, [LinearPath(h, k)])
+        keys, (scale,) = block.keys, block.scale
         hd = [int_dot(h, d) for d in plan.dims]
         kd = [int_dot(k, d) for d in plan.dims]
         assert scale == lcm(*kd)
@@ -318,7 +315,7 @@ class TestInteriorCrossCheck:
         path = next(drawn_paths(cls, verify.random.Random(5), 1, plan))
         hd, kd = reference_crossings(path, plan)
         for b, crossing in plan.bricks.items():
-            point = path.point_at(-hd[crossing.event], kd[crossing.event])
+            point = point_at(path, -hd[crossing.event], kd[crossing.event])
             stable = is_relatively_stable(cls, path, b)
             excluding = Cone(len(point), strict=(tuple(-x for x in point),))
             wrong = excluding if stable else Cone(len(point))
@@ -336,7 +333,7 @@ class TestInteriorCrossCheck:
         path = next(drawn_paths(cls, verify.random.Random(5), 1, plan))
         hd, kd = reference_crossings(path, plan)
         for b, crossing in plan.bricks.items():
-            point = path.point_at(-hd[crossing.event], kd[crossing.event])
+            point = point_at(path, -hd[crossing.event], kd[crossing.event])
             stable = is_relatively_stable(cls, path, b)
             excluding = Cone(len(point), strict=(tuple(-x for x in point),))
             wrong = excluding if stable else Cone(len(point))
@@ -495,7 +492,7 @@ class TestWorkCounts:
 
     @staticmethod
     def count_scans(monkeypatch):
-        """Count the paths keyed: `time_keys` takes the lcm of each path's kd."""
+        """Count the paths keyed: a block takes the lcm of each path's kd."""
         scans = []
 
         def counted(*kd):
@@ -507,30 +504,30 @@ class TestWorkCounts:
 
     def test_a_block_computes_its_crossings_once_per_plan(self, monkeypatch):
         """The mask, every stability verdict and the MGS of a block read its
-        time keys, computed once per plan, and a selection keeps them; a
-        schedule keys its path once."""
+        time keys, computed once when the block is made for its plan, and a
+        selection keeps them; a schedule keys its path once."""
         cls = FIXTURES["case2"]
         plan = ghost_plan(cls)
         paths = list(drawn_paths(cls, verify.random.Random(2), 20, plan))
-        block = PathColumns.of_paths(3, paths)
         reads, combination = [], greenpaths._combination
 
         def counted(row, cols, size):
-            reads.append(cols is block.h or cols is block.k)
+            reads.append(cols)
             return combination(row, cols, size)
 
         monkeypatch.setattr(greenpaths, "_combination", counted)
         scans = self.count_scans(monkeypatch)
-        mask = greenpaths.generic_columns(block, plan)
-        keys, _ = greenpaths.time_keys(block, plan)
+        block = PathColumns.of_paths(plan, paths)
+        mask = greenpaths.generic_columns(block)
         crossings = [c for c, _, _ in plan.schedule]
-        greenpaths.stable_verdicts(block, plan, crossings)
-        greenpaths.mgs_columns(block, plan, keys)
-        assert all(mask) and reads.count(True) == 2 * len(plan.dims)
+        greenpaths.stable_verdicts(block, crossings)
+        greenpaths.mgs_columns(block)
+        keyed = lambda: sum(cols is block.h or cols is block.k for cols in reads)
+        assert all(mask) and keyed() == 2 * len(plan.dims)
         kept = block.select(mask)
-        assert greenpaths.time_keys(kept, plan) == greenpaths.time_keys(block, plan)
+        assert (kept.plan, kept.keys, kept.scale) == (plan, block.keys, block.scale)
         assert kept.size == block.size
-        assert reads.count(True) == 2 * len(plan.dims) and len(scans) == block.size
+        assert keyed() == 2 * len(plan.dims) and len(scans) == block.size
         scans.clear()
         crossing_schedule(cls, paths[0], include_ghosts=True)
         assert len(scans) == 1
@@ -544,9 +541,9 @@ class TestWorkCounts:
         drawn, candidates, decided = [], [], []
         draw_blocks, randints, mask = verify._generic_blocks, verify._randints, verify.generic_columns
 
-        def counted_mask(block, plan):
+        def counted_mask(block):
             decided.append(block.size)
-            return mask(block, plan)
+            return mask(block)
 
         def counted_blocks(*args):
             for block in draw_blocks(*args):
@@ -738,7 +735,7 @@ class TestVerifyFailures:
         of each decision, block by block and crossing by crossing."""
         seen = []
 
-        def disagree(block, plan, crossing):
+        def disagree(block, crossing):
             seen.extend((block.path(p), crossing.label) for p in range(block.size))
             return [True] * block.size, list(range(block.size))
 

@@ -6,7 +6,7 @@ import pytest
 
 from ghostpic import geometry
 from ghostpic.catalog import ModuleClass, generate_type_a
-from ghostpic.errors import GhostpicError, GuardExceededError
+from ghostpic.errors import GhostpicError, GuardExceededError, InternalConsistencyError
 from ghostpic.geometry import (
     Cell,
     Cone,
@@ -174,6 +174,19 @@ class TestFacets:
                 1 for a, b in zip(adj.cell_a.signs, adj.cell_b.signs) if a != b
             )
             assert flips == 1
+
+    def test_a_facet_without_a_sample_raises(self, monkeypatch):
+        """Two cells that differ in one sign always share a facet, so a facet
+        LP that finds no point is a fault, named by both cells' signs, not
+        an adjacency dropped without a word."""
+        cells = enumerate_cells(A3_DIMS)
+        sample = geometry._sample
+        monkeypatch.setattr(geometry, "_sample", lambda cone: None if cone.equalities else sample(cone))
+        first = next(c for c in cells if c.signs[0] == 1)
+        flipped = (-1,) + first.signs[1:]
+        with pytest.raises(InternalConsistencyError) as caught:
+            cell_facet_neighbors(cells, A3_DIMS)
+        assert str(caught.value) == f"cells {first.signs} and {flipped} share no facet on hyperplane 0"
 
 
 class TestConeAlgebra:

@@ -22,9 +22,9 @@ from ghostpic.geometry import (
     integral,
 )
 from ghostpic.ghosts import enumerate_ghosts, ghost_plan
-from ghostpic.greenpaths import LinearPath, PathColumns, check_generic, linear_mgs, time_keys
+from ghostpic.greenpaths import LinearPath, PathColumns, check_generic, linear_mgs
 from ghostpic.stability import CrossingPlan, chamber_graph, crossing_plan, wall
-from reference_paths import point_on_path
+from reference_paths import point_at, point_on_path
 from reference_simplex import fraction_cone_lp, fraction_feasible_point, fraction_simplex_max
 from reference_vectors import dot
 
@@ -127,8 +127,9 @@ class TestCrossingPoint:
     @given(paths_and_dims(count=1))
     def test_positive_multiple_of_the_crossing(self, drawn):
         path, (d,) = drawn
-        ((key,),), (scale,) = time_keys(PathColumns.of_paths(len(d), [path]), plan_over([d]))
-        point = path.point_at(-key, scale)
+        block = PathColumns.of_paths(plan_over([d]), [path])
+        ((key,),), (scale,) = block.keys, block.scale
+        point = point_at(path, -key, scale)
         assert all(isinstance(x, int) for x in point)
         exact = point_on_path(path, time_of(path.h, path.k, d))
         nonzero = [i for i, x in enumerate(exact) if x != 0]
@@ -143,7 +144,7 @@ class TestCrossingPoint:
 
 class TestCrossingTable:
     """Every reading of a path's time keys against the Fraction reference
-    t_d = -dot(h, d)/dot(k, d), on the first and a second lookup."""
+    t_d = -dot(h, d)/dot(k, d)."""
 
     @settings(max_examples=300, deadline=None)
     @given(table_paths())
@@ -151,30 +152,24 @@ class TestCrossingTable:
         h, k, dims = drawn
         path = LinearPath(h, k)
         plan = plan_over(dims)
-        block = PathColumns.of_paths(len(h), [path])
-
-        def readings():
-            keys, (scale,) = time_keys(block, plan)
-            return [(Fraction(-key, scale), path.point_at(-key, scale)) for (key,) in keys]
-
-        first = readings()
-        for d, (t, point) in zip(dims, first):
+        block = PathColumns.of_paths(plan, [path])
+        (scale,) = block.scale
+        for d, (key,) in zip(dims, block.keys):
+            t, point = Fraction(-key, scale), point_at(path, -key, scale)
             reference = time_of(h, k, d)
             assert t == reference
             assert_positive_multiple(point, point_on_path(path, reference))
             assert dot(d, point) == 0
-        assert readings() == first
-        assert time_keys(block, plan) is time_keys(block, plan)
 
     @settings(max_examples=300, deadline=None)
     @given(table_paths(), st.integers(-50, 50), st.integers(1, 20))
     def test_point_at_is_a_positive_multiple_of_at(self, drawn, num, den):
         h, k, _ = drawn
         path = LinearPath(h, k)
-        point = path.point_at(num, den)
+        point = point_at(path, num, den)
         assert_positive_multiple(point, point_on_path(path, Fraction(num, den)))
-        assert path.point_at(num, den) == point
-        assert path.point_at(2 * num, 2 * den) == tuple(2 * x for x in point)
+        assert point_at(path, num, den) == point
+        assert point_at(path, 2 * num, 2 * den) == tuple(2 * x for x in point)
 
 
 class TestIntegerContains:

@@ -1,12 +1,14 @@
 """The column kernel of `greenpaths` against the scalar reference of
 `reference_paths`: on a block of paths, `generic_columns` is the reference
-genericity decision, `time_keys` its keys, `stable_columns` the reference
+genericity decision, the block's keys its keys, `stable_columns` the reference
 verdict, raise and interior cross-check, path by path, and the single-path
 `check_generic` (a block of one) gives the reference keys or error, on both
 plans of every standard fixture and on random type-A classes."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,17 +25,12 @@ from ghostpic.greenpaths import (
     disagreement,
     generic_columns,
     stable_columns,
-    time_keys,
 )
 from ghostpic.stability import crossing_plan
 from ghostpic.verify import standard_fixtures
 from reference_paths import reference_check_generic, reference_stable_along
 
 FIXTURES = standard_fixtures()
-
-
-def plan_rank(plan) -> int:
-    return len(plan.dims[0])
 
 
 def outcome(decide, *args):
@@ -57,7 +54,7 @@ def kernel(paths, plan, crossing):
     """`stable_columns` read back per path in the form of `scalar`, or the
     type and text of the error it raises for the whole block."""
     try:
-        by_times, disagree = stable_columns(PathColumns.of_paths(plan_rank(plan), paths), plan, crossing)
+        by_times, disagree = stable_columns(PathColumns.of_paths(plan, paths), crossing)
     except NonGenericPathError as exc:
         return type(exc), str(exc)
     out = list(by_times)
@@ -90,9 +87,9 @@ def assert_kernel_is_scalar(paths, plan):
     `check_generic` on each, and for each crossing of the plan (and its
     variants) the outcome on the whole block, on the paths that do not
     raise, and on each path alone."""
-    block = PathColumns.of_paths(plan_rank(plan), paths)
-    assert generic_columns(block, plan) == [generic(p, plan) for p in paths]
-    keys, scale = time_keys(block, plan)
+    block = PathColumns.of_paths(plan, paths)
+    assert generic_columns(block) == [generic(p, plan) for p in paths]
+    keys, scale = block.keys, block.scale
     for p, path in enumerate(paths):
         want = outcome(reference_check_generic, path, plan)
         assert outcome(check_generic, path, plan) == want
@@ -160,32 +157,30 @@ def test_a_block_raises_for_its_first_non_generic_path():
     bad = [p for p in small_paths(random.Random(1), 3, 400) if isinstance(scalar(p, plan, crossing), tuple)]
     assert len(bad) >= 2 and scalar(bad[0], plan, crossing) != scalar(bad[1], plan, crossing)
     with pytest.raises(NonGenericPathError) as caught:
-        stable_columns(PathColumns.of_paths(3, [fine, bad[1], bad[0]]), plan, crossing)
+        stable_columns(PathColumns.of_paths(plan, [fine, bad[1], bad[0]]), crossing)
     assert (NonGenericPathError, str(caught.value)) == scalar(bad[1], plan, crossing)
 
 
 def test_a_path_of_the_wrong_rank_is_refused():
     plan = crossing_plan(FIXTURES["kronecker"])
-    block = PathColumns.of_rows(3, [(1, 2, 3)], [(1, 1, 1)])
     with pytest.raises(CatalogError, match="path of rank 3 on a class of rank 2"):
-        generic_columns(block, plan)
+        PathColumns.of_rows(plan, [(1, 2, 3)], [(1, 1, 1)])
 
 
 def test_a_selection_keeps_its_paths_and_their_crossings():
-    """The mask keys every path; the selection keeps the keys of the kept
-    paths, which are their reference keys, and computes none again."""
+    """The block keys every path when it is made; the selection keeps the
+    plan and the keys of the kept paths, which are their reference keys."""
     cls = FIXTURES["full6"]
     plan = ghost_plan(cls)
     paths = [p for i, p in enumerate(small_paths(random.Random(2), 3, 60)) if i % 4 != 3]
-    block = PathColumns.of_paths(3, paths)
-    mask = generic_columns(block, plan)
+    block = PathColumns.of_paths(plan, paths)
+    mask = generic_columns(block)
     kept = block.select(mask)
     assert kept.size == sum(mask) > 0
     generic_paths = [p for p, m in zip(paths, mask) if m]
     assert [kept.path(p) for p in range(kept.size)] == generic_paths
-    carried = kept._keys[plan]
-    assert time_keys(kept, plan) is carried
-    keys, scale = carried
+    assert kept.plan is plan
+    keys, scale = kept.keys, kept.scale
     assert [([column[p] for column in keys], scale[p]) for p in range(kept.size)] == [
         reference_check_generic(p, plan) for p in generic_paths
     ]
@@ -215,7 +210,7 @@ def test_the_keys_decide_near_ties_and_large_coordinates(name, which):
     cls = FIXTURES[name]
     plan = crossing_plan(cls) if which == "bricks" else ghost_plan(cls)
     paths = stress_paths(random.Random(("stress", name, which).__repr__()), cls.catalog.quiver.n, 8)
-    _, scale = time_keys(PathColumns.of_paths(plan_rank(plan), paths), plan)
+    scale = PathColumns.of_paths(plan, paths).scale
     assert max(scale) > 2**64
     gaps = set()  # the times between two non-proportional dims on a generic path
     for path in paths:
@@ -227,3 +222,22 @@ def test_the_keys_decide_near_ties_and_large_coordinates(name, which):
     assert 0 < min(gaps) <= Fraction(1, 10**6)
     assert not all(generic(p, plan) for p in paths)
     assert_kernel_is_scalar(paths, plan)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ghostpic"
+
+
+def test_a_block_is_decided_under_its_own_plan():
+    """A block is made for one plan and carries its keys: no function of the
+    path, ghost or verify layers takes a block and a plan beside it, and the
+    path layer defines no `time_keys` to key a block for another plan."""
+    for module in ("greenpaths", "ghosts", "verify"):
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        for f in ast.walk(tree):
+            if isinstance(f, (ast.FunctionDef, ast.Lambda)):
+                a = f.args
+                names = {x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs)}
+                assert not {"block", "plan"} <= names, f"{module}:{f.lineno}"
+        if module == "greenpaths":
+            defined = {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+            assert "time_keys" not in defined

@@ -18,7 +18,7 @@ from ghostpic import verify
 from ghostpic.catalog import ModuleClass, builtin_kronecker, generate_type_a
 from ghostpic.errors import NonGenericPathError
 from ghostpic.ghosts import enumerate_ghosts, ghost_plan
-from ghostpic.greenpaths import LinearPath, PathColumns, linear_mgs, stable_columns, time_keys
+from ghostpic.greenpaths import LinearPath, PathColumns, linear_mgs, stable_columns
 from ghostpic.stability import chamber_graph, crossing_plan
 from ghostpic.verify import (
     Verifier,
@@ -126,10 +126,7 @@ def test_draws_are_pinned(name):
 def chamber_chain(cls, graph, path):
     """`_chamber_chains` of the block of one path, over its keys of the
     class bricks."""
-    plan = crossing_plan(cls)
-    block = PathColumns.of_paths(cls.catalog.quiver.n, [path])
-    keys, scale = time_keys(block, plan)
-    (chain,) = _chamber_chains(graph, block, [keys[c.event] for c in plan.bricks.values()], scale)
+    (chain,) = _chamber_chains(graph, PathColumns.of_paths(crossing_plan(cls), [path]))
     return chain
 
 
@@ -275,9 +272,9 @@ def test_a_failure_first_met_in_a_later_block_is_named(monkeypatch):
     planted = {(1, bricks[0].label), (0, bricks[2].label), (0, bricks[1].label)}
     blocks = []
 
-    def with_planted(block, at_plan, crossing):
-        by_times, disagree = stable_columns(block, at_plan, crossing)
-        if at_plan is plan:
+    def with_planted(block, crossing):
+        by_times, disagree = stable_columns(block, crossing)
+        if block.plan is plan:
             if crossing is bricks[0]:
                 blocks.append(block)
             if len(blocks) == 2:
@@ -379,7 +376,7 @@ def test_checks_d_and_e_decide_plans_with_two_dims_on_one_ray():
             for crossing in crossings:
                 verdicts = []
                 for block in blocks:
-                    by_times, disagree = stable_columns(block, plan, crossing)
+                    by_times, disagree = stable_columns(block, crossing)
                     assert disagree == []
                     verdicts += by_times
                 assert verdicts == [reference_stable_along(path, plan, crossing) for path in paths]
