@@ -47,7 +47,7 @@ from ghostpic.geometry import Cone
 from ghostpic.greenpaths import (
     Event,
     LinearPath,
-    PathColumns,
+    _generic_one,
     crossing_schedule,
     stable_verdicts,
 )
@@ -308,14 +308,14 @@ def extension_ghost_domain(cls: ModuleClass, g: Ghost) -> Cone:
 def ghost_stability(cls: ModuleClass, path: LinearPath, g: Ghost) -> bool:
     """Crossing-time stability (`stable_verdicts` on a block of one path),
     cross-checked against exact membership of the crossing point in the
-    domain interior; the two must agree.  The
-    ghost must be one of `enumerate_ghosts(cls)`: its crossing is read from
-    the class's plan."""
+    domain interior; the two must agree.  The ghost must be one of
+    `enumerate_ghosts(cls)`: its crossing is read from the class's ghost
+    plan, and a path not generic for that plan is refused."""
     plan = ghost_plan(cls)
     ghost, crossing = plan.ghosts.get(g.key(), (None, None))
     if ghost is not g and ghost != g:
         raise CatalogError(f"{g.display()} is not a ghost of {cls!r}")
-    ((stable,),) = stable_verdicts(PathColumns.of_paths(plan, [path]), [crossing])
+    ((stable,),) = stable_verdicts(_generic_one(path, plan), [crossing])
     return stable
 
 
@@ -355,12 +355,12 @@ def ghost_plan(cls: ModuleClass) -> CrossingPlan:
     for g, c in plan.ghosts.values():
         if g.kind != EXTENSION:
             by_ray.setdefault(plan.ray[c.event], []).append(g)
-    plan.schedule += tuple(
+    rows = tuple(
         (plan.ghosts[g.key()][1], "ghost", len(group) > 1)
         for group in by_ray.values()
         for g in order_concurrent(cls, group)
     )
-    return plan
+    return plan._replace(schedule=plan.schedule + rows)
 
 
 def ghost_events(cls: ModuleClass, path: LinearPath) -> list[Event]:

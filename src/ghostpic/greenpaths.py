@@ -14,15 +14,18 @@ question: `stability.crossing_plan` for the class bricks, `ghosts.ghost_plan`
 for its bricks and every ghost.  Paths are decided in blocks
 (`PathColumns`), each made for one plan, and a single path is a block of
 one.  A crossing time is held in one form only, an integer key -time*L
-that a block computes for every dim of its plan when it is made, and every
-decision reads the keys: `generic_columns` decides genericity (distinct
-keys across rays), and `stable_columns` decides stability by the time
-criterion and cross-checks it against the interior cone at the integer
-crossing point L*H*h - key*H*k, all in a few `map` passes per dim and per
-side.  No decision touches a dim tuple.  The
-single-path entries (`check_generic`, `is_relatively_stable`,
-`crossing_schedule`, `linear_mgs`) read a block of one, and the grid sweep
-of `find_linear_paths` reads a block of grid paths at a time.
+that a block computes for every dim of its plan when it is made.  A block
+keeps only the paths generic for its plan (distinct keys across rays), so
+genericity is decided once, where the block is made, and `stable_columns`
+decides stability on a generic block by the time criterion and
+cross-checks it against the interior cone at the integer crossing point
+L*H*h - key*H*k, all in a few `map` passes per dim and per side.  No
+decision touches a dim tuple.  Every single-path entry
+(`check_generic`, `is_relatively_stable`, `ghosts.ghost_stability`,
+`crossing_schedule`, `linear_mgs`) makes its block of one through
+`_generic_one`, which refuses a path the block drops and names its first
+clash, so all of them refuse the same paths with the same message.  The
+grid sweep of `find_linear_paths` reads a block of grid paths at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
-from operator import and_, eq, floordiv, gt, lt, mul, ne, sub
+from operator import and_, floordiv, gt, lt, mul, ne, sub
 from typing import NamedTuple
 
 from ghostpic.catalog import ModuleClass, ModuleSum, per_class
@@ -114,15 +117,17 @@ class Event(NamedTuple):
 
 
 class PathColumns(NamedTuple):
-    """A block of linear paths for one crossing plan, as columns: h[j][p]
-    and k[j][p] are the coordinate j of H*h and H*k of path p, integers with
-    every k[j][p] > 0 (a path's common denominator H scales no verdict).
-    The crossing time of each plan dim d_i is keyed by one integer,
-    keys[i][p] = hd * (scale[p] // kd) with hd = H*h.d_i, kd = H*k.d_i > 0
-    and scale[p] the lcm of the path's kd: the time -hd/kd is minus the key
-    over the scale, so two dims share a key iff they cross together, and a
-    higher key crosses earlier.  The keys are computed when the block is
-    made."""
+    """A block of linear paths generic for one crossing plan, as columns:
+    h[j][p] and k[j][p] are the coordinate j of H*h and H*k of path p,
+    integers with every k[j][p] > 0 (a path's common denominator H scales
+    no verdict).  The crossing time of each plan dim d_i is keyed by one
+    integer, keys[i][p] = hd * (scale[p] // kd) with hd = H*h.d_i,
+    kd = H*k.d_i > 0 and scale[p] the lcm of the path's kd: the time
+    -hd/kd is minus the key over the scale, so two dims share a key iff
+    they cross together, and a higher key crosses earlier.  The keys are
+    computed when the block is made, and the block keeps only the paths
+    whose keys of one dim per ray are distinct: no two non-proportional
+    dims cross together (proportional dims do on every path)."""
 
     plan: CrossingPlan
     h: list[list[int]]
@@ -136,17 +141,15 @@ class PathColumns(NamedTuple):
 
     @classmethod
     def of_rows(cls, plan: CrossingPlan, hs, ks) -> PathColumns:
-        """The block of the paths (hs[p], ks[p]), integer vectors of the
-        plan's rank; a path of another rank is rejected."""
-        dims, size = plan.dims, len(hs)
-        rank = len(hs[0]) if hs else len(dims[0]) if dims else 0
-        if dims and rank != len(dims[0]):
-            raise CatalogError(f"path of rank {rank} on a class of rank {len(dims[0])}")
-        h, k = ([list(c) for c in zip(*rows)] if rows else [[] for _ in range(rank)] for rows in (hs, ks))
-        kd = [list(_combination(d, k, size)) for d in dims]
-        scale = list(map(lcm, *kd)) if kd else [1] * size
-        keys = [list(map(mul, _combination(d, h, size), map(floordiv, scale, c))) for d, c in zip(dims, kd)]
-        return cls(plan, h, k, keys, scale)
+        """The block of the paths (hs[p], ks[p]) generic for the plan, in
+        order: integer vectors of the plan's rank (a path of another rank
+        is rejected)."""
+        h, k, keys, scale = _keyed(plan.dims, hs, ks)
+        rays = set(plan.ray)
+        distinct = map(len, map(set, zip(*[keys[i] for i in rays])))
+        keep = list(map(len(rays).__eq__, distinct)) if rays else [True] * len(scale)
+        kept = lambda cols: [list(itertools.compress(c, keep)) for c in cols]
+        return cls(plan, kept(h), kept(k), kept(keys), list(itertools.compress(scale, keep)))
 
     @classmethod
     def of_paths(cls, plan: CrossingPlan, paths) -> PathColumns:
@@ -155,22 +158,19 @@ class PathColumns(NamedTuple):
     def path(self, p: int) -> LinearPath:
         return LinearPath(tuple([c[p] for c in self.h]), tuple([c[p] for c in self.k]))
 
-    def select(self, mask) -> PathColumns:
-        """The block of the paths where mask is true, in order."""
-        keep = lambda cols: [list(itertools.compress(c, mask)) for c in cols]
-        scale = list(itertools.compress(self.scale, mask))
-        return PathColumns(self.plan, keep(self.h), keep(self.k), keep(self.keys), scale)
 
-
-def generic_columns(block: PathColumns) -> list[bool]:
-    """The genericity of every path of the block: True where no two
-    non-proportional dims of its plan cross together, that is where the
-    keys of one dim per ray are distinct (proportional dims cross together
-    on every path)."""
-    rays = set(block.plan.ray)
-    if not rays:
-        return [True] * block.size
-    return list(map(len(rays).__eq__, map(len, map(set, zip(*[block.keys[i] for i in rays])))))
+def _keyed(dims, hs, ks):
+    """The columns h and k of the paths (hs[p], ks[p]), the keys of each
+    dim and the scale of each path, as `PathColumns` holds them."""
+    size = len(hs)
+    rank = len(hs[0]) if hs else len(dims[0]) if dims else 0
+    if dims and rank != len(dims[0]):
+        raise CatalogError(f"path of rank {rank} on a class of rank {len(dims[0])}")
+    h, k = ([list(c) for c in zip(*rows)] if rows else [[] for _ in range(rank)] for rows in (hs, ks))
+    kd = [list(_combination(d, k, size)) for d in dims]
+    scale = list(map(lcm, *kd)) if kd else [1] * size
+    keys = [list(map(mul, _combination(d, h, size), map(floordiv, scale, c))) for d, c in zip(dims, kd)]
+    return h, k, keys, scale
 
 
 # x == 0, x >= 0 and x > 0 as C calls on a column
@@ -180,28 +180,15 @@ _ZERO, _NONNEGATIVE, _POSITIVE = (0).__eq__, (0).__le__, (0).__lt__
 def stable_columns(block: PathColumns, crossing: Crossing) -> tuple[list[bool], list[int]]:
     """Stability of an event object of the block's plan along every path of
     the block: the time verdicts (every side crosses before the event, a
-    higher key, or after it, a lower one, when ``late``), and the indices of the
-    paths whose integer crossing point's membership in the interior cone
-    disagrees with them.  A path whose first failing side crosses together
-    with the event, their dims not proportional, raises
-    NonGenericPathError, for the first such path of the block.  The
-    membership is read from the cone's own rows, not from the plan's dims."""
-    keys, scale = block.keys, block.scale
-    e = crossing.event
-    key_e = keys[e]
-    ray = block.plan.ray
+    higher key, or after it, a lower one, when ``late``; on a generic path
+    only a side proportional to the event shares its key, and fails), and
+    the indices of the paths whose integer crossing point's membership in
+    the interior cone disagrees with them.  The membership is read from the
+    cone's own rows, not from the plan's dims."""
+    scale, key_e = block.scale, block.keys[crossing.event]
     by_times = [True] * block.size
-    first = None  # (path, side name) of the first non-generic path
-    for i, late, name in crossing.sides:
-        if ray[i] != ray[e]:
-            at = map(and_, by_times, map(eq, keys[i], key_e))
-            p = next(itertools.compress(itertools.count(), at), None)
-            if p is not None and (first is None or p < first[0]):
-                first = p, name
-        by_times = list(map(and_, by_times, map(lt if late else gt, keys[i], key_e)))
-    if first is not None:
-        p, name = first
-        raise NonGenericPathError(crossing.label, name, Fraction(-key_e[p], scale[p]))
+    for i, late, _ in crossing.sides:
+        by_times = list(map(and_, by_times, map(lt if late else gt, block.keys[i], key_e)))
     # the crossing point L*H*h - key_e*H*k of each path, one column per coordinate
     point = [list(map(sub, map(mul, scale, hj), map(mul, key_e, kj))) for hj, kj in zip(block.h, block.k)]
     cone = crossing.interior
@@ -236,9 +223,9 @@ def stable_verdicts(block: PathColumns, crossings) -> list[list[bool]]:
 
 
 def mgs_columns(block: PathColumns) -> list[tuple[str, ...]]:
-    """The linear MGS of every path of a block generic for its plan: its
-    relatively stable bricks (`stable_verdicts`) by falling time key, which
-    no two bricks share on a generic path."""
+    """The linear MGS of every path of a block: its relatively stable
+    bricks (`stable_verdicts`) by falling time key, which no two bricks
+    share on a path generic for the block's plan."""
     bricks, keys = list(block.plan.bricks.values()), block.keys
     verdicts = stable_verdicts(block, bricks)
     return [
@@ -258,16 +245,19 @@ def mgs_columns(block: PathColumns) -> list[tuple[str, ...]]:
 
 
 def _generic_one(path: LinearPath, plan: CrossingPlan) -> PathColumns:
-    """The block of one path for a path generic for the plan; otherwise
-    NonGenericPathError names the first clash in plan order: the first dim
+    """The block of one path, for a path generic for the plan: the one
+    place a path is refused.  A path the block drops raises
+    NonGenericPathError naming its first clash in plan order: the first dim
     whose key an earlier dim of another ray shares, with its time."""
     block = PathColumns.of_paths(plan, [path])
+    if block.size:
+        return block
+    _, _, keys, (scale,) = _keyed(plan.dims, [path._hi], [path._ki])
     by_time: dict[int, int] = {}  # time key -> first index
-    for i, (key,) in enumerate(block.keys):
+    for i, (key,) in enumerate(keys):
         first = by_time.setdefault(key, i)
         if plan.ray[first] != plan.ray[i]:
-            raise NonGenericPathError(plan.names[first], plan.names[i], Fraction(-key, block.scale[0]))
-    return block
+            raise NonGenericPathError(plan.names[first], plan.names[i], Fraction(-key, scale))
 
 
 def check_generic(path: LinearPath, plan: CrossingPlan) -> tuple[list[int], int]:
@@ -286,7 +276,7 @@ def is_relatively_stable(cls: ModuleClass, path: LinearPath, m: str) -> bool:
     crossing = plan.bricks.get(m)
     if crossing is None:
         wall(cls, m)  # raises: m is not a brick of the class
-    ((stable,),) = stable_verdicts(PathColumns.of_paths(plan, [path]), [crossing])
+    ((stable,),) = stable_verdicts(_generic_one(path, plan), [crossing])
     return stable
 
 
@@ -529,10 +519,10 @@ def find_linear_paths(
     grid path matches (not every MGS is linear).
 
     The grid is decided in order, a block of at most BLOCK paths at a time:
-    the non-generic paths are dropped by the block's mask and the others
-    read their MGS from `mgs_columns`.  The sweep stops after the block that
-    holds the last target's path; an interior disagreement in a decided
-    block raises for its first path in grid order.
+    the block keeps the generic paths, which read their MGS from
+    `mgs_columns`.  The sweep stops after the block that holds the last
+    target's path; an interior disagreement in a decided block raises for
+    its first path in grid order.
     """
     found: dict[tuple[str, ...], LinearPath | None] = {tuple(t): None for t in targets}
     missing = len(found)
@@ -540,7 +530,6 @@ def find_linear_paths(
     grid = _search_grid(cls.catalog.quiver.n, radius)
     while missing and (rows := list(itertools.islice(grid, BLOCK))):
         block = PathColumns.of_rows(plan, *zip(*rows))
-        block = block.select(generic_columns(block))
         for p, walls in enumerate(mgs_columns(block)):
             if walls in found and found[walls] is None:
                 found[walls] = block.path(p)

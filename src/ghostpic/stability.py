@@ -87,7 +87,7 @@ class Crossing(NamedTuple):
     interior: Cone
 
 
-class CrossingPlan:
+class CrossingPlan(NamedTuple):
     """What chamber labels and genericity and stability along any path need
     of a class: its relevant dims, sorted, the first name of each, and
     ``ray`` with ray[i] == ray[j] iff dims i and j are proportional (they
@@ -95,19 +95,14 @@ class CrossingPlan:
     index.  ``bricks`` holds the crossing of each class brick, ``ghosts``
     each planned ghost with its crossing, by key.  ``schedule`` lists the
     (crossing, kind, concurrent) rows of a crossing schedule, the bricks
-    first; a ghost plan appends its subobject and quotient ghosts."""
+    first; a ghost plan adds its subobject and quotient ghosts."""
 
-    __slots__ = ("dims", "names", "ray", "bricks", "ghosts", "schedule")
-
-    def __init__(self, dims, names, ray, bricks, ghosts):
-        self.dims: tuple[tuple[int, ...], ...] = dims
-        self.names: tuple[str, ...] = names
-        self.ray: tuple[int, ...] = ray
-        self.bricks: dict[str, Crossing] = bricks
-        self.ghosts: dict[tuple, tuple] = ghosts  # ghost key -> (Ghost, Crossing)
-        self.schedule: tuple[tuple[Crossing, str, bool], ...] = tuple(
-            (c, "brick", False) for c in bricks.values()
-        )
+    dims: tuple[tuple[int, ...], ...]
+    names: tuple[str, ...]
+    ray: tuple[int, ...]
+    bricks: dict[str, Crossing]
+    ghosts: dict[tuple, tuple]  # ghost key -> (Ghost, Crossing)
+    schedule: tuple[tuple[Crossing, str, bool], ...]
 
 
 def build_plan(cls: ModuleClass, ghosts=()) -> CrossingPlan:
@@ -131,15 +126,17 @@ def build_plan(cls: ModuleClass, ghosts=()) -> CrossingPlan:
         sides = tuple((index[s.dim], s.late, s.name) for s in sides)
         return Crossing(label, index[event_dim], sides, interior)
 
+    bricks = {b: crossing(b, cls.dim_of(b), w.sides, w.interior) for b, w in zip(cls.bricks, walls)}
     return CrossingPlan(
         dims,
         tuple(names[d] for d in dims),
         ray,
-        {b: crossing(b, cls.dim_of(b), w.sides, w.interior) for b, w in zip(cls.bricks, walls)},
+        bricks,
         {
             g.key(): (g, crossing(label, g.event_dim, g.sides, g.domain.interior()))
             for g, label in zip(ghosts, labels)
         },
+        tuple((c, "brick", False) for c in bricks.values()),
     )
 
 
@@ -165,7 +162,8 @@ def semistable_columns(cls: ModuleClass, theta) -> list[list[bool]]:
 def semistable_sets(cls: ModuleClass, points) -> list[frozenset[str]]:
     """S(theta) of each point, decided by `semistable_columns`, and for one
     point by `semistable_set`.  Direct sums of the members are derivable."""
-    members = zip(*semistable_columns(cls, list(zip(*points))))
+    theta = list(zip(*points)) or [()] * cls.catalog.quiver.n  # an empty block has the class's rank
+    members = zip(*semistable_columns(cls, theta))
     return [frozenset(itertools.compress(cls.bricks, m)) for m in members]
 
 

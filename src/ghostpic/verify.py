@@ -33,7 +33,6 @@ from ghostpic.greenpaths import (
     check_relative_hom_orthogonality,
     disagreement,
     enumerate_mgs,
-    generic_columns,
     hn_stratification,
     mgs_columns,
     stable_columns,
@@ -119,31 +118,26 @@ def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
 def _generic_blocks(cls: ModuleClass, rng: random.Random, count: int, plan: CrossingPlan):
     """Yield blocks (`PathColumns`) of count paths in all, with integer h
     and k drawn from rng and generic for the plan, in draw order.  Each
-    candidate is h, then k, from `_randints`, and `generic_columns` refuses
-    the non-generic ones.  A round draws as many candidates as are still
-    wanted, at most BLOCK, and yields those kept, so no candidate is drawn
-    past the count-th generic path: the paths and rng's final state are
-    those of drawing and refusing path by path.  A consumer that draws
-    nothing else from rng between blocks sees the same draws as from a
-    list, and one that keeps no block holds one block at a time."""
+    candidate is h, then k, from `_randints`, and the block made of a
+    round's candidates keeps the generic ones.  A round draws as many
+    candidates as are still wanted, at most BLOCK, and yields those kept,
+    so no candidate is drawn past the count-th generic path: the paths and
+    rng's final state are those of drawing and refusing path by path.  A
+    consumer that draws nothing else from rng between blocks sees the same
+    draws as from a list, and one that keeps no block holds one block at a
+    time."""
     n = cls.catalog.quiver.n
     wanted = count
     while wanted > 0:
-        block = _generic_block(n, rng, min(BLOCK, wanted), plan)
+        hs, ks = [], []
+        for _ in range(min(BLOCK, wanted)):
+            hs.append(_randints(rng, -9, 9, n))
+            ks.append(_randints(rng, 1, 9, n))
+        block = PathColumns.of_rows(plan, hs, ks)
         wanted -= block.size
         if block.size:
             yield block
         del block  # dropped before the next round is drawn
-
-
-def _generic_block(n: int, rng: random.Random, count: int, plan: CrossingPlan) -> PathColumns:
-    """The generic paths among count candidates drawn from rng."""
-    hs, ks = [], []
-    for _ in range(count):
-        hs.append(_randints(rng, -9, 9, n))
-        ks.append(_randints(rng, 1, 9, n))
-    candidates = PathColumns.of_rows(plan, hs, ks)
-    return candidates.select(generic_columns(candidates))
 
 
 def _chamber_chains(graph: ChamberGraph, block: PathColumns) -> list[list[int]]:

@@ -111,10 +111,11 @@ def reference_stable(h, k, event_dim, sides):
 
 
 def verdict(decide):
+    """decide's value, or the arguments of the NonGenericPathError it raises."""
     try:
         return decide()
-    except NonGenericPathError:
-        return "clash"
+    except NonGenericPathError as err:
+        return err.first, err.second, err.time
 
 
 def generic_args(path, plan):
@@ -145,6 +146,10 @@ def routes(h, k):
 
 
 class TestPlanMatchesFractionReference:
+    """A path that is not generic for the plan is refused with the plan's
+    first clash, whatever the event; on a generic path no side crosses
+    together with its event, and the verdict is the reference's."""
+
     @settings(max_examples=300, deadline=None)
     @given(fixture_paths())
     def test_genericity_and_brick_stability(self, drawn):
@@ -153,11 +158,13 @@ class TestPlanMatchesFractionReference:
         plan = crossing_plan(cls)
         for h, k in routes(h0, k0):
             path = LinearPath(h, k)
-            assert generic_args(path, plan) == reference_clash(plan, h, k)
+            clash = reference_clash(plan, h, k)
+            assert generic_args(path, plan) == clash
             for b in cls.bricks:
                 expected = reference_stable(h, k, cls.dim_of(b), wall(cls, b).sides)
                 assert expected == reference_stable(h0, k0, cls.dim_of(b), wall(cls, b).sides)
-                assert verdict(lambda: is_relatively_stable(cls, path, b)) == expected
+                assert clash or expected != "clash"
+                assert verdict(lambda: is_relatively_stable(cls, path, b)) == (clash or expected)
 
     @settings(max_examples=300, deadline=None)
     @given(fixture_paths())
@@ -169,11 +176,13 @@ class TestPlanMatchesFractionReference:
         assert {g.kind for g in ghosts} <= set(ALL_KINDS)
         for h, k in routes(h0, k0):
             path = LinearPath(h, k)
-            assert generic_args(path, plan) == reference_clash(plan, h, k)
+            clash = reference_clash(plan, h, k)
+            assert generic_args(path, plan) == clash
             for g in ghosts:
                 expected = reference_stable(h, k, g.event_dim, g.sides)
                 assert expected == reference_stable(h0, k0, g.event_dim, g.sides)
-                assert verdict(lambda: ghost_stability(cls, path, g)) == expected
+                assert clash or expected != "clash"
+                assert verdict(lambda: ghost_stability(cls, path, g)) == (clash or expected)
 
     @settings(max_examples=300, deadline=None)
     @given(fixture_paths())
@@ -295,14 +304,15 @@ class TestDots:
         plan = crossing_plan(self.CLASSES[rank])
         h = data.draw(st.tuples(*[st.integers(-9, 9)] * rank))
         k = data.draw(st.tuples(*[st.integers(1, 9)] * rank))
-        block = PathColumns.of_paths(plan, [LinearPath(h, k)])
-        keys, (scale,) = block.keys, block.scale
+        _, _, keys, (scale,) = greenpaths._keyed(plan.dims, [h], [k])
         hd = [int_dot(h, d) for d in plan.dims]
         kd = [int_dot(k, d) for d in plan.dims]
         assert scale == lcm(*kd)
         assert [key for key, in keys] == [a * (scale // b) for a, b in zip(hd, kd)]
         for d, (key,) in zip(plan.dims, keys):
             assert time_of(h, k, d) == Fraction(-key, scale)
+        block = PathColumns.of_paths(plan, [LinearPath(h, k)])  # the same keys, if it keeps the path
+        assert (block.keys, block.scale) == ((keys, [scale]) if block.size else ([[] for _ in keys], []))
 
 
 class TestInteriorCrossCheck:
@@ -503,9 +513,9 @@ class TestWorkCounts:
         return scans
 
     def test_a_block_computes_its_crossings_once_per_plan(self, monkeypatch):
-        """The mask, every stability verdict and the MGS of a block read its
-        time keys, computed once when the block is made for its plan, and a
-        selection keeps them; a schedule keys its path once."""
+        """The genericity of a block, every stability verdict and its MGS
+        read its time keys, computed once when the block is made for its
+        plan; a schedule keys its path once."""
         cls = FIXTURES["case2"]
         plan = ghost_plan(cls)
         paths = list(drawn_paths(cls, verify.random.Random(2), 20, plan))
@@ -518,32 +528,29 @@ class TestWorkCounts:
         monkeypatch.setattr(greenpaths, "_combination", counted)
         scans = self.count_scans(monkeypatch)
         block = PathColumns.of_paths(plan, paths)
-        mask = greenpaths.generic_columns(block)
+        assert block.size == len(paths) and len(reads) == 2 * len(plan.dims)
         crossings = [c for c, _, _ in plan.schedule]
         greenpaths.stable_verdicts(block, crossings)
         greenpaths.mgs_columns(block)
-        keyed = lambda: sum(cols is block.h or cols is block.k for cols in reads)
-        assert all(mask) and keyed() == 2 * len(plan.dims)
-        kept = block.select(mask)
-        assert (kept.plan, kept.keys, kept.scale) == (plan, block.keys, block.scale)
-        assert kept.size == block.size
-        assert keyed() == 2 * len(plan.dims) and len(scans) == block.size
+        keyed = sum(cols is block.h or cols is block.k for cols in reads)
+        assert keyed == 0 and len(scans) == block.size
         scans.clear()
         crossing_schedule(cls, paths[0], include_ghosts=True)
         assert len(scans) == 1
 
     def test_the_paths_check_decides_each_drawn_path_once(self, monkeypatch):
-        """In the paths-vs-graph check the draw's mask is the one genericity
-        decision, made once per candidate, and it keys every candidate, kept
-        or refused: the selection carries the keys of the kept paths, and
-        their MGS and chamber chains read them, keying nothing again."""
+        """In the paths-vs-graph check the blocks made of the draws are the
+        one genericity decision, made once per candidate, and they key every
+        candidate, kept or refused: a block carries the keys of the kept
+        paths, and their MGS and chamber chains read them, keying nothing
+        again."""
         scans = self.count_scans(monkeypatch)
         drawn, candidates, decided = [], [], []
-        draw_blocks, randints, mask = verify._generic_blocks, verify._randints, verify.generic_columns
+        draw_blocks, randints, of_rows = verify._generic_blocks, verify._randints, PathColumns.of_rows
 
-        def counted_mask(block):
-            decided.append(block.size)
-            return mask(block)
+        def counted_rows(plan, hs, ks):
+            decided.append(len(hs))
+            return of_rows(plan, hs, ks)
 
         def counted_blocks(*args):
             for block in draw_blocks(*args):
@@ -556,7 +563,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(verify, "_generic_blocks", counted_blocks)
         monkeypatch.setattr(verify, "_randints", counted_draws)
-        monkeypatch.setattr(verify, "generic_columns", counted_mask)
+        monkeypatch.setattr(PathColumns, "of_rows", counted_rows)
         monkeypatch.setattr(greenpaths, "_generic_one", None)  # no single-path decision
         checker = verify.Verifier(paths_per_fixture=100, seed=0)
         checker.check_linear_paths_vs_graph()

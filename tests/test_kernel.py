@@ -43,7 +43,7 @@ def paths_and_dims(draw, count=2):
 
 def plan_over(dims) -> CrossingPlan:
     """A bare crossing plan over the given dims, for their time keys."""
-    return CrossingPlan(tuple(dims), names=(), ray=(), bricks={}, ghosts={})
+    return CrossingPlan(tuple(dims), names=(), ray=(), bricks={}, ghosts={}, schedule=())
 
 
 def time_of(h, k, d) -> Fraction:

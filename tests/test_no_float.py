@@ -25,7 +25,6 @@ FRACTION_SITES = {
         "LinearPath.h",  # h and k are read as rationals
         "LinearPath.k",
         "_generic_one",  # the crossing time a NonGenericPathError prints
-        "stable_columns",
         "crossing_schedule",  # Event.t
     },
 }

@@ -1,9 +1,10 @@
 """The column kernel of `greenpaths` against the scalar reference of
-`reference_paths`: on a block of paths, `generic_columns` is the reference
-genericity decision, the block's keys its keys, `stable_columns` the reference
-verdict, raise and interior cross-check, path by path, and the single-path
-`check_generic` (a block of one) gives the reference keys or error, on both
-plans of every standard fixture and on random type-A classes."""
+`reference_paths`: a block keeps the paths the reference finds generic, in
+order, with the reference keys, `stable_columns` gives the reference verdict
+and interior cross-check, path by path, and the single-path `check_generic`
+(a block of one) gives the reference keys or error, on both plans of every
+standard fixture and on random type-A classes.  Every single-path entry
+refuses the paths `check_generic` refuses, with its message."""
 
 import ast
 import random
@@ -17,13 +18,15 @@ from hypothesis import strategies as st
 from ghostpic.catalog import ModuleClass, generate_type_a
 from ghostpic.errors import CatalogError, InternalConsistencyError, NonGenericPathError
 from ghostpic.geometry import Cone, int_dot
-from ghostpic.ghosts import ghost_plan
+from ghostpic.ghosts import ghost_plan, ghost_stability, mgs_with_ghosts
 from ghostpic.greenpaths import (
     LinearPath,
     PathColumns,
     check_generic,
+    crossing_schedule,
     disagreement,
-    generic_columns,
+    is_relatively_stable,
+    linear_mgs,
     stable_columns,
 )
 from ghostpic.stability import crossing_plan
@@ -51,12 +54,9 @@ def scalar(path, plan, crossing):
 
 
 def kernel(paths, plan, crossing):
-    """`stable_columns` read back per path in the form of `scalar`, or the
-    type and text of the error it raises for the whole block."""
-    try:
-        by_times, disagree = stable_columns(PathColumns.of_paths(plan, paths), crossing)
-    except NonGenericPathError as exc:
-        return type(exc), str(exc)
+    """`stable_columns` on the block of the paths, read back per kept path
+    in the form of `scalar`."""
+    by_times, disagree = stable_columns(PathColumns.of_paths(plan, paths), crossing)
     out = list(by_times)
     for p in disagree:
         out[p] = InternalConsistencyError, str(disagreement(crossing, by_times[p]))
@@ -82,27 +82,36 @@ def raises(outcome) -> bool:
     return type(outcome) is tuple and outcome[0] is NonGenericPathError
 
 
-def assert_kernel_is_scalar(paths, plan):
-    """The mask, the keys of every path (generic or not) and the outcome of
-    `check_generic` on each, and for each crossing of the plan (and its
-    variants) the outcome on the whole block, on the paths that do not
-    raise, and on each path alone."""
+def assert_block_keeps_the_generic_paths(paths, plan):
+    """The block of the paths holds those the reference finds generic, in
+    order, with their reference keys and scale."""
     block = PathColumns.of_paths(plan, paths)
-    assert generic_columns(block) == [generic(p, plan) for p in paths]
-    keys, scale = block.keys, block.scale
-    for p, path in enumerate(paths):
-        want = outcome(reference_check_generic, path, plan)
-        assert outcome(check_generic, path, plan) == want
-        assert raises(want) or ([column[p] for column in keys], scale[p]) == want
+    kept = [p for p in paths if generic(p, plan)]
+    rows = lambda cols, p: tuple(c[p] for c in cols)
+    assert [(rows(block.h, p), rows(block.k, p)) for p in range(block.size)] == [(p._hi, p._ki) for p in kept]
+    assert [(list(rows(block.keys, p)), block.scale[p]) for p in range(block.size)] == [
+        reference_check_generic(p, plan) for p in kept
+    ]
+    assert block.plan is plan
+
+
+def assert_kernel_is_scalar(paths, plan):
+    """The block of the paths, the outcome of `check_generic` on each, and
+    for each crossing of the plan (and its variants) the outcome on the
+    generic paths, on the whole block (which drops the others), and on
+    each generic path alone."""
+    assert_block_keeps_the_generic_paths(paths, plan)
+    for path in paths:
+        assert outcome(check_generic, path, plan) == outcome(reference_check_generic, path, plan)
+    calm = [p for p in paths if generic(p, plan)]
     crossings = [*plan.bricks.values(), *(c for _, c in plan.ghosts.values())]
     for crossing in (v for c in crossings for v in variants(plan, c)):
-        want = [scalar(p, plan, crossing) for p in paths]
-        raised = [w for w in want if raises(w)]
-        assert kernel(paths, plan, crossing) == (raised[0] if raised else want)
-        calm = [(p, w) for p, w in zip(paths, want) if not raises(w)]
-        assert kernel([p for p, _ in calm], plan, crossing) == [w for _, w in calm]
-        for path, one in zip(paths, want):
-            assert kernel([path], plan, crossing) == (one if raises(one) else [one])
+        want = [scalar(p, plan, crossing) for p in calm]
+        assert not any(map(raises, want))
+        assert kernel(calm, plan, crossing) == want
+        assert kernel(paths, plan, crossing) == want
+        for path, one in zip(calm, want):
+            assert kernel([path], plan, crossing) == [one]
     assert kernel([], plan, crossings[0]) == []
 
 
@@ -144,21 +153,56 @@ def test_the_kernel_is_the_scalar_reference_on_random_classes(orient, data):
     assert_kernel_is_scalar(paths, ghost_plan(cls))
 
 
-def test_a_block_raises_for_its_first_non_generic_path():
-    """A block whose paths cross a brick and its side together raises the
-    error that the reference raises on the first of them, whatever comes
-    after it."""
+def test_a_block_drops_its_non_generic_paths():
+    """A block of paths that cross a brick and its side together, with a
+    generic path among them, keeps the generic path alone, whatever comes
+    before or after it; `is_relatively_stable` refuses each dropped path
+    with the first clash of the plan, as the reference names it."""
     cls = FIXTURES["torsion4"]
     plan = crossing_plan(cls)
     crossing = next(c for c in plan.bricks.values() if c.sides)
-    fine = next(
-        p for p in small_paths(random.Random(0), 3, 200) if not isinstance(scalar(p, plan, crossing), tuple)
-    )
+    fine = next(p for p in small_paths(random.Random(0), 3, 200) if generic(p, plan))
     bad = [p for p in small_paths(random.Random(1), 3, 400) if isinstance(scalar(p, plan, crossing), tuple)]
     assert len(bad) >= 2 and scalar(bad[0], plan, crossing) != scalar(bad[1], plan, crossing)
-    with pytest.raises(NonGenericPathError) as caught:
-        stable_columns(PathColumns.of_paths(plan, [fine, bad[1], bad[0]]), crossing)
-    assert (NonGenericPathError, str(caught.value)) == scalar(bad[1], plan, crossing)
+    assert kernel([bad[1], fine, bad[0]], plan, crossing) == [scalar(fine, plan, crossing)]
+    for path in bad:
+        with pytest.raises(NonGenericPathError) as caught:
+            is_relatively_stable(cls, path, crossing.label)
+        assert (NonGenericPathError, str(caught.value)) == outcome(reference_check_generic, path, plan)
+
+
+def refusal(decide, *args):
+    """The message of the NonGenericPathError decide raises, or None."""
+    try:
+        decide(*args)
+    except NonGenericPathError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_every_single_path_entry_refuses_the_same_paths(name):
+    """`check_generic`, `is_relatively_stable`, `ghost_stability`,
+    `linear_mgs`, `mgs_with_ghosts` and `crossing_schedule` with and
+    without ghosts refuse exactly the paths the reference finds not generic
+    for their plan, each with the reference's message."""
+    cls = FIXTURES[name]
+    paths = small_paths(random.Random(("refusals", name).__repr__()), cls.catalog.quiver.n, 40)
+    bricks, ghosts = crossing_plan(cls), ghost_plan(cls)
+    refused = {"bricks": 0, "ghosts": 0}
+    for path in paths:
+        entries = {
+            "bricks": (bricks, [(linear_mgs, cls, path), (crossing_schedule, cls, path, False)]
+                       + [(is_relatively_stable, cls, path, b) for b in cls.bricks]),
+            "ghosts": (ghosts, [(crossing_schedule, cls, path, True), (mgs_with_ghosts, cls, path)]
+                       + [(ghost_stability, cls, path, g) for g, _ in ghosts.ghosts.values()]),
+        }
+        for which, (plan, calls) in entries.items():
+            want = refusal(reference_check_generic, path, plan)
+            assert refusal(check_generic, path, plan) == want
+            assert [refusal(*call) for call in calls] == [want] * len(calls), which
+            refused[which] += want is not None
+    assert all(0 < n < len(paths) for n in refused.values()) or name == "a1"
 
 
 def test_a_path_of_the_wrong_rank_is_refused():
@@ -168,22 +212,13 @@ def test_a_path_of_the_wrong_rank_is_refused():
 
 
 def test_a_selection_keeps_its_paths_and_their_crossings():
-    """The block keys every path when it is made; the selection keeps the
-    plan and the keys of the kept paths, which are their reference keys."""
-    cls = FIXTURES["full6"]
-    plan = ghost_plan(cls)
-    paths = [p for i, p in enumerate(small_paths(random.Random(2), 3, 60)) if i % 4 != 3]
-    block = PathColumns.of_paths(plan, paths)
-    mask = generic_columns(block)
-    kept = block.select(mask)
-    assert kept.size == sum(mask) > 0
-    generic_paths = [p for p, m in zip(paths, mask) if m]
-    assert [kept.path(p) for p in range(kept.size)] == generic_paths
-    assert kept.plan is plan
-    keys, scale = kept.keys, kept.scale
-    assert [([column[p] for column in keys], scale[p]) for p in range(kept.size)] == [
-        reference_check_generic(p, plan) for p in generic_paths
-    ]
+    """The block keys every path when it is made and keeps exactly the
+    paths the reference finds generic for its plan, in order, with their
+    reference keys: those over a common denominator H > 1 too."""
+    paths = small_paths(random.Random(2), 3, 60)
+    for plan in (crossing_plan(FIXTURES["full6"]), ghost_plan(FIXTURES["full6"])):
+        assert 0 < sum(generic(p, plan) for p in paths) < len(paths)
+        assert_block_keeps_the_generic_paths(paths, plan)
 
 
 def stress_paths(rng, n, count):
@@ -241,3 +276,45 @@ def test_a_block_is_decided_under_its_own_plan():
         if module == "greenpaths":
             defined = {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
             assert "time_keys" not in defined
+
+
+def own_nodes(tree):
+    """(qualified function name, node) for every node of the module, each
+    under the innermost function holding it ("<module>" outside any)."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            yield scope or "<module>", child
+            yield from visit(child, scope)
+
+    return visit(tree, "")
+
+
+def test_a_path_is_refused_in_one_place_and_a_plan_is_never_patched():
+    """`NonGenericPathError` is raised by `greenpaths._generic_one` alone,
+    and no function of the package assigns to, or deletes, an attribute of
+    a plan: a plan is a finished NamedTuple."""
+    raisers, patched = set(), []
+    for source in sorted(SRC.glob("*.py")):
+        for scope, node in own_nodes(ast.parse(source.read_text(encoding="utf-8"))):
+            where = f"{source.stem}.{scope}"
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "NonGenericPathError":
+                    raisers.add(where)
+            target = None
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+                target = node.value
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("setattr", "delattr"):
+                target = node.args[0]
+            if isinstance(target, ast.Name) and "plan" in target.id.lower():
+                patched.append(f"{where}:{node.lineno}")
+    assert raisers == {"greenpaths._generic_one"}
+    assert patched == []
+    plan = crossing_plan(FIXTURES["torsion4"])
+    assert isinstance(plan, tuple) and plan._fields == ("dims", "names", "ray", "bricks", "ghosts", "schedule")
+    with pytest.raises(AttributeError):
+        plan.schedule = ()

@@ -164,6 +164,15 @@ class TestKernels:
             assert ids == [locate_chamber(graph, t) for t in thetas]
             assert [graph.chamber(c).label for c in ids] == [semistable_set(cls, t) for t in thetas]
 
+    @pytest.mark.parametrize("name", sorted(verify.standard_fixtures()))
+    def test_an_empty_block_decides_no_point(self, name):
+        cls = verify.standard_fixtures()[name]
+        graph = chamber_graph(cls)
+        empty = [[] for _ in range(cls.catalog.quiver.n)]
+        assert semistable_sets(cls, []) == []
+        assert semistable_columns(cls, empty) == [[] for _ in cls.bricks]
+        assert locate_columns(graph, empty) == []
+
     def test_a_theta_of_another_rank_is_refused_for_the_block(self, torsion4):
         graph = chamber_graph(torsion4)
         for block in (columns([(1, 1), (2, 3)]), columns([(1, 1, 1, 1)])):
