@@ -219,7 +219,7 @@ def _build_ghost(cls: ModuleClass, ses: Ses, kind: str) -> Ghost:
         conds = _conditions(cls, ses, flip)
         missing = ses.c if flip else ses.a
         minimal = len(conds) == 1
-    elif kind == EXTENSION:
+    else:  # EXTENSION
         conds = [GhostCondition(0, ModuleSum([ses.c]), late=True)]
         missing = ses.b
         wa = {p.quot for p in cls.weakly_admissible_quotients(ses.b, True)}
@@ -228,8 +228,6 @@ def _build_ghost(cls: ModuleClass, ses: Ses, kind: str) -> Ghost:
             and cls.is_minimal_brick(ses.c)
             and wa == {ModuleSum([ses.c])}
         )
-    else:
-        raise CatalogError(f"unknown ghost kind {kind!r}")
     event_dim = cls.dim_of(missing)
     sides = tuple(Side(cls.dim_of(c.obj), repr(c.obj), c.late) for c in conds)
     return Ghost(

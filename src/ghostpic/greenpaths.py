@@ -50,7 +50,6 @@ from ghostpic.stability import (
     CrossingPlan,
     chamber_graph,
     crossing_plan,
-    wall,
 )
 
 MGS_GUARD = 10**6
@@ -275,7 +274,7 @@ def is_relatively_stable(cls: ModuleClass, path: LinearPath, m: str) -> bool:
     plan = crossing_plan(cls)
     crossing = plan.bricks.get(m)
     if crossing is None:
-        wall(cls, m)  # raises: m is not a brick of the class
+        raise CatalogError(f"{m} is not a brick of {cls!r}")
     ((stable,),) = stable_verdicts(_generic_one(path, plan), [crossing])
     return stable
 

@@ -3,13 +3,13 @@
 Walls, ghost domains and chamber labels are traced on the unit sphere and
 drawn through the stereographic projection with pole at -eta/sqrt(3) and
 image plane tangent at eta/sqrt(3), so the all-positive chamber appears at
-the center.  All curve clipping decisions are exact (rays and cone
-membership).  The drawing runs on integers from the ray to the printed
-digits: square roots are floor roots at 2^-80, every projected coordinate is
-an integer numerator over 2^48 (rounded half-even), a scene keeps its points
-as numerators over the one denominator SCENE_DEN, and the viewport map,
-Liang-Barsky clipping and the three-decimal printing work on those
-numerators, so the output is exact and its bytes are identical across runs.
+the center.  Each curve's sector is read off its exact boundary rays, so
+rendering solves no LP.  The drawing runs on integers from the ray to the
+printed digits: square roots are floor roots at 2^-80, every projected
+coordinate is an integer numerator over 2^48 (rounded half-even), a scene
+keeps its points as numerators over the one denominator SCENE_DEN, and the
+viewport map, Liang-Barsky clipping and the three-decimal printing work on
+those numerators, so the output is exact and identical across runs.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from math import isqrt
 from typing import NamedTuple
 
 from ghostpic.catalog import ModuleClass
-from ghostpic.errors import GhostpicError, InternalConsistencyError, RankError
-from ghostpic.geometry import Cone, feasible_point, int_dot, primitive, vec_str
+from ghostpic.errors import GhostpicError, RankError
+from ghostpic.geometry import Cone, int_dot, primitive, vec_str
 from ghostpic.ghosts import EXTENSION, QUOTIENT, SUBOBJECT, enumerate_ghosts, ghost_census_doc
 from ghostpic.greenpaths import count_mgs
 from ghostpic.stability import chamber_docs, chamber_graph, edge_docs
@@ -126,14 +126,38 @@ def _plane_basis(e):
     return b1, b2
 
 
+def _sector_anchors(normals: list[tuple]) -> list[tuple]:
+    """Anchor rays of the sector {x : n.x >= 0 for every n} of distinct
+    primitive 2D normals, read off its boundary rays; [] if it has no interior.
+
+    The whole plane is a closed loop through the axes, and a half-plane runs
+    through its normal.  Otherwise the boundary rays are the perpendiculars
+    of the normals that satisfy every inequality; the sector has an interior
+    iff they are two rays that are not opposite, returned clockwise-most
+    first (r1 x r2 > 0).  Else its closure is the origin, a ray or a line.
+    """
+    if not normals:
+        return [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0)]
+    if len(normals) == 1:
+        (n,) = normals
+        return [(-n[1], n[0]), n, (n[1], -n[0])]
+    perps = [p for n in normals for p in ((-n[1], n[0]), (n[1], -n[0]))]
+    rays = {p for p in perps if all(int_dot(m, p) >= 0 for m in normals)}
+    if len(rays) != 2:  # the origin or a ray
+        return []
+    r1, r2 = rays
+    turn = _cross2(r1, r2)
+    return [r1, r2] if turn > 0 else [r2, r1] if turn < 0 else []
+
+
 def trace_wall_curve(cone: Cone) -> list[PlanePoint]:
     """Projected trace of a rank-3 cone with exactly one equality.
 
     The cone's intersection with its hyperplane is a 2D sector (possibly the
-    whole plane); its boundary rays are exact cross products, so arc
-    endpoints land exactly on wall-intersection vertices.  Between anchors
-    the curve is sampled adaptively until adjacent chords are below 0.5% of
-    the viewport.
+    whole plane), read off its boundary rays (`_sector_anchors`): they are
+    exact cross products, so arc endpoints land exactly on wall-intersection
+    vertices, and no LP is solved.  Between anchors the curve is sampled
+    adaptively until adjacent chords are below 0.5% of the viewport.
     """
     if cone.dim != 3:
         raise RankError("wall tracing is rank-3 only")
@@ -144,39 +168,11 @@ def trace_wall_curve(cone: Cone) -> list[PlanePoint]:
     ineqs: list[tuple] = []
     for a in cone.weak + cone.strict:
         n2 = (int_dot(a, b1), int_dot(a, b2))
-        if n2 == (0, 0):
-            continue
-        n2 = primitive(n2)
-        if n2 not in ineqs:
+        if any(n2) and (n2 := primitive(n2)) not in ineqs:
             ineqs.append(n2)
-
-    if ineqs:
-        if feasible_point(Cone(2, strict=tuple(ineqs))) is None:
-            return []
-        candidates = []
-        for n in ineqs:
-            for p in ((-n[1], n[0]), (n[1], -n[0])):
-                if all(int_dot(m, p) >= 0 for m in ineqs):
-                    p = primitive(p)
-                    if p not in candidates:
-                        candidates.append(p)
-        if len(candidates) < 2:
-            raise InternalConsistencyError("sector with interior lacks boundary rays")
-        r1 = next(r for r in candidates if all(_cross2(r, t) >= 0 for t in candidates))
-        r2 = next(
-            r
-            for r in candidates
-            if r != r1 and all(_cross2(t, r) >= 0 for t in candidates)
-        )
-        if _cross2(r1, r2) == 0:  # half-plane: route the arc through the normal
-            mid = next(n for n in ineqs if int_dot(n, r1) == 0)
-            anchors2d = [r1, mid, r2]
-        else:
-            anchors2d = [r1, r2]
-        closed = False
-    else:
-        anchors2d = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0)]
-        closed = True
+    anchors2d = _sector_anchors(ineqs)
+    if not anchors2d:
+        return []
 
     def midpoint_ray(ra, rb):
         # angular bisection up to integer rounding; the rounded ray is kept
@@ -197,17 +193,15 @@ def trace_wall_curve(cone: Cone) -> list[PlanePoint]:
         u, v = r2
         return _project_int(primitive(tuple(u * x + v * y for x, y in zip(b1, b2))))
 
-    out: list[PlanePoint] = [project(anchors2d[0])]
+    points = [project(r) for r in anchors2d]
+    out: list[PlanePoint] = [points[0]]
 
     def refine(ra, rb, pa, pb, depth):
         if depth <= 0:
             dx, dy = pa[0] - pb[0], pa[1] - pb[1]
-            if _CHORD_DEN * (dx * dx + dy * dy) <= _CHORD_NUM:
+            if _CHORD_DEN * (dx * dx + dy * dy) <= _CHORD_NUM or depth <= -16:
                 out.append(pb)
                 return
-        if depth <= -16:
-            out.append(pb)
-            return
         rm = midpoint_ray(ra, rb)
         pm = project(rm)
         refine(ra, rm, pa, pm, depth - 1)
@@ -215,15 +209,7 @@ def trace_wall_curve(cone: Cone) -> list[PlanePoint]:
 
     init_depth = (SAMPLES // (len(anchors2d) - 1)).bit_length()
     for i in range(len(anchors2d) - 1):
-        refine(
-            anchors2d[i],
-            anchors2d[i + 1],
-            project(anchors2d[i]),
-            project(anchors2d[i + 1]),
-            init_depth,
-        )
-    if closed:
-        out[-1] = out[0]
+        refine(anchors2d[i], anchors2d[i + 1], points[i], points[i + 1], init_depth)
     return out
 
 
@@ -380,27 +366,22 @@ def _same_point(a, b) -> bool:
 
 
 def _polyline_paths(points, den: int) -> list[str]:
+    """SVG path data of a polyline clipped to the viewport, one path per run
+    of segments that join end to start."""
     view, view_den = _to_viewport(points, den)
-    paths = []
+    paths: list[list[tuple]] = []
     run: list[tuple] = []
     for i in range(len(view) - 1):
         seg = _clip_segment(view[i], view[i + 1], view_den)
         if seg is None:
-            if len(run) >= 2:
-                paths.append(run)
             run = []
             continue
         a, b = seg
-        if not run:
-            run = [a, b]
-        elif _same_point(run[-1], a):
+        if run and _same_point(run[-1], a):
             run.append(b)
         else:
-            if len(run) >= 2:
-                paths.append(run)
             run = [a, b]
-    if len(run) >= 2:
-        paths.append(run)
+            paths.append(run)
     return ["M " + " L ".join(f"{_px(x, w)} {_px(y, w)}" for x, y, w in path) for path in paths]
 
 

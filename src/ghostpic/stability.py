@@ -67,7 +67,7 @@ def wall(cls: ModuleClass, m: str) -> Wall:
     """The wall of a class brick: theta(m)=0 with one side per dim of the
     proper nonzero weakly admissible quotients, the first name kept."""
     if not cls.contains_indec(m):
-        raise InternalConsistencyError(f"{m} is not a brick of the class")
+        raise CatalogError(f"{m} is not a brick of {cls!r}")
     names: dict[tuple, str] = {}
     for p in cls.weakly_admissible_quotients(m, True):
         names.setdefault(cls.dim_of(p.quot), repr(p.quot))

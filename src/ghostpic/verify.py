@@ -18,6 +18,7 @@ from ghostpic.errors import GuardExceededError, InternalConsistencyError
 from ghostpic.geometry import Cone, _combination, cone_contains_cone, cone_equal, feasible_point, int_dot, vec_str
 from ghostpic.ghosts import (
     SUBOBJECT,
+    Duality,
     classify_bifurcations,
     dualize,
     enumerate_ghosts,
@@ -158,6 +159,12 @@ def _chamber_chains(graph: ChamberGraph, block: PathColumns) -> list[list[int]]:
     for (p, cid), _ in itertools.groupby(zip([p for p, _, _ in probes], locate_columns(graph, points))):
         chains[p].append(cid)  # one entry per run of probes in one chamber
     return chains
+
+
+def _dual_labels(duality: Duality, ghosts, dual_ghosts: dict) -> dict[str, str]:
+    """Each ghost's display label mapped to that of its twin in the dual class
+    (`dual_ghosts`, keyed by ghost key); a brick label transports as itself."""
+    return {g.display(): dual_ghosts[duality.transport_key(g.key())].display() for g in ghosts}
 
 
 class Verifier:
@@ -373,10 +380,8 @@ class Verifier:
                     e.label
                     for e in mgs_with_ghosts(duality.dual_class, duality.transport_path(path))
                 ]
-                transported = [
-                    f"Gh*({label[3:-1]})" if label.startswith("Gh(") else label
-                    for label in reversed(orig)
-                ]
+                labels = _dual_labels(duality, ghosts, dual_ghosts)
+                transported = [labels.get(label, label) for label in reversed(orig)]
                 if dual != transported:
                     fails.add(f"torsion4: {_path_str(path)}: green sequence did not reverse")
             except Exception as exc:  # a raise is a failure, not a crash

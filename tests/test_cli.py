@@ -255,6 +255,18 @@ class TestGuardDetail:
             "error": "guard-exceeded",
         }
 
+    @pytest.mark.parametrize(
+        "command, count", [(("mgs", "--all"), 7), (("chambers",), 4)], ids=["mgs", "bricks"]
+    )
+    def test_a_guard_at_its_count_runs_and_one_below_aborts(self, capsys, monkeypatch, command, count):
+        """torsion4 has 7 MGS and 4 bricks: a limit equal to the count is
+        met, not exceeded."""
+        name, *flags = command
+        monkeypatch.setenv("GHOSTPIC_GUARD", str(count))
+        assert run(capsys, name, *self.TORSION4, *flags)[0] == 0
+        summary = self.guard_abort(capsys, monkeypatch, str(count - 1), name, *self.TORSION4, *flags)
+        assert summary["count"] == count
+
 
 class TestVerifyCommand:
     def test_reduced_run_passes(self, capsys):

@@ -194,6 +194,10 @@ class TestConeAlgebra:
         assert primitive((2, 4, -6)) == (1, 2, -3)
         assert primitive((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
 
+    def test_zero_vector_has_no_primitive_form(self):
+        with pytest.raises(GhostpicError, match="zero vector has no primitive form"):
+            primitive((0, 0, 0))
+
     def test_cone_containment(self):
         octant = Cone(2, weak=((1, 0), (0, 1)))
         half = Cone(2, weak=((1, 0),))

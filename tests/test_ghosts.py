@@ -25,6 +25,7 @@ from ghostpic.ghosts import (
     subobject_ghost_domain,
 )
 from ghostpic.greenpaths import LinearPath, NonGenericPathError, crossing_schedule
+from ghostpic.verify import _dual_labels
 
 ONES = (Fraction(1), Fraction(1), Fraction(1))
 
@@ -460,6 +461,22 @@ class TestDuality:
         ]
         assert orig == ["S1", "S3", "I2", "Gh(S2;I2)"]
         assert dual == ["Gh*(S2;I2)", "I2", "S3", "S1"]
+
+    def test_labels_transport_by_ghost_key(self, cat_ll, torsion4):
+        """verify's check (h) maps a label through the ghost's key: a quotient
+        ghost becomes its dual subobject ghost, and back."""
+        for cls, expected in (
+            (ModuleClass(cat_ll, ("S2", "I2")), {"Gh*(S3;I2)": "Gh(S3;I2)"}),
+            (torsion4, {
+                "Gh(S2;I2)": "Gh*(S2;I2)",
+                "Gh(P2;P3)": "Gh*(P2;P3)",
+                "Gh(S1->P3->I2)": "Gh(I2->P3->S1)",
+            }),
+        ):
+            duality = dualize(cls)
+            dual_ghosts = {g.key(): g for g in enumerate_ghosts(duality.dual_class)}
+            labels = _dual_labels(duality, enumerate_ghosts(cls), dual_ghosts)
+            assert labels == expected
 
     def test_flags_swap(self, torsion4):
         duality = dualize(torsion4)

@@ -104,6 +104,13 @@ class TestRelativeStability:
         assert not is_relatively_stable(case1, CASE1_PATH, "I2")
         assert is_relatively_stable(case1, CASE1_PATH, "S3")
 
+    def test_a_module_outside_the_class_is_refused_as_input(self, torsion4):
+        """Like `ghost_stability` for a foreign ghost: a bad argument, not a
+        broken invariant."""
+        with pytest.raises(CatalogError) as caught:
+            is_relatively_stable(torsion4, LEFT_PATH, "P2")
+        assert str(caught.value) == f"P2 is not a brick of {torsion4!r}"
+
 
 class TestLinearMgs:
     def test_torsion4_left_and_right(self, torsion4):

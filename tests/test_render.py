@@ -1,18 +1,24 @@
+import ast
 import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghostpic.catalog import ModuleClass
 from ghostpic.errors import GhostpicError, RankError
-from ghostpic.geometry import Cone, primitive
+from ghostpic.geometry import Cone, feasible_point, int_dot, primitive
 from ghostpic.ghosts import SUBOBJECT, enumerate_ghosts
 from ghostpic.render import (
     SCENE_DEN,
     RenderOptions,
     _canonical_cone,
+    _cross2,
+    _sector_anchors,
     build_scene,
     export_report,
     render_picture,
@@ -133,6 +139,60 @@ class TestTrace:
     def test_rank_guard(self):
         with pytest.raises(RankError):
             trace_wall_curve(Cone(2, equalities=((1, 0),)))
+
+    @pytest.mark.parametrize(
+        "weak",
+        [
+            ((1, 0, 0), (0, 1, 0), (-1, -1, 0)),  # the origin
+            ((1, 0, 0), (-1, 0, 0), (0, 1, 0)),  # one ray
+            ((1, 2, 0), (-1, -2, 0)),  # a line: n and -n
+        ],
+        ids=["origin", "ray", "line"],
+    )
+    def test_a_sector_without_interior_gives_empty_polyline(self, weak):
+        assert trace_wall_curve(Cone(3, equalities=((0, 0, 1),), weak=weak)) == []
+
+
+normals2d = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(any).map(primitive)
+
+
+class TestSectorAnchors:
+    """A curve's sector is read off its boundary rays; the LP that decided it
+    before stays here as the oracle."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.lists(normals2d, max_size=5, unique=True))
+    def test_empty_exactly_when_the_lp_finds_no_interior_point(self, normals):
+        anchors = _sector_anchors(normals)
+        inside = feasible_point(Cone(2, strict=tuple(normals)))
+        assert (anchors == []) == (inside is None)
+        assert all(int_dot(n, r) >= 0 for n in normals for r in anchors)
+        if len(normals) >= 2 and anchors:  # a pointed sector, inside between its rays
+            r1, r2 = anchors
+            assert _cross2(r1, inside) > 0 and _cross2(inside, r2) > 0
+
+    @pytest.mark.parametrize(
+        "normals",
+        [[(1, 0), (0, 1), (-1, -1)], [(1, 0), (-1, 0), (0, 1)], [(1, 2), (-1, -2)]],
+        ids=["origin", "ray", "line"],
+    )
+    def test_closures_without_interior(self, normals):
+        assert feasible_point(Cone(2, strict=tuple(normals))) is None
+        assert _sector_anchors(normals) == []
+
+    def test_plane_and_half_plane(self):
+        assert _sector_anchors([]) == [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0)]
+        assert _sector_anchors([(2, 3)]) == [(-3, 2), (2, 3), (3, -2)]
+
+    def test_render_solves_no_lp(self):
+        """The render module imports no LP entry of `geometry` and raises no
+        consistency error of its own."""
+        source = Path(__file__).resolve().parent.parent / "src" / "ghostpic" / "render.py"
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not imported & {"feasible_point", "relative_interior_point", "_sample", "_cone_lp"}
+        assert "InternalConsistencyError" not in imported | names
 
 
 class TestRenderPicture:

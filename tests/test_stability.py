@@ -71,6 +71,11 @@ class TestWalls:
         w = wall(torsion4, "P3")
         assert w.cone.weak == ((0, 1, 1),)
 
+    def test_a_module_outside_the_class_is_refused_as_input(self, torsion4):
+        with pytest.raises(CatalogError) as caught:
+            wall(torsion4, "P2")
+        assert str(caught.value) == f"P2 is not a brick of {torsion4!r}"
+
 
 class TestSemistableSet:
     def test_eta_gives_everything(self, torsion4, full6, case2, kronecker_class):
