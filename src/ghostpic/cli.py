@@ -128,7 +128,6 @@ def cmd_chambers(args) -> dict:
 
 
 def cmd_mgs(args) -> dict:
-    from ghostpic.geometry import vec_str
     from ghostpic.greenpaths import count_mgs, enumerate_mgs, find_linear_paths
     from ghostpic.stability import chamber_graph
 
@@ -147,7 +146,7 @@ def cmd_mgs(args) -> dict:
                 "linear_realization": (
                     None
                     if path is None
-                    else {"h": vec_str(path.h), "k": vec_str(path.k)}
+                    else {"h": list(map(str, path.h)), "k": list(map(str, path.k))}
                 ),
                 "chamber_path": list(mgs.chamber_ids),
             }
@@ -190,7 +189,6 @@ def cmd_hn(args) -> dict:
 
 
 def cmd_path(args) -> dict:
-    from ghostpic.geometry import vec_str
     from ghostpic.ghosts import format_schedule
     from ghostpic.greenpaths import LinearPath, crossing_schedule
 
@@ -202,8 +200,8 @@ def cmd_path(args) -> dict:
     events = crossing_schedule(cls, path, include_ghosts=not args.no_ghosts)
     return {
         "schema": "ghostpic-path/1",
-        "h": vec_str(path.h),
-        "k": vec_str(path.k),
+        "h": list(map(str, path.h)),
+        "k": list(map(str, path.k)),
         "events": [{**e._asdict(), "t": str(e.t)} for e in events],
         "tokens": format_schedule(events),
     }

@@ -2,18 +2,17 @@
 
 Cones are given by an H-representation (equalities, weak and strict
 inequalities, all homogeneous, all with integer entries).  Feasibility and
-relative-interior points are computed with a small dense simplex that pivots
-fraction-free on integer rows using Bland's rule.  A point is an integer
-vector: the numerators of the exact rational point over their least common
-denominator ``den``.  Cones are homogeneous, so every decision reads the
-numerators alone; ``den`` is kept only where a sample is printed
+relative-interior points are computed with a simplex in dictionary form that
+pivots fraction-free on integer rows using Bland's rule.  A point is an
+integer vector: the numerators of the exact rational point over their least
+common denominator ``den``.  Cones are homogeneous, so every decision reads
+the numerators alone; ``den`` is kept only where a sample is printed
 (`vec_str`).  There are no floating-point fast paths.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 from operator import add, mul
@@ -58,8 +57,9 @@ def integral(v) -> IntVec:
 
 
 def vec_str(num, den: int = 1) -> list[str]:
-    """The exact rationals num[i]/den as JSON strings, e.g. ["1/2", "-3", "0"]."""
-    return [str(Fraction(x, den)) for x in num]
+    """The exact rationals num[i]/den (ints, den > 0) in lowest terms as JSON
+    strings, e.g. ["1/2", "-3", "0"]."""
+    return [f"{x // g}/{den // g}" if (g := gcd(x, den)) < den else str(x // den) for x in num]
 
 
 def _lowest(num, den: int) -> tuple[IntVec, int]:
@@ -146,34 +146,34 @@ class Cell(NamedTuple):
 # basic feasible solution, so no phase one is needed).  Bland's rule keeps
 # the pivoting finite and deterministic.
 #
-# Each tableau row, the objective row included, is stored as a gcd-reduced
-# integer row that is a positive multiple of the rational row, in the spirit
-# of Bareiss fraction-free elimination and the integer pivoting of Avis's
-# lrs.  Every test the pivoting makes (the sign of an objective entry, the
-# sign of a column entry, ratio comparisons by cross-multiplication) is
-# invariant under positive row scaling, so every pivot, every basis and every
-# returned vertex is exactly the one of the rational tableau.
+# The tableau is kept in dictionary form: a row holds its entries on the n
+# nonbasic columns, its right-hand side and its entry on its own basic column
+# (the other basic columns are 0, so they are not stored).  Each row, the
+# objective row included (basic entry 0), is a gcd-reduced integer row that is
+# a positive multiple of the rational row, in the spirit of Bareiss
+# fraction-free elimination and the integer pivoting of Avis's lrs.  Every
+# test the pivoting makes (the sign of an objective entry, the sign of a
+# column entry, ratio comparisons by cross-multiplication) is invariant under
+# positive row scaling, so every pivot, every basis and every returned vertex
+# is exactly the one of the rational tableau.
 # ---------------------------------------------------------------------------
-
-
-def _reduced(row: list[int]) -> list[int]:
-    """The row divided by the gcd of its entries, a positive factor."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
 
 
 def _simplex_max(c: list[int], rows: list[list[int]], rhs: list[int]) -> tuple[int, IntVec, int]:
     """(c.num, num, den): the optimal vertex is num/den."""
     m = len(rows)
     n = len(c)
-    total = n + m
-    # Tableau: each row with its basic slack 1 (so gcd-reduced), the objective row last.
-    tab = [rows[i] + [0] * i + [1] + [0] * (m - 1 - i) + [rhs[i]] for i in range(m)]
-    tab.append([-x for x in c] + [0] * m + [0])
-    basis = list(range(n, total))
+    # row i: [nonbasic entries..., rhs, basic entry], the slacks basic first
+    tab = [row + [b, 1] for row, b in zip(rows, rhs)]
+    tab.append([-x for x in c] + [0, 0])
+    nonbasic = list(range(n))  # the variable of each nonbasic column
+    basis = list(range(n, n + m))  # the variable of each row
     while True:
         obj = tab[m]
-        enter = next((j for j in range(total) if obj[j] < 0), -1)
+        enter = -1  # the column of the least variable with a negative entry
+        for j in range(n):
+            if obj[j] < 0 and (enter < 0 or nonbasic[j] < nonbasic[enter]):
+                enter = j
         if enter < 0:
             break
         leave = -1
@@ -181,7 +181,7 @@ def _simplex_max(c: list[int], rows: list[list[int]], rhs: list[int]) -> tuple[i
         for i in range(m):
             a = tab[i][enter]
             if a > 0:
-                b = tab[i][total]
+                b = tab[i][n]
                 if (
                     leave < 0
                     or b * best_den < best_num * a
@@ -193,22 +193,26 @@ def _simplex_max(c: list[int], rows: list[list[int]], rhs: list[int]) -> tuple[i
             raise GhostpicError("unbounded LP (missing box constraints)")
         prow = tab[leave]
         piv = prow[enter]  # > 0 by the ratio test
-        nonzero = [(j, y) for j, y in enumerate(prow) if y]  # few: most slack entries are 0
+        # the leaving variable takes the entering column and its basic entry
+        prow[enter], prow[n + 1] = prow[n + 1], piv
+        nonzero = [(j, y) for j, y in enumerate(prow[: n + 1]) if y]  # its basic entry is no column
         for i, row in enumerate(tab):  # the objective row too: its entry is < 0
             f = row[enter]
-            if f and i != leave:  # piv*row - f*prow, made on prow's nonzero columns
+            if f and i != leave:  # piv*row - f*prow on the new columns, made on prow's nonzero ones
+                row[enter] = 0  # its entry on the leaving variable, now at enter
                 new = row[:] if piv == 1 else [piv * x for x in row]
                 for j, y in nonzero:
                     new[j] -= f * y
-                tab[i] = _reduced(new)
-        basis[leave] = enter
+                g = gcd(*new)  # a positive factor: the row stays gcd-reduced
+                tab[i] = [x // g for x in new] if g > 1 else new
+        nonbasic[enter], basis[leave] = basis[leave], nonbasic[enter]
     # row i is a positive multiple of the rational row, whose basic entry is
-    # 1: the basic variable is tab[i][total] / tab[i][b]
-    den = lcm(*[tab[i][b] for i, b in enumerate(basis) if b < n])
+    # 1: the basic variable is tab[i][n] / tab[i][n + 1]
+    den = lcm(*[tab[i][n + 1] for i, b in enumerate(basis) if b < n])
     x = [0] * n
     for i, b in enumerate(basis):
         if b < n:
-            x[b] = tab[i][total] * (den // tab[i][b])
+            x[b] = tab[i][n] * (den // tab[i][n + 1])
     x, den = _lowest(x, den)
     return int_dot(c, x), x, den
 

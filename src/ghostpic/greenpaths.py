@@ -18,9 +18,9 @@ that a block computes for every dim of its plan when it is made.  A block
 keeps only the paths generic for its plan (distinct keys across rays), so
 genericity is decided once, where the block is made, and `stable_columns`
 decides stability on a generic block by the time criterion and
-cross-checks it against the interior cone at the integer crossing point
-L*H*h - key*H*k, all in a few `map` passes per dim and per side.  No
-decision touches a dim tuple.  Every single-path entry
+cross-checks it against the interior cone's rows, each dotted with the
+block's h and k once per call, all in a few `map` passes per row and per
+side.  No decision touches a dim tuple.  Every single-path entry
 (`check_generic`, `is_relatively_stable`, `ghosts.ghost_stability`,
 `crossing_schedule`, `linear_mgs`) makes its block of one through
 `_generic_one`, which refuses a path the block drops and names its first
@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
-from operator import and_, floordiv, gt, lt, mul, ne, sub
+from operator import and_, eq, floordiv, ge, gt, lt, mul, ne
 from typing import NamedTuple
 
 from ghostpic.catalog import ModuleClass, ModuleSum, per_class
@@ -139,16 +139,23 @@ class PathColumns(NamedTuple):
         return len(self.scale)
 
     @classmethod
-    def of_rows(cls, plan: CrossingPlan, hs, ks) -> PathColumns:
-        """The block of the paths (hs[p], ks[p]) generic for the plan, in
-        order: integer vectors of the plan's rank (a path of another rank
-        is rejected)."""
-        h, k, keys, scale = _keyed(plan.dims, hs, ks)
+    def of_columns(cls, plan: CrossingPlan, h: list[list[int]], k: list[list[int]]) -> PathColumns:
+        """The block of the paths with columns h and k (as the block holds
+        them) generic for the plan, in order; columns of another rank than
+        the plan's are rejected."""
+        keys, scale = _keyed(plan.dims, h, k)
         rays = set(plan.ray)
         distinct = map(len, map(set, zip(*[keys[i] for i in rays])))
         keep = list(map(len(rays).__eq__, distinct)) if rays else [True] * len(scale)
         kept = lambda cols: [list(itertools.compress(c, keep)) for c in cols]
         return cls(plan, kept(h), kept(k), kept(keys), list(itertools.compress(scale, keep)))
+
+    @classmethod
+    def of_rows(cls, plan: CrossingPlan, hs, ks) -> PathColumns:
+        """`of_columns` on the paths (hs[p], ks[p]), integer vectors."""
+        rank = len(plan.dims[0]) if plan.dims else 0
+        cols = lambda rows: [list(c) for c in zip(*rows)] if rows else [[] for _ in range(rank)]
+        return cls.of_columns(plan, cols(hs), cols(ks))
 
     @classmethod
     def of_paths(cls, plan: CrossingPlan, paths) -> PathColumns:
@@ -158,44 +165,49 @@ class PathColumns(NamedTuple):
         return LinearPath(tuple([c[p] for c in self.h]), tuple([c[p] for c in self.k]))
 
 
-def _keyed(dims, hs, ks):
-    """The columns h and k of the paths (hs[p], ks[p]), the keys of each
-    dim and the scale of each path, as `PathColumns` holds them."""
-    size = len(hs)
-    rank = len(hs[0]) if hs else len(dims[0]) if dims else 0
-    if dims and rank != len(dims[0]):
-        raise CatalogError(f"path of rank {rank} on a class of rank {len(dims[0])}")
-    h, k = ([list(c) for c in zip(*rows)] if rows else [[] for _ in range(rank)] for rows in (hs, ks))
+def _keyed(dims, h, k):
+    """The keys of each dim on the paths of columns h and k, and the scale
+    of each path, as `PathColumns` holds them."""
+    size = len(k[0]) if k else 0
+    if dims and len(h) != len(dims[0]):
+        raise CatalogError(f"path of rank {len(h)} on a class of rank {len(dims[0])}")
     kd = [list(_combination(d, k, size)) for d in dims]
     scale = list(map(lcm, *kd)) if kd else [1] * size
     keys = [list(map(mul, _combination(d, h, size), map(floordiv, scale, c))) for d, c in zip(dims, kd)]
-    return h, k, keys, scale
+    return keys, scale
 
 
-# x == 0, x >= 0 and x > 0 as C calls on a column
-_ZERO, _NONNEGATIVE, _POSITIVE = (0).__eq__, (0).__le__, (0).__lt__
+def stable_columns(block: PathColumns, crossings) -> list[tuple[list[bool], list[int]]]:
+    """Stability of event objects of the block's plan along every path of
+    the block: per crossing, in order, the time verdicts (every side crosses
+    before the event, a higher key, or after it, a lower one, when ``late``;
+    on a generic path only a side proportional to the event shares its key,
+    and fails), and the paths whose crossing point L*H*h - key*H*k is in
+    the interior cone or not against them.  Membership is read from the
+    cone's own rows, not from the plan's dims: a row r holds at the point by
+    the sign of L*(r.H*h) - key*(r.H*k), and each distinct row is dotted
+    with the block's h and k once per call."""
+    scale, keys, size = block.scale, block.keys, block.size
+    dots = {}  # cone row -> the columns L*(r.H*h) and r.H*k
 
+    def dotted(r):
+        if r not in dots:
+            dots[r] = list(map(mul, scale, _combination(r, block.h, size))), list(_combination(r, block.k, size))
+        return dots[r]
 
-def stable_columns(block: PathColumns, crossing: Crossing) -> tuple[list[bool], list[int]]:
-    """Stability of an event object of the block's plan along every path of
-    the block: the time verdicts (every side crosses before the event, a
-    higher key, or after it, a lower one, when ``late``; on a generic path
-    only a side proportional to the event shares its key, and fails), and
-    the indices of the paths whose integer crossing point's membership in
-    the interior cone disagrees with them.  The membership is read from the
-    cone's own rows, not from the plan's dims."""
-    scale, key_e = block.scale, block.keys[crossing.event]
-    by_times = [True] * block.size
-    for i, late, _ in crossing.sides:
-        by_times = list(map(and_, by_times, map(lt if late else gt, block.keys[i], key_e)))
-    # the crossing point L*H*h - key_e*H*k of each path, one column per coordinate
-    point = [list(map(sub, map(mul, scale, hj), map(mul, key_e, kj))) for hj, kj in zip(block.h, block.k)]
-    cone = crossing.interior
-    inside = [True] * block.size
-    for rows, holds in ((cone.equalities, _ZERO), (cone.weak, _NONNEGATIVE), (cone.strict, _POSITIVE)):
-        for r in rows:
-            inside = list(map(and_, inside, map(holds, _combination(r, point, block.size))))
-    return by_times, list(itertools.compress(itertools.count(), map(ne, by_times, inside)))
+    decided = []
+    for crossing in crossings:
+        key_e = keys[crossing.event]
+        by_times = [True] * size
+        for i, late, _ in crossing.sides:
+            by_times = list(map(and_, by_times, map(lt if late else gt, keys[i], key_e)))
+        cone = crossing.interior
+        inside = [True] * size
+        for rows, holds in ((cone.equalities, eq), (cone.weak, ge), (cone.strict, gt)):
+            for lh, rk in map(dotted, rows):
+                inside = list(map(and_, inside, map(holds, lh, map(mul, key_e, rk))))
+        decided.append((by_times, list(itertools.compress(itertools.count(), map(ne, by_times, inside)))))
+    return decided
 
 
 def disagreement(crossing: Crossing, by_times: bool) -> InternalConsistencyError:
@@ -211,8 +223,7 @@ def stable_verdicts(block: PathColumns, crossings) -> list[list[bool]]:
     order; a disagreement raises, for the first path that has one, at its
     first such crossing."""
     verdicts, bad = [], None
-    for c in crossings:
-        by_times, disagree = stable_columns(block, c)
+    for c, (by_times, disagree) in zip(crossings, stable_columns(block, crossings)):
         if disagree and (bad is None or disagree[0] < bad[0]):
             bad = disagree[0], c, by_times[disagree[0]]
         verdicts.append(by_times)
@@ -251,7 +262,7 @@ def _generic_one(path: LinearPath, plan: CrossingPlan) -> PathColumns:
     block = PathColumns.of_paths(plan, [path])
     if block.size:
         return block
-    _, _, keys, (scale,) = _keyed(plan.dims, [path._hi], [path._ki])
+    keys, (scale,) = _keyed(plan.dims, [[x] for x in path._hi], [[x] for x in path._ki])
     by_time: dict[int, int] = {}  # time key -> first index
     for i, (key,) in enumerate(keys):
         first = by_time.setdefault(key, i)

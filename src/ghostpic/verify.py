@@ -119,22 +119,27 @@ def _randints(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
 def _generic_blocks(cls: ModuleClass, rng: random.Random, count: int, plan: CrossingPlan):
     """Yield blocks (`PathColumns`) of count paths in all, with integer h
     and k drawn from rng and generic for the plan, in draw order.  Each
-    candidate is h, then k, from `_randints`, and the block made of a
-    round's candidates keeps the generic ones.  A round draws as many
-    candidates as are still wanted, at most BLOCK, and yields those kept,
-    so no candidate is drawn past the count-th generic path: the paths and
-    rng's final state are those of drawing and refusing path by path.  A
-    consumer that draws nothing else from rng between blocks sees the same
-    draws as from a list, and one that keeps no block holds one block at a
-    time."""
-    n = cls.catalog.quiver.n
+    candidate is h, then k, by the getrandbits calls of `_randints(rng, -9,
+    9, n)` and `_randints(rng, 1, 9, n)`, drawn straight into columns, and
+    the block made of a round's candidates keeps the generic ones.  A round
+    draws as many candidates as are still wanted, at most BLOCK, and yields
+    those kept, so no candidate is drawn past the count-th generic path:
+    the paths and rng's final state are those of drawing and refusing path
+    by path.  A consumer that draws nothing else from rng between blocks
+    sees the same draws as from a list, and one that keeps no block holds
+    one block at a time."""
+    n, bits = cls.catalog.quiver.n, rng.getrandbits
     wanted = count
     while wanted > 0:
-        hs, ks = [], []
+        h, k = [[] for _ in range(n)], [[] for _ in range(n)]
         for _ in range(min(BLOCK, wanted)):
-            hs.append(_randints(rng, -9, 9, n))
-            ks.append(_randints(rng, 1, 9, n))
-        block = PathColumns.of_rows(plan, hs, ks)
+            for cols, nbits, width, lo in ((h, 5, 19, -9), (k, 4, 9, 1)):  # `_randints(rng, lo, lo + width - 1, n)`
+                for col in cols:
+                    r = bits(nbits)
+                    while r >= width:
+                        r = bits(nbits)
+                    col.append(lo + r)
+        block = PathColumns.of_columns(plan, h, k)
         wanted -= block.size
         if block.size:
             yield block
@@ -261,8 +266,7 @@ class Verifier:
 
         def decide(block) -> None:
             found = []  # (path, crossing, time verdict), crossing by crossing
-            for crossing in crossings:
-                by_times, disagree = stable_columns(block, crossing)
+            for crossing, (by_times, disagree) in zip(crossings, stable_columns(block, crossings)):
                 found += [(p, crossing, by_times[p]) for p in disagree]
             if found:
                 p, crossing, by_times = min(found, key=itemgetter(0))

@@ -49,7 +49,7 @@ from ghostpic.stability import (
     semistable_set,
     wall,
 )
-from reference_paths import drawn_paths, point_at, reference_crossings
+from reference_paths import drawn_paths, point_at, reference_check_generic, reference_crossings
 from reference_schedule import reference_ghost_events, reference_schedule
 from reference_vectors import dot, proportional
 
@@ -304,7 +304,7 @@ class TestDots:
         plan = crossing_plan(self.CLASSES[rank])
         h = data.draw(st.tuples(*[st.integers(-9, 9)] * rank))
         k = data.draw(st.tuples(*[st.integers(1, 9)] * rank))
-        _, _, keys, (scale,) = greenpaths._keyed(plan.dims, [h], [k])
+        keys, (scale,) = greenpaths._keyed(plan.dims, [[x] for x in h], [[x] for x in k])
         hd = [int_dot(h, d) for d in plan.dims]
         kd = [int_dot(k, d) for d in plan.dims]
         assert scale == lcm(*kd)
@@ -515,62 +515,81 @@ class TestWorkCounts:
     def test_a_block_computes_its_crossings_once_per_plan(self, monkeypatch):
         """The genericity of a block, every stability verdict and its MGS
         read its time keys, computed once when the block is made for its
-        plan; a schedule keys its path once."""
+        plan; a call of the stability kernel dots each distinct cone row of
+        its crossings with the block's h and k once, and keys nothing again;
+        a schedule keys its path once."""
         cls = FIXTURES["case2"]
         plan = ghost_plan(cls)
         paths = list(drawn_paths(cls, verify.random.Random(2), 20, plan))
         reads, combination = [], greenpaths._combination
 
         def counted(row, cols, size):
-            reads.append(cols)
+            reads.append((row, cols))
             return combination(row, cols, size)
 
         monkeypatch.setattr(greenpaths, "_combination", counted)
         scans = self.count_scans(monkeypatch)
         block = PathColumns.of_paths(plan, paths)
         assert block.size == len(paths) and len(reads) == 2 * len(plan.dims)
-        crossings = [c for c, _, _ in plan.schedule]
-        greenpaths.stable_verdicts(block, crossings)
-        greenpaths.mgs_columns(block)
-        keyed = sum(cols is block.h or cols is block.k for cols in reads)
-        assert keyed == 0 and len(scans) == block.size
+        schedule = [c for c, _, _ in plan.schedule]
+        calls = [
+            (lambda: greenpaths.stable_verdicts(block, schedule), schedule),
+            (lambda: greenpaths.mgs_columns(block), list(plan.bricks.values())),
+        ]
+        for decide, crossings in calls:
+            reads.clear()
+            decide()
+            rows = [r for c in crossings for part in c.interior[1:] for r in part]
+            distinct = sorted(set(rows))
+            dotted = lambda cols: sorted(row for row, c in reads if c is cols)
+            assert len(distinct) < len(rows)  # some rows are shared by crossings
+            assert dotted(block.h) == dotted(block.k) == distinct and len(reads) == 2 * len(distinct)
+        assert len(scans) == block.size
         scans.clear()
         crossing_schedule(cls, paths[0], include_ghosts=True)
         assert len(scans) == 1
 
     def test_the_paths_check_decides_each_drawn_path_once(self, monkeypatch):
         """In the paths-vs-graph check the blocks made of the draws are the
-        one genericity decision, made once per candidate, and they key every
-        candidate, kept or refused: a block carries the keys of the kept
-        paths, and their MGS and chamber chains read them, keying nothing
-        again."""
+        one genericity decision, made once per candidate: the candidates
+        the blocks are made of are those of a path-by-path draw, and each
+        is keyed once, kept or refused.  A block carries the keys of the
+        kept paths, and their MGS and chamber chains read them, keying
+        nothing again."""
         scans = self.count_scans(monkeypatch)
-        drawn, candidates, decided = [], [], []
-        draw_blocks, randints, of_rows = verify._generic_blocks, verify._randints, PathColumns.of_rows
+        drawn, candidates = [], []
+        draw_blocks, of_columns = verify._generic_blocks, PathColumns.of_columns
 
-        def counted_rows(plan, hs, ks):
-            decided.append(len(hs))
-            return of_rows(plan, hs, ks)
+        def counted_columns(plan, h, k):
+            candidates.extend(zip(zip(*h), zip(*k)))
+            return of_columns(plan, h, k)
 
         def counted_blocks(*args):
             for block in draw_blocks(*args):
                 drawn.extend(block.path(p) for p in range(block.size))
                 yield block
 
-        def counted_draws(rng, lo, hi, count):
-            candidates.append((lo, hi))
-            return randints(rng, lo, hi, count)
-
         monkeypatch.setattr(verify, "_generic_blocks", counted_blocks)
-        monkeypatch.setattr(verify, "_randints", counted_draws)
-        monkeypatch.setattr(PathColumns, "of_rows", counted_rows)
+        monkeypatch.setattr(PathColumns, "of_columns", counted_columns)
         monkeypatch.setattr(greenpaths, "_generic_one", None)  # no single-path decision
         checker = verify.Verifier(paths_per_fixture=100, seed=0)
         checker.check_linear_paths_vs_graph()
         assert [r.passed for r in checker.results] == [True]
         assert len(drawn) == 10 * len(checker.fixtures)
-        assert sum(decided) == candidates.count((1, 9)) > len(drawn)  # some draws were refused
-        assert len(scans) == sum(decided)
+        rng = verify.random.Random((checker.seed, "paths-vs-graph").__repr__())
+        expected = []  # the candidates drawn and refused one at a time
+        for cls in checker.fixtures.values():
+            n, plan, kept = cls.catalog.quiver.n, crossing_plan(cls), 0
+            while kept < 10:
+                h, k = tuple(verify._randints(rng, -9, 9, n)), tuple(verify._randints(rng, 1, 9, n))
+                expected.append((h, k))
+                try:
+                    reference_check_generic(LinearPath(h, k), plan)
+                except NonGenericPathError:
+                    continue
+                kept += 1
+        assert candidates == expected and len(expected) > len(drawn)  # some draws were refused
+        assert len(scans) == len(candidates)
 
     def test_the_admissible_check_reads_each_bricks_subobjects_once(self, monkeypatch):
         calls = []
@@ -742,9 +761,9 @@ class TestVerifyFailures:
         of each decision, block by block and crossing by crossing."""
         seen = []
 
-        def disagree(block, crossing):
-            seen.extend((block.path(p), crossing.label) for p in range(block.size))
-            return [True] * block.size, list(range(block.size))
+        def disagree(block, crossings):
+            seen.extend((block.path(p), c.label) for c in crossings for p in range(block.size))
+            return [([True] * block.size, list(range(block.size))) for _ in crossings]
 
         def planted(crossing, by_times):
             return InternalConsistencyError(f"stability of {crossing.label}: planted")

@@ -247,3 +247,16 @@ class TestCellsKeepTheReferenceEnumeration:
         catalog = generate_type_a(4, "LLL")
         graph = chamber_graph(ModuleClass(catalog, [m.id for m in catalog.indecs]))
         assert (len(graph.cells), len(graph.chambers), len(solved)) == (120, 42, 724)
+
+
+def test_vec_str_prints_what_fraction_prints():
+    """`vec_str` reduces each num/den by `gcd`: the text of
+    `str(Fraction(x, den))`, on random ints small and large."""
+    rng = random.Random(40)
+    for bits in (4, 12, 70):
+        for _ in range(300):
+            den = rng.randrange(1, 2**bits)
+            num = [rng.randrange(-(2**bits), 2**bits) for _ in range(rng.randrange(0, 5))]
+            num += [0, den, -den, 2 * den, den - 1]  # zero, whole numbers and one below
+            assert geometry.vec_str(num, den) == [str(Fraction(x, den)) for x in num]
+    assert geometry.vec_str((3, -4)) == ["3", "-4"]

@@ -105,12 +105,14 @@ def integer_cones(draw):
 
 @st.composite
 def integer_lps(draw):
-    n = draw(st.integers(1, 4))
-    m = draw(st.integers(1, 5))
+    """Up to verify's rank-3 LP size, 7 variables and 14 rows, with many
+    zero right-hand sides, so that the ratio test meets ties."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 14))
     entry = st.integers(-3, 3)
     c = [draw(entry) for _ in range(n)]
     rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
-    rhs = [draw(st.integers(0, 3)) for _ in range(m)]
+    rhs = [draw(st.one_of(st.just(0), st.integers(0, 3))) for _ in range(m)]
     return c, rows, rhs
 
 
@@ -224,6 +226,32 @@ class TestIntegerSimplex:
         value, num, den = _simplex_max(c, rows, rhs)
         assert (Fraction(value, den), [Fraction(x, den) for x in num]) == expected
         assert all(type(v) is int for v in (value, *num, den))
+
+    def test_every_lp_of_verify_and_of_a_full_a4_build_is_the_rational_one(self, monkeypatch):
+        """The LPs a verify pass and the full A4-LLL chamber build solve, at
+        their own sizes (7 variables and up to 14 rows at rank 3, 9
+        variables at rank 4), recorded as solved, give the rational
+        simplex's value and vertex."""
+        from ghostpic import geometry
+        from ghostpic.catalog import generate_type_a
+        from ghostpic.verify import Verifier
+
+        lps, solve = [], geometry._simplex_max
+
+        def recorded(c, rows, rhs):
+            lps.append((list(c), [list(r) for r in rows], list(rhs)))
+            return solve(c, rows, rhs)
+
+        monkeypatch.setattr(geometry, "_simplex_max", recorded)
+        assert all(r.passed for r in Verifier(paths_per_fixture=50, seed=3).run())
+        cat = generate_type_a(4, "LLL")
+        chamber_graph(ModuleClass(cat, [m.id for m in cat.indecs]))
+        monkeypatch.undo()
+        sizes = {(len(c), len(rows)) for c, rows, _ in lps}
+        assert (7, 14) in sizes and any(n == 9 for n, _ in sizes)
+        for c, rows, rhs in lps:
+            value, num, den = _simplex_max(c, rows, rhs)
+            assert (Fraction(value, den), [Fraction(x, den) for x in num]) == fraction_simplex_max(c, rows, rhs)
 
     @settings(max_examples=400, deadline=None)
     @given(integer_cones(), st.data())

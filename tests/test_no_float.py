@@ -20,7 +20,6 @@ MATH_NAMES = {"gcd", "lcm", "isqrt"}
 # module -> the functions (or class bodies) that may call `Fraction`
 FRACTION_SITES = {
     "cli.py": {"_parse_vec"},  # --h and --k
-    "geometry.py": {"vec_str"},  # every printed point
     "greenpaths.py": {
         "LinearPath.h",  # h and k are read as rationals
         "LinearPath.k",

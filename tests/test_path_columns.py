@@ -1,7 +1,8 @@
 """The column kernel of `greenpaths` against the scalar reference of
 `reference_paths`: a block keeps the paths the reference finds generic, in
 order, with the reference keys, `stable_columns` gives the reference verdict
-and interior cross-check, path by path, and the single-path `check_generic`
+and interior cross-check, path by path, and the lists of the crossing-point
+kernel it replaced, block by block, and the single-path `check_generic`
 (a block of one) gives the reference keys or error, on both plans of every
 standard fixture and on random type-A classes.  Every single-path entry
 refuses the paths `check_generic` refuses, with its message."""
@@ -31,6 +32,7 @@ from ghostpic.greenpaths import (
 )
 from ghostpic.stability import crossing_plan
 from ghostpic.verify import standard_fixtures
+from reference_columns import crossing_point_columns
 from reference_paths import reference_check_generic, reference_stable_along
 
 FIXTURES = standard_fixtures()
@@ -56,7 +58,7 @@ def scalar(path, plan, crossing):
 def kernel(paths, plan, crossing):
     """`stable_columns` on the block of the paths, read back per kept path
     in the form of `scalar`."""
-    by_times, disagree = stable_columns(PathColumns.of_paths(plan, paths), crossing)
+    ((by_times, disagree),) = stable_columns(PathColumns.of_paths(plan, paths), [crossing])
     out = list(by_times)
     for p in disagree:
         out[p] = InternalConsistencyError, str(disagreement(crossing, by_times[p]))
@@ -318,3 +320,29 @@ def test_a_path_is_refused_in_one_place_and_a_plan_is_never_patched():
     assert isinstance(plan, tuple) and plan._fields == ("dims", "names", "ray", "bricks", "ghosts", "schedule")
     with pytest.raises(AttributeError):
         plan.schedule = ()
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_the_kernel_gives_the_lists_of_the_crossing_point_kernel(name):
+    """On blocks drawn for the fixture's brick plan and ghost plan, one
+    `stable_columns` call gives, crossing by crossing, the time verdicts and
+    disagreements of the kernel that read each crossing's interior at its
+    crossing point; a crossing with one planted wrong cone row disagrees on
+    some paths, and on the same ones."""
+    from ghostpic.verify import _generic_blocks
+
+    cls = FIXTURES[name]
+    rng = random.Random(("columns", name).__repr__())
+    plans = [crossing_plan(cls)] + ([ghost_plan(cls)] if ghost_plan(cls).ghosts else [])
+    disagreed = 0
+    for plan in plans:
+        crossings = [*plan.bricks.values(), *(c for _, c in plan.ghosts.values())]
+        first = crossings[0]
+        wrong = first._replace(interior=first.interior.with_strict((1,) + (0,) * (first.interior.dim - 1)))
+        crossings.append(wrong)  # theta_1 > 0 does not hold at every stable crossing point
+        for block in _generic_blocks(cls, rng, 600, plan):
+            got = stable_columns(block, crossings)
+            assert got == [crossing_point_columns(block, c) for c in crossings]
+            assert got[0][1] == []
+            disagreed += len(got[-1][1])
+    assert disagreed

@@ -41,7 +41,8 @@ loaded = lambda: sorted(m for m in sys.modules if m == "ghostpic" or m.startswit
 after_import = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     code = ghostpic.cli.dispatch(sys.argv[1:])
-print(json.dumps({"code": code, "import": after_import, "run": loaded()}))
+rationals = sorted(m for m in ("fractions", "decimal") if m in sys.modules)
+print(json.dumps({"code": code, "import": after_import, "run": loaded(), "rationals": rationals}))
 """
 
 
@@ -136,6 +137,15 @@ def test_chambers_loads_no_path_ghost_render_or_verify_layer(loaded_modules):
     run = set(loaded_modules["chambers"]["run"])
     assert "ghostpic.stability" in run
     assert not run & {"ghostpic.greenpaths", "ghostpic.ghosts", "ghostpic.render", "ghostpic.verify"}
+
+
+def test_printing_points_loads_no_fractions(loaded_modules):
+    """`geometry.vec_str` prints a rational point in lowest terms by `gcd`,
+    so `catalog` and `chambers`, which print points and parse no rational,
+    load neither `fractions` nor `decimal`; `path` reads its times as
+    Fractions and loads them."""
+    assert loaded_modules["catalog"]["rationals"] == loaded_modules["chambers"]["rationals"] == []
+    assert "fractions" in loaded_modules["path"]["rationals"]
 
 
 @pytest.mark.parametrize("layer,users", [("render", {"picture", "report"}), ("verify", {"verify"})])

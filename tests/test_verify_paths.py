@@ -272,14 +272,16 @@ def test_a_failure_first_met_in_a_later_block_is_named(monkeypatch):
     planted = {(1, bricks[0].label), (0, bricks[2].label), (0, bricks[1].label)}
     blocks = []
 
-    def with_planted(block, crossing):
-        by_times, disagree = stable_columns(block, crossing)
+    def with_planted(block, crossings):
+        decided = stable_columns(block, crossings)
         if block.plan is plan:
-            if crossing is bricks[0]:
-                blocks.append(block)
+            blocks.append(block)
             if len(blocks) == 2:
-                disagree = sorted({*disagree, *(p for p, label in planted if label == crossing.label)})
-        return by_times, disagree
+                decided = [
+                    (by_times, sorted({*disagree, *(p for p, label in planted if label == crossing.label)}))
+                    for crossing, (by_times, disagree) in zip(crossings, decided)
+                ]
+        return decided
 
     monkeypatch.setattr(verify, "stable_columns", with_planted)
     checker.check_stability_equivalence()
@@ -373,10 +375,11 @@ def test_checks_d_and_e_decide_plans_with_two_dims_on_one_ray():
             blocks = list(_generic_blocks(cls, rng, checker.paths, plan))
             paths = [b.path(p) for b in blocks for p in range(b.size)]
             assert paths == list(path_by_path(cls, theirs, checker.paths, plan))
-            for crossing in crossings:
+            by_block = [stable_columns(block, crossings) for block in blocks]
+            for c, crossing in enumerate(crossings):
                 verdicts = []
-                for block in blocks:
-                    by_times, disagree = stable_columns(block, crossing)
+                for by_crossing in by_block:
+                    by_times, disagree = by_crossing[c]
                     assert disagree == []
                     verdicts += by_times
                 assert verdicts == [reference_stable_along(path, plan, crossing) for path in paths]
