@@ -371,63 +371,55 @@ def enumerate_cells(vectors) -> list[Cell]:
 
 
 class FacetAdjacency(NamedTuple):
-    cell_a: Cell
+    cell_a: Cell  # on the + side of the hyperplane
     cell_b: Cell
     hyperplane_index: int
-    facet_sample: IntVec  # numerators over den, as a cell's sample
-    den: int
-
-
-def _kernel_vector(normal: IntVec) -> tuple[IntVec, int]:
-    # Deterministic nonzero rational vector orthogonal to a single normal,
-    # e_j - (normal[j]/normal[i]) e_i, as (num, den).
-    n = len(normal)
-    i = next(j for j, x in enumerate(normal) if x != 0)
-    a = abs(normal[i])
-    for j in range(n):
-        if j != i:
-            v = [0] * n
-            v[j] = a
-            v[i] = -normal[j] if normal[i] > 0 else normal[j]
-            return _lowest(v, a)
-    return (0,) * n, 1
+    facet_sample: IntVec  # read off the cells: gcd 1, or the origin
 
 
 def cell_facet_neighbors(cells: list[Cell], vectors) -> list[FacetAdjacency]:
-    """Pairs of cells sharing a full (n-1)-dimensional facet.
+    """Pairs of cells sharing a full (n-1)-dimensional facet, each with a
+    point of the facet's relative interior read off the cells with no LP.
 
-    Candidates differ in exactly one sign; the shared facet is certified by
-    an exact relative-interior point lying on the separating hyperplane and
-    strictly on the common side of every other hyperplane.  Such a point
-    always exists: the segment between the two cells' samples stays in the
-    open cone of the common sides and crosses the hyperplane there.
+    The cells differ in exactly one sign, i.  With a and b the + and - cell's
+    samples and fa = n_i.a > 0 > fb = n_i.b, the point fa*b - fb*a (divided by
+    its gcd) is a positive combination of a and b on hyperplane i, strictly on
+    the cells' common side of every other hyperplane.  It is the origin only
+    for a lone hyperplane with opposite samples, whose facet holds the origin.
     """
     normals = _normals(vectors)
-    n = len(normals[0])
     by_signs = {c.signs: c for c in cells}
     out: list[FacetAdjacency] = []
     for cell in cells:
-        for i in range(len(normals)):
+        for i, normal in enumerate(normals):
             if cell.signs[i] != 1:
                 continue  # visit each unordered pair once, from the + side
-            flipped = cell.signs[:i] + (-1,) + cell.signs[i + 1 :]
-            other = by_signs.get(flipped)
+            other = by_signs.get(cell.signs[:i] + (-1,) + cell.signs[i + 1 :])
             if other is None:
                 continue
-            stricts = tuple(
-                tuple(cell.signs[j] * x for x in normals[j])
-                for j in range(len(normals))
-                if j != i
-            )
-            cone = Cone(n, equalities=(normals[i],), strict=stricts)
-            if stricts:
-                sample = _sample(cone)
-                if sample is None:
-                    raise InternalConsistencyError(
-                        f"cells {cell.signs} and {other.signs} share no facet on hyperplane {i}"
-                    )
-            else:  # a lone hyperplane: any point of it will do
-                sample = _kernel_vector(normals[i])
-            out.append(FacetAdjacency(cell, other, i, *sample))
+            fa, fb = int_dot(normal, cell.sample), int_dot(normal, other.sample)
+            point = [fa * y - fb * x for x, y in zip(cell.sample, other.sample)]
+            g = gcd(*point) or 1
+            out.append(FacetAdjacency(cell, other, i, tuple(x // g for x in point)))
     out.sort(key=lambda f: (f.hyperplane_index, f.cell_a.signs))
     return out
+
+
+def facet_lp_sample(normals: list[IntVec], adj: FacetAdjacency) -> tuple[IntVec, int]:
+    """The point (num, den) the simplex finds in an adjacency's facet of the
+    arrangement of these primitive normals.  A lone hyperplane takes
+    e_j - (normal[j]/normal[k]) e_k, k the normal's first nonzero entry and j
+    the first other index (the origin at rank 1).  Cells that differ in one
+    sign share a facet, so an empty facet cone is a fault, named by both."""
+    i, signs, normal = adj.hyperplane_index, adj.cell_a.signs, normals[adj.hyperplane_index]
+    strict = tuple(tuple(s * x for x in v) for j, (s, v) in enumerate(zip(signs, normals)) if j != i)
+    if not strict:
+        k = next(j for j, x in enumerate(normal) if x != 0)
+        v = [0] * len(normal)
+        if len(normal) > 1:
+            j = int(k == 0)
+            v[j], v[k] = abs(normal[k]), -normal[j] if normal[k] > 0 else normal[j]
+        return _lowest(v, abs(normal[k]))
+    if sample := _sample(Cone(len(normal), equalities=(normal,), strict=strict)):
+        return sample
+    raise InternalConsistencyError(f"cells {signs} and {adj.cell_b.signs} share no facet on hyperplane {i}")

@@ -30,6 +30,7 @@ from ghostpic.geometry import (
     _combination,
     cell_facet_neighbors,
     enumerate_cells,
+    facet_lp_sample,
     primitive,
     vec_str,
 )
@@ -185,7 +186,7 @@ class ChamberEdge(NamedTuple):
     src: int
     dst: int
     wall_brick: str
-    facet_sample: IntVec  # numerators over den
+    facet_sample: IntVec  # the simplex's point of the facet: numerators over den
     den: int
 
 
@@ -273,7 +274,9 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
 
     # one pass over the wall facets: the bounding walls of the chambers on
     # both sides, with each chamber's sign of the wall's hyperplane, and one
-    # edge from the negative side to the positive side
+    # edge from the negative side to the positive side, sampled by the
+    # simplex on its first facet
+    normals = [primitive(d) for d in dims]
     bounding: list[dict[str, int]] = [{} for _ in ordered]
     edges: dict[tuple[int, int, str], ChamberEdge] = {}
     for adj in wall_facets:
@@ -283,7 +286,7 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
         if ca == cb:
             raise InternalConsistencyError(
                 f"wall facet of {brick} inside a single chamber "
-                f"at ({','.join(vec_str(adj.facet_sample, adj.den))})"
+                f"at ({','.join(vec_str(adj.facet_sample))})"
             )
         bounding[ca][brick] = adj.cell_a.signs[i]
         bounding[cb][brick] = adj.cell_b.signs[i]
@@ -295,7 +298,7 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
         if not (label_src < label_dst) or brick not in label_dst or brick in label_src:
             raise InternalConsistencyError(
                 f"wall crossing of {brick} violates strict label growth "
-                f"at facet sample ({','.join(vec_str(adj.facet_sample, adj.den))})"
+                f"at facet sample ({','.join(vec_str(adj.facet_sample))})"
             )
         target = ModuleSum([brick])
         for x in sorted(label_dst - label_src, key=catalog.position):
@@ -304,7 +307,7 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
                     f"no weakly admissible epimorphism {x} ->> {brick} although "
                     f"{x} becomes semistable across D({brick})"
                 )
-        edges[key] = ChamberEdge(src, dst, brick, adj.facet_sample, adj.den)
+        edges[key] = ChamberEdge(src, dst, brick, *facet_lp_sample(normals, adj))
 
     source = chamber_of[tuple(-1 for _ in bricks)]
     sink = chamber_of[tuple(1 for _ in bricks)]

@@ -197,7 +197,7 @@ class Verifier:
                     continue
                 samples += 1
                 if not any(graph.walls[b].interior.contains(adj.facet_sample) for b in cls.bricks):
-                    fails.add(f"{name}: theta={_sample_str(adj.facet_sample, adj.den)} on D({brick})")
+                    fails.add(f"{name}: theta={_sample_str(adj.facet_sample, 1)} on D({brick})")
         self.record("a:union-of-wall-interiors", fails, f"{samples} facet samples")
 
     # (b) semistable label locally constant: 25 interior points per chamber

@@ -175,18 +175,28 @@ class TestFacets:
             )
             assert flips == 1
 
+    def test_facet_points_solve_no_lp(self, monkeypatch):
+        cells = enumerate_cells(A3_DIMS)
+        monkeypatch.setattr(geometry, "_simplex_max", lambda *args: pytest.fail("a facet solved an LP"))
+        assert len(cell_facet_neighbors(cells, A3_DIMS)) == 36
+
     def test_a_facet_without_a_sample_raises(self, monkeypatch):
         """Two cells that differ in one sign always share a facet, so a facet
         LP that finds no point is a fault, named by both cells' signs, not
-        an adjacency dropped without a word."""
-        cells = enumerate_cells(A3_DIMS)
+        an edge dropped without a word.  The LP left is the one that samples
+        an edge, on the first wall facet of the build."""
+        catalog = generate_type_a(3, "LL")
+        ids = [m.id for m in catalog.indecs]
+        graph = chamber_graph(ModuleClass(catalog, ids))
+        first = next(a for a in graph.adjacencies if graph.walls[ids[a.hyperplane_index]].cone.contains(a.facet_sample))
         sample = geometry._sample
         monkeypatch.setattr(geometry, "_sample", lambda cone: None if cone.equalities else sample(cone))
-        first = next(c for c in cells if c.signs[0] == 1)
-        flipped = (-1,) + first.signs[1:]
         with pytest.raises(InternalConsistencyError) as caught:
-            cell_facet_neighbors(cells, A3_DIMS)
-        assert str(caught.value) == f"cells {first.signs} and {flipped} share no facet on hyperplane 0"
+            chamber_graph(ModuleClass(catalog, ids))
+        assert str(caught.value) == (
+            f"cells {first.cell_a.signs} and {first.cell_b.signs} "
+            f"share no facet on hyperplane {first.hyperplane_index}"
+        )
 
 
 class TestConeAlgebra:
@@ -234,8 +244,9 @@ class TestCellsKeepTheReferenceEnumeration:
             checked += 1
         assert checked == 1 + 2 + 4 + 8 + 10
 
-    def test_the_a4_lll_chamber_build_solves_724_lps(self, monkeypatch):
-        """866 before the kept samples and the box built once per rank."""
+    def test_the_a4_lll_chamber_build_solves_568_lps(self, monkeypatch):
+        """724 before the facet points were read off the cells, 866 before
+        the kept samples and the box built once per rank."""
         solved = []
         simplex = geometry._simplex_max
 
@@ -246,7 +257,7 @@ class TestCellsKeepTheReferenceEnumeration:
         monkeypatch.setattr(geometry, "_simplex_max", counted)
         catalog = generate_type_a(4, "LLL")
         graph = chamber_graph(ModuleClass(catalog, [m.id for m in catalog.indecs]))
-        assert (len(graph.cells), len(graph.chambers), len(solved)) == (120, 42, 724)
+        assert (len(graph.cells), len(graph.chambers), len(solved)) == (120, 42, 568)
 
 
 def test_vec_str_prints_what_fraction_prints():
