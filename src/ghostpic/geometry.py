@@ -407,7 +407,8 @@ def cell_facet_neighbors(cells: list[Cell], vectors) -> list[FacetAdjacency]:
 
 def facet_lp_sample(normals: list[IntVec], adj: FacetAdjacency) -> tuple[IntVec, int]:
     """The point (num, den) the simplex finds in an adjacency's facet of the
-    arrangement of these primitive normals.  A lone hyperplane takes
+    arrangement of these primitive normals: the sample `render.export_report`
+    prints for the edge on this facet.  A lone hyperplane takes
     e_j - (normal[j]/normal[k]) e_k, k the normal's first nonzero entry and j
     the first other index (the origin at rank 1).  Cells that differ in one
     sign share a facet, so an empty facet cone is a fault, named by both."""

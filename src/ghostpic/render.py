@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from ghostpic.catalog import ModuleClass
 from ghostpic.errors import GhostpicError, RankError
-from ghostpic.geometry import Cone, int_dot, primitive, vec_str
+from ghostpic.geometry import Cone, facet_lp_sample, int_dot, primitive, vec_str
 from ghostpic.ghosts import EXTENSION, QUOTIENT, SUBOBJECT, enumerate_ghosts, ghost_census_doc
 from ghostpic.greenpaths import count_mgs
 from ghostpic.stability import chamber_docs, chamber_graph, edge_docs
@@ -429,7 +429,8 @@ def render_picture(cls: ModuleClass, options: RenderOptions | None = None, graph
 
 def export_report(cls: ModuleClass, graph=None) -> str:
     """Machine-readable dump of walls, chambers, graph edges, ghost census
-    and bifurcations, with stable key order for diffing."""
+    and bifurcations, with stable key order for diffing.  Each edge prints
+    the simplex's point of its first wall facet (`facet_lp_sample`)."""
     if graph is None:
         graph = chamber_graph(cls)
     census = ghost_census_doc(cls)
@@ -438,8 +439,9 @@ def export_report(cls: ModuleClass, graph=None) -> str:
         doc["is_source"] = doc["id"] == graph.source
         doc["is_sink"] = doc["id"] == graph.sink
     edges = edge_docs(graph)
+    normals = [primitive(cls.dim_of(b)) for b in cls.bricks]
     for doc, e in zip(edges, graph.edges):
-        doc["facet_sample"] = vec_str(e.facet_sample, e.den)
+        doc["facet_sample"] = vec_str(*facet_lp_sample(normals, e.facet))
     doc = {
         "schema": REPORT_SCHEMA,
         "class": {"bricks": list(cls.bricks), "flags": cls.flags._asdict()},

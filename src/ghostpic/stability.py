@@ -30,7 +30,6 @@ from ghostpic.geometry import (
     _combination,
     cell_facet_neighbors,
     enumerate_cells,
-    facet_lp_sample,
     primitive,
     vec_str,
 )
@@ -186,8 +185,7 @@ class ChamberEdge(NamedTuple):
     src: int
     dst: int
     wall_brick: str
-    facet_sample: IntVec  # the simplex's point of the facet: numerators over den
-    den: int
+    facet: FacetAdjacency  # its first wall facet, on which the report solves its sample
 
 
 class ChamberGraph(NamedTuple):
@@ -274,9 +272,7 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
 
     # one pass over the wall facets: the bounding walls of the chambers on
     # both sides, with each chamber's sign of the wall's hyperplane, and one
-    # edge from the negative side to the positive side, sampled by the
-    # simplex on its first facet
-    normals = [primitive(d) for d in dims]
+    # edge from the negative side to the positive side, on its first facet
     bounding: list[dict[str, int]] = [{} for _ in ordered]
     edges: dict[tuple[int, int, str], ChamberEdge] = {}
     for adj in wall_facets:
@@ -307,7 +303,7 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
                     f"no weakly admissible epimorphism {x} ->> {brick} although "
                     f"{x} becomes semistable across D({brick})"
                 )
-        edges[key] = ChamberEdge(src, dst, brick, *facet_lp_sample(normals, adj))
+        edges[key] = ChamberEdge(src, dst, brick, adj)
 
     source = chamber_of[tuple(-1 for _ in bricks)]
     sink = chamber_of[tuple(1 for _ in bricks)]

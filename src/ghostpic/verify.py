@@ -70,9 +70,9 @@ def _path_str(path: LinearPath) -> str:
     return f"h=({','.join(map(str, path.h))}) k=({','.join(map(str, path.k))})"
 
 
-def _sample_str(num, den: int) -> str:
-    """A sample point num/den in exact rationals, e.g. (-1/2,1)."""
-    return f"({','.join(vec_str(num, den))})"
+def _sample_str(point) -> str:
+    """An integer point, e.g. (-1,2,0)."""
+    return f"({','.join(vec_str(point))})"
 
 
 class CheckResult(NamedTuple):
@@ -197,7 +197,7 @@ class Verifier:
                     continue
                 samples += 1
                 if not any(graph.walls[b].interior.contains(adj.facet_sample) for b in cls.bricks):
-                    fails.add(f"{name}: theta={_sample_str(adj.facet_sample, 1)} on D({brick})")
+                    fails.add(f"{name}: theta={_sample_str(adj.facet_sample)} on D({brick})")
         self.record("a:union-of-wall-interiors", fails, f"{samples} facet samples")
 
     # (b) semistable label locally constant: 25 interior points per chamber
@@ -234,13 +234,12 @@ class Verifier:
             dims = [cls.dim_of(b) for b in cls.bricks]
             points = []  # theta-, theta0 and theta+ of every edge, in one block
             for e in graph.edges:
-                theta0 = e.facet_sample  # den times the rational sample
+                theta0 = e.facet.facet_sample  # the integer point of its first wall facet
                 # eps = p/q is half the least margin |d.theta0| / d.eta over the
-                # bricks off the wall, else den (1 on the rational sample's
-                # scale); the points theta0 -+ eps*eta are scaled by q
+                # bricks off the wall, else 1; theta0 -+ eps*eta are scaled by q
                 halves = [(abs(v), 2 * sum(d)) for d in dims if (v := int_dot(d, theta0))]
                 scale = lcm(*(q for _, q in halves))  # each p/q as p * (scale // q) / scale
-                p, q = min(halves, key=lambda h: h[0] * (scale // h[1])) if halves else (e.den, 1)
+                p, q = min(halves, key=lambda h: h[0] * (scale // h[1])) if halves else (1, 1)
                 points += [tuple(q * x - p for x in theta0), theta0, tuple(q * x + p for x in theta0)]
             labels = semistable_sets(cls, points)
             for i, e in enumerate(graph.edges):
@@ -255,7 +254,7 @@ class Verifier:
                     and e.wall_brick in s_plus - s_zero
                 )
                 if not ok:
-                    fails.add(f"{name}: theta0={_sample_str(e.facet_sample, e.den)} on D({e.wall_brick})")
+                    fails.add(f"{name}: theta0={_sample_str(e.facet.facet_sample)} on D({e.wall_brick})")
         self.record("c:wall-crossing-monotone", fails, f"{edges} edges")
 
     def _decide_paths(self, name: str, cls: ModuleClass, rng, plan: CrossingPlan, crossings, fails):

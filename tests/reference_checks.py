@@ -52,17 +52,17 @@ def reference_wall_crossing(checker, label_of):
         graph = chamber_graph(cls)
         dims = [cls.dim_of(b) for b in cls.bricks]
         for e in graph.edges:
-            theta0 = e.facet_sample
+            theta0 = e.facet.facet_sample
             halves = [(abs(v), 2 * sum(d)) for d in dims if (v := sum(map(mul, d, theta0)))]
             scale = lcm(*(q for _, q in halves))
-            p, q = min(halves, key=lambda h: h[0] * (scale // h[1])) if halves else (e.den, 1)
+            p, q = min(halves, key=lambda h: h[0] * (scale // h[1])) if halves else (1, 1)
             s_minus = label_of(cls, tuple(q * x - p for x in theta0))
             s_zero = label_of(cls, theta0)
             s_plus = label_of(cls, tuple(q * x + p for x in theta0))
             src, dst = graph.chamber(e.src).label, graph.chamber(e.dst).label
             ok = s_minus == s_zero == src and s_plus == dst and s_zero < s_plus and e.wall_brick in s_plus - s_zero
             if not ok:
-                found.add(f"{name}: theta0={_sample_str(theta0, e.den)} on D({e.wall_brick})")
+                found.add(f"{name}: theta0={_sample_str(theta0)} on D({e.wall_brick})")
     return found.count, found.first
 
 

@@ -5,6 +5,7 @@ take exact coordinates only; `verify` names the first counterexample of a
 failed check."""
 
 import itertools
+import json
 from fractions import Fraction
 from math import lcm
 
@@ -41,6 +42,7 @@ from ghostpic.greenpaths import (
     is_relatively_stable,
     linear_mgs,
 )
+from ghostpic.render import export_report
 from ghostpic.stability import (
     chamber_graph,
     crossing_plan,
@@ -803,17 +805,17 @@ class TestVerifyFailures:
         )
 
     def test_a_wall_crossing_failure_names_its_facet_sample_in_exact_rationals(self, monkeypatch):
-        """Facet samples are kept as integer numerators over a denominator;
-        the FAIL line prints the rational point, not the numerators."""
+        """Check (c) probes an edge at the integer point of its first wall
+        facet, and the FAIL line names that point exactly (`vec_str`)."""
         checker = verify.Verifier(paths_per_fixture=2, seed=0)
         torsion4 = checker.fixtures["torsion4"]
-        edge = next(e for e in chamber_graph(torsion4).edges if e.den > 1)
-        assert (edge.facet_sample, edge.den, edge.wall_brick) == ((-2, 1, 0), 2, "S3")
+        edge = next(e for e in chamber_graph(torsion4).edges if (e.src, e.dst) == (1, 6))
+        assert (edge.facet.facet_sample, edge.wall_brick) == ((-2, 1, 0), "S3")
 
         def wrong_at_the_sample(cls, theta):
             found = semistable_columns(cls, theta)
             for p, point in enumerate(zip(*theta)):
-                if cls is torsion4 and point == edge.facet_sample:
+                if cls is torsion4 and point == edge.facet.facet_sample:
                     for column in found:
                         column[p] = True
             return found
@@ -823,5 +825,12 @@ class TestVerifyFailures:
         (result,) = checker.results
         assert result.line() == (
             "[FAIL] c:wall-crossing-monotone  (149 edges; 1 failures, "
-            "first: torsion4: theta0=(-1,1/2,0) on D(S3))"
+            "first: torsion4: theta0=(-2,1,0) on D(S3))"
         )
+
+    def test_the_report_prints_an_edge_sample_in_exact_rationals(self):
+        """The report solves an edge's sample on its facet and prints the
+        rational point over its least denominator, not its numerators."""
+        torsion4 = verify.standard_fixtures()["torsion4"]
+        edges = json.loads(export_report(torsion4))["edges"]
+        assert {"from": 1, "to": 6, "wall": "S3", "facet_sample": ["-1", "1/2", "0"]} in edges

@@ -5,7 +5,9 @@ The merge and the wall test read each facet's point.  The point
 the facet LP found, but both lie in the facet's relative interior, so the
 graph must not move.  Each class is built twice, on fresh objects: once as
 the package builds it, and once with `stability.cell_facet_neighbors`
-replaced by the LP oracle of `reference_facets`.
+replaced by the LP oracle of `reference_facets`.  An edge holds its first
+wall facet: the two builds must pick the same cells on the same hyperplane,
+and the sample the report solves there must be the oracle's facet LP point.
 """
 
 import itertools
@@ -14,6 +16,7 @@ import random
 import pytest
 
 from ghostpic.catalog import ModuleClass, generate_type_a
+from ghostpic.geometry import facet_lp_sample, primitive
 from ghostpic.stability import chamber_graph
 from reference_facets import reference_cell_facet_neighbors
 
@@ -47,17 +50,26 @@ CLASSES = {
 }
 
 
+def edge_key(e):
+    """An edge's chambers and wall brick, and its facet's cells and hyperplane."""
+    return e.src, e.dst, e.wall_brick, e.facet.cell_a, e.facet.cell_b, e.facet.hyperplane_index
+
+
 @pytest.mark.parametrize("name", list(CLASSES))
 def test_the_graph_is_the_one_the_facet_lps_gave(name, monkeypatch):
     built = 0
     for catalog, bricks in CLASSES[name]():
-        graph = chamber_graph(ModuleClass(catalog, bricks))
+        cls = ModuleClass(catalog, bricks)
+        graph = chamber_graph(cls)
         with monkeypatch.context() as patched:
             patched.setattr("ghostpic.stability.cell_facet_neighbors", reference_cell_facet_neighbors)
             reference = chamber_graph(ModuleClass(catalog, bricks))
         # chambers with their cells, labels, samples and bounding walls
         assert graph.chambers == reference.chambers, bricks
-        assert graph.edges == reference.edges, bricks
+        assert list(map(edge_key, graph.edges)) == list(map(edge_key, reference.edges)), bricks
+        normals = [primitive(cls.dim_of(b)) for b in cls.bricks]
+        printed = [facet_lp_sample(normals, e.facet) for e in graph.edges]
+        assert printed == [(e.facet.facet_sample, e.facet.den) for e in reference.edges], bricks
         assert (graph.walls, graph.source, graph.sink) == (reference.walls, reference.source, reference.sink)
         built += 1
     assert built == {"A3-LL": 63, "A3-LR": 63, "A4-seeded": 40, "A4-LLL-full": 1}[name]

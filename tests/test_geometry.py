@@ -17,6 +17,7 @@ from ghostpic.geometry import (
     primitive,
     relative_interior_point,
 )
+from ghostpic.render import export_report
 from ghostpic.stability import chamber_graph
 from ghostpic.verify import standard_fixtures
 from reference_cells import reference_enumerate_cells
@@ -183,16 +184,15 @@ class TestFacets:
     def test_a_facet_without_a_sample_raises(self, monkeypatch):
         """Two cells that differ in one sign always share a facet, so a facet
         LP that finds no point is a fault, named by both cells' signs, not
-        an edge dropped without a word.  The LP left is the one that samples
-        an edge, on the first wall facet of the build."""
+        an edge sample dropped without a word.  The one facet LP is the
+        report's, on the first edge's facet; the build solves none."""
         catalog = generate_type_a(3, "LL")
         ids = [m.id for m in catalog.indecs]
-        graph = chamber_graph(ModuleClass(catalog, ids))
-        first = next(a for a in graph.adjacencies if graph.walls[ids[a.hyperplane_index]].cone.contains(a.facet_sample))
+        first = chamber_graph(ModuleClass(catalog, ids)).edges[0].facet
         sample = geometry._sample
         monkeypatch.setattr(geometry, "_sample", lambda cone: None if cone.equalities else sample(cone))
         with pytest.raises(InternalConsistencyError) as caught:
-            chamber_graph(ModuleClass(catalog, ids))
+            export_report(ModuleClass(catalog, ids))
         assert str(caught.value) == (
             f"cells {first.cell_a.signs} and {first.cell_b.signs} "
             f"share no facet on hyperplane {first.hyperplane_index}"
@@ -243,21 +243,6 @@ class TestCellsKeepTheReferenceEnumeration:
             assert enumerate_cells(dims) == reference_enumerate_cells(dims), cls.bricks
             checked += 1
         assert checked == 1 + 2 + 4 + 8 + 10
-
-    def test_the_a4_lll_chamber_build_solves_568_lps(self, monkeypatch):
-        """724 before the facet points were read off the cells, 866 before
-        the kept samples and the box built once per rank."""
-        solved = []
-        simplex = geometry._simplex_max
-
-        def counted(*args):
-            solved.append(args)
-            return simplex(*args)
-
-        monkeypatch.setattr(geometry, "_simplex_max", counted)
-        catalog = generate_type_a(4, "LLL")
-        graph = chamber_graph(ModuleClass(catalog, [m.id for m in catalog.indecs]))
-        assert (len(graph.cells), len(graph.chambers), len(solved)) == (120, 42, 568)
 
 
 def test_vec_str_prints_what_fraction_prints():

@@ -3,8 +3,10 @@
 For the ten standard fixtures and the full class over A4 with orientation
 LLL, two SHA-256 digests are pinned.  The first covers the cell, chamber and
 edge samples, which the simplex computes: it must take the same pivots as the
-rational one it replaced, so not one of them may move.  The second covers the
-facet points, which are read off the two cells' samples with no LP.
+rational one it replaced, so not one of them may move.  An edge's sample is
+solved, as the report solves it, by `facet_lp_sample` on the edge's facet.
+The second covers the facet points, which are read off the two cells'
+samples with no LP.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from ghostpic.catalog import ModuleClass, generate_type_a
+from ghostpic.geometry import facet_lp_sample, primitive
 from ghostpic.stability import chamber_graph
 from ghostpic.verify import standard_fixtures
 
@@ -54,14 +57,16 @@ def _vec(num, den):
     return ",".join(str(Fraction(x, den)) for x in num)
 
 
-def sample_lines(graph):
-    """One line per simplex sample of the graph's arrangement and chambers."""
+def sample_lines(cls, graph):
+    """One line per simplex sample of the graph's arrangement, chambers and
+    edges."""
+    normals = [primitive(cls.dim_of(b)) for b in cls.bricks]
     for c in graph.cells:
         yield f"cell {_signs(c.signs)} {_vec(c.sample, c.den)}"
     for ch in graph.chambers:
         yield f"chamber {ch.id} {_vec(ch.sample, ch.den)}"
     for e in graph.edges:
-        yield f"edge {e.src} {e.dst} {e.wall_brick} {_vec(e.facet_sample, e.den)}"
+        yield f"edge {e.src} {e.dst} {e.wall_brick} {_vec(*facet_lp_sample(normals, e.facet))}"
 
 
 def facet_lines(graph):
@@ -92,7 +97,8 @@ def classes():
 
 @pytest.mark.parametrize("name", list(DIGESTS))
 def test_sample_digest(classes, name):
-    assert digest(sample_lines(chamber_graph(classes[name]))) == DIGESTS[name]
+    cls = classes[name]
+    assert digest(sample_lines(cls, chamber_graph(cls))) == DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", list(FACET_DIGESTS))

@@ -350,7 +350,21 @@ class TestChamberGraph:
             d = torsion4.dim_of(e.wall_brick)
             assert dot(d, graph.chamber(e.src).sample) < 0
             assert dot(d, graph.chamber(e.dst).sample) > 0
-            assert dot(d, e.facet_sample) == 0
+            assert dot(d, e.facet.facet_sample) == 0
+
+    def test_an_edge_holds_its_first_wall_facet(self, full6):
+        """The facet the report solves an edge's sample on is the first
+        adjacency on the wall's hyperplane that joins the edge's chambers."""
+        graph = chamber_graph(full6)
+        chamber = graph.chamber_of_signs
+        for e in graph.edges:
+            i = full6.bricks.index(e.wall_brick)
+            joining = [
+                a
+                for a in graph.adjacencies
+                if a.hyperplane_index == i and {chamber[a.cell_a.signs], chamber[a.cell_b.signs]} == {e.src, e.dst}
+            ]
+            assert e.facet == joining[0]
 
     def test_locate_chamber(self, torsion4):
         graph = chamber_graph(torsion4)
