@@ -54,6 +54,8 @@ _S2, _S3, _S6 = (isqrt(k << _ROOT_SHIFT) for k in (2, 3, 6))
 # |chord|^2 * _CHORD_DEN <= _CHORD_NUM with the chord in grid units
 _CHORD_DEN = VIEWPORT * VIEWPORT
 _CHORD_NUM = (2 * WINDOW * 5) ** 2 << (2 * _GRID_BITS)
+_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;"})  # the escapes of SVG element text
+_ATTR = str.maketrans({"&": "&amp;", "<": "&lt;", '"': "&quot;"})  # and of attribute values
 
 
 def _round_half_even(num: int, den: int) -> int:
@@ -295,7 +297,7 @@ def build_scene(cls: ModuleClass, options: RenderOptions, graph=None) -> Picture
     for ch in graph.chambers:
         if ch.id == graph.source:
             continue  # the outer all-negative chamber is left unlabeled
-        anchor = scaled(stereographic(ch.sample))
+        anchor = scaled(stereographic(ch.cells[0].sample))
         anchor = PlanePoint(max(-edge, min(edge, anchor.x)), max(-edge, min(edge, anchor.y)))
         labels.append(("".join(sorted(ch.label, key=cls.catalog.position)), anchor))
     return PictureScene(tuple(wall_curves), tuple(ghost_curves), tuple(labels))
@@ -386,7 +388,8 @@ def _polyline_paths(points, den: int) -> list[str]:
 
 
 def render_picture(cls: ModuleClass, options: RenderOptions | None = None, graph=None) -> str:
-    """Deterministic SVG document of the rank-3 picture."""
+    """Deterministic SVG document of the rank-3 picture, in ASCII: ids are
+    escaped, a non-ASCII character written as a character reference."""
     options = options or RenderOptions()
     scene = build_scene(cls, options, graph=graph)
     meta = {
@@ -405,21 +408,22 @@ def render_picture(cls: ModuleClass, options: RenderOptions | None = None, graph
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEWPORT}" height="{VIEWPORT}" '
         f'viewBox="0 0 {VIEWPORT} {VIEWPORT}">',
-        "<metadata>" + json.dumps(meta, sort_keys=True) + "</metadata>",
+        "<metadata>" + json.dumps(meta, sort_keys=True).translate(_TEXT) + "</metadata>",
         f'<rect width="{VIEWPORT}" height="{VIEWPORT}" fill="#ffffff"/>',
     ]
     for curve in scene.wall_curves + scene.ghost_curves:
+        head = f'<path class="{curve.kind}" data-name="{curve.name.translate(_ATTR)}"'
         style = ";".join(f"{k}:{v}" for k, v in sorted(curve.style.items()))
         for d in _polyline_paths(curve.points, SCENE_DEN):
-            lines.append(f'<path class="{curve.kind}" data-name="{curve.name}" d="{d}" style="{style}"/>')
+            lines.append(f'{head} d="{d}" style="{style}"/>')
     for text, anchor in scene.labels:
         ((x, y),), den = _to_viewport((anchor,), SCENE_DEN)
         lines.append(
             f'<text class="chamber-label" x="{_px(x, den)}" y="{_px(y, den)}" '
-            f'font-size="18" text-anchor="middle">{text}</text>'
+            f'font-size="18" text-anchor="middle">{text.translate(_TEXT)}</text>'
         )
     lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode("ascii", "xmlcharrefreplace").decode()
 
 
 # ---------------------------------------------------------------------------

@@ -173,11 +173,11 @@ def semistable_set(cls: ModuleClass, theta: IntVec) -> frozenset[str]:
 
 
 class Chamber(NamedTuple):
+    """A chamber: its cells in sign order, the first giving its sample."""
+
     id: int
     cells: tuple[Cell, ...]
     label: frozenset[str]  # S(theta) on the chamber
-    sample: IntVec  # its first cell's sample: numerators over den
-    den: int
     bounding_walls: tuple[tuple[Wall, int], ...]  # (wall, side sign)
 
 
@@ -189,15 +189,15 @@ class ChamberEdge(NamedTuple):
 
 
 class ChamberGraph(NamedTuple):
+    """Chambers partitioning the cells of the brick arrangement, which
+    ``chamber_of_signs`` indexes by sign vector, and their green edges."""
+
     chambers: tuple[Chamber, ...]
     edges: tuple[ChamberEdge, ...]
     source: int
     sink: int
     walls: dict[str, Wall]  # in brick order
-    # the brick-hyperplane arrangement the chambers were merged from: all of
-    # its cells, and every facet adjacency, on a wall or not
-    cells: tuple[Cell, ...]
-    adjacencies: tuple[FacetAdjacency, ...]
+    adjacencies: tuple[FacetAdjacency, ...]  # every facet adjacency of the cells, on a wall or not
     chamber_of_signs: dict[tuple[int, ...], int]  # cell sign vector -> chamber id
     out: dict[int, tuple[ChamberEdge, ...]]  # chamber id -> its out-edges, in edge order
 
@@ -251,24 +251,17 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
             parent[find(adj.cell_a.signs)] = find(adj.cell_b.signs)
 
     groups: dict[tuple, list[Cell]] = {}
-    for c in cells:
+    for c in sorted(cells, key=lambda c: c.signs):  # so each group, and the groups, come out sorted
         groups.setdefault(find(c.signs), []).append(c)
-    ordered = sorted(
-        (sorted(cs, key=lambda c: c.signs) for cs in groups.values()),
-        key=lambda cs: cs[0].signs,
-    )
+    ordered = list(groups.values())
     label_of = dict(zip([c.signs for c in cells], semistable_sets(cls, [c.sample for c in cells])))
-    chamber_of: dict[tuple, int] = {}
+    chamber_of = {c.signs: cid for cid, cell_group in enumerate(ordered) for c in cell_group}
     labels: list[frozenset[str]] = []
     for cid, cell_group in enumerate(ordered):
         found = {label_of[c.signs] for c in cell_group}
         if len(found) != 1:
-            raise InternalConsistencyError(
-                f"semistable label not constant on merged chamber {cid}"
-            )
+            raise InternalConsistencyError(f"semistable label not constant on merged chamber {cid}")
         labels.append(found.pop())
-        for c in cell_group:
-            chamber_of[c.signs] = cid
 
     # one pass over the wall facets: the bounding walls of the chambers on
     # both sides, with each chamber's sign of the wall's hyperplane, and one
@@ -316,8 +309,6 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
             id=cid,
             cells=tuple(cell_group),
             label=labels[cid],
-            sample=cell_group[0].sample,
-            den=cell_group[0].den,
             bounding_walls=tuple(
                 (walls[b], s)
                 for b, s in sorted(bounding[cid].items(), key=lambda kv: catalog.position(kv[0]))
@@ -337,7 +328,6 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
         source=source,
         sink=sink,
         walls=walls,
-        cells=tuple(cells),
         adjacencies=tuple(adjacencies),
         chamber_of_signs=chamber_of,
         out={cid: tuple(es) for cid, es in out.items()},
@@ -345,9 +335,11 @@ def _build_chamber_graph(cls: ModuleClass) -> ChamberGraph:
 
 
 def chamber_docs(cls: ModuleClass, graph: ChamberGraph) -> list[dict]:
-    """The JSON document of each chamber: id, sorted label and sample."""
+    """The JSON document of each chamber: id, sorted label and the sample
+    of its first cell."""
+    key = cls.catalog.position
     return [
-        {"id": c.id, "label": sorted(c.label, key=cls.catalog.position), "sample": vec_str(c.sample, c.den)}
+        {"id": c.id, "label": sorted(c.label, key=key), "sample": vec_str(c.cells[0].sample, c.cells[0].den)}
         for c in graph.chambers
     ]
 
@@ -362,7 +354,7 @@ def locate_columns(graph: ChamberGraph, theta) -> list[int]:
     coordinate columns, read from the sign columns of the brick hyperplanes;
     `locate_chamber` is a block of one.  A point on a brick hyperplane
     raises, the first in block order named."""
-    n = len(graph.chambers[0].sample)
+    n = next(iter(graph.walls.values())).cone.dim  # a graph has at least one wall
     if len(theta) != n:
         raise CatalogError(f"theta of rank {len(theta)} on a class of rank {n}")
     values = [list(_combination(w.cone.equalities[0], theta, len(theta[0]))) for w in graph.walls.values()]

@@ -324,7 +324,8 @@ class Verifier:
         self.record("f:hn-existence", fails, f"{checked} filtrations")
 
     # (g) chambers of extension-closed classes are the sign-vector regions of
-    # their bounding walls, and labels are pairwise distinct
+    # their bounding walls, and labels are pairwise distinct: a cell is on a
+    # chamber's side of each of its bounding walls iff it is in the chamber
     def check_convexity_and_distinct_labels(self):
         fails = Failures()
         report_only = []
@@ -332,18 +333,12 @@ class Verifier:
             graph = chamber_graph(cls)
             labels = [c.label for c in graph.chambers]
             distinct = len(set(labels)) == len(labels)
-            convex = True
             index_of = {b: i for i, b in enumerate(cls.bricks)}
-            for ch in graph.chambers:
-                wanted = {index_of[w.brick]: sign for (w, sign) in ch.bounding_walls}
-                region_cells = {
-                    c.signs
-                    for c in graph.cells
-                    if all(c.signs[i] == s for i, s in wanted.items())
-                }
-                have = {c.signs for c in ch.cells}
-                if region_cells != have:
-                    convex = False
+            convex = all(
+                all(signs[index_of[w.brick]] == s for w, s in ch.bounding_walls) == (cid == ch.id)
+                for ch in graph.chambers
+                for signs, cid in graph.chamber_of_signs.items()
+            )
             verdict = f"{name}: convex={convex} distinct={distinct}"
             if cls.flags.extension_closed is not True:
                 report_only.append(verdict)

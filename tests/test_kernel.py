@@ -342,11 +342,11 @@ class TestPerClassTables:
         graph = chamber_graph(case1)
         dims = [graph.walls[b].cone.equalities[0] for b in case1.bricks]
         cells = enumerate_cells(dims)
-        assert list(graph.cells) == cells
         assert list(graph.adjacencies) == cell_facet_neighbors(cells, dims)
-        assert sorted(c.signs for ch in graph.chambers for c in ch.cells) == sorted(
-            c.signs for c in cells
-        )
+        # every cell is in exactly one chamber, which the sign table names
+        owners = [ch.id for c in cells for ch in graph.chambers if c in ch.cells]
+        assert owners == [graph.chamber_of_signs[c.signs] for c in cells]
+        assert graph.chamber_of_signs.keys() == {c.signs for c in cells}
 
     def test_out_edges_index_matches_a_scan(self, full6):
         graph = chamber_graph(full6)

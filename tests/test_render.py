@@ -1,15 +1,19 @@
 import ast
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghostpic.catalog import ModuleClass
+from ghostpic.catalog import ModuleClass, dump_catalog, generate_type_a
 from ghostpic.errors import GhostpicError, RankError
 from ghostpic.geometry import Cone, feasible_point, int_dot, primitive
 from ghostpic.ghosts import SUBOBJECT, enumerate_ghosts
@@ -270,6 +274,38 @@ class TestRenderPicture:
         assert meta["schema"] == "ghostpic-svg/1"
         assert meta["class"] == list(torsion4.bricks)
         assert "palette" in meta
+
+    @pytest.mark.parametrize("encoding", [None, "ascii"])
+    def test_ids_that_need_escaping_give_a_well_formed_ascii_svg(self, tmp_path, encoding):
+        """A catalog may name a brick with '&', '<', '"' or a non-ASCII
+        character.  The picture escapes each id and writes a non-ASCII
+        character as a character reference, so the document parses, reads
+        back every id, and is written whatever the stdout encoding."""
+        renamed = {"S1": 'S<1&"', "S3": "Sé3"}
+
+        def rename(x):
+            if isinstance(x, list):
+                return [rename(y) for y in x]
+            if isinstance(x, dict):
+                return {rename(k): rename(v) for k, v in x.items()}
+            return renamed.get(x, x) if isinstance(x, str) else x
+
+        path = tmp_path / "renamed.json"
+        path.write_text(json.dumps(rename(json.loads(dump_catalog(generate_type_a(3, "LL"))))), encoding="utf-8")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if encoding:
+            env["PYTHONIOENCODING"] = encoding
+        argv = [sys.executable, "-m", "ghostpic.cli", "picture", "--catalog", str(path)]
+        proc = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.isascii()
+        root = ElementTree.fromstring(proc.stdout)
+        svg = "{http://www.w3.org/2000/svg}"
+        assert {'S<1&"', "Sé3"} <= {e.get("data-name") for e in root.iter(svg + "path")}
+        assert {'S<1&"', "Sé3"} <= {e.text for e in root.iter(svg + "text")}
+        assert {'S<1&"', "Sé3"} <= set(json.loads(root.find(svg + "metadata").text)["class"])
 
 
 class TestReport:

@@ -3,8 +3,10 @@
 For the ten standard fixtures and the full class over A4 with orientation
 LLL, two SHA-256 digests are pinned.  The first covers the cell, chamber and
 edge samples, which the simplex computes: it must take the same pivots as the
-rational one it replaced, so not one of them may move.  An edge's sample is
-solved, as the report solves it, by `facet_lp_sample` on the edge's facet.
+rational one it replaced, so not one of them may move.  The cells are those
+of `enumerate_cells` on the brick dims, in its order; a chamber's sample is
+its first cell's.  An edge's sample is solved, as the report solves it, by
+`facet_lp_sample` on the edge's facet.
 The second covers the facet points, which are read off the two cells'
 samples with no LP.
 """
@@ -15,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from ghostpic.catalog import ModuleClass, generate_type_a
-from ghostpic.geometry import facet_lp_sample, primitive
+from ghostpic.geometry import enumerate_cells, facet_lp_sample, primitive
 from ghostpic.stability import chamber_graph
 from ghostpic.verify import standard_fixtures
 
@@ -61,10 +63,10 @@ def sample_lines(cls, graph):
     """One line per simplex sample of the graph's arrangement, chambers and
     edges."""
     normals = [primitive(cls.dim_of(b)) for b in cls.bricks]
-    for c in graph.cells:
+    for c in enumerate_cells([cls.dim_of(b) for b in cls.bricks]):
         yield f"cell {_signs(c.signs)} {_vec(c.sample, c.den)}"
     for ch in graph.chambers:
-        yield f"chamber {ch.id} {_vec(ch.sample, ch.den)}"
+        yield f"chamber {ch.id} {_vec(ch.cells[0].sample, ch.cells[0].den)}"
     for e in graph.edges:
         yield f"edge {e.src} {e.dst} {e.wall_brick} {_vec(*facet_lp_sample(normals, e.facet))}"
 

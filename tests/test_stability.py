@@ -8,6 +8,7 @@ import pytest
 from ghostpic import verify
 from ghostpic.catalog import ModuleClass, ModuleSum, generate_type_a
 from ghostpic.errors import CatalogError, GuardExceededError, InternalConsistencyError
+from ghostpic.geometry import enumerate_cells
 from ghostpic.stability import (
     chamber_graph,
     enumerate_chambers,
@@ -92,7 +93,7 @@ class TestSemistableSet:
         ch = next(
             c for c in graph.chambers if c.label == frozenset({"I2", "P3"})
         )
-        assert semistable_set(torsion4, ch.sample) == {"I2", "P3"}
+        assert semistable_set(torsion4, ch.cells[0].sample) == {"I2", "P3"}
 
     def test_closed_under_weakly_admissible_quotients(self, full6):
         rng = random.Random(11)
@@ -235,12 +236,14 @@ class TestChambers:
 def convex_with_distinct_labels(cls) -> bool:
     """Verify check (g)'s property of a class: its chamber labels are
     pairwise distinct, and each chamber's cells are exactly the cells on its
-    side of every one of its bounding walls."""
+    side of every one of its bounding walls.  The cells are enumerated
+    afresh, not read off the graph."""
     graph = chamber_graph(cls)
+    cells = enumerate_cells([cls.dim_of(b) for b in cls.bricks])
     index_of = {b: i for i, b in enumerate(cls.bricks)}
     for ch in graph.chambers:
         sides = [(index_of[w.brick], sign) for w, sign in ch.bounding_walls]
-        region = {c.signs for c in graph.cells if all(c.signs[i] == sign for i, sign in sides)}
+        region = {c.signs for c in cells if all(c.signs[i] == sign for i, sign in sides)}
         if region != {c.signs for c in ch.cells}:
             return False
     labels = [ch.label for ch in graph.chambers]
@@ -282,6 +285,76 @@ class TestExtensionClosedClasses:
             cls = ModuleClass(catalog, [catalog.indecs[i].id for i in picks])
             flagged += [cls] if cls.flags.extension_closed else []
         assert flagged and [cls for cls in flagged if not convex_with_distinct_labels(cls)] == []
+
+
+def check_g(fixtures) -> verify.CheckResult:
+    """Verify check (g) run on the given fixtures alone."""
+    verifier = verify.Verifier()
+    verifier.fixtures = fixtures
+    verifier.check_convexity_and_distinct_labels()
+    (result,) = verifier.results
+    return result
+
+
+def replace_chamber(graph, chamber):
+    chambers = list(graph.chambers)
+    chambers[chamber.id] = chamber
+    return graph._replace(chambers=tuple(chambers))
+
+
+class TestConvexityCheck:
+    """Check (g) reads each chamber's region off the sign table of the
+    graph: a cell is on the chamber's side of every bounding wall iff the
+    table puts it in the chamber."""
+
+    def test_the_check_agrees_with_a_scan_of_the_enumerated_cells(self):
+        for cls in fixture_and_a3_classes():
+            # a flagged class prints its verdict only on FAIL, any other always
+            result = check_g({"c": cls})
+            assert (result.passed and "False" not in result.detail) == convex_with_distinct_labels(cls), cls
+
+    @staticmethod
+    def drop_a_bounding_wall(graph):
+        """Chamber 1's region grows across the wall it no longer names."""
+        ch = graph.chambers[1]
+        return replace_chamber(graph, ch._replace(bounding_walls=ch.bounding_walls[1:]))
+
+    @staticmethod
+    def bound_a_chamber_inside_itself(graph):
+        """Chamber 3's two cells were merged across a brick hyperplane off
+        its walls: bounding the chamber by that hyperplane leaves its second
+        cell off its region."""
+        ch = graph.chambers[3]
+        a, b = (c.signs for c in ch.cells)
+        i = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+        side = (list(graph.walls.values())[i], a[i])
+        return replace_chamber(graph, ch._replace(bounding_walls=ch.bounding_walls + (side,)))
+
+    @staticmethod
+    def move_a_cell_across_an_edge(graph):
+        """The sign table puts a cell of an edge's source in its target."""
+        e = graph.edges[0]
+        table = dict(graph.chamber_of_signs)
+        table[graph.chamber(e.src).cells[0].signs] = e.dst
+        return graph._replace(chamber_of_signs=table)
+
+    @pytest.mark.parametrize(
+        "plant", ["drop_a_bounding_wall", "bound_a_chamber_inside_itself", "move_a_cell_across_an_edge"]
+    )
+    def test_a_planted_non_convex_chamber_fails_the_check(self, monkeypatch, plant):
+        fixtures = verify.standard_fixtures()
+        torsion4 = fixtures["torsion4"]
+        assert torsion4.flags.extension_closed is True
+        assert check_g({"torsion4": torsion4}).passed
+
+        def planted(cls):
+            graph = chamber_graph(cls)
+            return getattr(self, plant)(graph) if cls is torsion4 else graph
+
+        monkeypatch.setattr(verify, "chamber_graph", planted)
+        result = check_g(fixtures)
+        assert not result.passed
+        assert result.detail.endswith("; 1 failures, first: torsion4: convex=False distinct=True")
 
 
 class TestChamberGraph:
@@ -348,8 +421,8 @@ class TestChamberGraph:
         graph = chamber_graph(torsion4)
         for e in graph.edges:
             d = torsion4.dim_of(e.wall_brick)
-            assert dot(d, graph.chamber(e.src).sample) < 0
-            assert dot(d, graph.chamber(e.dst).sample) > 0
+            assert dot(d, graph.chamber(e.src).cells[0].sample) < 0
+            assert dot(d, graph.chamber(e.dst).cells[0].sample) > 0
             assert dot(d, e.facet.facet_sample) == 0
 
     def test_an_edge_holds_its_first_wall_facet(self, full6):
@@ -369,14 +442,14 @@ class TestChamberGraph:
     def test_locate_chamber(self, torsion4):
         graph = chamber_graph(torsion4)
         for c in graph.chambers:
-            assert locate_chamber(graph, c.sample) == c.id
+            assert locate_chamber(graph, c.cells[0].sample) == c.id
 
     def test_bounding_walls_have_signs(self, torsion4):
         graph = chamber_graph(torsion4)
         for c in graph.chambers:
             for w, sign in c.bounding_walls:
                 assert sign in (1, -1)
-                val = dot(torsion4.dim_of(w.brick), c.sample)
+                val = dot(torsion4.dim_of(w.brick), c.cells[0].sample)
                 assert (val > 0) == (sign == 1)
 
 

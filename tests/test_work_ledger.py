@@ -77,7 +77,7 @@ def test_lps_of_the_a4_lll_build(monkeypatch):
     and the box built once per rank."""
     solved = counted_lps(monkeypatch)
     graph = chamber_graph(full_class(4, "LLL"))
-    assert_pinned("cells and chambers of A4-LLL", (120, 42), (len(graph.cells), len(graph.chambers)))
+    assert_pinned("cells and chambers of A4-LLL", (120, 42), (len(graph.chamber_of_signs), len(graph.chambers)))
     assert_pinned("LPs of the A4-LLL build", 484, len(solved))
 
 
