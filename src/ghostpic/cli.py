@@ -128,13 +128,14 @@ def cmd_chambers(args) -> dict:
 
 
 def cmd_mgs(args) -> dict:
-    from ghostpic.greenpaths import count_mgs, enumerate_mgs, find_linear_paths
-    from ghostpic.stability import chamber_graph
+    from ghostpic.stability import chamber_graph, count_mgs
 
     cls = _class_from_args(args)
     graph = chamber_graph(cls)
     if not args.all:
         return {"schema": "ghostpic-mgs/1", "mgs_count": count_mgs(graph)}
+    from ghostpic.greenpaths import enumerate_mgs, find_linear_paths
+
     all_mgs = enumerate_mgs(cls, graph)
     paths = find_linear_paths(cls, [mgs.walls for mgs in all_mgs], radius=4)
     sequences = []

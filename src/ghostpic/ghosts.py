@@ -26,7 +26,9 @@ cross-checked.  Both readings come from one ghost plan per class
 by the builder of the brick plan (`stability.build_plan`).  The ghost plan
 also orders, once per class, the subobject and quotient ghosts that cross
 together (`order_concurrent`); a crossing schedule with ghosts reads its
-bricks and these ghosts from that one plan.
+bricks and these ghosts from that one plan.  Only the functions that read a
+path import the path layer (`greenpaths`), when called, so the census, the
+domains and the bifurcations load none of it.
 """
 
 from __future__ import annotations
@@ -44,13 +46,6 @@ from ghostpic.catalog import (
 )
 from ghostpic.errors import CatalogError
 from ghostpic.geometry import Cone
-from ghostpic.greenpaths import (
-    Event,
-    LinearPath,
-    _generic_one,
-    crossing_schedule,
-    stable_verdicts,
-)
 from ghostpic.stability import CrossingPlan, Side, build_plan, side_cone
 
 SUBOBJECT = "subobject"
@@ -309,6 +304,8 @@ def ghost_stability(cls: ModuleClass, path: LinearPath, g: Ghost) -> bool:
     domain interior; the two must agree.  The ghost must be one of
     `enumerate_ghosts(cls)`: its crossing is read from the class's ghost
     plan, and a path not generic for that plan is refused."""
+    from ghostpic.greenpaths import _generic_one, stable_verdicts
+
     plan = ghost_plan(cls)
     ghost, crossing = plan.ghosts.get(g.key(), (None, None))
     if ghost is not g and ghost != g:
@@ -365,11 +362,15 @@ def ghost_events(cls: ModuleClass, path: LinearPath) -> list[Event]:
     """The subobject and quotient ghost events of the path's schedule with
     ghosts, in its order (extension ghosts cross with their middle brick and
     are left out)."""
+    from ghostpic.greenpaths import crossing_schedule
+
     return [e for e in crossing_schedule(cls, path, include_ghosts=True) if e.kind == "ghost"]
 
 
 def mgs_with_ghosts(cls: ModuleClass, path: LinearPath) -> list[Event]:
     """Stable wall crossings, bricks and ghosts merged in time order."""
+    from ghostpic.greenpaths import crossing_schedule
+
     return [e for e in crossing_schedule(cls, path, include_ghosts=True) if e.stable]
 
 
@@ -527,9 +528,10 @@ class Duality(NamedTuple):
     """Transport along vector-space duality D to the opposite catalog.
 
     The dual class has the same brick ids over `BrickCatalog.opposite`,
-    whose P2 stands for D(P2), so modules transport as themselves; stability
-    vectors transport by negation (a green path reverses), and subobject
-    ghosts (Z,B,C) become quotient ghosts (C,B,Z).
+    whose P2 stands for D(P2), so modules transport as themselves, and
+    subobject ghosts (Z,B,C) become quotient ghosts (C,B,Z).  Stability
+    vectors transport by negation, which the caller applies: a ghost domain
+    by `Cone.negated`, a path h + t*k by negating h (a green path reverses).
     """
 
     dual_class: ModuleClass
@@ -539,12 +541,6 @@ class Duality(NamedTuple):
         reverses and subobject and quotient ghosts trade kinds."""
         kind, a, b, c = key
         return ({SUBOBJECT: QUOTIENT, QUOTIENT: SUBOBJECT}.get(kind, kind), c, b, a)
-
-    def transport_path(self, path: LinearPath) -> LinearPath:
-        return LinearPath(tuple(-x for x in path.h), path.k)
-
-    def transport_domain(self, cone: Cone) -> Cone:
-        return cone.negated()
 
 
 def dualize(cls: ModuleClass) -> Duality:

@@ -49,6 +49,7 @@ from ghostpic.stability import (
     Crossing,
     CrossingPlan,
     chamber_graph,
+    count_mgs,
     crossing_plan,
 )
 
@@ -328,18 +329,6 @@ def linear_mgs(cls: ModuleClass, path: LinearPath) -> list[str]:
 class Mgs(NamedTuple):
     walls: tuple[str, ...]
     chamber_ids: tuple[int, ...]
-
-
-def count_mgs(graph: ChamberGraph) -> int:
-    counts = {graph.sink: 1}
-    order = sorted(
-        graph.chambers, key=lambda c: len(c.label), reverse=True
-    )  # labels grow along edges, so this is a reverse topological order
-    for c in order:
-        if c.id == graph.sink:
-            continue
-        counts[c.id] = sum(counts[e.dst] for e in graph.out_edges(c.id))
-    return counts.get(graph.source, 0)
 
 
 def enumerate_mgs(cls: ModuleClass, graph: ChamberGraph | None = None) -> list[Mgs]:

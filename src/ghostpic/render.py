@@ -22,8 +22,7 @@ from ghostpic.catalog import ModuleClass
 from ghostpic.errors import GhostpicError, RankError
 from ghostpic.geometry import Cone, facet_lp_sample, int_dot, primitive, vec_str
 from ghostpic.ghosts import EXTENSION, QUOTIENT, SUBOBJECT, enumerate_ghosts, ghost_census_doc
-from ghostpic.greenpaths import count_mgs
-from ghostpic.stability import chamber_docs, chamber_graph, edge_docs
+from ghostpic.stability import chamber_docs, chamber_graph, count_mgs, edge_docs
 
 SQRT_BITS = 80
 VIEWPORT = 1000

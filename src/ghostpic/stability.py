@@ -1,4 +1,5 @@
-"""Walls, semistable sets, chambers and the green-oriented chamber graph.
+"""Walls, semistable sets, chambers and the green-oriented chamber graph,
+with the count of its maximal green sequences (source-to-sink paths).
 
 The wall of a brick M is the cone cut out of the hyperplane theta(M)=0 by
 theta(M') >= 0 over the proper weakly admissible quotients M'.  Chambers are
@@ -347,6 +348,19 @@ def chamber_docs(cls: ModuleClass, graph: ChamberGraph) -> list[dict]:
 def edge_docs(graph: ChamberGraph) -> list[dict]:
     """The JSON document of each green edge: its chambers and wall brick."""
     return [{"from": e.src, "to": e.dst, "wall": e.wall_brick} for e in graph.edges]
+
+
+def count_mgs(graph: ChamberGraph) -> int:
+    """The number of maximal green sequences: source-to-sink paths of the graph."""
+    counts = {graph.sink: 1}
+    order = sorted(
+        graph.chambers, key=lambda c: len(c.label), reverse=True
+    )  # labels grow along edges, so this is a reverse topological order
+    for c in order:
+        if c.id == graph.sink:
+            continue
+        counts[c.id] = sum(counts[e.dst] for e in graph.out_edges(c.id))
+    return counts.get(graph.source, 0)
 
 
 def locate_columns(graph: ChamberGraph, theta) -> list[int]:

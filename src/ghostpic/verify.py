@@ -362,7 +362,7 @@ class Verifier:
                     continue
                 for g in ghosts:
                     twin = dual_ghosts[duality.transport_key(g.key())]
-                    if not cone_equal(twin.domain, duality.transport_domain(g.domain)):
+                    if not cone_equal(twin.domain, g.domain.negated()):
                         fails.add(f"{name}: domain transport mismatch for {g.display()}")
                 double = cls.catalog.opposite().opposite()
                 fields = ("quiver", "indecs", "subquotients", "hom", "ses_list", "complete")
@@ -374,10 +374,8 @@ class Verifier:
                     fails.add("torsion4: dual class is not torsion-free")
                 path = LinearPath((3, 0, 2), (1, 1, 1))
                 orig = [e.label for e in mgs_with_ghosts(cls, path)]
-                dual = [
-                    e.label
-                    for e in mgs_with_ghosts(duality.dual_class, duality.transport_path(path))
-                ]
+                dual_path = LinearPath(tuple(-x for x in path.h), path.k)
+                dual = [e.label for e in mgs_with_ghosts(duality.dual_class, dual_path)]
                 labels = _dual_labels(duality, ghosts, dual_ghosts)
                 transported = [labels.get(label, label) for label in reversed(orig)]
                 if dual != transported:

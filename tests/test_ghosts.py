@@ -69,7 +69,7 @@ def transport_failures(cls):
     failures = []
     for g in ghosts:
         twin = dual[duality.transport_key(g.key())].domain
-        moved = duality.transport_domain(g.domain)
+        moved = g.domain.negated()
         if not cone_contains_cone(twin, moved):
             failures.append(f"{cls!r}: {g.display()}'s twin misses part of its domain")
         if not cone_contains_cone(moved, twin):
@@ -448,7 +448,7 @@ class TestDuality:
             if g.kind != SUBOBJECT:
                 continue
             twin = dual_ghosts[duality.transport_key(g.key())]
-            assert cone_equal(twin.domain, duality.transport_domain(g.domain))
+            assert cone_equal(twin.domain, g.domain.negated())
 
     def test_mgs_reversal(self, torsion4):
         # the dual class keeps the brick ids: the opposite's S1 stands for D(S1)
@@ -457,7 +457,7 @@ class TestDuality:
         orig = [e.label for e in mgs_with_ghosts(torsion4, path)]
         dual = [
             e.label
-            for e in mgs_with_ghosts(duality.dual_class, duality.transport_path(path))
+            for e in mgs_with_ghosts(duality.dual_class, LinearPath(tuple(-x for x in path.h), path.k))
         ]
         assert orig == ["S1", "S3", "I2", "Gh(S2;I2)"]
         assert dual == ["Gh*(S2;I2)", "I2", "S3", "S1"]

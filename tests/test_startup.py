@@ -3,8 +3,11 @@
 No module of the package generates code at import (no `dataclasses`), and
 each `ghostpic` subcommand imports only the layers it runs: `import
 ghostpic.cli` loads the catalog layer alone, and the chamber, ghost, render
-and verify layers load when a command needs them.  Each command runs in a
-fresh interpreter, which reports the `ghostpic` modules it has loaded.
+and verify layers load when a command needs them.  The ghost and render
+layers sit below the path layer `greenpaths`, so `ghosts`, both SVG
+pictures, `picture --report` and plain `mgs` load none of it, `fractions`
+and `decimal`.  Each command runs in a fresh interpreter, which
+reports the `ghostpic` modules and the rational modules it has loaded.
 """
 
 import ast
@@ -25,11 +28,13 @@ COMMANDS = {
     "catalog": ("catalog", *LL),
     "chambers": ("chambers", *LL),
     "mgs": ("mgs", "--all", *LL),
+    "mgs-count": ("mgs", *LL),
     "ghosts": ("ghosts", *LL),
     "hn": ("hn", *LL, "--class", "S1,P3,I2,S3", "--mgs", "S1,S3,I2", "--module", "P3"),
     "path": ("path", *LL, "--h", "-3,1,2", "--k", "1,1,1"),
     "path-no-ghosts": ("path", *LL, "--h", "-3,1,2", "--k", "1,1,1", "--no-ghosts"),
     "picture": ("picture", *LL),
+    "picture-ext": ("picture", *LL, "--ext-ghosts"),
     "report": ("picture", *LL, "--report"),
     "verify": ("verify", "--paths", "2"),
 }
@@ -78,6 +83,44 @@ def test_the_chamber_layer_imports_no_path_or_ghost_layer():
 
 def test_the_path_layer_takes_only_the_ghost_plan_from_the_ghost_layer():
     assert {name for m, name in imports_of("greenpaths") if m == "ghostpic.ghosts"} == {"ghost_plan"}
+
+
+def path_layer_importers(module):
+    """The top-level functions of a package module whose bodies import
+    `ghostpic.greenpaths`, with None for such an import anywhere else (which
+    runs when the module loads, or may)."""
+    tree = ast.parse((SRC / "ghostpic" / f"{module}.py").read_text(encoding="utf-8"))
+    out = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                names = {a.name for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {node.module, *(f"{node.module}.{a.name}" for a in node.names)}
+            else:
+                continue
+            if "ghostpic.greenpaths" in names:
+                out.add(top.name if isinstance(top, ast.FunctionDef) else None)
+    return out
+
+
+def test_the_ghost_and_picture_layers_import_the_path_layer_only_to_read_paths():
+    """A ghost's census and domains, and the picture, are read off the class
+    and its walls, so neither `ghosts` nor `render` imports `greenpaths` when
+    it loads; the three ghost functions that read a path import it when
+    called."""
+    assert path_layer_importers("render") == set()
+    assert path_layer_importers("ghosts") == {"ghost_stability", "ghost_events", "mgs_with_ghosts"}
+
+
+def test_the_path_layer_reexports_the_graph_count():
+    """`count_mgs` reads only the chamber graph and lives in `stability`;
+    `greenpaths` holds the same function, so an import of it from there
+    (and a wrapper that replaces it by identity in every namespace) still
+    reaches every caller."""
+    from ghostpic import greenpaths, stability
+
+    assert greenpaths.count_mgs is stability.count_mgs
 
 
 def per_class_functions():
@@ -142,13 +185,29 @@ def test_chambers_loads_no_path_ghost_render_or_verify_layer(loaded_modules):
 def test_printing_points_loads_no_fractions(loaded_modules):
     """`geometry.vec_str` prints a rational point in lowest terms by `gcd`,
     so `catalog` and `chambers`, which print points and parse no rational,
-    load neither `fractions` nor `decimal`; `path` reads its times as
-    Fractions and loads them."""
+    load neither `fractions` nor `decimal` (nor do the commands that load no
+    path layer, below); `path` reads its times as Fractions and loads them."""
     assert loaded_modules["catalog"]["rationals"] == loaded_modules["chambers"]["rationals"] == []
     assert "fractions" in loaded_modules["path"]["rationals"]
 
 
-@pytest.mark.parametrize("layer,users", [("render", {"picture", "report"}), ("verify", {"verify"})])
+@pytest.mark.parametrize("name", ["ghosts", "picture", "picture-ext", "report", "mgs-count"])
+def test_commands_that_read_no_path_load_no_path_layer_or_rationals(loaded_modules, name):
+    """The ghost census, both SVG pictures, the report and the MGS count read
+    the class, its walls and its chamber graph only."""
+    seen = loaded_modules[name]
+    assert "ghostpic.greenpaths" not in seen["run"]
+    assert seen["rationals"] == []
+
+
+@pytest.mark.parametrize("name", ["mgs", "path", "path-no-ghosts", "hn"])
+def test_commands_that_read_paths_load_the_path_layer(loaded_modules, name):
+    assert "ghostpic.greenpaths" in loaded_modules[name]["run"]
+
+
+@pytest.mark.parametrize(
+    "layer,users", [("render", {"picture", "picture-ext", "report"}), ("verify", {"verify"})]
+)
 def test_a_layer_loads_only_for_its_commands(loaded_modules, layer, users):
     loads = {name for name, seen in loaded_modules.items() if f"ghostpic.{layer}" in seen["run"]}
     assert loads == users
